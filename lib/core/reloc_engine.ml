@@ -16,7 +16,8 @@ type veneer_pool = {
 
 let veneer_slot_bytes = 16
 
-(* atomic: parallel quanta may link concurrently across domains *)
+(* atomic: a global count, bumped by every cluster machine's linker on
+   whatever domain that machine runs *)
 let veneer_count = Atomic.make 0
 
 let veneers_created () = Atomic.get veneer_count

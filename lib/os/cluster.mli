@@ -84,7 +84,10 @@ val send_reliable :
 
     [domains] defaults to [HEMLOCK_DOMAINS] (default 1 — the
     deterministic single-domain oracle) and is capped at the machine
-    count; machine [i] runs on domain [i mod domains].
+    count; machine [i] runs on domain [i mod domains] for the whole
+    run.  That is the ownership rule the rest of the simulator relies
+    on instead of locks: a kernel and everything reachable from it is
+    touched by one domain at a time.
 
     Stall detection understands in-flight latency: a round with no
     kernel progress only counts against the cluster while nothing in

@@ -11,7 +11,6 @@ module Trap = Hemlock_isa.Trap
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
-module Domain_pool = Hemlock_util.Domain_pool
 
 type blocked = Sched.blocked = { b_pid : int; b_comm : string; b_why : string }
 
@@ -46,13 +45,6 @@ type t = {
   mutable binfmts : (string * (t -> Proc.t -> Bytes.t -> path:string -> int)) list;
   mutable fork_hooks : (parent:Proc.t -> child:Proc.t -> unit) list;
   mutable reboot_hooks : (unit -> unit) list;
-  lock : Mutex.t;
-      (* the kernel big lock, contended only in parallel mode: one
-         domain at a time mutates the shared tables (fs, vfs, ipc,
-         scheduler, console) *)
-  mutable par : bool;
-      (* true only while a [step_par] round has ISA quanta spread over
-         domains; the sequential paths never touch [lock] *)
 }
 
 and handler = t -> Proc.t -> fault -> segv_result
@@ -79,20 +71,7 @@ let create () =
     binfmts = [];
     fork_hooks = [];
     reboot_hooks = [];
-    lock = Mutex.create ();
-    par = false;
   }
-
-(* Lock order: kernel lock first, then any address-space range lock —
-   never the reverse.  In sequential mode ([par = false]) this is a
-   single branch; kernel code below the trap pipeline assumes its
-   caller took the lock (or that no other domain is running). *)
-let with_kernel_lock t f =
-  if t.par then begin
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-  end
-  else f ()
 
 (* Hooks are kept newest-first (O(1) registration) and reversed into
    registration order at each fork. *)
@@ -702,20 +681,13 @@ let quantum = 4000
    process's quantum (blocked, yielded, exited, or a fault that must be
    retried from the top); [`Continue] resumes the interrupted burst.
 
-   Kernel-internal fault resolution (pager + COW) runs {e outside} the
-   kernel lock: the address space's range locks provide all the
-   exclusion page resolution needs, so concurrent quanta faulting on
-   disjoint ranges never serialise here.  The one exception is a
-   bounded RAM budget: eviction can push dirty pages through the shared
-   Fs journal, so that path takes the kernel lock ([~locked] marks
-   callers already holding it). *)
-let internal_fault ?(locked = false) ?(ticked = true) t proc fault =
-  let pager () =
-    if t.par && (not locked) && !Vm_object.ram_pages <> None then
-      with_kernel_lock t (fun () -> pager_fault proc fault)
-    else pager_fault proc fault
-  in
-  if pager () then begin
+   The pipeline takes no locks: a kernel and everything reachable from
+   it (its Fs, processes, address spaces, segments and VM objects) is
+   touched by one domain at a time.  [Cluster.run] keeps each machine
+   on one worker for the whole run, and nothing else steps a kernel off
+   the calling domain. *)
+let internal_fault ?(ticked = true) proc fault =
+  if pager_fault proc fault then begin
     (* Like COW, resume the burst with no fuel consumed.  The tick
        rollback is asymmetric because [Cpu.step] bills [instructions]
        {e between} fetch and execute: a fetch fault raises before the
@@ -738,7 +710,7 @@ let internal_fault ?(locked = false) ?(ticked = true) t proc fault =
   else false
 
 (* SIGSEGV delivery for a fault the kernel could not resolve
-   internally.  In parallel mode the caller holds the kernel lock. *)
+   internally. *)
 let deliver_fault t proc fault =
   match deliver_segv t proc fault with
   | Resolved -> `Stop (* pc still points at the faulting instruction *)
@@ -752,40 +724,37 @@ let deliver_fault t proc fault =
 let handle_trap t proc cpu trap =
   match trap with
   | Trap.Halt code ->
-    with_kernel_lock t (fun () -> exit_proc t proc code);
+    exit_proc t proc code;
     `Stop
   | Trap.Illegal _ ->
     (* SIGILL: the process dies, the simulator does not. *)
-    with_kernel_lock t (fun () -> kill t proc ~reason:(Format.asprintf "%a" Trap.pp trap));
+    kill t proc ~reason:(Format.asprintf "%a" Trap.pp trap);
     `Stop
   | Trap.Fault fault ->
-    if internal_fault t proc fault then `Continue
-    else with_kernel_lock t (fun () -> deliver_fault t proc fault)
-  | Trap.Syscall ->
-    with_kernel_lock t (fun () ->
-        match dispatch t proc cpu with
-        | () -> `Continue
-        | exception Isa_exit code ->
-          exit_proc t proc code;
-          `Stop
-        | exception Isa_yield -> `Stop
-        | exception Isa_blocked { cond; why } ->
-          proc.Proc.state <- Proc.Blocked { cond; why };
-          `Stop
-        | exception Isa_fatal msg ->
-          kill t proc ~reason:msg;
-          `Stop
-        | exception Os_error msg ->
-          kill t proc ~reason:msg;
-          `Stop
-        | exception (As.Fault _ as e) ->
-          (* A registered syscall touched user memory raw; same
-             treatment as a fault trap from the interpreter — except no
-             instruction ticked, so the pager branch must not roll one
-             back (and the kernel lock is already held). *)
-          let fault = Option.get (fault_of_exn e) in
-          if internal_fault ~locked:true ~ticked:false t proc fault then `Continue
-          else deliver_fault t proc fault)
+    if internal_fault proc fault then `Continue else deliver_fault t proc fault
+  | Trap.Syscall -> (
+    match dispatch t proc cpu with
+    | () -> `Continue
+    | exception Isa_exit code ->
+      exit_proc t proc code;
+      `Stop
+    | exception Isa_yield -> `Stop
+    | exception Isa_blocked { cond; why } ->
+      proc.Proc.state <- Proc.Blocked { cond; why };
+      `Stop
+    | exception Isa_fatal msg ->
+      kill t proc ~reason:msg;
+      `Stop
+    | exception Os_error msg ->
+      kill t proc ~reason:msg;
+      `Stop
+    | exception (As.Fault _ as e) ->
+      (* A registered syscall touched user memory raw; same treatment
+         as a fault trap from the interpreter — except no instruction
+         ticked, so the pager branch must not roll one back. *)
+      let fault = Option.get (fault_of_exn e) in
+      if internal_fault ~ticked:false proc fault then `Continue
+      else deliver_fault t proc fault)
 
 let run_isa_quantum t proc cpu =
   let rec burst fuel =
@@ -863,46 +832,3 @@ let run ?max_ticks t =
    enqueue succeeds, and a full queue answers [EAGAIN] so the sender
    holds the message instead of dropping it. *)
 let enqueue_net t name payload = Ipc.msg_enqueue t.ipc name payload
-
-(* --- parallel scheduling ---------------------------------------------------------- *)
-
-(* One parallel pass: ISA quanta spread over the pool's domains (proc
-   [i] of the runnable ISA list on worker [i mod domains]), natives
-   afterwards on the calling domain — their effect continuations must
-   not migrate, and running them with no ISA quantum in flight means
-   the plain (unlocked) syscall entry points they call stay safe.  The
-   scheduler bills every quantum up front on the calling domain, so
-   tick and context-switch totals are independent of the partition. *)
-let run_many t pool ps =
-  let isa, native =
-    List.partition
-      (fun p -> match p.Proc.body with Proc.Isa _ -> true | Proc.Native _ -> false)
-      ps
-  in
-  (match isa with
-  | [] -> ()
-  | [ p ] -> run_one t p (* one quantum: no need to arm the lock *)
-  | _ ->
-    let isa = Array.of_list isa in
-    let n = Domain_pool.domains pool in
-    t.par <- true;
-    Fun.protect
-      ~finally:(fun () -> t.par <- false)
-      (fun () ->
-        Domain_pool.round pool (fun w ->
-            Array.iteri (fun i p -> if i mod n = w then run_one t p) isa)));
-  List.iter (fun p -> if p.Proc.state = Proc.Runnable then run_one t p) native
-
-let step_par t ~pool = Sched.step_par t.sched ~run_many:(run_many t pool)
-
-let run_par ?(max_ticks = 2_000_000) t ~pool =
-  let deadline = ticks t + max_ticks in
-  let rec loop () =
-    if ticks t > deadline then raise (Os_error "Kernel.run: tick budget exhausted")
-    else
-      match step_par t ~pool with
-      | `Progress -> loop ()
-      | `Done -> ()
-      | `Idle -> raise (Deadlock (blocked_processes t))
-  in
-  loop ()

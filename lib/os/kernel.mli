@@ -192,21 +192,6 @@ val step : t -> [ `Progress | `Idle | `Done ]
     {!Deadlock} payload.  {!Cluster} aggregates these across machines. *)
 val blocked_processes : t -> blocked list
 
-(** Like {!step}, but runnable ISA processes get their quanta in
-    parallel across the pool's domains (process [i] of the runnable
-    batch on worker [i mod domains]); native processes run afterwards
-    on the calling domain, since their effect continuations must not
-    migrate.  Trap handling serialises on the kernel lock; pager and
-    COW faults resolve outside it under the space's range locks.
-    Quantum billing happens up front on the calling domain, so tick
-    and context-switch totals are partition-independent.  With a
-    1-domain pool the pass is sequential and lock-free. *)
-val step_par : t -> pool:Hemlock_util.Domain_pool.t -> [ `Progress | `Idle | `Done ]
-
-(** Loop {!step_par} to completion — {!run} spread over a domain pool.
-    @raise Deadlock as {!run}. *)
-val run_par : ?max_ticks:int -> t -> pool:Hemlock_util.Domain_pool.t -> unit
-
 (** Non-blocking network delivery onto a machine-local message queue,
     from outside any process context (no carrier process, no billing —
     the sender accounts the transfer on success).  [EAGAIN] when the

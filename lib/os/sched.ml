@@ -106,25 +106,6 @@ let step t ~run_one =
       ps;
     `Progress
 
-(* One parallel scheduler pass.  Billing (ticks, context switches) for
-   every dispatched quantum happens up front on the calling domain —
-   the same totals as the sequential pass, in a deterministic place —
-   and [run_many] then executes the whole runnable batch however the
-   kernel decides to spread it over domains. *)
-let step_par t ~run_many =
-  unblock_pass t;
-  let runnable = List.filter (fun p -> p.Proc.state = Proc.Runnable) (processes t) in
-  match runnable with
-  | [] -> if blocked_nondaemons t = [] then `Done else `Idle
-  | ps ->
-    List.iter
-      (fun _ ->
-        t.tick_count <- t.tick_count + 1;
-        (Stats.cur ()).context_switches <- (Stats.cur ()).context_switches + 1)
-      ps;
-    run_many ps;
-    `Progress
-
 let run ?(max_ticks = 2_000_000) t ~run_one ~on_budget =
   let deadline = t.tick_count + max_ticks in
   let rec loop () =

@@ -47,13 +47,6 @@ val blocked_nondaemons : t -> blocked list
     zombies and blocked daemons remain. *)
 val step : t -> run_one:(Proc.t -> unit) -> [ `Progress | `Idle | `Done ]
 
-(** Like {!step}, but billing for {e every} dispatched quantum (ticks
-    and context switches) happens up front on the calling domain, and
-    [run_many] then executes the whole runnable batch — the kernel
-    decides how to spread it over domains.  Totals match the
-    sequential pass for any partition. *)
-val step_par : t -> run_many:(Proc.t list -> unit) -> [ `Progress | `Idle | `Done ]
-
 (** Loop {!step} to completion.  [on_budget] is called when [max_ticks]
     quanta have been spent (it should raise).
     @raise Deadlock on [`Idle]. *)

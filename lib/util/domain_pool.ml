@@ -26,8 +26,6 @@ type t = {
   mutable alive : bool;
 }
 
-let domains t = t.domains
-
 let worker_loop t w =
   let seen = ref 0 in
   let rec loop () =

@@ -20,9 +20,6 @@ type t
     @raise Invalid_argument if [domains < 1]. *)
 val create : domains:int -> t
 
-(** Total worker count including the caller (the [~domains] argument). *)
-val domains : t -> int
-
 (** [round t f] runs [f w] for every worker index [w] in
     [0 .. domains - 1] — [f 0] on the calling domain, the rest on the
     pool's domains — and returns once all have finished.  If any share

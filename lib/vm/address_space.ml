@@ -57,10 +57,6 @@ type t = {
   mutable epoch : int;
   caching : bool;
   uid : int;  (* identity for Vm_object attachment (eviction -> epoch) *)
-  rlock : Range_lock.t;
-      (* interval lock over this space's page ranges: faults, maps and
-         materialisations on disjoint ranges run concurrently *)
-  tlock : Mutex.t;  (* guards [table] read-modify-writes; see [swap_table] *)
 }
 
 (* Flipped off by setting HEMLOCK_NO_TLB, which keeps the slow path
@@ -88,8 +84,6 @@ let create ?caching () =
     epoch = 0;
     caching;
     uid = Atomic.fetch_and_add next_uid 1 + 1;
-    rlock = Range_lock.create ();
-    tlock = Mutex.create ();
   }
 
 let epoch t = t.epoch
@@ -102,38 +96,6 @@ let invalidate t =
       e.te_seg <- None)
     t.tlb
 
-(* --- Locking ---------------------------------------------------------
-
-   Every structural change to a space goes through two locks, always in
-   this order: first an {e exclusive page-range hold} on [rlock] over
-   the affected address range (the semantic exclusion — no fault
-   resolution or materialisation is mid-flight on those pages), then
-   [tlock] for the instant of swapping the immutable mapping table (so
-   two mutators of {e disjoint} ranges, which don't conflict on
-   [rlock], still can't lose each other's table update).  Readers take
-   neither: [table] is an immutable snapshot read in one load, and a
-   stale read is indistinguishable from the lookup having run a moment
-   earlier.  [rlock] holds never nest, so the structural
-   deadlock-freedom argument in [Range_lock] applies. *)
-
-let page_range ~base ~len =
-  (base lsr Layout.page_shift,
-   (base + len + Layout.page_size - 1) lsr Layout.page_shift)
-
-(* an exclusive hold on every possible page *)
-let whole_lo = 0
-let whole_hi = max_int
-
-let swap_table t f =
-  Mutex.lock t.tlock;
-  match f t.table with
-  | table ->
-    t.table <- table;
-    Mutex.unlock t.tlock
-  | exception e ->
-    Mutex.unlock t.tlock;
-    raise e
-
 (* The default kind is [Pinned]: raw mappers (tests, examples, runtime
    libraries that touch segments with no kernel around to resolve pager
    faults) get the seed's eager always-resident behaviour.  Only
@@ -145,34 +107,27 @@ let map t ~base ~len ~seg ?(seg_off = 0) ?(kind = Vm_object.Pinned) ~prot ~share
   if len <= 0 then invalid_arg "Address_space.map: empty mapping";
   if not (Layout.is_user base && Layout.is_user (base + len - 1)) then
     invalid_arg "Address_space.map: outside user space";
-  let lo, hi = page_range ~base ~len in
-  Range_lock.with_range t.rlock ~lo ~hi Range_lock.Exclusive (fun () ->
-      (* the overlap check needs no [tlock]: any mapping that could
-         overlap was added under a conflicting [rlock] hold *)
-      if Interval_map.overlaps ~lo:base ~hi:(base + len) t.table then
-        invalid_arg (Printf.sprintf "Address_space.map: 0x%x+0x%x overlaps" base len);
-      let obj = Vm_object.get_or_create seg kind in
-      Vm_object.attach obj ~uid:t.uid (fun () -> invalidate t);
-      swap_table t
-        (Interval_map.add ~lo:base ~hi:(base + len)
-           { seg; seg_off; prot; share; label; cow = false; obj });
-      invalidate t;
-      (Stats.cur ()).pages_mapped <-
-        (Stats.cur ()).pages_mapped + (len / Layout.page_size))
+  if Interval_map.overlaps ~lo:base ~hi:(base + len) t.table then
+    invalid_arg (Printf.sprintf "Address_space.map: 0x%x+0x%x overlaps" base len);
+  let obj = Vm_object.get_or_create seg kind in
+  Vm_object.attach obj ~uid:t.uid (fun () -> invalidate t);
+  t.table <-
+    Interval_map.add ~lo:base ~hi:(base + len)
+      { seg; seg_off; prot; share; label; cow = false; obj }
+      t.table;
+  invalidate t;
+  (Stats.cur ()).pages_mapped <-
+    (Stats.cur ()).pages_mapped + (len / Layout.page_size)
 
 let unmap t addr =
   match Interval_map.find addr t.table with
   | None ->
     (* nothing to remove; flush anyway to match the historical path *)
     invalidate t
-  | Some (mlo, mhi, _) ->
-    let lo, hi = page_range ~base:mlo ~len:(mhi - mlo) in
-    Range_lock.with_range t.rlock ~lo ~hi Range_lock.Exclusive (fun () ->
-        (match Interval_map.find addr t.table with
-        | Some (_, _, m) -> Vm_object.detach m.obj ~uid:t.uid
-        | None -> ());
-        swap_table t (Interval_map.remove addr);
-        invalidate t)
+  | Some (_, _, m) ->
+    Vm_object.detach m.obj ~uid:t.uid;
+    t.table <- Interval_map.remove addr t.table;
+    invalidate t
 
 (* Drop every object attachment so eviction stops invalidating a dead
    space.  Process exit uses this alone: the mapping table survives for
@@ -186,23 +141,13 @@ let detach_all t =
 
 (* Full deterministic teardown: exec discarding the replaced image. *)
 let teardown t =
-  Range_lock.with_range t.rlock ~lo:whole_lo ~hi:whole_hi Range_lock.Exclusive
-    (fun () ->
-      detach_all t;
-      swap_table t (fun _ -> Interval_map.empty);
-      invalidate t)
+  detach_all t;
+  t.table <- Interval_map.empty;
+  invalidate t
 
 let protect t addr prot =
-  match Interval_map.find addr t.table with
-  | None ->
-    (* preserve the unlocked path's behaviour on an unmapped address *)
-    swap_table t (Interval_map.update addr (fun m -> { m with prot }));
-    invalidate t
-  | Some (mlo, mhi, _) ->
-    let lo, hi = page_range ~base:mlo ~len:(mhi - mlo) in
-    Range_lock.with_range t.rlock ~lo ~hi Range_lock.Exclusive (fun () ->
-        swap_table t (Interval_map.update addr (fun m -> { m with prot }));
-        invalidate t)
+  t.table <- Interval_map.update addr (fun m -> { m with prot }) t.table;
+  invalidate t
 
 let mapping_at t addr = Interval_map.find addr t.table
 
@@ -407,12 +352,9 @@ let bulk_run t addr access ~want =
     with Fault { reason = Not_resident; _ } ->
       (match Interval_map.find addr t.table with
       | Some (lo, _, m) ->
-        let p = addr lsr Layout.page_shift in
-        Range_lock.with_range t.rlock ~lo:p ~hi:(p + 1) Range_lock.Exclusive
-          (fun () ->
-            Vm_object.materialise m.obj
-              (m.seg_off + (addr - lo))
-              ~write:(access = Prot.Write))
+        Vm_object.materialise m.obj
+          (m.seg_off + (addr - lo))
+          ~write:(access = Prot.Write)
       | None -> ());
       lookup t addr access
   in
@@ -499,8 +441,6 @@ let clone t =
       epoch = 0;
       caching = t.caching;
       uid = Atomic.fetch_and_add next_uid 1 + 1;
-      rlock = Range_lock.create ();
-      tlock = Mutex.create ();
     }
   in
   (* Flag a private mapping COW when its logical protection permits
@@ -536,19 +476,13 @@ let clone t =
       Vm_object.attach obj ~uid:child.uid (fun () -> invalidate child);
       mark { m with seg; obj }
   in
-  (* whole-space hold on the parent: no fault may resolve while its
-     pages flip from owned to shared (the child is private until
-     returned, so its locks are never contended here) *)
-  Range_lock.with_range t.rlock ~lo:whole_lo ~hi:whole_hi Range_lock.Exclusive
-    (fun () ->
-      child.table <- rebuild clone_mapping t.table;
-      if cow then begin
-        (* The parent's private pages are now shared with the child:
-           strip its effective write permission too, and flush its
-           TLB. *)
-        swap_table t (rebuild mark);
-        invalidate t
-      end);
+  child.table <- rebuild clone_mapping t.table;
+  if cow then begin
+    (* The parent's private pages are now shared with the child: strip
+       its effective write permission too, and flush its TLB. *)
+    t.table <- rebuild mark t.table;
+    invalidate t
+  end;
   child
 
 (* Kernel-side resolution of a [Not_resident] fault: if [addr] lies in
@@ -559,11 +493,7 @@ let clone t =
 let resolve_pager t addr access =
   match Interval_map.find addr t.table with
   | Some (lo, _, m) when Vm_object.pageable m.obj ->
-    let p = addr lsr Layout.page_shift in
-    Range_lock.with_range t.rlock ~lo:p ~hi:(p + 1) Range_lock.Exclusive (fun () ->
-        Vm_object.materialise m.obj
-          (m.seg_off + (addr - lo))
-          ~write:(access = Prot.Write));
+    Vm_object.materialise m.obj (m.seg_off + (addr - lo)) ~write:(access = Prot.Write);
     true
   | Some _ | None -> false
 
@@ -577,12 +507,10 @@ let resolve_pager t addr access =
    protection faults, which the caller must deliver as SIGSEGV. *)
 let resolve_cow t addr =
   match Interval_map.find addr t.table with
-  | Some (mlo, mhi, m) when m.cow && Prot.allows m.prot Prot.Write ->
-    let lo, hi = page_range ~base:mlo ~len:(mhi - mlo) in
-    Range_lock.with_range t.rlock ~lo ~hi Range_lock.Exclusive (fun () ->
-        swap_table t (Interval_map.update addr (fun m -> { m with cow = false }));
-        invalidate t;
-        (Stats.cur ()).cow_faults <- (Stats.cur ()).cow_faults + 1);
+  | Some (_, _, m) when m.cow && Prot.allows m.prot Prot.Write ->
+    t.table <- Interval_map.update addr (fun m -> { m with cow = false }) t.table;
+    invalidate t;
+    (Stats.cur ()).cow_faults <- (Stats.cur ()).cow_faults + 1;
     true
   | Some _ | None -> false
 

@@ -20,15 +20,14 @@ module Stats = Hemlock_util.Stats
    The cost of the leak is bounded — an unreleased count only means a
    later write copies a page it could have reclaimed.
 
-   Concurrency: refcounts and the id allocator are atomics, so sharing
-   and COW breaks are safe when domains touch a segment through
-   disjoint page ranges (the address-space range locks guarantee
-   exactly that).  [version] and [page_gen] stay plain ints on purpose:
-   a cross-domain writer's bump may be observed late by another
-   domain's cached decode/TLB state, which is the simulator's analogue
-   of real SMP instruction-cache incoherence — the owning domain always
-   sees its own bumps, and the range locks order any write that could
-   change bytes another domain is about to run. *)
+   Concurrency: a segment belongs to one kernel, and a kernel is
+   touched by one domain at a time (see [Cluster.run]), so [version],
+   [page_gen] and the page table are plain fields read and written by
+   their owner only.  The id allocator is atomic because every domain
+   allocates segments.  Refcounts are atomic because a page can outlive
+   that ownership: the per-domain master-image memo shares pages with
+   instances in several kernels, and a later run at another domain
+   count can put those kernels on different domains. *)
 
 type page = { pbytes : Bytes.t; prc : int Atomic.t }
 

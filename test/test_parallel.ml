@@ -1,100 +1,17 @@
-(* Parallel execution: range locks, the domain pool, intra-kernel
-   parallel runs, and multi-domain clusters.  The contract under test
-   everywhere: spreading work over domains changes wall-clock time and
-   nothing else — same consoles, same exit codes, same simulated
-   costs. *)
+(* Parallel execution: the domain pool, per-domain PRNG streams and
+   multi-domain clusters.  The contract under test everywhere:
+   spreading machines over domains changes wall-clock time and nothing
+   else — same consoles, same exit codes, same simulated costs.  The
+   ownership rule that makes this safe without locks — a kernel and
+   everything reachable from it is touched by one domain at a time — is
+   checked directly: no machine may migrate mid-run. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
 module Domain_pool = Hemlock_util.Domain_pool
-module Range_lock = Hemlock_vm.Range_lock
 module Cluster = Hemlock_os.Cluster
 module Net = Hemlock_os.Net
 module Errno = Hemlock_os.Errno
-
-(* Matches Range_lock's own parse of the kill switch: some properties
-   only hold at range granularity. *)
-let big_lock_mode =
-  match Sys.getenv_opt "HEMLOCK_NO_RANGELOCK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-(* ----- range locks ----- *)
-
-(* Oracle for exclusivity: one atomic cell per page; a Shared hold adds
-   1 to every page it covers, an Exclusive hold adds 1000.  If the lock
-   is correct, an Exclusive holder sees every cell at exactly its own
-   1000 and a Shared holder never sees a cell at >= 1000. *)
-let rangelock_exclusivity_prop ops =
-  let pages = 64 in
-  let workers = 4 in
-  let rl = Range_lock.create () in
-  let cells = Array.init pages (fun _ -> Atomic.make 0) in
-  let violated = Atomic.make false in
-  let job w =
-    List.iteri
-      (fun n (lo, len, excl) ->
-        if n mod workers = w then begin
-          let lo = lo mod pages in
-          let hi = min pages (lo + 1 + len) in
-          let mode = if excl then Range_lock.Exclusive else Range_lock.Shared in
-          let weight = if excl then 1000 else 1 in
-          Range_lock.with_range rl ~lo ~hi mode (fun () ->
-              for p = lo to hi - 1 do
-                let seen = Atomic.fetch_and_add cells.(p) weight in
-                let ok = if excl then seen = 0 else seen < 1000 in
-                if not ok then Atomic.set violated true
-              done;
-              (* linger so overlapping acquires really race *)
-              ignore (Sys.opaque_identity (ref 0));
-              for p = lo to hi - 1 do
-                ignore (Atomic.fetch_and_add cells.(p) (-weight))
-              done)
-        end)
-      ops
-  in
-  let others =
-    Array.init (workers - 1) (fun i -> Domain.spawn (fun () -> job (i + 1)))
-  in
-  job 0;
-  Array.iter Domain.join others;
-  (* completion itself is the no-deadlock half of the property *)
-  (not (Atomic.get violated)) && Range_lock.held rl = []
-
-let rangelock_disjoint_never_blocks () =
-  (* Under the kill switch every hold is the whole space, so disjointness
-     is (by design) not respected — nothing to test. *)
-  if not big_lock_mode then begin
-    let rl = Range_lock.create () in
-    Range_lock.acquire rl ~lo:0 ~hi:10 Range_lock.Exclusive;
-    let passed = Atomic.make false in
-    let d =
-      Domain.spawn (fun () ->
-          (* must not block: [10, 20) is disjoint from the held [0, 10) *)
-          Range_lock.with_range rl ~lo:10 ~hi:20 Range_lock.Exclusive (fun () ->
-              Atomic.set passed true))
-    in
-    Domain.join d;
-    Range_lock.release rl ~lo:0 ~hi:10;
-    check_bool "disjoint exclusive ranges coexist" true (Atomic.get passed)
-  end
-
-let rangelock_conflicting_waits () =
-  let rl = Range_lock.create () in
-  Range_lock.acquire rl ~lo:0 ~hi:10 Range_lock.Exclusive;
-  let entered = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Range_lock.with_range rl ~lo:5 ~hi:15 Range_lock.Shared (fun () ->
-            Atomic.set entered true))
-  in
-  (* the overlapping reader cannot get in while the writer holds *)
-  ignore (Sys.opaque_identity (ref 0));
-  check_bool "overlap excluded while held" false (Atomic.get entered);
-  Range_lock.release rl ~lo:0 ~hi:10;
-  Domain.join d;
-  check_bool "admitted after release" true (Atomic.get entered);
-  check_bool "all holds drained" true (Range_lock.held rl = [])
 
 (* ----- per-domain PRNG streams ----- *)
 
@@ -151,65 +68,6 @@ let pool_reraises_lowest_worker () =
   let ok = ref 0 in
   Domain_pool.round pool (fun _ -> incr ok);
   check_bool "pool usable after failure" true (!ok >= 1)
-
-(* ----- intra-kernel parallel runs ----- *)
-
-let compute_src ret =
-  Printf.sprintf
-    {|
-int main() {
-  int i;
-  int s;
-  s = 0;
-  i = 0;
-  while (i < 400) {
-    s = s + i; s = s - i; s = s + 1;
-    i = i + 1;
-  }
-  return s - 400 + %d;
-}
-|}
-    ret
-
-let par_setup () =
-  let k, _ldl = boot () in
-  Fs.mkdir (Kernel.fs k) "/home/t";
-  let prog n ret =
-    install_c k (Printf.sprintf "/home/t/%s.o" n) (compute_src ret);
-    ignore
-      (link k ~dir:"/home/t"
-         ~specs:[ (Printf.sprintf "%s.o" n, Sharing.Static_private) ]
-         n)
-  in
-  prog "a" 10;
-  prog "b" 20;
-  let procs =
-    List.concat_map
-      (fun (n, _) ->
-        [ Kernel.spawn_exec k ("/home/t/" ^ n); Kernel.spawn_exec k ("/home/t/" ^ n) ])
-      [ ("a", 10); ("b", 20) ]
-  in
-  (k, procs)
-
-let exit_codes procs = List.map exit_code procs
-
-let run_par_matches_sequential () =
-  let k_seq, procs_seq = par_setup () in
-  let (), d_seq = Stats.measure (fun () -> Kernel.run k_seq) in
-  let k_par, procs_par = par_setup () in
-  let pool = Domain_pool.create ~domains:4 in
-  let (), d_par =
-    Stats.measure (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Domain_pool.shutdown pool)
-          (fun () -> Kernel.run_par k_par ~pool))
-  in
-  check_bool "exit codes" true (exit_codes procs_seq = exit_codes procs_par);
-  check_int "instructions" d_seq.Stats.instructions d_par.Stats.instructions;
-  check_int "syscalls" d_seq.Stats.syscalls d_par.Stats.syscalls;
-  check_int "context switches" d_seq.Stats.context_switches d_par.Stats.context_switches;
-  check_int "faults" d_seq.Stats.faults d_par.Stats.faults;
-  check_int "cycles" (Stats.cycles d_seq) (Stats.cycles d_par)
 
 (* ----- network enqueue and backpressure ----- *)
 
@@ -304,20 +162,58 @@ let cluster_deadlock_tagged () =
     check_bool "machine-tagged" true
       (List.exists (fun b -> contains b.Kernel.b_comm "m1:stuck") bs)
 
+(* The ownership rule: [Cluster.run] keeps machine [i] on worker
+   [i mod n] for the whole run.  Each machine's process records the
+   domain it runs on at every resume; a machine that migrated would
+   show two domains, and two workers sharing a domain would show as
+   machines of different residues on one domain. *)
+let machines_stay_on_one_domain () =
+  let machines = 4 in
+  List.iter
+    (fun domains ->
+      let seen = Array.make machines [] in
+      let c = Cluster.create ~profile:Net.Ideal ~machines () in
+      for i = 0 to machines - 1 do
+        ignore
+          (Kernel.spawn_native (Cluster.machine c i) ~name:"probe" (fun _ _ ->
+               for _ = 1 to 8 do
+                 seen.(i) <- (Domain.self () :> int) :: seen.(i);
+                 Proc.yield ()
+               done;
+               0))
+      done;
+      Cluster.run ~domains c;
+      let home =
+        Array.mapi
+          (fun i ds ->
+            check_int (Printf.sprintf "%d domains: machine %d resumes" domains i) 8
+              (List.length ds);
+            match List.sort_uniq compare ds with
+            | [ d ] -> d
+            | ds ->
+              Alcotest.failf "%d domains: machine %d ran on %d domains" domains i
+                (List.length ds))
+          seen
+      in
+      for i = 0 to machines - 1 do
+        for j = i + 1 to machines - 1 do
+          check_bool
+            (Printf.sprintf "%d domains: machines %d and %d share a domain iff same worker"
+               domains i j)
+            (i mod domains = j mod domains)
+            (home.(i) = home.(j))
+        done
+      done)
+    [ 2; 4 ]
+
 let suite =
   [
-    prop "range lock: concurrent holds keep exclusivity (vs atomic oracle)" ~count:60
-      QCheck2.Gen.(
-        list_size (int_range 4 40)
-          (triple (int_bound 63) (int_range 0 7) bool))
-      rangelock_exclusivity_prop;
-    test "range lock: disjoint ranges never block" rangelock_disjoint_never_blocks;
-    test "range lock: overlap waits for release" rangelock_conflicting_waits;
     test "prng: per-domain streams are deterministic" prng_streams_split;
     test "domain pool: rounds run everywhere, stats merge" pool_rounds_and_merge;
     test "domain pool: failure re-raised from lowest worker" pool_reraises_lowest_worker;
-    test "kernel: run_par = sequential run (codes, costs)" run_par_matches_sequential;
     test "kernel: enqueue_net backpressure, no phantom billing" enqueue_net_backpressure;
     test "cluster: 4-domain run = single-domain oracle" cluster_lockstep;
     test "cluster: deadlock reports machine-tagged processes" cluster_deadlock_tagged;
+    test "cluster: each machine stays on one domain for the whole run"
+      machines_stay_on_one_domain;
   ]
