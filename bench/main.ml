@@ -1003,67 +1003,61 @@ let perf_link () =
   in
   (* Boot profiles: same chain, but the measured exec is the FIRST one
      after [Kernel.reboot] — the reboot hook drops every kernel-resident
-     cache, so without stable linking the exec pays the full cold path.
-     With stable linking the pre-reboot exec's plans and symbol indexes
-     are synced into /shared/.stable and the post-reboot exec replays
-     them. *)
+     cache, so without a sync the exec pays the full cold path.  With
+     [stable] the pre-reboot exec's plans and symbol indexes are synced
+     into /shared/.stable and the post-reboot exec replays them. *)
   let boot_profile stable =
     with_link_caches true (fun () ->
-        let saved = !Stable_link.enabled in
-        Stable_link.enabled := stable;
-        Fun.protect
-          ~finally:(fun () -> Stable_link.enabled := saved)
-          (fun () ->
-            let k, ldl = boot () in
-            let fs = Kernel.fs k in
-            Fs.mkdir fs "/home/lib";
-            ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
-            Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib"
-              ~out:"/home/perf/prog" ~used;
-            let last = ref None in
-            let run_once () =
-              Kernel.console_clear k;
-              let p = Kernel.spawn_exec k "/home/perf/prog" in
-              Kernel.run k;
-              last := Some p;
-              match p.Proc.state with
-              | Proc.Zombie 0 -> ()
-              | _ -> failwith "perf-link: driver did not exit 0"
-            in
-            run_once ();
-            (* records the plans *)
-            if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
-              failwith "perf-link: wrong driver output";
-            let report =
-              if stable then Ldl.stable_sync ldl
-              else { Ldl.sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
-            in
-            Kernel.reboot k;
-            let (), d_boot = Stats.measure run_once in
-            if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
-              failwith "perf-link: wrong driver output on the first exec after reboot";
-            (* First-exec latency: the reboot (cache teardown plus, with
-               stable linking, the boot-time reseeding) runs between the
-               timed windows, so each measured exec is exactly the first
-               one after a boot; the boot work itself is timed
-               separately and reported alongside. *)
-            let iters = 40 in
-            let t_boot = ref 0.0 and t_run = ref 0.0 in
-            for _ = 1 to iters do
-              let t0 = Unix.gettimeofday () in
-              Kernel.reboot k;
-              let t1 = Unix.gettimeofday () in
-              run_once ();
-              let t2 = Unix.gettimeofday () in
-              t_boot := !t_boot +. (t1 -. t0);
-              t_run := !t_run +. (t2 -. t1)
-            done;
-            let ns = !t_run /. float_of_int iters *. 1e9 in
-            let boot_ns = !t_boot /. float_of_int iters *. 1e9 in
-            let prov =
-              match !last with Some p -> Ldl.linkstat_proc_json ldl p | None -> "[]"
-            in
-            (d_boot, ns, boot_ns, report, prov, Ldl.linkstat_json ldl)))
+        let k, ldl = boot () in
+        let fs = Kernel.fs k in
+        Fs.mkdir fs "/home/lib";
+        ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
+        Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib"
+          ~out:"/home/perf/prog" ~used;
+        let last = ref None in
+        let run_once () =
+          Kernel.console_clear k;
+          let p = Kernel.spawn_exec k "/home/perf/prog" in
+          Kernel.run k;
+          last := Some p;
+          match p.Proc.state with
+          | Proc.Zombie 0 -> ()
+          | _ -> failwith "perf-link: driver did not exit 0"
+        in
+        run_once ();
+        (* records the plans *)
+        if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
+          failwith "perf-link: wrong driver output";
+        let report =
+          if stable then Ldl.stable_sync ldl
+          else { Ldl.sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
+        in
+        Kernel.reboot k;
+        let (), d_boot = Stats.measure run_once in
+        if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
+          failwith "perf-link: wrong driver output on the first exec after reboot";
+        (* First-exec latency: the reboot (cache teardown plus, with
+           stable linking, the boot-time reseeding) runs between the
+           timed windows, so each measured exec is exactly the first
+           one after a boot; the boot work itself is timed
+           separately and reported alongside. *)
+        let iters = 40 in
+        let t_boot = ref 0.0 and t_run = ref 0.0 in
+        for _ = 1 to iters do
+          let t0 = Unix.gettimeofday () in
+          Kernel.reboot k;
+          let t1 = Unix.gettimeofday () in
+          run_once ();
+          let t2 = Unix.gettimeofday () in
+          t_boot := !t_boot +. (t1 -. t0);
+          t_run := !t_run +. (t2 -. t1)
+        done;
+        let ns = !t_run /. float_of_int iters *. 1e9 in
+        let boot_ns = !t_boot /. float_of_int iters *. 1e9 in
+        let prov =
+          match !last with Some p -> Ldl.linkstat_proc_json ldl p | None -> "[]"
+        in
+        (d_boot, ns, boot_ns, report, prov, Ldl.linkstat_json ldl))
   in
   let f_on, s_on, ns_on = profile true in
   let f_off, s_off, ns_off = profile false in

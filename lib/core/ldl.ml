@@ -85,13 +85,10 @@ type t = {
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
   poisoned : (string, unit) Hashtbl.t;
-  (* whether the persisted symbol indexes under /shared/.stable have
-     been used to warm the decode caches since the last (re)boot *)
-  mutable stable_seeded : bool;
-  (* host-side: every persisted plan, decoded and digest-verified once
-     per (re)boot by [seed_stable], so the first exec after reboot pays
-     in-memory lookups instead of per-region file loads *)
-  stable_plans : (string, Modinst.scope Link_plan.plan) Hashtbl.t;
+  (* the Fs generation at which /shared/.stable was last made an exact
+     copy of [plans]; a reboot reads the copy back only at that
+     generation *)
+  mutable synced_gen : int;
 }
 
 let kernel t = t.k
@@ -518,7 +515,7 @@ let record_plan t ~fs key cold =
   | () ->
     t.plan_rec <- saved;
     Link_plan.record t.plans ~fs key
-      { Link_plan.plan_deps = List.rev !acc; plan_addrs = addrs }
+      { Link_plan.plan_deps = List.rev !acc; plan_addrs = addrs; plan_copy = Unsaved }
   | exception e ->
     t.plan_rec <- saved;
     Hashtbl.replace t.poisoned key ();
@@ -535,77 +532,24 @@ let record_plan t ~fs key cold =
    region with different sets; they simply use distinct plan slots. *)
 let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
 
-(* Stable-boot seeding: warm the (host-side) decode and export-index
-   caches from the persisted symbol indexes, and decode every persisted
-   plan once into [t.stable_plans] — once per (re)boot, so the first
-   exec pays in-memory lookups instead of per-region file loads.  Eager
-   at reboot (instantiations precede the first planned region), lazy as
-   a backstop for callers that bypass [Kernel.reboot]. *)
-let seed_stable t =
-  t.stable_seeded <- true;
-  if !Stable_link.enabled && !Link_plan.enabled then begin
-    let fs = Kernel.fs t.k in
-    Stable_link.seed_indexes fs;
-    List.iter
-      (fun (key, plan) -> Hashtbl.replace t.stable_plans key plan)
-      (Stable_link.load_plans fs)
-  end
-
-let stable_fetch t key =
-  if not !Stable_link.enabled then None
-  else begin
-    if not t.stable_seeded then seed_stable t;
-    match Hashtbl.find_opt t.stable_plans key with
-    | Some plan ->
-      Stable_link.note_load ();
-      Some plan
-    | None -> None
-  end
-
-(* The shared plan-or-cold driver: [run] performs the relocation work
-   given a resolve function; [cold_resolve] is the scope walk.  Plans
-   come from the in-memory store first, then (after a reboot emptied
-   it) from the stable files; a stable plan that replays is promoted
-   back into the store. *)
+(* The plan-or-cold driver: [run] performs the relocation work given a
+   resolve function; [cold_resolve] is the scope walk.  A miss records
+   the cold region.  A replay that fails verification drops the plan
+   (reaping its file if one holds it) and runs cold *without*
+   recording: it may already have instantiated some of the plan's
+   dependencies, which a recording made now would leave out.  An
+   injected failure runs cold and keeps the plan.  [Link_error] while
+   replaying counts as failed verification (the cold run raises it
+   again if it is real); [Would_block] and [Fault.Crash] propagate. *)
 let planned t proc ps ~key ~cold_resolve ~run =
-  let fs = Kernel.fs t.k in
-  let key = Option.map (fun k -> k ^ "\x05" ^ inst_digest ps) key in
   match if !Link_plan.enabled then key else None with
   | None -> run cold_resolve
   | Some key -> (
-    (* Replay is an optimisation; an injected failure during it must
-       degrade to the cold path, never fail the exec.  A stable plan
-       may survive namespace changes the in-memory store cannot (the
-       store clears on every generation bump), so its deps can name
-       templates that no longer load — [Link_error] there means stale,
-       not fatal.  [Would_block] and [Fault.Crash] propagate. *)
-    let replay which plan =
-      let source = match which with `Mem -> "replay" | `Stable -> "stable" in
-      match
-        Fault.hit "plan.replay";
-        (try replay_deps t proc ps plan with Link_error _ -> false)
-      with
-      | true ->
-        Link_plan.hit ();
-        if which = `Stable then Link_plan.record t.plans ~fs key plan;
-        run (fun name ->
-            match Hashtbl.find_opt plan.Link_plan.plan_addrs name with
-            | Some addr ->
-              note_prov ps name ~source ~probe:"plan" ~origin:"plan" ~scope:"";
-              Some addr
-            | None -> None);
-        true
-      | false ->
-        if which = `Stable then begin
-          Hashtbl.remove t.stable_plans key;
-          Stable_link.reject fs ~key
-        end;
-        false
-      | exception Fault.Injected _ ->
-        (Stats.cur ()).plan_fallbacks <- (Stats.cur ()).plan_fallbacks + 1;
-        false
-    in
-    let cold () =
+    let fs = Kernel.fs t.k in
+    let key = key ^ "\x05" ^ inst_digest ps in
+    match Link_plan.lookup t.plans ~fs key with
+    | None ->
+      Link_plan.miss ();
       if Hashtbl.mem t.poisoned key then run cold_resolve
       else
         record_plan t ~fs key (fun ~record ->
@@ -615,23 +559,34 @@ let planned t proc ps ~key ~cold_resolve ~run =
                   record name addr;
                   Some addr
                 | None -> None))
-    in
-    match Link_plan.lookup t.plans ~fs key with
-    | Some plan ->
-      if not (replay `Mem plan) then begin
+    | Some plan -> (
+      match
+        Fault.hit "plan.replay";
+        try replay_deps t proc ps plan with Link_error _ -> false
+      with
+      | true ->
+        Link_plan.hit ();
+        let stable = plan.Link_plan.plan_copy = Loaded in
+        if stable then begin
+          Stable_link.note_load ();
+          plan.Link_plan.plan_copy <- Saved
+        end;
+        let source = if stable then "stable" else "replay" in
+        run (fun name ->
+            match Hashtbl.find_opt plan.Link_plan.plan_addrs name with
+            | Some addr ->
+              note_prov ps name ~source ~probe:"plan" ~origin:"plan" ~scope:"";
+              Some addr
+            | None -> None)
+      | false ->
         Link_plan.miss ();
+        Link_plan.remove t.plans key;
+        if plan.Link_plan.plan_copy <> Unsaved then Stable_link.reject fs ~key;
         run cold_resolve
-      end
-    | None -> (
-      match stable_fetch t key with
-      | Some plan ->
-        if not (replay `Stable plan) then begin
-          Link_plan.miss ();
-          cold ()
-        end
-      | None ->
+      | exception Fault.Injected _ ->
+        (Stats.cur ()).plan_fallbacks <- (Stats.cur ()).plan_fallbacks + 1;
         Link_plan.miss ();
-        cold ()))
+        run cold_resolve))
 
 (* ----- the lazy link pass ------------------------------------------------- *)
 
@@ -1005,8 +960,7 @@ let install k =
       images = Hashtbl.create 16;
       plan_rec = None;
       poisoned = Hashtbl.create 16;
-      stable_seeded = false;
-      stable_plans = Hashtbl.create 64;
+      synced_gen = -1;
     }
   in
   Kernel.register_binfmt k ~name:"hexe" (fun kk proc bytes ~path -> loader t kk proc bytes ~path);
@@ -1019,29 +973,31 @@ let install k =
           | Would_block cond -> Kernel.block_syscall ~why:"ldl: a creation lock" cpu cond
           | Link_error msg -> warn t "ldl: %s" msg));
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
-  (* Reboot kills the kernel-resident LINK STATE: the plan store, the
-     template decode memo, the export-symbol indexes, the search/locate
-     cache.  That is exactly the state stable linking persists into
-     /shared (or deliberately leaves cold, for the locate cache), so an
-     honest cold boot demands it goes.  Placed CONTENT stays: the image
-     and placed-module masters and the decoded-image memo are keyed by
-     the (id, version) content identity of segments that themselves
-     survive the reboot — they model bytes living in the persistent
-     segment store, which is the paper's whole point.  All of it is
-     host-side either way; dropping or keeping it never changes
-     simulated costs.  With stable linking on, the persisted symbol
-     indexes are reseeded eagerly: instantiations run before the first
-     planned region, so lazy seeding would be too late to warm the
-     decode path. *)
+  (* Reboot kills the kernel-resident LINK STATE — the plan store, the
+     template decode memo, the export-symbol indexes, the locate cache —
+     which stable linking keeps a copy of in /shared (or leaves cold).
+     Placed CONTENT stays: the image and placed-module masters and the
+     decoded-image memo are keyed by the (id, version) of segments that
+     survive the reboot, modelling bytes in the persistent segment
+     store.  All of it is host-side; simulated costs never change.  Then
+     the hook reseeds the symbol indexes, and the plans only at the
+     generation the copy was made at — read first, because an index
+     reap moves it without changing anything a module lookup sees. *)
   Kernel.add_reboot_hook k (fun () ->
+      let fs = Kernel.fs k in
+      let gen = Fs.generation fs in
       Link_plan.reset_store t.plans;
       Hashtbl.reset t.poisoned;
       Link_plan.clear_obj_cache ();
       Objfile.clear_index_memo ();
       Search.clear_locate_cache ();
-      t.stable_seeded <- false;
-      Hashtbl.reset t.stable_plans;
-      if !Stable_link.enabled then seed_stable t);
+      if !Link_plan.enabled then begin
+        Stable_link.seed_indexes fs;
+        if gen = t.synced_gen then
+          List.iter
+            (fun (key, plan) -> Link_plan.record t.plans ~fs key plan)
+            (Stable_link.load_plans fs)
+      end);
   t
 
 let attach t proc =
@@ -1118,20 +1074,22 @@ let link_now t proc inst =
 
 (* ----- stable sync ------------------------------------------------------------------ *)
 
-type sync_report = { sync_plans : int; sync_objs : int; sync_skipped : int }
+type sync_report = Stable_link.sync_report = {
+  sync_plans : int;
+  sync_objs : int;
+  sync_skipped : int;
+}
 
-(* Write-behind persistence: an explicit sync point, not persist-at-
-   record.  Recording happens while the namespace is still mutating
-   (module files being created), and every [Fs.write_file] bumps the
-   generation that wipes the plan store — persisting inline would
-   self-invalidate.  At sync time the world is quiescent; the writes
-   are billed like any other file writes, which is why no normal exec
-   path ever syncs implicitly. *)
+(* An explicit sync point, not persist-at-record: recording happens
+   while the namespace is still mutating, and every [Fs.write_file]
+   moves the generation the copy is tied to.  The writes are billed, so
+   no exec path syncs implicitly.  The sync's own unlinks and writes
+   touch only files no module lookup names, so store and copy are both
+   valid at the generation it ends at, unless an unlink failed. *)
 let stable_sync t =
-  let fs = Kernel.fs t.k in
-  if not (!Stable_link.enabled && !Link_plan.enabled) then
-    { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
+  if not !Link_plan.enabled then { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
   else begin
+    let fs = Kernel.fs t.k in
     let plans = Link_plan.entries t.plans ~fs in
     let objs = Hashtbl.create 64 in
     (* Symbol indexes come from the live instance sets, not from plan
@@ -1153,18 +1111,10 @@ let stable_sync t =
         (fun ((a : string), _, _) (b, _, _) -> String.compare a b)
         (Hashtbl.fold (fun src (located, obj) acc -> (located, src, obj) :: acc) objs [])
     in
-    if plans <> [] || obj_list <> [] then Stable_link.ensure_dir fs;
-    let nobjs = ref 0 and nplans = ref 0 and skipped = ref 0 in
-    List.iter
-      (fun (located, src, obj) ->
-        if Stable_link.persist_obj fs ~located ~src obj then incr nobjs
-        else incr skipped)
-      obj_list;
-    List.iter
-      (fun (key, plan) ->
-        if Stable_link.persist_plan fs ~key plan then incr nplans else incr skipped)
-      plans;
-    { sync_plans = !nplans; sync_objs = !nobjs; sync_skipped = !skipped }
+    let report, exact = Stable_link.sync fs ~plans ~objs:obj_list in
+    Link_plan.keep t.plans ~fs;
+    t.synced_gen <- (if exact then Fs.generation fs else -1);
+    report
   end
 
 (* ----- linkstat: resolution provenance as JSON -------------------------------------- *)

@@ -76,23 +76,25 @@ val link_now : t -> Proc.t -> Modinst.t -> unit
 (** {1 Stable linking}
 
     The in-memory plan store and decode caches die with [Kernel.reboot];
-    {!stable_sync} persists them under [/shared/.stable] (see
-    {!Stable_link}), and the reboot hook installed by {!install} reseeds
-    from the persisted files so the first exec after reboot replays
-    plans instead of walking scopes cold. *)
+    {!stable_sync} makes [/shared/.stable] an exact copy of the store
+    (see {!Stable_link}), and the reboot hook installed by {!install}
+    reseeds the symbol indexes from it and, if [Fs.generation] has not
+    moved since the copy was made, refills the store, so the first exec
+    after reboot replays plans instead of walking scopes cold. *)
 
-type sync_report = {
-  sync_plans : int;  (** plan files persisted (or already present) *)
-  sync_objs : int;  (** symbol-index files persisted (or present) *)
-  sync_skipped : int;  (** files skipped on injected/FS failures *)
+(** See {!Stable_link.sync_report}. *)
+type sync_report = Stable_link.sync_report = {
+  sync_plans : int;
+  sync_objs : int;
+  sync_skipped : int;
 }
 
-(** Persist every live link plan and every instantiated template's
-    symbol index into [/shared/.stable] through the journalled write
-    path.  An explicit sync point — the writes are billed like any
-    other file writes, so no implicit exec path ever calls this.  A
-    no-op (all zeros) when stable linking or the plan cache is off.
-    Raises {!Hemlock_util.Fault.Crash} through (crash sweep). *)
+(** Make [/shared/.stable] an exact copy of the live link plans and of
+    the symbol indexes of every instantiated template still in its
+    file (see {!Stable_link.sync}), and remember the generation the copy
+    was made at.  An explicit sync point: the writes are billed, so no
+    exec path calls this.  A no-op (all zeros) when the plan cache is
+    off.  Raises {!Hemlock_util.Fault.Crash} through (crash sweep). *)
 val stable_sync : t -> sync_report
 
 (** {1 Linkstat: resolution provenance}

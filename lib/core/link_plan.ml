@@ -85,9 +85,12 @@ type 'scope dep = {
   dep_parent : 'scope;
 }
 
+type copy = Unsaved | Saved | Loaded
+
 type 'scope plan = {
   plan_deps : 'scope dep list;
   plan_addrs : (string, int) Hashtbl.t;
+  mutable plan_copy : copy;  (* what /shared/.stable holds of it *)
 }
 
 type 'scope store = {
@@ -117,6 +120,8 @@ let record store ~fs key plan =
     Hashtbl.replace store.st_tbl key plan
   end
 
+let remove store key = Hashtbl.remove store.st_tbl key
+
 let entries store ~fs =
   if not !enabled then []
   else begin
@@ -125,6 +130,8 @@ let entries store ~fs =
       (fun (a, _) (b, _) -> String.compare a b)
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) store.st_tbl [])
   end
+
+let keep store ~fs = store.st_gen <- Fs.generation fs
 
 let reset_store store =
   store.st_gen <- -1;

@@ -8,8 +8,12 @@
     - decode caches are keyed by the backing segment's
       ([Segment.id], [Segment.version]) — a rewritten file gets a new
       version and so a fresh decode;
-    - the plan store is validated against {!Hemlock_sfs.Fs.generation}
-      and cleared wholesale on any FS namespace/whole-file mutation;
+    - the plan store is the only plan store.  It holds the plans for one
+      {!Hemlock_sfs.Fs.generation} and is cleared wholesale when the
+      generation moves; [/shared/.stable] is its copy on disk (see
+      {!Stable_link}), which a reboot reads back into it only if the
+      generation has not moved since the copy was written.  A key does
+      not fix its plan, so each plan records what its file holds;
     - every plan dependency records the base address it was placed at
       {e and} the content identity (segment id, version) of the template
       it was decoded from, and replay verifies both, rejecting the plan
@@ -61,9 +65,15 @@ type 'scope dep = {
   dep_parent : 'scope;
 }
 
+(** What the plan's file under [/shared/.stable] holds: nothing known
+    ([Unsaved]), exactly this plan ([Saved]), or exactly this plan, read
+    back at a reboot and not yet replayed ([Loaded]). *)
+type copy = Unsaved | Saved | Loaded
+
 type 'scope plan = {
   plan_deps : 'scope dep list;  (** in cold-path chronological order *)
   plan_addrs : (string, int) Hashtbl.t;  (** resolved symbol addresses *)
+  mutable plan_copy : copy;
 }
 
 type 'scope store
@@ -76,11 +86,19 @@ val lookup : 'scope store -> fs:Hemlock_sfs.Fs.t -> string -> 'scope plan option
 
 val record : 'scope store -> fs:Hemlock_sfs.Fs.t -> string -> 'scope plan -> unit
 
+(** Drop one plan (its replay failed verification). *)
+val remove : 'scope store -> string -> unit
+
 (** All live (key, plan) pairs, sorted by key — the stable-link sync
-    walks this to persist the store.  Validates against [fs] first, so
+    walks this to copy the store.  Validates against [fs] first, so
     only plans the store would actually serve are returned.  Empty when
     the plan cache is disabled. *)
 val entries : 'scope store -> fs:Hemlock_sfs.Fs.t -> (string * 'scope plan) list
+
+(** [keep store ~fs] declares the plans still valid at [fs]'s current
+    generation: the mutations since {!entries} validated them were the
+    stable-link sync's own, which no module lookup can see. *)
+val keep : 'scope store -> fs:Hemlock_sfs.Fs.t -> unit
 
 (** Drop every cached plan and forget the generation (reboot). *)
 val reset_store : 'scope store -> unit

@@ -5,28 +5,18 @@ module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 
-(* Stable linking: link plans and symbol indexes persisted into the
-   shared partition itself, under [/shared/.stable], so the caches the
-   kernel loses at reboot can be rebuilt from files instead of from
-   cold scope walks.
-
-   Persistence discipline:
-   - files are {e content-addressed}: the file name carries a digest of
-     the plan key (resp. the template identity), so an existing file
-     already holds exactly the bytes we would write.  Persisting is
-     therefore always either a skip or a {e fresh-file} write — which
-     the [Fs] intent journal makes all-or-nothing — and never an
-     unlink-then-rewrite with a torn window in between;
-   - every file embeds a digest of its own body; loads verify it (plus
-     magic, version and the embedded key) and {e reap} the file on any
-     mismatch, so one corrupt or stale file costs exactly one failed
-     load;
-   - loads go through [Fs.segment_of]/[Segment.contents], not
-     [Fs.read_file]: like every other host-side cache they must be
-     invisible to the simulated cost model.  Only the persist writes
-     are billed, at the explicit sync point. *)
-
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_STABLELINK" = None)
+(* Stable linking: the link-plan store's copy under [/shared/.stable],
+   next to the segments it describes, so a reboot can refill the store
+   (and the symbol-index caches) from files instead of cold scope walks.
+   A file's name digests the plan key (resp. the template identity).
+   That fixes an index file's bytes but not a plan file's, so a sync
+   keeps a plan file only while its plan's [plan_copy] says it holds
+   that plan.  Every file seals its body with an md5 digest; a load
+   checks it (plus magic and version) and reaps the file on a mismatch.
+   The digest is no MAC, so every count in a body is checked against
+   the bytes left before it sizes anything.  Loads read segments, not
+   [Fs.read_file], so they stay invisible to the simulated cost model;
+   only the sync's writes are billed. *)
 
 let dir = "/shared/.stable"
 
@@ -34,12 +24,12 @@ let plan_magic = "HSPL"
 let obj_magic = "HSOB"
 let version = 1
 
-let plan_path key = dir ^ "/plan-" ^ Digest.to_hex (Digest.string key)
+let plan_name key = "plan-" ^ Digest.to_hex (Digest.string key)
 
-let obj_path ~located ~src:(sid, sver) =
-  dir
-  ^ "/obj-"
-  ^ Digest.to_hex (Digest.string (Printf.sprintf "%s\x01%d\x01%d" located sid sver))
+let plan_path key = dir ^ "/" ^ plan_name key
+
+let obj_name ~located ~src:(sid, sver) =
+  "obj-" ^ Digest.to_hex (Digest.string (Printf.sprintf "%s\x01%d\x01%d" located sid sver))
 
 let bump_persists () = (Stats.cur ()).stable_persists <- (Stats.cur ()).stable_persists + 1
 let bump_loads () = (Stats.cur ()).stable_loads <- (Stats.cur ()).stable_loads + 1
@@ -146,7 +136,8 @@ let encode_plan ~key (plan : Modinst.scope Link_plan.plan) =
   seal plan_magic (Codec.Writer.contents w)
 
 let decode_plan bytes =
-  let r = Codec.Reader.create (unseal plan_magic bytes) in
+  let body = unseal plan_magic bytes in
+  let r = Codec.Reader.create body in
   let key = Codec.Reader.str r in
   let ndeps = Codec.Reader.u32 r in
   let deps = ref [] in
@@ -162,13 +153,16 @@ let decode_plan bytes =
       :: !deps
   done;
   let naddrs = Codec.Reader.u32 r in
+  (* an entry takes at least 6 bytes (empty name, address) *)
+  if naddrs > (Bytes.length body - Codec.Reader.pos r) / 6 then
+    failwith "stable: address count exceeds the file";
   let addrs = Hashtbl.create (max 16 naddrs) in
   for _ = 1 to naddrs do
     let s = Codec.Reader.str r in
     let a = Codec.Reader.u32 r in
     Hashtbl.replace addrs s a
   done;
-  (key, { Link_plan.plan_deps = List.rev !deps; plan_addrs = addrs })
+  (key, { Link_plan.plan_deps = List.rev !deps; plan_addrs = addrs; plan_copy = Loaded })
 
 let encode_obj ~located ~src:(sid, sver) obj =
   let w = Codec.Writer.create () in
@@ -188,97 +182,124 @@ let decode_obj bytes =
   let payload = Codec.Reader.bytes r (Codec.Reader.u32 r) in
   (located, (sid, sver), payload)
 
-(* ----- persisting ---------------------------------------------------------- *)
+(* ----- the copy ------------------------------------------------------------ *)
 
 let ensure_dir fs = if not (Fs.exists fs dir) then Fs.mkdir fs dir
 
-(* The one write point.  Content addressing means an existing file is
-   already the file we want; a missing file gets a fresh journalled
-   write, which [Fs.fsck] rolls back wholesale after a crash — there is
-   no partially-persisted state a recovery can observe.  Raises
-   through: callers decide which failures degrade to "not persisted". *)
-let persist_bytes fs ~path bytes =
-  Fault.hit "fs.stable";
-  if not (Fs.exists fs path) then Fs.write_file fs path bytes
+(* An unlink that fails leaves the file; only a crash propagates. *)
+let unlink fs path =
+  match Fs.unlink fs path with
+  | () -> true
+  | exception (Fs.Error _ | Fault.Injected _) -> false
 
-(* A too-long key cannot use the u16 string encoding; plans are keyed
-   by digested program identities in practice, so just skip such. *)
-let persistable_key key = String.length key <= 0xFFFF
+let reap fs path =
+  ignore (unlink fs path);
+  bump_rejects ()
 
-let persist_plan fs ~key plan =
-  if not (persistable_key key) then false
-  else begin
-    let path = plan_path key in
-    if Fs.exists fs path then true
-    else
-      match persist_bytes fs ~path (encode_plan ~key plan) with
-      | () ->
-        bump_persists ();
-        true
-      | exception Fault.Injected _ -> false
-      | exception Fs.Error _ -> false
-  end
+(* Whether [located] still holds the template version [src]: an exited
+   process's instances may name a version since rewritten. *)
+let live fs ~located ~src:(sid, sver) =
+  match Fs.segment_of fs located with
+  | seg -> Segment.id seg = sid && Segment.version seg = sver
+  | exception Fs.Error _ -> false
 
-let persist_obj fs ~located ~src obj =
-  let path = obj_path ~located ~src in
-  if Fs.exists fs path then true
-  else
-    match persist_bytes fs ~path (encode_obj ~located ~src obj) with
-    | () ->
-      bump_persists ();
-      true
-    | exception Fault.Injected _ -> false
-    | exception Fs.Error _ -> false
+type sync_report = { sync_plans : int; sync_objs : int; sync_skipped : int }
+
+(* Each file's name is digested once, and decides both what to unlink
+   and what to write.  Only an index file, or the file of a plan that
+   is not [Unsaved], is known to hold what the copy wants; every other
+   file is unlinked, and each missing one then gets a fresh journalled
+   write, which [Fs.fsck] rolls back wholesale after a crash.  A key
+   too long for the u16 string encoding cannot be written; plans are
+   keyed by digested program identities in practice, so such a plan is
+   just skipped. *)
+let sync fs ~plans ~objs =
+  let too_long, plans = List.partition (fun (key, _) -> String.length key > 0xFFFF) plans in
+  (* name, whether a file of that name holds it, encoder, plan *)
+  let files =
+    List.filter_map
+      (fun (located, src, obj) ->
+        if live fs ~located ~src then
+          Some (obj_name ~located ~src, true, (fun () -> encode_obj ~located ~src obj), None)
+        else None)
+      objs
+    @ List.map
+        (fun (key, plan) ->
+          ( plan_name key,
+            plan.Link_plan.plan_copy <> Link_plan.Unsaved,
+            (fun () -> encode_plan ~key plan),
+            Some plan ))
+        plans
+  in
+  (* name of a file to keep -> already on disk *)
+  let keep = Hashtbl.create 256 in
+  List.iter (fun (name, held, _, _) -> if held then Hashtbl.replace keep name false) files;
+  let skipped = ref (List.length too_long) and exact = ref true in
+  (match Fs.readdir fs dir with
+  | exception Fs.Error _ -> if files <> [] then ensure_dir fs
+  | names ->
+    List.iter
+      (fun name ->
+        if Hashtbl.mem keep name then Hashtbl.replace keep name true
+        else if not (unlink fs (dir ^ "/" ^ name)) then begin
+          incr skipped;
+          exact := false
+        end)
+      names);
+  let nplans = ref 0 and nobjs = ref 0 in
+  List.iter
+    (fun (name, _, encode, plan) ->
+      let copied =
+        Hashtbl.find_opt keep name = Some true
+        ||
+        match
+          Fault.hit "fs.stable";
+          Fs.write_file fs (dir ^ "/" ^ name) (encode ())
+        with
+        | () ->
+          bump_persists ();
+          true
+        | exception (Fault.Injected _ | Fs.Error _) ->
+          incr skipped;
+          false
+      in
+      match plan with
+      | _ when not copied -> ()
+      | None -> incr nobjs
+      | Some plan ->
+        incr nplans;
+        if plan.Link_plan.plan_copy = Unsaved then plan.Link_plan.plan_copy <- Saved)
+    files;
+  ({ sync_plans = !nplans; sync_objs = !nobjs; sync_skipped = !skipped }, !exact)
 
 (* ----- loading -------------------------------------------------------------- *)
 
-let reap fs path =
-  (try Fs.unlink fs path with Fs.Error _ | Fault.Injected _ -> ());
-  bump_rejects ()
-
 let reject fs ~key = reap fs (plan_path key)
 
-(* Loading is split in two so the decode/verify work runs once per
-   boot, not once per planned region: [load_plans] is the one-pass
-   directory sweep that decodes and digest-verifies every plan file
-   (reaping the ones that no longer parse), and the caller serves
-   lookups from the result, counting consumption with [note_load]. *)
 let note_load = bump_loads
 
+(* One pass over the directory decodes and digest-verifies every plan
+   file, reaping the ones that no longer parse or that sit under another
+   key's name (a failed replay reaps by key). *)
 let load_plans fs =
   match Fs.readdir fs dir with
   | exception Fs.Error _ -> []
   | names ->
     List.fold_left
       (fun acc name ->
-        if String.length name >= 5 && String.sub name 0 5 = "plan-" then begin
+        if String.starts_with ~prefix:"plan-" name then begin
           let path = dir ^ "/" ^ name in
           match Fs.segment_of fs path with
           | exception Fs.Error _ -> acc
           | seg -> (
             match decode_plan (Segment.contents seg) with
-            | key, plan -> (key, plan) :: acc
-            | exception Failure _ ->
+            | key, plan when String.equal (plan_name key) name -> (key, plan) :: acc
+            | _ | (exception Failure _) ->
               reap fs path;
               acc)
         end
         else acc)
       [] names
-
-let load_plan fs ~key =
-  match Fs.segment_of fs (plan_path key) with
-  | exception Fs.Error _ -> None
-  | seg -> (
-    match decode_plan (Segment.contents seg) with
-    | stored_key, plan when String.equal stored_key key ->
-      bump_loads ();
-      Some plan
-    | _ ->
-      reap fs (plan_path key);
-      None
-    | exception Failure _ ->
-      reap fs (plan_path key);
-      None)
 
 (* Seed the (host-side) template decode and export-index caches from
    every persisted symbol index whose backing template still has the
@@ -293,24 +314,19 @@ let seed_indexes fs =
   | names ->
     List.iter
       (fun name ->
-        if String.length name >= 4 && String.sub name 0 4 = "obj-" then begin
+        if String.starts_with ~prefix:"obj-" name then begin
           let path = dir ^ "/" ^ name in
           match Fs.segment_of fs path with
           | exception Fs.Error _ -> ()
           | seg -> (
             match decode_obj (Segment.contents seg) with
             | exception Failure _ -> reap fs path
-            | located, (sid, sver), payload -> (
-              let live =
-                match Fs.segment_of fs located with
-                | tseg -> Segment.id tseg = sid && Segment.version tseg = sver
-                | exception Fs.Error _ -> false
-              in
-              if not live then reap fs path
+            | located, src, payload -> (
+              if not (live fs ~located ~src) then reap fs path
               else
                 match Objfile.parse payload with
                 | obj ->
-                  Link_plan.seed_obj ~src:(sid, sver) obj;
+                  Link_plan.seed_obj ~src obj;
                   bump_loads ()
                 | exception Failure _ -> reap fs path))
         end)
@@ -323,11 +339,15 @@ let seed_indexes fs =
 let raw_blob ~key =
   let addrs = Hashtbl.create 1 in
   Hashtbl.replace addrs "k" (String.length key);
-  encode_plan ~key { Link_plan.plan_deps = []; plan_addrs = addrs }
+  encode_plan ~key { Link_plan.plan_deps = []; plan_addrs = addrs; plan_copy = Unsaved }
 
+(* Same fault site as a sync's write; the blob for a key never changes,
+   so an existing file is kept. *)
 let persist_raw fs ~key =
   ensure_dir fs;
-  persist_bytes fs ~path:(plan_path key) (raw_blob ~key)
+  Fault.hit "fs.stable";
+  let path = plan_path key in
+  if not (Fs.exists fs path) then Fs.write_file fs path (raw_blob ~key)
 
 let valid_segment seg =
   match

@@ -1,23 +1,16 @@
-(** Stable linking: the persistence layer under [/shared/.stable].
+(** Stable linking: the link-plan store's copy under [/shared/.stable].
 
-    The PR 3 link-plan and symbol caches are kernel-resident and die
-    with [Kernel.reboot]; this module writes them into the shared
-    partition itself — link plans keyed by the full plan identity, and
-    HOB2 symbol indexes keyed by template content identity — so the
-    first exec after a reboot replays persisted plans instead of
-    re-walking scopes.
-
-    Files are content-addressed (the name carries a digest of the key),
-    so persisting is either a skip (the file already holds these bytes)
-    or a fresh-file write through the journalled [Fs] path — crash
-    during persist is all-or-nothing under [Fs.fsck], covered by the
-    crash sweep via the [fs.stable] fault site.  Loads are host-side
-    only (segment reads, never billed); a corrupt, truncated or stale
-    file is reaped on its first failed load.  See DESIGN.md, "Stable
-    linking". *)
-
-(** Kill switch (set from [HEMLOCK_NO_STABLELINK] at start-up). *)
-val enabled : bool ref
+    The in-memory {!Link_plan} store is the only plan store, and it dies
+    with [Kernel.reboot].  This module keeps an exact copy of it in the
+    shared partition — one file per plan, named by a digest of its key,
+    and one HOB2 symbol-index file per live template, named by its
+    content identity — so a reboot can refill the store.  [Ldl] records
+    the {!Hemlock_sfs.Fs.generation} each copy was made at and reads
+    plans back only while it has not moved.  Writes go through the
+    journalled [Fs] path, all-or-nothing per file under [Fs.fsck] (the
+    [fs.stable] fault site).  Loads are host-side segment reads, never
+    billed; a corrupt file is reaped on its first failed load.  See
+    DESIGN.md, "Stable linking". *)
 
 (** The reserved namespace, ["/shared/.stable"]. *)
 val dir : string
@@ -25,42 +18,41 @@ val dir : string
 (** Create {!dir} if missing. *)
 val ensure_dir : Hemlock_sfs.Fs.t -> unit
 
-(** Path of the plan file for a plan key (content-addressed). *)
+(** Path of the plan file for a plan key (named by a digest of the key). *)
 val plan_path : string -> string
 
-(** Path of the symbol-index file for a template (content-addressed by
-    located path and template (segment id, version)). *)
-val obj_path : located:string -> src:int * int -> string
+type sync_report = {
+  sync_plans : int;  (** plan files written or already present *)
+  sync_objs : int;  (** symbol-index files written or already present *)
+  sync_skipped : int;  (** files that failed to write or to unlink *)
+}
 
-(** [persist_plan fs ~key plan] writes the plan file unless it already
-    exists; [true] iff the file exists afterwards.  An injected error
-    or FS failure degrades to [false]; a {!Hemlock_util.Fault.Crash}
-    propagates (the machine stopped). *)
-val persist_plan :
-  Hemlock_sfs.Fs.t -> key:string -> Modinst.scope Link_plan.plan -> bool
-
-(** Same for a template's serialized HOB2 symbol index. *)
-val persist_obj :
-  Hemlock_sfs.Fs.t -> located:string -> src:int * int -> Hemlock_obj.Objfile.t -> bool
+(** [sync fs ~plans ~objs] makes {!dir} an exact copy of the plans and
+    of the symbol indexes of the templates [objs] (located path,
+    (segment id, version), template) whose file still holds that
+    version: it keeps the index files and the files of plans that are
+    not [Unsaved], unlinks every other file, then writes each missing
+    one through the journalled path and marks each plan it writes
+    [Saved].  The flag is [false] iff an unlink failed, leaving a file
+    outside the copy.  An injected error or FS failure skips that file;
+    a {!Hemlock_util.Fault.Crash} propagates (the machine stopped). *)
+val sync :
+  Hemlock_sfs.Fs.t ->
+  plans:(string * Modinst.scope Link_plan.plan) list ->
+  objs:(string * (int * int) * Hemlock_obj.Objfile.t) list ->
+  sync_report * bool
 
 (** One-pass sweep of {!dir}: decode and digest-verify every plan file,
-    reaping the ones that no longer parse.  Runs once per boot (see
-    [Ldl.seed_stable]); the caller serves lookups from the result and
-    counts each consumed plan with {!note_load}.  Unbilled. *)
+    reaping the ones that no longer parse or whose embedded key does not
+    name them.  Each plan comes back [Loaded].  Unbilled. *)
 val load_plans :
   Hemlock_sfs.Fs.t -> (string * Modinst.scope Link_plan.plan) list
 
-(** Count one consumed stable plan ([stable_loads]). *)
+(** Count one [Loaded] plan's first verified replay ([stable_loads]). *)
 val note_load : unit -> unit
 
-(** [load_plan fs ~key] loads and digest-verifies the persisted plan,
-    or [None] — reaping the file and counting a reject if it exists
-    but is corrupt or keyed differently.  Unbilled (segment read). *)
-val load_plan :
-  Hemlock_sfs.Fs.t -> key:string -> Modinst.scope Link_plan.plan option
-
-(** [reject fs ~key] reaps the plan file after a failed replay (the
-    persisted plan verified but no longer matches the live world). *)
+(** [reject fs ~key] reaps the plan file after a failed replay of a
+    plan the file holds (it no longer matches the live world). *)
 val reject : Hemlock_sfs.Fs.t -> key:string -> unit
 
 (** Warm the per-domain template decode and export-index caches from

@@ -41,8 +41,10 @@ val fs : t -> Hemlock_sfs.Fs.t
 (** Simulate a reboot: the in-kernel addr->path table is discarded and
     rebuilt by scanning the shared file system (crash survival, §3),
     then the registered reboot hooks run in registration order — the
-    dynamic linker uses one to drop kernel-resident caches and reseed
-    from the stable-link files persisted under [/shared/.stable]. *)
+    dynamic linker uses one to drop kernel-resident link state, reseed
+    the symbol indexes under [/shared/.stable], and refill its plan
+    store from the copy there if the file system has not changed since
+    the copy was made. *)
 val reboot : t -> unit
 
 (** [add_reboot_hook t h] runs [h] after every {!reboot}, in

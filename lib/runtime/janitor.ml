@@ -107,9 +107,9 @@ let orphan_policy k ~flagged =
     | Stable ->
       (* Stable-link files are pure cache: a file that no longer
          decodes (truncated header, garbled body) can never be loaded
-         again and is reaped; a well-formed one is kept — staleness
-         against the live world is judged at load time, which reaps on
-         first failed load. *)
+         again and is reaped; a well-formed one is kept — the next
+         sync unlinks it if it is not part of the copy, and a replay
+         that fails verification reaps it. *)
       not
         (try Stable_link.valid_segment (Fs.segment_of fs e.j_path) with _ -> false)
     | Heap | Template | Executable -> false

@@ -21,9 +21,6 @@ HEMLOCK_NO_TLB=1 HEMLOCK_NO_DCACHE=1 dune runtest --force
 echo "== tests (linker fast path off: HEMLOCK_NO_SYMHASH + HEMLOCK_NO_PLANCACHE) =="
 HEMLOCK_NO_SYMHASH=1 HEMLOCK_NO_PLANCACHE=1 dune runtest --force
 
-echo "== tests (stable linking off: HEMLOCK_NO_STABLELINK) =="
-HEMLOCK_NO_STABLELINK=1 dune runtest --force
-
 echo "== tests (copy-on-write off: HEMLOCK_NO_COW) =="
 HEMLOCK_NO_COW=1 dune runtest --force
 
@@ -79,13 +76,6 @@ HEMLOCK_NO_SYMHASH=1 HEMLOCK_NO_PLANCACHE=1 \
   > _build/e1_e13_nolinkfast.txt
 diff -u bench/golden_e1_e13.txt _build/e1_e13_nolinkfast.txt
 echo "golden transcript identical without the linker fast path"
-
-echo "== golden transcript (stable linking off) =="
-HEMLOCK_NO_STABLELINK=1 \
-  dune exec bench/main.exe -- e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 \
-  > _build/e1_e13_nostable.txt
-diff -u bench/golden_e1_e13.txt _build/e1_e13_nostable.txt
-echo "golden transcript identical without stable linking"
 
 echo "== golden transcript (copy-on-write off) =="
 HEMLOCK_NO_COW=1 \
