@@ -949,9 +949,10 @@ let perf () =
 
 (* Deep-dependency Modgen workload: the driver names all N chain modules
    as dynamic dependencies and every module's own list is empty, so each
-   of the ~2N unresolved references walks the root scope's full
-   N-module list — O(N^2) locate calls and export probes on the cold
-   path.  Repeated execs of the same program in one kernel are the
+   of the ~2N unresolved references resolves through the root scope's
+   full N-module list — O(N^2) locate calls and export probes for the
+   linear walk (fast path off), one pass over the list for the scope
+   index.  Repeated execs of the same program in one kernel are the
    stable-linking scenario: the first exec records link plans, later
    execs replay them. *)
 let link_modules = 96
@@ -1085,8 +1086,21 @@ let perf_link () =
     failwith "perf-link: simulated costs differ cold-boot vs stable-boot";
   if sync.Ldl.sync_plans = 0 || sync.Ldl.sync_objs = 0 then
     failwith "perf-link: stable sync persisted nothing";
+  (* What stable linking must deliver is a first exec that replays what
+     the sync wrote, every region of it, and a cold boot that replays
+     nothing.  No timing floor: a replay that gets slow shows in the
+     benchmark's link-boot workload. *)
+  if d_stable_boot.Stats.plan_hits <> sync.Ldl.sync_plans
+     || d_stable_boot.Stats.plan_misses <> 0
+     || d_stable_boot.Stats.stable_loads <> d_stable_boot.Stats.plan_hits
+  then failwith "perf-link: the stable-boot first exec did not replay every synced plan";
+  if d_cold_boot.Stats.plan_hits <> 0 then
+    failwith "perf-link: the cold-boot first exec replayed a plan";
   let speedup = ns_off /. ns_on in
   let boot_speedup = ns_cold_boot /. ns_stable_boot in
+  let boot_speedup_with_reboot =
+    (cold_reboot_ns +. ns_cold_boot) /. (stable_reboot_ns +. ns_stable_boot)
+  in
   Printf.printf
     "workload: %d-module deep chain, %d faults / %d symbols per exec (deterministic both ways)\n\n"
     modules s_on.Stats.faults s_on.Stats.symbols_resolved;
@@ -1111,9 +1125,9 @@ let perf_link () =
   Printf.printf
     "\nstable sync: %d plans + %d symbol indexes persisted (%d skipped)\n"
     sync.Ldl.sync_plans sync.Ldl.sync_objs sync.Ldl.sync_skipped;
-  Printf.printf "boot speedup (cold boot vs stable boot): %.2fx (floor 5x)\n" boot_speedup;
-  if boot_speedup < 5.0 then
-    failwith "perf-link: stable-boot first exec under the 5x-over-cold-boot floor";
+  Printf.printf
+    "boot speedup (cold boot vs stable boot): first exec %.2fx, reboot + first exec %.2fx\n"
+    boot_speedup boot_speedup_with_reboot;
   let json =
     Printf.sprintf
       "{\n\
@@ -1130,6 +1144,7 @@ let perf_link () =
       \                    \"plans_persisted\": %d, \"objs_persisted\": %d,\n\
       \                    \"stats\": %s },\n\
       \  \"boot_speedup\": %.2f,\n\
+      \  \"boot_speedup_with_reboot\": %.2f,\n\
       \  \"simulated_costs_identical\": true,\n\
       \  \"provenance\": %s,\n\
       \  \"linkstat\": %s}\n"
@@ -1137,7 +1152,7 @@ let perf_link () =
       ns_off f_on.Stats.sym_hash_hits f_on.Stats.search_cache_hits speedup ns_cold_boot
       cold_reboot_ns (Stats.to_json d_cold_boot) ns_stable_boot stable_reboot_ns
       sync.Ldl.sync_plans sync.Ldl.sync_objs (Stats.to_json d_stable_boot) boot_speedup
-      stable_prov linkstat
+      boot_speedup_with_reboot stable_prov linkstat
   in
   let path = Filename.concat (Sys.getcwd ()) "BENCH_link.json" in
   let oc = open_out path in

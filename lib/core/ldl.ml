@@ -26,7 +26,7 @@ let errf fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
    resolution of each name was answered, and how often the name was
    resolved at all.  Strings are kept flat so the JSON export needs no
    joins: [pv_source] is "cold" | "replay" | "stable" | "dlsym",
-   [pv_probe] is "hash" | "linear" | "cached" | "plan", [pv_origin] is
+   [pv_probe] is "hash" | "linear" | "plan", [pv_origin] is
    the exporting instance key (or "image" | "plan" | "own"), [pv_scope]
    the scope label the walk found it at. *)
 type prov = {
@@ -35,6 +35,14 @@ type prov = {
   mutable pv_probe : string;
   mutable pv_origin : string;
   mutable pv_scope : string;
+}
+
+(* The resumable export index of one scope node: the part of its module
+   list the walk has not passed yet, and the first exporter (address,
+   instance key) of each name among the modules before that point. *)
+type scope_index = {
+  mutable si_rest : string list;
+  si_exports : (string, int * string) Hashtbl.t;
 }
 
 type pstate = {
@@ -54,11 +62,11 @@ type pstate = {
   mutable ps_sorted : Modinst.t array;
   ps_by_key : (string, Modinst.t) Hashtbl.t;
   mutable ps_unlinked : Modinst.t list;
-  (* successful scoped resolutions, epoch-validated against the FS
-     generation (instances never move within a process, so a cached
-     success can only go stale through the namespace) *)
-  ps_symcache : (Modinst.scope * string, int * string * string) Hashtbl.t;
-  mutable ps_symcache_gen : int;
+  (* per-scope export indexes, all valid for [ps_index_gen] only
+     (instances never move within a process, so an index can only go
+     stale through the namespace) *)
+  ps_index : (Modinst.scope, scope_index) Hashtbl.t;
+  mutable ps_index_gen : int;
   (* host-side: per-symbol resolution provenance for linkstat *)
   ps_prov : (string, prov) Hashtbl.t;
   (* incrementally-maintained digest of the instance set: the XOR of
@@ -381,23 +389,16 @@ let ensure_instance_by_name t proc ps ~scope name =
       Some (instantiate t proc ps ~located ~public:(is_shared_located located) ~parent_scope:scope))
 
 (* Scoped symbol resolution: this scope's module list, then the parent
-   chain; at the root, also the main image's exports.  Successes carry
-   provenance: the exporting instance (or "image") and the scope node
-   whose module list answered. *)
-let rec resolve_scoped_cold t proc ps scope name =
-  let try_module mname =
-    match ensure_instance_by_name t proc ps ~scope mname with
-    | Some inst ->
-      Option.map
-        (fun addr -> (addr, inst.Modinst.inst_key, scope.Modinst.sc_label))
-        (Modinst.find_export inst name)
-    | None -> None
-  in
-  match List.find_map try_module scope.Modinst.sc_modules with
-  | Some hit -> Some hit
+   chain; at the root, also the main image's exports.  [in_list] answers
+   one node's module list.  Successes carry provenance: the exporting
+   instance (or "image") and the scope node whose module list
+   answered. *)
+let rec walk_scopes ps in_list scope name =
+  match in_list scope name with
+  | Some (addr, origin) -> Some (addr, origin, scope.Modinst.sc_label)
   | None -> (
     match scope.Modinst.sc_parent with
-    | Some parent -> resolve_scoped_cold t proc ps parent name
+    | Some parent -> walk_scopes ps in_list parent name
     | None -> (
       match ps.ps_aout with
       | Some aout ->
@@ -406,39 +407,69 @@ let rec resolve_scoped_cold t proc ps scope name =
           (Aout.find_symbol aout name)
       | None -> None))
 
-(* Per-scope symbol cache.  Only successes are cached: a failed walk may
-   instantiate modules next time the world changes, whereas a success
-   already instantiated everything up to the exporter, so re-serving it
-   has no simulated side effects to skip.  [Fs.generation] (namespace
-   mutations) is the only staleness vector: a success guarantees every
-   module the walk consults is already instantiated, and instances keep
-   the decode they were built from, so rewriting a template file — even
-   through a mapping, invisibly to the generation — cannot change what
-   a cold re-walk of this process would answer. *)
+(* The reference walk: every module of the list, in order, located,
+   instantiated and probed for the name. *)
+let in_list_linear t proc ps scope name =
+  List.find_map
+    (fun mname ->
+      match ensure_instance_by_name t proc ps ~scope mname with
+      | Some inst ->
+        Option.map (fun addr -> (addr, inst.Modinst.inst_key)) (Modinst.find_export inst name)
+      | None -> None)
+    scope.Modinst.sc_modules
+
+(* The same walk, resumed instead of restarted.  Each scope's index
+   answers for the modules the walk has already passed, which it located
+   and instantiated at this generation in this process, so re-walking
+   them would repeat no simulated action; a miss walks on from where the
+   walk stopped, in list order.  The rules that keep it the linear walk:
+   - every index holds for one [Fs.generation], checked at every level,
+     because instantiating a public module creates its file (moving the
+     generation) mid-walk;
+   - the first exporter wins, as [Modinst.find_export] answers;
+   - the cursor passes a module only once [ensure_instance_by_name]
+     returned, so a walk that raised ([Would_block] on a creation lock,
+     [Link_error], a crash) retries that module next time. *)
+let scope_index t ps scope =
+  let gen = Fs.generation (Kernel.fs t.k) in
+  if gen <> ps.ps_index_gen then begin
+    Hashtbl.reset ps.ps_index;
+    ps.ps_index_gen <- gen
+  end;
+  match Hashtbl.find_opt ps.ps_index scope with
+  | Some ix -> ix
+  | None ->
+    let ix = { si_rest = scope.Modinst.sc_modules; si_exports = Hashtbl.create 16 } in
+    Hashtbl.replace ps.ps_index scope ix;
+    ix
+
+let in_list_indexed t proc ps scope name =
+  let ix = scope_index t ps scope in
+  let rec go () =
+    match Hashtbl.find_opt ix.si_exports name with
+    | Some hit ->
+      (Stats.cur ()).sym_hash_hits <- (Stats.cur ()).sym_hash_hits + 1;
+      Some hit
+    | None -> (
+      match ix.si_rest with
+      | [] -> None
+      | mname :: rest ->
+        (match ensure_instance_by_name t proc ps ~scope mname with
+        | Some inst ->
+          Modinst.iter_exports inst (fun n addr ->
+              if not (Hashtbl.mem ix.si_exports n) then
+                Hashtbl.replace ix.si_exports n (addr, inst.Modinst.inst_key))
+        | None -> ());
+        ix.si_rest <- rest;
+        go ())
+  in
+  go ()
+
 let probe_kind () = if !Objfile.sym_hash_enabled then "hash" else "linear"
 
 let resolve_scoped t proc ps scope name =
-  if not !Objfile.sym_hash_enabled then
-    Option.map
-      (fun (addr, origin, slabel) -> (addr, origin, slabel, "linear"))
-      (resolve_scoped_cold t proc ps scope name)
-  else begin
-    let gen = Fs.generation (Kernel.fs t.k) in
-    if gen <> ps.ps_symcache_gen then begin
-      Hashtbl.reset ps.ps_symcache;
-      ps.ps_symcache_gen <- gen
-    end;
-    match Hashtbl.find_opt ps.ps_symcache (scope, name) with
-    | Some (addr, origin, slabel) ->
-      (Stats.cur ()).sym_hash_hits <- (Stats.cur ()).sym_hash_hits + 1;
-      Some (addr, origin, slabel, "cached")
-    | None -> (
-      match resolve_scoped_cold t proc ps scope name with
-      | Some (addr, origin, slabel) ->
-        Hashtbl.replace ps.ps_symcache (scope, name) (addr, origin, slabel);
-        Some (addr, origin, slabel, "hash")
-      | None -> None)
-  end
+  let in_list = if !Objfile.sym_hash_enabled then in_list_indexed else in_list_linear in
+  walk_scopes ps (in_list t proc ps) scope name
 
 (* ----- memoized link plans ------------------------------------------------ *)
 
@@ -608,8 +639,8 @@ let link_instance t proc ps inst =
         Some addr
       | None -> (
         match resolve_scoped t proc ps inst.Modinst.inst_scope name with
-        | Some (addr, origin, slabel, probe) ->
-          note_prov ps name ~source:"cold" ~probe ~origin ~scope:slabel;
+        | Some (addr, origin, slabel) ->
+          note_prov ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
           Some addr
         | None -> None)
     in
@@ -684,8 +715,8 @@ let resolve_image_pending t proc ps =
     in
     let cold_resolve name =
       match resolve_scoped t proc ps ps.ps_root name with
-      | Some (addr, origin, slabel, probe) ->
-        note_prov ps name ~source:"cold" ~probe ~origin ~scope:slabel;
+      | Some (addr, origin, slabel) ->
+        note_prov ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
         Some addr
       | None -> None
     in
@@ -894,8 +925,8 @@ let loader t _k proc bytes ~path =
       ps_sorted = [||];
       ps_by_key = Hashtbl.create 16;
       ps_unlinked = [];
-      ps_symcache = Hashtbl.create 64;
-      ps_symcache_gen = -1;
+      ps_index = Hashtbl.create 16;
+      ps_index_gen = -1;
       ps_prov = Hashtbl.create 64;
       ps_digest = Bytes.make 16 '\000';
     };
@@ -936,8 +967,8 @@ let clone_for_fork t ~parent ~child =
         ps_sorted = [||];
         ps_by_key = Hashtbl.create 16;
         ps_unlinked = [];
-        ps_symcache = Hashtbl.create 64;
-        ps_symcache_gen = -1;
+        ps_index = Hashtbl.create 16;
+        ps_index_gen = -1;
         (* provenance is per-process observability: the child starts
            empty and accumulates its own post-fork resolutions *)
         ps_prov = Hashtbl.create 64;
@@ -1023,8 +1054,8 @@ let attach t proc =
         ps_sorted = [||];
         ps_by_key = Hashtbl.create 16;
         ps_unlinked = [];
-        ps_symcache = Hashtbl.create 64;
-        ps_symcache_gen = -1;
+        ps_index = Hashtbl.create 16;
+        ps_index_gen = -1;
         ps_prov = Hashtbl.create 64;
         ps_digest = Bytes.make 16 '\000';
       };
@@ -1051,8 +1082,8 @@ let dlsym t proc name =
   let ps = Option.get (state t proc) in
   retry_native (fun () ->
       match resolve_scoped t proc ps ps.ps_root name with
-      | Some (addr, origin, slabel, probe) ->
-        note_prov ps name ~source:"dlsym" ~probe ~origin ~scope:slabel;
+      | Some (addr, origin, slabel) ->
+        note_prov ps name ~source:"dlsym" ~probe:(probe_kind ()) ~origin ~scope:slabel;
         Some addr
       | None ->
         (* dld-style: symbols of explicitly loaded modules are visible

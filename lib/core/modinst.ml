@@ -66,6 +66,17 @@ let find_export t name =
 
 let find_own t name = Option.map (symbol_addr t) (Objfile.find_symbol t.inst_obj name)
 
+let iter_exports t f =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun sym ->
+      let name = sym.Objfile.sym_name in
+      if not (Hashtbl.mem seen name) then begin
+        Hashtbl.replace seen name ();
+        if sym.Objfile.sym_binding = Objfile.Global then f name (symbol_addr t sym)
+      end)
+    t.inst_obj.Objfile.symbols
+
 let sink_of_segment seg ~vaddr_base =
   {
     Reloc_engine.get32 = (fun addr -> Segment.get_u32 seg (addr - vaddr_base));

@@ -68,6 +68,11 @@ val find_export : t -> string -> int option
 (** Defined symbol lookup including locals (for internal relocations). *)
 val find_own : t -> string -> int option
 
+(** [iter_exports t f] calls [f name addr] once for each name that
+    [find_export] answers, in symbol-table order: the first symbol of a
+    name decides, so a Local hides a later Global of the same name. *)
+val iter_exports : t -> (string -> int -> unit) -> unit
+
 (** A sink writing through a segment, where segment offset 0 backs
     virtual address [vaddr_base]. *)
 val sink_of_segment : Segment.t -> vaddr_base:int -> Reloc_engine.sink

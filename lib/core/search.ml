@@ -47,11 +47,13 @@ let has_slash name = String.contains name '/'
    negative one) is invisible to the simulated machine.  Entries are
    validated against the owning FS's mutation generation — any
    write/create/rename anywhere invalidates conservatively. *)
-let locate_cache : (int * string * string * string, int * string option) Hashtbl.t =
-  Hashtbl.create 256
+(* per-domain: memoisation only, safe to rebuild per domain *)
+let locate_cache_key :
+    (int * string * string * string, int * string option) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let clear_locate_cache () =
-  Hashtbl.reset locate_cache;
+  Hashtbl.reset (Domain.DLS.get locate_cache_key);
   Hashtbl.reset (Domain.DLS.get llp_memo_key)
 
 let locate_uncached ctx ~dirs name =
@@ -86,6 +88,7 @@ let dirs_key dirs =
 let locate ctx ~dirs name =
   if not !cache_enabled then locate_uncached ctx ~dirs name
   else begin
+    let locate_cache = Domain.DLS.get locate_cache_key in
     let gen = Fs.generation ctx.fs in
     let key = (Fs.uid ctx.fs, Path.to_string ctx.cwd, dirs_key dirs, name) in
     match Hashtbl.find_opt locate_cache key with

@@ -42,6 +42,6 @@ val runtime_dirs : ctx -> recorded:string list -> string list
     of §4). *)
 val locate : ctx -> dirs:string list -> string -> string option
 
-(** Drop the global {!locate} cache and the calling domain's
-    LD_LIBRARY_PATH memo (reboot). *)
+(** Drop the calling domain's {!locate} cache and LD_LIBRARY_PATH memo
+    (reboot). *)
 val clear_locate_cache : unit -> unit

@@ -131,7 +131,7 @@ echo "experiments completed under HEMLOCK_NET_PROFILE=lossy"
 echo "== perf =="
 dune exec bench/main.exe -- perf
 
-echo "== perf-link (gates: stable boot >= 5x faster than cold boot, simulated costs identical) =="
+echo "== perf-link (gates: stable boot replays every synced plan, cold boot none; simulated costs identical) =="
 dune exec bench/main.exe -- perf-link
 
 echo "== perf-vm (gates: program-visible behaviour identical, cow copies <1/4 of eager, >=5x fork throughput) =="

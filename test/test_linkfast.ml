@@ -265,6 +265,330 @@ int main() {
   if !Link_plan.enabled then
     check_bool "matching fault order replays plans" true (d3.Stats.plan_hits > 0)
 
+(* ----- scope index vs the linear walk --------------------------------------- *)
+
+(* Generated scope graphs.  Data modules are hand-built objects, as
+   [gen_symtab] builds them, over a four-name alphabet: one list often
+   holds several exporters of a name, and one object a Local before a
+   Global of the same name.  Code modules read data names and call their
+   code children; their own lists mix data modules, code children and
+   absent names, nest two deep, and search either the main library, a
+   directory of shadowing copies first, or only their parents' dirs.  A
+   public data module is created mid-walk, moving the FS generation. *)
+
+let data_names = [ "s0"; "s1"; "s2"; "s3" ]
+
+type entry = Data of int | Absent of int | Code of node
+
+and node = { reads : string list; entries : entry list; search : int }
+
+type data_mod = {
+  slots : (string * Objfile.binding) list;
+  public : bool;
+  shadowed : bool;  (* a copy with other values in /home/lib2 *)
+}
+
+type graph = { datas : data_mod list; root : node }
+
+let n_data = 5
+
+let gen_graph =
+  QCheck2.Gen.(
+    let gen_data =
+      map3
+        (fun slots public shadowed -> { slots; public; shadowed })
+        (list_size (int_range 1 4)
+           (pair (oneofl data_names) (oneofl [ Objfile.Local; Objfile.Global ])))
+        (frequencyl [ (4, false); (1, true) ])
+        (frequencyl [ (3, false); (1, true) ])
+    in
+    let rec gen_node depth =
+      let entry =
+        frequency
+          ([
+             (4, map (fun i -> Data i) (int_bound (n_data - 1)));
+             (1, map (fun i -> Absent i) (int_bound 1));
+           ]
+          @ if depth = 0 then [] else [ (2, map (fun n -> Code n) (gen_node (depth - 1))) ])
+      in
+      map3
+        (fun reads entries search -> { reads; entries; search })
+        (list_size (int_range 1 3) (oneofl data_names))
+        (list_size (int_range 1 4) entry)
+        (int_bound 2)
+    in
+    map2 (fun datas root -> { datas; root }) (list_repeat n_data gen_data) (gen_node 2))
+
+let print_graph g =
+  let binding = function Objfile.Local -> "L" | Objfile.Global -> "G" in
+  let rec node n =
+    Printf.sprintf "{reads=%s; search=%d; list=[%s]}" (String.concat "," n.reads) n.search
+      (String.concat "; "
+         (List.map
+            (function
+              | Data i -> Printf.sprintf "d%d" i
+              | Absent i -> Printf.sprintf "gone%d" i
+              | Code c -> node c)
+            n.entries))
+  in
+  String.concat "\n"
+    (List.mapi
+       (fun i d ->
+         Printf.sprintf "d%d%s%s: %s" i
+           (if d.public then " public" else "")
+           (if d.shadowed then " shadowed" else "")
+           (String.concat " "
+              (List.map (fun (n, b) -> n ^ ":" ^ binding b) d.slots)))
+       g.datas
+    @ [ "root " ^ node g.root ])
+
+(* Every slot holds a distinct value, so the console shows which module,
+   slot and copy each read was bound to. *)
+let data_obj ~name ~value slots =
+  let data = Bytes.create (4 * List.length slots) in
+  List.iteri (fun j _ -> Codec.set_u32 data (4 * j) (value j)) slots;
+  {
+    (Objfile.empty ~name) with
+    Objfile.text = Bytes.of_string "TEXT";
+    data;
+    symbols =
+      List.mapi
+        (fun j (sym_name, sym_binding) ->
+          { Objfile.sym_name; sym_section = Objfile.Data; sym_offset = 4 * j; sym_binding })
+        slots;
+  }
+
+let entry_name ids = function
+  | Data i -> Printf.sprintf "d%d.o" i
+  | Absent i -> Printf.sprintf "gone%d.o" i
+  | Code c -> Printf.sprintf "c%d.o" (List.assq c ids)
+
+let install_graph k g =
+  let fs = Kernel.fs k in
+  List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/lib2"; "/home/t" ];
+  if not (Fs.exists fs "/shared/lib") then Fs.mkdir fs "/shared/lib";
+  List.iteri
+    (fun i d ->
+      let name = Printf.sprintf "d%d.o" i in
+      let dir = if d.public then "/shared/lib" else "/home/lib" in
+      write_obj k (dir ^ "/" ^ name)
+        (data_obj ~name ~value:(fun j -> (1000 * (i + 1)) + (10 * j)) d.slots);
+      if d.shadowed then
+        write_obj k ("/home/lib2/" ^ name)
+          (data_obj ~name ~value:(fun j -> (1000 * (i + 1)) + (10 * j) + 5) d.slots))
+    g.datas;
+  write_obj k "/home/lib/all.o"
+    (data_obj ~name:"all.o" ~value:(fun j -> 9000 + j)
+       (List.map (fun n -> (n, Objfile.Global)) data_names));
+  (* Code modules are numbered in preorder. *)
+  let ids = ref [] in
+  let rec number n =
+    List.iter
+      (function
+        | Code c ->
+          ids := (c, List.length !ids) :: !ids;
+          number c
+        | Data _ | Absent _ -> ())
+      n.entries
+  in
+  number g.root;
+  let ids = !ids in
+  let body n =
+    let children =
+      List.filter_map (function Code c -> Some (List.assq c ids) | Data _ | Absent _ -> None)
+        n.entries
+    in
+    let reads = List.sort_uniq compare n.reads in
+    ( String.concat ""
+        (List.map (Printf.sprintf "extern int %s;\n") reads
+        @ List.map (Printf.sprintf "extern int f%d();\n") children),
+      reads @ List.map (Printf.sprintf "f%d()") children )
+  in
+  List.iter
+    (fun (c, id) ->
+      let name = Printf.sprintf "c%d.o" id in
+      let externs, terms = body c in
+      let src =
+        Printf.sprintf "%sint f%d() {\n  return %s;\n}\n" externs id (String.concat " + " terms)
+      in
+      write_obj k ("/home/lib/" ^ name)
+        {
+          (Cc.to_object ~name src) with
+          Objfile.own_modules = List.map (entry_name ids) c.entries;
+          own_search_path =
+            (match c.search with
+            | 0 -> [ "/home/lib" ]
+            | 1 -> [ "/home/lib2"; "/home/lib" ]
+            | _ -> []);
+        })
+    ids;
+  let externs, terms = body g.root in
+  install_c k "/home/t/main.o"
+    (Printf.sprintf "%sint main() {\n%s  return 0;\n}\n" externs
+       (String.concat "" (List.map (Printf.sprintf "  print_int(%s);\n") terms)));
+  let dynamic e =
+    let cls =
+      match e with
+      | Data i when (List.nth g.datas i).public -> Sharing.Dynamic_public
+      | Data _ | Absent _ | Code _ -> Sharing.Dynamic_private
+    in
+    (entry_name ids e, cls)
+  in
+  ignore
+    (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+       ~specs:
+         ((("main.o", Sharing.Static_private) :: List.map dynamic g.root.entries)
+         @ [ ("all.o", Sharing.Dynamic_private) ])
+       "prog")
+
+(* The linear walk with plans off is the reference; [indexed] turns the
+   scope index and plans on, whatever the environment says. *)
+let with_link_path ~indexed f =
+  let sh = !Objfile.sym_hash_enabled and pc = !Link_plan.enabled in
+  Objfile.sym_hash_enabled := indexed;
+  Link_plan.enabled := indexed;
+  Fun.protect
+    ~finally:(fun () ->
+      Objfile.sym_hash_enabled := sh;
+      Link_plan.enabled := pc)
+    f
+
+(* What a run shows of its links: console, exit code, instance keys and
+   bases in load order, and billed cycles, for a cold exec and a second
+   exec (which replays plans when they are on); then the warnings. *)
+let observe k ldl prog =
+  let exec () =
+    let (proc, console), d = Stats.measure (fun () -> run_program k prog) in
+    let code = match proc.Proc.state with Proc.Zombie c -> c | _ -> -1 in
+    ( console,
+      code,
+      List.map (fun i -> (i.Modinst.inst_key, i.Modinst.inst_base)) (Ldl.instances ldl proc),
+      Stats.cycles d )
+  in
+  let first = exec () in
+  let second = exec () in
+  (first, second, Ldl.warnings ldl)
+
+let run_graph ~indexed g =
+  with_link_path ~indexed (fun () ->
+      let k, ldl = boot () in
+      install_graph k g;
+      observe k ldl "/home/t/prog")
+
+let prop_index_is_the_linear_walk =
+  prop "scope index: generated scope graphs link as the linear walk does" ~count:150
+    ~print:print_graph gen_graph (fun g ->
+      run_graph ~indexed:false g = run_graph ~indexed:true g)
+
+(* A parent scope indexed before a shadowing template appears in the same
+   process: the child's later link pass must find the new copy, as a
+   fresh walk of the parent's list would. *)
+let index_sees_shadow_in_parent_scope () =
+  let scenario () =
+    let k, ldl = boot () in
+    let fs = Kernel.fs k in
+    List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/lib2"; "/home/t" ];
+    write_obj k "/home/lib/x.o"
+      {
+        (Cc.to_object ~name:"x.o"
+           "extern int g;\nextern int fy();\nint fx() { return g; }\nint fxy() { return fy(); }\n")
+        with
+        Objfile.own_modules = [ "y.o"; "z.o" ];
+        own_search_path = [ "/home/lib2"; "/home/lib" ];
+      };
+    install_c k "/home/lib/y.o" "extern int g;\nint fy() { return g * 10; }\n";
+    install_c k "/home/lib/z.o" "int g = 1;\n";
+    install_c k "/home/t/main.o"
+      {|
+extern int fx();
+extern int fxy();
+int main() {
+  int a = fx();
+  yield();
+  yield();
+  yield();
+  print_int(a);
+  print_int(fxy());
+  return 0;
+}
+|};
+    ignore
+      (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+         ~specs:[ ("main.o", Sharing.Static_private); ("x.o", Sharing.Dynamic_private) ]
+         "prog");
+    Kernel.console_clear k;
+    let prog = Kernel.spawn_exec k "/home/t/prog" in
+    (* Once fx's link pass has walked x's list (instantiating z), a
+       shadowing z appears ahead of it on x's search path. *)
+    ignore
+      (Kernel.spawn_native k ~name:"shadower" (fun _k _proc ->
+           while
+             not
+               (List.exists
+                  (fun i -> i.Modinst.inst_key = "/home/lib/z.o")
+                  (Ldl.instances ldl prog))
+           do
+             Proc.yield ()
+           done;
+           install_c k "/home/lib2/z.o" "int g = 2;\n";
+           0));
+    Kernel.run k;
+    ( Kernel.console k,
+      List.map (fun i -> i.Modinst.inst_key) (Ldl.instances ldl prog) )
+  in
+  let indexed = with_link_path ~indexed:true scenario in
+  check_string "y binds the shadowing z" "120" (fst indexed);
+  check_bool "the shadowing z is instantiated" true
+    (List.mem "/home/lib2/z.o" (snd indexed));
+  check_bool "same as the linear walk" true (indexed = with_link_path ~indexed:false scenario)
+
+(* A walk that reaches a public module while another process holds its
+   creation lock blocks; the holder releases the lock without creating
+   the file, and the retried walk must create that module, not skip to
+   the next exporter. *)
+let index_retries_module_after_lock_release () =
+  let scenario () =
+    let k, _ldl = boot () in
+    let fs = Kernel.fs k in
+    List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/t" ];
+    if not (Fs.exists fs "/shared/lib") then Fs.mkdir fs "/shared/lib";
+    install_c k "/shared/lib/p.o" "int n = 7;\n";
+    install_c k "/home/lib/q.o" "int n = 3;\n";
+    write_obj k "/home/lib/x.o"
+      {
+        (Cc.to_object ~name:"x.o" "extern int n;\nint fx() { return n; }\n") with
+        Objfile.own_modules = [ "p.o"; "q.o" ];
+        own_search_path = [ "/shared/lib"; "/home/lib" ];
+      };
+    install_c k "/home/t/main.o" "extern int fx();\nint main() { print_int(fx()); return 0; }\n";
+    ignore
+      (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+         ~specs:[ ("main.o", Sharing.Static_private); ("x.o", Sharing.Dynamic_private) ]
+         "prog");
+    Kernel.console_clear k;
+    let prog = ref None in
+    let blocked = ref false in
+    ignore
+      (Kernel.spawn_native k ~name:"holder" (fun k proc ->
+           check_bool "lock taken" true (Kernel.try_flock k proc "/shared/lib/p.lock");
+           for _ = 1 to 5 do
+             Proc.yield ()
+           done;
+           (match !prog with
+           | Some p -> blocked := (match p.Proc.state with Proc.Blocked _ -> true | _ -> false)
+           | None -> ());
+           Kernel.funlock k proc "/shared/lib/p.lock";
+           0));
+    prog := Some (Kernel.spawn_exec k "/home/t/prog");
+    Kernel.run k;
+    check_bool "the walk blocked on the creation lock" true !blocked;
+    (Kernel.console k, Fs.exists fs "/shared/lib/p")
+  in
+  let indexed = with_link_path ~indexed:true scenario in
+  check_string "x binds the public module" "7" (fst indexed);
+  check_bool "the public module was created" true (snd indexed);
+  check_bool "same as the linear walk" true (indexed = with_link_path ~indexed:false scenario)
+
 (* ----- corrupt persisted index --------------------------------------------- *)
 
 let corrupt_index_word_count () =
@@ -290,6 +614,33 @@ let corrupt_index_word_count () =
   | exception Failure _ -> ()
 
 (* ----- search-cache coherence --------------------------------------------- *)
+
+(* The locate memo resets itself when it grows past its bound; two
+   domains sharing one table would index past a shrunken array.  Each
+   domain drives its own kernel, as the ownership rule requires. *)
+let locate_memo_per_domain () =
+  let ready = Atomic.make 0 in
+  let worker id () =
+    let k = Kernel.create () in
+    let fs = Kernel.fs k in
+    Fs.mkdir fs "/home/lib";
+    Fs.write_file fs "/home/lib/m.o" (Bytes.of_string "x");
+    let ctx = { Search.fs; cwd = Path.root; env = [] } in
+    let wrong = ref 0 in
+    (* start together, so the two loops overlap *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to 99_999 do
+      let dirs = [ Printf.sprintf "/d%d/%d" id i; "/home/lib" ] in
+      if Search.locate ctx ~dirs "m.o" <> Some "/home/lib/m.o" then incr wrong
+    done;
+    !wrong
+  in
+  let domains = List.init 2 (fun id -> Domain.spawn (worker id)) in
+  List.iter (fun d -> check_int "every answer right" 0 (Domain.join d)) domains
+
 
 let search_dirs_do_not_alias () =
   let k, _ldl = boot () in
@@ -331,4 +682,10 @@ let suite =
     test "objfile: corrupt index word count fails at parse time" corrupt_index_word_count;
     test "search cache: epoch-coherent with the FS" search_cache_sees_new_files;
     test "search cache: directory lists do not alias" search_dirs_do_not_alias;
+    test "search cache: one memo per domain" locate_memo_per_domain;
+    prop_index_is_the_linear_walk;
+    test "scope index: a shadow seen through an indexed parent scope"
+      index_sees_shadow_in_parent_scope;
+    test "scope index: a module whose creation lock was released is retried"
+      index_retries_module_after_lock_release;
   ]
