@@ -4,29 +4,17 @@
    Usage:
      bench/main.exe            run every experiment
      bench/main.exe e5 e8      run selected experiments
-     bench/main.exe bechamel   also run the wall-time micro-bench suite
-     bench/main.exe perf       interpreter-throughput bench; writes
-                               BENCH_interp.json
-     bench/main.exe perf-vm    copy-on-write fork/exec bench; writes
-                               BENCH_vm.json
-     bench/main.exe perf-page  demand-paging bench: multi-MB /shared
-                               working set under shrinking RAM budgets;
-                               writes BENCH_page.json
-     bench/main.exe perf-cluster
-                               cluster rounds over OCaml 5 domains at 1/2/4
-                               domains; gates cost/console identity, writes
-                               BENCH_cluster.json
-     bench/main.exe perf-net   cluster traffic through the network
-                               profiles (ideal/lan/wan/lossy): gossip
-                               rwhod + per-machine users; gates trace
-                               identity across domain counts, writes
-                               BENCH_net.json
+     bench/main.exe perf       interpreter throughput with and without the
+                               TLB + decode cache and the trace JIT;
+                               gates the JIT's floors over both
      bench/main.exe crash-sweep [seeds]
                                deterministic fault sweep: per seed, drive
                                /shared op traffic (and a cluster broadcast
                                burst with the net sites armed) under a
                                PRNG fault plan and require every recovery
-                               fsck to come back clean *)
+                               fsck to come back clean
+
+   Host-time benchmarking of the simulator lives in perfbench/. *)
 
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc
@@ -34,10 +22,7 @@ module Cpu = Hemlock_isa.Cpu
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
 module Layout = Hemlock_vm.Layout
-module Segment = Hemlock_vm.Segment
-module Vm_object = Hemlock_vm.Vm_object
 module As = Hemlock_vm.Address_space
-module Prot = Hemlock_vm.Prot
 module Stats = Hemlock_util.Stats
 module Trace = Hemlock_isa.Trace
 module Objfile = Hemlock_obj.Objfile
@@ -48,7 +33,6 @@ module Search = Hemlock_linker.Search
 module Sharing = Hemlock_linker.Sharing
 module Modinst = Hemlock_linker.Modinst
 module Reloc_engine = Hemlock_linker.Reloc_engine
-module Link_plan = Hemlock_linker.Link_plan
 module Stable_link = Hemlock_linker.Stable_link
 module Plt = Hemlock_baseline.Plt
 module Channels = Hemlock_baseline.Channels
@@ -675,79 +659,6 @@ let e13 () =
      creation, however wide the race)\n"
 
 (* ---------------------------------------------------------------------- *)
-(* bechamel wall-time suite                                                 *)
-(* ---------------------------------------------------------------------- *)
-
-let bechamel_suite () =
-  header "Bechamel wall-time micro-benchmarks (one per experiment family)";
-  Printf.printf
-    "NOTE: these time the OCaml simulator on the host, not the simulated\n\
-     machine; host costs (e.g. scheduler polling for the shm style) do not\n\
-     track simulated costs.  The experiment tables above, in simulated\n\
-     cycles, are the paper-comparable numbers.\n\n";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let test_rwho style name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Rwho.run_simulation ~style ~n_hosts:8 ~rounds:1 ~max_users:2)))
-  in
-  let test_channels kind =
-    Test.make
-      ~name:("e10-" ^ Channels.kind_to_string kind)
-      (Staged.stage (fun () -> ignore (Channels.run_exchange ~kind ~payload:512 ~rounds:2)))
-  in
-  let test_lazy name eager =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let _, ldl = boot () in
-           Fs.mkdir (Kernel.fs (Ldl.kernel ldl)) "/home/chain";
-           ignore (Modgen.install ldl ~dir:"/home/chain" ~modules:8);
-           Modgen.link_driver ldl ~dir:"/home/chain" ~out:"/home/prog" ~used:2;
-           ignore
-             (if eager then Modgen.run_eager ldl ~prog:"/home/prog"
-              else Modgen.run_lazy ldl ~prog:"/home/prog")))
-  in
-  let test_xfig name shm =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let k, ldl = boot () in
-           ignore
-             (run_native k (fun k proc ->
-                  Ldl.attach ldl proc;
-                  if shm then Xfig.shm_session k proc ~path:"/shared/bfig" ~n_new:30 ~dup:true
-                  else Xfig.file_session k proc ~path:"/tmp/bfig.fig" ~n_new:30 ~dup:true))))
-  in
-  let tests =
-    [
-      test_rwho Rwho.File_spool "e5-rwho-files";
-      test_rwho Rwho.Shared_db "e5-rwho-shm";
-      test_channels Channels.Shared_memory;
-      test_channels Channels.Message_passing;
-      test_channels Channels.File_based;
-      test_lazy "e8-lazy" false;
-      test_lazy "e8-eager" true;
-      test_xfig "e7-xfig-files" false;
-      test_xfig "e7-xfig-shm" true;
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let est = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some [ e ] -> Printf.printf "%-24s %12.0f ns/run\n" name e
-          | Some _ | None -> Printf.printf "%-24s (no estimate)\n" name)
-        est)
-    tests
-
-(* ---------------------------------------------------------------------- *)
 (* perf: interpreter throughput with/without the memory-system fast path   *)
 (* ---------------------------------------------------------------------- *)
 
@@ -784,105 +695,75 @@ int main() {
 
 (* One switch per layer: [caches] is the memory-system fast path (TLB +
    decode cache), [jit] the trace compiler on top of it. *)
-let with_profile ~caches ~jit ?threshold f =
+let with_profile ~caches ~jit f =
   let tlb = !As.caching_default
   and dc = !Cpu.decode_cache_enabled
-  and je = !Trace.enabled
-  and jt = !Trace.threshold in
+  and je = !Trace.enabled in
   As.caching_default := caches;
   Cpu.decode_cache_enabled := caches;
   Trace.enabled := jit;
-  Option.iter (fun t -> Trace.threshold := t) threshold;
   Fun.protect
     ~finally:(fun () ->
       As.caching_default := tlb;
       Cpu.decode_cache_enabled := dc;
-      Trace.enabled := je;
-      Trace.threshold := jt)
+      Trace.enabled := je)
     f
 
-let measure_ns f =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let test = Test.make ~name:"run" (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 0.5) ~kde:None () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-  let est = Analyze.all ols Instance.monotonic_clock raw in
-  let out = ref nan in
-  Hashtbl.iter
-    (fun _ o ->
-      match Analyze.OLS.estimates o with Some [ e ] -> out := e | Some _ | None -> ())
-    est;
-  !out
-
-(* Profiling target: the perf workload under the JIT only, looped long
-   enough for a sampling profiler (`gprofng collect app`) to see the
-   closure chains.  Not part of any acceptance run. *)
-let perf_profile () =
-  with_profile ~caches:true ~jit:true (fun () ->
-      let k, _ldl = boot () in
-      let fs = Kernel.fs k in
-      Fs.mkdir fs "/shared/lib";
-      install_c k "/shared/lib/inc_a.o" perf_inc_a;
-      install_c k "/shared/lib/inc_b.o" perf_inc_b;
-      Fs.mkdir fs "/home/perf";
-      install_c k "/home/perf/main.o" perf_workload;
-      ignore
-        (link k ~dir:"/home/perf"
-           ~specs:
-             [
-               ("main.o", Sharing.Static_private);
-               ("/shared/lib/inc_a.o", Sharing.Dynamic_public);
-               ("/shared/lib/inc_b.o", Sharing.Dynamic_public);
-             ]
-           "prog");
-      for _ = 1 to 300 do
-        let p = Kernel.spawn_exec k "/home/perf/prog" in
-        Kernel.run k;
-        match p.Proc.state with
-        | Proc.Zombie 42 -> ()
-        | _ -> failwith "perf-profile: workload did not exit 42"
-      done)
+(* Each round runs every configuration once, in an order that rotates
+   from round to round, so a drift in host speed moves all three
+   configurations alike; the gates read the median per-round ratio. *)
+let perf_rounds = 9
 
 let perf () =
   header "PERF: interpreter throughput — TLB + decode cache + trace JIT";
-  (* One profile per configuration, each on a fresh kernel: the address
-     space captures the caching flag when it is created. *)
-  let profile ~caches ~jit =
-    with_profile ~caches ~jit (fun () ->
-        let k, _ldl = boot () in
-        let fs = Kernel.fs k in
-        Fs.mkdir fs "/shared/lib";
-        install_c k "/shared/lib/inc_a.o" perf_inc_a;
-        install_c k "/shared/lib/inc_b.o" perf_inc_b;
-        Fs.mkdir fs "/home/perf";
-        install_c k "/home/perf/main.o" perf_workload;
-        ignore
-          (link k ~dir:"/home/perf"
-             ~specs:
-               [
-                 ("main.o", Sharing.Static_private);
-                 ("/shared/lib/inc_a.o", Sharing.Dynamic_public);
-                 ("/shared/lib/inc_b.o", Sharing.Dynamic_public);
-               ]
-             "prog");
-        let run_once () =
+  (* One kernel per configuration.  The switches are set while it is
+     built and around every run: an exec's address space captures the
+     caching flag when it is created, and the CPU reads the
+     decode-cache and JIT switches as it steps. *)
+  let config ~caches ~jit =
+    let k =
+      with_profile ~caches ~jit (fun () ->
+          let k, _ldl = boot () in
+          let fs = Kernel.fs k in
+          Fs.mkdir fs "/shared/lib";
+          install_c k "/shared/lib/inc_a.o" perf_inc_a;
+          install_c k "/shared/lib/inc_b.o" perf_inc_b;
+          Fs.mkdir fs "/home/perf";
+          install_c k "/home/perf/main.o" perf_workload;
+          ignore
+            (link k ~dir:"/home/perf"
+               ~specs:
+                 [
+                   ("main.o", Sharing.Static_private);
+                   ("/shared/lib/inc_a.o", Sharing.Dynamic_public);
+                   ("/shared/lib/inc_b.o", Sharing.Dynamic_public);
+                 ]
+               "prog");
+          k)
+    in
+    fun () ->
+      with_profile ~caches ~jit (fun () ->
           let p = Kernel.spawn_exec k "/home/perf/prog" in
           Kernel.run k;
           match p.Proc.state with
           | Proc.Zombie 42 -> ()
-          | _ -> failwith "perf: workload did not exit 42"
-        in
-        run_once ();
-        (* warm caches/allocator *)
-        let (), d = Stats.measure run_once in
-        let ns = measure_ns run_once in
-        (d, ns))
+          | _ -> failwith "perf: workload did not exit 42")
   in
-  let d_jit, ns_jit = profile ~caches:true ~jit:true in
-  let d_on, ns_on = profile ~caches:true ~jit:false in
-  let d_off, ns_off = profile ~caches:false ~jit:false in
+  let runs =
+    [|
+      config ~caches:false ~jit:false; config ~caches:true ~jit:false;
+      config ~caches:true ~jit:true;
+    |]
+  in
+  (* A warm-up run each, then the billed costs of one more. *)
+  let deltas =
+    Array.map
+      (fun run ->
+        run ();
+        snd (Stats.measure run))
+      runs
+  in
+  let d_off = deltas.(0) and d_on = deltas.(1) and d_jit = deltas.(2) in
   (* Neither fast path may be visible to the simulated cost model. *)
   let same a b =
     a.Stats.instructions = b.Stats.instructions
@@ -895,13 +776,28 @@ let perf () =
     failwith "perf: simulated costs differ with caches on vs off";
   if not (same d_jit d_off) then
     failwith "perf: simulated costs differ with the JIT on vs off";
+  let secs = Array.make_matrix perf_rounds 3 0.0 in
+  for r = 0 to perf_rounds - 1 do
+    for j = 0 to 2 do
+      let c = (r + j) mod 3 in
+      let t0 = Unix.gettimeofday () in
+      runs.(c) ();
+      secs.(r).(c) <- Unix.gettimeofday () -. t0
+    done
+  done;
+  let median f =
+    let a = Array.map f secs in
+    Array.sort compare a;
+    a.(perf_rounds / 2)
+  in
+  let ns c = 1e9 *. median (fun t -> t.(c)) in
+  let ratio a b = median (fun t -> t.(a) /. t.(b)) in
+  let ns_off = ns 0 and ns_on = ns 1 and ns_jit = ns 2 in
+  let speedup = ratio 0 1 and jit_vs_nocache = ratio 0 2 and jit_vs_cache = ratio 1 2 in
   let insns = d_on.Stats.instructions in
   let ips ns = float_of_int insns /. (ns *. 1e-9) in
-  let speedup = ns_off /. ns_on in
-  let jit_vs_nocache = ns_off /. ns_jit in
-  let jit_vs_cache = ns_on /. ns_jit in
-  Printf.printf "workload: %d simulated instructions per run (deterministic all ways)\n\n"
-    insns;
+  Printf.printf "workload: %d simulated instructions per run (deterministic all ways)\n" insns;
+  Printf.printf "median of %d interleaved rounds\n\n" perf_rounds;
   Printf.printf "%-12s | %14s | %16s | %s\n" "config" "ns/run" "insns/sec" "fast-path hits";
   Printf.printf "-------------+----------------+------------------+---------------------------\n";
   Printf.printf "%-12s | %14.0f | %16.0f | (none)\n" "nocache" ns_off (ips ns_off);
@@ -916,522 +812,7 @@ let perf () =
   if jit_vs_nocache < 10.0 then
     failwith "perf: JIT throughput under the 10x-over-nocache acceptance floor";
   if jit_vs_cache < 3.0 then
-    failwith "perf: JIT throughput under the 3x-over-decode-cache acceptance floor";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"interp_throughput\",\n\
-      \  \"workload_instructions\": %d,\n\
-      \  \"cached\": { \"ns_per_run\": %.0f, \"insns_per_sec\": %.0f },\n\
-      \  \"uncached\": { \"ns_per_run\": %.0f, \"insns_per_sec\": %.0f },\n\
-      \  \"jit\": { \"ns_per_run\": %.0f, \"insns_per_sec\": %.0f,\n\
-      \            \"compiles\": %d, \"hits\": %d, \"exits\": %d, \"invalidations\": %d },\n\
-      \  \"speedup\": %.2f,\n\
-      \  \"jit_speedup_vs_uncached\": %.2f,\n\
-      \  \"jit_speedup_vs_cached\": %.2f,\n\
-      \  \"simulated_costs_identical\": true,\n\
-      \  \"stats\": %s\n\
-       }\n"
-      insns ns_on (ips ns_on) ns_off (ips ns_off) ns_jit (ips ns_jit)
-      d_jit.Stats.jit_compiles d_jit.Stats.jit_hits d_jit.Stats.jit_exits
-      d_jit.Stats.jit_invalidations speedup jit_vs_nocache jit_vs_cache
-      (Stats.to_json d_jit)
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_interp.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ---------------------------------------------------------------------- *)
-(* perf-link: linker fast path — hashed symbols + memoized link plans      *)
-(* ---------------------------------------------------------------------- *)
-
-(* Deep-dependency Modgen workload: the driver names all N chain modules
-   as dynamic dependencies and every module's own list is empty, so each
-   of the ~2N unresolved references resolves through the root scope's
-   full N-module list — O(N^2) locate calls and export probes for the
-   linear walk (fast path off), one pass over the list for the scope
-   index.  Repeated execs of the same program in one kernel are the
-   stable-linking scenario: the first exec records link plans, later
-   execs replay them. *)
-let link_modules = 96
-
-let with_link_caches enabled f =
-  let sh = !Objfile.sym_hash_enabled
-  and sc = !Search.cache_enabled
-  and pc = !Link_plan.enabled in
-  Objfile.sym_hash_enabled := enabled;
-  Search.cache_enabled := enabled;
-  Link_plan.enabled := enabled;
-  Fun.protect
-    ~finally:(fun () ->
-      Objfile.sym_hash_enabled := sh;
-      Search.cache_enabled := sc;
-      Link_plan.enabled := pc)
-    f
-
-let perf_link () =
-  header "PERF-LINK: link throughput — symbol hashing + memoized link plans";
-  let modules = link_modules in
-  let used = modules - 1 in
-  let want = Modgen.expected ~modules ~used in
-  (* One profile per setting, each on a fresh kernel (plan stores are
-     per-kernel).  Returns the Stats delta of the first (recording) and
-     a steady-state (replaying) exec, plus the steady-state host time. *)
-  let profile enabled =
-    with_link_caches enabled (fun () ->
-        let k, ldl = boot () in
-        let fs = Kernel.fs k in
-        Fs.mkdir fs "/home/lib";
-        ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
-        Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib" ~out:"/home/perf/prog"
-          ~used;
-        let run_once () =
-          Kernel.console_clear k;
-          let p = Kernel.spawn_exec k "/home/perf/prog" in
-          Kernel.run k;
-          match p.Proc.state with
-          | Proc.Zombie 0 -> ()
-          | _ -> failwith "perf-link: driver did not exit 0"
-        in
-        let (), d_first = Stats.measure run_once in
-        if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
-          failwith "perf-link: wrong driver output";
-        let (), d_steady = Stats.measure run_once in
-        let ns = measure_ns run_once in
-        (d_first, d_steady, ns))
-  in
-  (* Boot profiles: same chain, but the measured exec is the FIRST one
-     after [Kernel.reboot] — the reboot hook drops every kernel-resident
-     cache, so without a sync the exec pays the full cold path.  With
-     [stable] the pre-reboot exec's plans and symbol indexes are synced
-     into /shared/.stable and the post-reboot exec replays them. *)
-  let boot_profile stable =
-    with_link_caches true (fun () ->
-        let k, ldl = boot () in
-        let fs = Kernel.fs k in
-        Fs.mkdir fs "/home/lib";
-        ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
-        Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib"
-          ~out:"/home/perf/prog" ~used;
-        let last = ref None in
-        let run_once () =
-          Kernel.console_clear k;
-          let p = Kernel.spawn_exec k "/home/perf/prog" in
-          Kernel.run k;
-          last := Some p;
-          match p.Proc.state with
-          | Proc.Zombie 0 -> ()
-          | _ -> failwith "perf-link: driver did not exit 0"
-        in
-        run_once ();
-        (* records the plans *)
-        if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
-          failwith "perf-link: wrong driver output";
-        let report =
-          if stable then Ldl.stable_sync ldl
-          else { Ldl.sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
-        in
-        Kernel.reboot k;
-        let (), d_boot = Stats.measure run_once in
-        if int_of_string_opt (String.trim (Kernel.console k)) <> Some want then
-          failwith "perf-link: wrong driver output on the first exec after reboot";
-        (* First-exec latency: the reboot (cache teardown plus, with
-           stable linking, the boot-time reseeding) runs between the
-           timed windows, so each measured exec is exactly the first
-           one after a boot; the boot work itself is timed
-           separately and reported alongside. *)
-        let iters = 40 in
-        let t_boot = ref 0.0 and t_run = ref 0.0 in
-        for _ = 1 to iters do
-          let t0 = Unix.gettimeofday () in
-          Kernel.reboot k;
-          let t1 = Unix.gettimeofday () in
-          run_once ();
-          let t2 = Unix.gettimeofday () in
-          t_boot := !t_boot +. (t1 -. t0);
-          t_run := !t_run +. (t2 -. t1)
-        done;
-        let ns = !t_run /. float_of_int iters *. 1e9 in
-        let boot_ns = !t_boot /. float_of_int iters *. 1e9 in
-        let prov =
-          match !last with Some p -> Ldl.linkstat_proc_json ldl p | None -> "[]"
-        in
-        (d_boot, ns, boot_ns, report, prov, Ldl.linkstat_json ldl))
-  in
-  let f_on, s_on, ns_on = profile true in
-  let f_off, s_off, ns_off = profile false in
-  let d_cold_boot, ns_cold_boot, cold_reboot_ns, _, _, _ = boot_profile false in
-  let d_stable_boot, ns_stable_boot, stable_reboot_ns, sync, stable_prov, linkstat =
-    boot_profile true
-  in
-  (* The fast path must be invisible to the simulated cost model — on
-     both the recording exec and the replaying one. *)
-  let same a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.faults = b.Stats.faults
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.bytes_copied = b.Stats.bytes_copied
-    && a.Stats.modules_linked = b.Stats.modules_linked
-    && a.Stats.symbols_resolved = b.Stats.symbols_resolved
-    && Stats.cycles a = Stats.cycles b
-  in
-  if not (same f_on f_off && same s_on s_off) then
-    failwith "perf-link: simulated costs differ with the fast path on vs off";
-  (* Stable linking too: replay re-performs every instantiation through
-     the ordinary path and the loads are host-side segment reads, so the
-     first exec after reboot must bill identically with and without it. *)
-  if not (same d_cold_boot d_stable_boot) then
-    failwith "perf-link: simulated costs differ cold-boot vs stable-boot";
-  if sync.Ldl.sync_plans = 0 || sync.Ldl.sync_objs = 0 then
-    failwith "perf-link: stable sync persisted nothing";
-  (* What stable linking must deliver is a first exec that replays what
-     the sync wrote, every region of it, and a cold boot that replays
-     nothing.  No timing floor: a replay that gets slow shows in the
-     benchmark's link-boot workload. *)
-  if d_stable_boot.Stats.plan_hits <> sync.Ldl.sync_plans
-     || d_stable_boot.Stats.plan_misses <> 0
-     || d_stable_boot.Stats.stable_loads <> d_stable_boot.Stats.plan_hits
-  then failwith "perf-link: the stable-boot first exec did not replay every synced plan";
-  if d_cold_boot.Stats.plan_hits <> 0 then
-    failwith "perf-link: the cold-boot first exec replayed a plan";
-  let speedup = ns_off /. ns_on in
-  let boot_speedup = ns_cold_boot /. ns_stable_boot in
-  let boot_speedup_with_reboot =
-    (cold_reboot_ns +. ns_cold_boot) /. (stable_reboot_ns +. ns_stable_boot)
-  in
-  Printf.printf
-    "workload: %d-module deep chain, %d faults / %d symbols per exec (deterministic both ways)\n\n"
-    modules s_on.Stats.faults s_on.Stats.symbols_resolved;
-  Printf.printf "%-12s | %14s | %s\n" "fast path" "ns/exec" "cache activity (first exec / steady exec)";
-  Printf.printf "-------------+----------------+---------------------------------------\n";
-  Printf.printf "%-12s | %14.0f | sym hash %d/%d, search %d/%d, plans %d/%d\n" "on" ns_on
-    f_on.Stats.sym_hash_hits s_on.Stats.sym_hash_hits f_on.Stats.search_cache_hits
-    s_on.Stats.search_cache_hits f_on.Stats.plan_hits s_on.Stats.plan_hits;
-  Printf.printf "%-12s | %14.0f | sym hash %d/%d, search %d/%d, plans %d/%d\n" "off" ns_off
-    f_off.Stats.sym_hash_hits s_off.Stats.sym_hash_hits f_off.Stats.search_cache_hits
-    s_off.Stats.search_cache_hits f_off.Stats.plan_hits s_off.Stats.plan_hits;
-  Printf.printf "\nspeedup (cold exec vs plan replay): %.2fx\n\n" speedup;
-  Printf.printf "%-12s | %14s | %12s | %s\n" "boot" "ns/first-exec" "ns/reboot"
-    "plan activity after reboot";
-  Printf.printf
-    "-------------+----------------+--------------+---------------------------------\n";
-  Printf.printf "%-12s | %14.0f | %12.0f | plans %d hits / %d misses\n" "cold"
-    ns_cold_boot cold_reboot_ns d_cold_boot.Stats.plan_hits d_cold_boot.Stats.plan_misses;
-  Printf.printf "%-12s | %14.0f | %12.0f | plans %d hits / %d misses, stable loads %d\n"
-    "stable" ns_stable_boot stable_reboot_ns d_stable_boot.Stats.plan_hits
-    d_stable_boot.Stats.plan_misses d_stable_boot.Stats.stable_loads;
-  Printf.printf
-    "\nstable sync: %d plans + %d symbol indexes persisted (%d skipped)\n"
-    sync.Ldl.sync_plans sync.Ldl.sync_objs sync.Ldl.sync_skipped;
-  Printf.printf
-    "boot speedup (cold boot vs stable boot): first exec %.2fx, reboot + first exec %.2fx\n"
-    boot_speedup boot_speedup_with_reboot;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"link_throughput\",\n\
-      \  \"modules\": %d,\n\
-      \  \"faults_per_exec\": %d,\n\
-      \  \"symbols_resolved_per_exec\": %d,\n\
-      \  \"warm\": { \"ns_per_exec\": %.0f, \"plan_hits\": %d },\n\
-      \  \"cold\": { \"ns_per_exec\": %.0f },\n\
-      \  \"first_exec\": { \"sym_hash_hits\": %d, \"search_cache_hits\": %d },\n\
-      \  \"speedup\": %.2f,\n\
-      \  \"cold_boot\": { \"ns_first_exec\": %.0f, \"ns_reboot\": %.0f, \"stats\": %s },\n\
-      \  \"stable_boot\": { \"ns_first_exec\": %.0f, \"ns_reboot\": %.0f,\n\
-      \                    \"plans_persisted\": %d, \"objs_persisted\": %d,\n\
-      \                    \"stats\": %s },\n\
-      \  \"boot_speedup\": %.2f,\n\
-      \  \"boot_speedup_with_reboot\": %.2f,\n\
-      \  \"simulated_costs_identical\": true,\n\
-      \  \"provenance\": %s,\n\
-      \  \"linkstat\": %s}\n"
-      modules s_on.Stats.faults s_on.Stats.symbols_resolved ns_on s_on.Stats.plan_hits
-      ns_off f_on.Stats.sym_hash_hits f_on.Stats.search_cache_hits speedup ns_cold_boot
-      cold_reboot_ns (Stats.to_json d_cold_boot) ns_stable_boot stable_reboot_ns
-      sync.Ldl.sync_plans sync.Ldl.sync_objs (Stats.to_json d_stable_boot) boot_speedup
-      boot_speedup_with_reboot stable_prov linkstat
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_link.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ---------------------------------------------------------------------- *)
-(* perf-vm: copy-on-write fork and zero-copy exec                         *)
-(* ---------------------------------------------------------------------- *)
-
-(* Fork-heavy: the parent touches a 64-page heap, then forks/waits in a
-   loop; each child dirties a single heap page and exits.  Eager fork
-   deep-copies heap + image + stack every iteration; COW copies only
-   the pages actually written. *)
-let vm_fork_count = 8
-
-let vm_fork_workload =
-  Printf.sprintf
-    {|
-int main() {
-  int *p;
-  int i;
-  int pid;
-  int kids;
-  p = sbrk(262144);
-  i = 0;
-  while (i < 65536) { p[i] = i; i = i + 1024; }
-  kids = 0;
-  while (kids < %d) {
-    pid = fork();
-    if (pid == 0) {
-      p[0] = kids + 1;
-      exit(0);
-    }
-    wait();
-    kids = kids + 1;
-  }
-  print_int(p[0]);
-  return 0;
-}
-|}
-    vm_fork_count
-
-(* Exec-heavy: a program whose image spans several pages (200 padding
-   functions) and writes nothing but its stack.  Eager exec rebuilds
-   and blits the placed image every spawn; COW maps a refcounted copy
-   of a pristine master built on the first spawn. *)
-let vm_exec_workload =
-  let b = Buffer.create 8192 in
-  for i = 0 to 199 do
-    Buffer.add_string b (Printf.sprintf "int f%d() { return %d; }\n" i i)
-  done;
-  Buffer.add_string b "int main() { return f0() + f1() - 1; }\n";
-  Buffer.contents b
-
-let with_cow enabled f =
-  let old = !Segment.cow_enabled in
-  Segment.cow_enabled := enabled;
-  Fun.protect ~finally:(fun () -> Segment.cow_enabled := old) f
-
-let perf_vm () =
-  header "PERF-VM: copy-on-write fork + zero-copy exec";
-  (* One profile per mode, each on a fresh kernel (the zero-copy image
-     masters are per-kernel, the COW flag is captured at clone/copy
-     time).  Returns the steady-state Stats delta and host time of one
-     full workload run. *)
-  let profile ~src ~expect_console enabled =
-    with_cow enabled (fun () ->
-        let k, _ldl = boot () in
-        Fs.mkdir (Kernel.fs k) "/home/perf";
-        install_c k "/home/perf/main.o" src;
-        ignore
-          (link k ~dir:"/home/perf" ~specs:[ ("main.o", Sharing.Static_private) ]
-             "prog");
-        let run_once () =
-          Kernel.console_clear k;
-          let p = Kernel.spawn_exec k "/home/perf/prog" in
-          Kernel.run k;
-          (match p.Proc.state with
-          | Proc.Zombie 0 -> ()
-          | _ -> failwith "perf-vm: workload did not exit 0");
-          if Kernel.console k <> expect_console then
-            failwith "perf-vm: wrong workload output"
-        in
-        run_once ();
-        (* warm the image master and allocator *)
-        let (), d = Stats.measure run_once in
-        let ns = measure_ns run_once in
-        (d, ns))
-  in
-  (* COW must be invisible to the program: same instructions, same
-     syscalls, same delivered faults, same console — only the copy
-     traffic (and therefore cycles) may differ. *)
-  let same_program a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.faults = b.Stats.faults
-  in
-  (* fork-heavy *)
-  let df_on, nsf_on = profile ~src:vm_fork_workload ~expect_console:"0" true in
-  let df_off, nsf_off = profile ~src:vm_fork_workload ~expect_console:"0" false in
-  if not (same_program df_on df_off) then begin
-    Printf.printf "cow:   insns %d syscalls %d faults %d\n" df_on.Stats.instructions
-      df_on.Stats.syscalls df_on.Stats.faults;
-    Printf.printf "eager: insns %d syscalls %d faults %d\n" df_off.Stats.instructions
-      df_off.Stats.syscalls df_off.Stats.faults;
-    failwith "perf-vm: fork workload behaves differently with COW on vs off"
-  end;
-  (* The whole point: COW must copy a small fraction of what eager fork
-     copies.  Deterministic, so gate the build on it. *)
-  if df_on.Stats.pages_copied * Layout.page_size * 4 > df_off.Stats.bytes_copied
-  then failwith "perf-vm: COW fork copied more than 1/4 of the eager traffic";
-  let fork_speedup_ns = nsf_off /. nsf_on in
-  (* Fork throughput in the simulated cost model — the currency every
-     experiment in this repo reports.  Host wall-clock barely moves
-     because a host memcpy is cheap next to interpreting the workload;
-     the cost model charges copies at 1 cycle/byte, which is the
-     regime the paper's machines lived in. *)
-  let fork_speedup_cycles =
-    float_of_int (Stats.cycles df_off) /. float_of_int (Stats.cycles df_on)
-  in
-  if fork_speedup_cycles < 5.0 then
-    failwith "perf-vm: COW fork throughput under the 5x acceptance floor";
-  Printf.printf
-    "fork-heavy: %d forks over a 64-page dirty heap per run (console identical both modes)\n\n"
-    vm_fork_count;
-  Printf.printf "%-12s | %14s | %12s | %s\n" "mode" "ns/run" "cycles/run"
-    "copy traffic";
-  Printf.printf
-    "-------------+----------------+--------------+---------------------------\n";
-  Printf.printf "%-12s | %14.0f | %12d | %d cow faults, %d pages copied, %d bytes saved\n"
-    "cow" nsf_on (Stats.cycles df_on) df_on.Stats.cow_faults
-    df_on.Stats.pages_copied df_on.Stats.bytes_saved;
-  Printf.printf "%-12s | %14.0f | %12d | %d bytes copied eagerly\n" "eager" nsf_off
-    (Stats.cycles df_off) df_off.Stats.bytes_copied;
-  Printf.printf "\nfork throughput: %.2fx host, %.2fx simulated cycles\n\n"
-    fork_speedup_ns fork_speedup_cycles;
-  (* exec-heavy *)
-  let de_on, nse_on = profile ~src:vm_exec_workload ~expect_console:"" true in
-  let de_off, nse_off = profile ~src:vm_exec_workload ~expect_console:"" false in
-  if not (same_program de_on de_off) then
-    failwith "perf-vm: exec workload behaves differently with COW on vs off";
-  let image_pages = de_on.Stats.bytes_saved / Layout.page_size in
-  if image_pages > 0 && de_on.Stats.pages_copied >= image_pages then
-    failwith "perf-vm: zero-copy exec still copied the whole image";
-  let exec_speedup_ns = nse_off /. nse_on in
-  Printf.printf "exec-heavy: multi-page image, one spawn per run\n\n";
-  Printf.printf "%-12s | %14s | %s\n" "mode" "ns/exec" "image traffic";
-  Printf.printf "-------------+----------------+---------------------------\n";
-  Printf.printf "%-12s | %14.0f | %d of %d image pages copied (%d bytes saved)\n"
-    "cow" nse_on de_on.Stats.pages_copied image_pages de_on.Stats.bytes_saved;
-  Printf.printf "%-12s | %14.0f | image rebuilt and blitted per exec\n" "eager"
-    nse_off;
-  Printf.printf "\nexec throughput: %.2fx host\n" exec_speedup_ns;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"vm_cow\",\n\
-      \  \"fork_throughput_speedup\": %.2f,\n\
-      \  \"fork\": {\n\
-      \    \"forks_per_run\": %d,\n\
-      \    \"cow\": { \"ns_per_run\": %.0f, \"cycles\": %d, \"cow_faults\": %d, \"pages_copied\": %d, \"bytes_saved\": %d },\n\
-      \    \"eager\": { \"ns_per_run\": %.0f, \"cycles\": %d, \"bytes_copied\": %d },\n\
-      \    \"speedup_host\": %.2f,\n\
-      \    \"speedup_cycles\": %.2f\n\
-      \  },\n\
-      \  \"exec\": {\n\
-      \    \"image_pages\": %d,\n\
-      \    \"cow\": { \"ns_per_exec\": %.0f, \"pages_copied\": %d, \"bytes_saved\": %d },\n\
-      \    \"eager\": { \"ns_per_exec\": %.0f },\n\
-      \    \"speedup_host\": %.2f\n\
-      \  },\n\
-      \  \"program_visible_behaviour_identical\": true,\n\
-      \  \"stats\": %s\n\
-       }\n"
-      fork_speedup_cycles vm_fork_count nsf_on (Stats.cycles df_on) df_on.Stats.cow_faults
-      df_on.Stats.pages_copied df_on.Stats.bytes_saved nsf_off
-      (Stats.cycles df_off) df_off.Stats.bytes_copied fork_speedup_ns
-      fork_speedup_cycles image_pages nse_on de_on.Stats.pages_copied
-      de_on.Stats.bytes_saved nse_off exec_speedup_ns (Stats.to_json de_on)
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_vm.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ---------------------------------------------------------------------- *)
-(* perf-jit: trace-compiler stress — threshold 1, invalidation-heavy      *)
-(* ---------------------------------------------------------------------- *)
-
-(* Threshold 1 compiles every anchor on first sight, so traces exist
-   {e before} the lazy linker patches jump slots and before fork breaks
-   COW sharing — the invalidation and store-guard paths run for real
-   instead of being compiled around after the code has settled.  Every
-   workload must cost exactly the same with the JIT off. *)
-let perf_jit () =
-  header "PERF-JIT: trace compiler stress — threshold 1, invalidation-heavy";
-  let same a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.faults = b.Stats.faults
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.context_switches = b.Stats.context_switches
-    && Stats.cycles a = Stats.cycles b
-  in
-  let run_case name setup =
-    let profile ~jit () =
-      with_profile ~caches:true ~jit ~threshold:1 (fun () ->
-          let run_once = setup () in
-          let (), d = Stats.measure run_once in
-          d)
-    in
-    let d_off = profile ~jit:false () in
-    let d_jit = profile ~jit:true () in
-    if not (same d_off d_jit) then
-      failwith
-        (Printf.sprintf "perf-jit: %s costs differ with the JIT on vs off" name);
-    Printf.printf
-      "%-12s insns %9d | compiles %4d, hits %6d, exits %6d, invalidations %3d\n"
-      name d_jit.Stats.instructions d_jit.Stats.jit_compiles
-      d_jit.Stats.jit_hits d_jit.Stats.jit_exits d_jit.Stats.jit_invalidations;
-    d_jit
-  in
-  (* Cross-module calls, linked lazily: at threshold 1 the caller's
-     trace compiles while the jump slots still point at linker stubs,
-     so the binding stores must invalidate and the re-entries recompile
-     through the patched slots. *)
-  let calls_case () =
-    let k, _ldl = boot () in
-    let fs = Kernel.fs k in
-    Fs.mkdir fs "/shared/lib";
-    install_c k "/shared/lib/inc_a.o" perf_inc_a;
-    install_c k "/shared/lib/inc_b.o" perf_inc_b;
-    Fs.mkdir fs "/home/perf";
-    install_c k "/home/perf/main.o" perf_workload;
-    ignore
-      (link k ~dir:"/home/perf"
-         ~specs:
-           [
-             ("main.o", Sharing.Static_private);
-             ("/shared/lib/inc_a.o", Sharing.Dynamic_public);
-             ("/shared/lib/inc_b.o", Sharing.Dynamic_public);
-           ]
-         "prog");
-    fun () ->
-      let p = Kernel.spawn_exec k "/home/perf/prog" in
-      Kernel.run k;
-      match p.Proc.state with
-      | Proc.Zombie 42 -> ()
-      | _ -> failwith "perf-jit: call workload did not exit 42"
-  in
-  (* Fork under COW: children inherit the parent's hot code and write
-     shared pages; traces and their inline caches must never leak a
-     parent page into a child (or vice versa). *)
-  let fork_case () =
-    let k, _ldl = boot () in
-    Fs.mkdir (Kernel.fs k) "/home/perf";
-    install_c k "/home/perf/fork.o" vm_fork_workload;
-    ignore
-      (link k ~dir:"/home/perf"
-         ~specs:[ ("fork.o", Sharing.Static_private) ]
-         "forkprog");
-    fun () ->
-      Kernel.console_clear k;
-      let p = Kernel.spawn_exec k "/home/perf/forkprog" in
-      Kernel.run k;
-      (match p.Proc.state with
-      | Proc.Zombie 0 -> ()
-      | _ -> failwith "perf-jit: fork workload did not exit 0");
-      if Kernel.console k <> "0" then
-        failwith "perf-jit: fork workload console output changed"
-  in
-  let d_calls = run_case "calls" calls_case in
-  let d_fork = run_case "fork-cow" fork_case in
-  if d_calls.Stats.jit_compiles = 0 || d_fork.Stats.jit_compiles = 0 then
-    failwith "perf-jit: a stress workload never reached the compiler";
-  Printf.printf
-    "\nsimulated costs identical with the JIT on and off for every workload\n"
+    failwith "perf: JIT throughput under the 3x-over-decode-cache acceptance floor"
 
 (* ---------------------------------------------------------------------- *)
 (* crash-sweep: deterministic fault plans over /shared op traffic         *)
@@ -1446,509 +827,6 @@ let sweep_pool = [| "/shared/a"; "/shared/b"; "/shared/d/c"; "/shared/d/e"; "/sh
    and the fault plan (Fault.configure_random).  A simulated crash is
    recovered with rescan + fsck; the gate is that a second fsck is
    always clean — recovery converged, nothing left half-done. *)
-(* ---------------------------------------------------------------------- *)
-(* perf-page: demand paging — a /shared working set larger than RAM       *)
-(* ---------------------------------------------------------------------- *)
-
-(* A multi-MB shared working set chased through the E12 B-tree address
-   index, profiled under a shrinking [HEMLOCK_RAM_PAGES] budget.  The
-   billed cost model must be byte-identical at every budget and with
-   the pager off entirely — only the pager's observability counters
-   (major/minor faults, evictions, writebacks, peak residency) and host
-   time may move. *)
-let perf_page () =
-  header "PERF-PAGE: demand paging under bounded simulated RAM";
-  let module Addr_index = Hemlock_sfs.Addr_index in
-  let files = 8 in
-  let file_bytes = Layout.shared_slot_size in
-  (* 8 MB of file pages *)
-  let rounds = 3 in
-  let saved_enabled = !Vm_object.enabled in
-  let saved_ram = !Vm_object.ram_pages in
-  let profile ~pager ram =
-    Vm_object.reset ();
-    Vm_object.enabled := pager;
-    Vm_object.ram_pages := ram;
-    let k, _ldl = boot () in
-    let fs = Kernel.fs k in
-    Fs.mkdir fs "/shared/ws";
-    let path i = Printf.sprintf "/shared/ws/f%d" i in
-    for i = 0 to files - 1 do
-      Fs.create_file fs (path i);
-      (* Fill every page so first touches are major faults (the backing
-         file has content to read in), not zero-fill minors. *)
-      Fs.write_file fs (path i) (Bytes.make file_bytes (Char.chr (65 + i)))
-    done;
-    let run () =
-      let p =
-        Kernel.spawn_native k ~name:"pager-ws" (fun k proc ->
-            let idx = Addr_index.create Addr_index.Btree_index in
-            let bases =
-              Array.init files (fun i ->
-                  let base =
-                    Kernel.map_shared_file k proc ~path:(path i)
-                      ~prot:Hemlock_vm.Prot.Read_write
-                  in
-                  Addr_index.register idx ~base ~bytes:file_bytes (path i);
-                  base)
-            in
-            for round = 1 to rounds do
-              Array.iteri
-                (fun f base ->
-                  let pg = ref 0 in
-                  while !pg * Layout.page_size < file_bytes do
-                    let addr = base + (!pg * Layout.page_size) in
-                    (match Addr_index.translate idx addr with
-                    | Some _ -> ()
-                    | None -> failwith "perf-page: index lost a mapping");
-                    ignore (Kernel.load_u32 k proc addr);
-                    Kernel.store_u32 k proc addr (round + f + !pg);
-                    pg := !pg + 1
-                  done)
-                bases
-            done;
-            0)
-      in
-      Kernel.run k;
-      match p.Proc.state with
-      | Proc.Zombie 0 -> ()
-      | _ -> failwith "perf-page: workload did not exit 0"
-    in
-    let (), d = Stats.measure run in
-    (d, Vm_object.peak_resident ())
-  in
-  let label = function
-    | None -> "unbounded"
-    | Some n -> Printf.sprintf "%d pages" n
-  in
-  let budgets = [ Some 1024; Some 512; Some 256; Some 128; Some 64; Some 32 ] in
-  let off, _ = profile ~pager:false None in
-  let base, peak0 = profile ~pager:true None in
-  let curve = List.map (fun b -> (b, profile ~pager:true b)) budgets in
-  (* The acceptance gate: the pager must be invisible to the cost
-     model.  Anything billed — instructions, syscalls, delivered
-     faults, and therefore cycles — is identical at every budget and
-     with the pager off. *)
-  let same a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.faults = b.Stats.faults
-    && Stats.cycles a = Stats.cycles b
-  in
-  List.iter
-    (fun (b, (d, _)) ->
-      if not (same off d) then begin
-        Printf.printf "pager off: insns %d syscalls %d faults %d cycles %d\n"
-          off.Stats.instructions off.Stats.syscalls off.Stats.faults
-          (Stats.cycles off);
-        Printf.printf "%s: insns %d syscalls %d faults %d cycles %d\n" (label b)
-          d.Stats.instructions d.Stats.syscalls d.Stats.faults (Stats.cycles d);
-        failwith
-          (Printf.sprintf "perf-page: simulated costs differ at %s vs pager off"
-             (label b))
-      end)
-    ((None, (base, peak0)) :: curve);
-  let ws_pages = files * file_bytes / Layout.page_size in
-  Printf.printf
-    "working set: %d shared files x %d KB = %d pages; %d full sweeps through the\n\
-     B-tree address index; every budget bills the identical %d cycles\n\n"
-    files (file_bytes / 1024) ws_pages rounds (Stats.cycles base);
-  Printf.printf "%-10s | %6s | %6s | %8s | %10s | %8s\n" "ram" "major" "minor"
-    "evicted" "written" "peak res";
-  Printf.printf "-----------+--------+--------+----------+------------+---------\n";
-  let row b (d, peak) =
-    Printf.printf "%-10s | %6d | %6d | %8d | %10d | %8d\n" (label b)
-      d.Stats.major_faults d.Stats.minor_faults d.Stats.pages_evicted
-      d.Stats.pages_written_back peak
-  in
-  row None (base, peak0);
-  List.iter (fun (b, r) -> row b r) curve;
-  (* Sanity of the curve itself: squeezing RAM below the working set
-     must actually evict, and dirty file pages must go through the
-     journalled writeback barrier. *)
-  (match List.assoc (Some 32) curve with
-  | d, _ ->
-    if d.Stats.pages_evicted = 0 then
-      failwith "perf-page: 32-page budget evicted nothing";
-    if d.Stats.pages_written_back = 0 then
-      failwith "perf-page: dirty file pages never hit the writeback barrier");
-  let json_rows =
-    List.map
-      (fun (b, (d, peak)) ->
-        Printf.sprintf
-          "    { \"ram_pages\": %s, \"major_faults\": %d, \"minor_faults\": %d, \
-           \"pages_evicted\": %d, \"pages_written_back\": %d, \"peak_resident\": %d }"
-          (match b with None -> "null" | Some n -> string_of_int n)
-          d.Stats.major_faults d.Stats.minor_faults d.Stats.pages_evicted
-          d.Stats.pages_written_back peak)
-      ((None, (base, peak0)) :: curve)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"demand_paging\",\n\
-      \  \"working_set_pages\": %d,\n\
-      \  \"sweep_rounds\": %d,\n\
-      \  \"cycles_identical_all_budgets_and_pager_off\": true,\n\
-      \  \"cycles\": %d,\n\
-      \  \"curve\": [\n%s\n  ],\n\
-      \  \"stats\": %s\n\
-       }\n"
-      ws_pages rounds (Stats.cycles base)
-      (String.concat ",\n" json_rows) (Stats.to_json base)
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_page.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path;
-  Vm_object.enabled := saved_enabled;
-  Vm_object.ram_pages := saved_ram;
-  Vm_object.reset ()
-
-(* ---------------------------------------------------------------------- *)
-(* perf-cluster: cluster rounds spread over OCaml 5 domains                *)
-(* ---------------------------------------------------------------------- *)
-
-(* Per-machine interpreter load: enough straight-line arithmetic that a
-   cluster round is dominated by ISA stepping, the part that actually
-   parallelises across domains. *)
-let cluster_compute_src =
-  {|
-int main() {
-  int i;
-  int s;
-  s = 0;
-  i = 0;
-  while (i < 12000) {
-    s = s + i; s = s + i; s = s + i; s = s + i;
-    s = s - i; s = s - i; s = s - i; s = s + 1;
-    i = i + 1;
-  }
-  return s - 72006000 + 42;
-}
-|}
-
-(* Eight machines, each running one ISA compute process plus an
-   rwhod-shaped pair (a broadcast tx, an inbox-draining rx daemon).
-   Gates: per-machine observables (compute exit codes, datagrams
-   received) and the merged simulated costs are identical at every
-   domain count; wall time is reported per domain count, and the >= 2x
-   scaling gate applies only when the host actually has >= 4 cores. *)
-let perf_cluster () =
-  header "PERF-CLUSTER: cluster rounds spread over OCaml 5 domains";
-  let module Cluster = Hemlock_os.Cluster in
-  let machines = 8 in
-  let net_rounds = 6 in
-  let payload = 128 in
-  let expected_rx = (machines - 1) * net_rounds in
-  let build () =
-    (* pinned to [Ideal]: the gates below assert exact full-matrix
-       delivery regardless of HEMLOCK_NET_PROFILE *)
-    let c = Cluster.create ~profile:Hemlock_os.Net.Ideal ~machines () in
-    let received = Array.make machines 0 in
-    let computes =
-      Array.init machines (fun i ->
-          let k = Cluster.machine c i in
-          ignore (Ldl.install k);
-          Hemlock_runtime.Sync.install k;
-          Fs.mkdir (Kernel.fs k) "/home/w";
-          install_c k "/home/w/main.o" cluster_compute_src;
-          ignore
-            (link k ~dir:"/home/w" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
-          let rx =
-            Kernel.spawn_native k ~name:"rx" (fun k proc ->
-                while true do
-                  ignore (Kernel.msg_recv k proc Cluster.inbox);
-                  received.(i) <- received.(i) + 1
-                done;
-                0)
-          in
-          Kernel.set_daemon k rx;
-          ignore
-            (Kernel.spawn_native k ~name:"tx" (fun _k _proc ->
-                 for r = 1 to net_rounds do
-                   Cluster.broadcast c ~from:i
-                     (Bytes.make payload (Char.chr (64 + ((i + r) mod 32))))
-                 done;
-                 0));
-          Kernel.spawn_exec k "/home/w/prog")
-    in
-    (c, received, computes)
-  in
-  let run_at domains =
-    let c, received, computes = build () in
-    let before = Stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    Cluster.run ~domains c;
-    let dt = Unix.gettimeofday () -. t0 in
-    let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
-    Array.iteri
-      (fun i p ->
-        match p.Proc.state with
-        | Proc.Zombie 42 -> ()
-        | _ -> failwith (Printf.sprintf "perf-cluster: machine %d compute wrong exit" i))
-      computes;
-    Array.iteri
-      (fun i n ->
-        if n <> expected_rx then
-          failwith
-            (Printf.sprintf "perf-cluster: machine %d received %d/%d datagrams" i n
-               expected_rx))
-      received;
-    (d, dt)
-  in
-  let reps = 3 in
-  let profile domains =
-    let runs = List.init reps (fun _ -> run_at domains) in
-    let d0 = fst (List.hd runs) in
-    List.iter
-      (fun (d, _) ->
-        if Stats.cycles d <> Stats.cycles d0 then
-          failwith "perf-cluster: simulated costs differ across repetitions")
-      runs;
-    (d0, List.fold_left (fun acc (_, dt) -> min acc dt) infinity runs)
-  in
-  let counts = [ 1; 2; 4 ] in
-  let results = List.map (fun n -> (n, profile n)) counts in
-  let base, t1 = List.assoc 1 results in
-  let same a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.faults = b.Stats.faults
-    && a.Stats.context_switches = b.Stats.context_switches
-    && a.Stats.messages_sent = b.Stats.messages_sent
-    && a.Stats.bytes_copied = b.Stats.bytes_copied
-    && Stats.cycles a = Stats.cycles b
-  in
-  List.iter
-    (fun (n, (d, _)) ->
-      if not (same base d) then
-        failwith
-          (Printf.sprintf "perf-cluster: simulated costs differ at %d domains vs 1" n))
-    results;
-  Printf.printf
-    "%d machines x (1 ISA compute process + rwhod tx/rx pair), %d broadcast\n\
-     datagrams per machine; every domain count bills the identical %d cycles,\n\
-     %d messages, and every machine receives all %d peer datagrams\n\n"
-    machines net_rounds (Stats.cycles base) base.Stats.messages_sent expected_rx;
-  Printf.printf "%-8s | %12s | %8s\n" "domains" "wall ms" "speedup";
-  Printf.printf "---------+--------------+---------\n";
-  List.iter
-    (fun (n, (_, dt)) ->
-      Printf.printf "%-8d | %12.2f | %7.2fx\n" n (dt *. 1e3) (t1 /. dt))
-    results;
-  let host_cores = Domain.recommended_domain_count () in
-  let _, t4 = List.assoc 4 results in
-  let speedup4 = t1 /. t4 in
-  if host_cores >= 4 then begin
-    if speedup4 < 2.0 then
-      failwith
-        (Printf.sprintf "perf-cluster: expected >= 2x at 4 domains, got %.2fx" speedup4)
-  end
-  else
-    Printf.printf
-      "\nhost reports %d usable core(s): the >= 2x wall-clock gate needs >= 4,\n\
-       so only the determinism gates apply on this machine\n"
-      host_cores;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"cluster_domains\",\n\
-      \  \"machines\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"costs_identical_all_domain_counts\": true,\n\
-      \  \"cycles\": %d,\n\
-      \  \"messages\": %d,\n\
-      \  \"stats\": %s,\n\
-      \  \"runs\": [\n%s\n  ]\n\
-       }\n"
-      machines host_cores (Stats.cycles base) base.Stats.messages_sent
-      (Stats.to_json base)
-      (String.concat ",\n"
-         (List.map
-            (fun (n, (_, dt)) ->
-              Printf.sprintf "    { \"domains\": %d, \"wall_ns\": %.0f, \"speedup\": %.3f }"
-                n (dt *. 1e9) (t1 /. dt))
-            results))
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_cluster.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
-
-(* ---------------------------------------------------------------------- *)
-(* perf-net: cluster traffic through lossy network profiles               *)
-(* ---------------------------------------------------------------------- *)
-
-(* N machines x simulated users: the gossip rwhod deployment plus, each
-   epoch, a user on every machine exercising local message-queue IPC and
-   firing a reliable remote-exec request at a random peer.  Run once per
-   network profile; report delivery/drop/duplicate counts, convergence
-   epochs and delivery-latency percentiles to BENCH_net.json.  The
-   determinism gate reruns ideal and lossy at 4 domains and requires the
-   identical trace. *)
-let perf_net () =
-  header "PERF-NET: cluster traffic under deterministic loss and latency";
-  let module Cluster = Hemlock_os.Cluster in
-  let module Net = Hemlock_os.Net in
-  let module Gossip = Rwho.Gossip in
-  let module Prng = Hemlock_util.Prng in
-  let module Serializer = Hemlock_baseline.Serializer in
-  let machines = 6 in
-  let epochs = 5 in
-  let seed = 11 in
-  let run_profile profile ~domains =
-    let g =
-      Gossip.create ~profile ~seed ~domains Rwho.Shared_db ~machines ()
-    in
-    let c = Gossip.cluster g in
-    let timeouts = Array.make machines 0 in
-    let execs = Array.make machines 0 in
-    (* per-machine user randomness, drawn only inside that machine's
-       processes — same trace at every domain count *)
-    let rngs = Array.init machines (fun i -> Prng.stream ~seed:(seed + 0x515) ~index:i) in
-    let drive i k =
-      ignore
-        (Kernel.spawn_native k ~name:"user" (fun k proc ->
-             let rng = rngs.(i) in
-             (* local IPC: a private queue exercised end to end *)
-             let q = Printf.sprintf "user-m%d" i in
-             if not (Kernel.msgq_exists k q) then Kernel.msgq_create k q ~capacity:4;
-             for n = 1 to 3 do
-               Kernel.msg_send k proc q (Bytes.make (16 + n) 'u');
-               ignore (Kernel.msg_recv k proc q)
-             done;
-             (* remote exec on a random peer, reliably *)
-             let p = Prng.int rng (machines - 1) in
-             let p = if p >= i then p + 1 else p in
-             let cost = 50 + Prng.int rng 200 in
-             (match
-                Cluster.send_reliable c ~from:i ~dst:p
-                  (Serializer.to_binary
-                     (Serializer.List [ Serializer.Str "exec"; Serializer.Int cost ]))
-              with
-             | Ok () -> execs.(i) <- execs.(i) + 1
-             | Error e ->
-               assert (e = Hemlock_os.Errno.ETIMEDOUT);
-               timeouts.(i) <- timeouts.(i) + 1);
-             0))
-    in
-    let before = Stats.snapshot () in
-    for _ = 1 to epochs do
-      Gossip.epoch ~drive g
-    done;
-    let convergence = Gossip.converge ~max_epochs:64 g in
-    let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
-    let tel = Net.telemetry (Cluster.net c) in
-    let sum a = Array.fold_left ( + ) 0 a in
-    let rounds = Cluster.rounds c in
-    (* every live machine must read the same database at the end *)
-    if not (Gossip.converged g) then
-      failwith "perf-net: cluster failed to converge within the epoch budget";
-    let fingerprint = Digest.to_hex (Digest.string (Gossip.ruptime g 0 ^ Gossip.rwho g 0)) in
-    ( tel,
-      sum timeouts,
-      sum execs,
-      convergence,
-      rounds,
-      Stats.cycles d,
-      fingerprint )
-  in
-  let profiles = [ Net.Ideal; Net.Lan; Net.Wan; Net.Lossy ] in
-  (* determinism gate: ideal and lossy must yield the identical delivery
-     trace, simulated costs and database at 1 and 4 domains *)
-  List.iter
-    (fun profile ->
-      let t1, to1, ex1, cv1, r1, cy1, f1 = run_profile profile ~domains:1 in
-      let t4, to4, ex4, cv4, r4, cy4, f4 = run_profile profile ~domains:4 in
-      if
-        (t1.Net.t_sent, t1.Net.t_delivered, t1.Net.t_dropped, t1.Net.t_duplicated)
-        <> (t4.Net.t_sent, t4.Net.t_delivered, t4.Net.t_dropped, t4.Net.t_duplicated)
-        || t1.Net.t_latency <> t4.Net.t_latency
-        || (to1, ex1, cv1, r1, cy1, f1) <> (to4, ex4, cv4, r4, cy4, f4)
-      then
-        failwith
-          (Printf.sprintf "perf-net: %s trace differs at 4 domains vs 1"
-             (Net.profile_to_string profile)))
-    [ Net.Ideal; Net.Lossy ];
-  Printf.printf
-    "%d machines x (gossip rwhod + 1 user: local msgq IPC + reliable remote\n\
-     exec), %d epochs then anti-entropy to convergence; ideal and lossy\n\
-     traces verified identical at 1 and 4 domains\n\n"
-    machines epochs;
-  Printf.printf "%-7s | %5s | %5s | %5s | %4s | %5s | %5s | %4s | %4s | %4s\n"
-    "profile" "sent" "deliv" "drop" "dup" "tmout" "convg" "p50" "p95" "p99";
-  Printf.printf
-    "--------+-------+-------+-------+------+-------+-------+------+------+------\n";
-  let rows =
-    List.map
-      (fun profile ->
-        let tel, timeouts, execs, convergence, rounds, cycles, _fp =
-          run_profile profile ~domains:1
-        in
-        let p n = Net.percentile tel n in
-        let conv_str = match convergence with Some n -> string_of_int n | None -> "-" in
-        Printf.printf "%-7s | %5d | %5d | %5d | %4d | %5d | %5s | %4d | %4d | %4d\n"
-          (Net.profile_to_string profile)
-          tel.Net.t_sent tel.Net.t_delivered tel.Net.t_dropped tel.Net.t_duplicated
-          timeouts conv_str (p 50) (p 95) (p 99);
-        (profile, tel, timeouts, execs, convergence, rounds, cycles, p))
-      profiles
-  in
-  (* sanity gates: the ideal profile drops nothing; the lossy profiles
-     still converge and still execute the user traffic *)
-  List.iter
-    (fun (profile, tel, timeouts, execs, convergence, _rounds, _cycles, _p) ->
-      (match profile with
-      | Net.Ideal ->
-        if tel.Net.t_dropped <> 0 || tel.Net.t_duplicated <> 0 || timeouts <> 0 then
-          failwith "perf-net: ideal profile lost or duplicated traffic"
-      | Net.Lan | Net.Wan | Net.Lossy -> ());
-      if convergence = None then
-        failwith
-          (Printf.sprintf "perf-net: %s did not converge" (Net.profile_to_string profile));
-      if execs + timeouts <> machines * epochs then
-        failwith "perf-net: user exec requests unaccounted for")
-    rows;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"net_profiles\",\n\
-      \  \"machines\": %d,\n\
-      \  \"epochs\": %d,\n\
-      \  \"seed\": %d,\n\
-      \  \"trace_identical_1_and_4_domains\": true,\n\
-      \  \"stats\": %s,\n\
-      \  \"profiles\": [\n%s\n  ]\n\
-       }\n"
-      machines epochs seed
-      (Stats.to_json (Stats.snapshot ()))
-      (String.concat ",\n"
-         (List.map
-            (fun (profile, tel, timeouts, execs, convergence, rounds, cycles, p) ->
-              Printf.sprintf
-                "    { \"profile\": %S, \"sent\": %d, \"delivered\": %d, \"dropped\": \
-                 %d, \"duplicated\": %d, \"timeouts\": %d, \"execs_completed\": %d, \
-                 \"convergence_epochs\": %s, \"rounds\": %d, \"cycles\": %d, \
-                 \"delivered_per_round\": %.3f, \"latency_p50\": %d, \"latency_p95\": \
-                 %d, \"latency_p99\": %d }"
-                (Net.profile_to_string profile)
-                tel.Net.t_sent tel.Net.t_delivered tel.Net.t_dropped
-                tel.Net.t_duplicated timeouts execs
-                (match convergence with Some n -> string_of_int n | None -> "null")
-                rounds cycles
-                (float_of_int tel.Net.t_delivered /. float_of_int (max 1 rounds))
-                (p 50) (p 95) (p 99))
-            rows))
-  in
-  let path = Filename.concat (Sys.getcwd ()) "BENCH_net.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
-
 let crash_sweep seeds =
   header "CRASH-SWEEP: deterministic fault plans over /shared op traffic";
   Printf.printf "%6s | %4s | %7s | %7s | %8s | %8s | %s\n" "seed" "ops" "faults"
@@ -2045,32 +923,14 @@ let () =
   let sweep_seeds = List.filter_map int_of_string_opt args in
   let wanted =
     List.filter
-      (fun a ->
-        a <> "bechamel" && a <> "perf" && a <> "perf-link" && a <> "perf-vm"
-        && a <> "perf-jit" && a <> "perf-profile" && a <> "perf-page"
-        && a <> "perf-cluster" && a <> "perf-net" && a <> "crash-sweep"
-        && int_of_string_opt a = None)
+      (fun a -> a <> "perf" && a <> "crash-sweep" && int_of_string_opt a = None)
       args
   in
-  let run_bechamel = List.mem "bechamel" args in
   let run_perf = List.mem "perf" args in
-  let run_perf_link = List.mem "perf-link" args in
-  let run_perf_vm = List.mem "perf-vm" args in
-  let run_perf_jit = List.mem "perf-jit" args in
-  let run_perf_profile = List.mem "perf-profile" args in
-  let run_perf_page = List.mem "perf-page" args in
-  let run_perf_cluster = List.mem "perf-cluster" args in
-  let run_perf_net = List.mem "perf-net" args in
   let run_crash_sweep = List.mem "crash-sweep" args in
   let selected =
-    (* `perf`/`perf-link`/`perf-vm`/`perf-jit`/`crash-sweep` alone run
-       just those, not every experiment *)
-    if
-      wanted = []
-      && (run_perf || run_perf_link || run_perf_vm || run_perf_jit
-         || run_perf_profile || run_perf_page || run_perf_cluster || run_perf_net
-         || run_crash_sweep)
-    then []
+    (* `perf`/`crash-sweep` alone run just those, not every experiment *)
+    if wanted = [] && (run_perf || run_crash_sweep) then []
     else if wanted = [] then experiments
     else
       List.filter_map
@@ -2084,15 +944,7 @@ let () =
         wanted
   in
   List.iter (fun (_, f) -> f ()) selected;
-  if run_bechamel then bechamel_suite ();
   if run_perf then perf ();
-  if run_perf_link then perf_link ();
-  if run_perf_vm then perf_vm ();
-  if run_perf_jit then perf_jit ();
-  if run_perf_profile then perf_profile ();
-  if run_perf_page then perf_page ();
-  if run_perf_cluster then perf_cluster ();
-  if run_perf_net then perf_net ();
   if run_crash_sweep then
     crash_sweep (if sweep_seeds = [] then List.init 10 (fun i -> i + 1) else sweep_seeds);
   Printf.printf "\nAll experiments completed.\n"

@@ -28,7 +28,7 @@ val expected : modules:int -> used:int -> int
     With [~deep:true] the per-module lists stay empty; pair it with
     {!link_driver}'s [~deep] so the driver names the whole chain and
     every inter-module reference walks the root scope's full module list
-    — the deep-dependency workload behind [bench/main.exe -- perf-link]. *)
+    — the deep-dependency workload of perfbench's link workloads. *)
 val install : ?deep:bool -> Ldl.t -> dir:string -> modules:int -> string list
 
 (** Driver program source calling [f0(used)] and printing the result. *)

@@ -510,8 +510,8 @@ module Gossip = struct
          ])
 
   (* The per-machine network daemon: answers pulls with deltas, merges
-     deltas, and executes remote-exec requests (the perf-net harness's
-     simulated user traffic). *)
+     deltas, and executes remote-exec requests (simulated user
+     traffic). *)
   let spawn_netd g i =
     let k = Cluster.machine g.cluster i in
     let d =
@@ -616,8 +616,8 @@ module Gossip = struct
   (* One gossip epoch.  Every live machine runs a short-lived tick
      process on its own kernel: optionally record a fresh local status
      (versioned by the new epoch), then pull from one random peer.
-     [drive] can add extra per-machine traffic (the perf-net harness's
-     users) before the cluster runs to quiescence. *)
+     [drive] can add extra per-machine traffic (simulated users) before
+     the cluster runs to quiescence. *)
   let tick ?drive ~gen g =
     (* the staleness clock only advances when hosts speak: an
        anti-entropy-only settle round must not age anyone out *)

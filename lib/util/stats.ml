@@ -331,104 +331,66 @@ let measure f =
   let after = snapshot () in
   (result, diff ~before ~after)
 
-(* --- JSON codec -------------------------------------------------------
-   The field table drives both directions, so [of_json] round-trips
-   [to_json] exactly and a counter added to the record only needs one
-   table row here.  The benches embed [to_json] snapshots in their
-   BENCH_*.json files; linkstat dumps embed them next to per-symbol
-   resolution provenance. *)
+(* --- JSON encoding ----------------------------------------------------
+   One row per counter, so a counter added to the record needs one row
+   here.  perfbench traces embed [to_json] snapshots; linkstat dumps
+   embed them next to per-symbol resolution provenance. *)
 
-let fields : (string * (t -> int) * (t -> int -> unit)) list =
+let fields : (string * (t -> int)) list =
   [
-    ("instructions", (fun t -> t.instructions), fun t v -> t.instructions <- v);
-    ("syscalls", (fun t -> t.syscalls), fun t v -> t.syscalls <- v);
-    ("bytes_copied", (fun t -> t.bytes_copied), fun t v -> t.bytes_copied <- v);
-    ("faults", (fun t -> t.faults), fun t v -> t.faults <- v);
-    ("pages_mapped", (fun t -> t.pages_mapped), fun t v -> t.pages_mapped <- v);
-    ("modules_linked", (fun t -> t.modules_linked), fun t v -> t.modules_linked <- v);
-    ("relocs_applied", (fun t -> t.relocs_applied), fun t v -> t.relocs_applied <- v);
-    ("symbols_resolved", (fun t -> t.symbols_resolved), fun t v -> t.symbols_resolved <- v);
-    ("files_opened", (fun t -> t.files_opened), fun t v -> t.files_opened <- v);
-    ("messages_sent", (fun t -> t.messages_sent), fun t v -> t.messages_sent <- v);
-    ("context_switches", (fun t -> t.context_switches), fun t v -> t.context_switches <- v);
-    ("tlb_hits", (fun t -> t.tlb_hits), fun t v -> t.tlb_hits <- v);
-    ("tlb_misses", (fun t -> t.tlb_misses), fun t v -> t.tlb_misses <- v);
-    ("decode_hits", (fun t -> t.decode_hits), fun t v -> t.decode_hits <- v);
-    ("sym_hash_hits", (fun t -> t.sym_hash_hits), fun t v -> t.sym_hash_hits <- v);
-    ("sym_hash_misses", (fun t -> t.sym_hash_misses), fun t v -> t.sym_hash_misses <- v);
-    ("plan_hits", (fun t -> t.plan_hits), fun t v -> t.plan_hits <- v);
-    ("plan_misses", (fun t -> t.plan_misses), fun t v -> t.plan_misses <- v);
-    ("search_cache_hits", (fun t -> t.search_cache_hits), fun t v -> t.search_cache_hits <- v);
-    ("stable_persists", (fun t -> t.stable_persists), fun t v -> t.stable_persists <- v);
-    ("stable_loads", (fun t -> t.stable_loads), fun t v -> t.stable_loads <- v);
-    ("stable_rejects", (fun t -> t.stable_rejects), fun t v -> t.stable_rejects <- v);
-    ("faults_injected", (fun t -> t.faults_injected), fun t v -> t.faults_injected <- v);
-    ("journal_replays", (fun t -> t.journal_replays), fun t v -> t.journal_replays <- v);
-    ("journal_rollbacks", (fun t -> t.journal_rollbacks), fun t v -> t.journal_rollbacks <- v);
-    ("link_rollbacks", (fun t -> t.link_rollbacks), fun t v -> t.link_rollbacks <- v);
-    ("plan_fallbacks", (fun t -> t.plan_fallbacks), fun t v -> t.plan_fallbacks <- v);
-    ("ipc_retries", (fun t -> t.ipc_retries), fun t v -> t.ipc_retries <- v);
-    ("net_delivered", (fun t -> t.net_delivered), fun t v -> t.net_delivered <- v);
-    ("net_dropped", (fun t -> t.net_dropped), fun t v -> t.net_dropped <- v);
-    ("net_duplicated", (fun t -> t.net_duplicated), fun t v -> t.net_duplicated <- v);
-    ("net_retransmits", (fun t -> t.net_retransmits), fun t v -> t.net_retransmits <- v);
-    ("cow_faults", (fun t -> t.cow_faults), fun t v -> t.cow_faults <- v);
-    ("pages_copied", (fun t -> t.pages_copied), fun t v -> t.pages_copied <- v);
-    ("bytes_saved", (fun t -> t.bytes_saved), fun t v -> t.bytes_saved <- v);
-    ("jit_compiles", (fun t -> t.jit_compiles), fun t v -> t.jit_compiles <- v);
-    ("jit_hits", (fun t -> t.jit_hits), fun t v -> t.jit_hits <- v);
-    ("jit_exits", (fun t -> t.jit_exits), fun t v -> t.jit_exits <- v);
-    ("jit_invalidations", (fun t -> t.jit_invalidations), fun t v -> t.jit_invalidations <- v);
-    ("major_faults", (fun t -> t.major_faults), fun t v -> t.major_faults <- v);
-    ("minor_faults", (fun t -> t.minor_faults), fun t v -> t.minor_faults <- v);
-    ("pages_evicted", (fun t -> t.pages_evicted), fun t v -> t.pages_evicted <- v);
-    ("pages_written_back", (fun t -> t.pages_written_back), fun t v -> t.pages_written_back <- v);
-    ("resident_pages", (fun t -> t.resident_pages), fun t v -> t.resident_pages <- v);
+    ("instructions", fun t -> t.instructions);
+    ("syscalls", fun t -> t.syscalls);
+    ("bytes_copied", fun t -> t.bytes_copied);
+    ("faults", fun t -> t.faults);
+    ("pages_mapped", fun t -> t.pages_mapped);
+    ("modules_linked", fun t -> t.modules_linked);
+    ("relocs_applied", fun t -> t.relocs_applied);
+    ("symbols_resolved", fun t -> t.symbols_resolved);
+    ("files_opened", fun t -> t.files_opened);
+    ("messages_sent", fun t -> t.messages_sent);
+    ("context_switches", fun t -> t.context_switches);
+    ("tlb_hits", fun t -> t.tlb_hits);
+    ("tlb_misses", fun t -> t.tlb_misses);
+    ("decode_hits", fun t -> t.decode_hits);
+    ("sym_hash_hits", fun t -> t.sym_hash_hits);
+    ("sym_hash_misses", fun t -> t.sym_hash_misses);
+    ("plan_hits", fun t -> t.plan_hits);
+    ("plan_misses", fun t -> t.plan_misses);
+    ("search_cache_hits", fun t -> t.search_cache_hits);
+    ("stable_persists", fun t -> t.stable_persists);
+    ("stable_loads", fun t -> t.stable_loads);
+    ("stable_rejects", fun t -> t.stable_rejects);
+    ("faults_injected", fun t -> t.faults_injected);
+    ("journal_replays", fun t -> t.journal_replays);
+    ("journal_rollbacks", fun t -> t.journal_rollbacks);
+    ("link_rollbacks", fun t -> t.link_rollbacks);
+    ("plan_fallbacks", fun t -> t.plan_fallbacks);
+    ("ipc_retries", fun t -> t.ipc_retries);
+    ("net_delivered", fun t -> t.net_delivered);
+    ("net_dropped", fun t -> t.net_dropped);
+    ("net_duplicated", fun t -> t.net_duplicated);
+    ("net_retransmits", fun t -> t.net_retransmits);
+    ("cow_faults", fun t -> t.cow_faults);
+    ("pages_copied", fun t -> t.pages_copied);
+    ("bytes_saved", fun t -> t.bytes_saved);
+    ("jit_compiles", fun t -> t.jit_compiles);
+    ("jit_hits", fun t -> t.jit_hits);
+    ("jit_exits", fun t -> t.jit_exits);
+    ("jit_invalidations", fun t -> t.jit_invalidations);
+    ("major_faults", fun t -> t.major_faults);
+    ("minor_faults", fun t -> t.minor_faults);
+    ("pages_evicted", fun t -> t.pages_evicted);
+    ("pages_written_back", fun t -> t.pages_written_back);
+    ("resident_pages", fun t -> t.resident_pages);
   ]
 
 let to_json t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{ ";
   List.iteri
-    (fun i (name, get, _) ->
+    (fun i (name, get) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b (Printf.sprintf "\"%s\": %d" name (get t)))
     fields;
   Buffer.add_string b " }";
   Buffer.contents b
-
-(* Minimal parser for the flat object shape [to_json] emits: quoted
-   keys mapped to integers, in any order; unknown keys are ignored. *)
-let of_json s =
-  let t = zero () in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    match String.index_from_opt s !i '"' with
-    | None -> i := n
-    | Some q0 -> (
-      match String.index_from_opt s (q0 + 1) '"' with
-      | None -> i := n
-      | Some q1 ->
-        let key = String.sub s (q0 + 1) (q1 - q0 - 1) in
-        let j = ref (q1 + 1) in
-        while
-          !j < n && (s.[!j] = ':' || s.[!j] = ' ' || s.[!j] = '\t' || s.[!j] = '\n')
-        do
-          incr j
-        done;
-        let v0 = !j in
-        if !j < n && s.[!j] = '-' then incr j;
-        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-          incr j
-        done;
-        (if !j > v0 then
-           match int_of_string_opt (String.sub s v0 (!j - v0)) with
-           | Some v -> (
-             match List.find_opt (fun (name, _, _) -> String.equal name key) fields with
-             | Some (_, _, set) -> set t v
-             | None -> ())
-           | None -> ());
-        i := max (!j) (q1 + 1))
-  done;
-  t

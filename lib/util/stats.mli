@@ -2,9 +2,9 @@
 
     The paper reports wall-clock effects of replacing files and messages
     with shared memory; our substrate is an interpreter, so experiments
-    report these deterministic counters (plus Bechamel wall times of the
-    simulator itself).  Counters are global; the benchmark harness resets
-    them around each measured region. *)
+    report these deterministic counters (perfbench times the simulator
+    itself).  Counters are global; the benchmark harness resets them
+    around each measured region. *)
 
 type t = {
   mutable instructions : int;  (** ISA instructions retired *)
@@ -147,10 +147,6 @@ val pp : Format.formatter -> t -> unit
 val measure : (unit -> 'a) -> 'a * t
 
 (** Flat JSON object mapping every counter name to its value, e.g.
-    [{ "instructions": 123, ... }].  Embedded by the benches in their
-    BENCH_*.json files and by the linkstat dump. *)
+    [{ "instructions": 123, ... }].  Embedded by perfbench's traces and
+    by the linkstat dump. *)
 val to_json : t -> string
-
-(** Parse the object shape {!to_json} emits (keys in any order; unknown
-    keys ignored; missing keys zero).  Round-trips {!to_json} exactly. *)
-val of_json : string -> t

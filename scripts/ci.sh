@@ -2,7 +2,9 @@
 # Full gate: build; the test suite under the default configuration,
 # each kill switch and each stress setting; the examples; the crash
 # sweeps; the E1-E13 golden transcript under each configuration that
-# must not change it; and every perf-* mode with its own gates.
+# must not change it; and `perf`, the JIT's throughput floors.  The
+# fast-path gates (costs identical on and off, at every RAM budget and
+# domain count) are suite tests; host-time benchmarking is perfbench's.
 set -e
 cd "$(dirname "$0")/.."
 # Rows with no variable set run the default configuration, whatever the
@@ -128,25 +130,5 @@ HEMLOCK_NET_PROFILE=lossy \
   > _build/e1_e13_netlossy.txt
 echo "experiments completed under HEMLOCK_NET_PROFILE=lossy"
 
-echo "== perf =="
+echo "== perf (gates: JIT >= 10x over no caches, >= 3x over the decode cache) =="
 dune exec bench/main.exe -- perf
-
-echo "== perf-link (gates: stable boot replays every synced plan, cold boot none; simulated costs identical) =="
-dune exec bench/main.exe -- perf-link
-
-echo "== perf-vm (gates: program-visible behaviour identical, cow copies <1/4 of eager, >=5x fork throughput) =="
-dune exec bench/main.exe -- perf-vm
-
-echo "== perf-jit (gates: simulated costs identical JIT on/off under invalidation stress) =="
-dune exec bench/main.exe -- perf-jit
-
-echo "== perf-page (gates: simulated costs identical at every RAM budget and pager off) =="
-dune exec bench/main.exe -- perf-page
-
-echo "== perf-cluster (gates: observables and simulated costs identical at 1/2/4 domains) =="
-dune exec bench/main.exe -- perf-cluster
-
-# perf-net internally reruns the ideal and lossy scenarios at 1 and 4
-# domains and gates trace identity.
-echo "== perf-net (gates: traffic trace identical at 1/4 domains; all profiles converge) =="
-dune exec bench/main.exe -- perf-net

@@ -178,9 +178,88 @@ let cow_self_modifying_after_fork () =
       check_int "child text word unchanged" old_insn
         (As.load_u32 child_sp 0x1000))
 
+(* ----- fork and exec through the kernel ----- *)
+
+(* Link [src] as a program on a fresh kernel under [cow], run it once to
+   warm the image master, and return the console and the counters of a
+   second run. *)
+let kernel_run ~cow src =
+  with_cow cow (fun () ->
+      let k, _ldl = boot () in
+      Fs.mkdir (Kernel.fs k) "/home/t";
+      install_c k "/home/t/main.o" src;
+      ignore (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
+      let run () =
+        let proc, console = run_program k "/home/t/prog" in
+        check_int "exit" 0 (exit_code proc);
+        console
+      in
+      ignore (run ());
+      Stats.measure run)
+
+(* COW may change copy traffic and the cycles it bills, nothing the
+   program can see. *)
+let check_same_program (out_cow, cow) (out_eager, eager) =
+  check_string "console" out_eager out_cow;
+  check_int "instructions" eager.Stats.instructions cow.Stats.instructions;
+  check_int "syscalls" eager.Stats.syscalls cow.Stats.syscalls;
+  check_int "faults" eager.Stats.faults cow.Stats.faults
+
+(* The parent dirties a 64-page heap, then forks and waits 8 times; each
+   child writes one heap page and exits.  Eager fork copies heap, image
+   and stack every time; COW copies the pages written. *)
+let fork_heavy_src =
+  {|
+int main() {
+  int *p;
+  int i;
+  int pid;
+  int kids;
+  p = sbrk(262144);
+  i = 0;
+  while (i < 65536) { p[i] = i; i = i + 1024; }
+  kids = 0;
+  while (kids < 8) {
+    pid = fork();
+    if (pid == 0) {
+      p[0] = kids + 1;
+      exit(0);
+    }
+    wait();
+    kids = kids + 1;
+  }
+  print_int(p[0]);
+  return 0;
+}
+|}
+
+let cow_fork_copies_what_is_written () =
+  let ((_, cow) as on) = kernel_run ~cow:true fork_heavy_src in
+  let ((_, eager) as off) = kernel_run ~cow:false fork_heavy_src in
+  check_string "parent's heap untouched by its children" "0" (fst on);
+  check_same_program on off;
+  check_bool "COW copies under a quarter of the eager traffic" true
+    (cow.Stats.pages_copied * Layout.page_size * 4 <= eager.Stats.bytes_copied);
+  check_bool "eager forks bill at least 5x the COW cycles" true
+    (Stats.cycles eager >= 5 * Stats.cycles cow)
+
 (* ----- zero-copy exec ----- *)
 
+(* An image several pages long (200 padding functions) that writes
+   nothing but its stack. *)
+let multi_page_image_src =
+  String.concat ""
+    (List.init 200 (fun i -> Printf.sprintf "int f%d() { return %d; }\n" i i))
+  ^ "int main() { return f0() + f1() - 1; }\n"
+
 let cow_zero_copy_exec () =
+  let ((out, cow) as on) = kernel_run ~cow:true multi_page_image_src in
+  check_string "the image prints nothing" "" out;
+  check_same_program on (kernel_run ~cow:false multi_page_image_src);
+  let image_pages = cow.Stats.bytes_saved / Layout.page_size in
+  check_bool "the image spans pages" true (image_pages > 1);
+  check_bool "exec copies fewer pages than the image has" true
+    (cow.Stats.pages_copied < image_pages);
   with_cow true (fun () ->
       let (k, _ldl) = boot () in
       Fs.mkdir (Kernel.fs k) "/home/t";
@@ -301,5 +380,7 @@ let suite =
     test "cow: genuine protection faults still deliver" cow_genuine_fault_not_swallowed;
     test "cow: self-modifying code after fork stays private" cow_self_modifying_after_fork;
     test "cow: exec reuses a pristine image master" cow_zero_copy_exec;
+    test "cow: fork copies the pages written, not the heap"
+      cow_fork_copies_what_is_written;
     prop_cow_matches_oracle;
   ]

@@ -338,25 +338,30 @@ let run_fork_workload () =
          ]
        "prog");
   Stats.reset ();
-  let _, out = run_program k "/home/t/prog" in
+  let proc, out = run_program k "/home/t/prog" in
+  check_int "exit" 0 (exit_code proc);
   let s = Stats.snapshot () in
-  ( out,
-    s.Stats.instructions,
-    s.Stats.syscalls,
-    s.Stats.faults,
-    s.Stats.context_switches,
-    Stats.cycles s )
+  ( ( out,
+      s.Stats.instructions,
+      s.Stats.syscalls,
+      s.Stats.faults,
+      s.Stats.context_switches,
+      Stats.cycles s ),
+    s.Stats.jit_compiles )
 
 (* Fork + COW under the JIT: the child's first post-fork writes break
    COW pages under compiled traces (the kernel resolves the write
    fault, the store retries); lazy linking flips page protections
    mid-run.  Console and the whole simulated cost model must not move,
    context switches included — quantum expiry lands on the same
-   instruction either way. *)
+   instruction either way.  At threshold 1 the compiler must really
+   run: traces exist before the lazy linker patches the jump slots and
+   before the fork breaks COW sharing. *)
 let kernel_fork_cow_identical () =
-  let base = with_jit ~threshold:None run_fork_workload in
-  let jit1 = with_jit ~threshold:(Some 1) run_fork_workload in
-  let jit50 = with_jit ~threshold:(Some 50) run_fork_workload in
+  let base, _ = with_jit ~threshold:None run_fork_workload in
+  let jit1, compiles1 = with_jit ~threshold:(Some 1) run_fork_workload in
+  let jit50, _ = with_jit ~threshold:(Some 50) run_fork_workload in
+  check_bool "threshold=1 compiles traces" true (compiles1 > 0);
   let check name (o_out, o_i, o_s, o_f, o_cs, o_cy) (j_out, j_i, j_s, j_f, j_cs, j_cy)
       =
     check_string (name ^ ": console") o_out j_out;

@@ -441,21 +441,27 @@ let install_graph k g =
          @ [ ("all.o", Sharing.Dynamic_private) ])
        "prog")
 
-(* The linear walk with plans off is the reference; [indexed] turns the
-   scope index and plans on, whatever the environment says. *)
+(* The linear walk with plans and the locate memo off is the reference;
+   [indexed] turns all three on, whatever the environment says. *)
 let with_link_path ~indexed f =
-  let sh = !Objfile.sym_hash_enabled and pc = !Link_plan.enabled in
+  let sh = !Objfile.sym_hash_enabled
+  and sc = !Search.cache_enabled
+  and pc = !Link_plan.enabled in
   Objfile.sym_hash_enabled := indexed;
+  Search.cache_enabled := indexed;
   Link_plan.enabled := indexed;
   Fun.protect
     ~finally:(fun () ->
       Objfile.sym_hash_enabled := sh;
+      Search.cache_enabled := sc;
       Link_plan.enabled := pc)
     f
 
 (* What a run shows of its links: console, exit code, instance keys and
-   bases in load order, and billed cycles, for a cold exec and a second
-   exec (which replays plans when they are on); then the warnings. *)
+   bases in load order, and its bill (instructions, faults, syscalls,
+   bytes copied, modules linked, symbols resolved, cycles), for a cold
+   exec and a second exec (which replays plans when they are on); then
+   the warnings. *)
 let observe k ldl prog =
   let exec () =
     let (proc, console), d = Stats.measure (fun () -> run_program k prog) in
@@ -463,7 +469,15 @@ let observe k ldl prog =
     ( console,
       code,
       List.map (fun i -> (i.Modinst.inst_key, i.Modinst.inst_base)) (Ldl.instances ldl proc),
-      Stats.cycles d )
+      [
+        d.Stats.instructions;
+        d.Stats.faults;
+        d.Stats.syscalls;
+        d.Stats.bytes_copied;
+        d.Stats.modules_linked;
+        d.Stats.symbols_resolved;
+        Stats.cycles d;
+      ] )
   in
   let first = exec () in
   let second = exec () in
@@ -479,6 +493,28 @@ let prop_index_is_the_linear_walk =
   prop "scope index: generated scope graphs link as the linear walk does" ~count:150
     ~print:print_graph gen_graph (fun g ->
       run_graph ~indexed:false g = run_graph ~indexed:true g)
+
+(* The 96-module deep chain: the driver names every module, so each of
+   its ~2N references resolves through the root scope's full list. *)
+let deep_chain_links_as_the_linear_walk () =
+  let modules = 96 in
+  let run ~indexed =
+    with_link_path ~indexed (fun () ->
+        let k, ldl = boot () in
+        Fs.mkdir (Kernel.fs k) "/home/lib";
+        ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
+        Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib" ~out:"/home/t/prog"
+          ~used:(modules - 1);
+        observe k ldl "/home/t/prog")
+  in
+  let ((first, second, _) as indexed) = run ~indexed:true in
+  let want = string_of_int (Modgen.expected ~modules ~used:(modules - 1)) in
+  List.iter
+    (fun (exec, (console, code, _, _)) ->
+      check_string (exec ^ " exec console") want (String.trim console);
+      check_int (exec ^ " exec exit") 0 code)
+    [ ("first", first); ("second", second) ];
+  check_bool "links and bills as the linear walk" true (indexed = run ~indexed:false)
 
 (* A parent scope indexed before a shadowing template appears in the same
    process: the child's later link pass must find the new copy, as a
@@ -684,6 +720,8 @@ let suite =
     test "search cache: directory lists do not alias" search_dirs_do_not_alias;
     test "search cache: one memo per domain" locate_memo_per_domain;
     prop_index_is_the_linear_walk;
+    test "scope index: the 96-module deep chain links as the linear walk does"
+      deep_chain_links_as_the_linear_walk;
     test "scope index: a shadow seen through an indexed parent scope"
       index_sees_shadow_in_parent_scope;
     test "scope index: a module whose creation lock was released is retried"

@@ -237,6 +237,93 @@ let gossip_partition_heal_prop (seed, split, lossy) =
   | Some _ -> Rwho.Gossip.converged g
   | None -> false
 
+(* ----- a deployment under every profile ----- *)
+
+(* Six machines run the gossip rwhod; each epoch a user on every machine
+   exercises a private message queue and sends one reliable remote-exec
+   request to a random peer.  Five such epochs, then anti-entropy until
+   every database reads the same.  Returns the telemetry, timeouts,
+   completed execs, epochs to converge, cluster rounds, cycles and
+   machine 0's rwho and ruptime. *)
+let deployment profile ~domains =
+  let module Prng = Hemlock_util.Prng in
+  let module Serializer = Hemlock_baseline.Serializer in
+  let machines = 6 and seed = 11 in
+  let g = Rwho.Gossip.create ~profile ~seed ~domains Rwho.Shared_db ~machines () in
+  let c = Rwho.Gossip.cluster g in
+  (* one cell and one stream per machine, touched only by its own
+     processes: the same at every domain count *)
+  let timeouts = Array.make machines 0 and execs = Array.make machines 0 in
+  let rngs = Array.init machines (fun i -> Prng.stream ~seed:(seed + 0x515) ~index:i) in
+  let drive i k =
+    ignore
+      (Kernel.spawn_native k ~name:"user" (fun k proc ->
+           let q = Printf.sprintf "user-m%d" i in
+           if not (Kernel.msgq_exists k q) then Kernel.msgq_create k q ~capacity:4;
+           for n = 1 to 3 do
+             Kernel.msg_send k proc q (Bytes.make (16 + n) 'u');
+             ignore (Kernel.msg_recv k proc q)
+           done;
+           let p = Prng.int rngs.(i) (machines - 1) in
+           let p = if p >= i then p + 1 else p in
+           let cost = 50 + Prng.int rngs.(i) 200 in
+           (match
+              Cluster.send_reliable c ~from:i ~dst:p
+                (Serializer.to_binary
+                   (Serializer.List [ Serializer.Str "exec"; Serializer.Int cost ]))
+            with
+           | Ok () -> execs.(i) <- execs.(i) + 1
+           | Error e ->
+             assert (e = Errno.ETIMEDOUT);
+             timeouts.(i) <- timeouts.(i) + 1);
+           0))
+  in
+  let before = Stats.snapshot () in
+  for _ = 1 to 5 do
+    Rwho.Gossip.epoch ~drive g
+  done;
+  let convergence = Rwho.Gossip.converge ~max_epochs:64 g in
+  let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
+  let sum = Array.fold_left ( + ) 0 in
+  ( Net.telemetry (Cluster.net c),
+    sum timeouts,
+    sum execs,
+    convergence,
+    Cluster.rounds c,
+    Stats.cycles d,
+    Rwho.Gossip.rwho g 0 ^ Rwho.Gossip.ruptime g 0 )
+
+let deployment_under_every_profile () =
+  List.iter
+    (fun profile ->
+      let name = Net.profile_to_string profile ^ ": " in
+      let tel, timeouts, execs, convergence, rounds, cycles, db = deployment profile ~domains:1 in
+      check_bool (name ^ "converges within 64 epochs") true (convergence <> None);
+      check_int (name ^ "every exec completes or times out") (6 * 5) (execs + timeouts);
+      if profile = Net.Ideal then begin
+        check_int (name ^ "nothing dropped") 0 tel.Net.t_dropped;
+        check_int (name ^ "nothing duplicated") 0 tel.Net.t_duplicated;
+        check_int (name ^ "no timeouts") 0 timeouts
+      end;
+      if profile = Net.Ideal || profile = Net.Lossy then begin
+        let tel4, timeouts4, execs4, convergence4, rounds4, cycles4, db4 =
+          deployment profile ~domains:4
+        in
+        let at4 what = name ^ what ^ " at 4 domains" in
+        check_int (at4 "sent") tel.Net.t_sent tel4.Net.t_sent;
+        check_int (at4 "delivered") tel.Net.t_delivered tel4.Net.t_delivered;
+        check_int (at4 "dropped") tel.Net.t_dropped tel4.Net.t_dropped;
+        check_int (at4 "duplicated") tel.Net.t_duplicated tel4.Net.t_duplicated;
+        check_bool (at4 "latency histogram") true (tel.Net.t_latency = tel4.Net.t_latency);
+        check_int (at4 "timeouts") timeouts timeouts4;
+        check_int (at4 "execs") execs execs4;
+        check_bool (at4 "epochs to converge") true (convergence = convergence4);
+        check_int (at4 "rounds") rounds rounds4;
+        check_int (at4 "cycles") cycles cycles4;
+        check_string (at4 "rwho and ruptime") db db4
+      end)
+    [ Net.Ideal; Net.Lan; Net.Wan; Net.Lossy ]
+
 (* ----- Auto address index ----- *)
 
 (* The Auto backend must behave exactly like the linear oracle while
@@ -299,6 +386,8 @@ let suite =
     prop "gossip: partition then heal converges (bounded)" ~count:15
       QCheck2.Gen.(triple (int_bound 1000) (int_bound 10) bool)
       gossip_partition_heal_prop;
+    test "gossip: a deployment with users under every profile"
+      deployment_under_every_profile;
     test "addr index: auto promotes to the b-tree at threshold" addr_index_auto_promotes;
     test "fs: /shared translations go through the auto index" fs_uses_auto_index;
   ]

@@ -292,6 +292,48 @@ let eviction_crash_recovers () =
 
 (* ----- kernel-level identity: console and billed costs ----- *)
 
+(* Eight 1 MB /shared files (2048 pages), mapped by a native process,
+   registered in a B-tree address index and swept three times: every
+   page translated through the index, read and written.  Returns the
+   counters of the sweep. *)
+let shared_sweep ?ram enabled =
+  let module Addr_index = Hemlock_sfs.Addr_index in
+  let files = 8 and file_bytes = Layout.shared_slot_size in
+  with_pager ?ram enabled (fun () ->
+      let k, _ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/ws";
+      let path i = Printf.sprintf "/shared/ws/f%d" i in
+      for i = 0 to files - 1 do
+        Fs.create_file fs (path i);
+        (* every page has content, so first touches read it in *)
+        Fs.write_file fs (path i) (Bytes.make file_bytes (Char.chr (65 + i)))
+      done;
+      snd
+        (Stats.measure (fun () ->
+             run_native k (fun k proc ->
+                 let idx = Addr_index.create Addr_index.Btree_index in
+                 let bases =
+                   Array.init files (fun i ->
+                       let base =
+                         Kernel.map_shared_file k proc ~path:(path i) ~prot:Prot.Read_write
+                       in
+                       Addr_index.register idx ~base ~bytes:file_bytes (path i);
+                       base)
+                 in
+                 for round = 1 to 3 do
+                   Array.iteri
+                     (fun f base ->
+                       for pg = 0 to (file_bytes / Layout.page_size) - 1 do
+                         let addr = base + (pg * Layout.page_size) in
+                         if Addr_index.translate idx addr = None then
+                           Alcotest.fail "index lost a mapping";
+                         ignore (Kernel.load_u32 k proc addr);
+                         Kernel.store_u32 k proc addr (round + f + pg)
+                       done)
+                     bases
+                 done))))
+
 let kernel_costs_identical_under_squeeze () =
   let src =
     {|
@@ -331,7 +373,32 @@ int main() {
   check_int "delivered faults identical (unbounded)" fb fu;
   check_int "delivered faults identical (squeezed)" fb fs_;
   check_int "cycles identical (unbounded)" xb xu;
-  check_int "cycles identical (squeezed)" xb xs
+  check_int "cycles identical (squeezed)" xb xs;
+  (* The /shared sweep, from unbounded RAM down to 1/64 of its pages. *)
+  let billed d =
+    [
+      ("instructions", d.Stats.instructions);
+      ("syscalls", d.Stats.syscalls);
+      ("faults", d.Stats.faults);
+      ("cycles", Stats.cycles d);
+    ]
+  in
+  let off = billed (shared_sweep false) in
+  let check_sweep name d =
+    List.iter2
+      (fun (what, a) (_, b) -> check_int (Printf.sprintf "sweep %s: %s identical" name what) a b)
+      off (billed d)
+  in
+  check_sweep "unbounded" (shared_sweep true);
+  List.iter
+    (fun ram ->
+      let d = shared_sweep ~ram true in
+      check_sweep (Printf.sprintf "at %d pages" ram) d;
+      if ram = 32 then begin
+        check_bool "32 pages evict" true (d.Stats.pages_evicted > 0);
+        check_bool "dirty file pages are written back" true (d.Stats.pages_written_back > 0)
+      end)
+    [ 1024; 512; 256; 128; 64; 32 ]
 
 (* ----- lockstep differential: squeezed pager vs eager oracle ----- *)
 

@@ -99,18 +99,45 @@ let enqueue_net_backpressure () =
 
 (* ----- multi-domain clusters ----- *)
 
-(* A miniature rwhod: every machine broadcasts tagged datagrams and
-   records everything it hears.  Returns (per-machine transcripts,
-   stat diff) so runs at different domain counts can be compared
-   byte-for-byte. *)
-let cluster_observables ~domains =
-  let machines = 4 in
+(* Per-machine interpreter load: enough arithmetic that a round is
+   mostly ISA stepping, the part that runs in parallel. *)
+let compute_src =
+  {|
+int main() {
+  int i;
+  int s;
+  s = 0;
+  i = 0;
+  while (i < 12000) {
+    s = s + i; s = s + i; s = s + i; s = s + i;
+    s = s - i; s = s - i; s = s - i; s = s + 1;
+    i = i + 1;
+  }
+  return s - 72006000 + 42;
+}
+|}
+
+(* A miniature rwhod beside an ISA compute process on every machine:
+   each machine broadcasts tagged datagrams and records everything it
+   hears.  Returns (per-machine transcripts, compute exit codes, stat
+   diff, wall seconds) so runs at different domain counts can be
+   compared byte-for-byte. *)
+let cluster_observables ?(machines = 4) ~domains () =
   let sends = 5 in
   let heard = Array.make machines [] in
   (* pinned to [Ideal]: this test asserts exact full-matrix delivery,
      which must hold even when the suite runs under a lossy
      HEMLOCK_NET_PROFILE *)
   let c = Cluster.create ~profile:Net.Ideal ~machines () in
+  let computes =
+    Array.init machines (fun i ->
+        let k = Cluster.machine c i in
+        ignore (Ldl.install k);
+        Fs.mkdir (Kernel.fs k) "/home/w";
+        install_c k "/home/w/main.o" compute_src;
+        ignore (link k ~dir:"/home/w" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
+        Kernel.spawn_exec k "/home/w/prog")
+  in
   for i = 0 to machines - 1 do
     let k = Cluster.machine c i in
     let rx =
@@ -132,23 +159,48 @@ let cluster_observables ~domains =
            0))
   done;
   let before = Stats.snapshot () in
+  let t0 = Unix.gettimeofday () in
   Cluster.run ~domains c;
+  let secs = Unix.gettimeofday () -. t0 in
   let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
-  (Array.map (fun l -> String.concat "," (List.rev l)) heard, d)
+  ( Array.map (fun l -> String.concat "," (List.rev l)) heard,
+    Array.map exit_code computes,
+    d,
+    secs )
 
 let cluster_lockstep () =
-  let obs1, d1 = cluster_observables ~domains:1 in
-  let obs4, d4 = cluster_observables ~domains:4 in
-  Array.iteri
-    (fun i t1 ->
-      check_string (Printf.sprintf "machine %d transcript" i) t1 obs4.(i))
-    obs1;
+  let obs1, codes1, d1, _ = cluster_observables ~domains:1 () in
   (* every broadcast lands exactly once: 3 peers x 5 sends x 4 senders *)
   check_int "messages" 60 d1.Stats.messages_sent;
-  check_int "messages at 4 domains" d1.Stats.messages_sent d4.Stats.messages_sent;
-  check_int "bytes" d1.Stats.bytes_copied d4.Stats.bytes_copied;
-  check_int "context switches" d1.Stats.context_switches d4.Stats.context_switches;
-  check_int "cycles" (Stats.cycles d1) (Stats.cycles d4)
+  Array.iteri (fun i c -> check_int (Printf.sprintf "machine %d compute exit" i) 42 c) codes1;
+  (* a second run at 1 domain, then 2 and 4: every run agrees *)
+  List.iter
+    (fun domains ->
+      let obs, codes, d, _ = cluster_observables ~domains () in
+      let at what = Printf.sprintf "%s at %d domains" what domains in
+      Array.iteri
+        (fun i t1 -> check_string (at (Printf.sprintf "machine %d transcript" i)) t1 obs.(i))
+        obs1;
+      check_bool (at "compute exits") true (codes = codes1);
+      check_int (at "instructions") d1.Stats.instructions d.Stats.instructions;
+      check_int (at "syscalls") d1.Stats.syscalls d.Stats.syscalls;
+      check_int (at "faults") d1.Stats.faults d.Stats.faults;
+      check_int (at "messages") d1.Stats.messages_sent d.Stats.messages_sent;
+      check_int (at "bytes") d1.Stats.bytes_copied d.Stats.bytes_copied;
+      check_int (at "context switches") d1.Stats.context_switches d.Stats.context_switches;
+      check_int (at "cycles") (Stats.cycles d1) (Stats.cycles d))
+    [ 1; 2; 4 ];
+  (* Wall-clock scaling, on 8 machines, needs the cores to scale onto. *)
+  if Domain.recommended_domain_count () >= 4 then begin
+    let best domains =
+      List.fold_left min infinity
+        (List.init 3 (fun _ ->
+             let _, _, _, secs = cluster_observables ~machines:8 ~domains () in
+             secs))
+    in
+    let speedup = best 1 /. best 4 in
+    if speedup < 2.0 then Alcotest.failf "4 domains ran %.2fx faster than 1, want >= 2x" speedup
+  end
 
 let cluster_deadlock_tagged () =
   let c = Cluster.create ~profile:Net.Ideal ~machines:2 () in

@@ -78,25 +78,36 @@ let billed d =
 (* One machine syncs its plans and reboots warm; an identical twin
    reboots without a sync, so its first exec walks cold.  First-exec
    console output and the whole billed cost model must agree exactly —
-   the persisted files may only move host-side work. *)
+   the persisted files may only move host-side work.  With plans on, the
+   stable boot's first exec replays exactly the plans the sync wrote,
+   every one read back from its file, and the cold boot's replays none. *)
 let boot_equivalence modules =
   let first_exec stable =
     let ((k, _) as m) = boot () in
     let want = build_deep_chain m ~modules in
     let out0, _ = exec_measured k "/home/d/prog" in
     if out0 <> want then Alcotest.failf "seed exec output %s, want %s" out0 want;
-    if stable then ignore (Ldl.stable_sync (snd m));
+    let sync =
+      if stable then Ldl.stable_sync (snd m)
+      else { Ldl.sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
+    in
     Kernel.reboot k;
     let out, d = exec_measured k "/home/d/prog" in
     if out <> want then Alcotest.failf "first exec output %s, want %s" out want;
-    (out, d)
+    (out, d, sync)
   in
-  let out_stable, d_stable = first_exec true in
-  let out_cold, d_cold = first_exec false in
+  let out_stable, d_stable, sync = first_exec true in
+  let out_cold, d_cold, _ = first_exec false in
   out_stable = out_cold
   && billed d_stable = billed d_cold
   && ((not !Link_plan.enabled)
-     || (d_stable.Stats.stable_loads > 0 && d_cold.Stats.stable_loads = 0))
+     || (sync.Ldl.sync_plans > 0
+        && sync.Ldl.sync_objs > 0
+        && d_stable.Stats.plan_hits = sync.Ldl.sync_plans
+        && d_stable.Stats.plan_misses = 0
+        && d_stable.Stats.stable_loads = d_stable.Stats.plan_hits
+        && d_cold.Stats.plan_hits = 0
+        && d_cold.Stats.stable_loads = 0))
 
 let prop_boot_equivalence =
   prop "stable boot ≡ cold boot: output and simulated costs" ~count:6
