@@ -18,13 +18,12 @@
 
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc
-module Cpu = Hemlock_isa.Cpu
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
 module Layout = Hemlock_vm.Layout
 module As = Hemlock_vm.Address_space
 module Stats = Hemlock_util.Stats
-module Trace = Hemlock_isa.Trace
+module Config = Hemlock_util.Config
 module Objfile = Hemlock_obj.Objfile
 module Cc = Hemlock_cc.Cc
 module Lds = Hemlock_linker.Lds
@@ -695,19 +694,8 @@ int main() {
 
 (* One switch per layer: [caches] is the memory-system fast path (TLB +
    decode cache), [jit] the trace compiler on top of it. *)
-let with_profile ~caches ~jit f =
-  let tlb = !As.caching_default
-  and dc = !Cpu.decode_cache_enabled
-  and je = !Trace.enabled in
-  As.caching_default := caches;
-  Cpu.decode_cache_enabled := caches;
-  Trace.enabled := jit;
-  Fun.protect
-    ~finally:(fun () ->
-      As.caching_default := tlb;
-      Cpu.decode_cache_enabled := dc;
-      Trace.enabled := je)
-    f
+let with_profile ~caches ~jit =
+  Config.with_ { Config.current with tlb = caches; dcache = caches; jit }
 
 (* Each round runs every configuration once, in an order that rotates
    from round to round, so a drift in host speed moves all three

@@ -577,7 +577,7 @@ module Gossip = struct
       () =
     let cluster = Cluster.create ?profile ?seed ~machines () in
     let wseed =
-      (match seed with Some s -> s | None -> Net.seed_from_env ()) + 0x9e37
+      Option.value seed ~default:Net.default_seed + 0x9e37
     in
     let g =
       {

@@ -1,5 +1,6 @@
 module Codec = Hemlock_util.Codec
 module Objfile = Hemlock_obj.Objfile
+module Config = Hemlock_util.Config
 
 type dyn_descr = { dd_name : string; dd_class : Sharing.t }
 
@@ -49,7 +50,7 @@ let symtab_of t =
     tbl
 
 let find_symbol t name =
-  if not !Objfile.sym_hash_enabled then
+  if not Config.current.symhash then
     Option.map snd (List.find_opt (fun (n, _) -> String.equal n name) t.symbols)
   else begin
     let found = Hashtbl.find_opt (symtab_of t) name in

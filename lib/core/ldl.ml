@@ -12,6 +12,7 @@ module Segment = Hemlock_vm.Segment
 module Stats = Hemlock_util.Stats
 module Codec = Hemlock_util.Codec
 module Fault = Hemlock_util.Fault
+module Config = Hemlock_util.Config
 
 exception Link_error = Reloc_engine.Link_error
 
@@ -465,10 +466,10 @@ let in_list_indexed t proc ps scope name =
   in
   go ()
 
-let probe_kind () = if !Objfile.sym_hash_enabled then "hash" else "linear"
+let probe_kind () = if Config.current.symhash then "hash" else "linear"
 
 let resolve_scoped t proc ps scope name =
-  let in_list = if !Objfile.sym_hash_enabled then in_list_indexed else in_list_linear in
+  let in_list = if Config.current.symhash then in_list_indexed else in_list_linear in
   walk_scopes ps (in_list t proc ps) scope name
 
 (* ----- memoized link plans ------------------------------------------------ *)
@@ -573,7 +574,7 @@ let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
    replaying counts as failed verification (the cold run raises it
    again if it is real); [Would_block] and [Fault.Crash] propagate. *)
 let planned t proc ps ~key ~cold_resolve ~run =
-  match if !Link_plan.enabled then key else None with
+  match if Config.current.plans then key else None with
   | None -> run cold_resolve
   | Some key -> (
     let fs = Kernel.fs t.k in
@@ -895,7 +896,7 @@ let loader t _k proc bytes ~path =
   in
   let seg =
     match prog with
-    | Some (_, fid, fver) when !Segment.cow_enabled ->
+    | Some (_, fid, fver) when Config.current.cow ->
       (* The serialized file layout differs from the placed image, so
          the file segment itself cannot back the mapping; instead the
          placed image is built once per file content and shared COW. *)
@@ -1022,7 +1023,7 @@ let install k =
       Link_plan.clear_obj_cache ();
       Objfile.clear_index_memo ();
       Search.clear_locate_cache ();
-      if !Link_plan.enabled then begin
+      if Config.current.plans then begin
         Stable_link.seed_indexes fs;
         if gen = t.synced_gen then
           List.iter
@@ -1118,7 +1119,7 @@ type sync_report = Stable_link.sync_report = {
    touch only files no module lookup names, so store and copy are both
    valid at the generation it ends at, unless an unlink failed. *)
 let stable_sync t =
-  if not !Link_plan.enabled then { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
+  if not Config.current.plans then { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
   else begin
     let fs = Kernel.fs t.k in
     let plans = Link_plan.entries t.plans ~fs in

@@ -2,8 +2,7 @@ module Fs = Hemlock_sfs.Fs
 module Segment = Hemlock_vm.Segment
 module Objfile = Hemlock_obj.Objfile
 module Stats = Hemlock_util.Stats
-
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_PLANCACHE" = None)
+module Config = Hemlock_util.Config
 
 (* ----- parse caches -------------------------------------------------------
 
@@ -20,7 +19,7 @@ let obj_cache_key : (int * int, Objfile.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let parse_obj ~seg bytes =
-  if not !enabled then Objfile.parse bytes
+  if not Config.current.plans then Objfile.parse bytes
   else begin
     let key = (Segment.id seg, Segment.version seg) in
     let obj_cache = Domain.DLS.get obj_cache_key in
@@ -50,10 +49,10 @@ let clear_obj_cache () = Hashtbl.reset (Domain.DLS.get obj_cache_key)
    already-serialized template, so decode once at seed time and future
    [parse_obj] calls for the same (id, version) hit the memo. *)
 let seed_obj ~src obj =
-  if !enabled then Hashtbl.replace (Domain.DLS.get obj_cache_key) src obj
+  if Config.current.plans then Hashtbl.replace (Domain.DLS.get obj_cache_key) src obj
 
 let parse_aout ~seg bytes =
-  if not !enabled then Aout.parse bytes
+  if not Config.current.plans then Aout.parse bytes
   else begin
     let key = (Segment.id seg, Segment.version seg) in
     let aout_cache = Domain.DLS.get aout_cache_key in
@@ -108,14 +107,14 @@ let validate store ~fs =
   end
 
 let lookup store ~fs key =
-  if not !enabled then None
+  if not Config.current.plans then None
   else begin
     validate store ~fs;
     Hashtbl.find_opt store.st_tbl key
   end
 
 let record store ~fs key plan =
-  if !enabled then begin
+  if Config.current.plans then begin
     validate store ~fs;
     Hashtbl.replace store.st_tbl key plan
   end
@@ -123,7 +122,7 @@ let record store ~fs key plan =
 let remove store key = Hashtbl.remove store.st_tbl key
 
 let entries store ~fs =
-  if not !enabled then []
+  if not Config.current.plans then []
   else begin
     validate store ~fs;
     List.sort

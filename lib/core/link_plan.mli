@@ -28,9 +28,6 @@
       exactly; only symbol scope walks are replaced by the recorded
       dictionary, fed to the same relocation engine. *)
 
-(** Kill switch (set from [HEMLOCK_NO_PLANCACHE] at start-up). *)
-val enabled : bool ref
-
 (** [parse_obj ~seg bytes] decodes a template, memoized against [seg]'s
     identity and version.  [bytes] must be [seg]'s current contents. *)
 val parse_obj : seg:Hemlock_vm.Segment.t -> Bytes.t -> Hemlock_obj.Objfile.t

@@ -4,6 +4,7 @@ module Layout = Hemlock_vm.Layout
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
 module Fault = Hemlock_util.Fault
+module Config = Hemlock_util.Config
 
 exception Link_error of string
 
@@ -316,7 +317,7 @@ let private_instance ?(src = (-1, -1)) ~located ~obj ~base ~scope () =
     seg
   in
   let seg =
-    if !Segment.cow_enabled && src <> (-1, -1) then begin
+    if Config.current.cow && src <> (-1, -1) then begin
       let master =
         match Hashtbl.find_opt (placed_masters ()) src with
         | Some master when Segment.max_size master = Layout.page_up size -> master

@@ -126,7 +126,7 @@ val public_instance : Search.ctx -> module_path:string -> scope:scope -> t
     template's content identity (see [inst_src]); callers that resolve
     symbols through link plans must supply it.
 
-    With [Segment.cow_enabled] and a known [src], the placed image is
+    With {!Hemlock_util.Config.t.cow} on and a known [src], the placed image is
     built once per template identity and every instance gets a
     refcount-sharing [Segment.copy] of that pristine master: O(pages)
     instead of re-placing the sections, with relocation writes

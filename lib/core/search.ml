@@ -1,5 +1,6 @@
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
+module Config = Hemlock_util.Config
 
 type ctx = {
   fs : Fs.t;
@@ -8,8 +9,6 @@ type ctx = {
 }
 
 let default_dirs = [ "/usr/lib"; "/shared/lib" ]
-
-let cache_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_SYMHASH" = None)
 
 (* Splitting is a pure function of the raw string, so parse each
    distinct LD_LIBRARY_PATH value once per process lifetime. *)
@@ -23,7 +22,7 @@ let ld_library_path env =
   match List.assoc_opt "LD_LIBRARY_PATH" env with
   | None | Some "" -> []
   | Some v ->
-    if not !cache_enabled then split_llp v
+    if not Config.current.symhash then split_llp v
     else (
       let llp_memo = Domain.DLS.get llp_memo_key in
       match Hashtbl.find_opt llp_memo v with
@@ -86,7 +85,7 @@ let dirs_key dirs =
     (List.map (fun d -> string_of_int (String.length d) ^ ":" ^ d) dirs)
 
 let locate ctx ~dirs name =
-  if not !cache_enabled then locate_uncached ctx ~dirs name
+  if not Config.current.symhash then locate_uncached ctx ~dirs name
   else begin
     let locate_cache = Domain.DLS.get locate_cache_key in
     let gen = Fs.generation ctx.fs in

@@ -18,12 +18,6 @@ type ctx = {
 
 val default_dirs : string list
 
-(** Kill switch for the LD_LIBRARY_PATH memo and the {!locate} cache
-    (set from [HEMLOCK_NO_SYMHASH] at start-up).  Results are identical
-    either way; both caches are epoch-validated against
-    {!Hemlock_sfs.Fs.generation}. *)
-val cache_enabled : bool ref
-
 (** Split a colon-separated LD_LIBRARY_PATH value from [env]. *)
 val ld_library_path : (string * string) list -> string list
 
@@ -39,7 +33,9 @@ val runtime_dirs : ctx -> recorded:string list -> string list
     a bare name is tried in each directory in order.  Returns the path
     {e as found} — a symlink is not chased, so a public module created
     from it lands in the symlink's directory (the temp-directory trick
-    of §4). *)
+    of §4).  With {!Hemlock_util.Config.t.symhash} on, results and the
+    LD_LIBRARY_PATH split are memoized per domain, validated against
+    {!Hemlock_sfs.Fs.generation}; the results are identical either way. *)
 val locate : ctx -> dirs:string list -> string -> string option
 
 (** Drop the calling domain's {!locate} cache and LD_LIBRARY_PATH memo

@@ -3,6 +3,7 @@ module Layout = Hemlock_vm.Layout
 module Segment = Hemlock_vm.Segment
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 
 (* --- Decoded-instruction cache --------------------------------------
 
@@ -46,9 +47,6 @@ type dpage = {
   dp_words : int array;  (* raw words; -1 = slot empty *)
   dp_insns : Insn.t array;
 }
-
-(* Flipped off by setting HEMLOCK_NO_DCACHE (mirrors HEMLOCK_NO_TLB). *)
-let decode_cache_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_DCACHE" = None)
 
 let icache_slots = 16
 let insns_per_page = Layout.page_size / 4
@@ -139,7 +137,7 @@ let refill t space pc slot =
   decode_into t dp (Segment.get_u32 seg (pc + delta)) ((pc land (Layout.page_size - 1)) lsr 2)
 
 let fetch_insn t space pc =
-  if not !decode_cache_enabled then begin
+  if not Config.current.dcache then begin
     let word = As.fetch space pc in
     match Insn.decode word with
     | insn -> insn
@@ -345,7 +343,7 @@ exception Syscall_trap
    with one instruction billed, faults with the instruction billed but
    no fuel consumed and the pc on the faulting instruction. *)
 let run_trap ~fuel t space =
-  if not !Trace.enabled then begin
+  if not Config.current.jit then begin
     let rec go n =
       if n = 0 then (Out_of_fuel, 0)
       else

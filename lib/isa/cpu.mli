@@ -5,7 +5,8 @@
     after the kernel runs the process's SIGSEGV handler the instruction
     restarts, exactly the behaviour Hemlock's lazy linker relies on. *)
 
-(** One page's worth of decoded instructions (see [decode_cache_enabled]). *)
+(** One page's worth of decoded instructions (the [dcache] fast path of
+    {!Hemlock_util.Config}). *)
 type dpage
 
 type t = {
@@ -14,13 +15,6 @@ type t = {
   icache : dpage option array;
   jit : Trace.state;  (** per-CPU trace-JIT state (see {!Trace}) *)
 }
-
-(** Per-page decoded-instruction cache switch; defaults to [true] unless
-    the [HEMLOCK_NO_DCACHE] environment variable is set.  Reuse of a
-    cached decode is gated on re-reading the backing word through the
-    address space, so the cache is observability-only: execution,
-    faults, and simulated costs are identical either way. *)
-val decode_cache_enabled : bool ref
 
 type status =
   | Running
@@ -68,7 +62,7 @@ type run_result = Out_of_fuel | Trapped of Trap.t
     word returns [Trapped (Illegal _)] with the pc unmoved and no fuel
     consumed.  Arithmetic traps still raise [Cpu_error].
 
-    When the trace JIT is enabled (see {!Trace.enabled}) hot paths run
+    When the trace JIT is on ({!Hemlock_util.Config.t.jit}) hot paths run
     as compiled closure chains; execution, traps and simulated costs
     are bit-identical to the plain interpreter either way. *)
 val run_trap :

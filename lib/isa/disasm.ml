@@ -14,25 +14,6 @@ let text ~base bytes =
   done;
   Buffer.contents buf
 
-(* Listing of one compiled JIT trace: the entry pc, each instruction on
-   the selected path (in execution order, so an inlined call body appears
-   after its JAL), and per-line guard/exit notes.  Printed to stderr by
-   the trace compiler under HEMLOCK_JIT_LOG=1. *)
-let trace_listing ~entry lines =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "[jit] trace @ 0x%08x (%d insns)\n" entry (List.length lines));
-  List.iter
-    (fun (pc, word, note) ->
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (line ~pc word);
-      if note <> "" then begin
-        Buffer.add_string buf "  ; ";
-        Buffer.add_string buf note
-      end;
-      Buffer.add_char buf '\n')
-    lines;
-  Buffer.contents buf
-
 let jump_targets ~base bytes =
   let n = Bytes.length bytes / 4 in
   let targets = ref [] in

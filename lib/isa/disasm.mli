@@ -9,12 +9,6 @@ val line : pc:int -> int -> string
     virtual address [base]. *)
 val text : base:int -> Bytes.t -> string
 
-(** [trace_listing ~entry lines] renders one compiled JIT trace for the
-    [HEMLOCK_JIT_LOG=1] debug stream: each [(pc, word, note)] line in
-    execution order, with [note] describing the guard or exit compiled
-    at that instruction ([""] for plain straight-line code). *)
-val trace_listing : entry:int -> (int * int * string) list -> string
-
 (** [jump_targets bytes] is the set of word offsets that are targets of
     direct jumps within the section (useful for spotting veneers). *)
 val jump_targets : base:int -> Bytes.t -> int list

@@ -4,6 +4,7 @@ module Prot = Hemlock_vm.Prot
 module Segment = Hemlock_vm.Segment
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 
 (* --- Trace JIT: threaded OCaml closure chains ------------------------
 
@@ -54,19 +55,8 @@ module Stats = Hemlock_util.Stats
    (like [Cpu.step], which bills before executing), and syscall/halt
    exits replicate [Cpu.run_trap]'s accounting exactly. *)
 
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_JIT" = None)
-let log_enabled = ref (Sys.getenv_opt "HEMLOCK_JIT_LOG" <> None)
-
 let default_threshold = 50
-
-let threshold =
-  ref
-    (match Sys.getenv_opt "HEMLOCK_JIT_THRESHOLD" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> default_threshold)
-    | None -> default_threshold)
+let threshold = ref (Option.value Config.env.jit_threshold ~default:default_threshold)
 
 let max_insns = 512
 let max_inline = 16
@@ -149,7 +139,7 @@ type kind =
   | K_syscall
   | K_halt
 
-type sel = { s_pc : int; s_word : int; s_insn : Insn.t; s_kind : kind }
+type sel = { s_pc : int; s_insn : Insn.t; s_kind : kind }
 
 type tail = T_loop | T_exit of int | T_none
 
@@ -294,7 +284,7 @@ let select regs space entry =
         incr count;
         dep_add pc word seg delta hi;
         let push kind =
-          sels := { s_pc = pc; s_word = word; s_insn = insn; s_kind = kind } :: !sels
+          sels := { s_pc = pc; s_insn = insn; s_kind = kind } :: !sels
         in
         match insn with
         | Insn.Break -> push K_halt
@@ -519,21 +509,6 @@ let fill_sic ic ctx space a =
 
 (* --- closure compilation --------------------------------------------- *)
 
-let note_of = function
-  | K_plain -> ""
-  | K_br_exit t -> Printf.sprintf "guard: taken -> exit 0x%08x" t
-  | K_br_loop -> "guard: taken -> loop to entry"
-  | K_jump -> "followed in-line"
-  | K_jal -> "inlined call"
-  | K_jal_exit t -> Printf.sprintf "call exit -> 0x%08x (inline cap)" t
-  | K_jr_guard r -> Printf.sprintf "guard: return = 0x%08x else exit" r
-  | K_jr_guess r -> Printf.sprintf "guard: monomorphic target = 0x%08x else exit" r
-  | K_jalr_guess r ->
-    Printf.sprintf "guard: monomorphic call = 0x%08x else exit" r
-  | K_jalr_exit -> "indirect call exit (inline cap)"
-  | K_syscall -> "syscall exit"
-  | K_halt -> "halt exit"
-
 let compile st space entry_pc =
   match select st.st_regs space entry_pc with
   | None -> None
@@ -580,9 +555,6 @@ let compile st space entry_pc =
       X_side fuel
     in
     let side_exit target fuel =
-      if !log_enabled then
-        Printf.eprintf "[jit] trace@0x%08x side exit -> 0x%08x\n%!" entry_pc
-          target;
       (Stats.cur ()).instructions <-
         (Stats.cur ()).instructions + (ctx.c_fin - fuel);
       (Stats.cur ()).jit_exits <- (Stats.cur ()).jit_exits + 1;
@@ -1255,16 +1227,6 @@ let compile st space entry_pc =
     in
     let first = build sels in
     head := first;
-    if !log_enabled then begin
-      prerr_string
-        (Disasm.trace_listing ~entry:entry_pc
-           (List.map (fun s -> (s.s_pc, s.s_word, note_of s.s_kind)) sels));
-      (match tail with
-      | T_loop -> Printf.eprintf "  -> loops to 0x%08x\n" entry_pc
-      | T_exit pc -> Printf.eprintf "  -> exits to 0x%08x\n" pc
-      | T_none -> ());
-      flush stderr
-    end;
     Some
       {
         tr_entry = entry_pc;

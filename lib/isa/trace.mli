@@ -19,15 +19,11 @@
     bit-identical to the interpreter; only the [jit_*] observability
     counters in {!Hemlock_util.Stats} differ.
 
-    Kill switch: the [HEMLOCK_NO_JIT] environment variable (or
-    {!enabled}[:= false]) restores the plain interpreter byte-for-byte;
-    [HEMLOCK_JIT_THRESHOLD] tunes the compile threshold (default 50,
-    minimum 1); [HEMLOCK_JIT_LOG] dumps every compiled trace to stderr
-    via {!Disasm.trace_listing}. *)
+    With {!Hemlock_util.Config.t.jit} off, {!Cpu.run_trap} never calls
+    {!enter} and the plain interpreter runs byte-for-byte. *)
 
-val enabled : bool ref
+(** The compile threshold: [HEMLOCK_JIT_THRESHOLD] if set, else 50. *)
 val threshold : int ref
-val log_enabled : bool ref
 
 (** Per-CPU JIT state: head counters, compiled traces, and the resume
     context traces write their exit pc/fuel into.  Created by

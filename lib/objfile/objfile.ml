@@ -1,5 +1,6 @@
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 
 type section = Text | Data | Bss
 
@@ -71,8 +72,6 @@ let load_size t =
    would (first match wins; a Local can shadow a later Global).  Indexes
    are memoized per physical symbol list, so `{obj with ...}` copies
    share them and a re-parsed object builds its own. *)
-
-let sym_hash_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_SYMHASH" = None)
 
 type index = {
   ix_mask : int;  (* bucket count - 1 (power of two) *)
@@ -160,7 +159,7 @@ let find_symbol_linear t name =
   List.find_opt (fun s -> String.equal s.sym_name name) t.symbols
 
 let find_symbol t name =
-  if not !sym_hash_enabled then find_symbol_linear t name
+  if not Config.current.symhash then find_symbol_linear t name
   else begin
     let ix = index_of t in
     let h = hash_name name in

@@ -65,16 +65,11 @@ val load_size : t -> int
     data, then bss), each aligned to 4. *)
 val section_bases : t -> int * int * int
 
-(** Kill switch for the hashed export index (set from the
-    [HEMLOCK_NO_SYMHASH] environment variable at start-up).  Lookup
-    results are identical either way; only host-side speed and the
-    [sym_hash_*] observability counters change. *)
-val sym_hash_enabled : bool ref
-
 (** First defined symbol with this name, in declaration order (so a
     Local can shadow a later Global).  Served by a GNU-hash-style
-    bloom-filter + bucket index when {!sym_hash_enabled}; the index is
-    memoized per symbol table and never observable in results. *)
+    bloom-filter + bucket index when {!Hemlock_util.Config.t.symhash} is
+    on; the index is memoized per symbol table and never observable in
+    results, which change only the [sym_hash_*] counters. *)
 val find_symbol : t -> string -> symbol option
 
 (** The always-linear reference implementation of {!find_symbol}. *)

@@ -1,6 +1,7 @@
 module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 module Domain_pool = Hemlock_util.Domain_pool
+module Config = Hemlock_util.Config
 
 (* A datagram in flight.  [m_sent] is the cluster round it left the
    sender; [m_mature] is the first round it may be delivered —
@@ -57,8 +58,10 @@ let inbox = "net-inbox"
 
 let create ?profile ?seed ~machines () =
   if machines <= 0 then invalid_arg "Cluster.create: need at least one machine";
-  let profile = match profile with Some p -> p | None -> Net.profile_from_env () in
-  let seed = match seed with Some s -> s | None -> Net.seed_from_env () in
+  let profile =
+    match profile with Some p -> p | None -> Net.profile_of_string Config.env.net_profile
+  in
+  let seed = Option.value seed ~default:Net.default_seed in
   let boot _ =
     let k = Kernel.create () in
     Kernel.msgq_create k inbox ~capacity:4096;
@@ -217,25 +220,7 @@ let mailbox_stats t i =
         max horizon m.m_mature ))
     (0, 0, 0) pending
 
-let domains_from_env () =
-  match Sys.getenv_opt "HEMLOCK_DOMAINS" with
-  | None | Some "" -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
-
 (* ----- reliable per-datagram send ----- *)
-
-let retries_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_RETRIES") int_of_string_opt with
-  | Some n when n >= 0 -> n
-  | Some _ | None -> 4
-
-let timeout_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_TIMEOUT") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 4
 
 (* The retry window stops doubling here: with the default base of 4
    rounds and 4 retries the whole exchange resolves within ~60 rounds
@@ -246,10 +231,9 @@ let rec fetch_max a v =
   let cur = Atomic.get a in
   if v <= cur then () else if Atomic.compare_and_set a cur v then () else fetch_max a v
 
-let send_reliable t ~from ~dst ?retries ?timeout payload =
+let send_reliable t ~from ~dst ?(retries = 4) ?(timeout = 4) payload =
   check_dst t ~what:"send_reliable" ~from dst;
-  let retries = match retries with Some r -> max 0 r | None -> retries_from_env () in
-  let base = match timeout with Some w -> max 1 w | None -> timeout_from_env () in
+  let retries = max 0 retries and base = max 1 timeout in
   let payload = Bytes.copy payload in
   let xfer = t.xfers.(from) in
   t.xfers.(from) <- xfer + 1;
@@ -283,11 +267,7 @@ let send_reliable t ~from ~dst ?retries ?timeout payload =
 
 let run ?(max_rounds = 1_000_000) ?domains t =
   let machines = size t in
-  let requested =
-    match domains with
-    | Some d -> d
-    | None -> domains_from_env ()
-  in
+  let requested = Option.value domains ~default:Config.env.domains in
   if requested < 1 then invalid_arg "Cluster.run: need at least one domain";
   (* More domains than machines would just idle. *)
   let n = min requested machines in

@@ -35,8 +35,8 @@ val inbox : string
 
 (** [create ~machines ()] boots that many kernels, each with the inbox
     queue created.  [profile] defaults to [HEMLOCK_NET_PROFILE]
-    (default [ideal]) and [seed] to [HEMLOCK_NET_SEED] (default 1);
-    pass them explicitly to pin behaviour regardless of environment. *)
+    (default [ideal]) and [seed] to {!Net.default_seed}; pass the
+    profile explicitly to pin behaviour regardless of environment. *)
 val create : ?profile:Net.profile -> ?seed:int -> machines:int -> unit -> t
 
 val size : t -> int
@@ -66,10 +66,9 @@ val send : t -> from:int -> dst:int -> Bytes.t -> unit
 (** [send_reliable t ~from ~dst payload] sends one datagram and blocks
     the calling native process (which must run on machine [from]) until
     the receiver's drain acks it or the retry budget is exhausted.
-    Retransmits after [timeout] rounds (default [HEMLOCK_NET_TIMEOUT],
-    4), doubling the window each retry up to a cap, at most [retries]
-    times (default [HEMLOCK_NET_RETRIES], 4); each retransmit bills
-    simulated backoff cycles, never wall time.  At-least-once
+    Retransmits after [timeout] rounds (default 4), doubling the window
+    each retry up to a cap, at most [retries] times (default 4); each
+    retransmit bills simulated backoff cycles, never wall time.  At-least-once
     semantics: the receiver may see duplicates when an ack is lost.
     Returns [Error ETIMEDOUT] when the budget runs out — the errno ABI,
     not a wedged cluster. *)

@@ -16,15 +16,7 @@ let profile_of_string = function
   | "lossy" -> Lossy
   | s -> invalid_arg (Printf.sprintf "Net.profile_of_string: unknown profile %S" s)
 
-let profile_from_env () =
-  match Sys.getenv_opt "HEMLOCK_NET_PROFILE" with
-  | None | Some "" -> Ideal
-  | Some s -> profile_of_string (String.trim s)
-
-let seed_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_SEED") int_of_string_opt with
-  | Some n -> n
-  | None -> 1
+let default_seed = 1
 
 (* Loss and duplication are per-mille probabilities; latency is uniform
    in [lat_min, lat_max] rounds.  [Ideal] must stay draw-free so the

@@ -34,11 +34,8 @@ val profile_to_string : profile -> string
 (** @raise Invalid_argument on an unknown name. *)
 val profile_of_string : string -> profile
 
-(** [HEMLOCK_NET_PROFILE], default [Ideal]. *)
-val profile_from_env : unit -> profile
-
-(** [HEMLOCK_NET_SEED], default 1. *)
-val seed_from_env : unit -> int
+(** The seed {!Cluster.create} uses when given none: 1. *)
+val default_seed : int
 
 type t
 

@@ -120,13 +120,3 @@ let hit site =
           enabled := false;
           raise (Crash { site })))
   end
-
-(* Environment-driven arming, so whole binaries (the CI fault sweep, the
-   golden-transcript runs) can inject without code changes. *)
-let () =
-  match Sys.getenv_opt "HEMLOCK_FAULT_PLAN" with
-  | Some plan -> configure plan
-  | None -> (
-    match Option.bind (Sys.getenv_opt "HEMLOCK_FAULT_SEED") int_of_string_opt with
-    | Some seed -> configure_random seed
-    | None -> ())

@@ -13,10 +13,9 @@
     the fault layer compiles into production paths at zero simulated and
     near-zero host cost, and E1–E13 outputs are byte-identical.
 
-    Plans come from the environment ([HEMLOCK_FAULT_PLAN], or
-    [HEMLOCK_FAULT_SEED] for a PRNG-derived plan) or from
-    {!configure}/{!configure_random} in test harnesses.  Every firing is
-    counted in {!Stats.t.faults_injected}.
+    Plans come from {!configure}/{!configure_random}, called by test
+    harnesses and the crash sweep.  Every firing is counted in
+    {!Stats.t.faults_injected}.
 
     Canonical site names (the boundaries that inject; see DESIGN.md):
     [fs.create], [fs.create.mid], [fs.create.commit], [fs.write],

@@ -53,10 +53,10 @@ type t = {
   (* Copy-on-write observability.  [pages_copied]/[bytes_saved] measure
      how much copying COW actually performed vs avoided; [cow_faults]
      counts the kernel-internal protection faults that break mapping-level
-     sharing.  All three are excluded from [cycles]: COW is a semantic
-     optimization whose *billed* costs show up as the bytes_copied and
-     faults it no longer incurs, and the golden transcripts must stay
-     byte-identical with HEMLOCK_NO_COW on or off. *)
+     sharing.  All three are excluded from [cycles]: COW shows up in the
+     bill only as the fork and exec copies it moves from [bytes_copied]
+     into [bytes_saved], and the golden transcripts must stay
+     byte-identical with the [cow] switch on or off. *)
   mutable cow_faults : int;
   mutable pages_copied : int;
   mutable bytes_saved : int;
@@ -71,8 +71,8 @@ type t = {
      faults inside the kernel, like COW: user programs never observe
      them, [faults] never counts them, and they consume no fuel — so
      all five stay excluded from [cycles] and the golden transcripts
-     are byte-identical with HEMLOCK_NO_PAGER on or off and under any
-     HEMLOCK_RAM_PAGES.  [resident_pages] is a gauge (current pageable
+     are byte-identical with the [pager] switch on or off and under any
+     RAM budget.  [resident_pages] is a gauge (current pageable
      resident set), not a cumulative count. *)
   mutable major_faults : int;
   mutable minor_faults : int;

@@ -1,5 +1,6 @@
 module Interval_map = Hemlock_util.Interval_map
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 
 type fault_reason = Unmapped | Protection | Not_resident
 
@@ -59,10 +60,6 @@ type t = {
   uid : int;  (* identity for Vm_object attachment (eviction -> epoch) *)
 }
 
-(* Flipped off by setting HEMLOCK_NO_TLB, which keeps the slow path
-   testable and lets the determinism tests compare both. *)
-let caching_default = ref (Sys.getenv_opt "HEMLOCK_NO_TLB" = None)
-
 let next_uid = Atomic.make 0
 
 let fresh_tlb () =
@@ -76,13 +73,12 @@ let fresh_tlb () =
         te_seg = None;
       })
 
-let create ?caching () =
-  let caching = match caching with Some c -> c | None -> !caching_default in
+let create () =
   {
     table = Interval_map.empty;
     tlb = fresh_tlb ();
     epoch = 0;
-    caching;
+    caching = Config.current.tlb;
     uid = Atomic.fetch_and_add next_uid 1 + 1;
   }
 
@@ -433,7 +429,7 @@ let rebuild f table =
     table Interval_map.empty
 
 let clone t =
-  let cow = !Segment.cow_enabled in
+  let cow = Config.current.cow in
   let child =
     {
       table = Interval_map.empty;

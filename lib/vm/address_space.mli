@@ -44,17 +44,12 @@ type mapping = {
     boundaries. *)
 exception Cstring_unterminated of int
 
-(** Default for {!create}'s [?caching]: [true] unless the
-    [HEMLOCK_NO_TLB] environment variable is set.  The TLB and the
-    bulk-copy fast paths are observability-only — simulated costs are
-    identical either way; the switch exists so the slow path stays
-    testable. *)
-val caching_default : bool ref
-
-(** [create ()] makes an empty space.  [~caching:false] disables the
-    software TLB for this space (every access takes the interval-map
-    slow path). *)
-val create : ?caching:bool -> unit -> t
+(** [create ()] makes an empty space.  It has a software TLB when
+    {!Hemlock_util.Config.t.tlb} is on at creation, and its clones
+    inherit the choice; without one every access takes the interval-map
+    slow path.  The TLB and the bulk-copy fast paths are
+    observability-only: simulated costs are identical either way. *)
+val create : unit -> t
 
 (** Invalidation epoch: bumped by every [map]/[unmap]/[protect].
     Derived caches (e.g. the CPU's decoded-instruction cache) must be
@@ -150,7 +145,7 @@ val read_cstring : t -> int -> string
 (** [clone t] implements the memory half of fork: private mappings get
     fresh copied segments, public mappings alias the originals.
 
-    With [Segment.cow_enabled] (the default) the copies share pages by
+    With {!Hemlock_util.Config.t.cow} on the copies share pages by
     reference count, writable private mappings are flagged [cow] in
     {e both} spaces (effective protection loses write, and both TLBs are
     flushed via the epoch), and nothing is billed to [bytes_copied];

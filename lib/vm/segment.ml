@@ -1,5 +1,6 @@
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 
 (* --- Page-chunked, refcounted storage --------------------------------
 
@@ -43,10 +44,6 @@ type t = {
          zero-fill allocation, drop, replace) — never by in-place byte
          writes; see [page_gen]/[page_view] *)
 }
-
-(* HEMLOCK_NO_COW restores eager deep copies (and, with them, the
-   seed's exact billing of fork into [bytes_copied]) for A/B in CI. *)
-let cow_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_COW" = None)
 
 let next_id = Atomic.make 0
 
@@ -302,7 +299,7 @@ let contents t = blit_out t ~src_off:0 ~len:t.size
 
 let copy t =
   let id = Atomic.fetch_and_add next_id 1 + 1 in
-  if !cow_enabled then begin
+  if Config.current.cow then begin
     (* O(pages): bump each allocated page's refcount and share it.  The
        saving is what an eager copy would have moved.  The source's
        pages just went from owned to shared with unchanged identity, so

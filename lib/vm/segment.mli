@@ -13,14 +13,6 @@
 
 type t
 
-(** Copy-on-write kill switch: [false] (set the [HEMLOCK_NO_COW]
-    environment variable, or flip it directly) makes {!copy} an eager
-    deep copy, restoring pre-COW behaviour for A/B comparison.  The
-    simulated cost model is byte-identical either way; only the
-    [cow_faults]/[pages_copied]/[bytes_saved] observability counters
-    and host-side work differ. *)
-val cow_enabled : bool ref
-
 (** [create ~name ~max_size ()] makes an empty segment. *)
 val create : name:string -> max_size:int -> unit -> t
 
@@ -113,11 +105,13 @@ val replace : t -> Bytes.t -> unit
 val release : t -> unit
 
 (** [copy t] is a snapshot with identical contents and a fresh identity —
-    the private half of fork.  With {!cow_enabled} (the default) the
-    snapshot shares [t]'s pages by reference count and bills the skipped
-    copying to [Stats.bytes_saved]; writes through either segment then
-    copy single pages on demand (billed to [Stats.pages_copied]).  With
-    it off, an eager deep copy. *)
+    the private half of fork.  With {!Hemlock_util.Config.t.cow} on
+    (the default) the snapshot shares [t]'s pages by reference count and
+    bills the skipped copying to [Stats.bytes_saved]; writes through
+    either segment then copy single pages on demand (billed to
+    [Stats.pages_copied]).  With it off, an eager deep copy billed to
+    [Stats.bytes_copied], which [Stats.cycles] charges: COW lowers
+    [cycles] by exactly the copies it saves. *)
 val copy : t -> t
 
 (** Number of 4 KiB pages currently allocated (holes read as zeroes and

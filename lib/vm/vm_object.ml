@@ -1,4 +1,5 @@
 module Stats = Hemlock_util.Stats
+module Config = Hemlock_util.Config
 module Fault = Hemlock_util.Fault
 
 (* --- VmObjects: residency and backing identity ------------------------
@@ -38,22 +39,11 @@ type t = {
   mutable frames : int;  (* resident pageable pages of this object *)
 }
 
-(* HEMLOCK_NO_PAGER restores the seed's eager behaviour: every page of
-   every mapping is considered resident, nothing faults, nothing is
-   evicted.  The simulated cost model is byte-identical either way. *)
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_PAGER" = None)
-
 (* Simulated-RAM budget in pages ([None] = unbounded).  The clamp keeps
    the clock from thrashing the handful of pages a single instruction
    needs live (fetch page + up to two data pages + retry slack). *)
 let min_ram_pages = 8
-
-let ram_pages =
-  ref
-    (match Sys.getenv_opt "HEMLOCK_RAM_PAGES" with
-    | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> Some n | Some _ | None -> None)
-    | None -> None)
+let ram_pages = ref Config.env.ram_pages
 
 let budget () = Option.map (max min_ram_pages) !ram_pages
 
@@ -125,7 +115,7 @@ let reset () =
 let is_pinned t =
   match t.obj_kind with Pinned -> true | Anonymous | File_backed _ -> false
 
-let pageable t = !enabled && not (is_pinned t)
+let pageable t = Config.current.pager && not (is_pinned t)
 
 let resident t off =
   (not (pageable t))
@@ -182,7 +172,7 @@ let place_frame t i =
     let s = st () in
     if Array.length s.table <> n then begin
       (* budget changed since the last placement: start a fresh clock
-         (callers change HEMLOCK_RAM_PAGES only around [reset ()]) *)
+         (callers change [ram_pages] only around [reset ()]) *)
       s.table <- Array.make n None;
       s.used <- 0;
       s.hand <- 0

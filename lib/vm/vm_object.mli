@@ -13,8 +13,8 @@
     All pager work is kernel-internal, exactly like COW: pager faults
     are never delivered to user handlers, never billed to
     [Stats.faults], and consume no fuel — the golden transcripts are
-    byte-identical with the pager on, off ([HEMLOCK_NO_PAGER]), or
-    squeezed ([HEMLOCK_RAM_PAGES]). *)
+    byte-identical with the pager on, off ({!Hemlock_util.Config.t.pager}),
+    or squeezed ({!ram_pages}). *)
 
 type kind =
   | Anonymous  (** no backing identity: stacks, heaps, private images *)
@@ -28,13 +28,9 @@ type kind =
 
 type t
 
-(** Kill switch: [false] (set [HEMLOCK_NO_PAGER]) restores eager
-    whole-segment population — everything resident, nothing evicted. *)
-val enabled : bool ref
-
-(** Simulated RAM in pages ([None] = unbounded, the default; set
-    [HEMLOCK_RAM_PAGES]).  Values are clamped to {!min_ram_pages} when
-    consumed.  Change it only around {!reset}. *)
+(** Simulated RAM in pages ([None] = unbounded, the default;
+    [HEMLOCK_RAM_PAGES] sets it at startup).  Values are clamped to
+    {!min_ram_pages} when consumed.  Change it only around {!reset}. *)
 val ram_pages : int option ref
 
 (** Floor for {!ram_pages}: below this the clock would thrash the
@@ -47,11 +43,11 @@ val min_ram_pages : int
     mapper's eager expectations win over demand paging. *)
 val get_or_create : Segment.t -> kind -> t
 
-(** Whether the pager manages this object at all ([enabled] and not
+(** Whether the pager manages this object at all (the [pager] switch on and not
     pinned). *)
 val pageable : t -> bool
 
-(** Whether the object's kind is [Pinned] (independent of [enabled]) —
+(** Whether the object's kind is [Pinned] (independent of the switch) —
     the kind-inheritance test for fork's private copies. *)
 val is_pinned : t -> bool
 

@@ -11,6 +11,7 @@ module Lds = Hemlock_linker.Lds
 module Ldl = Hemlock_linker.Ldl
 module Search = Hemlock_linker.Search
 module Sharing = Hemlock_linker.Sharing
+module Config = Hemlock_util.Config
 
 (** A booted machine with the Hemlock linker and lock syscalls. *)
 let boot () =
@@ -44,6 +45,28 @@ let run_program k ?env path =
   let proc = Kernel.spawn_exec k ?env ~name:path path in
   Kernel.run k;
   (proc, Kernel.console k)
+
+(** The kernel's side of the pager and COW protocols, for direct
+    address-space tests: a Not_resident fault retries [f] after
+    [resolve_pager] materialises the page, a COW write-protection fault
+    after [resolve_cow]; anything else propagates. *)
+let rec resolving sp f =
+  let module As = Hemlock_vm.Address_space in
+  try f () with
+  | As.Fault { addr; access; reason = As.Not_resident } when As.resolve_pager sp addr access ->
+    resolving sp f
+  | As.Fault { addr; access = Hemlock_vm.Prot.Write; reason = As.Protection }
+    when As.resolve_cow sp addr ->
+    resolving sp f
+
+(** A public-module template with one counter. *)
+let counter_template = "int counter;\nint bump() { counter = counter + 1; return counter; }\n"
+
+(** Run a program and return its trimmed console with the counters it
+    moved. *)
+let exec_measured k prog =
+  let (_, console), d = Hemlock_util.Stats.measure (fun () -> run_program k prog) in
+  (String.trim console, d)
 
 (** Run a native body to completion; returns its result. *)
 let run_native k ?env ?cwd f =

@@ -27,4 +27,5 @@ let () =
       ("net", Test_net.suite);
       ("scenarios", Test_scenarios.suite);
       ("lisp", Test_lisp.suite);
+      ("oracle", Test_oracle.suite);
     ]

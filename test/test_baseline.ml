@@ -3,7 +3,6 @@ module Serializer = Hemlock_baseline.Serializer
 module Channels = Hemlock_baseline.Channels
 module Plt = Hemlock_baseline.Plt
 module Stats = Hemlock_util.Stats
-module Objfile = Hemlock_obj.Objfile
 
 (* ----- serializer ----- *)
 

@@ -2,7 +2,8 @@
     the fault/resolve/retry protocol, decode-cache isolation for
     self-modifying code after fork, the zero-copy exec master cache,
     and a schedule-randomized equivalence check against the eager
-    deep-copy oracle ([HEMLOCK_NO_COW] semantics). *)
+    deep-copy oracle (the [cow] switch of {!Hemlock_util.Config} off).
+    Kernel fork and exec against the oracle are test_oracle's. *)
 
 open Harness
 module Layout = Hemlock_vm.Layout
@@ -14,25 +15,10 @@ module Insn = Hemlock_isa.Insn
 module Reg = Hemlock_isa.Reg
 module Stats = Hemlock_util.Stats
 
-let with_cow enabled f =
-  let old = !Segment.cow_enabled in
-  Segment.cow_enabled := enabled;
-  Fun.protect ~finally:(fun () -> Segment.cow_enabled := old) f
+let with_cow cow = Config.with_ { Config.current with cow }
 
-(* The kernel's side of the COW protocol, inlined for direct
-   address-space tests: a write protection fault retries after
-   [resolve_cow] accepts it; anything else propagates. *)
-let rec store_u8_cow sp addr v =
-  try As.store_u8 sp addr v with
-  | As.Fault { addr = fa; access = Prot.Write; reason = As.Protection }
-    when As.resolve_cow sp fa ->
-    store_u8_cow sp addr v
-
-let rec store_u32_cow sp addr v =
-  try As.store_u32 sp addr v with
-  | As.Fault { addr = fa; access = Prot.Write; reason = As.Protection }
-    when As.resolve_cow sp fa ->
-    store_u32_cow sp addr v
+let store_u8_cow sp addr v = resolving sp (fun () -> As.store_u8 sp addr v)
+let store_u32_cow sp addr v = resolving sp (fun () -> As.store_u32 sp addr v)
 
 (* A space with one private RW data mapping at 0x1000 backed by a
    [pages]-page segment prefilled with the pattern [(off * 7) land 0xFF]. *)
@@ -180,111 +166,39 @@ let cow_self_modifying_after_fork () =
 
 (* ----- fork and exec through the kernel ----- *)
 
-(* Link [src] as a program on a fresh kernel under [cow], run it once to
-   warm the image master, and return the console and the counters of a
-   second run. *)
-let kernel_run ~cow src =
-  with_cow cow (fun () ->
-      let k, _ldl = boot () in
-      Fs.mkdir (Kernel.fs k) "/home/t";
-      install_c k "/home/t/main.o" src;
-      ignore (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
-      let run () =
-        let proc, console = run_program k "/home/t/prog" in
-        check_int "exit" 0 (exit_code proc);
-        console
-      in
-      ignore (run ());
-      Stats.measure run)
-
-(* COW may change copy traffic and the cycles it bills, nothing the
-   program can see. *)
-let check_same_program (out_cow, cow) (out_eager, eager) =
-  check_string "console" out_eager out_cow;
-  check_int "instructions" eager.Stats.instructions cow.Stats.instructions;
-  check_int "syscalls" eager.Stats.syscalls cow.Stats.syscalls;
-  check_int "faults" eager.Stats.faults cow.Stats.faults
-
-(* The parent dirties a 64-page heap, then forks and waits 8 times; each
-   child writes one heap page and exits.  Eager fork copies heap, image
-   and stack every time; COW copies the pages written. *)
-let fork_heavy_src =
-  {|
-int main() {
-  int *p;
-  int i;
-  int pid;
-  int kids;
-  p = sbrk(262144);
-  i = 0;
-  while (i < 65536) { p[i] = i; i = i + 1024; }
-  kids = 0;
-  while (kids < 8) {
-    pid = fork();
-    if (pid == 0) {
-      p[0] = kids + 1;
-      exit(0);
-    }
-    wait();
-    kids = kids + 1;
-  }
-  print_int(p[0]);
-  return 0;
-}
-|}
-
-let cow_fork_copies_what_is_written () =
-  let ((_, cow) as on) = kernel_run ~cow:true fork_heavy_src in
-  let ((_, eager) as off) = kernel_run ~cow:false fork_heavy_src in
-  check_string "parent's heap untouched by its children" "0" (fst on);
-  check_same_program on off;
-  check_bool "COW copies under a quarter of the eager traffic" true
-    (cow.Stats.pages_copied * Layout.page_size * 4 <= eager.Stats.bytes_copied);
-  check_bool "eager forks bill at least 5x the COW cycles" true
-    (Stats.cycles eager >= 5 * Stats.cycles cow)
-
 (* ----- zero-copy exec ----- *)
 
 (* An image several pages long (200 padding functions) that writes
    nothing but its stack. *)
-let multi_page_image_src =
-  String.concat ""
-    (List.init 200 (fun i -> Printf.sprintf "int f%d() { return %d; }\n" i i))
-  ^ "int main() { return f0() + f1() - 1; }\n"
 
 let cow_zero_copy_exec () =
-  let ((out, cow) as on) = kernel_run ~cow:true multi_page_image_src in
-  check_string "the image prints nothing" "" out;
-  check_same_program on (kernel_run ~cow:false multi_page_image_src);
+  let module O = Test_oracle in
+  let obs =
+    O.run_under (O.all_on ()) (fun log ->
+        ignore (O.program O.multi_page_image_src [ "warm"; "run" ] log))
+  in
+  let run = O.find obs "run" and cow = O.bill obs "run" in
+  check_int "exit" 0 run.code;
+  check_string "the image prints nothing" "" run.shown;
   let image_pages = cow.Stats.bytes_saved / Layout.page_size in
   check_bool "the image spans pages" true (image_pages > 1);
   check_bool "exec copies fewer pages than the image has" true
     (cow.Stats.pages_copied < image_pages);
-  with_cow true (fun () ->
-      let (k, _ldl) = boot () in
-      Fs.mkdir (Kernel.fs k) "/home/t";
-      install_c k "/home/t/main.o" "int main() { print_int(7); return 0; }";
-      ignore
-        (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private) ]
-           "prog");
-      let run () =
-        Kernel.console_clear k;
-        let proc = Kernel.spawn_exec k ~name:"prog" "/home/t/prog" in
-        Kernel.run k;
-        check_int "exit" 0 (exit_code proc);
-        check_string "output" "7" (Kernel.console k)
-      in
-      run ();
-      let copied0 = Stats.global.pages_copied
-      and saved0 = Stats.global.bytes_saved in
-      run ();
-      (* The second exec maps a COW copy of the cached image master:
-         pages_copied grows only by the pages the program itself writes
-         (none here), never by the image size. *)
-      check_bool "second exec copies almost nothing" true
-        (Stats.global.pages_copied - copied0 < 4);
-      check_bool "second exec shares the image" true
-        (Stats.global.bytes_saved - saved0 > 0))
+  let obs =
+    O.run_under (O.all_on ()) (fun log ->
+        ignore (O.program "int main() { print_int(7); return 0; }" [ "first"; "second" ] log))
+  in
+  List.iter
+    (fun (st : O.step) ->
+      check_int "exit" 0 st.code;
+      check_string "output" "7" st.shown)
+    obs;
+  (* The second exec maps a COW copy of the cached image master:
+     pages_copied grows only by the pages the program itself writes
+     (none here), never by the image size. *)
+  let second = O.bill obs "second" in
+  check_bool "second exec copies almost nothing" true (second.Stats.pages_copied < 4);
+  check_bool "second exec shares the image" true (second.Stats.bytes_saved > 0)
 
 (* ----- randomized schedules vs. the deep-copy oracle ----- *)
 
@@ -376,11 +290,9 @@ let suite =
   [
     test "cow: clone shares pages until first write" cow_clone_shares_until_write;
     test "cow: identical writes keep pages shared" cow_identical_write_keeps_sharing;
-    test "cow: HEMLOCK_NO_COW restores eager copies" cow_kill_switch_eager;
+    test "cow: the cow switch off restores eager copies" cow_kill_switch_eager;
     test "cow: genuine protection faults still deliver" cow_genuine_fault_not_swallowed;
     test "cow: self-modifying code after fork stays private" cow_self_modifying_after_fork;
     test "cow: exec reuses a pristine image master" cow_zero_copy_exec;
-    test "cow: fork copies the pages written, not the heap"
-      cow_fork_copies_what_is_written;
     prop_cow_matches_oracle;
   ]

@@ -12,7 +12,6 @@ module Segment = Hemlock_vm.Segment
 module Layout = Hemlock_vm.Layout
 module Janitor = Hemlock_runtime.Janitor
 module Modgen = Hemlock_apps.Modgen
-module Link_plan = Hemlock_linker.Link_plan
 module Stable_link = Hemlock_linker.Stable_link
 module M = Map.Make (String)
 
@@ -139,12 +138,6 @@ let prop_all_or_nothing =
 
 (* ----- graceful degradation ----------------------------------------------- *)
 
-let counter_template =
-  {|
-int counter;
-int bump() { counter = counter + 1; return counter; }
-|}
-
 (* Acceptance: an injected fault during link-plan replay degrades to the
    cold resolution path; the exec still succeeds. *)
 let plan_replay_fault_falls_back () =
@@ -161,7 +154,7 @@ let plan_replay_fault_falls_back () =
   Fault.configure "plan.replay@1=eio";
   let out = Fun.protect ~finally:Fault.clear run in
   check_string "faulted replay still executes correctly" want out;
-  if !Link_plan.enabled then
+  if Config.current.plans then
     check_bool "cold-path fallback counted" true
       (Stats.global.Stats.plan_fallbacks > before)
 

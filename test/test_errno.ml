@@ -1,8 +1,6 @@
 open Harness
 module Errno = Hemlock_os.Errno
 module Vfs = Hemlock_os.Vfs
-module As = Hemlock_vm.Address_space
-module Cpu = Hemlock_isa.Cpu
 module Layout = Hemlock_vm.Layout
 
 (* ----- errno table ----- *)
@@ -186,17 +184,6 @@ let fd_traffic_matches_oracle =
 
 (* ----- ISA-visible errnos: negative v0, process recovers ----- *)
 
-(* Same switch the benchmarks use: run with both memory fast paths on,
-   then with both off, to show errno delivery is cache-independent. *)
-let with_caches on f =
-  let tlb = !As.caching_default and dc = !Cpu.decode_cache_enabled in
-  As.caching_default := on;
-  Cpu.decode_cache_enabled := on;
-  Fun.protect ~finally:(fun () ->
-      As.caching_default := tlb;
-      Cpu.decode_cache_enabled := dc)
-    f
-
 let errno_program =
   {|
 char buf[4];
@@ -224,14 +211,10 @@ int main() {
 }
 |}
 
+(* test_oracle runs the same program against the oracle. *)
 let isa_errno_recovery () =
-  let run_once on =
-    with_caches on (fun () ->
-        run_c_program (boot ()) errno_program)
-  in
-  let expected = "ENOENT fd=3 w=2 r=2 hi again=-9" in
-  check_string "fast path" expected (run_once true);
-  check_string "no TLB / no dcache" expected (run_once false)
+  check_string "console" "ENOENT fd=3 w=2 r=2 hi again=-9"
+    (run_c_program (boot ()) errno_program)
 
 let suite =
   [

@@ -3,18 +3,11 @@
    garbage-collection story. *)
 
 open Harness
-module Modinst = Hemlock_linker.Modinst
 module Janitor = Hemlock_runtime.Janitor
 module Shm_heap = Hemlock_runtime.Shm_heap
 module Segment = Hemlock_vm.Segment
-module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 module Errno = Hemlock_os.Errno
-
-let counter_template = {|
-int counter;
-int bump() { counter = counter + 1; return counter; }
-|}
 
 (* ----- crash while holding the creation lock ----- *)
 

@@ -262,10 +262,7 @@ let cpu_syscall_callback () =
 
 (* ----- decoded-instruction cache ----- *)
 
-let with_dcache enabled f =
-  let old = !Cpu.decode_cache_enabled in
-  Cpu.decode_cache_enabled := enabled;
-  Fun.protect ~finally:(fun () -> Cpu.decode_cache_enabled := old) f
+let with_dcache dcache = Config.with_ { Config.current with dcache }
 
 (* Self-modifying code: execute an instruction (filling the decode
    cache), overwrite it with a store, loop back, and execute the new

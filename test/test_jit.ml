@@ -3,7 +3,6 @@ module Reg = Hemlock_isa.Reg
 module Insn = Hemlock_isa.Insn
 module Cpu = Hemlock_isa.Cpu
 module Trap = Hemlock_isa.Trap
-module Trace = Hemlock_isa.Trace
 module Disasm = Hemlock_isa.Disasm
 module As = Hemlock_vm.Address_space
 module Prot = Hemlock_vm.Prot
@@ -16,20 +15,10 @@ module Stats = Hemlock_util.Stats
    undecodable words and quantum boundaries landing mid-trace.  The
    tests here run the same program under the interpreter (JIT off) and
    under an aggressive JIT (threshold 1, so everything compiles) in
-   lockstep and compare everything observable. *)
+   lockstep and compare everything observable.  Kernel workloads under
+   the JIT run through test_oracle's harness. *)
 
-let with_jit ~threshold:th f =
-  let old_e = !Trace.enabled and old_t = !Trace.threshold in
-  (match th with
-  | Some t ->
-    Trace.enabled := true;
-    Trace.threshold := t
-  | None -> Trace.enabled := false);
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.enabled := old_e;
-      Trace.threshold := old_t)
-    f
+let with_jit ~threshold = Test_oracle.under ?threshold { Config.current with jit = threshold <> None }
 
 (* ----- ISA-level differential engine ----- *)
 
@@ -301,79 +290,6 @@ let counters_observe_jit () =
       check_int "no compiles when disabled" 0 Stats.global.Stats.jit_compiles;
       check_int "no hits when disabled" 0 Stats.global.Stats.jit_hits)
 
-(* ----- kernel-level: fork/COW and whole-machine equivalence ----- *)
-
-let fork_cow_source =
-  {|
-extern int bump();
-int main() {
-  int pid;
-  int i;
-  int acc;
-  acc = 0;
-  pid = fork();
-  i = 0;
-  while (i < 200) { acc = acc + bump(); i = i + 1; }
-  if (pid == 0) { print_int(acc); exit(0); }
-  wait();
-  print_int(acc);
-  return 0;
-}
-|}
-
-let run_fork_workload () =
-  let k, _ldl = boot () in
-  let fs = Kernel.fs k in
-  Fs.mkdir fs "/shared/lib";
-  install_c k "/shared/lib/counter.o"
-    "int counter; int bump() { counter = counter + 1; return counter; }";
-  Fs.mkdir fs "/home/t";
-  install_c k "/home/t/main.o" fork_cow_source;
-  ignore
-    (link k ~dir:"/home/t"
-       ~specs:
-         [
-           ("main.o", Sharing.Static_private);
-           ("/shared/lib/counter.o", Sharing.Dynamic_public);
-         ]
-       "prog");
-  Stats.reset ();
-  let proc, out = run_program k "/home/t/prog" in
-  check_int "exit" 0 (exit_code proc);
-  let s = Stats.snapshot () in
-  ( ( out,
-      s.Stats.instructions,
-      s.Stats.syscalls,
-      s.Stats.faults,
-      s.Stats.context_switches,
-      Stats.cycles s ),
-    s.Stats.jit_compiles )
-
-(* Fork + COW under the JIT: the child's first post-fork writes break
-   COW pages under compiled traces (the kernel resolves the write
-   fault, the store retries); lazy linking flips page protections
-   mid-run.  Console and the whole simulated cost model must not move,
-   context switches included — quantum expiry lands on the same
-   instruction either way.  At threshold 1 the compiler must really
-   run: traces exist before the lazy linker patches the jump slots and
-   before the fork breaks COW sharing. *)
-let kernel_fork_cow_identical () =
-  let base, _ = with_jit ~threshold:None run_fork_workload in
-  let jit1, compiles1 = with_jit ~threshold:(Some 1) run_fork_workload in
-  let jit50, _ = with_jit ~threshold:(Some 50) run_fork_workload in
-  check_bool "threshold=1 compiles traces" true (compiles1 > 0);
-  let check name (o_out, o_i, o_s, o_f, o_cs, o_cy) (j_out, j_i, j_s, j_f, j_cs, j_cy)
-      =
-    check_string (name ^ ": console") o_out j_out;
-    check_int (name ^ ": instructions") o_i j_i;
-    check_int (name ^ ": syscalls") o_s j_s;
-    check_int (name ^ ": faults") o_f j_f;
-    check_int (name ^ ": context switches") o_cs j_cs;
-    check_int (name ^ ": cycles") o_cy j_cy
-  in
-  check "threshold=1" base jit1;
-  check "threshold=50" base jit50
-
 (* ----- illegal instruction trap (satellite: trap pipeline routing) ----- *)
 
 let bad_word = 0xFC00_0000 (* opcode 63: undecodable *)
@@ -429,7 +345,13 @@ let suite =
       divergent_loop_terminates;
     test "jit: counters observe compiles and hits" counters_observe_jit;
     test "jit: fork/COW workload identical with JIT on and off"
-      kernel_fork_cow_identical;
+      (Test_oracle.fork_check
+         Test_oracle.
+           [
+             { oracle with cfg = { Config.oracle with jit = true }; threshold = 1 };
+             all_on ~threshold:1 ();
+             all_on ();
+           ]);
     test "trap: illegal instruction is a trap, not a host error" illegal_insn_traps;
     test "trap: illegal instruction kills the process, not the host"
       illegal_insn_kills_process_not_host;

@@ -3,13 +3,7 @@ module As = Hemlock_vm.Address_space
 module Prot = Hemlock_vm.Prot
 module Layout = Hemlock_vm.Layout
 module Modinst = Hemlock_linker.Modinst
-module Objfile = Hemlock_obj.Objfile
 module Stats = Hemlock_util.Stats
-
-let counter_template = {|
-int counter;
-int bump() { counter = counter + 1; return counter; }
-|}
 
 let bump_main = {|
 extern int bump();
@@ -117,11 +111,7 @@ let lazy_linking_with_tlb () =
      when earlier accesses populated the TLB.  The second call then
      runs entirely on warm translations taken after the protection
      flip. *)
-  let old = !As.caching_default in
-  As.caching_default := true;
-  Fun.protect
-    ~finally:(fun () -> As.caching_default := old)
-    (fun () ->
+  Config.with_ { Config.current with tlb = true } (fun () ->
       let k, ldl = boot () in
       ignore ldl;
       let fs = Kernel.fs k in

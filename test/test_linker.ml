@@ -1,6 +1,4 @@
 open Harness
-module Layout = Hemlock_vm.Layout
-module Segment = Hemlock_vm.Segment
 module Objfile = Hemlock_obj.Objfile
 module Aout = Hemlock_linker.Aout
 module Modinst = Hemlock_linker.Modinst
@@ -174,11 +172,6 @@ let reloc_jump_veneer () =
   | exception Reloc_engine.Link_error msg -> check_bool "pool" true (contains msg "pool")
 
 (* ----- lds ----- *)
-
-let counter_template = {|
-int counter;
-int bump() { counter = counter + 1; return counter; }
-|}
 
 let lds_basic_link () =
   let k, _ = boot () in

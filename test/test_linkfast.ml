@@ -8,7 +8,6 @@ module Codec = Hemlock_util.Codec
 module Segment = Hemlock_vm.Segment
 module Modgen = Hemlock_apps.Modgen
 module Modinst = Hemlock_linker.Modinst
-module Link_plan = Hemlock_linker.Link_plan
 
 (* ----- hashed lookup vs linear oracle ------------------------------------- *)
 
@@ -72,15 +71,6 @@ let index_versioning () =
 
 (* ----- link-plan memoization across execs --------------------------------- *)
 
-let exec_measured k prog =
-  let out = ref "" in
-  let (), d =
-    Stats.measure (fun () ->
-        let _, console = run_program k prog in
-        out := console)
-  in
-  (String.trim !out, d)
-
 let plan_cache_replay_and_invalidation () =
   let k, ldl = boot () in
   let fs = Kernel.fs k in
@@ -92,7 +82,7 @@ let plan_cache_replay_and_invalidation () =
   check_string "cold exec output" want out1;
   let out2, d2 = exec_measured k "/home/d/prog" in
   check_string "warm exec output" want out2;
-  if !Hemlock_linker.Link_plan.enabled then begin
+  if Config.current.plans then begin
     check_bool "first exec records, no hits" true (d1.Stats.plan_hits = 0);
     check_bool "second exec replays plans" true (d2.Stats.plan_hits > 0);
     (* Replay must leave the simulated cost model untouched. *)
@@ -117,7 +107,7 @@ int f0(int x) {
     ~modules:[ "mod1.o" ] ~search_path:[ "/home/lib" ];
   let out3, d3 = exec_measured k "/home/d/prog" in
   check_string "rewritten template visible" "999" out3;
-  if !Hemlock_linker.Link_plan.enabled then
+  if Config.current.plans then
     check_bool "stale plans rejected, not replayed" true (d3.Stats.plan_hits = 0)
 
 (* A rewrite that goes through the file's backing segment — the way a
@@ -160,20 +150,9 @@ int f0(int x) {
   check_int "mapped rewrite is invisible to the FS generation" gen0 (Fs.generation fs);
   let out3, d3 = exec_measured k "/home/d/prog" in
   check_string "exec after mapped rewrite sees the new data" "999" out3;
-  if !Link_plan.enabled then
-    check_bool "stale plans rejected, not replayed" true (d3.Stats.plan_hits = 0);
-  (* And the fallback agrees with the plan machinery switched off. *)
-  let saved = !Link_plan.enabled in
-  Link_plan.enabled := false;
-  let out4, d4 =
-    Fun.protect
-      ~finally:(fun () -> Link_plan.enabled := saved)
-      (fun () -> exec_measured k "/home/d/prog")
-  in
-  check_string "cold path agrees" out3 out4;
-  check_int "same faults" d4.Stats.faults d3.Stats.faults;
-  check_int "same symbols resolved" d4.Stats.symbols_resolved d3.Stats.symbols_resolved;
-  check_int "same modules linked" d4.Stats.modules_linked d3.Stats.modules_linked
+  (* test_oracle runs mapped rewrites against the plans-off oracle. *)
+  if Config.current.plans then
+    check_bool "stale plans rejected, not replayed" true (d3.Stats.plan_hits = 0)
 
 (* Lazy-link fault order is execution-dependent, and the plan key's
    program identity cannot see what drives it (here: a byte of public
@@ -262,241 +241,22 @@ int main() {
   set_flag 0;
   let out3, d3 = exec_measured k "/home/t/prog" in
   check_string "original order again" "83" out3;
-  if !Link_plan.enabled then
+  if Config.current.plans then
     check_bool "matching fault order replays plans" true (d3.Stats.plan_hits > 0)
 
 (* ----- scope index vs the linear walk --------------------------------------- *)
 
-(* Generated scope graphs.  Data modules are hand-built objects, as
-   [gen_symtab] builds them, over a four-name alphabet: one list often
-   holds several exporters of a name, and one object a Local before a
-   Global of the same name.  Code modules read data names and call their
-   code children; their own lists mix data modules, code children and
-   absent names, nest two deep, and search either the main library, a
-   directory of shadowing copies first, or only their parents' dirs.  A
-   public data module is created mid-walk, moving the FS generation. *)
-
-let data_names = [ "s0"; "s1"; "s2"; "s3" ]
-
-type entry = Data of int | Absent of int | Code of node
-
-and node = { reads : string list; entries : entry list; search : int }
-
-type data_mod = {
-  slots : (string * Objfile.binding) list;
-  public : bool;
-  shadowed : bool;  (* a copy with other values in /home/lib2 *)
-}
-
-type graph = { datas : data_mod list; root : node }
-
-let n_data = 5
-
-let gen_graph =
-  QCheck2.Gen.(
-    let gen_data =
-      map3
-        (fun slots public shadowed -> { slots; public; shadowed })
-        (list_size (int_range 1 4)
-           (pair (oneofl data_names) (oneofl [ Objfile.Local; Objfile.Global ])))
-        (frequencyl [ (4, false); (1, true) ])
-        (frequencyl [ (3, false); (1, true) ])
-    in
-    let rec gen_node depth =
-      let entry =
-        frequency
-          ([
-             (4, map (fun i -> Data i) (int_bound (n_data - 1)));
-             (1, map (fun i -> Absent i) (int_bound 1));
-           ]
-          @ if depth = 0 then [] else [ (2, map (fun n -> Code n) (gen_node (depth - 1))) ])
-      in
-      map3
-        (fun reads entries search -> { reads; entries; search })
-        (list_size (int_range 1 3) (oneofl data_names))
-        (list_size (int_range 1 4) entry)
-        (int_bound 2)
-    in
-    map2 (fun datas root -> { datas; root }) (list_repeat n_data gen_data) (gen_node 2))
-
-let print_graph g =
-  let binding = function Objfile.Local -> "L" | Objfile.Global -> "G" in
-  let rec node n =
-    Printf.sprintf "{reads=%s; search=%d; list=[%s]}" (String.concat "," n.reads) n.search
-      (String.concat "; "
-         (List.map
-            (function
-              | Data i -> Printf.sprintf "d%d" i
-              | Absent i -> Printf.sprintf "gone%d" i
-              | Code c -> node c)
-            n.entries))
-  in
-  String.concat "\n"
-    (List.mapi
-       (fun i d ->
-         Printf.sprintf "d%d%s%s: %s" i
-           (if d.public then " public" else "")
-           (if d.shadowed then " shadowed" else "")
-           (String.concat " "
-              (List.map (fun (n, b) -> n ^ ":" ^ binding b) d.slots)))
-       g.datas
-    @ [ "root " ^ node g.root ])
-
-(* Every slot holds a distinct value, so the console shows which module,
-   slot and copy each read was bound to. *)
-let data_obj ~name ~value slots =
-  let data = Bytes.create (4 * List.length slots) in
-  List.iteri (fun j _ -> Codec.set_u32 data (4 * j) (value j)) slots;
-  {
-    (Objfile.empty ~name) with
-    Objfile.text = Bytes.of_string "TEXT";
-    data;
-    symbols =
-      List.mapi
-        (fun j (sym_name, sym_binding) ->
-          { Objfile.sym_name; sym_section = Objfile.Data; sym_offset = 4 * j; sym_binding })
-        slots;
-  }
-
-let entry_name ids = function
-  | Data i -> Printf.sprintf "d%d.o" i
-  | Absent i -> Printf.sprintf "gone%d.o" i
-  | Code c -> Printf.sprintf "c%d.o" (List.assq c ids)
-
-let install_graph k g =
-  let fs = Kernel.fs k in
-  List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/lib2"; "/home/t" ];
-  if not (Fs.exists fs "/shared/lib") then Fs.mkdir fs "/shared/lib";
-  List.iteri
-    (fun i d ->
-      let name = Printf.sprintf "d%d.o" i in
-      let dir = if d.public then "/shared/lib" else "/home/lib" in
-      write_obj k (dir ^ "/" ^ name)
-        (data_obj ~name ~value:(fun j -> (1000 * (i + 1)) + (10 * j)) d.slots);
-      if d.shadowed then
-        write_obj k ("/home/lib2/" ^ name)
-          (data_obj ~name ~value:(fun j -> (1000 * (i + 1)) + (10 * j) + 5) d.slots))
-    g.datas;
-  write_obj k "/home/lib/all.o"
-    (data_obj ~name:"all.o" ~value:(fun j -> 9000 + j)
-       (List.map (fun n -> (n, Objfile.Global)) data_names));
-  (* Code modules are numbered in preorder. *)
-  let ids = ref [] in
-  let rec number n =
-    List.iter
-      (function
-        | Code c ->
-          ids := (c, List.length !ids) :: !ids;
-          number c
-        | Data _ | Absent _ -> ())
-      n.entries
-  in
-  number g.root;
-  let ids = !ids in
-  let body n =
-    let children =
-      List.filter_map (function Code c -> Some (List.assq c ids) | Data _ | Absent _ -> None)
-        n.entries
-    in
-    let reads = List.sort_uniq compare n.reads in
-    ( String.concat ""
-        (List.map (Printf.sprintf "extern int %s;\n") reads
-        @ List.map (Printf.sprintf "extern int f%d();\n") children),
-      reads @ List.map (Printf.sprintf "f%d()") children )
-  in
-  List.iter
-    (fun (c, id) ->
-      let name = Printf.sprintf "c%d.o" id in
-      let externs, terms = body c in
-      let src =
-        Printf.sprintf "%sint f%d() {\n  return %s;\n}\n" externs id (String.concat " + " terms)
-      in
-      write_obj k ("/home/lib/" ^ name)
-        {
-          (Cc.to_object ~name src) with
-          Objfile.own_modules = List.map (entry_name ids) c.entries;
-          own_search_path =
-            (match c.search with
-            | 0 -> [ "/home/lib" ]
-            | 1 -> [ "/home/lib2"; "/home/lib" ]
-            | _ -> []);
-        })
-    ids;
-  let externs, terms = body g.root in
-  install_c k "/home/t/main.o"
-    (Printf.sprintf "%sint main() {\n%s  return 0;\n}\n" externs
-       (String.concat "" (List.map (Printf.sprintf "  print_int(%s);\n") terms)));
-  let dynamic e =
-    let cls =
-      match e with
-      | Data i when (List.nth g.datas i).public -> Sharing.Dynamic_public
-      | Data _ | Absent _ | Code _ -> Sharing.Dynamic_private
-    in
-    (entry_name ids e, cls)
-  in
-  ignore
-    (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
-       ~specs:
-         ((("main.o", Sharing.Static_private) :: List.map dynamic g.root.entries)
-         @ [ ("all.o", Sharing.Dynamic_private) ])
-       "prog")
-
 (* The linear walk with plans and the locate memo off is the reference;
    [indexed] turns all three on, whatever the environment says. *)
-let with_link_path ~indexed f =
-  let sh = !Objfile.sym_hash_enabled
-  and sc = !Search.cache_enabled
-  and pc = !Link_plan.enabled in
-  Objfile.sym_hash_enabled := indexed;
-  Search.cache_enabled := indexed;
-  Link_plan.enabled := indexed;
-  Fun.protect
-    ~finally:(fun () ->
-      Objfile.sym_hash_enabled := sh;
-      Search.cache_enabled := sc;
-      Link_plan.enabled := pc)
-    f
-
-(* What a run shows of its links: console, exit code, instance keys and
-   bases in load order, and its bill (instructions, faults, syscalls,
-   bytes copied, modules linked, symbols resolved, cycles), for a cold
-   exec and a second exec (which replays plans when they are on); then
-   the warnings. *)
-let observe k ldl prog =
-  let exec () =
-    let (proc, console), d = Stats.measure (fun () -> run_program k prog) in
-    let code = match proc.Proc.state with Proc.Zombie c -> c | _ -> -1 in
-    ( console,
-      code,
-      List.map (fun i -> (i.Modinst.inst_key, i.Modinst.inst_base)) (Ldl.instances ldl proc),
-      [
-        d.Stats.instructions;
-        d.Stats.faults;
-        d.Stats.syscalls;
-        d.Stats.bytes_copied;
-        d.Stats.modules_linked;
-        d.Stats.symbols_resolved;
-        Stats.cycles d;
-      ] )
-  in
-  let first = exec () in
-  let second = exec () in
-  (first, second, Ldl.warnings ldl)
-
-let run_graph ~indexed g =
-  with_link_path ~indexed (fun () ->
-      let k, ldl = boot () in
-      install_graph k g;
-      observe k ldl "/home/t/prog")
-
-let prop_index_is_the_linear_walk =
-  prop "scope index: generated scope graphs link as the linear walk does" ~count:150
-    ~print:print_graph gen_graph (fun g ->
-      run_graph ~indexed:false g = run_graph ~indexed:true g)
+let with_link_path ~indexed =
+  Config.with_ { Config.current with symhash = indexed; plans = indexed }
 
 (* The 96-module deep chain: the driver names every module, so each of
-   its ~2N references resolves through the root scope's full list. *)
+   its ~2N references resolves through the root scope's full list.  A
+   cold and a second exec (which replays plans when they are on) link
+   and bill as the linear walk's, down to the warnings. *)
 let deep_chain_links_as_the_linear_walk () =
+  let module O = Test_oracle in
   let modules = 96 in
   let run ~indexed =
     with_link_path ~indexed (fun () ->
@@ -505,16 +265,22 @@ let deep_chain_links_as_the_linear_walk () =
         ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
         Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib" ~out:"/home/t/prog"
           ~used:(modules - 1);
-        observe k ldl "/home/t/prog")
+        let first = O.exec k ldl "first" "/home/t/prog" in
+        let second = O.exec k ldl "second" "/home/t/prog" in
+        [ first; second; O.note "warnings" (String.concat "\n" (Ldl.warnings ldl)) ])
   in
-  let ((first, second, _) as indexed) = run ~indexed:true in
+  let indexed = run ~indexed:true in
   let want = string_of_int (Modgen.expected ~modules ~used:(modules - 1)) in
   List.iter
-    (fun (exec, (console, code, _, _)) ->
-      check_string (exec ^ " exec console") want (String.trim console);
-      check_int (exec ^ " exec exit") 0 code)
-    [ ("first", first); ("second", second) ];
-  check_bool "links and bills as the linear walk" true (indexed = run ~indexed:false)
+    (fun (st : O.step) ->
+      if st.bill <> None then begin
+        check_string (st.label ^ " exec console") want (String.trim st.shown);
+        check_int (st.label ^ " exec exit") 0 st.code
+      end)
+    indexed;
+  let s = O.all_on () in
+  Alcotest.(check (list string)) "links and bills as the linear walk" []
+    (O.differences (s, run ~indexed:false) (s, indexed))
 
 (* A parent scope indexed before a shadowing template appears in the same
    process: the child's later link pass must find the new copy, as a
@@ -719,7 +485,6 @@ let suite =
     test "search cache: epoch-coherent with the FS" search_cache_sees_new_files;
     test "search cache: directory lists do not alias" search_dirs_do_not_alias;
     test "search cache: one memo per domain" locate_memo_per_domain;
-    prop_index_is_the_linear_walk;
     test "scope index: the 96-module deep chain links as the linear walk does"
       deep_chain_links_as_the_linear_walk;
     test "scope index: a shadow seen through an indexed parent scope"

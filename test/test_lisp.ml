@@ -4,7 +4,6 @@
 
 open Harness
 module Lisp = Hemlock_lisp.Lisp
-module Objfile = Hemlock_obj.Objfile
 
 let install_lisp k path src = write_obj k path (Lisp.to_object ~name:(Filename.basename path) src)
 

@@ -1,5 +1,4 @@
 open Harness
-module As = Hemlock_vm.Address_space
 module Prot = Hemlock_vm.Prot
 module Layout = Hemlock_vm.Layout
 module Stats = Hemlock_util.Stats

@@ -3,7 +3,8 @@
     eviction, journalled writeback of dirty file-backed pages with
     crash-consistent recovery, and a schedule-randomized lockstep
     equivalence check of the squeezed pager against the eager
-    always-resident oracle ([HEMLOCK_NO_PAGER] semantics). *)
+    always-resident oracle (the [pager] switch of {!Hemlock_util.Config}
+    off).  Kernel workloads under a squeezed pager are test_oracle's. *)
 
 open Harness
 module Layout = Hemlock_vm.Layout
@@ -14,34 +15,10 @@ module Vm_object = Hemlock_vm.Vm_object
 module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 
-(* Run [f] under an explicit pager configuration, restoring the
-   session's configuration (and wiping registry/clock state both ways)
-   afterwards.  Every test builds its segments inside the wrapper so no
-   stale registry entry survives into the next test. *)
-let with_pager ?ram enabled f =
-  let old_enabled = !Vm_object.enabled and old_ram = !Vm_object.ram_pages in
-  Vm_object.enabled := enabled;
-  Vm_object.ram_pages := ram (* [~ram:n] bounds RAM; omitted = unbounded *);
-  Vm_object.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Vm_object.enabled := old_enabled;
-      Vm_object.ram_pages := old_ram;
-      Vm_object.reset ())
-    f
-
-(* The kernel's side of the pager (and COW) protocol, inlined for
-   direct address-space tests: a Not_resident fault retries after
-   [resolve_pager] materialises, a COW write-protection fault retries
-   after [resolve_cow]; anything else propagates. *)
-let rec resolving sp f =
-  try f () with
-  | As.Fault { addr = fa; access; reason = As.Not_resident }
-    when As.resolve_pager sp fa access ->
-    resolving sp f
-  | As.Fault { addr = fa; access = Prot.Write; reason = As.Protection }
-    when As.resolve_cow sp fa ->
-    resolving sp f
+(* Run [f] with the pager on or off and RAM bounded by [~ram] pages.
+   Every test builds its segments inside, so no stale registry entry
+   survives into the next test. *)
+let with_pager ?ram pager = Test_oracle.under ?ram { Config.current with pager }
 
 let store_u8 sp addr v = resolving sp (fun () -> As.store_u8 sp addr v)
 let load_u8 sp addr = resolving sp (fun () -> As.load_u8 sp addr)
@@ -290,116 +267,6 @@ let eviction_crash_recovers () =
       let b = Fs.read_file fs "/shared/crashy" in
       check_int "durable byte" 0x40 (Char.code (Bytes.get b 0)))
 
-(* ----- kernel-level identity: console and billed costs ----- *)
-
-(* Eight 1 MB /shared files (2048 pages), mapped by a native process,
-   registered in a B-tree address index and swept three times: every
-   page translated through the index, read and written.  Returns the
-   counters of the sweep. *)
-let shared_sweep ?ram enabled =
-  let module Addr_index = Hemlock_sfs.Addr_index in
-  let files = 8 and file_bytes = Layout.shared_slot_size in
-  with_pager ?ram enabled (fun () ->
-      let k, _ldl = boot () in
-      let fs = Kernel.fs k in
-      Fs.mkdir fs "/shared/ws";
-      let path i = Printf.sprintf "/shared/ws/f%d" i in
-      for i = 0 to files - 1 do
-        Fs.create_file fs (path i);
-        (* every page has content, so first touches read it in *)
-        Fs.write_file fs (path i) (Bytes.make file_bytes (Char.chr (65 + i)))
-      done;
-      snd
-        (Stats.measure (fun () ->
-             run_native k (fun k proc ->
-                 let idx = Addr_index.create Addr_index.Btree_index in
-                 let bases =
-                   Array.init files (fun i ->
-                       let base =
-                         Kernel.map_shared_file k proc ~path:(path i) ~prot:Prot.Read_write
-                       in
-                       Addr_index.register idx ~base ~bytes:file_bytes (path i);
-                       base)
-                 in
-                 for round = 1 to 3 do
-                   Array.iteri
-                     (fun f base ->
-                       for pg = 0 to (file_bytes / Layout.page_size) - 1 do
-                         let addr = base + (pg * Layout.page_size) in
-                         if Addr_index.translate idx addr = None then
-                           Alcotest.fail "index lost a mapping";
-                         ignore (Kernel.load_u32 k proc addr);
-                         Kernel.store_u32 k proc addr (round + f + pg)
-                       done)
-                     bases
-                 done))))
-
-let kernel_costs_identical_under_squeeze () =
-  let src =
-    {|
-int main() {
-  int *p;
-  int i;
-  int sum;
-  p = sbrk(98304);             // a 24-page heap: 3x the squeezed budget
-  i = 0;
-  while (i < 24576) { p[i] = i; i = i + 97; }
-  sum = 0;
-  i = 0;
-  while (i < 24576) { sum = sum + p[i]; i = i + 97; }
-  print_int(sum);
-  return 0;
-}|}
-  in
-  let run ?ram enabled =
-    with_pager ?ram enabled (fun () ->
-        let km = boot () in
-        let console = ref "" in
-        let (), d =
-          Stats.measure (fun () -> console := run_c_program km src)
-        in
-        (!console, d.Stats.instructions, d.Stats.syscalls, d.Stats.faults,
-         Stats.cycles d))
-  in
-  let cb, ib, yb, fb, xb = run false in
-  let cu, iu, yu, fu, xu = run true in
-  let cs, is_, ys, fs_, xs = run ~ram:8 true in
-  check_string "console identical (unbounded)" cb cu;
-  check_string "console identical (squeezed)" cb cs;
-  check_int "instructions identical (unbounded)" ib iu;
-  check_int "instructions identical (squeezed)" ib is_;
-  check_int "syscalls identical (unbounded)" yb yu;
-  check_int "syscalls identical (squeezed)" yb ys;
-  check_int "delivered faults identical (unbounded)" fb fu;
-  check_int "delivered faults identical (squeezed)" fb fs_;
-  check_int "cycles identical (unbounded)" xb xu;
-  check_int "cycles identical (squeezed)" xb xs;
-  (* The /shared sweep, from unbounded RAM down to 1/64 of its pages. *)
-  let billed d =
-    [
-      ("instructions", d.Stats.instructions);
-      ("syscalls", d.Stats.syscalls);
-      ("faults", d.Stats.faults);
-      ("cycles", Stats.cycles d);
-    ]
-  in
-  let off = billed (shared_sweep false) in
-  let check_sweep name d =
-    List.iter2
-      (fun (what, a) (_, b) -> check_int (Printf.sprintf "sweep %s: %s identical" name what) a b)
-      off (billed d)
-  in
-  check_sweep "unbounded" (shared_sweep true);
-  List.iter
-    (fun ram ->
-      let d = shared_sweep ~ram true in
-      check_sweep (Printf.sprintf "at %d pages" ram) d;
-      if ram = 32 then begin
-        check_bool "32 pages evict" true (d.Stats.pages_evicted > 0);
-        check_bool "dirty file pages are written back" true (d.Stats.pages_written_back > 0)
-      end)
-    [ 1024; 512; 256; 128; 64; 32 ]
-
 (* ----- lockstep differential: squeezed pager vs eager oracle ----- *)
 
 (* Interpret a random schedule of writes, reads, clones and unmaps over
@@ -515,15 +382,13 @@ let suite =
     test "demand: first touch materialises, resident hits do not" demand_materialise;
     test "demand: default Pinned kind never pager-faults" pinned_default_never_faults;
     test "demand: raw mapping promotes a pageable object to pinned" pin_promotion;
-    test "demand: HEMLOCK_NO_PAGER restores eager residency" kill_switch_is_eager;
+    test "demand: the pager switch off restores eager residency" kill_switch_is_eager;
     test "evict: bounded RAM preserves contents across the clock" eviction_preserves_contents;
     test "evict: eviction re-faults through the slow path" eviction_invalidates_tlb;
     test "writeback: dirty file pages drain through the journal" writeback_goes_through_journal;
     test "writeback: clean evictions never touch the journal" clean_evictions_skip_writeback;
     test "writeback: injected failure aborts one eviction cleanly" injected_failure_aborts_one_eviction;
     test "writeback: crash at the barrier is fsck-recoverable" eviction_crash_recovers;
-    test "kernel: console and billed costs identical under squeeze"
-      kernel_costs_identical_under_squeeze;
     prop "lockstep: pager on (tiny RAM) matches eager oracle" ~count:120
       lockstep_gen lockstep_prop;
     prop "crash sweep: pageout crashes recover idempotently" ~count:60 crash_gen

@@ -1,7 +1,6 @@
 (* Scenario tests: end-to-end behaviours the paper describes in prose. *)
 
 open Harness
-module Modinst = Hemlock_linker.Modinst
 module Layout = Hemlock_vm.Layout
 module Stats = Hemlock_util.Stats
 module Shm_heap = Hemlock_runtime.Shm_heap
@@ -303,72 +302,6 @@ let many_conflicting_subsystems () =
   let _, out = run_program k "/home/t/prog" in
   check_string "six subsystems, six helpers, zero collisions" "101 202 303 404 505 606 " out
 
-(* The memory-system fast path (software TLB + decoded-insn cache) is
-   observability-only: a lazy-linking + fork workload — the paper's
-   core mechanics — must produce byte-identical console output and an
-   identical simulated cost model with the caches on and off. *)
-let caches_do_not_change_simulation () =
-  let module Cpu = Hemlock_isa.Cpu in
-  let module As = Hemlock_vm.Address_space in
-  let module Trace = Hemlock_isa.Trace in
-  let profile enabled =
-    let old_tlb = !As.caching_default and old_dc = !Cpu.decode_cache_enabled in
-    (* Pin the trace JIT off: this test measures the interpreter's TLB +
-       decode-cache fast path, which a compiled trace bypasses entirely
-       (test_jit covers JIT-on/off equivalence). *)
-    let old_jit = !Trace.enabled in
-    As.caching_default := enabled;
-    Cpu.decode_cache_enabled := enabled;
-    Trace.enabled := false;
-    Fun.protect
-      ~finally:(fun () ->
-        As.caching_default := old_tlb;
-        Cpu.decode_cache_enabled := old_dc;
-        Trace.enabled := old_jit)
-      (fun () ->
-        let k, _ldl = boot () in
-        let fs = Kernel.fs k in
-        Fs.mkdir fs "/shared/lib";
-        install_c k "/shared/lib/counter.o"
-          "int counter; int bump() { counter = counter + 1; return counter; }";
-        Fs.mkdir fs "/home/t";
-        install_c k "/home/t/main.o"
-          {|
-extern int bump();
-int main() {
-  int pid;
-  pid = fork();
-  if (pid == 0) { print_int(bump()); exit(0); }
-  wait();
-  print_int(bump());
-  return 0;
-}
-|};
-        ignore
-          (link k ~dir:"/home/t"
-             ~specs:
-               [
-                 ("main.o", Sharing.Static_private);
-                 ("/shared/lib/counter.o", Sharing.Dynamic_public);
-               ]
-             "prog");
-        Stats.reset ();
-        let before = Stats.snapshot () in
-        let _, out1 = run_program k "/home/t/prog" in
-        let _, out2 = run_program k "/home/t/prog" in
-        (Stats.diff ~before ~after:(Stats.snapshot ()), out1 ^ "|" ^ out2))
-  in
-  let d_on, out_on = profile true in
-  let d_off, out_off = profile false in
-  check_string "console identical" out_off out_on;
-  check_int "instructions identical" d_off.Stats.instructions d_on.Stats.instructions;
-  check_int "faults identical" d_off.Stats.faults d_on.Stats.faults;
-  check_int "syscalls identical" d_off.Stats.syscalls d_on.Stats.syscalls;
-  check_int "simulated cycles identical" (Stats.cycles d_off) (Stats.cycles d_on);
-  check_bool "fast path exercised" true (d_on.Stats.tlb_hits > 0 && d_on.Stats.decode_hits > 0);
-  check_bool "slow path records no cache hits" true
-    (d_off.Stats.tlb_hits = 0 && d_off.Stats.decode_hits = 0)
-
 let suite =
   [
     test "scenario: LD_LIBRARY_PATH redirects module versions" ld_library_path_redirects;
@@ -381,5 +314,7 @@ let suite =
     test "scenario: static search precedence (s3 order)" static_search_precedence;
     test "scenario: Hem-C program walks the rwho shared database" isa_program_reads_rwho_db;
     test "scenario: N same-named subsystems stay isolated" many_conflicting_subsystems;
-    test "scenario: caches leave the simulation unchanged" caches_do_not_change_simulation;
+    test "scenario: caches leave the simulation unchanged"
+      (Test_oracle.fork_check
+         Test_oracle.[ { oracle with cfg = { Config.oracle with tlb = true; dcache = true } } ]);
   ]

@@ -11,7 +11,6 @@ module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 module Segment = Hemlock_vm.Segment
 module Modgen = Hemlock_apps.Modgen
-module Link_plan = Hemlock_linker.Link_plan
 module Stable_link = Hemlock_linker.Stable_link
 module Janitor = Hemlock_runtime.Janitor
 module Codec = Hemlock_util.Codec
@@ -31,15 +30,6 @@ let build_chain ~deep (_k, ldl) ~modules =
   string_of_int (Modgen.expected ~modules ~used:(modules - 1))
 
 let build_deep_chain = build_chain ~deep:true
-
-let exec_measured k prog =
-  let out = ref "" in
-  let (), d =
-    Stats.measure (fun () ->
-        let _, console = run_program k prog in
-        out := console)
-  in
-  (String.trim !out, d)
 
 (* The files under /shared/.stable whose names start with [prefix]. *)
 let stable_paths fs prefix =
@@ -100,7 +90,7 @@ let boot_equivalence modules =
   let out_cold, d_cold, _ = first_exec false in
   out_stable = out_cold
   && billed d_stable = billed d_cold
-  && ((not !Link_plan.enabled)
+  && ((not Config.current.plans)
      || (sync.Ldl.sync_plans > 0
         && sync.Ldl.sync_objs > 0
         && d_stable.Stats.plan_hits = sync.Ldl.sync_plans
@@ -152,7 +142,7 @@ int f%d(int x) {
   in
   let out, d = exec_measured k "/home/d/prog" in
   check_string "rewritten module visible on the stable boot" want' out;
-  if !Link_plan.enabled then
+  if Config.current.plans then
     check_int "stale stable plans are not replayed" 0 d.Stats.plan_hits
 
 (* A module that shadows a bound one must win as soon as it appears,
@@ -237,7 +227,7 @@ let mapped_rewrite_rejects_and_reaps () =
   let out0, _ = exec_measured k "/home/d/prog" in
   check_string "seed exec" want out0;
   let report = Ldl.stable_sync ldl in
-  if !Link_plan.enabled then
+  if Config.current.plans then
     check_bool "plans persisted" true (report.Ldl.sync_plans > 0);
   let stable_files () =
     match Fs.readdir fs Stable_link.dir with
@@ -273,7 +263,7 @@ int f1(int x) {
     (out <> want && out <> "");
   (* f0(3) with d1 = 500: (103 + 102 + 103) + 500 + 102, then + 100 + 500 *)
   check_string "the new data is the rewritten datum's" "1510" out;
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     check_bool "mismatched stable files rejected" true (d.Stats.stable_rejects > 0);
     check_bool "rejected files reaped" true (stable_files () < persisted)
   end;
@@ -314,7 +304,7 @@ let failed_replay_drops_the_plan () =
   let out2, d2 = exec_measured k "/home/d/prog" in
   check_string "exec after the injected fault" want out1;
   check_string "exec after the fallback" want out2;
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     check_int "one fallback" 1 (d1.Stats.plan_fallbacks + d2.Stats.plan_fallbacks);
     check_int "each read-back plan is one stable load" persisted
       (d1.Stats.stable_loads + d2.Stats.stable_loads)
@@ -329,7 +319,7 @@ let failed_replay_drops_the_plan () =
         d.Stats.plan_misses)
       [ 1; 2; 3 ]
   in
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     check_bool "the failed plan's file reaped" true
       (List.length (stable_paths fs "plan-") < persisted);
     check_int "third exec after the rewrite misses no plan" 0 (List.nth misses 2)
@@ -359,7 +349,7 @@ let store_tracks_live_plans ~deep =
     let out, _ = exec_measured k "/home/d/prog" in
     check_string "exec after the rewrite" want out;
     let r = Ldl.stable_sync ldl in
-    if !Link_plan.enabled then begin
+    if Config.current.plans then begin
       check_int "sync skipped nothing" 0 r.Ldl.sync_skipped;
       check_bool "sync has plans to copy" true (r.Ldl.sync_plans > 0);
       check_int
@@ -380,7 +370,7 @@ let store_tracks_live_plans ~deep =
     Kernel.reboot k;
     let out, d = exec_measured k "/home/d/prog" in
     check_string "boot exec" want out;
-    if !Link_plan.enabled then
+    if Config.current.plans then
       check_int (Printf.sprintf "cycle %d: boot exec misses no plan" cycle) 0
         d.Stats.plan_misses
   done
@@ -398,7 +388,7 @@ let corrupt_plan_is_reaped () =
   let out0, _ = exec_measured k "/home/d/prog" in
   check_string "seed exec" want out0;
   ignore (Ldl.stable_sync ldl);
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     let victim () =
       match stable_paths fs "plan-" with
       | p :: _ -> p
@@ -439,7 +429,7 @@ let forged_files_are_reaped () =
   let out0, _ = exec_measured k "/home/d/prog" in
   check_string "seed exec" want out0;
   ignore (Ldl.stable_sync ldl);
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     let path, renamed, original =
       match stable_paths fs "plan-" with
       | p :: q :: r :: _ -> (p, q, r)
@@ -481,7 +471,7 @@ let crash_during_persist_recovers () =
   let want = build_deep_chain m ~modules:4 in
   let out0, _ = exec_measured k "/home/d/prog" in
   check_string "seed exec" want out0;
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     Fault.configure "fs.stable@1=crash";
     (match Ldl.stable_sync ldl with
     | (_ : Ldl.sync_report) -> Alcotest.fail "expected a crash mid-persist"
@@ -510,7 +500,7 @@ let failed_unlink_boots_cold () =
   let out0, _ = exec_measured k "/home/d/prog" in
   check_string "seed exec" want out0;
   ignore (Ldl.stable_sync ldl);
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     let junk = Stable_link.dir ^ "/junk" in
     Fs.write_file fs junk (Bytes.of_string "not a plan");
     (* the write emptied the store; refill it *)
@@ -545,7 +535,7 @@ let janitor_reaps_stale_stable_files () =
   let reaped p = List.exists (fun e -> e.Janitor.j_path = p) victims in
   check_bool "truncated stable file reaped" true (reaped (Stable_link.dir ^ "/plan-deadbeef"));
   check_bool "impostor reaped" true (reaped (Stable_link.dir ^ "/junk"));
-  if !Link_plan.enabled then begin
+  if Config.current.plans then begin
     let survivors = match Fs.readdir fs Stable_link.dir with names -> names in
     check_int "every well-formed stable file kept"
       (List.length survivors_before - 2)

@@ -225,6 +225,49 @@ let stats_to_json_names_each_counter () =
       ("stable_loads", 21); ("stable_rejects", 22); ("resident_pages", 44);
     ]
 
+(* ----- config ----- *)
+
+(* A mistyped CI row must fail loudly, not run the default
+   configuration: each variable at its smallest accepted value, and a
+   malformed value naming the variable and the value. *)
+let config_env_values () =
+  let parse vars = Config.parse (fun v -> List.assoc_opt v vars) in
+  let d = parse [] in
+  check_bool "defaults" true
+    (d = { use_oracle = false; jit_threshold = None; ram_pages = None; domains = 1; net_profile = "ideal" });
+  check_bool "blank is unset" true (parse [ ("HEMLOCK_ORACLE", ""); ("HEMLOCK_DOMAINS", " ") ] = d);
+  check_bool "HEMLOCK_ORACLE=1" true (parse [ ("HEMLOCK_ORACLE", "1") ]).use_oracle;
+  check_bool "HEMLOCK_JIT_THRESHOLD=1" true
+    ((parse [ ("HEMLOCK_JIT_THRESHOLD", "1") ]).jit_threshold = Some 1);
+  check_bool "HEMLOCK_RAM_PAGES=1" true ((parse [ ("HEMLOCK_RAM_PAGES", "1") ]).ram_pages = Some 1);
+  check_int "HEMLOCK_DOMAINS=1" 1 (parse [ ("HEMLOCK_DOMAINS", "1") ]).domains;
+  check_string "HEMLOCK_NET_PROFILE=lossy" "lossy"
+    (parse [ ("HEMLOCK_NET_PROFILE", "lossy") ]).net_profile;
+  List.iter
+    (fun (var, v) ->
+      match parse [ (var, v) ] with
+      | _ -> Alcotest.failf "%s=%s accepted" var v
+      | exception Invalid_argument msg ->
+        check_bool (var ^ " names itself and its value") true
+          (contains msg var && contains msg (Printf.sprintf "%S" v)))
+    [
+      ("HEMLOCK_ORACLE", "yes"); ("HEMLOCK_JIT_THRESHOLD", "0"); ("HEMLOCK_RAM_PAGES", "0");
+      ("HEMLOCK_RAM_PAGES", "32k"); ("HEMLOCK_DOMAINS", "four"); ("HEMLOCK_DOMAINS", "0");
+      ("HEMLOCK_NET_PROFILE", "bogus");
+    ]
+
+let config_with_restores_on_raise () =
+  let before = { Config.current with tlb = Config.current.tlb } in
+  let inner = { Config.oracle with jit = not before.jit } in
+  (match
+     Config.with_ inner (fun () ->
+         check_bool "the body runs under the argument" true (Config.current = inner);
+         failwith "body")
+   with
+  | () -> Alcotest.fail "body did not raise"
+  | exception Failure _ -> ());
+  check_bool "previous values restored" true (Config.current = before)
+
 let suite =
   [
     test "interval_map: basic add/find" im_basic;
@@ -244,4 +287,7 @@ let suite =
     test "stats: measure deltas" stats_measure;
     test "stats: cycle model" stats_cycles_model;
     test "stats: to_json names each counter" stats_to_json_names_each_counter;
+    test "config: malformed values are rejected" config_env_values;
+    test "config: with_ restores the previous values when its body raises"
+      config_with_restores_on_raise;
   ]

@@ -151,13 +151,7 @@ let protect_unmap () =
   | exception As.Fault { reason = As.Unmapped; _ } -> ()
   | _ -> Alcotest.fail "unmapped after unmap"
 
-(* What the kernel's fault pipeline does for COW: a write protection
-   fault on a clone-shared mapping is resolved by [As.resolve_cow] and
-   the store retried.  Used by the direct (kernel-less) clone tests. *)
-let rec store_cow sp addr v =
-  try As.store_u32 sp addr v with
-  | As.Fault { addr = faddr; access = Prot.Write; reason = As.Protection }
-    when As.resolve_cow sp faddr -> store_cow sp addr v
+let store_cow sp addr v = resolving sp (fun () -> As.store_u32 sp addr v)
 
 let clone_fork_semantics () =
   let sp = As.create () in
@@ -193,7 +187,7 @@ let gap_and_strings () =
    protection flips faulting even after the address was translated (and
    so cached).  These pin the epoch-invalidation behaviour directly. *)
 let tlb_invalidation () =
-  let sp = As.create ~caching:true () in
+  let sp = Config.with_ { Config.current with tlb = true } As.create in
   As.map sp ~base:0x1000 ~len:0x1000 ~seg:(seg "a") ~prot:Prot.Read_write
     ~share:As.Private ~label:"a" ();
   As.store_u32 sp 0x1000 7;
@@ -210,7 +204,7 @@ let tlb_invalidation () =
   | _ -> Alcotest.fail "unmap after cached translation must fault"
 
 let tlb_clone_isolation () =
-  let sp = As.create ~caching:true () in
+  let sp = Config.with_ { Config.current with tlb = true } As.create in
   As.map sp ~base:0x1000 ~len:0x1000 ~seg:(seg "a") ~prot:Prot.Read_write
     ~share:As.Private ~label:"a" ();
   As.store_u32 sp 0x1000 5;
@@ -234,8 +228,8 @@ let prop_tlb_coherence =
       let prots =
         [| Prot.No_access; Prot.Read_only; Prot.Read_write; Prot.Read_exec; Prot.Read_write_exec |]
       in
-      let mk caching =
-        ( ref (As.create ~caching ()),
+      let mk tlb =
+        ( ref (Config.with_ { Config.current with tlb } As.create),
           Array.init 8 (fun i ->
               Segment.create ~name:(Printf.sprintf "s%d" i) ~max_size:0x2000 ()) )
       in
