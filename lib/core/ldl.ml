@@ -88,8 +88,15 @@ type t = {
   (* Zero-copy exec: the placed image of a program, built once per
      backing-file content identity (segment id, version) and COW-copied
      into every subsequent process.  The master is never mapped, so it
-     stays pristine however processes scribble on their images. *)
-  images : (int * int, Segment.t) Hashtbl.t;
+     stays pristine however processes scribble on their images.  One
+     entry per file segment id: a newer version replaces the master. *)
+  images : (int, int * Segment.t) Hashtbl.t;
+  (* Every template instantiated in this kernel, by instance key (its
+     template path): the latest content identity and decode.  Outlives
+     the processes that instantiated it, so [stable_sync] still persists
+     the templates of a reaped process; pruned to what is live at each
+     sync. *)
+  templates : (string, (int * int) * Objfile.t) Hashtbl.t;
   mutable plan_rec : Modinst.scope Link_plan.dep list ref option;
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
@@ -174,8 +181,12 @@ let digest_xor acc frag =
     Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code frag.[i]))
   done
 
-(* Register a fresh instance in the list and every index. *)
-let add_instance ps inst =
+(* Register a fresh instance in the list and every index, and its
+   template in the kernel-wide table. *)
+let add_instance t ps inst =
+  if inst.Modinst.inst_src <> (-1, -1) then
+    Hashtbl.replace t.templates inst.Modinst.inst_key
+      (inst.Modinst.inst_src, inst.Modinst.inst_obj);
   ps.ps_instances <- inst :: ps.ps_instances;
   Hashtbl.replace ps.ps_by_key inst.Modinst.inst_key inst;
   let acc = Bytes.copy ps.ps_digest in
@@ -284,19 +295,7 @@ let instantiate t proc ps ~located ~public ~parent_scope =
   let mapped = ref [] in
   let unwind () =
     if !mapped <> [] then begin
-      List.iter
-        (fun base ->
-          (match As.mapping_at proc.Proc.space base with
-          | Some (_, _, m) when m.As.share = As.Private ->
-            (* A discarded private instance segment is dead for good:
-               release its page refcounts now (the master template's
-               pages return to sole ownership, so its next sharing-out
-               starts clean) and drop its pager identity. *)
-            Segment.release m.As.seg;
-            Vm_object.forget m.As.seg
-          | Some _ | None -> ());
-          As.unmap proc.Proc.space base)
-        !mapped;
+      As.release ~only:!mapped proc.Proc.space;
       (Stats.cur ()).link_rollbacks <- (Stats.cur ()).link_rollbacks + 1
     end
   in
@@ -362,7 +361,7 @@ let instantiate t proc ps ~located ~public ~parent_scope =
       unwind ();
       raise e
   in
-  add_instance ps inst;
+  add_instance t ps inst;
   (match t.plan_rec with
   | Some acc ->
     acc :=
@@ -843,7 +842,7 @@ let handle_fault t _k proc fault =
                                Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
                          })
                     ~prot:Prot.No_access ~share:As.Public ~label:path ());
-                add_instance ps inst;
+                add_instance t ps inst;
                 link_instance t proc ps inst)
           else
             (* An ordinary shared file: map it so the pointer chase can
@@ -901,11 +900,11 @@ let loader t _k proc bytes ~path =
          the file segment itself cannot back the mapping; instead the
          placed image is built once per file content and shared COW. *)
       let master =
-        match Hashtbl.find_opt t.images (fid, fver) with
-        | Some master -> master
-        | None ->
+        match Hashtbl.find_opt t.images fid with
+        | Some (ver, master) when ver = fver -> master
+        | Some _ | None ->
           let master = build_image ("image-master:" ^ path) in
-          Hashtbl.replace t.images (fid, fver) master;
+          Hashtbl.replace t.images fid (fver, master);
           master
       in
       Segment.copy master
@@ -990,6 +989,7 @@ let install k =
       bind_now = false;
       plans = Link_plan.create_store ();
       images = Hashtbl.create 16;
+      templates = Hashtbl.create 64;
       plan_rec = None;
       poisoned = Hashtbl.create 16;
       synced_gen = -1;
@@ -1005,14 +1005,16 @@ let install k =
           | Would_block cond -> Kernel.block_syscall ~why:"ldl: a creation lock" cpu cond
           | Link_error msg -> warn t "ldl: %s" msg));
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
+  Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
   (* Reboot kills the kernel-resident LINK STATE — the plan store, the
      template decode memo, the export-symbol indexes, the locate cache —
      which stable linking keeps a copy of in /shared (or leaves cold).
      Placed CONTENT stays: the image and placed-module masters and the
-     decoded-image memo are keyed by the (id, version) of segments that
-     survive the reboot, modelling bytes in the persistent segment
-     store.  All of it is host-side; simulated costs never change.  Then
-     the hook reseeds the symbol indexes, and the plans only at the
+     decoded-image memo are identified by the (id, version) of segments
+     that survive the reboot, modelling bytes in the persistent segment
+     store; so does the template table, which names those segments.
+     All of it is host-side; simulated costs never change.  Then the
+     hook reseeds the symbol indexes, and the plans only at the
      generation the copy was made at — read first, because an index
      reap moves it without changing anything a module lookup sees. *)
   Kernel.add_reboot_hook k (fun () ->
@@ -1123,25 +1125,19 @@ let stable_sync t =
   else begin
     let fs = Kernel.fs t.k in
     let plans = Link_plan.entries t.plans ~fs in
-    let objs = Hashtbl.create 64 in
-    (* Symbol indexes come from the live instance sets, not from plan
-       deps: a plan records only the instantiations its own region
-       performed (a driver that names every module up front leaves the
-       deps empty), while the instances hold every template actually
-       decoded. *)
-    Hashtbl.iter
-      (fun _ ps ->
-        Array.iter
-          (fun inst ->
-            let src = inst.Modinst.inst_src in
-            if src <> (-1, -1) && not (Hashtbl.mem objs src) then
-              Hashtbl.replace objs src (inst.Modinst.inst_key, inst.Modinst.inst_obj))
-          ps.ps_sorted)
-      t.states;
+    (* Symbol indexes come from the template table, not from plan deps:
+       a plan records only the instantiations its own region performed
+       (a driver that names every module up front leaves the deps
+       empty), while the table holds every template actually decoded.
+       Only the live ones are copied, and the rest leave the table. *)
+    Hashtbl.filter_map_inplace
+      (fun located ((src, _) as entry) ->
+        if Stable_link.live fs ~located ~src then Some entry else None)
+      t.templates;
     let obj_list =
       List.sort
         (fun ((a : string), _, _) (b, _, _) -> String.compare a b)
-        (Hashtbl.fold (fun src (located, obj) acc -> (located, src, obj) :: acc) objs [])
+        (Hashtbl.fold (fun located (src, obj) acc -> (located, src, obj) :: acc) t.templates [])
     in
     let report, exact = Stable_link.sync fs ~plans ~objs:obj_list in
     Link_plan.keep t.plans ~fs;

@@ -44,7 +44,9 @@ val warnings : t -> string list
 
 (** {1 Introspection (tests and benches)} *)
 
-(** Instances mapped into a process, in load order. *)
+(** Instances mapped into a process, in load order.  A process's link
+    state lives until it is reaped (a zombie's stays inspectable); the
+    reap drops it, and [[]] is the answer after. *)
 val instances : t -> Proc.t -> Modinst.t list
 
 (** The instance whose range contains an address, if any. *)
@@ -92,9 +94,13 @@ type sync_report = Stable_link.sync_report = {
 (** Make [/shared/.stable] an exact copy of the live link plans and of
     the symbol indexes of every instantiated template still in its
     file (see {!Stable_link.sync}), and remember the generation the copy
-    was made at.  An explicit sync point: the writes are billed, so no
-    exec path calls this.  A no-op (all zeros) when the plan cache is
-    off.  Raises {!Hemlock_util.Fault.Crash} through (crash sweep). *)
+    was made at.  The templates come from a kernel-wide table, one
+    entry per template path holding the latest content identity
+    instantiated, so those of reaped processes are persisted too; the
+    sync prunes entries whose file has moved on.  An explicit sync
+    point: the writes are billed, so no exec path calls this.  A no-op
+    (all zeros) when the plan cache is off.  Raises
+    {!Hemlock_util.Fault.Crash} through (crash sweep). *)
 val stable_sync : t -> sync_report
 
 (** {1 Linkstat: resolution provenance}
@@ -110,7 +116,8 @@ val stable_sync : t -> sync_report
 val linkstat_proc_json : t -> Proc.t -> string
 
 (** The kernel-wide linkstat dump: per-process aggregates (symbol
-    counts by source and probe), kernel totals, and the full
-    {!Hemlock_util.Stats} counter snapshot under ["stats"]. *)
+    counts by source and probe) over the processes not yet reaped — a
+    reaped process drops out — kernel totals over the same, and the
+    full {!Hemlock_util.Stats} counter snapshot under ["stats"]. *)
 val linkstat_json : t -> string
 

@@ -300,14 +300,12 @@ let public_instance ctx ~module_path ~scope =
    content identity [src = (file segment id, version)] and COW-copied
    into every later instance.  Masters are never handed out directly —
    relocation scribbles on instances, and those writes must not reach
-   the shared master. *)
+   the shared master.  One master per file segment id: a newer version
+   replaces it, so a rewritten template leaves no old master behind. *)
 (* per-domain: a worker that misses the memo places its own master copy
    (the COW sharing it buys is per-domain, like the page caches) *)
-let placed_masters_key : (int * int, Segment.t) Hashtbl.t Domain.DLS.key =
+let placed_masters_key : (int, int * Segment.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-let placed_masters () = Domain.DLS.get placed_masters_key
-
-let clear_placed_masters () = Hashtbl.reset (placed_masters ())
 
 let private_instance ?(src = (-1, -1)) ~located ~obj ~base ~scope () =
   let size = placed_size obj in
@@ -318,12 +316,14 @@ let private_instance ?(src = (-1, -1)) ~located ~obj ~base ~scope () =
   in
   let seg =
     if Config.current.cow && src <> (-1, -1) then begin
+      let masters = Domain.DLS.get placed_masters_key and sid, sver = src in
       let master =
-        match Hashtbl.find_opt (placed_masters ()) src with
-        | Some master when Segment.max_size master = Layout.page_up size -> master
+        match Hashtbl.find_opt masters sid with
+        | Some (ver, master)
+          when ver = sver && Segment.max_size master = Layout.page_up size -> master
         | Some _ | None ->
           let master = build ("module-master:" ^ located) in
-          Hashtbl.replace (placed_masters ()) src master;
+          Hashtbl.replace masters sid (sver, master);
           master
       in
       Segment.copy master

@@ -130,11 +130,7 @@ val public_instance : Search.ctx -> module_path:string -> scope:scope -> t
     built once per template identity and every instance gets a
     refcount-sharing [Segment.copy] of that pristine master: O(pages)
     instead of re-placing the sections, with relocation writes
-    diverging pages copy-on-write. *)
+    diverging pages copy-on-write.  The calling domain's memo keeps one
+    master per template file segment id: a newer version replaces it. *)
 val private_instance :
   ?src:int * int -> located:string -> obj:Objfile.t -> base:int -> scope:scope -> unit -> t
-
-(** Drop the calling domain's placed-master memo (reboot: masters are
-    kernel-resident host state; dropping them only costs future COW
-    sharing). *)
-val clear_placed_masters : unit -> unit

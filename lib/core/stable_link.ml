@@ -196,8 +196,8 @@ let reap fs path =
   ignore (unlink fs path);
   bump_rejects ()
 
-(* Whether [located] still holds the template version [src]: an exited
-   process's instances may name a version since rewritten. *)
+(* Whether [located] still holds the template version [src]: a template
+   instantiated earlier may have been rewritten since. *)
 let live fs ~located ~src:(sid, sver) =
   match Fs.segment_of fs located with
   | seg -> Segment.id seg = sid && Segment.version seg = sver
@@ -217,11 +217,9 @@ let sync fs ~plans ~objs =
   let too_long, plans = List.partition (fun (key, _) -> String.length key > 0xFFFF) plans in
   (* name, whether a file of that name holds it, encoder, plan *)
   let files =
-    List.filter_map
+    List.map
       (fun (located, src, obj) ->
-        if live fs ~located ~src then
-          Some (obj_name ~located ~src, true, (fun () -> encode_obj ~located ~src obj), None)
-        else None)
+        (obj_name ~located ~src, true, (fun () -> encode_obj ~located ~src obj), None))
       objs
     @ List.map
         (fun (key, plan) ->

@@ -21,6 +21,10 @@ val ensure_dir : Hemlock_sfs.Fs.t -> unit
 (** Path of the plan file for a plan key (named by a digest of the key). *)
 val plan_path : string -> string
 
+(** [live fs ~located ~src] — does the file at [located] still hold the
+    template content identity [src] (segment id, version)? *)
+val live : Hemlock_sfs.Fs.t -> located:string -> src:int * int -> bool
+
 type sync_report = {
   sync_plans : int;  (** plan files written or already present *)
   sync_objs : int;  (** symbol-index files written or already present *)
@@ -29,8 +33,8 @@ type sync_report = {
 
 (** [sync fs ~plans ~objs] makes {!dir} an exact copy of the plans and
     of the symbol indexes of the templates [objs] (located path,
-    (segment id, version), template) whose file still holds that
-    version: it keeps the index files and the files of plans that are
+    (segment id, version), template), each of which must be {!live}:
+    it keeps the index files and the files of plans that are
     not [Unsaved], unlinks every other file, then writes each missing
     one through the journalled path and marks each plan it writes
     [Saved].  The flag is [false] iff an unlink failed, leaving a file

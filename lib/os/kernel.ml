@@ -45,6 +45,7 @@ type t = {
   mutable binfmts : (string * (t -> Proc.t -> Bytes.t -> path:string -> int)) list;
   mutable fork_hooks : (parent:Proc.t -> child:Proc.t -> unit) list;
   mutable reboot_hooks : (unit -> unit) list;
+  mutable reap_hooks : (Proc.t -> unit) list;
 }
 
 and handler = t -> Proc.t -> fault -> segv_result
@@ -71,13 +72,16 @@ let create () =
     binfmts = [];
     fork_hooks = [];
     reboot_hooks = [];
+    reap_hooks = [];
   }
 
 (* Hooks are kept newest-first (O(1) registration) and reversed into
-   registration order at each fork. *)
+   registration order at each call. *)
 let add_fork_hook t hook = t.fork_hooks <- hook :: t.fork_hooks
 
 let add_reboot_hook t hook = t.reboot_hooks <- hook :: t.reboot_hooks
+
+let add_reap_hook t hook = t.reap_hooks <- hook :: t.reap_hooks
 
 let fs t = t.fs
 
@@ -155,8 +159,7 @@ let exit_proc t proc code =
   proc.Proc.state <- Proc.Zombie code;
   (* Detach the dead space from every VmObject so eviction stops
      chasing it; the mapping table itself survives for post-mortem
-     inspection.  Segment refcounts stay (the documented
-     no-release-on-exit rule). *)
+     inspection, and [reap] releases it. *)
   As.detach_all proc.Proc.space;
   Vfs.close_all t.vfs ~pid:proc.Proc.pid;
   Vfs.release_locks t.vfs ~pid:proc.Proc.pid
@@ -454,9 +457,9 @@ let exec t proc path =
       raise
         (os_error (Printf.sprintf "exec %s: unrecognised format" path) Errno.ENOEXEC)
     | (_, loader) :: rest -> (
-      (* exec replaces the image: tear the previous space down (the
+      (* exec replaces the image: release the previous space (the
          original one first, then each failed loader attempt's). *)
-      As.teardown proc.Proc.space;
+      As.release proc.Proc.space;
       proc.Proc.space <- As.create ();
       match loader t proc image ~path with
       | entry -> entry
@@ -525,8 +528,13 @@ let reap t proc =
   | Some z -> (
     match z.Proc.state with
     | Proc.Zombie code ->
+      (* The one place a process leaves the table, and the one point
+         where what it owned dies: the hooks drop their per-process
+         state, then the address space is released. *)
       Sched.remove t.sched z.Proc.pid;
       Hashtbl.remove t.segv_handlers z.Proc.pid;
+      List.iter (fun hook -> hook z) (List.rev t.reap_hooks);
+      As.release z.Proc.space;
       Some (z.Proc.pid, code)
     | Proc.Runnable | Proc.Blocked _ -> assert false)
   | None -> None

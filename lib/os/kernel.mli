@@ -169,9 +169,20 @@ val processes : t -> Proc.t list
 (** Terminate a process abnormally. *)
 val kill : t -> Proc.t -> reason:string -> unit
 
-(** Native blocking wait; returns (pid, exit code).
+(** Native blocking wait; returns (pid, exit code).  Reaping (here or
+    through the ISA [wait]) is the one point where an exited process's
+    state dies: it leaves the process table, the {!add_reap_hook} hooks
+    run, and its address space is released
+    ({!Hemlock_vm.Address_space.release}).  Until then a zombie's
+    mappings stay inspectable.
     @raise Os_error ([ECHILD]) if the process has no children. *)
 val waitpid : t -> Proc.t -> (int * int)
+
+(** [add_reap_hook t h] runs [h zombie] whenever a zombie is reaped,
+    after it has left the process table and before its address space
+    is released, in registration order; the dynamic linker uses this to
+    drop the process's link state. *)
+val add_reap_hook : t -> (Proc.t -> unit) -> unit
 
 (** {1 Scheduling} *)
 

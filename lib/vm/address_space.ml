@@ -127,18 +127,40 @@ let unmap t addr =
 
 (* Drop every object attachment so eviction stops invalidating a dead
    space.  Process exit uses this alone: the mapping table survives for
-   post-mortem inspection (reads stay correct — the segments hold the
-   contents regardless of residency).  Segment page refcounts are
-   deliberately {e not} released — see the rule in [Segment]. *)
+   post-mortem inspection until the reap releases it (reads stay
+   correct — the segments hold the contents regardless of residency). *)
 let detach_all t =
   Interval_map.fold
     (fun _ _ m () -> Vm_object.detach m.obj ~uid:t.uid)
     t.table ()
 
-(* Full deterministic teardown: exec discarding the replaced image. *)
-let teardown t =
-  detach_all t;
-  t.table <- Interval_map.empty;
+(* The one release point for process memory.  A private segment is this
+   space's alone (a fresh segment or a fork/master copy), so it is
+   discarded outright: its page refcounts and its pager identity go.  A
+   public segment is a file other spaces may map, so it is only
+   detached. *)
+let release ?only t =
+  let release_one m =
+    Vm_object.detach m.obj ~uid:t.uid;
+    match m.share with
+    | Private ->
+      Segment.release m.seg;
+      Vm_object.forget m.seg
+    | Public -> ()
+  in
+  (match only with
+  | None ->
+    Interval_map.fold (fun _ _ m () -> release_one m) t.table ();
+    t.table <- Interval_map.empty
+  | Some bases ->
+    List.iter
+      (fun base ->
+        match Interval_map.find base t.table with
+        | Some (_, _, m) ->
+          release_one m;
+          t.table <- Interval_map.remove base t.table
+        | None -> ())
+      bases);
   invalidate t
 
 let protect t addr prot =

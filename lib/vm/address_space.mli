@@ -85,14 +85,19 @@ val unmap : t -> int -> unit
 
 (** [detach_all t] drops every {!Vm_object.t} attachment (eviction
     stops invalidating this space) but keeps the mapping table — what
-    process exit wants, so a zombie's mappings stay inspectable.
-    Segment page refcounts are deliberately {e not} released (see the
-    rule in {!Segment}). *)
+    process exit wants, so a zombie's mappings stay inspectable until
+    it is reaped. *)
 val detach_all : t -> unit
 
-(** [teardown t] = {!detach_all} plus unmapping everything — the
-    deterministic teardown for exec discarding the replaced image. *)
-val teardown : t -> unit
+(** [release ?only t] gives up the mappings containing the addresses in
+    [only] (default: every mapping) for good.  Each [Private] mapping's
+    segment drops its page refcounts ({!Segment.release}) and its pager
+    identity ({!Vm_object.forget}), so its frames leave the clock
+    without being counted as evictions; each [Public] mapping is only
+    detached.  The one release point for process memory: the kernel's
+    reap and exec, and the linker's instantiation unwind.  A private
+    segment must not be mapped by any other space. *)
+val release : ?only:int list -> t -> unit
 
 (** [protect t addr prot] changes the protection of the whole mapping
     containing [addr].  @raise Not_found if unmapped. *)

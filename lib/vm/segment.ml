@@ -15,11 +15,13 @@ module Config = Hemlock_util.Config
    placed at the same base, an exec'd image writing its startup
    globals) keep sharing every byte.
 
-   Refcounts are released when a page is dropped by [resize]/[replace].
-   There is deliberately no release on process exit: tying refcounts to
-   OCaml finalisation would make [pages_copied] depend on the host GC.
-   The cost of the leak is bounded — an unreleased count only means a
-   later write copies a page it could have reclaimed.
+   Refcounts are released when a page is dropped by [resize]/[replace]
+   and when the owner of a private segment gives it up for good
+   ([release], called through [Address_space.release] at reap, at exec
+   replacing an image and at the linker's instantiation unwind).  Those
+   are deterministic points, never a finaliser, so [pages_copied] does
+   not depend on the host GC.  A page shared with a reaped process
+   returns to sole ownership, and its next write happens in place.
 
    Concurrency: a segment belongs to one kernel, and a kernel is
    touched by one domain at a time (see [Cluster.run]), so [version],
@@ -284,10 +286,9 @@ let replace t b =
 
 (* Explicit-teardown refcount release.  [drop_page] decrements each
    shared page's count, so a surviving sharer whose count returns to 1
-   writes in place again instead of COW-copying.  This is only called
-   from deterministic teardown paths (the linker unwinding a private
-   instance it just mapped, [replace]) — never from process exit or a
-   finaliser, which would make [pages_copied] depend on the host GC. *)
+   writes in place again instead of COW-copying.  Only called through
+   [Address_space.release] — never from a finaliser, which would make
+   [pages_copied] depend on the host GC. *)
 let release t =
   for i = 0 to Array.length t.pages - 1 do
     drop_page t i

@@ -95,13 +95,13 @@ val write_from : t -> dst_off:int -> Bytes.t -> src_off:int -> len:int -> unit
 val replace : t -> Bytes.t -> unit
 
 (** [release t] drops every page (decrementing shared refcounts) and
-    zeroes the logical size — the deterministic teardown for a segment
-    a rollback path is discarding.  A page still shared with another
+    zeroes the logical size — the deterministic teardown for a private
+    segment its owner discards.  A page still shared with another
     segment returns to sole ownership there, so its next write happens
-    in place instead of COW-copying.  Deliberately {e not} called on
-    process exit (see the refcount rule in the header): only explicit
-    unmap/replace-style teardown may release, keeping [pages_copied]
-    independent of the host GC. *)
+    in place instead of COW-copying.  Called through
+    {!Address_space.release} (reap, exec, the linker's unwind), never
+    from a finaliser, keeping [pages_copied] independent of the host
+    GC. *)
 val release : t -> unit
 
 (** [copy t] is a snapshot with identical contents and a fresh identity —

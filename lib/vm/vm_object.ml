@@ -63,11 +63,12 @@ let npages seg = (Segment.max_size seg + Layout.page_size - 1) lsr Layout.page_s
 
 (* --- registry -------------------------------------------------------- *)
 
-(* Objects are never removed when a segment dies (the simulator has no
-   segment destructor — the same deliberate rule as page refcounts not
-   being released on exit); [forget] exists for teardown paths that
-   know the segment is done for, and stale entries cost a hashtable
-   slot plus, at worst, a clean eviction of their leftover frames.
+(* An object lives as long as some address space may map its segment:
+   [forget] removes it when the owner releases a private segment for
+   good ([Address_space.release]: reap, exec replacing an image, the
+   linker unwinding an instantiation), never from a finaliser, so no
+   counter depends on the host GC.  Objects of public segments (file
+   pages, which any later process may map) stay.
 
    The registry and the clock below are {e per-domain} (a DLS-keyed
    record): each domain owns an independent page cache and
@@ -234,14 +235,11 @@ let materialise t off ~write =
       end
   end
 
-(* Pin an object in place: raw mappers (tests, examples, libraries that
-   access segments without a kernel to resolve faults) must see the
-   seed's eager behaviour even when the segment was first mapped
-   pageable.  Its frames leave the clock without being counted as
-   evictions. *)
-let pin t =
-  if not (is_pinned t) then begin
-    t.obj_kind <- Pinned;
+(* Take [t]'s frames off the clock without counting them as evictions.
+   Every table slot holding [t] is counted in [t.frames], so an object
+   with no frames skips the scan. *)
+let drop_frames t =
+  if t.frames > 0 then begin
     let s = st () in
     Array.iteri
       (fun slot -> function
@@ -252,6 +250,17 @@ let pin t =
       s.table;
     gauge (-t.frames);
     t.frames <- 0
+  end
+
+(* Pin an object in place: raw mappers (tests, examples, libraries that
+   access segments without a kernel to resolve faults) must see the
+   seed's eager behaviour even when the segment was first mapped
+   pageable.  Its frames leave the clock without being counted as
+   evictions. *)
+let pin t =
+  if not (is_pinned t) then begin
+    t.obj_kind <- Pinned;
+    drop_frames t
   end
 
 let get_or_create seg kind =
@@ -280,15 +289,7 @@ let forget seg =
   match Hashtbl.find_opt s.registry (Segment.id seg) with
   | None -> ()
   | Some t ->
-    Array.iteri
-      (fun slot -> function
-        | Some (o, _) when o == t ->
-          s.table.(slot) <- None;
-          s.used <- s.used - 1
-        | Some _ | None -> ())
-      s.table;
-    gauge (-t.frames);
-    t.frames <- 0;
+    drop_frames t;
     Bytes.fill t.resident 0 (Bytes.length t.resident) '\000';
     Hashtbl.remove s.registry (Segment.id seg)
 

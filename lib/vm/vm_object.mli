@@ -74,10 +74,12 @@ val attach : t -> uid:int -> (unit -> unit) -> unit
 
 val detach : t -> uid:int -> unit
 
-(** Drop [seg]'s object: frames leave the clock uncounted, residency
-    clears, the registry entry disappears.  For teardown paths that
-    know the segment is discarded (e.g. the linker unwinding a private
-    instance). *)
+(** Drop [seg]'s object from the calling domain's registry: its frames
+    leave the clock without being counted as evictions, residency
+    clears, the entry disappears.  Called by {!Address_space.release}
+    for each private segment it discards; an object another domain
+    registered stays in that domain's registry.  O(1) when the object
+    holds no frame, else one scan of the frame table. *)
 val forget : Segment.t -> unit
 
 (** High-water mark of [Stats.resident_pages] since the last {!reset}. *)

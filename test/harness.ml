@@ -80,6 +80,34 @@ let run_native k ?env ?cwd f =
   | Some v -> v
   | None -> Alcotest.fail "native test body did not finish"
 
+(** Reap every zombie, as init reaps orphans: a fresh native process
+    adopts them all and [waitpid]s each, so only that reaper is left
+    behind (the next call reaps it). *)
+let reap_all k =
+  match List.filter Proc.is_zombie (Kernel.processes k) with
+  | [] -> ()
+  | zombies ->
+    let init =
+      Kernel.spawn_native k ~name:"init" (fun k self ->
+          List.iter (fun _ -> ignore (Kernel.waitpid k self)) zombies;
+          0)
+    in
+    List.iter (fun z -> z.Proc.parent <- init.Proc.pid) zombies;
+    Kernel.run k
+
+(** Words of live heap after a full major collection. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(** [check_flat what words] — the last of a series of {!live_words}
+    checkpoints is within 2% of the first. *)
+let check_flat what words =
+  let first = List.hd words and last = List.hd (List.rev words) in
+  if abs (last - first) * 50 > first then
+    Alcotest.failf "%s: live words %s" what
+      (String.concat " -> " (List.map string_of_int words))
+
 (** Compile+link+run a single static-private Hem-C program; returns
     console output. *)
 let run_c_program (k, _ldl) src =

@@ -200,6 +200,38 @@ let cow_zero_copy_exec () =
   check_bool "second exec copies almost nothing" true (second.Stats.pages_copied < 4);
   check_bool "second exec shares the image" true (second.Stats.bytes_saved > 0)
 
+(* ----- reap returns pages ----- *)
+
+(* The parent dirties 8 heap pages, forks a child that exits at once,
+   reaps it, then rewrites the 8 pages.  The reap released the child's
+   copies, so the parent's pages are its own again and the rewrite
+   happens in place; without the release it COW-copied all 8.  Nothing
+   billed may move: every [Stats.cycles] term matches the oracle. *)
+let cow_reaped_child_returns_pages =
+  let module O = Test_oracle in
+  O.check_fixed [ O.all_on () ]
+    ~extra:(fun _ _ obs ->
+      check_string "output" "1025" (O.find obs "run").shown;
+      let copied = (O.bill obs "run").Stats.pages_copied in
+      check_bool (Printf.sprintf "%d pages copied, at most 1" copied) true (copied <= 1))
+    (fun log ->
+      ignore
+        (O.program
+           {|
+int main() {
+  int *p; int i; int pid;
+  p = sbrk(32768); i = 0;
+  while (i < 8192) { p[i] = i; i = i + 1024; }
+  pid = fork();
+  if (pid == 0) { exit(0); }
+  wait();
+  i = 0;
+  while (i < 8192) { p[i] = p[i] + 1; i = i + 1024; }
+  print_int(p[1024]); return 0;
+}
+|}
+           [ "warm"; "run" ] log))
+
 (* ----- randomized schedules vs. the deep-copy oracle ----- *)
 
 (* Ops are (kind, who, addr, value): byte/word stores, byte loads,
@@ -294,5 +326,6 @@ let suite =
     test "cow: genuine protection faults still deliver" cow_genuine_fault_not_swallowed;
     test "cow: self-modifying code after fork stays private" cow_self_modifying_after_fork;
     test "cow: exec reuses a pristine image master" cow_zero_copy_exec;
+    test "cow: a reaped child gives the parent its pages back" cow_reaped_child_returns_pages;
     prop_cow_matches_oracle;
   ]

@@ -2,6 +2,7 @@ open Harness
 module Prot = Hemlock_vm.Prot
 module Layout = Hemlock_vm.Layout
 module Stats = Hemlock_util.Stats
+module As = Hemlock_vm.Address_space
 
 (* ----- native processes and scheduling ----- *)
 
@@ -318,6 +319,50 @@ let exec_resets_image () =
   Kernel.run k;
   check_string "exec replaced image" "oneone" (Kernel.console k)
 
+(* A zombie's image stays inspectable, in the linker and in its address
+   space, until it is reaped; the reap drops both. *)
+let zombie_inspectable_until_reaped () =
+  let k, ldl = boot () in
+  Fs.mkdir (Kernel.fs k) "/home/t";
+  install_c k "/home/t/lib.o" "int seven() { return 7; }";
+  install_c k "/home/t/main.o" "extern int seven(); int main() { print_int(seven()); return 0; }";
+  ignore
+    (link k ~dir:"/home/t"
+       ~specs:[ ("main.o", Sharing.Static_private); ("lib.o", Sharing.Dynamic_private) ]
+       "prog");
+  let zombie = ref None in
+  run_native k (fun k proc ->
+      let child = Kernel.spawn_exec k "/home/t/prog" in
+      child.Proc.parent <- proc.Proc.pid;
+      zombie := Some child;
+      Proc.wait_until (fun () -> Proc.is_zombie child);
+      check_int "zombie keeps its instance" 1 (List.length (Ldl.instances ldl child));
+      check_bool "zombie keeps its mappings" true (As.mappings child.Proc.space <> []);
+      ignore (Kernel.waitpid k proc));
+  let child = Option.get !zombie in
+  check_string "the program ran" "7" (Kernel.console k);
+  check_int "reaped: no instances" 0 (List.length (Ldl.instances ldl child));
+  check_int "reaped: no mappings" 0 (List.length (As.mappings child.Proc.space))
+
+(* Re-exec one process object 100 times, as [exec_resets_image] does
+   once: each exec releases the image it replaces, so the live heap
+   stays flat. *)
+let exec_releases_replaced_image () =
+  let k, _ = boot () in
+  Fs.mkdir (Kernel.fs k) "/home/t";
+  install_c k "/home/t/one.o" {|int main() { print_str("one"); return 0; }|};
+  ignore (link k ~dir:"/home/t" ~specs:[ ("one.o", Sharing.Static_private) ] "p1");
+  let proc = Kernel.spawn_exec k "/home/t/p1" in
+  let words = ref [] in
+  for i = 1 to 100 do
+    Kernel.exec k proc "/home/t/p1";
+    if i mod 25 = 0 then words := live_words () :: !words
+  done;
+  check_flat "100 re-execs" (List.rev !words);
+  Kernel.console_clear k;
+  Kernel.run k;
+  check_string "the last image runs" "one" (Kernel.console k)
+
 let bad_exec_format () =
   let k, _ = boot () in
   Fs.write_file (Kernel.fs k) "/tmp/junk" (Bytes.of_string "garbage");
@@ -475,6 +520,8 @@ let suite =
     test "isa: unhandled segfault kills" isa_segfault_kills;
     test "isa: addr<->path kernel calls" isa_addr_translation_syscalls;
     test "kernel: exec replaces the image" exec_resets_image;
+    test "kernel: zombies stay inspectable until reaped" zombie_inspectable_until_reaped;
+    test "kernel: exec releases the image it replaces" exec_releases_replaced_image;
     test "kernel: bad exec format" bad_exec_format;
     test "kernel: runaway program hits tick budget" run_tick_budget;
     test "kernel: stats count kernel work" stats_count_syscalls;

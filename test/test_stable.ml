@@ -375,6 +375,71 @@ let store_tracks_live_plans ~deep =
         d.Stats.plan_misses
   done
 
+(* ----- state dies with its owner ------------------------------------------- *)
+
+(* 200 reaped execs of the chain, then 100 link-churn cycles (rewrite,
+   exec, sync, reboot, exec), every exec reaped.  What a process owned
+   dies at its reap and a rewritten template leaves no old master, so
+   the live heap stays flat; before that, each exec left ~80k words.
+   One churn cycle runs first, so that /shared/.stable is already full
+   at the first checkpoint. *)
+let state_stays_flat () =
+  let ((k, ldl) as m) = boot () in
+  let fs = Kernel.fs k in
+  let modules = 24 in
+  let want = build_deep_chain m ~modules in
+  let exec () =
+    let out, _ = exec_measured k "/home/d/prog" in
+    check_string "exec" want out;
+    reap_all k
+  in
+  let churn cycle =
+    let template = Printf.sprintf "/home/lib/mod%d.o" (cycle * 7 mod modules) in
+    Fs.write_file fs template (Fs.read_file fs template);
+    exec ();
+    ignore (Ldl.stable_sync ldl);
+    Kernel.reboot k;
+    exec ()
+  in
+  let words = ref [] in
+  let checkpoint () = words := live_words () :: !words in
+  churn 0;
+  for i = 1 to 200 do
+    exec ();
+    if i mod 50 = 0 then checkpoint ()
+  done;
+  for cycle = 1 to 100 do
+    churn cycle;
+    if cycle mod 25 = 0 then checkpoint ()
+  done;
+  check_flat "200 execs and 100 churn cycles" (List.rev !words);
+  check_int "one process left" 1 (List.length (Kernel.processes k))
+
+(* The chain runs as the child of a native parent that reaps it before
+   the sync: the sync still persists every template the reaped process
+   instantiated, and a reboot's exec replays every plan. *)
+let sync_after_reap () =
+  let ((k, ldl) as m) = boot () in
+  let fs = Kernel.fs k in
+  let modules = 24 in
+  let want = build_deep_chain m ~modules in
+  run_native k (fun k self ->
+      let child = Kernel.spawn_exec k "/home/d/prog" in
+      child.Proc.parent <- self.Proc.pid;
+      ignore (Kernel.waitpid k self));
+  check_string "child output" want (String.trim (Kernel.console k));
+  let r = Ldl.stable_sync ldl in
+  Kernel.reboot k;
+  let out, d = exec_measured k "/home/d/prog" in
+  check_string "boot exec" want out;
+  if Config.current.plans then begin
+    check_int "sync_objs" modules r.Ldl.sync_objs;
+    check_int "one index file per template" modules (List.length (stable_paths fs "obj-"));
+    check_bool "sync has plans" true (r.Ldl.sync_plans > 0);
+    check_int "the boot exec replays every plan" r.Ldl.sync_plans d.Stats.plan_hits;
+    check_int "and misses none" 0 d.Stats.plan_misses
+  end
+
 (* ----- corrupt persisted plan ---------------------------------------------- *)
 
 (* A byte flipped through the file's segment keeps the FS generation, so
@@ -555,6 +620,8 @@ let suite =
     test "stable sync: the store holds only live plans and templates" (fun () ->
         store_tracks_live_plans ~deep:true;
         store_tracks_live_plans ~deep:false);
+    test "stable sync: link state stays flat over reaped execs and churn" state_stays_flat;
+    test "stable sync: a reaped process's templates are still persisted" sync_after_reap;
     test "stable plans: corrupt file reaped on its failed load" corrupt_plan_is_reaped;
     test "stable plans: forged files are reaped and size nothing" forged_files_are_reaped;
     test "stable sync: crash mid-persist recovers, errors degrade"
