@@ -214,6 +214,7 @@ let stubs t proc = (state t proc).ps_stub_next
 
 let install k =
   let t = { k; states = Hashtbl.create 8 } in
+  Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
   Kernel.register_syscall k bind_sysno (fun _k proc cpu ->
       let ps = state t proc in
       let id = Cpu.reg cpu Reg.a3 in

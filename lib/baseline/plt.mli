@@ -11,7 +11,8 @@
 
     Stubs live in a per-process jump table; the first call through a
     stub traps to the binder, which patches the stub into a direct
-    jump and restarts at the target. *)
+    jump and restarts at the target.  A process's loader state dies
+    when it is reaped. *)
 
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc

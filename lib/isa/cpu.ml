@@ -44,12 +44,18 @@ type dpage = {
   mutable dp_delta : int;  (* segment offset delta for this mapping *)
   mutable dp_seg : Segment.t;
   mutable dp_version : int;  (* [Segment.version dp_seg] at fill time *)
-  dp_words : int array;  (* raw words; -1 = slot empty *)
+  mutable dp_gen : int;  (* fill generation: tags this fill's words *)
+  dp_words : int array;  (* [word lor (gen lsl 32)]; other tags are empty *)
   dp_insns : Insn.t array;
 }
 
 let icache_slots = 16
 let insns_per_page = Layout.page_size / 4
+
+(* A refill bumps [dp_gen] instead of clearing the page, so earlier
+   fills' words no longer match; every [max_gen] refills the page is
+   cleared once, so no tag is reused while a word carrying it remains. *)
+let max_gen = 255
 
 (* Public modules sit at 1 MB boundaries, so their base pages share low
    page-number bits; fold in higher bits to spread them over the slots. *)
@@ -94,7 +100,7 @@ let error t msg = raise (Cpu_error { pc = t.pc; msg })
 let decode_into t dp word idx =
   match Insn.decode word with
   | insn ->
-    Array.unsafe_set dp.dp_words idx word;
+    Array.unsafe_set dp.dp_words idx (word lor (dp.dp_gen lsl 32));
     Array.unsafe_set dp.dp_insns idx insn;
     insn
   | exception Failure _ ->
@@ -110,7 +116,11 @@ let refill t space pc slot =
   let dp =
     match t.icache.(slot) with
     | Some dp ->
-      Array.fill dp.dp_words 0 insns_per_page (-1);
+      if dp.dp_gen < max_gen then dp.dp_gen <- dp.dp_gen + 1
+      else begin
+        Array.fill dp.dp_words 0 insns_per_page 0;
+        dp.dp_gen <- 1
+      end;
       dp
     | None ->
       let dp =
@@ -121,7 +131,8 @@ let refill t space pc slot =
           dp_delta = 0;
           dp_seg = seg;
           dp_version = 0;
-          dp_words = Array.make insns_per_page (-1);
+          dp_gen = 1;
+          dp_words = Array.make insns_per_page 0;
           dp_insns = Array.make insns_per_page Insn.Break;
         }
       in
@@ -155,7 +166,7 @@ let fetch_insn t space pc =
       let idx = (pc land (Layout.page_size - 1)) lsr 2 in
       if Segment.version dp.dp_seg = dp.dp_version then
         (* Untouched since fill: the cached word is the current word. *)
-        if Array.unsafe_get dp.dp_words idx >= 0 then begin
+        if Array.unsafe_get dp.dp_words idx lsr 32 = dp.dp_gen then begin
           (Stats.cur ()).decode_hits <- (Stats.cur ()).decode_hits + 1;
           Array.unsafe_get dp.dp_insns idx
         end
@@ -163,7 +174,7 @@ let fetch_insn t space pc =
       else begin
         (* Segment written since fill: verify the word before reuse. *)
         let word = Segment.get_u32 dp.dp_seg (pc + dp.dp_delta) in
-        if Array.unsafe_get dp.dp_words idx = word then begin
+        if Array.unsafe_get dp.dp_words idx = word lor (dp.dp_gen lsl 32) then begin
           (Stats.cur ()).decode_hits <- (Stats.cur ()).decode_hits + 1;
           Array.unsafe_get dp.dp_insns idx
         end
@@ -338,10 +349,14 @@ exception Syscall_trap
    was not a straight fall-through — to {!Trace.enter}.  A compiled
    trace threads the remaining fuel through its closure chain and
    reports how it left; every exit re-anchors (trace tails are branch
-   targets by construction).  The accounting mirrors the interpreter
-   case-for-case: fuel-out at an instruction boundary, syscall/halt
-   with one instruction billed, faults with the instruction billed but
-   no fuel consumed and the pc on the faulting instruction. *)
+   targets by construction).  A trace that runs the fuel dry stops on
+   the interpreter's exact boundary and leaves a resume token, so the
+   burst start of the next quantum — anchored like every burst start —
+   continues in compiled code part-way through the trace.  The
+   accounting mirrors the interpreter case-for-case: fuel-out at an
+   instruction boundary, syscall/halt with one instruction billed,
+   faults with the instruction billed but no fuel consumed and the pc
+   on the faulting instruction. *)
 let run_trap ~fuel t space =
   if not Config.current.jit then begin
     let rec go n =

@@ -47,11 +47,15 @@ module Config = Hemlock_util.Config
    through the chain (one decrement per instruction) and the
    instruction counter is settled at every exit as
    [entry fuel - remaining fuel] — the two are in lockstep because
-   every step consumes exactly one fuel.  A trace only runs when the
-   remaining quantum covers its full static length, so no step needs a
-   fuel check; the quantum's tail is always interpreted, landing
-   quantum expiry on the same instruction boundary as the interpreter.
-   A faulting or trapping instruction bills its own tick on the way out
+   every step consumes exactly one fuel.  Each trace has two chains
+   over the same instructions.  The fused chain runs only while the
+   remaining quantum covers a full pass, so none of its steps checks
+   fuel.  Its twin has one step per instruction, each stopping on its
+   own pc when fuel reaches 0, and runs the quantum's tail: expiry
+   lands on the interpreter's instruction boundary, and the stopped
+   step is left as a resume token, so the next quantum continues in
+   compiled code instead of interpreting up to the next head.  A
+   faulting or trapping instruction bills its own tick on the way out
    (like [Cpu.step], which bills before executing), and syscall/halt
    exits replicate [Cpu.run_trap]'s accounting exactly. *)
 
@@ -90,22 +94,30 @@ type dep = {
   mutable d_ver : int;
 }
 
+(* [tr_first] is the fused chain, entered only with a full pass of fuel;
+   [tr_twin] the fuel-checked chain, built on first use. *)
 type trace = {
   tr_entry : int;
   tr_len : int;
   tr_deps : dep array;
   mutable tr_epoch : int;
-  tr_valid : bool ref;
-  tr_first : step;
+  mutable tr_valid : bool;
+  mutable tr_first : step;
+  mutable tr_twin : step;
 }
 
 type entry = Counting of int | Compiled of trace
+
+(* Where a twin step ran out of fuel: the next quantum resumes at
+   [tk_step] if it starts at [tk_pc] and [tk_tr] still validates. *)
+type token = { tk_pc : int; tk_tr : trace; tk_step : step }
 
 type state = {
   st_regs : int array;
   st_ctx : ctx;
   st_tbl : (int, entry) Hashtbl.t;
   mutable st_space : As.t option;
+  mutable st_token : token option;
 }
 
 type outcome = Missed | Ran of exit
@@ -116,6 +128,7 @@ let make regs =
     st_ctx = { c_pc = 0; c_fuel = 0; c_epoch = -1; c_fin = 0 };
     st_tbl = Hashtbl.create 64;
     st_space = None;
+    st_token = None;
   }
 
 let resume_pc st = st.st_ctx.c_pc
@@ -418,7 +431,7 @@ let revalidate_geometry tr space =
   ok
 
 let validate tr space =
-  !(tr.tr_valid)
+  tr.tr_valid
   &&
   if As.epoch space = tr.tr_epoch then Array.for_all dep_words_current tr.tr_deps
   else revalidate_geometry tr space
@@ -515,8 +528,18 @@ let compile st space entry_pc =
   | Some (sels, tail, deps) ->
     let regs = st.st_regs in
     let ctx = st.st_ctx in
-    let valid = ref true in
-    let head = ref (fun _ -> assert false) in
+    let unbuilt _ = assert false in
+    let tr =
+      {
+        tr_entry = entry_pc;
+        tr_len = List.length sels;
+        tr_deps = deps;
+        tr_epoch = As.epoch space;
+        tr_valid = true;
+        tr_first = unbuilt;
+        tr_twin = unbuilt;
+      }
+    in
     let anchor_seg = deps.(0).d_seg in
     let ndeps = Array.length deps in
     (* Post-store code-invalidation guard: cheap version compares,
@@ -543,11 +566,11 @@ let compile st space entry_pc =
       in
       go 0
     in
-    let tr_len = List.length sels in
+    let tr_len = tr.tr_len in
     let store_guard_failed next_pc fuel =
       (* The store really changed compiled code: stop before any stale
          instruction can run and let the entry path recompile. *)
-      valid := false;
+      tr.tr_valid <- false;
       (Stats.cur ()).instructions <-
         (Stats.cur ()).instructions + (ctx.c_fin - fuel);
       (Stats.cur ()).jit_exits <- (Stats.cur ()).jit_exits + 1;
@@ -561,32 +584,33 @@ let compile st space entry_pc =
       ctx.c_pc <- target;
       X_side fuel
     in
-    (* The loop edge is the only fuel check in the whole chain: loop
-       only while a full further iteration fits in the quantum, and
-       hand the tail back to the interpreter otherwise (not counted as
-       a trace break — nothing was mispredicted).  Every re-entry into
-       [head] — the fall-off-the-end tail and any taken mid-trace
-       branch back to the entry — must pass through this gate: the
-       steps themselves never check fuel, so an ungated cycle would
-       spin forever on a divergent program. *)
-    let loop_edge fuel =
-      if fuel >= tr_len then !head fuel
-      else begin
-        (Stats.cur ()).instructions <-
-          (Stats.cur ()).instructions + (ctx.c_fin - fuel);
-        ctx.c_pc <- entry_pc;
-        X_side fuel
-      end
+    (* Fuel ran out on [pc], the boundary the interpreter stops on.
+       Not a trace break (nothing was mispredicted): settle the run and
+       leave [step], the twin step for [pc], for the next quantum. *)
+    let out_of_fuel pc step =
+      (Stats.cur ()).instructions <- (Stats.cur ()).instructions + ctx.c_fin;
+      ctx.c_pc <- pc;
+      st.st_token <- Some { tk_pc = pc; tk_tr = tr; tk_step = step };
+      X_side 0
     in
+    (* The loop edge is the fused chain's only fuel check: loop in it
+       while a full further iteration fits in the quantum, and in the
+       twin, which stops on the exact instruction, otherwise.  Every
+       re-entry at the trace head — the fall-off-the-end tail and any
+       taken mid-trace branch back to the entry — passes through this
+       gate: the fused steps never check fuel, so an ungated cycle
+       would spin forever on a divergent program. *)
+    let loop_edge fuel = if fuel >= tr_len then tr.tr_first fuel else tr.tr_twin fuel in
     let tail_step =
       match tail with
       | T_loop -> loop_edge
       | T_exit pc -> fun fuel -> side_exit pc fuel
       | T_none -> fun _ -> assert false
     in
-    (* Steps carry no fuel check and no instruction billing: the entry
-       gate guarantees [tr_len] fuel, every step consumes exactly one,
-       and the exit helpers settle the counter from the difference.
+    (* Steps carry no fuel check and no instruction billing: the fused
+       chain's entry gate guarantees [tr_len] fuel, the twin wraps each
+       step in its own check, every step consumes exactly one, and the
+       exit helpers settle the counter from the difference.
        [Codec.mask32]/[Codec.sext32] are inlined by hand (no flambda):
        register values are already masked, so sign extension is one
        test on bit 31. *)
@@ -1225,17 +1249,20 @@ let compile st space entry_pc =
           | None -> assert false
         else step_of s1 (build rest1)
     in
-    let first = build sels in
-    head := first;
-    Some
-      {
-        tr_entry = entry_pc;
-        tr_len;
-        tr_deps = deps;
-        tr_epoch = As.epoch space;
-        tr_valid = valid;
-        tr_first = first;
-      }
+    (* The twin: the same steps unfused, each behind a fuel test. *)
+    let rec twin = function
+      | [] -> tail_step
+      | sel :: rest ->
+        let pc = sel.s_pc and body = step_of sel (twin rest) in
+        let rec step fuel = if fuel = 0 then out_of_fuel pc step else body fuel in
+        step
+    in
+    tr.tr_first <- build sels;
+    tr.tr_twin <-
+      (fun fuel ->
+        tr.tr_twin <- twin sels;
+        tr.tr_twin fuel);
+    Some tr
 
 (* --- dispatch --------------------------------------------------------- *)
 
@@ -1247,29 +1274,31 @@ let bind st space =
        with its process's space for life); a rebind is a test harness
        reusing a CPU, so just drop everything. *)
     Hashtbl.reset st.st_tbl;
+    st.st_token <- None;
     st.st_space <- Some space
 
-(* A trace only runs when the remaining quantum covers its full static
-   length — that one check replaces a per-instruction fuel test in
-   every step, and the interpreter (which stops on the exact boundary)
-   always runs the quantum's tail. *)
+(* Run compiled code from [step], stamping the epoch the inline caches
+   validate against and the fuel every exit settles from. *)
+let run st space step fuel =
+  let ctx = st.st_ctx in
+  ctx.c_epoch <- As.epoch space;
+  ctx.c_fin <- fuel;
+  (Stats.cur ()).jit_hits <- (Stats.cur ()).jit_hits + 1;
+  match step fuel with
+  | x -> Ran x
+  | exception e ->
+    (* The trapping instruction was entered but not completed: settle
+       the completed prefix plus its own tick (the interpreter bills
+       before executing) and let the CPU translate the exception. *)
+    (Stats.cur ()).instructions <-
+      (Stats.cur ()).instructions + (ctx.c_fin - ctx.c_fuel) + 1;
+    raise e
+
+(* The fused chain needs fuel for its full static length, which spares
+   its steps a fuel test; with less left, the twin runs to the exact
+   boundary. *)
 let run_trace st space tr fuel =
-  if fuel < tr.tr_len then Missed
-  else begin
-    let ctx = st.st_ctx in
-    ctx.c_epoch <- As.epoch space;
-    ctx.c_fin <- fuel;
-    (Stats.cur ()).jit_hits <- (Stats.cur ()).jit_hits + 1;
-    match tr.tr_first fuel with
-    | x -> Ran x
-    | exception e ->
-      (* The trapping instruction was entered but not completed: settle
-         the completed prefix plus its own tick (the interpreter bills
-         before executing) and let the CPU translate the exception. *)
-      (Stats.cur ()).instructions <-
-        (Stats.cur ()).instructions + (ctx.c_fin - ctx.c_fuel) + 1;
-      raise e
-  end
+  run st space (if fuel >= tr.tr_len then tr.tr_first else tr.tr_twin) fuel
 
 let compile_and_run st space pc fuel =
   match compile st space pc with
@@ -1285,8 +1314,8 @@ let compile_and_run st space pc fuel =
     Hashtbl.replace st.st_tbl pc (Counting 0);
     Missed
 
-let enter st space pc fuel =
-  bind st space;
+(* Count, maybe compile, maybe run the trace headed at [pc]. *)
+let enter_head st space pc fuel =
   match Hashtbl.find_opt st.st_tbl pc with
   | Some (Compiled tr) ->
     if validate tr space then run_trace st space tr fuel
@@ -1307,3 +1336,13 @@ let enter st space pc fuel =
       Hashtbl.add st.st_tbl pc (Counting 1);
       Missed
     end
+
+(* A resume token is good for one [enter], at its own pc, and only if
+   its trace still validates; the pc never becomes a head in [st_tbl]. *)
+let enter st space pc fuel =
+  bind st space;
+  let token = st.st_token in
+  st.st_token <- None;
+  match token with
+  | Some tk when tk.tk_pc = pc && validate tk.tk_tr space -> run st space tk.tk_step fuel
+  | _ -> enter_head st space pc fuel

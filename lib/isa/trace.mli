@@ -8,7 +8,9 @@
     compiled into a superblock (unconditional branches followed,
     JAL/JR pairs inlined up to a small depth, conditional branches
     compiled as side-exit guards) and subsequent entries run the
-    closure chain instead of the interpreter.
+    closure chain instead of the interpreter.  A trace that runs the
+    quantum dry leaves a resume token, and the next quantum's {!enter}
+    at the stop pc continues the trace there.
 
     Coherence uses exactly the decode cache's gating: compiled code
     words are pinned under [(As.epoch, Segment.version)], degrading to
@@ -38,18 +40,20 @@ val make : int array -> state
     fuel remaining; the resume pc is read with {!resume_pc}.
 
     - [X_side]: a guard took an uncompiled direction, the trace's
-      straight-line run ended, or a looping trace stopped because the
-      next iteration would not fit in the remaining quantum — resume
+      straight-line run ended, or the fuel ran out — resume
       interpreting (or enter another trace) at {!resume_pc};
     - [X_halt (code, fuel)]: BREAK, exactly like the interpreter's
       [Trapped (Halt code)];
     - [X_syscall fuel]: SYSCALL billed and pc advanced past it, exactly
       like the interpreter's [Trapped Syscall].
 
-    A trace never runs the quantum dry: {!enter} returns [Missed]
-    whenever the remaining fuel is below the trace's static length, so
-    the interpreter always executes the quantum's tail and expiry lands
-    on the interpreter's exact instruction boundary. *)
+    A trace entered with less fuel than its static length, or looping
+    with less than a full pass left, runs an unfused twin chain that
+    checks fuel before every instruction, so expiry lands on the
+    interpreter's exact instruction boundary.  That stop is an [X_side
+    0] that does not count as a [jit_exits] side exit; it leaves a
+    one-shot resume token, which the next {!enter} uses only at the
+    stop pc and only if the trace still validates. *)
 type exit = X_side of int | X_halt of int * int | X_syscall of int
 
 type outcome =
@@ -61,7 +65,8 @@ type outcome =
     identical payload to the interpreter's. *)
 exception Error of { e_pc : int; e_msg : string }
 
-(** [enter st space pc fuel] — count, maybe compile, maybe run.  May
+(** [enter st space pc fuel] — resume a stopped trace at [pc], or
+    count, maybe compile, maybe run the trace headed at [pc].  May
     raise [As.Fault] (from a load/store, with the resume context set to
     the faulting instruction and its remaining fuel) or {!Error}. *)
 val enter : state -> Hemlock_vm.Address_space.t -> int -> int -> outcome

@@ -82,11 +82,13 @@ type t = {
   mutable jit_compiles : int;
       (** traces compiled by the trace JIT, recompiles included
           (observability only — excluded from [cycles]) *)
-  mutable jit_hits : int;  (** trace-cache entries that ran a compiled trace *)
+  mutable jit_hits : int;
+      (** trace-cache entries that ran a compiled trace, resumes of a
+          trace stopped at the end of a quantum included *)
   mutable jit_exits : int;
       (** guard side exits taken out of compiled traces back into the
           interpreter (conditional branches, unknown indirect targets,
-          code-version changes) *)
+          code-version changes); running out of fuel is not one *)
   mutable jit_invalidations : int;
       (** compiled traces discarded because their code bytes or mapping
           geometry changed (self-modifying code, remapping, COW breaks) *)

@@ -122,7 +122,8 @@ let plt_load_and_call () =
   check_string "call chain worked" "41" (Kernel.console k);
   check_int "two stubs bound on first calls" 2 (Plt.bound plt proc)
 
-let plt_bind_once () =
+(* A program that calls one library function ten times, run to exit. *)
+let plt_run_caller () =
   let k, plt = plt_setup () in
   install_c k "/home/libs/lib.o" "int v = 5; int get() { return v; }";
   install_c k "/home/libs/drv.o"
@@ -143,9 +144,21 @@ int main() {
   Plt.load plt proc ~located:[ "/home/libs/boot.o"; "/home/libs/drv.o"; "/home/libs/lib.o" ];
   Kernel.set_isa_entry k proc ~entry:(Option.get (Plt.dlsym plt proc "_pltstart"));
   Kernel.run k;
+  (k, plt, proc)
+
+let plt_bind_once () =
+  let _, plt, proc = plt_run_caller () in
   check_int "50 returned" 50 (exit_code proc);
   (* ten calls, one binding *)
   check_int "bound exactly once per function" 2 (Plt.bound plt proc)
+
+let plt_state_dies_at_reap () =
+  let k, plt, proc = plt_run_caller () in
+  check_int "a zombie's state stays inspectable" 2 (Plt.bound plt proc);
+  reap_all k;
+  match Plt.bound plt proc with
+  | _ -> Alcotest.fail "expected the reaped process's state to be gone"
+  | exception Plt.Link_error _ -> ()
 
 let plt_missing_library () =
   let k, plt = plt_setup () in
@@ -183,6 +196,7 @@ let suite =
     test "channels: copy/cycle ordering (claims 3-4)" channels_copy_ordering;
     test "plt: load, stub, bind, call" plt_load_and_call;
     test "plt: binds each function once" plt_bind_once;
+    test "plt: a reaped process's loader state dies with it" plt_state_dies_at_reap;
     test "plt: libraries must exist at load time" plt_missing_library;
     test "plt: data references resolved eagerly" plt_data_must_resolve;
     test "plt: rejects gp modules" plt_rejects_gp;

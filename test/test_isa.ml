@@ -307,6 +307,58 @@ let dcache_respects_protect () =
       | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
       | _ -> Alcotest.fail "fetch after dropping exec must fault")
 
+(* Pages 0x10000 and 0x20000 share a decode-cache slot.  A loop on the
+   first calls a function on the second [n] times, refilling the slot
+   twice per call, then jumps to an exit on the second page.  The
+   exit's second word has a slot entry last written by the first
+   page's prologue, on the slot's first fill (a refill decodes the
+   word it was fetched for, so the first word cannot show this).  For
+   some [n] the exit's fill comes after the slot has passed its
+   generation cap, where that entry must still read as empty. *)
+let dcache_generation_wrap () =
+  let page base insns =
+    let seg = Segment.create ~name:"text" ~max_size:0x1000 () in
+    List.iteri (fun i insn -> Segment.set_u32 seg (4 * i) (Insn.encode insn)) insns;
+    (base, seg)
+  in
+  let run n =
+    let sp = As.create () in
+    List.iter
+      (fun (base, seg) ->
+        As.map sp ~base ~len:0x1000 ~seg ~prot:Prot.Read_exec ~share:As.Private ~label:"text" ())
+      [
+        page 0x10000
+          [
+            Insn.Addi (Reg.t0, Reg.zero, n);
+            Insn.Addi (Reg.t1, Reg.zero, 0);
+            (* 0x10008 loop: *)
+            Insn.Jal (Insn.jump_field ~target:0x2000c);
+            Insn.Addi (Reg.t0, Reg.t0, -1);
+            Insn.Bne (Reg.t0, Reg.zero, -3);
+            Insn.J (Insn.jump_field ~target:0x20000);
+          ];
+        page 0x20000
+          [
+            Insn.Addi (Reg.t2, Reg.zero, 1);
+            Insn.Add (Reg.a0, Reg.t1, Reg.zero);
+            Insn.Break;
+            (* 0x2000c f: *)
+            Insn.Addi (Reg.t1, Reg.t1, 1);
+            Insn.Jr Reg.ra;
+          ];
+      ];
+    Cpu.run ~fuel:10_000 (Cpu.create ~entry:0x10000 ~sp:0) sp ~syscall:no_syscall
+  in
+  for n = 1 to 200 do
+    List.iter
+      (fun enabled ->
+        with_dcache enabled (fun () ->
+            match run n with
+            | Cpu.Halted code -> check_int (Printf.sprintf "n = %d, dcache %b" n enabled) n code
+            | Cpu.Running -> Alcotest.failf "n = %d, dcache %b: no halt" n enabled))
+      [ true; false ]
+  done
+
 (* ----- assembler ----- *)
 
 module Asm = Hemlock_isa.Asm
@@ -463,6 +515,7 @@ let suite =
     test "cpu: syscall callback" cpu_syscall_callback;
     test "cpu: self-modifying code re-decodes" dcache_self_modifying;
     test "cpu: decode cache respects protect" dcache_respects_protect;
+    test "cpu: decode cache refills a slot past its generation cap" dcache_generation_wrap;
     test "asm: sections and symbols" asm_sections_and_symbols;
     test "asm: branch backpatching" asm_branches_backpatch;
     test "asm: relocation records" asm_relocs;

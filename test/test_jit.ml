@@ -32,6 +32,7 @@ type engine_result = {
   er_syscalls : int;
   er_faults : int;
   er_cycles : int;
+  er_decode_hits : int;  (* interpreted fetches served by the decode cache *)
 }
 
 (* A tiny machine: text mapped RWX at 0x1000 (so programs can store
@@ -40,8 +41,10 @@ type engine_result = {
    syscalls resume the same burst (v1 := 2*v0+1 so results are
    data-dependent), faults and halts end the run, and a quanta cap
    bounds divergent programs — identical fuel accounting means both
-   engines stop in identical states. *)
-let run_engine ~quantum words =
+   engines stop in identical states.  [between n cpu space text] runs
+   after the [n]th quantum that ran dry, before the next one starts,
+   so a test can change code or mappings exactly where it stopped. *)
+let run_engine ?(between = fun _ _ _ _ -> ()) ~quantum words =
   Stats.reset ();
   let sp = As.create () in
   let text = Segment.create ~name:"text" ~max_size:0x10000 () in
@@ -53,8 +56,8 @@ let run_engine ~quantum words =
     ~share:As.Private ~label:"data" ();
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
   let events = Buffer.create 64 in
-  let rec quanta_loop quanta =
-    if quanta = 0 then Buffer.add_string events "out-of-quanta"
+  let rec quanta_loop n =
+    if n > 200 then Buffer.add_string events "out-of-quanta"
     else
       let rec burst fuel =
         if fuel = 0 then `Again
@@ -79,9 +82,13 @@ let run_engine ~quantum words =
             Buffer.add_string events (Printf.sprintf "cpu-error:0x%08x:%s;" pc msg);
             `Done
       in
-      match burst quantum with `Done -> () | `Again -> quanta_loop (quanta - 1)
+      match burst quantum with
+      | `Done -> ()
+      | `Again ->
+        between n cpu sp text;
+        quanta_loop (n + 1)
   in
-  quanta_loop 200;
+  quanta_loop 1;
   let s = Stats.snapshot () in
   {
     er_events = Buffer.contents events;
@@ -93,6 +100,7 @@ let run_engine ~quantum words =
     er_syscalls = s.Stats.syscalls;
     er_faults = s.Stats.faults;
     er_cycles = Stats.cycles s;
+    er_decode_hits = s.Stats.decode_hits;
   }
 
 let summarize r =
@@ -233,10 +241,10 @@ let self_modify_invalidates () =
 (* A divergent loop whose backward edge is a *conditional* branch to
    the entry — a mid-trace loop edge, not the fall-off-the-end tail.
    The taken edge must pass the same fuel gate as the tail edge: the
-   compiled steps never check fuel, so an ungated re-entry would cycle
-   inside a single [Cpu.run_trap] call forever and the driver's quanta
-   cap could never fire.  Both engines must stop out-of-quanta in
-   identical states. *)
+   fused steps never check fuel, so a re-entry that skipped the gate's
+   switch to the fuel-checked twin would cycle inside a single
+   [Cpu.run_trap] call forever and the engine's quanta cap could never
+   fire.  Both engines must stop out-of-quanta in identical states. *)
 let divergent_loop_terminates () =
   let words =
     List.map Insn.encode
@@ -270,6 +278,80 @@ let quantum_boundaries () =
   List.iter
     (fun quantum -> check_engines_agree ~quantum "quantum" words)
     [ 1; 2; 3; 7; 4000 ]
+
+(* A hot loop with a 5-instruction body: quanta of 7, 13 and 17 run
+   dry part-way through its trace, so each leaves a resume token. *)
+let resume_loop =
+  List.map Insn.encode
+    [
+      Insn.Addi (Reg.t0, Reg.zero, 100);
+      Insn.Addi (Reg.t1, Reg.zero, 0);
+      (* 0x1008 loop: *)
+      Insn.Add (Reg.t1, Reg.t1, Reg.t0);
+      Insn.Addi (Reg.t2, Reg.t2, 3);
+      Insn.Sub (Reg.a1, Reg.a1, Reg.t0);
+      Insn.Addi (Reg.t0, Reg.t0, -1);
+      Insn.Bne (Reg.t0, Reg.zero, -5);
+      Insn.Add (Reg.a0, Reg.t1, Reg.zero);
+      Insn.Break;
+    ]
+
+let resume_quanta = [ 7; 13; 17 ]
+
+(* At threshold 1 every quantum of the loop resumes in compiled code:
+   the prologue's trace and the loop's trace run every instruction. *)
+let resume_in_compiled_code () =
+  List.iter
+    (fun quantum ->
+      check_engines_agree ~quantum "resume" resume_loop;
+      let r = with_jit ~threshold:(Some 1) (fun () -> run_engine ~quantum resume_loop) in
+      check_int
+        (Printf.sprintf "quantum %d: nothing interpreted" quantum)
+        0 r.er_decode_hits)
+    resume_quanta
+
+(* Once the loop is hot, the first quantum that stops inside its body
+   is followed by a change a resume token must not survive: the JIT at
+   thresholds 1 and 3 must match the interpreter, which runs what is
+   there now.  A resume that skipped validation would run the old
+   instruction at the stop pc. *)
+let resume_invalidated name change () =
+  let hook () =
+    let fired = ref false in
+    fun n cpu sp text ->
+      let pc = cpu.Cpu.pc in
+      if (not !fired) && n >= 6 && pc > 0x1008 && pc <= 0x1018 then begin
+        fired := true;
+        change pc sp text
+      end
+  in
+  List.iter
+    (fun quantum ->
+      let run threshold =
+        with_jit ~threshold (fun () -> run_engine ~between:(hook ()) ~quantum resume_loop)
+      in
+      let oracle = run None in
+      List.iter
+        (fun th ->
+          let r = run (Some th) in
+          let what = Printf.sprintf "%s, quantum %d, threshold %d" name quantum th in
+          check_string what (summarize oracle) (summarize r);
+          check_bool (what ^ ": text") true (oracle.er_text = r.er_text))
+        [ 1; 3 ])
+    resume_quanta
+
+let patch_stop_word pc _ text =
+  Segment.set_u32 text (pc - 0x1000) (Insn.encode (Insn.Addi (Reg.t2, Reg.t2, 100)))
+
+let protect_text _ sp _ = As.protect sp 0x1000 Prot.No_access
+
+let remap_text pc sp text =
+  let other = Segment.create ~name:"other text" ~max_size:0x10000 () in
+  Segment.blit_in other ~dst_off:0 (Segment.contents text);
+  Segment.set_u32 other (pc - 0x1000) (Insn.encode (Insn.Addi (Reg.t2, Reg.t2, 100)));
+  As.unmap sp 0x1000;
+  As.map sp ~base:0x1000 ~len:0x1000 ~seg:other ~prot:Prot.Read_write_exec ~share:As.Private
+    ~label:"text" ()
 
 let counters_observe_jit () =
   let words =
@@ -343,6 +425,12 @@ let suite =
     test "jit: quantum expiry lands on identical boundaries" quantum_boundaries;
     test "jit: divergent conditional loop still yields the quantum"
       divergent_loop_terminates;
+    test "jit: a quantum resumes part-way through a trace" resume_in_compiled_code;
+    test "jit: resume after the stop word is patched"
+      (resume_invalidated "patch" patch_stop_word);
+    test "jit: resume after the text is protected" (resume_invalidated "protect" protect_text);
+    test "jit: resume after another segment is mapped"
+      (resume_invalidated "remap" remap_text);
     test "jit: counters observe compiles and hits" counters_observe_jit;
     test "jit: fork/COW workload identical with JIT on and off"
       (Test_oracle.fork_check

@@ -705,7 +705,72 @@ let cow_exec_input =
   fixed "exec from an image master" [ all_on () ] (fun log ->
       ignore (program multi_page_image_src [ "warm"; "run" ] log))
 
+(* Hot loops stay in compiled code across quanta: a trace runs to the
+   end of the kernel's quantum and the next quantum resumes where it
+   stopped, so the interpreter serves only warm-up and cold code. *)
+let compiled_input name ?max_exits ?libs src =
+  fixed name [ all_on () ]
+    ~extra:(fun _ _ obs ->
+      let d = bill obs "run" in
+      check_bool
+        (Printf.sprintf "decode hits %d within 1%% of %d instructions" d.Stats.decode_hits
+           d.Stats.instructions)
+        true
+        (100 * d.Stats.decode_hits <= d.Stats.instructions);
+      Option.iter
+        (fun m ->
+          check_bool
+            (Printf.sprintf "%d side exits, at most %d" d.Stats.jit_exits m)
+            true (d.Stats.jit_exits <= m))
+        max_exits)
+    (fun log -> ignore (program ?libs src [ "run" ] log))
+
+(* 16000 iterations, each calling two public modules through their jump
+   slots; exits 42. *)
+let loop_input =
+  compiled_input "a cross-module loop stays compiled across quanta" ~max_exits:16
+    ~libs:[ ("inc_a.o", "int inc_a() { return 3; }"); ("inc_b.o", "int inc_b() { return 4; }") ]
+    {|
+extern int inc_a();
+extern int inc_b();
+int main() {
+  int i;
+  int s;
+  s = 0;
+  i = 0;
+  while (i < 16000) {
+    s = s + inc_a();
+    s = s + i; s = s + i; s = s + i; s = s + i;
+    s = s + i; s = s + i; s = s + i; s = s + i;
+    s = s - i; s = s - i; s = s - i; s = s - i;
+    s = s - i; s = s - i; s = s - i; s = s - i;
+    s = s + inc_b();
+    i = i + 1;
+  }
+  return s - 111958;
+}
+|}
+
+(* A leaf loop of 12000 iterations; exits 42. *)
+let compute_input =
+  compiled_input "a leaf loop stays compiled across quanta"
+    {|
+int main() {
+  int i;
+  int s;
+  s = 0;
+  i = 0;
+  while (i < 12000) {
+    s = s + i; s = s + i; s = s + i; s = s + i;
+    s = s - i; s = s - i; s = s - i; s = s + 1;
+    i = i + 1;
+  }
+  return s - 72006000 + 42;
+}
+|}
+
 let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
+    loop_input; compute_input;
   ]
