@@ -11,7 +11,8 @@
                                deterministic fault sweep: per seed, drive
                                /shared op traffic (and a cluster broadcast
                                burst with the net sites armed) under a
-                               PRNG fault plan and require every recovery
+                               PRNG fault plan, crash the first recovery
+                               on even seeds, and require every recovery
                                fsck to come back clean
 
    Host-time benchmarking of the simulator lives in perfbench/. *)
@@ -816,13 +817,16 @@ let sweep_pool = [| "/shared/a"; "/shared/b"; "/shared/d/c"; "/shared/d/e"; "/sh
 
 (* One seed = one reproducible run: the seed derives both the op stream
    and the fault plan (Fault.configure_random).  A simulated crash is
-   recovered with rescan + fsck; the gate is that a second fsck is
-   always clean — recovery converged, nothing left half-done. *)
+   recovered with rescan + fsck, and on even seeds that first fsck is
+   itself crashed before its first or second intent; the gate is that a
+   second fsck is always clean — recovery converged, nothing left
+   half-done.  [sites] lists where each crash struck, in order. *)
 let crash_sweep seeds =
   header "CRASH-SWEEP: deterministic fault plans over /shared op traffic";
-  Printf.printf "%6s | %4s | %7s | %7s | %8s | %8s | %s\n" "seed" "ops" "faults"
-    "crashes" "replayed" "rolled" "verdict";
-  Printf.printf "-------+------+---------+---------+----------+----------+--------\n";
+  Printf.printf "%6s | %4s | %7s | %7s | %8s | %8s | %-14s | %s\n" "seed" "ops" "faults"
+    "crashes" "replayed" "rolled" "verdict" "sites";
+  Printf.printf
+    "-------+------+---------+---------+----------+----------+----------------+------\n";
   let failures = ref 0 in
   List.iter
     (fun seed ->
@@ -837,6 +841,15 @@ let crash_sweep seeds =
       let injected_before = Stats.global.Stats.faults_injected in
       Fault.configure_random seed;
       let crashes = ref 0 and replayed = ref 0 and rolled = ref 0 in
+      let sites = ref [] in
+      let crashed site =
+        incr crashes;
+        sites := site :: !sites
+      in
+      let recovered (r : Fs.fsck_report) =
+        replayed := !replayed + r.Fs.fsck_replayed;
+        rolled := !rolled + r.Fs.fsck_rolled_back
+      in
       let ok = ref true in
       for _ = 1 to nops do
         let op () =
@@ -860,13 +873,19 @@ let crash_sweep seeds =
         in
         match op () with
         | () | (exception Fs.Error _) | (exception Fault.Injected _) -> ()
-        | exception Fault.Crash _ ->
-          incr crashes;
+        | exception Fault.Crash { site } ->
+          crashed site;
           Fault.clear ();
           Fs.rescan_shared fs;
-          let r = Fs.fsck fs in
-          replayed := !replayed + r.Fs.fsck_replayed;
-          rolled := !rolled + r.Fs.fsck_rolled_back;
+          if seed land 1 = 0 then begin
+            Fault.configure
+              (Printf.sprintf "fs.fsck@%d=crash" (1 + ((seed lsr 1) land 1)));
+            (match Fs.fsck fs with
+            | r -> recovered r
+            | exception Fault.Crash { site } -> crashed site);
+            Fault.clear ()
+          end;
+          recovered (Fs.fsck fs);
           if not (Fs.fsck fs).Fs.fsck_clean then ok := false
       done;
       (* a short cluster burst so the net.send / net.deliver sites fire
@@ -886,14 +905,15 @@ let crash_sweep seeds =
          Cluster.run c
        with
        | () | (exception Fault.Injected _) | (exception Kernel.Deadlock _) -> ()
-       | exception Fault.Crash _ -> incr crashes);
+       | exception Fault.Crash { site } -> crashed site);
       Fault.clear ();
       if not (Fs.fsck fs).Fs.fsck_clean then ok := false;
       if not !ok then incr failures;
-      Printf.printf "%6d | %4d | %7d | %7d | %8d | %8d | %s\n" seed nops
+      Printf.printf "%6d | %4d | %7d | %7d | %8d | %8d | %-14s | %s\n" seed nops
         (Stats.global.Stats.faults_injected - injected_before)
         !crashes !replayed !rolled
-        (if !ok then "clean" else "FSCK NOT CLEAN"))
+        (if !ok then "clean" else "FSCK NOT CLEAN")
+        (if !sites = [] then "-" else String.concat "," (List.rev !sites)))
     seeds;
   if !failures > 0 then begin
     Printf.printf "\ncrash-sweep: %d seed(s) left the file system dirty\n" !failures;

@@ -195,24 +195,25 @@ let journal_pending t = List.rev t.journal
 (* One page of a shared file's dirty mapping, made durable.  A mapped
    shared file and its memory are the {e same} segment, so the content
    is already in place by construction: what the pager needs from the
-   file system is a {e durability barrier} — a journalled record that
-   this page was mid-flush if the machine dies inside it.  fsck then
-   digest-checks the page: matching means the pageout completed
+   file system is a {e durability barrier} — a record that this page
+   was mid-flush if the machine dies inside it.  Nothing runs between
+   entering the barrier and its [fs.pageout] site, so the record is
+   filed only when a crash there leaves it behind: the page's digest
+   as it stands at the barrier, the newest entry in the journal.  fsck
+   then digest-checks the page: matching means the pageout completed
    (replay/acknowledge), anything else rolls the intent back.  A
-   transient injected failure at the barrier withdraws the intent and
-   re-raises, so the pager can abort that eviction with no journal
-   residue. *)
+   flush that does not crash copies, hashes and journals nothing, and
+   a transient injected failure re-raises with no journal residue, so
+   the pager can abort that eviction. *)
 let page_digest seg page =
   Digest.bytes
     (Segment.blit_out seg ~src_off:(page lsl Layout.page_shift) ~len:Layout.page_size)
 
 let page_writeback t ~path ~seg ~page =
-  let jid = journal_begin t (Intent_pageout { path; page; digest = page_digest seg page }) in
-  (try Fault.hit "fs.pageout"
-   with Fault.Injected _ as e ->
-     journal_end t jid;
-     raise e);
-  journal_end t jid
+  try Fault.hit "fs.pageout"
+  with Fault.Crash _ as e ->
+    ignore (journal_begin t (Intent_pageout { path; page; digest = page_digest seg page }));
+    raise e
 
 (* Path-level API *)
 
@@ -597,12 +598,10 @@ let fsck t =
   let replayed = ref 0 and rolled = ref 0 in
   let repairs = ref [] and orphans = ref [] in
   let note msg = repairs := msg :: !repairs in
-  let entries = List.rev t.journal in
-  t.journal <- [];
   let lookup path =
     resolve_opt t ~op:"fsck" ~follow_last:false (Path.of_string ~cwd:Path.root path)
   in
-  let process (_jid, intent) =
+  let process intent =
     match intent with
     | Intent_create { path } -> (
       match lookup path with
@@ -667,7 +666,16 @@ let fsck t =
         end
       | Some _ | None -> incr rolled)
   in
-  List.iter process entries;
+  (* Each intent is retired as soon as it is resolved, so a crash part-way
+     through recovery leaves exactly the unprocessed ones for the next
+     fsck.  [fs.fsck] is the crash point before each; an injected errno
+     there has nothing to abort. *)
+  List.iter
+    (fun (jid, intent) ->
+      (try Fault.hit "fs.fsck" with Fault.Injected _ -> ());
+      process intent;
+      journal_end t jid)
+    (journal_pending t);
   (* Invariant sweep over the shared tree: every file carries an
      in-range slot and no slot is claimed by two paths. *)
   let slot_paths : (int, string list) Hashtbl.t = Hashtbl.create 64 in

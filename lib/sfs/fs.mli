@@ -168,8 +168,9 @@ type intent =
   | Intent_module of { module_path : string }
       (** module creation: create → sections/relocs → publish magic *)
   | Intent_pageout of { path : string; page : int; digest : string }
-      (** pager eviction flushing a dirty page of a mapped shared file:
-          [digest] of the page decides completed vs. withdrawn *)
+      (** pager eviction flushing a dirty page of a mapped shared file,
+          filed only by a crash at the barrier: [digest] of the page as
+          it stood there decides completed vs. withdrawn *)
 
 (** File an intent; returns a journal id to retire with {!journal_end}. *)
 val journal_begin : t -> intent -> int
@@ -180,14 +181,16 @@ val journal_end : t -> int -> unit
 (** Pending entries, oldest first (normally empty). *)
 val journal_pending : t -> (int * intent) list
 
-(** [page_writeback t ~path ~seg ~page] is the pager's journalled
-    durability barrier for one dirty page of a mapped shared file
-    ([seg] {e is} the file's segment, so contents are already in place
-    by construction).  Files an {!Intent_pageout}, passes the
-    [fs.pageout] fault site, retires the intent.  A transient injected
-    failure withdraws the intent and re-raises (the pager aborts that
-    eviction); a [Fault.Crash] leaves the intent for {!fsck}, which
-    digest-checks the page to decide completed vs. withdrawn. *)
+(** [page_writeback t ~path ~seg ~page] is the pager's durability
+    barrier for one dirty page of a mapped shared file ([seg] {e is}
+    the file's segment, so contents are already in place by
+    construction).  It passes the [fs.pageout] fault site and returns:
+    a flush that does not crash copies, hashes and journals nothing, so
+    {!journal_pending} is unchanged.  A [Fault.Crash] there files an
+    {!Intent_pageout} carrying the page's digest as it stands at the
+    barrier and re-raises; {!fsck} digest-checks the page to decide
+    completed vs. withdrawn.  A transient injected failure re-raises
+    with no journal residue (the pager aborts that eviction). *)
 val page_writeback :
   t -> path:string -> seg:Hemlock_vm.Segment.t -> page:int -> unit
 
@@ -204,7 +207,16 @@ type fsck_report = {
 (** [fsck t] = {!rescan_shared} + journal recovery + invariant sweep
     (every shared file has an in-range slot, no slot claimed by two
     paths, no dangling table entries).  Idempotent: a second run on the
-    result always reports [fsck_clean = true]. *)
+    result always reports [fsck_clean = true].
+
+    Recovery takes the pending intents oldest first and retires each
+    with {!journal_end} as soon as it is resolved, passing the
+    [fs.fsck] fault site before each one.  A [Fault.Crash] there
+    (a machine dying during recovery) leaves exactly the unprocessed
+    intents for the next [fsck]; an injected errno there is ignored.
+    [fs.fsck] is not in {!Hemlock_util.Fault.default_sites}.  The
+    report of a crashed run is lost, so an orphan it would have
+    flagged goes unreported. *)
 val fsck : t -> fsck_report
 
 (** Number of free inode slots on the shared partition. *)

@@ -23,7 +23,9 @@
     [fs.unlink], [fs.unlink.mid], [vfs.open], [vfs.read], [vfs.write],
     [vfs.lseek], [vfs.close], [seg.grow], [ldl.instantiate],
     [ldl.instantiate.mid], [plan.replay], [mod.create],
-    [mod.create.mid], [ipc.send], [fs.stable]. *)
+    [mod.create.mid], [ipc.send], [fs.stable], [fs.pageout], and
+    [fs.fsck] (before each intent [Fs.fsck] recovers; not in
+    {!default_sites}). *)
 
 type failure = Eio | Enospc | Eagain
 

@@ -40,9 +40,11 @@ done
 # Random fault plans draw from Fault.default_sites, which include
 # net.send / net.deliver; the per-seed cluster burst inside crash-sweep
 # exercises them, so the cluster stress must not change the verdicts.
+# Seeds 1-10 never crash at the pager's fs.pageout barrier; seeds 1-200
+# do (39, 120, 143 and 183), and the sweep still takes under a second.
 for row in "" "$CLUSTER"; do
   echo "== crash sweep (${row:-default}; gate: recovery fsck clean) =="
-  env $row dune exec bench/main.exe -- crash-sweep 1 2 3 4 5 6 7 8 9 10
+  env $row dune exec bench/main.exe -- crash-sweep $(seq 1 200)
 done
 
 # The golden rows double as the fault-layer-disabled check: the injection

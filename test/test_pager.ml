@@ -267,6 +267,64 @@ let eviction_crash_recovers () =
       let b = Fs.read_file fs "/shared/crashy" in
       check_int "durable byte" 0x40 (Char.code (Bytes.get b 0)))
 
+(* The crash files the page's digest as it stood at the barrier, so a
+   store that lands between the crash and fsck makes the intent stale
+   and fsck withdraws it. *)
+let eviction_crash_stale_page () =
+  with_pager true ~ram:8 (fun () ->
+      let fs = Fs.create () in
+      let sp, seg = file_space fs ~path:"/shared/crashy" 16 in
+      Fault.configure "fs.pageout@1=crash";
+      let crashed =
+        try
+          for i = 0 to 15 do
+            store_u8 sp (0x100000 + (i * Layout.page_size)) (0x40 + i)
+          done;
+          false
+        with Fault.Crash _ -> true
+      in
+      Fault.clear ();
+      check_bool "crashed mid-eviction" true crashed;
+      let at_crash =
+        Digest.bytes (Segment.blit_out seg ~src_off:0 ~len:Layout.page_size)
+      in
+      (match Fs.journal_pending fs with
+      | [ (_, Fs.Intent_pageout { path; page; digest }) ] ->
+        check_string "intent path" "/shared/crashy" path;
+        check_int "intent page" 0 page;
+        check_bool "digest of the page at the barrier" true (digest = at_crash)
+      | pending ->
+        Alcotest.failf "expected one pageout intent, got %d entries"
+          (List.length pending));
+      Segment.set_u8 seg 0 0x99;
+      let r1 = Fs.fsck fs in
+      check_int "the stale intent is rolled back" 1 r1.Fs.fsck_rolled_back;
+      check_int "nothing replayed" 0 r1.Fs.fsck_replayed;
+      Alcotest.(check (list string))
+        "repair log"
+        [ "discarded stale pageout of /shared/crashy page 0" ]
+        r1.Fs.fsck_repairs;
+      check_bool "recovery is idempotent" true (Fs.fsck fs).Fs.fsck_clean)
+
+(* A flush that does not crash is only its fault site: no page copy, no
+   digest, no journal entry. *)
+let writeback_allocates_nothing () =
+  let fs = Fs.create () in
+  let path = "/shared/quiet" in
+  Fs.write_file fs path (Bytes.make (16 * Layout.page_size) 'q');
+  let seg = Fs.segment_of fs path in
+  let calls = 256 in
+  let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
+  let before = Gc.quick_stat () in
+  for i = 0 to calls - 1 do
+    Fs.page_writeback fs ~path ~seg ~page:(i land 15)
+  done;
+  let per_call = (words (Gc.quick_stat ()) -. words before) /. float calls in
+  check_bool
+    (Printf.sprintf "%.1f words per writeback, under 8" per_call)
+    true (per_call < 8.0);
+  check_int "no journal traffic" 0 (List.length (Fs.journal_pending fs))
+
 (* ----- lockstep differential: squeezed pager vs eager oracle ----- *)
 
 (* Interpret a random schedule of writes, reads, clones and unmaps over
@@ -389,6 +447,8 @@ let suite =
     test "writeback: clean evictions never touch the journal" clean_evictions_skip_writeback;
     test "writeback: injected failure aborts one eviction cleanly" injected_failure_aborts_one_eviction;
     test "writeback: crash at the barrier is fsck-recoverable" eviction_crash_recovers;
+    test "writeback: a page changed after the crash is a stale intent" eviction_crash_stale_page;
+    test "writeback: a flush that does not crash allocates nothing" writeback_allocates_nothing;
     prop "lockstep: pager on (tiny RAM) matches eager oracle" ~count:120
       lockstep_gen lockstep_prop;
     prop "crash sweep: pageout crashes recover idempotently" ~count:60 crash_gen
