@@ -1,6 +1,7 @@
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc
 module Sysno = Hemlock_os.Sysno
+module Errno = Hemlock_os.Errno
 module Objfile = Hemlock_obj.Objfile
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
@@ -816,7 +817,13 @@ let handle_fault t _k proc fault =
         | exception Fs.Error _ -> Kernel.Unhandled
         | path ->
           let seg = Fs.segment_of (Kernel.fs t.k) path in
-          if Modinst.Header.is_module_file seg then
+          let is_module = Modinst.Header.is_module_file seg in
+          if is_module && instance_covering ps (Fs.addr_of_path (Kernel.fs t.k) path) <> None
+          then
+            (* A module this process already has, touched past its placed
+               extent: linking it again cannot resolve that. *)
+            Kernel.Unhandled
+          else if is_module then
             finish (fun () ->
                 let scope =
                   {
@@ -868,6 +875,30 @@ let count_used_veneers aout =
 let empty_root proc =
   { Modinst.sc_label = proc.Proc.comm; sc_modules = []; sc_search = []; sc_parent = None }
 
+(* Image bytes are hostile input: exec of one that does not parse, or
+   whose entry, retained relocations or veneer pool lie outside the
+   bytes it carries, or that does not fit below the heap, fails with
+   ENOEXEC before anything is mapped. *)
+let enoexec path fmt =
+  Printf.ksprintf
+    (fun why -> raise (Kernel.os_error (Printf.sprintf "exec %s: %s" path why) Errno.ENOEXEC))
+    fmt
+
+let check_image path aout =
+  let text = Bytes.length aout.Aout.text in
+  let carried = text + Bytes.length aout.Aout.data in
+  if aout.Aout.entry_off + 4 > text then
+    enoexec path "entry +0x%x outside the text" aout.Aout.entry_off;
+  if aout.Aout.veneer_off + (aout.Aout.veneer_cap * Reloc_engine.veneer_slot_bytes) > text then
+    enoexec path "veneer pool outside the text";
+  List.iter
+    (fun r ->
+      if r.Objfile.rel_offset + 4 > carried then
+        enoexec path "relocation at +0x%x outside the image" r.Objfile.rel_offset)
+    aout.Aout.pending;
+  if Aout.image_base + Layout.page_up (Aout.image_size aout) > Layout.heap_base then
+    enoexec path "image of %d bytes does not fit below the heap" (Aout.image_size aout)
+
 let loader t _k proc bytes ~path =
   if not (Aout.looks_like bytes) then raise Kernel.Wrong_format;
   (* Identify the backing file so the decode can be memoized and link
@@ -879,12 +910,15 @@ let loader t _k proc bytes ~path =
     | exception Fs.Error _ -> None
   in
   let aout =
-    match prog with
-    | Some _ ->
-      let fseg = Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path in
-      Link_plan.parse_aout ~seg:fseg bytes
-    | None -> Aout.parse bytes
+    try
+      match prog with
+      | Some _ ->
+        let fseg = Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path in
+        Link_plan.parse_aout ~seg:fseg bytes
+      | None -> Aout.parse bytes
+    with Failure why -> enoexec path "%s" why
   in
+  check_image path aout;
   let size = Aout.image_size aout in
   let build_image name =
     let seg = Segment.create ~name ~max_size:(Layout.page_up size) () in

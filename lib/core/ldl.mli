@@ -3,7 +3,10 @@
     [install] hooks the linker into a kernel:
 
     - a binfmt loader for the a.out images lds produces (maps the
-      private static image and the retained link state);
+      private static image and the retained link state); exec of an
+      image that does not parse, whose entry, retained relocations or
+      veneer pool lie outside its bytes, or that does not fit below the
+      heap fails with [ENOEXEC];
     - the [ldl_run] syscall that crt0 traps into before [main]: it maps
       the static public modules, creates and instantiates the dynamic
       modules (public ones under a file lock, so the first process of a

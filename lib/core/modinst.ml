@@ -6,7 +6,7 @@ module Path = Hemlock_sfs.Path
 module Fault = Hemlock_util.Fault
 module Config = Hemlock_util.Config
 
-exception Link_error of string
+exception Link_error = Reloc_engine.Link_error
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
 

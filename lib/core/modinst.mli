@@ -14,6 +14,8 @@
 module Objfile = Hemlock_obj.Objfile
 module Segment = Hemlock_vm.Segment
 
+(** The same exception as {!Reloc_engine.Link_error}, so ldl's fault
+    handler and its [ldl_run] syscall catch what this module raises. *)
 exception Link_error of string
 
 (** A node of the scoped-linking DAG (§3, Figure 2).  Resolution works

@@ -611,9 +611,11 @@ let compile st space entry_pc =
        chain's entry gate guarantees [tr_len] fuel, the twin wraps each
        step in its own check, every step consumes exactly one, and the
        exit helpers settle the counter from the difference.
-       [Codec.mask32]/[Codec.sext32] are inlined by hand (no flambda):
-       register values are already masked, so sign extension is one
-       test on bit 31. *)
+       [Codec.mask32]/[Codec.sext32] are written out by hand.  The
+       release build (no -opaque) would inline them, but dune's dev
+       profile would not, and register values are already masked, so
+       sign extension is one test on bit 31 where [sext32] masks
+       first. *)
     let new_lic () =
       {
         l_page = -1;

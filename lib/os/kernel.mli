@@ -30,6 +30,11 @@ exception Deadlock of blocked list
     message names the {!Errno.t}. *)
 exception Os_error of string
 
+(** [os_error ctx e] is the {!Os_error} the compat wrappers raise:
+    [ctx], then [e]'s message and name.  For loaders and syscalls that
+    live outside the kernel. *)
+val os_error : string -> Errno.t -> exn
+
 (** {1 Construction} *)
 
 (** A booted kernel with a fresh file system.  Boot rescans the shared
@@ -100,7 +105,8 @@ val block_syscall : ?why:string -> Hemlock_isa.Cpu.t -> (unit -> bool) -> 'a
 (** A binfmt loader: given the raw image and its path, set up the
     process's address space and return the entry point.  Loaders are
     tried in registration order; a loader rejects by raising
-    [Wrong_format]. *)
+    [Wrong_format], and one that recognises the format but finds the
+    image corrupt raises {!Os_error} carrying [ENOEXEC]. *)
 exception Wrong_format
 
 val register_binfmt :
@@ -126,8 +132,8 @@ val set_daemon : t -> Proc.t -> unit
 (** [exec t proc path] replaces the process image: fresh address space,
     image loaded by a registered binfmt, stack mapped, ISA body
     installed.  Environment and cwd survive, as in Unix.
-    @raise Os_error ([ENOENT]/[ENOEXEC]) on a missing file or when no
-    loader accepts the image. *)
+    @raise Os_error ([ENOENT]/[ENOEXEC]) on a missing file, when no
+    loader accepts the image, or when the image is corrupt. *)
 val exec : t -> Proc.t -> string -> unit
 
 (** [spawn_blank t ~name ()] creates a process that stays blocked until

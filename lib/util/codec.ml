@@ -14,8 +14,11 @@ let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xFF))
 (* These sit under every memory access the interpreter and the trace
    JIT make: one explicit range check, then the unchecked 16-bit
    primitives (little-endian loads/stores of immediate ints — no boxed
-   [Int32] allocation, unlike the [Bytes.get_int32_le] route, and small
-   enough to inline at call sites). *)
+   [Int32] allocation, unlike the [Bytes.get_int32_le] route).  They are
+   small enough for ocamlopt to inline into other modules, but only
+   when this module is compiled without -opaque, as in the release
+   profile that dune-workspace selects; under dune's dev profile every
+   call site elsewhere is a real call, through caml_apply2/caml_apply3. *)
 external unsafe_get_16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external unsafe_set_16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 

@@ -26,6 +26,22 @@ EXPERIMENTS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13"
 echo "== build =="
 dune build
 
+# dune-workspace selects the release profile: no -opaque, so small
+# accessors inline across modules on the JIT's hit path, with the dev
+# profile's warnings still errors.  Gate the flags the benchmark builds with.
+echo "== build flags (gates: no -opaque, dev warning set) =="
+dune rules _build/default/lib/isa/.hemlock_isa.objs/native/hemlock_isa__Trace.cmx \
+  > _build/trace_rules.txt
+if grep -q -e '-opaque' _build/trace_rules.txt; then
+  echo "Trace.cmx is compiled with -opaque: dune-workspace's release profile is not in effect"
+  exit 1
+fi
+if ! grep -q -F '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' _build/trace_rules.txt; then
+  echo "Trace.cmx is compiled without the dev warning set"
+  exit 1
+fi
+echo "release flags in effect"
+
 for row in "" "$ORACLE" "$SQUEEZE" "$CLUSTER"; do
   echo "== tests (${row:-default}) =="
   env $row dune runtest --force

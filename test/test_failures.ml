@@ -127,13 +127,84 @@ let truncated_aout_rejected () =
   ignore (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
   let image = Fs.read_file fs "/home/t/prog" in
   Fs.write_file fs "/home/t/broken" (Bytes.sub image 0 (Bytes.length image / 2));
-  ignore
-    (Kernel.spawn_native k ~name:"t" (fun k _ ->
-         match Kernel.spawn_exec k "/home/t/broken" with
-         | _ -> Alcotest.fail "expected exec failure"
-         | exception Kernel.Os_error _ -> 0
-         | exception Failure _ -> 0));
-  Kernel.run k
+  match Kernel.spawn_exec k "/home/t/broken" with
+  | _ -> Alcotest.fail "expected exec failure"
+  | exception Kernel.Os_error msg -> check_bool "answers ENOEXEC" true (contains msg "ENOEXEC")
+
+(* ----- hostile images and templates ----- *)
+
+(* A linked image and the public template it links lazily, as lds and
+   cc wrote them; each case corrupts one of the two. *)
+let pristine_inputs =
+  lazy
+    (let k, _ldl = boot () in
+     let fs = Kernel.fs k in
+     Fs.mkdir fs "/shared/lib";
+     install_c k "/shared/lib/f.o" "int f(int x) { return x + 1; }";
+     Fs.mkdir fs "/home/t";
+     install_c k "/home/t/main.o" "extern int f(); int main() { return f(41); }";
+     ignore
+       (link k ~dir:"/home/t"
+          ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/f.o", Sharing.Dynamic_public) ]
+          "prog");
+     (Fs.read_file fs "/home/t/prog", Fs.read_file fs "/shared/lib/f.o"))
+
+(* 1-3 byte flips past the 4-byte magic, or a truncation; positions are
+   taken modulo the input's length. *)
+let corrupt bytes = function
+  | `Flips flips ->
+    let b = Bytes.copy bytes in
+    List.iter
+      (fun (pos, mask) ->
+        let i = 4 + (pos mod (Bytes.length b - 4)) in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
+      flips;
+    b
+  | `Truncate n -> Bytes.sub bytes 0 (n mod Bytes.length bytes)
+
+let print_corruption (in_template, cut) =
+  Printf.sprintf "%s: %s"
+    (if in_template then "template" else "image")
+    (match cut with
+    | `Flips flips ->
+      String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)
+    | `Truncate n -> Printf.sprintf "truncate %d" n)
+
+(* Corrupt bytes end in an errno, an exit or a kill: exec answers
+   ENOEXEC, or the process runs until it exits, is killed, or uses up
+   the tick budget (or blocks for good).  No other exception escapes
+   [Kernel.spawn_exec] or [Kernel.run]. *)
+let prop_hostile_inputs =
+  prop "failure: corrupt images and templates end in an errno or a reap" ~count:300
+    ~print:print_corruption
+    QCheck2.Gen.(
+      pair bool
+        (oneof
+           [
+             map (fun l -> `Flips l) (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+             map (fun n -> `Truncate n) nat;
+           ]))
+    (fun (in_template, cut) ->
+      let image, template = Lazy.force pristine_inputs in
+      let image, template =
+        if in_template then (image, corrupt template cut) else (corrupt image cut, template)
+      in
+      let k, _ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      Fs.write_file fs "/shared/lib/f.o" template;
+      Fs.mkdir fs "/home/t";
+      Fs.write_file fs "/home/t/prog" image;
+      match Kernel.spawn_exec k "/home/t/prog" with
+      | exception Kernel.Os_error msg ->
+        contains msg "ENOEXEC" || QCheck2.Test.fail_reportf "exec: Os_error %s" msg
+      | exception e -> QCheck2.Test.fail_reportf "exec raised %s" (Printexc.to_string e)
+      | proc -> (
+        match Kernel.run ~max_ticks:20_000 k with
+        | () -> Proc.is_zombie proc || QCheck2.Test.fail_reportf "process still alive"
+        | exception Kernel.Os_error msg when contains msg "tick budget exhausted" -> true
+        | exception Kernel.Deadlock _ -> true
+        | exception e -> QCheck2.Test.fail_reportf "run raised %s" (Printexc.to_string e)))
 
 (* ----- injected Vfs faults surface as mapped errnos ----- *)
 
@@ -277,6 +348,7 @@ let suite =
     test "failure: corrupted template rejected" corrupted_template_rejected;
     test "failure: corrupted module header tolerated" corrupted_module_header;
     test "failure: truncated a.out rejected" truncated_aout_rejected;
+    prop_hostile_inputs;
     test "failure: Vfs fault sites map to errnos" vfs_fault_sweep;
     test "failure: ISA program recovers from injected errno" isa_injection_recovers;
     test "janitor: survey classifies segments" janitor_survey_classifies;

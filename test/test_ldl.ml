@@ -305,6 +305,62 @@ let pointer_fault_unmapped_address_unhandled () =
   in
   check_bool "no file there: unhandled" true died
 
+let fault_past_linked_module_unhandled () =
+  (* A stray load across the end of a public module's slot, far past
+     what the module occupies: relinking the module cannot resolve it,
+     so the process dies instead of faulting on every retry. *)
+  let k, ldl = boot () in
+  let fs = Kernel.fs k in
+  Fs.mkdir fs "/shared/lib";
+  install_c k "/shared/lib/counter.o" counter_template;
+  run_native k (fun _ proc -> ignore (Ldl.dlopen ldl proc "/shared/lib/counter.o"));
+  let stray = Fs.addr_of_path fs "/shared/lib/counter" + Layout.shared_slot_size - 2 in
+  Fs.mkdir fs "/home/t";
+  install_c k "/home/t/main.o"
+    (Printf.sprintf "int main() { int *p; p = %d; return *p; }" stray);
+  ignore
+    (link k ~dir:"/home/t"
+       ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/counter.o", Sharing.Dynamic_public) ]
+       "prog");
+  let proc = Kernel.spawn_exec k "/home/t/prog" in
+  Kernel.run ~max_ticks:2_000 k;
+  check_int "killed by the fault" (-1) (exit_code proc);
+  check_int "one instance of the module" 1 (List.length (Ldl.instances ldl proc))
+
+let retained_data_reloc_applied () =
+  (* A data word pointing into a dynamic module is retained by lds and
+     patched by ldl at start-up; it lies past the image's text, which
+     the loader's bounds check must allow. *)
+  let k, _ldl = boot () in
+  let fs = Kernel.fs k in
+  Fs.mkdir fs "/shared/lib";
+  install_c k "/shared/lib/counter.o" counter_template;
+  Fs.mkdir fs "/home/t";
+  install_s k "/home/t/main.o"
+    {|
+        .text
+        .globl main
+main:   la   $t0, ptr
+        lw   $t1, 0($t0)
+        li   $t2, 7
+        sw   $t2, 0($t1)
+        lw   $v0, 0($t1)
+        jr   $ra
+        .data
+ptr:    .word counter
+|};
+  ignore
+    (link k ~dir:"/home/t"
+       ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/counter.o", Sharing.Dynamic_public) ]
+       "prog");
+  let aout = Hemlock_linker.Aout.parse (Fs.read_file fs "/home/t/prog") in
+  check_bool "a retained relocation lies past the text" true
+    (List.exists
+       (fun r -> r.Objfile.rel_offset >= Bytes.length aout.Hemlock_linker.Aout.text)
+       aout.Hemlock_linker.Aout.pending);
+  let proc, _ = run_program k "/home/t/prog" in
+  check_int "stored and loaded through the patched word" 7 (exit_code proc)
+
 let program_handler_chained () =
   (* A program-provided SIGSEGV handler still runs when the Hemlock
      handler cannot resolve the fault. *)
@@ -568,6 +624,8 @@ let suite =
     test "ldl: root-unresolved references fault at use" root_unresolved_faults;
     test "ldl: pointer faults map shared segments" pointer_fault_maps_segment;
     test "ldl: faults on empty slots stay unhandled" pointer_fault_unmapped_address_unhandled;
+    test "ldl: faults past a linked module stay unhandled" fault_past_linked_module_unhandled;
+    test "ldl: retained data relocations are applied" retained_data_reloc_applied;
     test "ldl: program SIGSEGV handler chained" program_handler_chained;
     test "ldl: creation race resolved by file lock" creation_race_single_module;
     test "ldl: fork clones link state, public stays shared" fork_clones_link_state;
