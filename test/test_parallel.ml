@@ -56,18 +56,80 @@ let pool_rounds_and_merge () =
   (* 3 rounds x 4 workers, the 3 off-domain records merged at shutdown *)
   check_int "per-domain stats merge" 12 d.Stats.messages_sent
 
+(* At 2 domains the pool spins between rounds (on a host with 2 cores
+   or more); at 4 on a 2-core host it parks at once.  Shares
+   [domains / 2 ..] fail. *)
 let pool_reraises_lowest_worker () =
-  let pool = Domain_pool.create ~domains:4 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (match
-     Domain_pool.round pool (fun w -> if w >= 2 then failwith (string_of_int w))
-   with
-  | () -> Alcotest.fail "round did not re-raise"
-  | exception Failure w -> check_string "deterministic loser" "2" w);
-  (* the pool survives a failed round *)
-  let ok = ref 0 in
-  Domain_pool.round pool (fun _ -> incr ok);
-  check_bool "pool usable after failure" true (!ok >= 1)
+  List.iter
+    (fun domains ->
+      let pool = Domain_pool.create ~domains in
+      Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
+      let lowest = domains / 2 in
+      (match
+         Domain_pool.round pool (fun w -> if w >= lowest then failwith (string_of_int w))
+       with
+      | () -> Alcotest.failf "%d domains: round did not re-raise" domains
+      | exception Failure w ->
+        check_string (Printf.sprintf "%d domains: deterministic loser" domains)
+          (string_of_int lowest) w);
+      (* the pool survives a failed round *)
+      let ok = Atomic.make 0 in
+      Domain_pool.round pool (fun _ -> Atomic.incr ok);
+      check_int (Printf.sprintf "%d domains: pool usable after failure" domains) domains
+        (Atomic.get ok))
+    [ 4; 2 ]
+
+(* [rounds] lockstep rounds on a fresh pool.  In round [r] worker [w]
+   runs [share w r], writes [r] into its own slot and finds every slot
+   at [r - 1] or later; once [round] returns, the coordinator finds every
+   slot at [r].  [between r] runs on the coordinator before round [r].
+   Every share counts one message, merged into the caller at shutdown. *)
+let lockstep ?(between = ignore) ?(share = fun _ _ -> ()) ~domains rounds =
+  let slots = Array.make domains 0 in
+  let before = Stats.snapshot () in
+  let pool = Domain_pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () ->
+      for r = 1 to rounds do
+        between r;
+        Domain_pool.round pool (fun w ->
+            share w r;
+            slots.(w) <- r;
+            Array.iteri
+              (fun v s ->
+                if s < r - 1 then
+                  failwith (Printf.sprintf "round %d: worker %d saw slot %d at %d" r w v s))
+              slots;
+            (Stats.cur ()).messages_sent <- (Stats.cur ()).messages_sent + 1);
+        Array.iteri
+          (fun w s -> if s <> r then Alcotest.failf "after round %d: slot %d at %d" r w s)
+          slots
+      done);
+  let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
+  check_int (Printf.sprintf "%d domains: every share counted once" domains) (rounds * domains)
+    d.Stats.messages_sent
+
+let pool_lockstep_stress () = lockstep ~domains:2 20_000
+
+(* 20 ms is far past the spin bound (well under 1 ms), so each wait
+   parks: first the worker's, for the next round, then the
+   coordinator's, for the round to close. *)
+let pool_parks_both_sides () =
+  lockstep ~domains:2 ~between:(fun _ -> Unix.sleepf 0.02) 5;
+  lockstep ~domains:2 ~share:(fun w _ -> if w = 1 then Unix.sleepf 0.02) 5
+
+(* More domains than cores: no waiter spins. *)
+let pool_park_only () = lockstep ~domains:(Domain.recommended_domain_count () + 2) 1_000
+
+(* OCaml 5.1 runs at most 128 domains at once.  The workers spawned
+   before the failing spawn must be joined, or every later pool in the
+   process fails to spawn too. *)
+let pool_create_failure_joins_workers () =
+  (match Domain_pool.create ~domains:200 with
+  | pool ->
+    Domain_pool.shutdown pool;
+    Alcotest.fail "200 domains spawned"
+  | exception Failure _ -> ());
+  lockstep ~domains:4 1
 
 (* ----- network enqueue and backpressure ----- *)
 
@@ -263,6 +325,10 @@ let suite =
     test "prng: per-domain streams are deterministic" prng_streams_split;
     test "domain pool: rounds run everywhere, stats merge" pool_rounds_and_merge;
     test "domain pool: failure re-raised from lowest worker" pool_reraises_lowest_worker;
+    test "domain pool: 20,000 lockstep rounds at 2 domains" pool_lockstep_stress;
+    test "domain pool: parked waiters on both sides wake" pool_parks_both_sides;
+    test "domain pool: more domains than cores park at once" pool_park_only;
+    test "domain pool: a failed create joins its workers" pool_create_failure_joins_workers;
     test "kernel: enqueue_net backpressure, no phantom billing" enqueue_net_backpressure;
     test "cluster: 4-domain run = single-domain oracle" cluster_lockstep;
     test "cluster: deadlock reports machine-tagged processes" cluster_deadlock_tagged;
