@@ -5,8 +5,8 @@
      bench/main.exe            run every experiment
      bench/main.exe e5 e8      run selected experiments
      bench/main.exe perf       interpreter throughput with and without the
-                               TLB + decode cache and the trace JIT;
-                               gates the JIT's floors over both
+                               TLB and the trace JIT; gates the JIT's
+                               floors over both interpreters
      bench/main.exe crash-sweep [seeds]
                                deterministic fault sweep: per seed, drive
                                /shared op traffic (and a cluster broadcast
@@ -693,10 +693,9 @@ int main() {
 }
 |}
 
-(* One switch per layer: [caches] is the memory-system fast path (TLB +
-   decode cache), [jit] the trace compiler on top of it. *)
-let with_profile ~caches ~jit =
-  Config.with_ { Config.current with tlb = caches; dcache = caches; jit }
+(* One switch per layer: [tlb] is the memory-system fast path, [jit]
+   the trace compiler on top of it. *)
+let with_profile ~tlb ~jit = Config.with_ { Config.current with tlb; jit }
 
 (* Each round runs every configuration once, in an order that rotates
    from round to round, so a drift in host speed moves all three
@@ -704,14 +703,14 @@ let with_profile ~caches ~jit =
 let perf_rounds = 9
 
 let perf () =
-  header "PERF: interpreter throughput — TLB + decode cache + trace JIT";
+  header "PERF: interpreter throughput — TLB + trace JIT";
   (* One kernel per configuration.  The switches are set while it is
      built and around every run: an exec's address space captures the
-     caching flag when it is created, and the CPU reads the
-     decode-cache and JIT switches as it steps. *)
-  let config ~caches ~jit =
+     TLB flag when it is created, and the CPU reads the JIT switch as
+     it steps. *)
+  let config ~tlb ~jit =
     let k =
-      with_profile ~caches ~jit (fun () ->
+      with_profile ~tlb ~jit (fun () ->
           let k, _ldl = boot () in
           let fs = Kernel.fs k in
           Fs.mkdir fs "/shared/lib";
@@ -731,7 +730,7 @@ let perf () =
           k)
     in
     fun () ->
-      with_profile ~caches ~jit (fun () ->
+      with_profile ~tlb ~jit (fun () ->
           let p = Kernel.spawn_exec k "/home/perf/prog" in
           Kernel.run k;
           match p.Proc.state with
@@ -740,8 +739,7 @@ let perf () =
   in
   let runs =
     [|
-      config ~caches:false ~jit:false; config ~caches:true ~jit:false;
-      config ~caches:true ~jit:true;
+      config ~tlb:false ~jit:false; config ~tlb:true ~jit:false; config ~tlb:true ~jit:true;
     |]
   in
   (* A warm-up run each, then the billed costs of one more. *)
@@ -752,7 +750,7 @@ let perf () =
         snd (Stats.measure run))
       runs
   in
-  let d_off = deltas.(0) and d_on = deltas.(1) and d_jit = deltas.(2) in
+  let d_off = deltas.(0) and d_tlb = deltas.(1) and d_jit = deltas.(2) in
   (* Neither fast path may be visible to the simulated cost model. *)
   let same a b =
     a.Stats.instructions = b.Stats.instructions
@@ -761,8 +759,8 @@ let perf () =
     && a.Stats.context_switches = b.Stats.context_switches
     && Stats.cycles a = Stats.cycles b
   in
-  if not (same d_on d_off) then
-    failwith "perf: simulated costs differ with caches on vs off";
+  if not (same d_tlb d_off) then
+    failwith "perf: simulated costs differ with the TLB on vs off";
   if not (same d_jit d_off) then
     failwith "perf: simulated costs differ with the JIT on vs off";
   let secs = Array.make_matrix perf_rounds 3 0.0 in
@@ -781,30 +779,30 @@ let perf () =
   in
   let ns c = 1e9 *. median (fun t -> t.(c)) in
   let ratio a b = median (fun t -> t.(a) /. t.(b)) in
-  let ns_off = ns 0 and ns_on = ns 1 and ns_jit = ns 2 in
-  let speedup = ratio 0 1 and jit_vs_nocache = ratio 0 2 and jit_vs_cache = ratio 1 2 in
-  let insns = d_on.Stats.instructions in
+  let ns_off = ns 0 and ns_tlb = ns 1 and ns_jit = ns 2 in
+  let speedup = ratio 0 1 and jit_vs_nocache = ratio 0 2 and jit_vs_tlb = ratio 1 2 in
+  let insns = d_tlb.Stats.instructions in
   let ips ns = float_of_int insns /. (ns *. 1e-9) in
   Printf.printf "workload: %d simulated instructions per run (deterministic all ways)\n" insns;
   Printf.printf "median of %d interleaved rounds\n\n" perf_rounds;
   Printf.printf "%-12s | %14s | %16s | %s\n" "config" "ns/run" "insns/sec" "fast-path hits";
   Printf.printf "-------------+----------------+------------------+---------------------------\n";
   Printf.printf "%-12s | %14.0f | %16.0f | (none)\n" "nocache" ns_off (ips ns_off);
-  Printf.printf "%-12s | %14.0f | %16.0f | tlb %d, decode %d\n" "cached" ns_on (ips ns_on)
-    d_on.Stats.tlb_hits d_on.Stats.decode_hits;
-  (* Decode hits under the JIT are the instructions it left to the
+  Printf.printf "%-12s | %14.0f | %16.0f | tlb %d\n" "tlb" ns_tlb (ips ns_tlb)
+    d_tlb.Stats.tlb_hits;
+  (* Decodes under the JIT are the instructions it left to the
      interpreter: warm-up and cold code. *)
   Printf.printf
     "%-12s | %14.0f | %16.0f | jit %d hits / %d compiles / %d exits, %.2f%% interpreted\n" "jit"
     ns_jit (ips ns_jit) d_jit.Stats.jit_hits d_jit.Stats.jit_compiles d_jit.Stats.jit_exits
     (100.0 *. float_of_int d_jit.Stats.decode_hits /. float_of_int d_jit.Stats.instructions);
-  Printf.printf "\ncache speedup:          %.2fx\n" speedup;
-  Printf.printf "jit over nocache:       %.2fx (floor 10x)\n" jit_vs_nocache;
-  Printf.printf "jit over decode cache:  %.2fx (floor 3x)\n" jit_vs_cache;
+  Printf.printf "\ntlb speedup:       %.2fx\n" speedup;
+  Printf.printf "jit over nocache:  %.2fx (floor 10x)\n" jit_vs_nocache;
+  Printf.printf "jit over tlb:      %.2fx (floor 3x)\n" jit_vs_tlb;
   if jit_vs_nocache < 10.0 then
     failwith "perf: JIT throughput under the 10x-over-nocache acceptance floor";
-  if jit_vs_cache < 3.0 then
-    failwith "perf: JIT throughput under the 3x-over-decode-cache acceptance floor"
+  if jit_vs_tlb < 3.0 then
+    failwith "perf: JIT throughput under the 3x-over-TLB acceptance floor"
 
 (* ---------------------------------------------------------------------- *)
 (* crash-sweep: deterministic fault plans over /shared op traffic         *)

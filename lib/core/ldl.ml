@@ -1041,8 +1041,8 @@ let install k =
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
   Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
   (* Reboot kills the kernel-resident LINK STATE — the plan store, the
-     template decode memo, the export-symbol indexes, the locate cache —
-     which stable linking keeps a copy of in /shared (or leaves cold).
+     template decode memo, the export-symbol indexes — which stable
+     linking keeps a copy of in /shared (or leaves cold).
      Placed CONTENT stays: the image and placed-module masters and the
      decoded-image memo are identified by the (id, version) of segments
      that survive the reboot, modelling bytes in the persistent segment
@@ -1058,7 +1058,6 @@ let install k =
       Hashtbl.reset t.poisoned;
       Link_plan.clear_obj_cache ();
       Objfile.clear_index_memo ();
-      Search.clear_locate_cache ();
       if Config.current.plans then begin
         Stable_link.seed_indexes fs;
         if gen = t.synced_gen then

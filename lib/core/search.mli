@@ -33,11 +33,5 @@ val runtime_dirs : ctx -> recorded:string list -> string list
     a bare name is tried in each directory in order.  Returns the path
     {e as found} — a symlink is not chased, so a public module created
     from it lands in the symlink's directory (the temp-directory trick
-    of §4).  With {!Hemlock_util.Config.t.symhash} on, results and the
-    LD_LIBRARY_PATH split are memoized per domain, validated against
-    {!Hemlock_sfs.Fs.generation}; the results are identical either way. *)
+    of §4). *)
 val locate : ctx -> dirs:string list -> string -> string option
-
-(** Drop the calling domain's {!locate} cache and LD_LIBRARY_PATH memo
-    (reboot). *)
-val clear_locate_cache : unit -> unit

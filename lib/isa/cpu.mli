@@ -5,14 +5,9 @@
     after the kernel runs the process's SIGSEGV handler the instruction
     restarts, exactly the behaviour Hemlock's lazy linker relies on. *)
 
-(** One page's worth of decoded instructions (the [dcache] fast path of
-    {!Hemlock_util.Config}). *)
-type dpage
-
 type t = {
   regs : int array;
   mutable pc : int;
-  icache : dpage option array;
   jit : Trace.state;  (** per-CPU trace-JIT state (see {!Trace}) *)
 }
 
@@ -30,7 +25,8 @@ exception Illegal_insn of { ill_pc : int; ill_word : int }
 
 val create : entry:int -> sp:int -> t
 
-(** [fork t] copies registers and pc; the decode cache starts empty. *)
+(** [fork t] copies registers and pc; the child's trace JIT starts
+    with no compiled traces. *)
 val fork : t -> t
 
 val reg : t -> Reg.t -> int

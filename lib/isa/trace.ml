@@ -8,20 +8,21 @@ module Config = Hemlock_util.Config
 
 (* --- Trace JIT: threaded OCaml closure chains ------------------------
 
-   The interpreter pays fetch + decode + dispatch for every instruction,
-   even with the per-page decode cache.  This module removes all three
-   on hot paths: once a basic-block head has been entered [threshold]
-   times, the straight-line run starting there — extended across
-   unconditional branches, inlined calls and matched returns into a
-   superblock — is compiled into a chain of OCaml closures, one per
-   instruction, each doing its register/memory work directly and
-   tail-calling the next.  Conditional branches become guards that side
+   The interpreter pays fetch + decode + dispatch for every instruction.
+   This module removes all three on hot paths: once a basic-block head
+   has been entered [threshold] times, the straight-line run starting
+   there — extended across unconditional branches, inlined calls and
+   matched returns into a superblock — is compiled into a chain of
+   OCaml closures, one per instruction, each doing its register/memory
+   work directly and tail-calling the next.  Conditional branches become guards that side
    exit back to the interpreter when the unfollowed direction is taken;
    loads and stores carry per-site inline caches and fall back to the
    address space's checked accessors (exact fault semantics) on any
    miss.
 
-   Coherence rides exactly the decode cache's protocol:
+   Coherence: a compiled instruction is always the word a fetch through
+   the address space would read now, so lazy linking's no-access trick
+   stays sound:
 
    - every compiled instruction is recorded as a (segment, offset, word)
      dependency; entry validation compares [Segment.version] per
@@ -85,7 +86,7 @@ type ctx = {
 
 (* One contiguous run of compiled code words: the unit of invalidation
    checking.  [d_ver] is re-stamped whenever word verification proves
-   the bytes unchanged, mirroring the decode cache's degradation. *)
+   the bytes unchanged. *)
 type dep = {
   d_vlo : int;  (* vaddr of the first word *)
   d_seg : Segment.t;
@@ -388,10 +389,10 @@ let select regs space entry =
 
 (* --- validation ------------------------------------------------------ *)
 
-(* The decode cache's degradation, per dependency run: an untouched
-   version proves the bytes; a moved version falls back to re-reading
-   and comparing every word, re-stamping the version on an exact match
-   so the next check is cheap again. *)
+(* Per dependency run: an untouched version proves the bytes; a moved
+   version falls back to re-reading and comparing every word,
+   re-stamping the version on an exact match so the next check is cheap
+   again. *)
 let dep_words_current d =
   let ver = Segment.version d.d_seg in
   ver = d.d_ver

@@ -12,11 +12,11 @@
     quantum dry leaves a resume token, and the next quantum's {!enter}
     at the stop pc continues the trace there.
 
-    Coherence uses exactly the decode cache's gating: compiled code
-    words are pinned under [(As.epoch, Segment.version)], degrading to
-    word verification when a version moved, and every store executed
-    inside a trace re-checks the trace's own code dependencies so
-    self-modifying code can never run one stale instruction.  Simulated
+    Coherence: compiled code words are pinned under
+    [(As.epoch, Segment.version)], degrading to word verification when
+    a version moved, and every store executed inside a trace re-checks
+    the trace's own code dependencies so self-modifying code can never
+    run one stale instruction.  Simulated
     costs (instruction ticks, fuel, syscall/halt/fault accounting) are
     bit-identical to the interpreter; only the [jit_*] observability
     counters in {!Hemlock_util.Stats} differ.

@@ -247,8 +247,12 @@ let serialize ?(with_index = false) t =
     (* Persisted index: bucket count, bloom words, then each bucket as a
        count plus symbol-table positions (declaration order). *)
     let ix = build_index t.symbols in
-    let pos = Hashtbl.create (List.length t.symbols) in
-    List.iteri (fun i s -> if not (Hashtbl.mem pos s) then Hashtbl.add pos s i) t.symbols;
+    let positions = Array.make (ix.ix_mask + 1) [] in
+    List.iteri
+      (fun i s ->
+        let b = hash_name s.sym_name land ix.ix_mask in
+        positions.(b) <- i :: positions.(b))
+      t.symbols;
     Codec.Writer.u32 w (ix.ix_mask + 1);
     Codec.Writer.u32 w (Array.length ix.ix_bloom);
     Array.iter
@@ -259,8 +263,8 @@ let serialize ?(with_index = false) t =
     Array.iter
       (fun bucket ->
         Codec.Writer.u32 w (List.length bucket);
-        List.iter (fun s -> Codec.Writer.u32 w (Hashtbl.find pos s)) bucket)
-      ix.ix_buckets
+        List.iter (Codec.Writer.u32 w) (List.rev bucket))
+      positions
   end;
   Codec.Writer.contents w
 
@@ -299,8 +303,11 @@ let parse bytes =
     { obj_name; text; data; bss_size; symbols; relocs; uses_gp; own_modules; own_search_path }
   in
   if v2 then begin
-    (* Reload the persisted index instead of rebuilding it, validating
-       every symbol position so a corrupt trailer cannot alias. *)
+    (* Reload the persisted index instead of rebuilding it.  It is
+       accepted only if a hashed lookup through it answers exactly as the
+       linear scan: every symbol position appears once, in the bucket its
+       name hashes to, rising within the bucket, and the bloom filter
+       admits every symbol. *)
     let syms = Array.of_list symbols in
     let buckets = Codec.Reader.u32 r in
     if buckets < 1 || buckets > 65536 || buckets land (buckets - 1) <> 0 then
@@ -318,20 +325,23 @@ let parse bytes =
           let hi = Codec.Reader.u32 r in
           lo lor (hi lsl 32))
     in
-    let read_sym () =
-      let i = Codec.Reader.u32 r in
-      if i >= Array.length syms then failwith "Objfile.parse: bad index entry";
-      syms.(i)
+    (* A position can sit only in its own hash bucket, rising there, so
+       none appears twice, and nsyms entries cover every symbol. *)
+    let entries = ref 0 in
+    let read_bucket b =
+      let prev = ref (-1) in
+      List.init (Codec.Reader.u32 r) (fun _ ->
+          let i = Codec.Reader.u32 r in
+          if i >= nsyms || i <= !prev || hash_name syms.(i).sym_name land (buckets - 1) <> b
+          then failwith "Objfile.parse: bad index entry";
+          prev := i;
+          incr entries;
+          syms.(i))
     in
-    let ix =
-      {
-        ix_mask = buckets - 1;
-        ix_bloom = bloom;
-        ix_buckets =
-          Array.init buckets (fun _ ->
-              List.init (Codec.Reader.u32 r) (fun _ -> read_sym ()));
-      }
-    in
+    let ix = { ix_mask = buckets - 1; ix_bloom = bloom; ix_buckets = Array.init buckets read_bucket } in
+    if !entries <> nsyms then failwith "Objfile.parse: index misses a symbol";
+    if not (Array.for_all (fun s -> bloom_mem ix (hash_name s.sym_name)) syms) then
+      failwith "Objfile.parse: index bloom filter rejects a symbol";
     let im = Domain.DLS.get index_memo_key in
     Hashtbl.replace im.memo t.obj_name
       ((t.symbols, ix) :: Option.value ~default:[] (Hashtbl.find_opt im.memo t.obj_name));

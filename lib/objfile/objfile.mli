@@ -89,9 +89,16 @@ val undefined : t -> string list
 val serialize : ?with_index:bool -> t -> Bytes.t
 
 (** Accepts both versions; a v2 object's persisted index is reloaded
-    (and validated) rather than rebuilt, while v1 objects fall back to
-    an in-memory index built on first lookup.
-    @raise Failure on bad magic or truncation. *)
+    rather than rebuilt, while v1 objects fall back to an in-memory
+    index built on first lookup.  A v2 index is accepted only if
+    {!find_symbol} through it answers as {!find_symbol_linear} for
+    every name: its bucket count is a power of two up to 65536, its
+    bloom word count lies in [1, nsyms + 1], every symbol position
+    appears exactly once, in the bucket its name hashes to, with
+    positions rising within each bucket, and the bloom filter admits
+    every symbol.
+    @raise Failure on bad magic, truncation, an out-of-range section or
+    relocation code, or an index that fails those checks. *)
 val parse : Bytes.t -> t
 
 (** Drop the calling domain's export-index memo (reboot: kernel-resident

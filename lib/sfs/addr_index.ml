@@ -1,4 +1,4 @@
-type backend = Linear | Btree_index | Auto
+type backend = Linear | Btree_index
 
 type entry = { e_base : int; e_bytes : int; e_path : string }
 
@@ -8,44 +8,21 @@ type repr =
 
 type t = {
   mutable repr : repr;
-  backend : backend;
-  threshold : int;
   mutable probes : int;
   mutable count : int;
 }
 
-let default_threshold = 1024 (* the prototype's slot-table capacity *)
-
-let backend_to_string = function
-  | Linear -> "linear"
-  | Btree_index -> "b-tree"
-  | Auto -> "auto"
-
-let create ?(threshold = default_threshold) backend =
+let create backend =
   let repr =
     match backend with
-    | Linear | Auto -> Lin (ref [])
+    | Linear -> Lin (ref [])
     | Btree_index -> Bt (Btree.create ())
   in
-  { repr; backend; threshold; probes = 0; count = 0 }
+  { repr; probes = 0; count = 0 }
 
 let size t = t.count
 
-let in_use t = match t.repr with Lin _ -> Linear | Bt _ -> Btree_index
-
 let overlaps a b = a.e_base < b.e_base + b.e_bytes && b.e_base < a.e_base + a.e_bytes
-
-(* The Auto backend's tipping point: once the table reaches the size the
-   prototype's fixed slot array topped out at, migrate every entry into
-   the B-tree — the paper's plan for the 64-bit address space.  One-way:
-   a table that has ever been big stays a B-tree. *)
-let maybe_promote t =
-  match t.repr with
-  | Lin entries when t.backend = Auto && t.count >= t.threshold ->
-    let bt = Btree.create () in
-    List.iter (fun e -> Btree.insert bt e.e_base e) !entries;
-    t.repr <- Bt bt
-  | Lin _ | Bt _ -> ()
 
 let register t ~base ~bytes path =
   if bytes <= 0 then invalid_arg "Addr_index.register: empty segment";
@@ -61,8 +38,7 @@ let register t ~base ~bytes path =
     | Some (_, other) when overlaps entry other -> invalid_arg "Addr_index.register: overlap"
     | _ -> ());
     Btree.insert bt base entry);
-  t.count <- t.count + 1;
-  maybe_promote t
+  t.count <- t.count + 1
 
 let unregister t ~base =
   let removed =
@@ -108,12 +84,7 @@ let to_list t =
 let clear t =
   (match t.repr with
   | Lin entries -> entries := []
-  | Bt _ ->
-    (* a cleared Auto index restarts linear; an explicit B-tree stays one *)
-    t.repr <-
-      (match t.backend with
-      | Btree_index -> Bt (Btree.create ())
-      | Linear | Auto -> Lin (ref [])));
+  | Bt _ -> t.repr <- Bt (Btree.create ()));
   t.count <- 0
 
 let probes t = t.probes

@@ -7,33 +7,20 @@
     arbitrary size, with the inodes "linked into a lookup structure —
     most likely a B-tree".  This module implements the translation index
     with both backends so the trade-off can be measured (experiment
-    E12) — plus {!Auto}, the kernel's default: linear while the table is
-    small, migrating every entry into the {!Btree} once it reaches the
-    prototype table's 1024-entry capacity, so [/shared] can scale past
-    the fixed slot array. *)
+    E12).  The kernel's [/shared] index is [Linear], like the
+    prototype's table: the 32-bit layout has 1024 slots, so the table
+    never grows to where the B-tree pays. *)
 
-type backend = Linear | Btree_index | Auto
+type backend = Linear | Btree_index
 
 type t
 
-(** [create backend] makes an empty index.  [threshold] (default 1024)
-    is the entry count at which an {!Auto} index promotes itself from
-    the linear representation to the B-tree; it is ignored by the two
-    fixed backends. *)
-val create : ?threshold:int -> backend -> t
-
-val backend_to_string : backend -> string
-
-(** The representation currently backing the index: [Linear] or
-    [Btree_index] (an {!Auto} index reports whichever side of the
-    threshold it is on). *)
-val in_use : t -> backend
+(** [create backend] makes an empty index. *)
+val create : backend -> t
 
 val size : t -> int
 
-(** [register t ~base ~bytes path] records a segment.  An {!Auto} index
-    that reaches its threshold migrates to the B-tree (one-way while
-    populated).
+(** [register t ~base ~bytes path] records a segment.
     @raise Invalid_argument when it overlaps an existing registration. *)
 val register : t -> base:int -> bytes:int -> string -> unit
 
@@ -50,8 +37,7 @@ val translate : t -> int -> (string * int) option
     no probes — this is the maintenance walk, not the hot path. *)
 val to_list : t -> (int * int * string) list
 
-(** Drop every registration (an {!Auto} index restarts linear).  The
-    probe counter is preserved. *)
+(** Drop every registration.  The probe counter is preserved. *)
 val clear : t -> unit
 
 (** Cumulative number of entries inspected by [translate] calls (the

@@ -62,19 +62,13 @@ type t = {
   root : dir;
   mutable next_ino : int;
   addr_index : Addr_index.t;
-  (* the kernel's address→segment index: linear like the prototype's
-     table while small, a B-tree past 1024 entries (Addr_index.Auto) *)
+  (* the kernel's address→segment index: the prototype's linear table,
+     which never outgrows the 1024 slots below *)
   slot_used : bool array; (* slot allocation bitmap for the 32-bit layout *)
-  uid : int; (* distinguishes file systems in cross-kernel caches *)
   mutable generation : int; (* bumped by every namespace/content mutation *)
   mutable journal : (int * intent) list; (* pending intents, newest first *)
   mutable next_jid : int;
 }
-
-(* atomic: file systems are created on any domain (cluster boot) *)
-let next_uid = Atomic.make 0
-
-let uid t = t.uid
 
 let generation t = t.generation
 
@@ -99,9 +93,8 @@ let create () =
     {
       root = { entries = Hashtbl.create 8; dir_ino = 2 };
       next_ino = 4096; (* normal-partition inodes; shared inodes are slots 0..1023 *)
-      addr_index = Addr_index.create Addr_index.Auto;
+      addr_index = Addr_index.create Addr_index.Linear;
       slot_used = Array.make Layout.shared_slots false;
-      uid = Atomic.fetch_and_add next_uid 1 + 1;
       generation = 0;
       journal = [];
       next_jid = 1;
@@ -746,7 +739,5 @@ let shared_table t =
   List.map
     (fun (base, _bytes, path) -> (Layout.slot_of_addr base, path))
     (Addr_index.to_list t.addr_index)
-
-let shared_index_backend t = Addr_index.in_use t.addr_index
 
 let shared_index_probes t = Addr_index.probes t.addr_index

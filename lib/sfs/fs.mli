@@ -46,10 +46,6 @@ type stat = {
     [/etc] and [/home]. *)
 val create : unit -> t
 
-(** A process-wide unique id for this file system, so host-side caches
-    keyed on paths can tell one simulated machine's FS from another's. *)
-val uid : t -> int
-
 (** Mutation epoch: bumped by every path-level mutation ([mkdir],
     [create_file], [write_file], [append_file], [symlink], [hard_link],
     [unlink], [rmdir], [rename]).  Host-side caches of derived data
@@ -224,11 +220,6 @@ val shared_free_slots : t -> int
 
 (** All live (slot, path) pairs, in slot order. *)
 val shared_table : t -> (int * string) list
-
-(** The representation currently backing the kernel's /shared address
-    index ({!Addr_index.Auto}: linear until the table reaches the
-    prototype's 1024 slots, a B-tree from there). *)
-val shared_index_backend : t -> Addr_index.backend
 
 (** Cumulative probes spent by address translations ({!path_of_addr},
     {!slot_owner}) — the E12 cost measure, now live in the kernel. *)

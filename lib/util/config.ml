@@ -1,6 +1,5 @@
 type t = {
   mutable tlb : bool;
-  mutable dcache : bool;
   mutable jit : bool;
   mutable symhash : bool;
   mutable plans : bool;
@@ -8,14 +7,13 @@ type t = {
   mutable pager : bool;
 }
 
-let uniform b = { tlb = b; dcache = b; jit = b; symhash = b; plans = b; cow = b; pager = b }
+let uniform b = { tlb = b; jit = b; symhash = b; plans = b; cow = b; pager = b }
 let all_on = uniform true
 let oracle = uniform false
 let copy c = { c with tlb = c.tlb }
 
 let set dst src =
   dst.tlb <- src.tlb;
-  dst.dcache <- src.dcache;
   dst.jit <- src.jit;
   dst.symhash <- src.symhash;
   dst.plans <- src.plans;

@@ -12,11 +12,10 @@
 
 type t = {
   mutable tlb : bool;  (** software TLB, read by [Address_space.create] *)
-  mutable dcache : bool;  (** per-page decoded-instruction cache in [Cpu] *)
   mutable jit : bool;  (** trace JIT ([Trace]) *)
   mutable symhash : bool;
-      (** HOB2 symbol index, ldl's per-scope export index and the
-          [Search.locate] memo; off, lookups walk lists linearly *)
+      (** HOB2 symbol index and ldl's per-scope export index; off,
+          lookups walk lists linearly *)
   mutable plans : bool;  (** link-plan record and replay ([Link_plan]) *)
   mutable cow : bool;  (** copy-on-write fork, clone and exec *)
   mutable pager : bool;

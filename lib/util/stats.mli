@@ -23,7 +23,9 @@ type t = {
   mutable tlb_misses : int;
       (** software-TLB misses, i.e. full interval-map lookups *)
   mutable decode_hits : int;
-      (** decoded-instruction cache hits in [Cpu] (observability only) *)
+      (** words [Cpu.step] fetched and decoded: every instruction no
+          compiled trace ran, and again each load or store retried
+          after a pager or COW fault (observability only) *)
   mutable sym_hash_hits : int;
       (** symbol lookups answered by a hashed export index or a
           resolution cache (observability only) *)
@@ -34,7 +36,8 @@ type t = {
   mutable plan_misses : int;
       (** link passes that ran cold (no plan, or plan rejected) *)
   mutable search_cache_hits : int;
-      (** [Search.locate] results served from the path-resolution cache *)
+      (** always 0: [Search.locate] keeps no cache.  Kept while
+          perfbench reports it as [search.cache_hits] *)
   mutable stable_persists : int;
       (** link plans / symbol indexes written under [/shared/.stable]
           by a stable-link sync (the writes themselves are billed as

@@ -38,7 +38,7 @@ let effective m = if m.cow then Prot.strip_write m.prot else m.prot
    Invalidation is epoch-based and conservative: [map], [unmap] and
    [protect] bump [epoch] and flush every entry.  [clone] builds a
    child with a fresh (empty) TLB.  The [epoch] is exported so the
-   CPU's decoded-instruction cache can ride the same protocol. *)
+   trace JIT's compiled code can ride the same protocol. *)
 
 let tlb_bits = 8
 let tlb_size = 1 lsl tlb_bits
@@ -244,8 +244,8 @@ let translate t addr access width =
   (seg, off)
 
 (* The mapping geometry behind a (validated) 4-byte exec access at
-   [addr]: [(seg, delta, hi)] with [delta = off - addr].  The CPU's
-   decode cache pins these per page. *)
+   [addr]: [(seg, delta, hi)] with [delta = off - addr].  The trace JIT
+   pins these per run of compiled code words. *)
 let exec_view t addr =
   let seg, off, run, prot = lookup t addr Prot.Exec in
   if 4 > run then raise (Fault { addr; access = Prot.Exec; reason = Unmapped });
@@ -518,11 +518,12 @@ let resolve_pager t addr access =
 (* Kernel-side resolution of a COW write fault: if [addr] lies in a COW
    mapping whose logical protection allows the write, clear the flag
    (restoring the original protection), bump the epoch so every cached
-   translation and decode is refetched, and let the caller retry the
-   access.  The retried store diverges pages at the segment layer —
-   copying each written page at most once, and not at all when the
-   write is identical to the shared bytes.  Returns false for genuine
-   protection faults, which the caller must deliver as SIGSEGV. *)
+   translation and compiled trace is revalidated, and let the caller
+   retry the access.  The retried store diverges pages at the segment
+   layer — copying each written page at most once, and not at all when
+   the write is identical to the shared bytes.  Returns false for
+   genuine protection faults, which the caller must deliver as
+   SIGSEGV. *)
 let resolve_cow t addr =
   match Interval_map.find addr t.table with
   | Some (_, _, m) when m.cow && Prot.allows m.prot Prot.Write ->

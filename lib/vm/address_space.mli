@@ -52,8 +52,8 @@ exception Cstring_unterminated of int
 val create : unit -> t
 
 (** Invalidation epoch: bumped by every [map]/[unmap]/[protect].
-    Derived caches (e.g. the CPU's decoded-instruction cache) must be
-    discarded when it changes. *)
+    Derived caches (the TLB, the trace JIT's compiled code) must be
+    revalidated when it changes. *)
 val epoch : t -> int
 
 (** [map t ~base ~len ~seg ~prot ~share ~label] installs a mapping.
@@ -127,7 +127,7 @@ val fetch : t -> int -> int
     geometry [(seg, delta, hi)], where [addr' + delta] is the segment
     offset of any [addr'] in the same mapping and [hi] is its exclusive
     bound.  The result is valid until {!epoch} changes.  Used by the
-    CPU's decoded-instruction cache. *)
+    trace JIT. *)
 val exec_view : t -> int -> Segment.t * int * int
 
 (** [data_view t addr access] is the mapping geometry [(seg, delta, hi)]

@@ -25,9 +25,9 @@ val size : t -> int
 
 (** Monotonic write counter: bumped by every content mutation
     ([set_u8]/[set_u32]/[blit_in]/[write_from]/[resize]), whichever
-    component performs it.  Caches of derived data (the CPU's
-    decoded-instruction cache) compare it to detect staleness without
-    re-reading the bytes. *)
+    component performs it.  Caches of derived data (the trace JIT's
+    compiled code) compare it to detect staleness without re-reading
+    the bytes. *)
 val version : t -> int
 
 (** Page-table generation: bumped whenever the {e identity} or the

@@ -16,9 +16,9 @@ module Fault = Hemlock_util.Fault
    the segment keeps them, standing in for the backing store — it
    clears the residency bit, pushes a dirty file-backed page through
    the owning file system's journalled writeback barrier, and bumps the
-   epoch of every attached address space so TLBs, decode caches and
-   compiled traces refetch through the slow path (which is where the
-   next touch faults).  A missed residency check can therefore skew the
+   epoch of every attached address space so TLBs and compiled traces
+   refetch through the slow path (which is where the next touch
+   faults).  A missed residency check can therefore skew the
    observability counters but can never corrupt data. *)
 
 type kind =

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full gate: the test suite, E1-E13 against the golden transcript and
 # (where it means something) the crash sweep under four configurations;
-# the examples; and `perf`, the JIT's throughput floors.  test_oracle
+# the examples; and `perf`, the JIT's throughput floors over the
+# cache-less and the TLB-only interpreter.  test_oracle
 # compares each fast path with its reference path inside the suite, so
 # no row switches a single path off.  The configurations:
 #   default         every fast path on: what users run;
@@ -78,5 +79,5 @@ echo "== E1-E13 complete under the cluster stress (no golden gate) =="
 env $CLUSTER dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
 echo "experiments completed"
 
-echo "== perf (gates: JIT >= 10x over no caches, >= 3x over the decode cache) =="
+echo "== perf (gates: JIT >= 10x over no caches, >= 3x over the TLB-only interpreter) =="
 dune exec bench/main.exe -- perf

@@ -1,9 +1,9 @@
 (** Copy-on-write VM: page sharing and divergence across [As.clone],
-    the fault/resolve/retry protocol, decode-cache isolation for
-    self-modifying code after fork, the zero-copy exec master cache,
-    and a schedule-randomized equivalence check against the eager
-    deep-copy oracle (the [cow] switch of {!Hemlock_util.Config} off).
-    Kernel fork and exec against the oracle are test_oracle's. *)
+    the fault/resolve/retry protocol, self-modifying code after fork,
+    the zero-copy exec master cache, and a schedule-randomized
+    equivalence check against the eager deep-copy oracle (the [cow]
+    switch of {!Hemlock_util.Config} off).  Kernel fork and exec
+    against the oracle are test_oracle's. *)
 
 open Harness
 module Layout = Hemlock_vm.Layout
@@ -129,10 +129,10 @@ let cow_genuine_fault_not_swallowed () =
 let no_syscall _ = Alcotest.fail "unexpected syscall"
 
 (* Parent patches its own text after fork: the parent must execute the
-   new instruction, the child the old one — even with both decode
-   caches warm.  The parent's page copy bumps only the parent segment's
-   version (and [resolve_cow] only the parent's epoch), so the child's
-   cached decodes stay valid, as they should. *)
+   new instruction, the child the old one — even with both TLBs warm.
+   The parent's page copy lands only in the parent's segment (and
+   [resolve_cow] bumps only the parent's epoch), so the child's
+   translations stay valid, as they should. *)
 let cow_self_modifying_after_fork () =
   with_cow true (fun () ->
       let old_insn = Insn.encode (Insn.Addi (Reg.t1, Reg.zero, 11)) in
@@ -148,7 +148,7 @@ let cow_self_modifying_after_fork () =
       check_int "before fork" 11 (Cpu.reg cpu Reg.t1);
       let child_sp = As.clone sp in
       let child_cpu = Cpu.fork cpu in
-      (* Warm the child's decode cache on the shared text. *)
+      (* Warm the child's TLB on the shared text. *)
       child_cpu.Cpu.pc <- 0x1000;
       ignore (Cpu.run ~fuel:10 child_cpu child_sp ~syscall:no_syscall);
       check_int "child before patch" 11 (Cpu.reg child_cpu Reg.t1);

@@ -134,7 +134,9 @@ let truncated_aout_rejected () =
 (* ----- hostile images and templates ----- *)
 
 (* A linked image and the public template it links lazily, as lds and
-   cc wrote them; each case corrupts one of the two. *)
+   cc wrote them, and the same template re-encoded as HOB2 (with its
+   export index); each case corrupts the image or one of the two
+   templates. *)
 let pristine_inputs =
   lazy
     (let k, _ldl = boot () in
@@ -147,7 +149,10 @@ let pristine_inputs =
        (link k ~dir:"/home/t"
           ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/f.o", Sharing.Dynamic_public) ]
           "prog");
-     (Fs.read_file fs "/home/t/prog", Fs.read_file fs "/shared/lib/f.o"))
+     let template = Fs.read_file fs "/shared/lib/f.o" in
+     ( Fs.read_file fs "/home/t/prog",
+       template,
+       Objfile.serialize ~with_index:true (Objfile.parse template) ))
 
 (* 1-3 byte flips past the 4-byte magic, or a truncation; positions are
    taken modulo the input's length. *)
@@ -162,9 +167,12 @@ let corrupt bytes = function
     b
   | `Truncate n -> Bytes.sub bytes 0 (n mod Bytes.length bytes)
 
-let print_corruption (in_template, cut) =
+let print_corruption (target, cut) =
   Printf.sprintf "%s: %s"
-    (if in_template then "template" else "image")
+    (match target with
+    | `Image -> "image"
+    | `Template -> "HOBJ template"
+    | `Template_v2 -> "HOB2 template")
     (match cut with
     | `Flips flips ->
       String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)
@@ -178,16 +186,20 @@ let prop_hostile_inputs =
   prop "failure: corrupt images and templates end in an errno or a reap" ~count:300
     ~print:print_corruption
     QCheck2.Gen.(
-      pair bool
+      pair
+        (oneofl [ `Image; `Template; `Template_v2 ])
         (oneof
            [
              map (fun l -> `Flips l) (list_size (int_range 1 3) (pair nat (int_range 1 255)));
              map (fun n -> `Truncate n) nat;
            ]))
-    (fun (in_template, cut) ->
-      let image, template = Lazy.force pristine_inputs in
+    (fun (target, cut) ->
+      let image, template, template_v2 = Lazy.force pristine_inputs in
       let image, template =
-        if in_template then (image, corrupt template cut) else (corrupt image cut, template)
+        match target with
+        | `Image -> (corrupt image cut, template)
+        | `Template -> (image, corrupt template cut)
+        | `Template_v2 -> (image, corrupt template_v2 cut)
       in
       let k, _ldl = boot () in
       let fs = Kernel.fs k in

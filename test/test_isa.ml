@@ -260,14 +260,12 @@ let cpu_syscall_callback () =
   (* pc advanced past the trap before the callback ran *)
   check_int "pc after break" 0x1008 cpu.Cpu.pc
 
-(* ----- decoded-instruction cache ----- *)
+(* ----- fetch coherence ----- *)
 
-let with_dcache dcache = Config.with_ { Config.current with dcache }
-
-(* Self-modifying code: execute an instruction (filling the decode
-   cache), overwrite it with a store, loop back, and execute the new
-   one.  The segment version bump must make the cache re-decode. *)
-let dcache_self_modifying () =
+(* Self-modifying code: execute an instruction, overwrite it with a
+   store, loop back, and execute the new one.  Every fetch reads the
+   current word. *)
+let cpu_self_modifying () =
   let patched = Insn.encode (Insn.Addi (Reg.t1, Reg.zero, 22)) in
   let program =
     [
@@ -284,80 +282,21 @@ let dcache_self_modifying () =
       Insn.Break;
     ]
   in
-  List.iter
-    (fun enabled ->
-      with_dcache enabled (fun () ->
-          let cpu = run_insns ~steps:50 program in
-          check_int
-            (Printf.sprintf "patched insn executed (dcache %b)" enabled)
-            22 (Cpu.reg cpu Reg.t1)))
-    [ true; false ]
+  let cpu = run_insns ~steps:50 program in
+  check_int "patched insn executed" 22 (Cpu.reg cpu Reg.t1)
 
-(* Dropping exec permission must fault the very next fetch even though
-   the page's decodes are cached (epoch invalidation). *)
-let dcache_respects_protect () =
-  with_dcache true (fun () ->
-      let sp = make_space [ Insn.Beq (Reg.zero, Reg.zero, -1) ] in
-      let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-      (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
-      | Cpu.Running -> ()
-      | Cpu.Halted _ -> Alcotest.fail "loop should not halt");
-      As.protect sp 0x1000 Prot.Read_write;
-      match Cpu.step cpu sp ~syscall:no_syscall with
-      | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
-      | _ -> Alcotest.fail "fetch after dropping exec must fault")
-
-(* Pages 0x10000 and 0x20000 share a decode-cache slot.  A loop on the
-   first calls a function on the second [n] times, refilling the slot
-   twice per call, then jumps to an exit on the second page.  The
-   exit's second word has a slot entry last written by the first
-   page's prologue, on the slot's first fill (a refill decodes the
-   word it was fetched for, so the first word cannot show this).  For
-   some [n] the exit's fill comes after the slot has passed its
-   generation cap, where that entry must still read as empty. *)
-let dcache_generation_wrap () =
-  let page base insns =
-    let seg = Segment.create ~name:"text" ~max_size:0x1000 () in
-    List.iteri (fun i insn -> Segment.set_u32 seg (4 * i) (Insn.encode insn)) insns;
-    (base, seg)
-  in
-  let run n =
-    let sp = As.create () in
-    List.iter
-      (fun (base, seg) ->
-        As.map sp ~base ~len:0x1000 ~seg ~prot:Prot.Read_exec ~share:As.Private ~label:"text" ())
-      [
-        page 0x10000
-          [
-            Insn.Addi (Reg.t0, Reg.zero, n);
-            Insn.Addi (Reg.t1, Reg.zero, 0);
-            (* 0x10008 loop: *)
-            Insn.Jal (Insn.jump_field ~target:0x2000c);
-            Insn.Addi (Reg.t0, Reg.t0, -1);
-            Insn.Bne (Reg.t0, Reg.zero, -3);
-            Insn.J (Insn.jump_field ~target:0x20000);
-          ];
-        page 0x20000
-          [
-            Insn.Addi (Reg.t2, Reg.zero, 1);
-            Insn.Add (Reg.a0, Reg.t1, Reg.zero);
-            Insn.Break;
-            (* 0x2000c f: *)
-            Insn.Addi (Reg.t1, Reg.t1, 1);
-            Insn.Jr Reg.ra;
-          ];
-      ];
-    Cpu.run ~fuel:10_000 (Cpu.create ~entry:0x10000 ~sp:0) sp ~syscall:no_syscall
-  in
-  for n = 1 to 200 do
-    List.iter
-      (fun enabled ->
-        with_dcache enabled (fun () ->
-            match run n with
-            | Cpu.Halted code -> check_int (Printf.sprintf "n = %d, dcache %b" n enabled) n code
-            | Cpu.Running -> Alcotest.failf "n = %d, dcache %b: no halt" n enabled))
-      [ true; false ]
-  done
+(* Dropping exec permission must fault the very next fetch, even with
+   the page's translation warm in the TLB (epoch invalidation). *)
+let cpu_fetch_respects_protect () =
+  let sp = make_space [ Insn.Beq (Reg.zero, Reg.zero, -1) ] in
+  let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
+  (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
+  | Cpu.Running -> ()
+  | Cpu.Halted _ -> Alcotest.fail "loop should not halt");
+  As.protect sp 0x1000 Prot.Read_write;
+  match Cpu.step cpu sp ~syscall:no_syscall with
+  | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
+  | _ -> Alcotest.fail "fetch after dropping exec must fault"
 
 (* ----- assembler ----- *)
 
@@ -513,9 +452,8 @@ let suite =
     test "cpu: fault leaves pc for restart" cpu_fault_leaves_pc;
     test "cpu: break halts with code" cpu_halted_code;
     test "cpu: syscall callback" cpu_syscall_callback;
-    test "cpu: self-modifying code re-decodes" dcache_self_modifying;
-    test "cpu: decode cache respects protect" dcache_respects_protect;
-    test "cpu: decode cache refills a slot past its generation cap" dcache_generation_wrap;
+    test "cpu: self-modifying code re-decodes" cpu_self_modifying;
+    test "cpu: a fetch after protect faults" cpu_fetch_respects_protect;
     test "asm: sections and symbols" asm_sections_and_symbols;
     test "asm: branch backpatching" asm_branches_backpatch;
     test "asm: relocation records" asm_relocs;

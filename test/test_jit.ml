@@ -32,7 +32,7 @@ type engine_result = {
   er_syscalls : int;
   er_faults : int;
   er_cycles : int;
-  er_decode_hits : int;  (* interpreted fetches served by the decode cache *)
+  er_decode_hits : int;  (* instructions the interpreter decoded *)
 }
 
 (* A tiny machine: text mapped RWX at 0x1000 (so programs can store

@@ -1,6 +1,6 @@
 (* Linker fast path: hashed symbol lookup vs the linear oracle, the
-   persisted v2 export index, and link-plan / search-cache coherence
-   under filesystem mutation. *)
+   persisted v2 export index, and link-plan and locate coherence under
+   filesystem mutation. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
@@ -41,10 +41,13 @@ let obj_of_symbols symbols =
     symbols;
   }
 
+(* [symhash] is forced on whatever the environment says: off,
+   [find_symbol] is the linear scan itself. *)
 let agree obj =
-  List.for_all
-    (fun n -> Objfile.find_symbol obj n = Objfile.find_symbol_linear obj n)
-    ("missing" :: names)
+  Config.with_ { Config.current with symhash = true } (fun () ->
+      List.for_all
+        (fun n -> Objfile.find_symbol obj n = Objfile.find_symbol_linear obj n)
+        ("missing" :: names))
 
 let prop_hash_oracle =
   prop "hashed find_symbol matches the linear oracle" ~count:300 gen_symtab
@@ -57,6 +60,29 @@ let prop_index_roundtrip =
       let v2 = Objfile.parse (Objfile.serialize ~with_index:true obj) in
       let v1 = Objfile.parse (Objfile.serialize obj) in
       v2 = obj && v1 = obj && agree v2 && agree v1)
+
+(* 1-3 byte flips inside the v2 trailer (the index after the v1
+   payload): the parse rejects the index, or lookups through it still
+   answer as the linear scan does. *)
+let prop_corrupt_index =
+  prop "v2 index: a flipped trailer is rejected or still matches the oracle" ~count:300
+    ~print:(fun (symbols, flips) ->
+      Printf.sprintf "symbols [%s], flips %s"
+        (String.concat "; " (List.map (fun s -> s.Objfile.sym_name) symbols))
+        (String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)))
+    QCheck2.Gen.(pair gen_symtab (list_size (int_range 1 3) (pair nat (int_range 1 255))))
+    (fun (symbols, flips) ->
+      let obj = obj_of_symbols symbols in
+      let payload = Bytes.length (Objfile.serialize obj) in
+      let bad = Objfile.serialize ~with_index:true obj in
+      List.iter
+        (fun (pos, mask) ->
+          let i = payload + (pos mod (Bytes.length bad - payload)) in
+          Bytes.set_uint8 bad i (Bytes.get_uint8 bad i lxor mask))
+        flips;
+      match Objfile.parse bad with
+      | exception Failure _ -> true
+      | parsed -> agree parsed)
 
 let index_versioning () =
   let obj = obj_of_symbols [] in
@@ -246,8 +272,8 @@ int main() {
 
 (* ----- scope index vs the linear walk --------------------------------------- *)
 
-(* The linear walk with plans and the locate memo off is the reference;
-   [indexed] turns all three on, whatever the environment says. *)
+(* The linear walk with plans off is the reference; [indexed] turns the
+   symbol indexes and plans on, whatever the environment says. *)
 let with_link_path ~indexed =
   Config.with_ { Config.current with symhash = indexed; plans = indexed }
 
@@ -415,34 +441,75 @@ let corrupt_index_word_count () =
   | _ -> Alcotest.fail "zero bloom word count accepted"
   | exception Failure _ -> ()
 
-(* ----- search-cache coherence --------------------------------------------- *)
-
-(* The locate memo resets itself when it grows past its bound; two
-   domains sharing one table would index past a shrunken array.  Each
-   domain drives its own kernel, as the ownership rule requires. *)
-let locate_memo_per_domain () =
-  let ready = Atomic.make 0 in
-  let worker id () =
-    let k = Kernel.create () in
-    let fs = Kernel.fs k in
-    Fs.mkdir fs "/home/lib";
-    Fs.write_file fs "/home/lib/m.o" (Bytes.of_string "x");
-    let ctx = { Search.fs; cwd = Path.root; env = [] } in
-    let wrong = ref 0 in
-    (* start together, so the two loops overlap *)
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    for i = 0 to 99_999 do
-      let dirs = [ Printf.sprintf "/d%d/%d" id i; "/home/lib" ] in
-      if Search.locate ctx ~dirs "m.o" <> Some "/home/lib/m.o" then incr wrong
-    done;
-    !wrong
+(* [obj]'s v2 encoding split at its trailer: everything before it (the
+   v1 payload under the HOB2 magic), the bloom words as (lo, hi) u32
+   pairs, and the buckets of symbol positions.  [v2_join] re-encodes. *)
+let v2_split obj =
+  let payload = Bytes.length (Objfile.serialize obj) in
+  let v2 = Objfile.serialize ~with_index:true obj in
+  let r = Codec.Reader.create (Bytes.sub v2 payload (Bytes.length v2 - payload)) in
+  let buckets = Codec.Reader.u32 r in
+  let bloom = List.init (2 * Codec.Reader.u32 r) (fun _ -> Codec.Reader.u32 r) in
+  let positions =
+    Array.init buckets (fun _ -> List.init (Codec.Reader.u32 r) (fun _ -> Codec.Reader.u32 r))
   in
-  let domains = List.init 2 (fun id -> Domain.spawn (worker id)) in
-  List.iter (fun d -> check_int "every answer right" 0 (Domain.join d)) domains
+  (Bytes.sub v2 0 payload, bloom, positions)
 
+let v2_join (head, bloom, positions) =
+  let w = Codec.Writer.create () in
+  Codec.Writer.bytes w head;
+  Codec.Writer.u32 w (Array.length positions);
+  Codec.Writer.u32 w (List.length bloom / 2);
+  List.iter (Codec.Writer.u32 w) bloom;
+  Array.iter
+    (fun bucket ->
+      Codec.Writer.u32 w (List.length bucket);
+      List.iter (Codec.Writer.u32 w) bucket)
+    positions;
+  Codec.Writer.contents w
+
+let rejects what bytes =
+  match Objfile.parse bytes with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Failure _ -> ()
+
+let two_functions () =
+  Cc.to_object ~name:"fg.o" "int f(int x) { return x + 1; } int g() { return 2; }"
+
+(* An index whose bloom filter admits no symbol would hide every one of
+   them from the hashed lookup. *)
+let corrupt_index_zeroed_bloom () =
+  let obj = two_functions () in
+  let head, bloom, positions = v2_split obj in
+  check_bool "split and join restore the encoding" true
+    (Bytes.equal (v2_join (head, bloom, positions)) (Objfile.serialize ~with_index:true obj));
+  rejects "zeroed bloom words" (v2_join (head, List.map (fun _ -> 0) bloom, positions))
+
+(* Bucket contents that disagree with the symbol table while passing
+   every range check: a symbol filed in a bucket its name does not hash
+   to, or left out, is invisible to the hashed lookup, and two
+   same-named symbols out of order make it find the later one. *)
+let corrupt_index_buckets () =
+  let head, bloom, positions = v2_split (two_functions ()) in
+  let from = Option.get (Array.find_index (fun b -> b <> []) positions) in
+  let into = (from + 1) mod Array.length positions in
+  let edit f =
+    let p = Array.copy positions in
+    f p;
+    v2_join (head, bloom, p)
+  in
+  rejects "a symbol in another bucket"
+    (edit (fun p ->
+         p.(from) <- List.tl positions.(from);
+         p.(into) <- List.sort compare (List.hd positions.(from) :: positions.(into))));
+  rejects "a symbol left out" (edit (fun p -> p.(from) <- List.tl positions.(from)));
+  let a sym_binding =
+    { Objfile.sym_name = "a"; sym_section = Objfile.Text; sym_offset = 0; sym_binding }
+  in
+  let head, bloom, positions = v2_split (obj_of_symbols [ a Objfile.Local; a Objfile.Global ]) in
+  rejects "same-named symbols out of order" (v2_join (head, bloom, Array.map List.rev positions))
+
+(* ----- locate ------------------------------------------------------------ *)
 
 let search_dirs_do_not_alias () =
   let k, _ldl = boot () in
@@ -453,18 +520,17 @@ let search_dirs_do_not_alias () =
   check_bool "found via the literal directory" true
     (Search.locate ctx ~dirs:[ "/home/a:b" ] "x.o" = Some "/home/a:b/x.o");
   (* A directory list that happens to concatenate to the same string
-     must not be served the cached entry. *)
+     names other directories. *)
   check_bool "split directory list misses" true
     (Search.locate ctx ~dirs:[ "/home/a"; "b" ] "x.o" = None)
 
-let search_cache_sees_new_files () =
+let locate_sees_new_files () =
   let k, _ldl = boot () in
   let fs = Kernel.fs k in
   Fs.mkdir fs "/home/lib";
   let ctx = ctx_in k "/" () in
   let dirs = [ "/home/lib" ] in
   check_bool "absent" true (Search.locate ctx ~dirs "late.o" = None);
-  (* A cached negative result must not survive the file's creation. *)
   Fs.write_file fs "/home/lib/late.o" (Bytes.of_string "x");
   check_bool "appears after create" true
     (Search.locate ctx ~dirs "late.o" = Some "/home/lib/late.o");
@@ -475,6 +541,7 @@ let suite =
   [
     prop_hash_oracle;
     prop_index_roundtrip;
+    prop_corrupt_index;
     test "objfile: index is versioned and opt-in" index_versioning;
     test "link plans: replay then invalidation on rewrite" plan_cache_replay_and_invalidation;
     test "link plans: mapped template rewrite rejects stale plans"
@@ -482,9 +549,11 @@ let suite =
     test "link plans: correct under execution-dependent fault order"
       fault_order_independence;
     test "objfile: corrupt index word count fails at parse time" corrupt_index_word_count;
-    test "search cache: epoch-coherent with the FS" search_cache_sees_new_files;
-    test "search cache: directory lists do not alias" search_dirs_do_not_alias;
-    test "search cache: one memo per domain" locate_memo_per_domain;
+    test "objfile: zeroed index bloom words fail at parse time" corrupt_index_zeroed_bloom;
+    test "objfile: index buckets that disagree with the symbols fail at parse time"
+      corrupt_index_buckets;
+    test "search: locate sees files created and unlinked" locate_sees_new_files;
+    test "search: directory lists do not alias" search_dirs_do_not_alias;
     test "scope index: the 96-module deep chain links as the linear walk does"
       deep_chain_links_as_the_linear_walk;
     test "scope index: a shadow seen through an indexed parent scope"

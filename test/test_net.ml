@@ -1,9 +1,10 @@
 (* The simulated network: deterministic loss/latency/partitions, the
-   reliable send path, gossip anti-entropy, and the Auto address index.
-   The contracts under test: the ideal profile is the old loss-free bus;
-   lossy profiles change *what* is delivered but never diverge across
-   domain counts; reliability failures surface as ETIMEDOUT through the
-   errno ABI instead of wedging the cluster; partitioned gossip heals. *)
+   reliable send path, gossip anti-entropy, and the /shared address
+   index.  The contracts under test: the ideal profile is the old
+   loss-free bus; lossy profiles change *what* is delivered but never
+   diverge across domain counts; reliability failures surface as
+   ETIMEDOUT through the errno ABI instead of wedging the cluster;
+   partitioned gossip heals. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
@@ -324,51 +325,15 @@ let deployment_under_every_profile () =
       end)
     [ Net.Ideal; Net.Lan; Net.Wan; Net.Lossy ]
 
-(* ----- Auto address index ----- *)
+(* ----- the /shared address index ----- *)
 
-(* The Auto backend must behave exactly like the linear oracle while
-   promoting itself to the B-tree at the threshold. *)
-let addr_index_auto_promotes () =
-  let auto = Addr_index.create ~threshold:8 Addr_index.Auto in
-  let lin = Addr_index.create Addr_index.Linear in
-  let slot i = (i * 0x100, 0x100, Printf.sprintf "/shared/seg%d" i) in
-  for i = 0 to 6 do
-    let base, bytes, path = slot i in
-    Addr_index.register auto ~base ~bytes path;
-    Addr_index.register lin ~base ~bytes path
-  done;
-  check_string "small table stays linear" "linear"
-    (Addr_index.backend_to_string (Addr_index.in_use auto));
-  for i = 7 to 20 do
-    let base, bytes, path = slot i in
-    Addr_index.register auto ~base ~bytes path;
-    Addr_index.register lin ~base ~bytes path
-  done;
-  check_string "big table promoted" "b-tree"
-    (Addr_index.backend_to_string (Addr_index.in_use auto));
-  (* the two answer identically over hits, misses and boundaries *)
-  for a = 0 to (21 * 0x100) + 16 do
-    let got = Addr_index.translate auto a and want = Addr_index.translate lin a in
-    if got <> want then
-      Alcotest.fail (Printf.sprintf "translate 0x%x diverges from the linear oracle" a)
-  done;
-  check_bool "unregister" true (Addr_index.unregister auto ~base:0x300);
-  check_bool "translate after unregister" true (Addr_index.translate auto 0x310 = None);
-  check_int "size tracks" 20 (Addr_index.size auto);
-  Addr_index.clear auto;
-  check_int "clear empties" 0 (Addr_index.size auto);
-  check_string "cleared auto restarts linear" "linear"
-    (Addr_index.backend_to_string (Addr_index.in_use auto))
-
-(* The kernel's /shared index is the Auto backend and answers address
-   translations through it. *)
-let fs_uses_auto_index () =
+(* The kernel's /shared index answers address translations and counts
+   their probes. *)
+let fs_translates_through_index () =
   let fs = Fs.create () in
   Fs.mkdir fs "/shared/x";
   Fs.create_file fs "/shared/x/a";
   Fs.create_file fs "/shared/x/b";
-  check_string "default backend" "linear"
-    (Addr_index.backend_to_string (Fs.shared_index_backend fs));
   let addr = Fs.addr_of_path fs "/shared/x/b" in
   let probes0 = Fs.shared_index_probes fs in
   check_string "path_of_addr through the index" "/shared/x/b" (Fs.path_of_addr fs addr);
@@ -388,6 +353,5 @@ let suite =
       gossip_partition_heal_prop;
     test "gossip: a deployment with users under every profile"
       deployment_under_every_profile;
-    test "addr index: auto promotes to the b-tree at threshold" addr_index_auto_promotes;
-    test "fs: /shared translations go through the auto index" fs_uses_auto_index;
+    test "fs: /shared translations go through the address index" fs_translates_through_index;
   ]

@@ -32,8 +32,8 @@ let all_on ?(threshold = 50) ?ram () = { cfg = Config.all_on; threshold; ram }
 
 let show_setting { cfg = c; threshold; ram } =
   let on =
-    [ ("tlb", c.tlb); ("dcache", c.dcache); ("jit", c.jit); ("symhash", c.symhash);
-      ("plans", c.plans); ("cow", c.cow); ("pager", c.pager) ]
+    [ ("tlb", c.tlb); ("jit", c.jit); ("symhash", c.symhash); ("plans", c.plans);
+      ("cow", c.cow); ("pager", c.pager) ]
   in
   Printf.sprintf "{%s} threshold=%d ram=%s"
     (String.concat "," (List.filter_map (fun (n, b) -> if b then Some n else None) on))
@@ -461,7 +461,6 @@ let gen_setting =
   QCheck2.Gen.(
     let switch = frequencyl [ (1, false); (2, true) ] in
     let+ tlb = switch
-    and+ dcache = switch
     and+ jit = switch
     and+ symhash = switch
     and+ plans = switch
@@ -469,7 +468,7 @@ let gen_setting =
     and+ pager = switch
     and+ threshold = oneofl [ 1; 50 ]
     and+ ram = oneofl [ None; Some 8; Some 32 ] in
-    { cfg = { Config.tlb; dcache; jit; symhash; plans; cow; pager }; threshold; ram })
+    { cfg = { Config.tlb; jit; symhash; plans; cow; pager }; threshold; ram })
 
 let prop_generated =
   prop "oracle: generated workloads run as under the oracle" ~count:150
@@ -515,23 +514,18 @@ let program ?(libs = []) src labels log =
   List.iter (fun label -> log (exec k ldl label "/home/t/prog")) labels;
   (k, ldl)
 
-(* Fork + COW with a lazily linked public module: the TLB and decode
-   cache alone carry the interpreter, billed to the byte; at threshold 1
-   traces exist before the lazy linker patches the jump slots and before
-   the fork breaks COW sharing.  test_scenarios runs it under the caches
-   alone, test_jit under the JIT. *)
+(* Fork + COW with a lazily linked public module: the TLB alone carries
+   the interpreter, billed to the byte; at threshold 1 traces exist
+   before the lazy linker patches the jump slots and before the fork
+   breaks COW sharing.  test_scenarios runs it under the TLB alone,
+   test_jit under the JIT. *)
 let fork_check settings =
   check_fixed settings
     ~extra:(fun s base obs ->
-      let hits =
-        List.fold_left
-          (fun (t, d) { bill; _ } -> (t + (Option.get bill).tlb_hits, d + (Option.get bill).decode_hits))
-          (0, 0)
-      in
+      let tlb_hits = List.fold_left (fun n { bill; _ } -> n + (Option.get bill).tlb_hits) 0 in
       if not s.cfg.jit then begin
-        let t, d = hits obs in
-        check_bool "fast path exercised" true (t > 0 && d > 0);
-        check_bool "slow path records no cache hits" true (hits base = (0, 0))
+        check_bool "fast path exercised" true (tlb_hits obs > 0);
+        check_bool "slow path records no cache hits" true (tlb_hits base = 0)
       end;
       if s.threshold = 1 then
         check_bool "threshold=1 compiles traces" true ((bill obs "first").Stats.jit_compiles > 0))
@@ -552,12 +546,11 @@ int main() {
            [ "first"; "second" ] log))
 
 (* Another process patches a public module's code, through its /shared
-   file, while a program calls it in a loop: the decode cache and the
-   JIT must see the write through the shared segment as the plain
-   interpreter does. *)
+   file, while a program calls it in a loop: the JIT must see the write
+   through the shared segment as the plain interpreter does. *)
 let patched_code_input =
   fixed "code patched through a shared segment mid-run"
-    [ all_on (); all_on ~threshold:1 (); { oracle with cfg = { Config.oracle with dcache = true } } ]
+    [ all_on (); all_on ~threshold:1 () ]
     ~extra:(fun _ base _ ->
       let acc = int_of_string (find base "patched").shown in
       check_bool "the patch lands mid-run" true (acc > 60 * 40 && acc < 60 * 41))

@@ -316,5 +316,5 @@ let suite =
     test "scenario: N same-named subsystems stay isolated" many_conflicting_subsystems;
     test "scenario: caches leave the simulation unchanged"
       (Test_oracle.fork_check
-         Test_oracle.[ { oracle with cfg = { Config.oracle with tlb = true; dcache = true } } ]);
+         Test_oracle.[ { oracle with cfg = { Config.oracle with tlb = true } } ]);
   ]
