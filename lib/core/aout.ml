@@ -1,6 +1,5 @@
 module Codec = Hemlock_util.Codec
 module Objfile = Hemlock_obj.Objfile
-module Config = Hemlock_util.Config
 
 type dyn_descr = { dd_name : string; dd_class : Sharing.t }
 
@@ -30,38 +29,7 @@ let align4 n = (n + 3) land lnot 3
 
 let image_size t = align4 (Bytes.length t.text) + align4 (Bytes.length t.data) + align4 t.bss_size
 
-(* Hashed image-symbol lookup, memoized per physical symbol list (the
-   list is immutable, so identity proves validity); same discipline and
-   kill switch as the Objfile export index. *)
-(* per-domain: a cache miss on a worker domain only costs a rebuild *)
-let symtab_memo_key : ((string * int) list * (string, int) Hashtbl.t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let symtab_of t =
-  let symtab_memo = Domain.DLS.get symtab_memo_key in
-  match List.find_opt (fun (syms, _) -> syms == t.symbols) !symtab_memo with
-  | Some (_, tbl) -> tbl
-  | None ->
-    let tbl = Hashtbl.create (List.length t.symbols * 2) in
-    (* First binding of a name wins, as in the linear scan. *)
-    List.iter (fun (n, off) -> if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n off) t.symbols;
-    if List.length !symtab_memo > 64 then symtab_memo := [];
-    symtab_memo := (t.symbols, tbl) :: !symtab_memo;
-    tbl
-
-let find_symbol t name =
-  if not Config.current.symhash then
-    Option.map snd (List.find_opt (fun (n, _) -> String.equal n name) t.symbols)
-  else begin
-    let found = Hashtbl.find_opt (symtab_of t) name in
-    (match found with
-    | Some _ ->
-      Hemlock_util.(Stats.cur ()).sym_hash_hits <- Hemlock_util.(Stats.cur ()).sym_hash_hits + 1
-    | None ->
-      Hemlock_util.(Stats.cur ()).sym_hash_misses <-
-        Hemlock_util.(Stats.cur ()).sym_hash_misses + 1);
-    found
-  end
+let find_symbol t name = List.assoc_opt name t.symbols
 
 let magic = "HEXE"
 

@@ -48,6 +48,7 @@ val private_arena_hi : int
 (** text + data + bss extent of the image in bytes. *)
 val image_size : t -> int
 
+(** Image offset of the first binding of this name in [symbols]. *)
 val find_symbol : t -> string -> int option
 
 val serialize : t -> Bytes.t

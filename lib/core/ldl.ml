@@ -92,12 +92,6 @@ type t = {
      stays pristine however processes scribble on their images.  One
      entry per file segment id: a newer version replaces the master. *)
   images : (int, int * Segment.t) Hashtbl.t;
-  (* Every template instantiated in this kernel, by instance key (its
-     template path): the latest content identity and decode.  Outlives
-     the processes that instantiated it, so [stable_sync] still persists
-     the templates of a reaped process; pruned to what is live at each
-     sync. *)
-  templates : (string, (int * int) * Objfile.t) Hashtbl.t;
   mutable plan_rec : Modinst.scope Link_plan.dep list ref option;
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
@@ -182,12 +176,8 @@ let digest_xor acc frag =
     Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code frag.[i]))
   done
 
-(* Register a fresh instance in the list and every index, and its
-   template in the kernel-wide table. *)
-let add_instance t ps inst =
-  if inst.Modinst.inst_src <> (-1, -1) then
-    Hashtbl.replace t.templates inst.Modinst.inst_key
-      (inst.Modinst.inst_src, inst.Modinst.inst_obj);
+(* Register a fresh instance in the list and every index. *)
+let add_instance ps inst =
   ps.ps_instances <- inst :: ps.ps_instances;
   Hashtbl.replace ps.ps_by_key inst.Modinst.inst_key inst;
   let acc = Bytes.copy ps.ps_digest in
@@ -362,7 +352,7 @@ let instantiate t proc ps ~located ~public ~parent_scope =
       unwind ();
       raise e
   in
-  add_instance t ps inst;
+  add_instance ps inst;
   (match t.plan_rec with
   | Some acc ->
     acc :=
@@ -849,7 +839,7 @@ let handle_fault t _k proc fault =
                                Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
                          })
                     ~prot:Prot.No_access ~share:As.Public ~label:path ());
-                add_instance t ps inst;
+                add_instance ps inst;
                 link_instance t proc ps inst)
           else
             (* An ordinary shared file: map it so the pointer chase can
@@ -1023,7 +1013,6 @@ let install k =
       bind_now = false;
       plans = Link_plan.create_store ();
       images = Hashtbl.create 16;
-      templates = Hashtbl.create 64;
       plan_rec = None;
       poisoned = Hashtbl.create 16;
       synced_gen = -1;
@@ -1040,31 +1029,26 @@ let install k =
           | Link_error msg -> warn t "ldl: %s" msg));
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
   Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
-  (* Reboot kills the kernel-resident LINK STATE — the plan store, the
-     template decode memo, the export-symbol indexes — which stable
-     linking keeps a copy of in /shared (or leaves cold).
-     Placed CONTENT stays: the image and placed-module masters and the
-     decoded-image memo are identified by the (id, version) of segments
-     that survive the reboot, modelling bytes in the persistent segment
-     store; so does the template table, which names those segments.
-     All of it is host-side; simulated costs never change.  Then the
-     hook reseeds the symbol indexes, and the plans only at the
-     generation the copy was made at — read first, because an index
-     reap moves it without changing anything a module lookup sees. *)
+  (* Reboot kills the kernel-resident LINK STATE — the plan store and
+     the template decode memo — of which stable linking keeps only the
+     plans in /shared.  Placed CONTENT stays: the image and
+     placed-module masters and the decoded-image memo are identified by
+     the (id, version) of segments that survive the reboot, modelling
+     bytes in the persistent segment store.  All of it is host-side;
+     simulated costs never change.  Then the hook reads the plans back,
+     only at the generation the copy was made at — read first, because
+     a plan reap moves it without changing anything a module lookup
+     sees. *)
   Kernel.add_reboot_hook k (fun () ->
       let fs = Kernel.fs k in
       let gen = Fs.generation fs in
       Link_plan.reset_store t.plans;
       Hashtbl.reset t.poisoned;
       Link_plan.clear_obj_cache ();
-      Objfile.clear_index_memo ();
-      if Config.current.plans then begin
-        Stable_link.seed_indexes fs;
-        if gen = t.synced_gen then
-          List.iter
-            (fun (key, plan) -> Link_plan.record t.plans ~fs key plan)
-            (Stable_link.load_plans fs)
-      end);
+      if Config.current.plans && gen = t.synced_gen then
+        List.iter
+          (fun (key, plan) -> Link_plan.record t.plans ~fs key plan)
+          (Stable_link.load_plans fs));
   t
 
 let attach t proc =
@@ -1157,22 +1141,7 @@ let stable_sync t =
   if not Config.current.plans then { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
   else begin
     let fs = Kernel.fs t.k in
-    let plans = Link_plan.entries t.plans ~fs in
-    (* Symbol indexes come from the template table, not from plan deps:
-       a plan records only the instantiations its own region performed
-       (a driver that names every module up front leaves the deps
-       empty), while the table holds every template actually decoded.
-       Only the live ones are copied, and the rest leave the table. *)
-    Hashtbl.filter_map_inplace
-      (fun located ((src, _) as entry) ->
-        if Stable_link.live fs ~located ~src then Some entry else None)
-      t.templates;
-    let obj_list =
-      List.sort
-        (fun ((a : string), _, _) (b, _, _) -> String.compare a b)
-        (Hashtbl.fold (fun located (src, obj) acc -> (located, src, obj) :: acc) t.templates [])
-    in
-    let report, exact = Stable_link.sync fs ~plans ~objs:obj_list in
+    let report, exact = Stable_link.sync fs ~plans:(Link_plan.entries t.plans ~fs) in
     Link_plan.keep t.plans ~fs;
     t.synced_gen <- (if exact then Fs.generation fs else -1);
     report

@@ -80,12 +80,14 @@ val link_now : t -> Proc.t -> Modinst.t -> unit
 
 (** {1 Stable linking}
 
-    The in-memory plan store and decode caches die with [Kernel.reboot];
-    {!stable_sync} makes [/shared/.stable] an exact copy of the store
-    (see {!Stable_link}), and the reboot hook installed by {!install}
-    reseeds the symbol indexes from it and, if [Fs.generation] has not
-    moved since the copy was made, refills the store, so the first exec
-    after reboot replays plans instead of walking scopes cold. *)
+    The in-memory plan store and the template decode memo die with
+    [Kernel.reboot]; {!stable_sync} makes [/shared/.stable] an exact
+    copy of the store (see {!Stable_link}), and the reboot hook
+    installed by {!install} refills the store from it if [Fs.generation]
+    has not moved since the copy was made, so the first exec after
+    reboot replays plans instead of walking scopes cold.  Nothing else
+    is persisted: that exec still decodes each template from its
+    file. *)
 
 (** See {!Stable_link.sync_report}. *)
 type sync_report = Stable_link.sync_report = {
@@ -94,16 +96,12 @@ type sync_report = Stable_link.sync_report = {
   sync_skipped : int;
 }
 
-(** Make [/shared/.stable] an exact copy of the live link plans and of
-    the symbol indexes of every instantiated template still in its
-    file (see {!Stable_link.sync}), and remember the generation the copy
-    was made at.  The templates come from a kernel-wide table, one
-    entry per template path holding the latest content identity
-    instantiated, so those of reaped processes are persisted too; the
-    sync prunes entries whose file has moved on.  An explicit sync
-    point: the writes are billed, so no exec path calls this.  A no-op
-    (all zeros) when the plan cache is off.  Raises
-    {!Hemlock_util.Fault.Crash} through (crash sweep). *)
+(** Make [/shared/.stable] an exact copy of the live link plans (see
+    {!Stable_link.sync}), and remember the generation the copy was made
+    at.  An explicit sync point: the writes are billed, so no exec path
+    calls this.  A no-op (all zeros) when the plan cache is off; its
+    [sync_objs] is always 0.  Raises {!Hemlock_util.Fault.Crash}
+    through (crash sweep). *)
 val stable_sync : t -> sync_report
 
 (** {1 Linkstat: resolution provenance}

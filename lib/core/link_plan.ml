@@ -35,21 +35,11 @@ let parse_obj ~seg bytes =
 let aout_cache_key : (int * int, Aout.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
-let clear_parse_caches () =
-  Hashtbl.reset (Domain.DLS.get obj_cache_key);
-  Hashtbl.reset (Domain.DLS.get aout_cache_key)
-
-(* Reboot clears only the template decode memo: it is kernel-resident
-   link state that stable linking re-warms from persisted symbol-index
-   files.  The image (HEXE) memo is keyed by the content identity of a
-   file that itself survives the reboot, so it stays. *)
+(* Reboot clears only the template decode memo: nothing persists a
+   decoded template, so a boot's first exec decodes each template from
+   its file again.  The image (HEXE) memo is keyed by the content
+   identity of a file that itself survives the reboot, so it stays. *)
 let clear_obj_cache () = Hashtbl.reset (Domain.DLS.get obj_cache_key)
-
-(* Stable-boot seeding: a persisted symbol-index file carries the
-   already-serialized template, so decode once at seed time and future
-   [parse_obj] calls for the same (id, version) hit the memo. *)
-let seed_obj ~src obj =
-  if Config.current.plans then Hashtbl.replace (Domain.DLS.get obj_cache_key) src obj
 
 let parse_aout ~seg bytes =
   if not Config.current.plans then Aout.parse bytes

@@ -35,21 +35,11 @@ val parse_obj : seg:Hemlock_vm.Segment.t -> Bytes.t -> Hemlock_obj.Objfile.t
 (** Same for load images. *)
 val parse_aout : seg:Hemlock_vm.Segment.t -> Bytes.t -> Aout.t
 
-(** Drop the calling domain's decode caches (reboot: the kernel's
-    host-resident state dies with it). *)
-val clear_parse_caches : unit -> unit
-
-(** Drop only the template (HOB2) decode memo — the piece of reboot
-    teardown stable linking claims and re-warms from persisted
-    symbol-index files.  The image (HEXE) memo models decoded content
-    backed by a file that survives the reboot, so reboot keeps it. *)
+(** Drop the calling domain's template (HOBJ) decode memo: reboot
+    teardown, since nothing persists a decoded template.  The image
+    (HEXE) memo models decoded content backed by a file that survives
+    the reboot, so reboot keeps it. *)
 val clear_obj_cache : unit -> unit
-
-(** [seed_obj ~src obj] pre-warms the template decode cache with a
-    template deserialized from a stable-link symbol-index file, keyed by
-    the backing segment identity [src] = (id, version) it was verified
-    against.  No-op when the plan cache is disabled. *)
-val seed_obj : src:int * int -> Hemlock_obj.Objfile.t -> unit
 
 (** One instantiation performed during a recorded region. *)
 type 'scope dep = {

@@ -1,38 +1,31 @@
 module Fs = Hemlock_sfs.Fs
 module Segment = Hemlock_vm.Segment
-module Objfile = Hemlock_obj.Objfile
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
 module Fault = Hemlock_util.Fault
 
 (* Stable linking: the link-plan store's copy under [/shared/.stable],
    next to the segments it describes, so a reboot can refill the store
-   (and the symbol-index caches) from files instead of cold scope walks.
-   A file's name digests the plan key (resp. the template identity).
-   That fixes an index file's bytes but not a plan file's, so a sync
-   keeps a plan file only while its plan's [plan_copy] says it holds
-   that plan.  Every file seals its body with an md5 digest; a load
-   checks it (plus magic and version) and reaps the file on a mismatch.
-   The digest is no MAC, so every count in a body is checked against
-   the bytes left before it sizes anything.  Loads read segments, not
-   [Fs.read_file], so they stay invisible to the simulated cost model;
-   only the sync's writes are billed. *)
+   from files instead of cold scope walks.  A file's name digests the
+   plan key, which does not fix the file's bytes, so a sync keeps a file
+   only while its plan's [plan_copy] says it holds that plan.  Every
+   file seals its body with an md5 digest; a load checks it (plus magic
+   and version) and reaps the file on a mismatch.  The digest is no MAC,
+   so every count in a body is checked against the bytes left before it
+   sizes anything.  Loads read segments, not [Fs.read_file], so they
+   stay invisible to the simulated cost model; only the sync's writes
+   are billed. *)
 
 let dir = "/shared/.stable"
 
 let plan_magic = "HSPL"
-let obj_magic = "HSOB"
 let version = 1
 
 let plan_name key = "plan-" ^ Digest.to_hex (Digest.string key)
 
 let plan_path key = dir ^ "/" ^ plan_name key
 
-let obj_name ~located ~src:(sid, sver) =
-  "obj-" ^ Digest.to_hex (Digest.string (Printf.sprintf "%s\x01%d\x01%d" located sid sver))
-
 let bump_persists () = (Stats.cur ()).stable_persists <- (Stats.cur ()).stable_persists + 1
-let bump_loads () = (Stats.cur ()).stable_loads <- (Stats.cur ()).stable_loads + 1
 let bump_rejects () = (Stats.cur ()).stable_rejects <- (Stats.cur ()).stable_rejects + 1
 
 (* ----- wire format --------------------------------------------------------
@@ -44,9 +37,7 @@ let bump_rejects () = (Stats.cur ()).stable_rejects <- (Stats.cur ()).stable_rej
                             | i32 src_id | i32 src_ver | scope }
                 u32 naddrs { str sym | u32 addr }   (sorted by sym)
    scope:       str label | u16 nmodules strs | u16 nsearch strs
-                | u8 has_parent [ scope ]
-   obj body:    str located | i32 src_id | i32 src_ver
-                | u32 len | HOB2 bytes *)
+                | u8 has_parent [ scope ] *)
 
 (* [Segment.version] can be -1-free in practice, but [Modinst.inst_src]
    is (-1, -1) for objects that never came from a file; keep the
@@ -164,24 +155,6 @@ let decode_plan bytes =
   done;
   (key, { Link_plan.plan_deps = List.rev !deps; plan_addrs = addrs; plan_copy = Loaded })
 
-let encode_obj ~located ~src:(sid, sver) obj =
-  let w = Codec.Writer.create () in
-  Codec.Writer.str w located;
-  w_i32 w sid;
-  w_i32 w sver;
-  let payload = Objfile.serialize ~with_index:true obj in
-  Codec.Writer.u32 w (Bytes.length payload);
-  Codec.Writer.bytes w payload;
-  seal obj_magic (Codec.Writer.contents w)
-
-let decode_obj bytes =
-  let r = Codec.Reader.create (unseal obj_magic bytes) in
-  let located = Codec.Reader.str r in
-  let sid = r_i32 r in
-  let sver = r_i32 r in
-  let payload = Codec.Reader.bytes r (Codec.Reader.u32 r) in
-  (located, (sid, sver), payload)
-
 (* ----- the copy ------------------------------------------------------------ *)
 
 let ensure_dir fs = if not (Fs.exists fs dir) then Fs.mkdir fs dir
@@ -196,42 +169,24 @@ let reap fs path =
   ignore (unlink fs path);
   bump_rejects ()
 
-(* Whether [located] still holds the template version [src]: a template
-   instantiated earlier may have been rewritten since. *)
-let live fs ~located ~src:(sid, sver) =
-  match Fs.segment_of fs located with
-  | seg -> Segment.id seg = sid && Segment.version seg = sver
-  | exception Fs.Error _ -> false
-
 type sync_report = { sync_plans : int; sync_objs : int; sync_skipped : int }
 
 (* Each file's name is digested once, and decides both what to unlink
-   and what to write.  Only an index file, or the file of a plan that
-   is not [Unsaved], is known to hold what the copy wants; every other
-   file is unlinked, and each missing one then gets a fresh journalled
-   write, which [Fs.fsck] rolls back wholesale after a crash.  A key
-   too long for the u16 string encoding cannot be written; plans are
-   keyed by digested program identities in practice, so such a plan is
-   just skipped. *)
-let sync fs ~plans ~objs =
+   and what to write.  Only the file of a plan that is not [Unsaved] is
+   known to hold what the copy wants; every other file is unlinked, and
+   each missing one then gets a fresh journalled write, which [Fs.fsck]
+   rolls back wholesale after a crash.  A key too long for the u16
+   string encoding cannot be written; plans are keyed by digested
+   program identities in practice, so such a plan is just skipped. *)
+let sync fs ~plans =
   let too_long, plans = List.partition (fun (key, _) -> String.length key > 0xFFFF) plans in
-  (* name, whether a file of that name holds it, encoder, plan *)
-  let files =
-    List.map
-      (fun (located, src, obj) ->
-        (obj_name ~located ~src, true, (fun () -> encode_obj ~located ~src obj), None))
-      objs
-    @ List.map
-        (fun (key, plan) ->
-          ( plan_name key,
-            plan.Link_plan.plan_copy <> Link_plan.Unsaved,
-            (fun () -> encode_plan ~key plan),
-            Some plan ))
-        plans
-  in
+  let files = List.map (fun (key, plan) -> (plan_name key, key, plan)) plans in
   (* name of a file to keep -> already on disk *)
   let keep = Hashtbl.create 256 in
-  List.iter (fun (name, held, _, _) -> if held then Hashtbl.replace keep name false) files;
+  List.iter
+    (fun (name, _, plan) ->
+      if plan.Link_plan.plan_copy <> Link_plan.Unsaved then Hashtbl.replace keep name false)
+    files;
   let skipped = ref (List.length too_long) and exact = ref true in
   (match Fs.readdir fs dir with
   | exception Fs.Error _ -> if files <> [] then ensure_dir fs
@@ -244,15 +199,15 @@ let sync fs ~plans ~objs =
           exact := false
         end)
       names);
-  let nplans = ref 0 and nobjs = ref 0 in
+  let nplans = ref 0 in
   List.iter
-    (fun (name, _, encode, plan) ->
+    (fun (name, key, plan) ->
       let copied =
         Hashtbl.find_opt keep name = Some true
         ||
         match
           Fault.hit "fs.stable";
-          Fs.write_file fs (dir ^ "/" ^ name) (encode ())
+          Fs.write_file fs (dir ^ "/" ^ name) (encode_plan ~key plan)
         with
         | () ->
           bump_persists ();
@@ -261,20 +216,18 @@ let sync fs ~plans ~objs =
           incr skipped;
           false
       in
-      match plan with
-      | _ when not copied -> ()
-      | None -> incr nobjs
-      | Some plan ->
+      if copied then begin
         incr nplans;
-        if plan.Link_plan.plan_copy = Unsaved then plan.Link_plan.plan_copy <- Saved)
+        if plan.Link_plan.plan_copy = Unsaved then plan.Link_plan.plan_copy <- Saved
+      end)
     files;
-  ({ sync_plans = !nplans; sync_objs = !nobjs; sync_skipped = !skipped }, !exact)
+  ({ sync_plans = !nplans; sync_objs = 0; sync_skipped = !skipped }, !exact)
 
 (* ----- loading -------------------------------------------------------------- *)
 
 let reject fs ~key = reap fs (plan_path key)
 
-let note_load = bump_loads
+let note_load () = (Stats.cur ()).stable_loads <- (Stats.cur ()).stable_loads + 1
 
 (* One pass over the directory decodes and digest-verifies every plan
    file, reaping the ones that no longer parse or that sit under another
@@ -299,37 +252,6 @@ let load_plans fs =
         else acc)
       [] names
 
-(* Seed the (host-side) template decode and export-index caches from
-   every persisted symbol index whose backing template still has the
-   recorded content identity.  Parsing the embedded HOB2 installs the
-   export index in the per-domain memo keyed by the parsed object's own
-   symbol list, and [Link_plan.seed_obj] makes that parsed object the
-   one future decodes of the template return — so both caches are warm
-   for exactly the object replay will use. *)
-let seed_indexes fs =
-  match Fs.readdir fs dir with
-  | exception Fs.Error _ -> ()
-  | names ->
-    List.iter
-      (fun name ->
-        if String.starts_with ~prefix:"obj-" name then begin
-          let path = dir ^ "/" ^ name in
-          match Fs.segment_of fs path with
-          | exception Fs.Error _ -> ()
-          | seg -> (
-            match decode_obj (Segment.contents seg) with
-            | exception Failure _ -> reap fs path
-            | located, src, payload -> (
-              if not (live fs ~located ~src) then reap fs path
-              else
-                match Objfile.parse payload with
-                | obj ->
-                  Link_plan.seed_obj ~src obj;
-                  bump_loads ()
-                | exception Failure _ -> reap fs path))
-        end)
-      names
-
 (* ----- hooks for the crash sweep and the janitor ----------------------------- *)
 
 (* A deterministic plan blob for [key] — what the crash sweep writes so
@@ -348,11 +270,6 @@ let persist_raw fs ~key =
   if not (Fs.exists fs path) then Fs.write_file fs path (raw_blob ~key)
 
 let valid_segment seg =
-  match
-    let bytes = Segment.contents seg in
-    if Bytes.length bytes >= 4 && Bytes.to_string (Bytes.sub bytes 0 4) = obj_magic then
-      ignore (decode_obj bytes)
-    else ignore (decode_plan bytes)
-  with
-  | () -> true
+  match decode_plan (Segment.contents seg) with
+  | _ -> true
   | exception _ -> false

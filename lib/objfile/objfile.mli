@@ -66,14 +66,8 @@ val load_size : t -> int
 val section_bases : t -> int * int * int
 
 (** First defined symbol with this name, in declaration order (so a
-    Local can shadow a later Global).  Served by a GNU-hash-style
-    bloom-filter + bucket index when {!Hemlock_util.Config.t.symhash} is
-    on; the index is memoized per symbol table and never observable in
-    results, which change only the [sym_hash_*] counters. *)
+    Local can shadow a later Global): a scan of the symbol table. *)
 val find_symbol : t -> string -> symbol option
-
-(** The always-linear reference implementation of {!find_symbol}. *)
-val find_symbol_linear : t -> string -> symbol option
 
 (** Global defined symbols, i.e. this module's exports. *)
 val exports : t -> symbol list
@@ -82,27 +76,11 @@ val exports : t -> symbol list
     undefined external references. *)
 val undefined : t -> string list
 
-(** [serialize t] emits the v1 ["HOBJ"] encoding, byte-identical to
-    every earlier release.  [~with_index:true] emits the v2 ["HOB2"]
-    encoding instead, appending the precomputed export index (bloom
-    filter + buckets of symbol-table positions) after the v1 payload. *)
-val serialize : ?with_index:bool -> t -> Bytes.t
+(** [serialize t] emits the ["HOBJ"] encoding. *)
+val serialize : t -> Bytes.t
 
-(** Accepts both versions; a v2 object's persisted index is reloaded
-    rather than rebuilt, while v1 objects fall back to an in-memory
-    index built on first lookup.  A v2 index is accepted only if
-    {!find_symbol} through it answers as {!find_symbol_linear} for
-    every name: its bucket count is a power of two up to 65536, its
-    bloom word count lies in [1, nsyms + 1], every symbol position
-    appears exactly once, in the bucket its name hashes to, with
-    positions rising within each bucket, and the bloom filter admits
-    every symbol.
-    @raise Failure on bad magic, truncation, an out-of-range section or
-    relocation code, or an index that fails those checks. *)
+(** @raise Failure on bad magic (anything but ["HOBJ"]), truncation, or
+    an out-of-range section or relocation code. *)
 val parse : Bytes.t -> t
-
-(** Drop the calling domain's export-index memo (reboot: kernel-resident
-    host caches die with the kernel). *)
-val clear_index_memo : unit -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -105,11 +105,12 @@ let orphan_policy k ~flagged =
          crashed after the commit point is left alone. *)
       List.mem e.j_path flagged
     | Stable ->
-      (* Stable-link files are pure cache: a file that no longer
-         decodes (truncated header, garbled body) can never be loaded
-         again and is reaped; a well-formed one is kept — the next
-         sync unlinks it if it is not part of the copy, and a replay
-         that fails verification reaps it. *)
+      (* Stable-link files are plan files, pure cache.  One that no
+         longer decodes (truncated, a broken seal, a garbled body)
+         would be reaped by the next reboot's load, so it is reaped
+         now; a well-formed one is kept — the next sync unlinks it if
+         it is not part of the copy, and a replay that fails
+         verification reaps it. *)
       not
         (try Stable_link.valid_segment (Fs.segment_of fs e.j_path) with _ -> false)
     | Heap | Template | Executable -> false

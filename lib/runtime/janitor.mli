@@ -16,9 +16,9 @@ type kind =
   | Template  (** a module template (.o contents) *)
   | Executable  (** an a.out image *)
   | Stable
-      (** a stable-link file under [/shared/.stable] (persisted link
-          plan or symbol index) — classified by path, so truncated
-          wrecks are still recognized as stable-link state *)
+      (** a stable-link file under [/shared/.stable] (a persisted link
+          plan) — classified by path, so truncated wrecks are still
+          recognized as stable-link state *)
   | Plain  (** anything else *)
 
 type entry = {

@@ -14,8 +14,8 @@ type t = {
   mutable tlb : bool;  (** software TLB, read by [Address_space.create] *)
   mutable jit : bool;  (** trace JIT ([Trace]) *)
   mutable symhash : bool;
-      (** HOB2 symbol index and ldl's per-scope export index; off,
-          lookups walk lists linearly *)
+      (** ldl's per-scope export index; off, each lookup walks the
+          scope's module list linearly *)
   mutable plans : bool;  (** link-plan record and replay ([Link_plan]) *)
   mutable cow : bool;  (** copy-on-write fork, clone and exec *)
   mutable pager : bool;

@@ -22,12 +22,12 @@ type t = {
   mutable plan_hits : int;
   mutable plan_misses : int;
   mutable search_cache_hits : int;
-  (* Stable-linking observability.  Persisted link plans and symbol
-     indexes under /shared/.stable: files written by an explicit sync,
-     loaded lazily after a reboot, rejected (and reaped) when stale or
-     corrupt.  The persisted writes are billed like any other file
-     write at sync time; these counters are host-side observability and
-     excluded from [cycles]. *)
+  (* Stable-linking observability.  Persisted link plans under
+     /shared/.stable: files written by an explicit sync, read back after
+     a reboot, rejected (and reaped) when stale or corrupt.  The
+     persisted writes are billed like any other file write at sync
+     time; these counters are host-side observability and excluded
+     from [cycles]. *)
   mutable stable_persists : int;
   mutable stable_loads : int;
   mutable stable_rejects : int;

@@ -27,11 +27,11 @@ type t = {
           compiled trace ran, and again each load or store retried
           after a pager or COW fault (observability only) *)
   mutable sym_hash_hits : int;
-      (** symbol lookups answered by a hashed export index or a
-          resolution cache (observability only) *)
+      (** scope lookups answered by ldl's per-scope export index
+          (observability only) *)
   mutable sym_hash_misses : int;
-      (** hashed lookups that found nothing (bloom reject or empty
-          bucket) and fell through to "undefined" *)
+      (** always 0: a scope-index miss walks on instead.  Kept while
+          perfbench reports it as [objfile.sym_hash_misses] *)
   mutable plan_hits : int;  (** link passes replayed from a memoized plan *)
   mutable plan_misses : int;
       (** link passes that ran cold (no plan, or plan rejected) *)
@@ -39,16 +39,16 @@ type t = {
       (** always 0: [Search.locate] keeps no cache.  Kept while
           perfbench reports it as [search.cache_hits] *)
   mutable stable_persists : int;
-      (** link plans / symbol indexes written under [/shared/.stable]
+      (** link plans written under [/shared/.stable]
           by a stable-link sync (the writes themselves are billed as
           ordinary file writes; this counts the persisted files) *)
   mutable stable_loads : int;
-      (** persisted stable-link files loaded and digest-verified after
-          a reboot (observability only) *)
+      (** plans read back from [/shared/.stable] at a reboot, counted
+          at each one's first verified replay (observability only) *)
   mutable stable_rejects : int;
-      (** persisted stable-link files rejected — corrupt, truncated,
-          key/digest mismatch, or stale against the live template — and
-          reaped on first failed load *)
+      (** persisted plan files rejected — corrupt, truncated,
+          key/digest mismatch, or a replay that fails verification — and
+          reaped *)
   mutable faults_injected : int;
       (** {!Fault} firings (injected errors and simulated crashes);
           zero unless a fault plan is armed *)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full gate: the test suite, E1-E13 against the golden transcript and
 # (where it means something) the crash sweep under four configurations;
-# the examples; and `perf`, the JIT's throughput floors over the
-# cache-less and the TLB-only interpreter.  test_oracle
+# the examples; `perf`, the JIT's throughput floors over the cache-less
+# and the TLB-only interpreter; and one untimed world of each benchmark
+# workload, none of whose ops may fail.  test_oracle
 # compares each fast path with its reference path inside the suite, so
 # no row switches a single path off.  The configurations:
 #   default         every fast path on: what users run;
@@ -14,7 +15,8 @@
 #                   complete there; HEMLOCK_DOMAINS=4 alone is gated.
 # E1-E13 are also gated at HEMLOCK_DOMAINS=2: on a 2-core host only a
 # pool of at most 2 domains spins at its barrier; 4 park at once.
-# Host-time benchmarking is perfbench's.
+# Host-time benchmarking is perfbench's; this gate only checks that every
+# op of its workloads still succeeds.
 set -e
 cd "$(dirname "$0")/.."
 # Rows with no variable set run the default configuration, whatever the
@@ -81,3 +83,16 @@ echo "experiments completed"
 
 echo "== perf (gates: JIT >= 10x over no caches, >= 3x over the TLB-only interpreter) =="
 dune exec bench/main.exe -- perf
+
+# A lib/ change that makes a benchmark op fail (a sync that persists no
+# plan, a wrong console) would otherwise show only in the benchmark's
+# own comparison.  --seconds 0 runs one world per workload, untimed.
+echo "== perfbench: one untimed world per workload (gate: correct, no op failed) =="
+for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 > _build/perfbench.txt
+  tail -n 1 _build/perfbench.txt | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print("%-12s correct %s, failed %d of %d" % (sys.argv[1], r["correct"], r["failed"], r["attempted"]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$w"
+done

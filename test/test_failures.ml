@@ -134,9 +134,7 @@ let truncated_aout_rejected () =
 (* ----- hostile images and templates ----- *)
 
 (* A linked image and the public template it links lazily, as lds and
-   cc wrote them, and the same template re-encoded as HOB2 (with its
-   export index); each case corrupts the image or one of the two
-   templates. *)
+   cc wrote them; each case corrupts one of the two. *)
 let pristine_inputs =
   lazy
     (let k, _ldl = boot () in
@@ -149,10 +147,7 @@ let pristine_inputs =
        (link k ~dir:"/home/t"
           ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/f.o", Sharing.Dynamic_public) ]
           "prog");
-     let template = Fs.read_file fs "/shared/lib/f.o" in
-     ( Fs.read_file fs "/home/t/prog",
-       template,
-       Objfile.serialize ~with_index:true (Objfile.parse template) ))
+     (Fs.read_file fs "/home/t/prog", Fs.read_file fs "/shared/lib/f.o"))
 
 (* 1-3 byte flips past the 4-byte magic, or a truncation; positions are
    taken modulo the input's length. *)
@@ -171,8 +166,7 @@ let print_corruption (target, cut) =
   Printf.sprintf "%s: %s"
     (match target with
     | `Image -> "image"
-    | `Template -> "HOBJ template"
-    | `Template_v2 -> "HOB2 template")
+    | `Template -> "template")
     (match cut with
     | `Flips flips ->
       String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)
@@ -187,19 +181,18 @@ let prop_hostile_inputs =
     ~print:print_corruption
     QCheck2.Gen.(
       pair
-        (oneofl [ `Image; `Template; `Template_v2 ])
+        (oneofl [ `Image; `Template ])
         (oneof
            [
              map (fun l -> `Flips l) (list_size (int_range 1 3) (pair nat (int_range 1 255)));
              map (fun n -> `Truncate n) nat;
            ]))
     (fun (target, cut) ->
-      let image, template, template_v2 = Lazy.force pristine_inputs in
+      let image, template = Lazy.force pristine_inputs in
       let image, template =
         match target with
         | `Image -> (corrupt image cut, template)
         | `Template -> (image, corrupt template cut)
-        | `Template_v2 -> (image, corrupt template_v2 cut)
       in
       let k, _ldl = boot () in
       let fs = Kernel.fs k in

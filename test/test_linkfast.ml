@@ -1,99 +1,12 @@
-(* Linker fast path: hashed symbol lookup vs the linear oracle, the
-   persisted v2 export index, and link-plan and locate coherence under
-   filesystem mutation. *)
+(* Linker fast path: link-plan and locate coherence under filesystem
+   mutation, and ldl's per-scope export index against the linear
+   walk. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
-module Codec = Hemlock_util.Codec
 module Segment = Hemlock_vm.Segment
 module Modgen = Hemlock_apps.Modgen
 module Modinst = Hemlock_linker.Modinst
-
-(* ----- hashed lookup vs linear oracle ------------------------------------- *)
-
-(* A small name alphabet so duplicate definitions (and Local shadowing a
-   later Global) are common. *)
-let names = [ "a"; "b"; "ab"; "f0"; "f1"; "d0"; "longer_symbol_name"; "x" ]
-
-let gen_symtab =
-  QCheck2.Gen.(
-    let symbol =
-      map3
-        (fun name (sect, binding) off ->
-          {
-            Objfile.sym_name = name;
-            sym_section = sect;
-            sym_offset = off;
-            sym_binding = binding;
-          })
-        (oneofl names)
-        (pair
-           (oneofl [ Objfile.Text; Objfile.Data; Objfile.Bss ])
-           (oneofl [ Objfile.Local; Objfile.Global ]))
-        (int_bound 500)
-    in
-    list_size (int_bound 24) symbol)
-
-let obj_of_symbols symbols =
-  {
-    (Objfile.empty ~name:"linkfast.o") with
-    Objfile.text = Bytes.of_string "TEXT";
-    symbols;
-  }
-
-(* [symhash] is forced on whatever the environment says: off,
-   [find_symbol] is the linear scan itself. *)
-let agree obj =
-  Config.with_ { Config.current with symhash = true } (fun () ->
-      List.for_all
-        (fun n -> Objfile.find_symbol obj n = Objfile.find_symbol_linear obj n)
-        ("missing" :: names))
-
-let prop_hash_oracle =
-  prop "hashed find_symbol matches the linear oracle" ~count:300 gen_symtab
-    (fun symbols -> agree (obj_of_symbols symbols))
-
-let prop_index_roundtrip =
-  prop "v2 index survives serialize/parse and still matches the oracle" ~count:300
-    gen_symtab (fun symbols ->
-      let obj = obj_of_symbols symbols in
-      let v2 = Objfile.parse (Objfile.serialize ~with_index:true obj) in
-      let v1 = Objfile.parse (Objfile.serialize obj) in
-      v2 = obj && v1 = obj && agree v2 && agree v1)
-
-(* 1-3 byte flips inside the v2 trailer (the index after the v1
-   payload): the parse rejects the index, or lookups through it still
-   answer as the linear scan does. *)
-let prop_corrupt_index =
-  prop "v2 index: a flipped trailer is rejected or still matches the oracle" ~count:300
-    ~print:(fun (symbols, flips) ->
-      Printf.sprintf "symbols [%s], flips %s"
-        (String.concat "; " (List.map (fun s -> s.Objfile.sym_name) symbols))
-        (String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)))
-    QCheck2.Gen.(pair gen_symtab (list_size (int_range 1 3) (pair nat (int_range 1 255))))
-    (fun (symbols, flips) ->
-      let obj = obj_of_symbols symbols in
-      let payload = Bytes.length (Objfile.serialize obj) in
-      let bad = Objfile.serialize ~with_index:true obj in
-      List.iter
-        (fun (pos, mask) ->
-          let i = payload + (pos mod (Bytes.length bad - payload)) in
-          Bytes.set_uint8 bad i (Bytes.get_uint8 bad i lxor mask))
-        flips;
-      match Objfile.parse bad with
-      | exception Failure _ -> true
-      | parsed -> agree parsed)
-
-let index_versioning () =
-  let obj = obj_of_symbols [] in
-  let v1 = Objfile.serialize obj and v2 = Objfile.serialize ~with_index:true obj in
-  check_string "v1 magic" "HOBJ" (Bytes.sub_string v1 0 4);
-  check_string "v2 magic" "HOB2" (Bytes.sub_string v2 0 4);
-  (* The default encoding must stay byte-identical to the pre-index
-     format: same bytes after the magic. *)
-  check_string "same payload"
-    (Bytes.sub_string v1 4 (Bytes.length v1 - 4))
-    (Bytes.sub_string v2 4 (Bytes.length v1 - 4))
 
 (* ----- link-plan memoization across execs --------------------------------- *)
 
@@ -244,7 +157,7 @@ int main() {
   let set_flag v =
     let obj = Objfile.parse (Fs.read_file fs "/shared/lib/flag.o") in
     let off =
-      match Objfile.find_symbol_linear obj "flagv" with
+      match Objfile.find_symbol obj "flagv" with
       | None -> Alcotest.fail "flagv not exported"
       | Some s ->
         let _, data_b, bss_b = Objfile.section_bases obj in
@@ -273,7 +186,7 @@ int main() {
 (* ----- scope index vs the linear walk --------------------------------------- *)
 
 (* The linear walk with plans off is the reference; [indexed] turns the
-   symbol indexes and plans on, whatever the environment says. *)
+   scope index and plans on, whatever the environment says. *)
 let with_link_path ~indexed =
   Config.with_ { Config.current with symhash = indexed; plans = indexed }
 
@@ -417,98 +330,6 @@ let index_retries_module_after_lock_release () =
   check_bool "the public module was created" true (snd indexed);
   check_bool "same as the linear walk" true (indexed = with_link_path ~indexed:false scenario)
 
-(* ----- corrupt persisted index --------------------------------------------- *)
-
-let corrupt_index_word_count () =
-  let obj =
-    obj_of_symbols
-      [
-        {
-          Objfile.sym_name = "a";
-          sym_section = Objfile.Text;
-          sym_offset = 0;
-          sym_binding = Objfile.Global;
-        };
-      ]
-  in
-  let v1 = Objfile.serialize obj in
-  let v2 = Objfile.serialize ~with_index:true obj in
-  (* The trailer follows the v1 payload: u32 bucket count, then the u32
-     bloom word count we zero out. *)
-  let bad = Bytes.copy v2 in
-  Codec.set_u32 bad (Bytes.length v1 + 4) 0;
-  match Objfile.parse bad with
-  | _ -> Alcotest.fail "zero bloom word count accepted"
-  | exception Failure _ -> ()
-
-(* [obj]'s v2 encoding split at its trailer: everything before it (the
-   v1 payload under the HOB2 magic), the bloom words as (lo, hi) u32
-   pairs, and the buckets of symbol positions.  [v2_join] re-encodes. *)
-let v2_split obj =
-  let payload = Bytes.length (Objfile.serialize obj) in
-  let v2 = Objfile.serialize ~with_index:true obj in
-  let r = Codec.Reader.create (Bytes.sub v2 payload (Bytes.length v2 - payload)) in
-  let buckets = Codec.Reader.u32 r in
-  let bloom = List.init (2 * Codec.Reader.u32 r) (fun _ -> Codec.Reader.u32 r) in
-  let positions =
-    Array.init buckets (fun _ -> List.init (Codec.Reader.u32 r) (fun _ -> Codec.Reader.u32 r))
-  in
-  (Bytes.sub v2 0 payload, bloom, positions)
-
-let v2_join (head, bloom, positions) =
-  let w = Codec.Writer.create () in
-  Codec.Writer.bytes w head;
-  Codec.Writer.u32 w (Array.length positions);
-  Codec.Writer.u32 w (List.length bloom / 2);
-  List.iter (Codec.Writer.u32 w) bloom;
-  Array.iter
-    (fun bucket ->
-      Codec.Writer.u32 w (List.length bucket);
-      List.iter (Codec.Writer.u32 w) bucket)
-    positions;
-  Codec.Writer.contents w
-
-let rejects what bytes =
-  match Objfile.parse bytes with
-  | _ -> Alcotest.failf "%s accepted" what
-  | exception Failure _ -> ()
-
-let two_functions () =
-  Cc.to_object ~name:"fg.o" "int f(int x) { return x + 1; } int g() { return 2; }"
-
-(* An index whose bloom filter admits no symbol would hide every one of
-   them from the hashed lookup. *)
-let corrupt_index_zeroed_bloom () =
-  let obj = two_functions () in
-  let head, bloom, positions = v2_split obj in
-  check_bool "split and join restore the encoding" true
-    (Bytes.equal (v2_join (head, bloom, positions)) (Objfile.serialize ~with_index:true obj));
-  rejects "zeroed bloom words" (v2_join (head, List.map (fun _ -> 0) bloom, positions))
-
-(* Bucket contents that disagree with the symbol table while passing
-   every range check: a symbol filed in a bucket its name does not hash
-   to, or left out, is invisible to the hashed lookup, and two
-   same-named symbols out of order make it find the later one. *)
-let corrupt_index_buckets () =
-  let head, bloom, positions = v2_split (two_functions ()) in
-  let from = Option.get (Array.find_index (fun b -> b <> []) positions) in
-  let into = (from + 1) mod Array.length positions in
-  let edit f =
-    let p = Array.copy positions in
-    f p;
-    v2_join (head, bloom, p)
-  in
-  rejects "a symbol in another bucket"
-    (edit (fun p ->
-         p.(from) <- List.tl positions.(from);
-         p.(into) <- List.sort compare (List.hd positions.(from) :: positions.(into))));
-  rejects "a symbol left out" (edit (fun p -> p.(from) <- List.tl positions.(from)));
-  let a sym_binding =
-    { Objfile.sym_name = "a"; sym_section = Objfile.Text; sym_offset = 0; sym_binding }
-  in
-  let head, bloom, positions = v2_split (obj_of_symbols [ a Objfile.Local; a Objfile.Global ]) in
-  rejects "same-named symbols out of order" (v2_join (head, bloom, Array.map List.rev positions))
-
 (* ----- locate ------------------------------------------------------------ *)
 
 let search_dirs_do_not_alias () =
@@ -539,19 +360,11 @@ let locate_sees_new_files () =
 
 let suite =
   [
-    prop_hash_oracle;
-    prop_index_roundtrip;
-    prop_corrupt_index;
-    test "objfile: index is versioned and opt-in" index_versioning;
     test "link plans: replay then invalidation on rewrite" plan_cache_replay_and_invalidation;
     test "link plans: mapped template rewrite rejects stale plans"
       mapped_template_rewrite_rejects_plans;
     test "link plans: correct under execution-dependent fault order"
       fault_order_independence;
-    test "objfile: corrupt index word count fails at parse time" corrupt_index_word_count;
-    test "objfile: zeroed index bloom words fail at parse time" corrupt_index_zeroed_bloom;
-    test "objfile: index buckets that disagree with the symbols fail at parse time"
-      corrupt_index_buckets;
     test "search: locate sees files created and unlinked" locate_sees_new_files;
     test "search: directory lists do not alias" search_dirs_do_not_alias;
     test "scope index: the 96-module deep chain links as the linear walk does"

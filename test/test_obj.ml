@@ -109,6 +109,25 @@ let aout_helpers () =
   check_bool "miss" true (Aout.find_symbol a "zzz" = None);
   check_int "image size" (8 + 4 + 8) (Aout.image_size a)
 
+(* Both lookups answer the first symbol of a name in declaration order,
+   so a Local shadows a later Global of the same name. *)
+let first_match_lookups () =
+  let sym sym_name sym_binding sym_offset =
+    { Objfile.sym_name; sym_section = Objfile.Text; sym_offset; sym_binding }
+  in
+  let local_a = sym "a" Objfile.Local 0 and b = sym "b" Objfile.Global 8 in
+  let obj =
+    {
+      (Objfile.empty ~name:"dup.o") with
+      Objfile.symbols = [ local_a; sym "a" Objfile.Global 4; b ];
+    }
+  in
+  check_bool "the Local a, not the later Global" true (Objfile.find_symbol obj "a" = Some local_a);
+  check_bool "b" true (Objfile.find_symbol obj "b" = Some b);
+  check_bool "absent" true (Objfile.find_symbol obj "c" = None);
+  let a = { (aout_sample ()) with Aout.symbols = [ ("a", 0); ("a", 4); ("b", 8) ] } in
+  check_bool "image: the first binding of a" true (Aout.find_symbol a "a" = Some 0)
+
 let prop_obj_roundtrip =
   let gen =
     QCheck2.Gen.(
@@ -163,5 +182,6 @@ let suite =
     test "aout: roundtrip" aout_roundtrip;
     test "aout: magic checks" aout_magic;
     test "aout: helpers" aout_helpers;
+    test "objfile, aout: lookups answer the first match" first_match_lookups;
     prop_obj_roundtrip;
   ]

@@ -2,7 +2,7 @@
    Covers stable-boot ≡ cold-boot equivalence (output and simulated
    costs), invalidation on module rewrite, on a shadowing module and on
    an in-place template rewrite, a store that stays the size of what is
-   live, corrupt and forged file reaping, crash and error injection
+   live, corrupt, fuzzed and forged file reaping, crash and error injection
    during a persist, and the janitor's policy over the stable
    namespace. *)
 
@@ -92,7 +92,6 @@ let boot_equivalence modules =
   && billed d_stable = billed d_cold
   && ((not Config.current.plans)
      || (sync.Ldl.sync_plans > 0
-        && sync.Ldl.sync_objs > 0
         && d_stable.Stats.plan_hits = sync.Ldl.sync_plans
         && d_stable.Stats.plan_misses = 0
         && d_stable.Stats.stable_loads = d_stable.Stats.plan_hits
@@ -332,9 +331,8 @@ let failed_replay_drops_the_plan () =
    the region that instantiates the rewritten template keeps its key
    and records a new plan under it, which the sync must copy over the
    old file.  After each sync the directory holds exactly one plan file
-   per live plan and one index file per live template, the sync's own
-   writes leave the store warm, and every boot replays all of its
-   regions. *)
+   per live plan, the sync's own writes leave the store warm, and every
+   boot replays all of its regions. *)
 let store_tracks_live_plans ~deep =
   let ((k, ldl) as m) = boot () in
   let fs = Kernel.fs k in
@@ -356,10 +354,6 @@ let store_tracks_live_plans ~deep =
         (Printf.sprintf "cycle %d: one plan file per live plan" cycle)
         r.Ldl.sync_plans
         (List.length (stable_paths fs "plan-"));
-      check_int
-        (Printf.sprintf "cycle %d: one index file per live template" cycle)
-        modules
-        (List.length (stable_paths fs "obj-"));
       let _, d = exec_measured k "/home/d/prog" in
       check_int (Printf.sprintf "cycle %d: exec after the sync misses no plan" cycle) 0
         d.Stats.plan_misses;
@@ -416,13 +410,11 @@ let state_stays_flat () =
   check_int "one process left" 1 (List.length (Kernel.processes k))
 
 (* The chain runs as the child of a native parent that reaps it before
-   the sync: the sync still persists every template the reaped process
-   instantiated, and a reboot's exec replays every plan. *)
+   the sync: the sync still persists the plans the reaped process
+   recorded, and a reboot's exec replays every one. *)
 let sync_after_reap () =
   let ((k, ldl) as m) = boot () in
-  let fs = Kernel.fs k in
-  let modules = 24 in
-  let want = build_deep_chain m ~modules in
+  let want = build_deep_chain m ~modules:24 in
   run_native k (fun k self ->
       let child = Kernel.spawn_exec k "/home/d/prog" in
       child.Proc.parent <- self.Proc.pid;
@@ -433,8 +425,6 @@ let sync_after_reap () =
   let out, d = exec_measured k "/home/d/prog" in
   check_string "boot exec" want out;
   if Config.current.plans then begin
-    check_int "sync_objs" modules r.Ldl.sync_objs;
-    check_int "one index file per template" modules (List.length (stable_paths fs "obj-"));
     check_bool "sync has plans" true (r.Ldl.sync_plans > 0);
     check_int "the boot exec replays every plan" r.Ldl.sync_plans d.Stats.plan_hits;
     check_int "and misses none" 0 d.Stats.plan_misses
@@ -528,6 +518,62 @@ let forged_files_are_reaped () =
     check_string "exec correct after the forged plan" want out
   end
 
+(* 1-3 byte flips of one plan file, or a truncation, stored through its
+   segment so the FS generation stays where the sync left it: the reboot
+   reads the file back and must reap it, and the exec must still print
+   the chain's sum.  The janitor's check must reject the same bytes.
+   Plans are forced on: off, nothing is persisted. *)
+let prop_hostile_plan_files =
+  prop "stable plans: a corrupt plan file is reaped, never linked" ~count:100
+    ~print:(fun (victim, cut) ->
+      Printf.sprintf "plan file %d: %s" victim
+        (match cut with
+        | `Flips flips ->
+          String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)
+        | `Truncate n -> Printf.sprintf "truncate %d" n))
+    QCheck2.Gen.(
+      pair nat
+        (oneof
+           [
+             map (fun l -> `Flips l) (list_size (int_range 1 3) (pair nat (int_range 1 255)));
+             map (fun n -> `Truncate n) nat;
+           ]))
+    (fun (victim, cut) ->
+      Config.with_ { Config.current with plans = true } (fun () ->
+          let ((k, ldl) as m) = boot () in
+          let fs = Kernel.fs k in
+          let want = build_deep_chain m ~modules:4 in
+          ignore (exec_measured k "/home/d/prog");
+          ignore (Ldl.stable_sync ldl);
+          let paths = stable_paths fs "plan-" in
+          let path = List.nth paths (victim mod List.length paths) in
+          let bytes = Fs.read_file fs path in
+          let n = Bytes.length bytes in
+          let bad =
+            match cut with
+            | `Flips flips ->
+              (* one flip per position, so no two flips cancel *)
+              let b = Bytes.copy bytes in
+              List.iter
+                (fun (i, mask) -> Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask))
+                (List.sort_uniq
+                   (fun (i, _) (j, _) -> compare i j)
+                   (List.map (fun (pos, mask) -> (pos mod n, mask)) flips));
+              b
+            | `Truncate len -> Bytes.sub bytes 0 (len mod n)
+          in
+          store_through_segment fs path bad;
+          if Stable_link.valid_segment (Fs.segment_of fs path) then
+            QCheck2.Test.fail_reportf "valid_segment accepts the corrupt file";
+          match
+            Kernel.reboot k;
+            exec_measured k "/home/d/prog"
+          with
+          | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+          | out, _ ->
+            (out = want || QCheck2.Test.fail_reportf "printed %S, want %S" out want)
+            && ((not (Fs.exists fs path)) || QCheck2.Test.fail_reportf "%s survived the reboot" path)))
+
 (* ----- injected failures during a persist ---------------------------------- *)
 
 let crash_during_persist_recovers () =
@@ -552,7 +598,7 @@ let crash_during_persist_recovers () =
     Fault.configure "fs.stable@1=eio";
     let r2 = Fun.protect ~finally:Fault.clear (fun () -> Ldl.stable_sync ldl) in
     check_bool "injected error skips one file, sync completes" true
-      (r2.Ldl.sync_plans + r2.Ldl.sync_objs + r2.Ldl.sync_skipped > 0)
+      (r2.Ldl.sync_plans + r2.Ldl.sync_skipped > 0)
   end
 
 (* An unlink the sync could not make leaves a file outside the copy —
@@ -617,13 +663,14 @@ let suite =
       mapped_rewrite_rejects_and_reaps;
     test "link plans: a replay that fails verification drops the plan"
       failed_replay_drops_the_plan;
-    test "stable sync: the store holds only live plans and templates" (fun () ->
+    test "stable sync: the store holds only live plans" (fun () ->
         store_tracks_live_plans ~deep:true;
         store_tracks_live_plans ~deep:false);
     test "stable sync: link state stays flat over reaped execs and churn" state_stays_flat;
-    test "stable sync: a reaped process's templates are still persisted" sync_after_reap;
+    test "stable sync: a reaped process's plans are still persisted" sync_after_reap;
     test "stable plans: corrupt file reaped on its failed load" corrupt_plan_is_reaped;
     test "stable plans: forged files are reaped and size nothing" forged_files_are_reaped;
+    prop_hostile_plan_files;
     test "stable sync: crash mid-persist recovers, errors degrade"
       crash_during_persist_recovers;
     test "stable sync: a failed unlink leaves the next boot cold" failed_unlink_boots_cold;
