@@ -86,12 +86,16 @@ type t = {
   mutable warn : string list;
   mutable bind_now : bool;
   plans : Modinst.scope Link_plan.store;  (* kernel-wide memoized link plans *)
-  (* Zero-copy exec: the placed image of a program, built once per
-     backing-file content identity (segment id, version) and COW-copied
-     into every subsequent process.  The master is never mapped, so it
-     stays pristine however processes scribble on their images.  One
-     entry per file segment id: a newer version replaces the master. *)
-  images : (int, int * Segment.t) Hashtbl.t;
+  (* Host-side memos of this kernel's files, each entry keyed by a file
+     segment id and tagged with the version it was built from (see
+     [memo]): decoded templates; each template's placed image, COW-copied
+     into every private instance; and each program's decoded image with
+     its placed image, COW-copied into every process that execs it.  The
+     placed masters are never mapped, so they stay pristine however
+     processes scribble on their copies. *)
+  objs : (int, int * Objfile.t) Hashtbl.t;
+  masters : (int, int * Segment.t) Hashtbl.t;
+  images : (int, int * (Aout.t * Segment.t Lazy.t)) Hashtbl.t;
   mutable plan_rec : Modinst.scope Link_plan.dep list ref option;
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
@@ -210,18 +214,19 @@ let rebuild_indexes ps =
   ps.ps_digest <- acc;
   ps.ps_unlinked <- List.filter (fun i -> not i.Modinst.inst_linked) ps.ps_instances
 
-(* Returns the decoded template and its content identity — the backing
-   segment's (id, version) — so callers can tell two decodes of the same
-   path apart after an in-place rewrite. *)
-let load_template ctx path =
-  match Fs.read_file ctx.Search.fs ~cwd:ctx.Search.cwd path with
-  | bytes -> (
-    let seg = Fs.segment_of ctx.Search.fs ~cwd:ctx.Search.cwd path in
-    match Link_plan.parse_obj ~seg bytes with
-    | obj -> (obj, (Segment.id seg, Segment.version seg))
-    | exception Failure msg -> errf "bad template %s: %s" path msg)
-  | exception Fs.Error { kind; _ } ->
-    errf "cannot read template %s: %s" path (Fs.err_kind_to_string kind)
+(* The entry of [tbl] for the file content identity [(sid, sver)],
+   built on a miss.  One entry per file segment id: a newer version
+   replaces it, so a rewritten file leaves nothing stale behind and each
+   table is bounded by the kernel's files. *)
+let memo tbl (sid, sver) build =
+  match Hashtbl.find_opt tbl sid with
+  | Some (ver, v) when ver = sver -> v
+  | Some _ | None ->
+    let v = build () in
+    Hashtbl.replace tbl sid (sver, v);
+    v
+
+let decode t src bytes = memo t.objs src (fun () -> Objfile.parse bytes)
 
 let is_shared_located located =
   Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root located)
@@ -269,7 +274,7 @@ let rec scope_dirs scope =
 let instantiate t proc ps ~located ~public ~parent_scope =
   Fault.hit "ldl.instantiate";
   let ctx = ctx_of t proc in
-  let obj, src = load_template ctx located in
+  let obj, src = Modinst.load_template ~decode:(decode t) ctx located in
   if obj.Objfile.uses_gp then
     errf "module %s uses $gp: ldl requires modules compiled with gp disabled" located;
   let scope =
@@ -296,7 +301,7 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         if not (is_shared_located located) then
           errf "public module template %s must reside on the shared partition" located;
         let module_path = ensure_public_created t proc ~located ~obj in
-        let inst = Modinst.public_instance ctx ~module_path ~scope in
+        let inst = Modinst.public_instance ~decode:(decode t) ctx ~module_path ~scope in
         let fully = Modinst.Header.fully_linked inst.Modinst.inst_seg in
         let prot = if fully then Prot.Read_write_exec else Prot.No_access in
         (match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
@@ -332,7 +337,14 @@ let instantiate t proc ps ~located ~public ~parent_scope =
           | Some base -> base
           | None -> errf "out of private arena space for %s" located
         in
-        let inst = Modinst.private_instance ~src ~located ~obj ~base ~scope () in
+        let master =
+          if Config.current.cow then
+            Some
+              (memo t.masters src (fun () ->
+                   Modinst.placed_image ~name:("module-master:" ^ located) obj))
+          else None
+        in
+        let inst = Modinst.private_instance ~src ?master ~located ~obj ~base ~scope () in
         let prot =
           if obj.Objfile.relocs = [] then Prot.Read_write_exec else Prot.No_access
         in
@@ -555,7 +567,8 @@ let record_plan t ~fs key cold =
 let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
 
 (* The plan-or-cold driver: [run] performs the relocation work given a
-   resolve function; [cold_resolve] is the scope walk.  A miss records
+   resolve function; [cold_resolve] is the scope walk; [key] builds the
+   region's plan key, only when plans are on.  A miss records
    the cold region.  A replay that fails verification drops the plan
    (reaping its file if one holds it) and runs cold *without*
    recording: it may already have instantiated some of the plan's
@@ -564,7 +577,7 @@ let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
    replaying counts as failed verification (the cold run raises it
    again if it is real); [Would_block] and [Fault.Crash] propagate. *)
 let planned t proc ps ~key ~cold_resolve ~run =
-  match if Config.current.plans then key else None with
+  match if Config.current.plans then key () else None with
   | None -> run cold_resolve
   | Some key -> (
     let fs = Kernel.fs t.k in
@@ -653,7 +666,7 @@ let link_instance t proc ps inst =
         warn t "module %s: %d reference(s) unresolved at the root (left to fault)"
           inst.Modinst.inst_key (List.length left)
     in
-    let key =
+    let key () =
       Option.map
         (fun pk ->
           Printf.sprintf "mod\x01%s\x01%s\x01%b\x01%d\x01%s" pk inst.Modinst.inst_key
@@ -711,7 +724,7 @@ let resolve_image_pending t proc ps =
         Some addr
       | None -> None
     in
-    let key = Option.map (fun pk -> "rip\x01" ^ pk) (prog_key t proc ps) in
+    let key () = Option.map (fun pk -> "rip\x01" ^ pk) (prog_key t proc ps) in
     planned t proc ps ~key ~cold_resolve ~run
 
 let ldl_startup t proc ps =
@@ -823,7 +836,10 @@ let handle_fault t _k proc fault =
                     sc_parent = Some ps.ps_root;
                   }
                 in
-                let inst = Modinst.public_instance (ctx_of t proc) ~module_path:path ~scope in
+                let inst =
+                  Modinst.public_instance ~decode:(decode t) (ctx_of t proc) ~module_path:path
+                    ~scope
+                in
                 (match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
                 | Some _ -> ()
                 | None ->
@@ -891,50 +907,39 @@ let check_image path aout =
 
 let loader t _k proc bytes ~path =
   if not (Aout.looks_like bytes) then raise Kernel.Wrong_format;
-  (* Identify the backing file so the decode can be memoized and link
-     plans keyed; an image that is somehow not addressable by path just
-     skips both. *)
-  let prog =
+  (* Identify the backing file so the decode and the placed image can be
+     memoized and link plans keyed; an image that is somehow not
+     addressable by path just skips all three. *)
+  let src =
     match Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path with
-    | fseg -> Some (path, Segment.id fseg, Segment.version fseg)
+    | fseg -> Some (Segment.id fseg, Segment.version fseg)
     | exception Fs.Error _ -> None
   in
-  let aout =
-    try
-      match prog with
-      | Some _ ->
-        let fseg = Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path in
-        Link_plan.parse_aout ~seg:fseg bytes
-      | None -> Aout.parse bytes
-    with Failure why -> enoexec path "%s" why
-  in
-  check_image path aout;
-  let size = Aout.image_size aout in
-  let build_image name =
-    let seg = Segment.create ~name ~max_size:(Layout.page_up size) () in
+  let build_image aout name =
+    let size = Layout.page_up (Aout.image_size aout) in
+    let seg = Segment.create ~name ~max_size:size () in
     Segment.blit_in seg ~dst_off:0 aout.Aout.text;
     Segment.blit_in seg ~dst_off:(Bytes.length aout.Aout.text) aout.Aout.data;
-    Segment.resize seg (Layout.page_up size);
+    Segment.resize seg size;
     seg
   in
-  let seg =
-    match prog with
-    | Some (_, fid, fver) when Config.current.cow ->
-      (* The serialized file layout differs from the placed image, so
-         the file segment itself cannot back the mapping; instead the
-         placed image is built once per file content and shared COW. *)
-      let master =
-        match Hashtbl.find_opt t.images fid with
-        | Some (ver, master) when ver = fver -> master
-        | Some _ | None ->
-          let master = build_image ("image-master:" ^ path) in
-          Hashtbl.replace t.images fid (fver, master);
-          master
-      in
-      Segment.copy master
-    | Some _ | None -> build_image ("image:" ^ path)
+  (* The serialized file layout differs from the placed image, so the
+     file segment itself cannot back the mapping; instead the placed
+     image is built once per file content and shared COW. *)
+  let decode_image () =
+    let aout = try Aout.parse bytes with Failure why -> enoexec path "%s" why in
+    check_image path aout;
+    (aout, lazy (build_image aout ("image-master:" ^ path)))
   in
-  As.map proc.Proc.space ~base:Aout.image_base ~len:(Layout.page_up size) ~seg
+  let aout, master =
+    match src with Some src -> memo t.images src decode_image | None -> decode_image ()
+  in
+  let seg =
+    match src with
+    | Some _ when Config.current.cow -> Segment.copy (Lazy.force master)
+    | Some _ | None -> build_image aout ("image:" ^ path)
+  in
+  As.map proc.Proc.space ~base:Aout.image_base ~len:(Segment.max_size seg) ~seg
     ~kind:Vm_object.Anonymous ~prot:Prot.Read_write_exec ~share:As.Private ~label:path ();
   Hashtbl.replace t.states proc.Proc.pid
     {
@@ -945,7 +950,7 @@ let loader t _k proc bytes ~path =
       ps_pending = aout.Aout.pending;
       ps_veneer_next = count_used_veneers aout;
       ps_started = false;
-      ps_prog = prog;
+      ps_prog = Option.map (fun (id, ver) -> (path, id, ver)) src;
       ps_sorted = [||];
       ps_by_key = Hashtbl.create 16;
       ps_unlinked = [];
@@ -1012,6 +1017,8 @@ let install k =
       warn = [];
       bind_now = false;
       plans = Link_plan.create_store ();
+      objs = Hashtbl.create 64;
+      masters = Hashtbl.create 64;
       images = Hashtbl.create 16;
       plan_rec = None;
       poisoned = Hashtbl.create 16;
@@ -1031,20 +1038,20 @@ let install k =
   Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
   (* Reboot kills the kernel-resident LINK STATE — the plan store and
      the template decode memo — of which stable linking keeps only the
-     plans in /shared.  Placed CONTENT stays: the image and
-     placed-module masters and the decoded-image memo are identified by
-     the (id, version) of segments that survive the reboot, modelling
-     bytes in the persistent segment store.  All of it is host-side;
-     simulated costs never change.  Then the hook reads the plans back,
-     only at the generation the copy was made at — read first, because
-     a plan reap moves it without changing anything a module lookup
-     sees. *)
+     plans in /shared.  Placed CONTENT stays, as does the kernel's
+     pager: the placed-module masters and the decoded and placed images
+     are identified by the (id, version) of segments that survive the
+     reboot, modelling bytes in the persistent segment store.  All of
+     it is host-side; simulated costs never change.  Then the hook
+     reads the plans back, only at the generation the copy was made
+     at — read first, because a plan reap moves it without changing
+     anything a module lookup sees. *)
   Kernel.add_reboot_hook k (fun () ->
       let fs = Kernel.fs k in
       let gen = Fs.generation fs in
       Link_plan.reset_store t.plans;
       Hashtbl.reset t.poisoned;
-      Link_plan.clear_obj_cache ();
+      Hashtbl.reset t.objs;
       if Config.current.plans && gen = t.synced_gen then
         List.iter
           (fun (key, plan) -> Link_plan.record t.plans ~fs key plan)

@@ -31,7 +31,10 @@ module Proc = Hemlock_os.Proc
 
 type t
 
-(** Install the service on a kernel.  Call once per kernel. *)
+(** Install the service on a kernel.  Call once per kernel.  The
+    linker's host-side memos of the kernel's files (decoded templates
+    and images, placed masters) live in the result, so they die with
+    the kernel. *)
 val install : Kernel.t -> t
 
 val kernel : t -> Kernel.t

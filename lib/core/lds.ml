@@ -37,22 +37,13 @@ type placed = {
   pl_bss : int;
 }
 
-let load_template ctx path =
-  match Fs.read_file ctx.Search.fs ~cwd:ctx.Search.cwd path with
-  | bytes -> (
-    match Objfile.parse bytes with
-    | obj -> obj
-    | exception Failure msg -> errf "bad template %s: %s" path msg)
-  | exception Fs.Error { kind; _ } ->
-    errf "cannot read template %s: %s" path (Fs.err_kind_to_string kind)
-
 let module_file_of_template located =
   if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
   else errf "public module template %s does not end in .o" located
 
 (* Create-or-find a static public module; returns (module_path, instance). *)
 let ensure_static_public ctx warnings located =
-  let obj = load_template ctx located in
+  let obj, _ = Modinst.load_template ctx located in
   let module_path = module_file_of_template located in
   if not (Fs.exists ctx.Search.fs module_path) then begin
     ignore (Modinst.create_public_file ctx ~template_path:located ~obj ~module_path);
@@ -87,7 +78,8 @@ let link ctx ?(cli_dirs = []) ?(duplicate_policy = `Error) ~specs ~output () =
     List.filter_map
       (fun s ->
         match s.sp_class with
-        | Sharing.Static_private -> Some (load_template ctx (locate_static s.sp_name))
+        | Sharing.Static_private ->
+          Some (fst (Modinst.load_template ctx (locate_static s.sp_name)))
         | Sharing.Static_public | Sharing.Dynamic_private | Sharing.Dynamic_public -> None)
       specs
   in
@@ -271,6 +263,6 @@ let link ctx ?(cli_dirs = []) ?(duplicate_policy = `Error) ~specs ~output () =
   List.rev !warnings
 
 let embed_metadata ctx ~template ~modules ~search_path =
-  let obj = load_template ctx template in
+  let obj, _ = Modinst.load_template ctx template in
   let obj = { obj with Objfile.own_modules = modules; own_search_path = search_path } in
   Fs.write_file ctx.Search.fs ~cwd:ctx.Search.cwd template (Objfile.serialize obj)

@@ -1,59 +1,6 @@
 module Fs = Hemlock_sfs.Fs
-module Segment = Hemlock_vm.Segment
-module Objfile = Hemlock_obj.Objfile
 module Stats = Hemlock_util.Stats
 module Config = Hemlock_util.Config
-
-(* ----- parse caches -------------------------------------------------------
-
-   Templates and load images are re-read on every instantiation/exec;
-   the simulated machine pays for the read ([Fs.read_file] bumps
-   bytes_copied/files_opened either way), but decoding the bytes into an
-   OCaml structure is host work, memoizable against the backing
-   segment's (id, version): [Segment.id] is process-unique so caches are
-   safe across kernels, and [Segment.version] advances on every content
-   write, so a rewritten file can never serve a stale decode. *)
-
-(* per-domain decode caches: memoisation only *)
-let obj_cache_key : (int * int, Objfile.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let parse_obj ~seg bytes =
-  if not Config.current.plans then Objfile.parse bytes
-  else begin
-    let key = (Segment.id seg, Segment.version seg) in
-    let obj_cache = Domain.DLS.get obj_cache_key in
-    match Hashtbl.find_opt obj_cache key with
-    | Some obj -> obj
-    | None ->
-      if Hashtbl.length obj_cache > 1024 then Hashtbl.reset obj_cache;
-      let obj = Objfile.parse bytes in
-      Hashtbl.replace obj_cache key obj;
-      obj
-  end
-
-let aout_cache_key : (int * int, Aout.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-(* Reboot clears only the template decode memo: nothing persists a
-   decoded template, so a boot's first exec decodes each template from
-   its file again.  The image (HEXE) memo is keyed by the content
-   identity of a file that itself survives the reboot, so it stays. *)
-let clear_obj_cache () = Hashtbl.reset (Domain.DLS.get obj_cache_key)
-
-let parse_aout ~seg bytes =
-  if not Config.current.plans then Aout.parse bytes
-  else begin
-    let key = (Segment.id seg, Segment.version seg) in
-    let aout_cache = Domain.DLS.get aout_cache_key in
-    match Hashtbl.find_opt aout_cache key with
-    | Some aout -> aout
-    | None ->
-      if Hashtbl.length aout_cache > 256 then Hashtbl.reset aout_cache;
-      let aout = Aout.parse bytes in
-      Hashtbl.replace aout_cache key aout;
-      aout
-  end
 
 (* ----- memoized link plans ------------------------------------------------
 
@@ -64,7 +11,7 @@ let parse_aout ~seg bytes =
    simulated cost (file reads, mappings, lock protocol) recurs exactly —
    and feeds the recorded addresses to the same relocation engine,
    skipping only the scope walks.  Plans are parametric in the scope
-   type so this module stays below [Modinst] in the dependency order. *)
+   type ([Modinst.scope] in ldl). *)
 
 type 'scope dep = {
   dep_located : string;

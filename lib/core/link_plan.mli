@@ -1,13 +1,11 @@
-(** Memoized link plans and parse caches — the Hemlock analogue of
-    "stable linking": segments are linked into many programs repeatedly,
-    so the second process to exec a program replays the recorded
-    resolution outcome instead of re-walking scopes.
+(** Memoized link plans — the Hemlock analogue of "stable linking":
+    segments are linked into many programs repeatedly, so the second
+    process to exec a program replays the recorded resolution outcome
+    instead of re-walking scopes.  Decoded templates and images are not
+    plans: [Ldl] memoizes those itself, one memo per kernel.
 
     Coherence contract (all host-side; the simulated cost model is
     unaffected):
-    - decode caches are keyed by the backing segment's
-      ([Segment.id], [Segment.version]) — a rewritten file gets a new
-      version and so a fresh decode;
     - the plan store is the only plan store.  It holds the plans for one
       {!Hemlock_sfs.Fs.generation} and is cleared wholesale when the
       generation moves; [/shared/.stable] is its copy on disk (see
@@ -27,19 +25,6 @@
       reads, mappings and lock acquisitions (and their counters) recur
       exactly; only symbol scope walks are replaced by the recorded
       dictionary, fed to the same relocation engine. *)
-
-(** [parse_obj ~seg bytes] decodes a template, memoized against [seg]'s
-    identity and version.  [bytes] must be [seg]'s current contents. *)
-val parse_obj : seg:Hemlock_vm.Segment.t -> Bytes.t -> Hemlock_obj.Objfile.t
-
-(** Same for load images. *)
-val parse_aout : seg:Hemlock_vm.Segment.t -> Bytes.t -> Aout.t
-
-(** Drop the calling domain's template (HOBJ) decode memo: reboot
-    teardown, since nothing persists a decoded template.  The image
-    (HEXE) memo models decoded content backed by a file that survives
-    the reboot, so reboot keeps it. *)
-val clear_obj_cache : unit -> unit
 
 (** One instantiation performed during a recorded region. *)
 type 'scope dep = {

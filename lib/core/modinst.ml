@@ -4,7 +4,6 @@ module Layout = Hemlock_vm.Layout
 module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
 module Fault = Hemlock_util.Fault
-module Config = Hemlock_util.Config
 
 exception Link_error = Reloc_engine.Link_error
 
@@ -260,16 +259,22 @@ let create_public_file ctx ~template_path ~obj ~module_path =
     Fs.journal_end fs jid;
     raise e
 
-let load_template ctx path =
+(* Read and decode a template.  Its content identity, the backing
+   segment's (id, version), comes back with it, so callers can tell two
+   decodes of one path apart after an in-place rewrite; [decode] gets
+   the identity too, so a caller may memoize on it. *)
+let load_template ?(decode = fun _ bytes -> Objfile.parse bytes) ctx path =
   match Fs.read_file ctx.Search.fs ~cwd:ctx.Search.cwd path with
   | bytes -> (
     let seg = Fs.segment_of ctx.Search.fs ~cwd:ctx.Search.cwd path in
-    match Link_plan.parse_obj ~seg bytes with
-    | obj -> (obj, (Segment.id seg, Segment.version seg))
+    let src = (Segment.id seg, Segment.version seg) in
+    match decode src bytes with
+    | obj -> (obj, src)
     | exception Failure msg -> errf "bad template %s: %s" path msg)
-  | exception Fs.Error _ -> errf "cannot read template %s" path
+  | exception Fs.Error { kind; _ } ->
+    errf "cannot read template %s: %s" path (Fs.err_kind_to_string kind)
 
-let public_instance ctx ~module_path ~scope =
+let public_instance ?decode ctx ~module_path ~scope =
   let fs = ctx.Search.fs in
   let base = Fs.addr_of_path fs module_path in
   let canonical = Fs.path_of_addr fs base in
@@ -277,7 +282,7 @@ let public_instance ctx ~module_path ~scope =
   if not (Header.is_module_file seg) then
     errf "%s is not a created Hemlock module" module_path;
   let template_path = Header.template seg in
-  let obj, src = load_template ctx template_path in
+  let obj, src = load_template ?decode ctx template_path in
   {
     inst_key = template_path;
     inst_module_file = Some canonical;
@@ -295,40 +300,16 @@ let public_instance ctx ~module_path ~scope =
     inst_applied = [||];
   }
 
-(* Zero-copy private instantiation: the placed (sections laid out,
-   veneer area reserved) image of a template, built once per template
-   content identity [src = (file segment id, version)] and COW-copied
-   into every later instance.  Masters are never handed out directly —
-   relocation scribbles on instances, and those writes must not reach
-   the shared master.  One master per file segment id: a newer version
-   replaces it, so a rewritten template leaves no old master behind. *)
-(* per-domain: a worker that misses the memo places its own master copy
-   (the COW sharing it buys is per-domain, like the page caches) *)
-let placed_masters_key : (int, int * Segment.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+let placed_image ~name obj =
+  let seg = Segment.create ~name ~max_size:(Layout.page_up (placed_size obj)) () in
+  place_sections seg ~image_off:0 obj;
+  seg
 
-let private_instance ?(src = (-1, -1)) ~located ~obj ~base ~scope () =
-  let size = placed_size obj in
-  let build name =
-    let seg = Segment.create ~name ~max_size:(Layout.page_up size) () in
-    place_sections seg ~image_off:0 obj;
-    seg
-  in
+let private_instance ?(src = (-1, -1)) ?master ~located ~obj ~base ~scope () =
   let seg =
-    if Config.current.cow && src <> (-1, -1) then begin
-      let masters = Domain.DLS.get placed_masters_key and sid, sver = src in
-      let master =
-        match Hashtbl.find_opt masters sid with
-        | Some (ver, master)
-          when ver = sver && Segment.max_size master = Layout.page_up size -> master
-        | Some _ | None ->
-          let master = build ("module-master:" ^ located) in
-          Hashtbl.replace masters sid (sver, master);
-          master
-      in
-      Segment.copy master
-    end
-    else build ("module:" ^ located)
+    match master with
+    | Some master -> Segment.copy master
+    | None -> placed_image ~name:("module:" ^ located) obj
   in
   {
     inst_key = located;

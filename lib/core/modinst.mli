@@ -118,21 +118,39 @@ end
 val create_public_file :
   Search.ctx -> template_path:string -> obj:Objfile.t -> module_path:string -> int
 
-(** [public_instance ctx ~module_path ~scope] builds the instance
-    record for an existing module file (parsing its template for the
-    symbol table). *)
-val public_instance : Search.ctx -> module_path:string -> scope:scope -> t
+(** [load_template ?decode ctx path] reads the template at [path] and
+    decodes it with [decode] (default {!Objfile.parse}), which gets the
+    template's content identity (see [inst_src]) and the bytes, so a
+    caller may memoize decodes on it.  Returns the template and that
+    identity.
+    @raise Link_error "cannot read template P: KIND" or
+    "bad template P: WHY". *)
+val load_template :
+  ?decode:(int * int -> Bytes.t -> Objfile.t) -> Search.ctx -> string -> Objfile.t * (int * int)
 
-(** [private_instance ~located ~obj ~base ~scope ()] copies the template
-    into a fresh segment placed at [base] (caller maps it).  [src] is the
+(** [public_instance ?decode ctx ~module_path ~scope] builds the
+    instance record for an existing module file, decoding its template
+    for the symbol table through {!load_template}. *)
+val public_instance :
+  ?decode:(int * int -> Bytes.t -> Objfile.t) ->
+  Search.ctx -> module_path:string -> scope:scope -> t
+
+(** [placed_image ~name obj] is a fresh segment holding [obj]'s placed
+    image (sections laid out, bss and the veneer pool zero), as a
+    private instance starts. *)
+val placed_image : name:string -> Objfile.t -> Segment.t
+
+(** [private_instance ~located ~obj ~base ~scope ()] places the template
+    in a fresh segment for [base] (caller maps it).  [src] is the
     template's content identity (see [inst_src]); callers that resolve
     symbols through link plans must supply it.
 
-    With {!Hemlock_util.Config.t.cow} on and a known [src], the placed image is
-    built once per template identity and every instance gets a
-    refcount-sharing [Segment.copy] of that pristine master: O(pages)
-    instead of re-placing the sections, with relocation writes
-    diverging pages copy-on-write.  The calling domain's memo keeps one
-    master per template file segment id: a newer version replaces it. *)
+    Given a [master] (a {!placed_image} of the same template, which the
+    caller keeps pristine), the instance is a refcount-sharing
+    [Segment.copy] of it instead: O(pages) rather than re-placing the
+    sections, with relocation writes diverging pages copy-on-write.  ldl
+    keeps one master per template file. *)
 val private_instance :
-  ?src:int * int -> located:string -> obj:Objfile.t -> base:int -> scope:scope -> unit -> t
+  ?src:int * int ->
+  ?master:Segment.t ->
+  located:string -> obj:Objfile.t -> base:int -> scope:scope -> unit -> t

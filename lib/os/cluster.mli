@@ -86,7 +86,10 @@ val send_reliable :
     count; machine [i] runs on domain [i mod domains] for the whole
     run.  That is the ownership rule the rest of the simulator relies
     on instead of locks: a kernel and everything reachable from it is
-    touched by one domain at a time.
+    touched by one domain at a time.  A kernel owns its pager (page
+    cache, RAM budget, clock) and its linker's memos, so what a machine
+    pages and caches does not depend on the domain count, and carries
+    over to the next run.
 
     Stall detection understands in-flight latency: a round with no
     kernel progress only counts against the cluster while nothing in

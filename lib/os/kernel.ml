@@ -36,6 +36,7 @@ type fd = Vfs.fd
 
 type t = {
   fs : Fs.t;
+  pager : Vm_object.pager;  (* every address space of this machine maps through it *)
   sched : Sched.t;
   vfs : Vfs.t;
   ipc : t Ipc.t;
@@ -63,6 +64,7 @@ let create () =
   Fs.rescan_shared fs;
   {
     fs;
+    pager = Vm_object.create_pager ();
     sched = Sched.create ();
     vfs = Vfs.create ();
     ipc = Ipc.create ();
@@ -175,7 +177,7 @@ let spawn_native t ?(name = "native") ?(env = []) ?(cwd = Path.root) body =
     {
       Proc.pid;
       parent = 0;
-      space = As.create ();
+      space = As.create ~pager:t.pager ();
       cwd;
       env;
       state = Proc.Runnable;
@@ -460,7 +462,7 @@ let exec t proc path =
       (* exec replaces the image: release the previous space (the
          original one first, then each failed loader attempt's). *)
       As.release proc.Proc.space;
-      proc.Proc.space <- As.create ();
+      proc.Proc.space <- As.create ~pager:t.pager ();
       match loader t proc image ~path with
       | entry -> entry
       | exception Wrong_format -> try_loaders rest)

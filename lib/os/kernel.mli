@@ -37,8 +37,11 @@ val os_error : string -> Errno.t -> exn
 
 (** {1 Construction} *)
 
-(** A booted kernel with a fresh file system.  Boot rescans the shared
-    partition to rebuild the address lookup table, as in the paper. *)
+(** A booted kernel with a fresh file system and its own pager (a page
+    cache and a clock over {!Hemlock_vm.Vm_object.ram_pages} frames, as
+    set now), which every process's address space maps through.  Boot
+    rescans the shared partition to rebuild the address lookup table,
+    as in the paper. *)
 val create : unit -> t
 
 val fs : t -> Hemlock_sfs.Fs.t

@@ -70,15 +70,17 @@ type t = {
   (* Demand-paging observability.  The pager resolves [Not_resident]
      faults inside the kernel, like COW: user programs never observe
      them, [faults] never counts them, and they consume no fuel — so
-     all five stay excluded from [cycles] and the golden transcripts
+     all six stay excluded from [cycles] and the golden transcripts
      are byte-identical with the [pager] switch on or off and under any
      RAM budget.  [resident_pages] is a gauge (current pageable
-     resident set), not a cumulative count. *)
+     resident set), not a cumulative count, and [peak_resident_pages]
+     its high-water mark since [Vm_object.reset]. *)
   mutable major_faults : int;
   mutable minor_faults : int;
   mutable pages_evicted : int;
   mutable pages_written_back : int;
   mutable resident_pages : int;
+  mutable peak_resident_pages : int;
 }
 
 let zero () =
@@ -127,6 +129,7 @@ let zero () =
     pages_evicted = 0;
     pages_written_back = 0;
     resident_pages = 0;
+    peak_resident_pages = 0;
   }
 
 let global = zero ()
@@ -190,9 +193,9 @@ let merge_into ~into t =
   into.minor_faults <- into.minor_faults + t.minor_faults;
   into.pages_evicted <- into.pages_evicted + t.pages_evicted;
   into.pages_written_back <- into.pages_written_back + t.pages_written_back;
-  (* the gauge is per-domain clock state; the merged gauge is the sum of
-     the domains' live resident sets *)
-  into.resident_pages <- into.resident_pages + t.resident_pages
+  (* the merged gauge is the sum of the domains' live resident sets *)
+  into.resident_pages <- into.resident_pages + t.resident_pages;
+  into.peak_resident_pages <- max into.peak_resident_pages into.resident_pages
 
 let reset () =
   global.instructions <- 0;
@@ -238,9 +241,9 @@ let reset () =
   global.minor_faults <- 0;
   global.pages_evicted <- 0;
   global.pages_written_back <- 0
-  (* [resident_pages] deliberately survives [reset]: it is a gauge of
-     live pager state, not a count accumulated inside a measured
-     region. *)
+  (* [resident_pages] and its peak deliberately survive [reset]: the
+     gauge tracks live pager state, not a count accumulated inside a
+     measured region. *)
 
 let snapshot () = { global with instructions = global.instructions }
 
@@ -290,6 +293,7 @@ let diff ~before ~after =
     pages_evicted = after.pages_evicted - before.pages_evicted;
     pages_written_back = after.pages_written_back - before.pages_written_back;
     resident_pages = after.resident_pages;
+    peak_resident_pages = after.peak_resident_pages;
   }
 
 (* Cost model, in simulated cycles.  The weights are the conventional

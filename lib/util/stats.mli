@@ -113,6 +113,11 @@ type t = {
       (** gauge (not cumulative): pageable pages currently resident.
           [diff] reports the [after] side's gauge, and [reset] leaves
           it alone — it tracks live pager state, not a measured delta. *)
+  mutable peak_resident_pages : int;
+      (** high-water mark of [resident_pages] since [Vm_object.reset],
+          which zeroes both; [diff] and [reset] treat it like the gauge.
+          Not in {!to_json}: perfbench reports it as
+          [vm_object.peak_resident]. *)
 }
 
 (** The main domain's counter set.  On the main domain [cur () == global];
@@ -126,10 +131,11 @@ val global : t
     {!Domain_pool} shuts down. *)
 val cur : unit -> t
 
-(** [merge_into ~into t] adds every field of [t] into [into].  All
-    fields are sums (the [resident_pages] gauge merges as the sum of the
-    domains' live resident sets), so merging is order-independent; the
-    pool still fixes worker-index order as the documented contract. *)
+(** [merge_into ~into t] adds every field of [t] into [into], and
+    raises [into]'s peak to the merged gauge.  The fields are sums (the
+    [resident_pages] gauge merges as the sum of the domains' live
+    resident sets), so the totals are order-independent; the pool still
+    fixes worker-index order as the documented contract. *)
 val merge_into : into:t -> t -> unit
 
 val reset : unit -> unit

@@ -58,6 +58,7 @@ type t = {
   mutable epoch : int;
   caching : bool;
   uid : int;  (* identity for Vm_object attachment (eviction -> epoch) *)
+  pager : Vm_object.pager;  (* the page cache its mappings' objects live in *)
 }
 
 let next_uid = Atomic.make 0
@@ -73,16 +74,19 @@ let fresh_tlb () =
         te_seg = None;
       })
 
-let create () =
+let create ?(pager = Vm_object.create_pager ()) () =
   {
     table = Interval_map.empty;
     tlb = fresh_tlb ();
     epoch = 0;
     caching = Config.current.tlb;
     uid = Atomic.fetch_and_add next_uid 1 + 1;
+    pager;
   }
 
 let epoch t = t.epoch
+
+let pager t = t.pager
 
 let invalidate t =
   t.epoch <- t.epoch + 1;
@@ -105,7 +109,7 @@ let map t ~base ~len ~seg ?(seg_off = 0) ?(kind = Vm_object.Pinned) ~prot ~share
     invalid_arg "Address_space.map: outside user space";
   if Interval_map.overlaps ~lo:base ~hi:(base + len) t.table then
     invalid_arg (Printf.sprintf "Address_space.map: 0x%x+0x%x overlaps" base len);
-  let obj = Vm_object.get_or_create seg kind in
+  let obj = Vm_object.get_or_create t.pager seg kind in
   Vm_object.attach obj ~uid:t.uid (fun () -> invalidate t);
   t.table <-
     Interval_map.add ~lo:base ~hi:(base + len)
@@ -145,7 +149,7 @@ let release ?only t =
     match m.share with
     | Private ->
       Segment.release m.seg;
-      Vm_object.forget m.seg
+      Vm_object.forget t.pager m.seg
     | Public -> ()
   in
   (match only with
@@ -459,6 +463,7 @@ let clone t =
       epoch = 0;
       caching = t.caching;
       uid = Atomic.fetch_and_add next_uid 1 + 1;
+      pager = t.pager;
     }
   in
   (* Flag a private mapping COW when its logical protection permits
@@ -490,7 +495,7 @@ let clone t =
       let kind =
         if Vm_object.is_pinned m.obj then Vm_object.Pinned else Vm_object.Anonymous
       in
-      let obj = Vm_object.get_or_create seg kind in
+      let obj = Vm_object.get_or_create t.pager seg kind in
       Vm_object.attach obj ~uid:child.uid (fun () -> invalidate child);
       mark { m with seg; obj }
   in

@@ -36,7 +36,8 @@ type mapping = {
           fault into {!resolve_cow} *)
   obj : Vm_object.t;
       (** pager-side identity: residency, backing kind, clock state.
-          Shared by every mapping of the same segment. *)
+          Shared by every mapping of the same segment through one
+          pager. *)
 }
 
 (** Raised by {!read_cstring} when no NUL terminator appears within the
@@ -44,12 +45,17 @@ type mapping = {
     boundaries. *)
 exception Cstring_unterminated of int
 
-(** [create ()] makes an empty space.  It has a software TLB when
-    {!Hemlock_util.Config.t.tlb} is on at creation, and its clones
-    inherit the choice; without one every access takes the interval-map
-    slow path.  The TLB and the bulk-copy fast paths are
-    observability-only: simulated costs are identical either way. *)
-val create : unit -> t
+(** [create ?pager ()] makes an empty space whose mappings' objects live
+    in [pager] (default: a fresh one, for a raw space with no kernel; a
+    kernel passes its own).  Its clones share the pager.  It has a
+    software TLB when {!Hemlock_util.Config.t.tlb} is on at creation,
+    and its clones inherit the choice; without one every access takes
+    the interval-map slow path.  The TLB and the bulk-copy fast paths
+    are observability-only: simulated costs are identical either way. *)
+val create : ?pager:Vm_object.pager -> unit -> t
+
+(** The pager this space maps through. *)
+val pager : t -> Vm_object.pager
 
 (** Invalidation epoch: bumped by every [map]/[unmap]/[protect].
     Derived caches (the TLB, the trace JIT's compiled code) must be

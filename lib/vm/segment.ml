@@ -24,15 +24,14 @@ module Config = Hemlock_util.Config
    returns to sole ownership, and its next write happens in place.
 
    Concurrency: a segment belongs to one kernel, and a kernel is
-   touched by one domain at a time (see [Cluster.run]), so [version],
-   [page_gen] and the page table are plain fields read and written by
-   their owner only.  The id allocator is atomic because every domain
-   allocates segments.  Refcounts are atomic because a page can outlive
-   that ownership: the per-domain master-image memo shares pages with
-   instances in several kernels, and a later run at another domain
-   count can put those kernels on different domains. *)
+   touched by one domain at a time (see [Cluster.run]).  Pages are
+   shared only by copies of one segment, and ldl keeps its placed
+   masters per kernel, so no page is reachable from two kernels:
+   [version], [page_gen], the page table and the page refcounts are
+   plain fields read and written by their owner only.  The id allocator
+   is atomic because every domain allocates segments. *)
 
-type page = { pbytes : Bytes.t; prc : int Atomic.t }
+type page = { pbytes : Bytes.t; mutable prc : int }
 
 type t = {
   id : int;
@@ -86,7 +85,7 @@ let owned_page_view t off =
   if off < 0 || off >= t.max_size then None
   else
     match t.pages.(off lsr Layout.page_shift) with
-    | Some p when Atomic.get p.prc = 1 -> Some (p.pbytes, t.page_gen)
+    | Some p when p.prc = 1 -> Some (p.pbytes, t.page_gen)
     | Some _ | None -> None
 
 let bump_version t = t.version <- t.version + 1
@@ -96,7 +95,7 @@ let allocated_pages t =
 
 let shared_pages t =
   Array.fold_left
-    (fun n -> function Some p when Atomic.get p.prc > 1 -> n + 1 | Some _ | None -> n)
+    (fun n -> function Some p when p.prc > 1 -> n + 1 | Some _ | None -> n)
     0 t.pages
 
 let check_off t off len =
@@ -108,7 +107,7 @@ let check_off t off len =
 let page_index off = off lsr Layout.page_shift
 let page_off off = off land (Layout.page_size - 1)
 
-let alloc_page () = { pbytes = Bytes.make Layout.page_size '\000'; prc = Atomic.make 1 }
+let alloc_page () = { pbytes = Bytes.make Layout.page_size '\000'; prc = 1 }
 
 (* The page containing [off], made safe to mutate: a zero page is
    allocated, a shared page is copied (the COW break — the only place a
@@ -116,10 +115,10 @@ let alloc_page () = { pbytes = Bytes.make Layout.page_size '\000'; prc = Atomic.
 let writable_page t off =
   let i = page_index off in
   match Array.unsafe_get t.pages i with
-  | Some p when Atomic.get p.prc = 1 -> p
+  | Some p when p.prc = 1 -> p
   | Some p ->
-    Atomic.decr p.prc;
-    let q = { pbytes = Bytes.copy p.pbytes; prc = Atomic.make 1 } in
+    p.prc <- p.prc - 1;
+    let q = { pbytes = Bytes.copy p.pbytes; prc = 1 } in
     (Stats.cur ()).pages_copied <- (Stats.cur ()).pages_copied + 1;
     Array.unsafe_set t.pages i (Some q);
     t.page_gen <- t.page_gen + 1;
@@ -134,7 +133,7 @@ let drop_page t i =
   match t.pages.(i) with
   | None -> ()
   | Some p ->
-    Atomic.decr p.prc;
+    p.prc <- p.prc - 1;
     t.pages.(i) <- None;
     t.page_gen <- t.page_gen + 1
 
@@ -169,7 +168,7 @@ let get_u8 t off =
 let set_u8 t off v =
   check_off t off 1;
   (match Array.unsafe_get t.pages (page_index off) with
-  | Some p when Atomic.get p.prc = 1 ->
+  | Some p when p.prc = 1 ->
     (* Exclusively owned page: write in place, no COW machinery. *)
     Codec.set_u8 p.pbytes (page_off off) v;
     t.version <- t.version + 1
@@ -199,7 +198,7 @@ let set_u32 t off v =
   check_off t off 4;
   if page_off off <= Layout.page_size - 4 then begin
     (match Array.unsafe_get t.pages (page_index off) with
-    | Some p when Atomic.get p.prc = 1 ->
+    | Some p when p.prc = 1 ->
       Codec.set_u32 p.pbytes (page_off off) v;
       t.version <- t.version + 1
     | Some p
@@ -232,7 +231,7 @@ let write_from t ~dst_off src ~src_off ~len =
       let n = min (len - !i) (Layout.page_size - po) in
       (match Array.unsafe_get t.pages (page_index off) with
       | Some p
-        when Atomic.get p.prc > 1
+        when p.prc > 1
              && off + n <= t.size
              && sub_equal p.pbytes po src (src_off + !i) n -> ()
       | _ ->
@@ -305,7 +304,7 @@ let copy t =
        saving is what an eager copy would have moved.  The source's
        pages just went from owned to shared with unchanged identity, so
        its [page_gen] must move to retire any [owned_page_view]. *)
-    Array.iter (function Some p -> Atomic.incr p.prc | None -> ()) t.pages;
+    Array.iter (function Some p -> p.prc <- p.prc + 1 | None -> ()) t.pages;
     (Stats.cur ()).bytes_saved <- (Stats.cur ()).bytes_saved + t.size;
     t.page_gen <- t.page_gen + 1;
     { t with id; pages = Array.copy t.pages }
@@ -316,7 +315,7 @@ let copy t =
       id;
       pages =
         Array.map
-          (Option.map (fun p -> { pbytes = Bytes.copy p.pbytes; prc = Atomic.make 1 }))
+          (Option.map (fun p -> { pbytes = Bytes.copy p.pbytes; prc = 1 }))
           t.pages;
     }
 

@@ -31,6 +31,7 @@ type kind =
 type t = {
   obj_seg : Segment.t;
   mutable obj_kind : kind;
+  pager : pager;  (* the pager whose registry holds this object *)
   resident : Bytes.t;  (* 1 bit per page of the segment's max_size *)
   refbit : Bytes.t;  (* clock reference bits *)
   dirty : Bytes.t;  (* written since materialise/last writeback *)
@@ -39,13 +40,28 @@ type t = {
   mutable frames : int;  (* resident pageable pages of this object *)
 }
 
+(* One machine's page cache: the objects of the segments its address
+   spaces map, keyed by segment id, and a fixed circular frame table
+   (one slot per page of simulated RAM) with a second-chance hand.  An
+   empty table is unbounded RAM: pages stay resident forever.  The
+   kernel owns its pager, so its frames, its budget and its clock are
+   the same whichever domain runs it. *)
+and pager = {
+  registry : (int, t) Hashtbl.t;
+  table : (t * int) option array;
+  mutable used : int;
+  mutable hand : int;
+}
+
 (* Simulated-RAM budget in pages ([None] = unbounded).  The clamp keeps
    the clock from thrashing the handful of pages a single instruction
    needs live (fetch page + up to two data pages + retry slack). *)
 let min_ram_pages = 8
 let ram_pages = ref Config.env.ram_pages
 
-let budget () = Option.map (max min_ram_pages) !ram_pages
+let create_pager () =
+  let n = match !ram_pages with Some n -> max min_ram_pages n | None -> 0 in
+  { registry = Hashtbl.create 64; table = Array.make n None; used = 0; hand = 0 }
 
 (* --- bitmaps --------------------------------------------------------- *)
 
@@ -61,57 +77,21 @@ let bit_clear b i =
 
 let npages seg = (Segment.max_size seg + Layout.page_size - 1) lsr Layout.page_shift
 
-(* --- registry -------------------------------------------------------- *)
-
-(* An object lives as long as some address space may map its segment:
-   [forget] removes it when the owner releases a private segment for
-   good ([Address_space.release]: reap, exec replacing an image, the
-   linker unwinding an instantiation), never from a finaliser, so no
-   counter depends on the host GC.  Objects of public segments (file
-   pages, which any later process may map) stay.
-
-   The registry and the clock below are {e per-domain} (a DLS-keyed
-   record): each domain owns an independent page cache and
-   second-chance hand, the simulator's analogue of per-CPU page-frame
-   pools.  Residency is pure accounting (eviction never discards
-   contents), so domains disagreeing about which pages are "in RAM" can
-   skew observability counters but never data.  The main domain's
-   instance is the instance the seed had, so single-domain runs are
-   bit-for-bit unchanged. *)
-type state = {
-  registry : (int, t) Hashtbl.t;
-  (* Fixed circular frame table (one slot per page of simulated RAM)
-     with a second-chance hand, lazily sized from [budget ()].
-     Unbounded mode keeps no table: pages stay resident forever. *)
-  mutable table : (t * int) option array;
-  mutable used : int;
-  mutable hand : int;
-  mutable peak : int;
-}
-
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { registry = Hashtbl.create 64; table = [||]; used = 0; hand = 0; peak = 0 })
-
-let st () = Domain.DLS.get state_key
-
 (* --- the clock ------------------------------------------------------- *)
 
+(* The resident gauge and its peak are the calling domain's [Stats]
+   fields, counted like the fault counters beside them. *)
 let gauge delta =
-  let s = st () and c = Stats.cur () in
+  let c = Stats.cur () in
   c.resident_pages <- c.resident_pages + delta;
-  if c.resident_pages > s.peak then s.peak <- c.resident_pages
+  if c.resident_pages > c.peak_resident_pages then c.peak_resident_pages <- c.resident_pages
 
-let peak_resident () = (st ()).peak
+let peak_resident () = (Stats.cur ()).peak_resident_pages
 
 let reset () =
-  let s = st () in
-  Hashtbl.reset s.registry;
-  s.table <- [||];
-  s.used <- 0;
-  s.hand <- 0;
-  s.peak <- 0;
-  (Stats.cur ()).resident_pages <- 0
+  let c = Stats.cur () in
+  c.resident_pages <- 0;
+  c.peak_resident_pages <- 0
 
 let is_pinned t =
   match t.obj_kind with Pinned -> true | Anonymous | File_backed _ -> false
@@ -139,27 +119,26 @@ let touch t off ~write =
    and the hand moves on), while a [Fault.Crash] propagates — the
    machine stopped mid-writeback, and the journal entry is the
    evidence fsck recovers from. *)
-let try_evict slot =
-  let s = st () in
-  match s.table.(slot) with
+let try_evict p slot =
+  match p.table.(slot) with
   | None -> true
-  | Some (o, p) -> (
+  | Some (o, pg) -> (
     let write_back () =
-      if bit_get o.dirty p then
+      if bit_get o.dirty pg then
         match o.obj_kind with
         | File_backed { writeback; _ } ->
-          writeback ~page:p;
+          writeback ~page:pg;
           (Stats.cur ()).pages_written_back <- (Stats.cur ()).pages_written_back + 1
         | Anonymous | Pinned -> ()
     in
     match write_back () with
     | () ->
-      bit_clear o.dirty p;
-      bit_clear o.refbit p;
-      bit_clear o.resident p;
+      bit_clear o.dirty pg;
+      bit_clear o.refbit pg;
+      bit_clear o.resident pg;
       o.frames <- o.frames - 1;
-      s.table.(slot) <- None;
-      s.used <- s.used - 1;
+      p.table.(slot) <- None;
+      p.used <- p.used - 1;
       (Stats.cur ()).pages_evicted <- (Stats.cur ()).pages_evicted + 1;
       gauge (-1);
       Hashtbl.iter (fun _ (_, invalidate) -> invalidate ()) o.spaces;
@@ -167,18 +146,10 @@ let try_evict slot =
     | exception Fault.Injected _ -> false)
 
 let place_frame t i =
-  match budget () with
-  | None -> ()
-  | Some n ->
-    let s = st () in
-    if Array.length s.table <> n then begin
-      (* budget changed since the last placement: start a fresh clock
-         (callers change [ram_pages] only around [reset ()]) *)
-      s.table <- Array.make n None;
-      s.used <- 0;
-      s.hand <- 0
-    end;
-    if s.used >= n then begin
+  let p = t.pager in
+  let n = Array.length p.table in
+  if n > 0 then
+    if p.used >= n then begin
       (* second chance: clear reference bits until an unreferenced,
          evictable victim turns up; two full sweeps with no victim
          means everything is both hot and unevictable, and the table
@@ -186,29 +157,29 @@ let place_frame t i =
       let victim = ref None in
       let steps = ref 0 in
       while !victim = None && !steps < 2 * n do
-        (match s.table.(s.hand) with
-        | None -> victim := Some s.hand
-        | Some (o, p) ->
-          if bit_get o.refbit p then bit_clear o.refbit p
-          else if try_evict s.hand then victim := Some s.hand);
-        if !victim = None then s.hand <- (s.hand + 1) mod n;
+        (match p.table.(p.hand) with
+        | None -> victim := Some p.hand
+        | Some (o, pg) ->
+          if bit_get o.refbit pg then bit_clear o.refbit pg
+          else if try_evict p p.hand then victim := Some p.hand);
+        if !victim = None then p.hand <- (p.hand + 1) mod n;
         incr steps
       done;
       match !victim with
       | Some slot ->
-        s.table.(slot) <- Some (t, i);
-        s.used <- s.used + 1;
-        s.hand <- (slot + 1) mod n
+        p.table.(slot) <- Some (t, i);
+        p.used <- p.used + 1;
+        p.hand <- (slot + 1) mod n
       | None -> ()
     end
     else begin
       (* free slot: first fit from the hand, wrapping *)
-      let slot = ref s.hand in
-      while s.table.(!slot) <> None do
+      let slot = ref p.hand in
+      while p.table.(!slot) <> None do
         slot := (!slot + 1) mod n
       done;
-      s.table.(!slot) <- Some (t, i);
-      s.used <- s.used + 1
+      p.table.(!slot) <- Some (t, i);
+      p.used <- p.used + 1
     end
 
 let materialise t off ~write =
@@ -240,14 +211,14 @@ let materialise t off ~write =
    with no frames skips the scan. *)
 let drop_frames t =
   if t.frames > 0 then begin
-    let s = st () in
+    let p = t.pager in
     Array.iteri
       (fun slot -> function
         | Some (o, _) when o == t ->
-          s.table.(slot) <- None;
-          s.used <- s.used - 1
+          p.table.(slot) <- None;
+          p.used <- p.used - 1
         | Some _ | None -> ())
-      s.table;
+      p.table;
     gauge (-t.frames);
     t.frames <- 0
   end
@@ -263,8 +234,17 @@ let pin t =
     drop_frames t
   end
 
-let get_or_create seg kind =
-  match Hashtbl.find_opt (st ()).registry (Segment.id seg) with
+(* --- registry -------------------------------------------------------- *)
+
+(* An object lives as long as some address space may map its segment:
+   [forget] removes it when the owner releases a private segment for
+   good ([Address_space.release]: reap, exec replacing an image, the
+   linker unwinding an instantiation), never from a finaliser, so no
+   counter depends on the host GC.  Objects of public segments (file
+   pages, which any later process may map) stay. *)
+
+let get_or_create pager seg kind =
+  match Hashtbl.find_opt pager.registry (Segment.id seg) with
   | Some t ->
     (match kind with Pinned -> pin t | Anonymous | File_backed _ -> ());
     t
@@ -274,6 +254,7 @@ let get_or_create seg kind =
       {
         obj_seg = seg;
         obj_kind = kind;
+        pager;
         resident = Bytes.make bytes '\000';
         refbit = Bytes.make bytes '\000';
         dirty = Bytes.make bytes '\000';
@@ -281,17 +262,16 @@ let get_or_create seg kind =
         frames = 0;
       }
     in
-    Hashtbl.replace (st ()).registry (Segment.id seg) t;
+    Hashtbl.replace pager.registry (Segment.id seg) t;
     t
 
-let forget seg =
-  let s = st () in
-  match Hashtbl.find_opt s.registry (Segment.id seg) with
+let forget pager seg =
+  match Hashtbl.find_opt pager.registry (Segment.id seg) with
   | None -> ()
   | Some t ->
     drop_frames t;
     Bytes.fill t.resident 0 (Bytes.length t.resident) '\000';
-    Hashtbl.remove s.registry (Segment.id seg)
+    Hashtbl.remove pager.registry (Segment.id seg)
 
 let attach t ~uid invalidate =
   match Hashtbl.find_opt t.spaces uid with

@@ -3,8 +3,9 @@
     pages are reclaimed under a bounded simulated RAM.
 
     The segment stays the page {e store}; a VmObject is pure residency
-    accounting shared by every mapping of that segment (page-cache
-    semantics — the registry is keyed by segment id).  Eviction never
+    accounting shared by every mapping of that segment through one
+    {!pager} (page-cache semantics — the pager's registry is keyed by
+    segment id).  Eviction never
     discards contents: it clears the residency bit, pushes dirty
     file-backed pages through the owning file system's journalled
     writeback barrier, and invalidates every attached address space so
@@ -28,20 +29,29 @@ type kind =
 
 type t
 
-(** Simulated RAM in pages ([None] = unbounded, the default;
-    [HEMLOCK_RAM_PAGES] sets it at startup).  Values are clamped to
-    {!min_ram_pages} when consumed.  Change it only around {!reset}. *)
+(** One machine's page cache: its objects, keyed by segment id, and a
+    second-chance clock over a frame table of {!ram_pages} slots.  A
+    kernel owns one, and each of its address spaces reaches it. *)
+type pager
+
+(** Simulated RAM in pages of each pager created after it is set
+    ([None] = unbounded, the default; [HEMLOCK_RAM_PAGES] sets it at
+    startup).  Values are clamped to {!min_ram_pages}. *)
 val ram_pages : int option ref
 
 (** Floor for {!ram_pages}: below this the clock would thrash the
     handful of pages one instruction needs simultaneously live. *)
 val min_ram_pages : int
 
-(** [get_or_create seg kind] is the object for [seg], creating it with
-    [kind] on first sight.  A [Pinned] request {e promotes} an existing
+(** A pager with an empty registry and a frame table sized from
+    {!ram_pages} as it stands now. *)
+val create_pager : unit -> pager
+
+(** [get_or_create pager seg kind] is [pager]'s object for [seg],
+    creating it with [kind] on first sight.  A [Pinned] request {e promotes} an existing
     pageable object (its frames leave the clock uncounted): a raw
     mapper's eager expectations win over demand paging. *)
-val get_or_create : Segment.t -> kind -> t
+val get_or_create : pager -> Segment.t -> kind -> t
 
 (** Whether the pager manages this object at all (the [pager] switch on and not
     pinned). *)
@@ -61,8 +71,8 @@ val touch : t -> int -> write:bool -> unit
 
 (** [materialise t off ~write] makes the page holding [off] resident,
     billing [major_faults] (file-backed content to read) or
-    [minor_faults] (zero-fill / in-memory) and evicting a victim first
-    when the {!ram_pages} budget is full.  Idempotent on resident
+    [minor_faults] (zero-fill / in-memory) and evicting a victim of
+    its pager first when the pager's frame table is full.  Idempotent on resident
     pages (degrades to {!touch}). *)
 val materialise : t -> int -> write:bool -> unit
 
@@ -74,18 +84,17 @@ val attach : t -> uid:int -> (unit -> unit) -> unit
 
 val detach : t -> uid:int -> unit
 
-(** Drop [seg]'s object from the calling domain's registry: its frames
-    leave the clock without being counted as evictions, residency
-    clears, the entry disappears.  Called by {!Address_space.release}
-    for each private segment it discards; an object another domain
-    registered stays in that domain's registry.  O(1) when the object
-    holds no frame, else one scan of the frame table. *)
-val forget : Segment.t -> unit
+(** Drop [seg]'s object from [pager]'s registry: its frames leave the
+    clock without being counted as evictions, residency clears, the
+    entry disappears.  Called by {!Address_space.release} for each
+    private segment it discards.  O(1) when the object holds no frame,
+    else one scan of the frame table. *)
+val forget : pager -> Segment.t -> unit
 
 (** High-water mark of [Stats.resident_pages] since the last {!reset}. *)
 val peak_resident : unit -> int
 
-(** Forget {e all} pager state: registry, clock, gauge, peak.  Only
-    sound when no previously-mapped segment will be touched again —
-    the bench harness calls it between isolated kernel boots. *)
+(** Zero the calling domain's [Stats.resident_pages] gauge and its peak.
+    Pagers die with their kernels; the bench harness calls this between
+    isolated kernel boots. *)
 val reset : unit -> unit

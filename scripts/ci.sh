@@ -1,5 +1,7 @@
 #!/bin/sh
-# Full gate: the test suite, E1-E13 against the golden transcript and
+# Full gate: the ownership rule (lib/ keeps per-domain state only for
+# Stats and Fault's hit counters; everything else hangs off its kernel);
+# the test suite, E1-E13 against the golden transcript and
 # (where it means something) the crash sweep under four configurations;
 # the examples; `perf`, the JIT's throughput floors over the cache-less
 # and the TLB-only interpreter; and one untimed world of each benchmark
@@ -46,6 +48,17 @@ if ! grep -q -F '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' _build/trace_rul
   exit 1
 fi
 echo "release flags in effect"
+
+# A kernel owns its pager and its linker's memos, so what a machine pages
+# or caches cannot depend on which domain runs it.  Only the statistics
+# and the fault engine's hit counters are per domain.
+echo "== ownership (gate: Domain.DLS keys only in Stats and Fault) =="
+keys=$(grep -rl Domain.DLS.new_key lib | sort | tr '\n' ' ')
+if [ "$keys" != "lib/util/fault.ml lib/util/stats.ml " ]; then
+  echo "Domain.DLS keys outside lib/util/fault.ml and lib/util/stats.ml: $keys"
+  exit 1
+fi
+echo "Domain.DLS keys only in $keys"
 
 for row in "" "$ORACLE" "$SQUEEZE" "$CLUSTER"; do
   echo "== tests (${row:-default}) =="

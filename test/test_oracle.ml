@@ -53,8 +53,9 @@ let note ?bill label shown = { label; shown; code = 0; links = []; bill }
 type workload = (step -> unit) -> unit
 
 (* Run [f] under [cfg], a JIT threshold (by default the current one)
-   and a RAM budget (by default unbounded), with the pager's registry
-   and clock wiped and the fault engine disarmed on the way out. *)
+   and a RAM budget for the pagers it creates (by default unbounded),
+   with the resident gauge and its peak zeroed and the fault engine
+   disarmed on the way out. *)
 let under ?(threshold = !Trace.threshold) ?ram cfg f =
   Config.with_ cfg (fun () ->
       let old_threshold = !Trace.threshold and old_ram = !Vm_object.ram_pages in

@@ -86,7 +86,7 @@ let pin_promotion () =
       check_int "pre-promotion touch" (pattern 0) (load_u8 sp 0x1000);
       (* A second, raw mapping of the same segment pins the object:
          eager expectations win over demand paging. *)
-      let sp2 = As.create () in
+      let sp2 = As.create ~pager:(As.pager sp) () in
       As.map sp2 ~base:0x1000 ~len:(2 * Layout.page_size) ~seg
         ~prot:Prot.Read_only ~share:As.Public ~label:"raw" ();
       check_int "promoted object reads raw, page 1 never materialised"

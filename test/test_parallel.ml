@@ -184,7 +184,7 @@ int main() {
    hears.  Returns (per-machine transcripts, compute exit codes, stat
    diff, wall seconds) so runs at different domain counts can be
    compared byte-for-byte. *)
-let cluster_observables ?(machines = 4) ~domains () =
+let cluster_observables ?(machines = 4) ?(src = compute_src) ~domains () =
   let sends = 5 in
   let heard = Array.make machines [] in
   (* pinned to [Ideal]: this test asserts exact full-matrix delivery,
@@ -196,7 +196,7 @@ let cluster_observables ?(machines = 4) ~domains () =
         let k = Cluster.machine c i in
         ignore (Ldl.install k);
         Fs.mkdir (Kernel.fs k) "/home/w";
-        install_c k "/home/w/main.o" compute_src;
+        install_c k "/home/w/main.o" src;
         ignore (link k ~dir:"/home/w" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
         Kernel.spawn_exec k "/home/w/prog")
   in
@@ -263,6 +263,82 @@ let cluster_lockstep () =
     let speedup = best 1 /. best 4 in
     if speedup < 2.0 then Alcotest.failf "4 domains ran %.2fx faster than 1, want >= 2x" speedup
   end
+
+(* One word written, then read back, on each of 32 heap pages; exits 42
+   when every word reads back. *)
+let paging_src =
+  {|
+int main() {
+  int *p;
+  int i;
+  int s;
+  p = sbrk(131072);
+  i = 0;
+  while (i < 32768) { p[i] = i; i = i + 1024; }
+  s = 0;
+  i = 0;
+  while (i < 32768) { s = s + p[i]; i = i + 1024; }
+  return s - 507904 + 42;
+}
+|}
+
+(* Each machine pages against its own RAM budget: its frames and its
+   clock are its kernel's, so spreading the machines over domains cannot
+   change what any of them faults in, evicts or writes back.  The pager
+   is forced on so the oracle row runs this too. *)
+let cluster_pager_per_machine () =
+  Test_oracle.under ~ram:8 { Config.current with pager = true } (fun () ->
+      let runs =
+        List.map
+          (fun domains ->
+            let _, codes, d, _ = cluster_observables ~src:paging_src ~domains () in
+            (domains, codes, d))
+          [ 1; 2; 4 ]
+      in
+      let _, codes1, d1 = List.hd runs in
+      Array.iteri (fun i c -> check_int (Printf.sprintf "machine %d exit" i) 42 c) codes1;
+      check_bool "8 pages of RAM force evictions" true (d1.Stats.pages_evicted > 0);
+      List.iter
+        (fun (domains, codes, d) ->
+          let at what = Printf.sprintf "%s at %d domains" what domains in
+          check_bool (at "exits") true (codes = codes1);
+          check_int (at "major faults") d1.Stats.major_faults d.Stats.major_faults;
+          check_int (at "minor faults") d1.Stats.minor_faults d.Stats.minor_faults;
+          check_int (at "pages evicted") d1.Stats.pages_evicted d.Stats.pages_evicted;
+          check_int (at "pages written back") d1.Stats.pages_written_back
+            d.Stats.pages_written_back)
+        (List.tl runs))
+
+(* A machine keeps its page cache across [Cluster.run] calls: the pool
+   of each run is new, but the pager is the kernel's, so the file pages
+   a machine read in the first run are still resident in the next. *)
+let cluster_page_cache_survives_runs () =
+  let module Layout = Hemlock_vm.Layout in
+  let module Prot = Hemlock_vm.Prot in
+  Test_oracle.under { Config.current with pager = true } (fun () ->
+      let c = Cluster.create ~profile:Net.Ideal ~machines:2 () in
+      let path = "/shared/pages" in
+      for i = 0 to 1 do
+        Fs.write_file (Kernel.fs (Cluster.machine c i)) path
+          (Bytes.make (2 * Layout.page_size) 'p')
+      done;
+      let run () =
+        for i = 0 to 1 do
+          ignore
+            (Kernel.spawn_native (Cluster.machine c i) ~name:"reader" (fun k proc ->
+                 let base = Kernel.map_shared_file k proc ~path ~prot:Prot.Read_only in
+                 for pg = 0 to 1 do
+                   ignore (Kernel.load_u32 k proc (base + (pg * Layout.page_size)))
+                 done;
+                 0))
+        done;
+        let before = Stats.snapshot () in
+        Cluster.run ~domains:2 c;
+        (Stats.diff ~before ~after:(Stats.snapshot ())).Stats.major_faults
+      in
+      let majors = List.init 3 (fun _ -> run ()) in
+      check_string "major faults per run" "4 0 0"
+        (String.concat " " (List.map string_of_int majors)))
 
 let cluster_deadlock_tagged () =
   let c = Cluster.create ~profile:Net.Ideal ~machines:2 () in
@@ -331,6 +407,9 @@ let suite =
     test "domain pool: a failed create joins its workers" pool_create_failure_joins_workers;
     test "kernel: enqueue_net backpressure, no phantom billing" enqueue_net_backpressure;
     test "cluster: 4-domain run = single-domain oracle" cluster_lockstep;
+    test "cluster: each machine pages against its own RAM budget" cluster_pager_per_machine;
+    test "cluster: a machine keeps its page cache across runs"
+      cluster_page_cache_survives_runs;
     test "cluster: deadlock reports machine-tagged processes" cluster_deadlock_tagged;
     test "cluster: each machine stays on one domain for the whole run"
       machines_stay_on_one_domain;

@@ -203,6 +203,7 @@ let stats_to_json_names_each_counter () =
       cow_faults = 33; pages_copied = 34; bytes_saved = 35; jit_compiles = 36;
       jit_hits = 37; jit_exits = 38; jit_invalidations = 39; major_faults = 40;
       minor_faults = 41; pages_evicted = 42; pages_written_back = 43; resident_pages = 44;
+      peak_resident_pages = 45;
     }
   in
   let j = Stats.to_json s in
