@@ -119,6 +119,28 @@ let ctx_of t proc =
 
 let state t proc = Hashtbl.find_opt t.states proc.Proc.pid
 
+(* A process's link state as exec, fork or attach starts it: the
+   host-side indexes start empty ([rebuild_indexes] fills them). *)
+let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next = 0) ?prog
+    ~started root =
+  {
+    ps_aout = aout;
+    ps_image_seg = image_seg;
+    ps_instances = instances;
+    ps_root = root;
+    ps_pending = pending;
+    ps_veneer_next = veneer_next;
+    ps_started = started;
+    ps_prog = prog;
+    ps_sorted = [||];
+    ps_by_key = Hashtbl.create 16;
+    ps_unlinked = [];
+    ps_index = Hashtbl.create 16;
+    ps_index_gen = -1;
+    ps_prov = Hashtbl.create 64;
+    ps_digest = Bytes.make 16 '\000';
+  }
+
 let note_prov ps name ~source ~probe ~origin ~scope =
   match Hashtbl.find_opt ps.ps_prov name with
   | Some p ->
@@ -231,16 +253,12 @@ let decode t src bytes = memo t.objs src (fun () -> Objfile.parse bytes)
 let is_shared_located located =
   Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root located)
 
-let module_file_of_template located =
-  if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
-  else errf "public module template %s does not end in .o" located
-
 (* Serialise creation of a public module with a file lock; the first
    process of a parallel application creates and initialises the shared
    data, its siblings block then link the existing file (§4, fn 3). *)
 let ensure_public_created t proc ~located ~obj =
   let fs = Kernel.fs t.k in
-  let module_path = module_file_of_template located in
+  let module_path = Modinst.module_file_of_template located in
   let ready () =
     Fs.exists fs module_path
     && Modinst.Header.is_module_file (Fs.segment_of fs module_path)
@@ -270,6 +288,23 @@ let rec scope_dirs scope =
   @ (match scope.Modinst.sc_parent with Some p -> scope_dirs p | None -> [])
 
 (* ----- instantiation ------------------------------------------------------ *)
+
+(* Map public module file [path] at its instance's slot, unless the
+   process already maps something there; true if it mapped. *)
+let map_public_module t proc inst ~path ~prot =
+  match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
+  | Some _ -> false
+  | None ->
+    let seg = inst.Modinst.inst_seg in
+    As.map proc.Proc.space ~base:inst.Modinst.inst_base ~len:Layout.shared_slot_size ~seg
+      ~kind:
+        (Vm_object.File_backed
+           {
+             path;
+             writeback = (fun ~page -> Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
+           })
+      ~prot ~share:As.Public ~label:path ();
+    true
 
 let instantiate t proc ps ~located ~public ~parent_scope =
   Fault.hit "ldl.instantiate";
@@ -304,22 +339,8 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         let inst = Modinst.public_instance ~decode:(decode t) ctx ~module_path ~scope in
         let fully = Modinst.Header.fully_linked inst.Modinst.inst_seg in
         let prot = if fully then Prot.Read_write_exec else Prot.No_access in
-        (match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
-        | Some _ -> ()
-        | None ->
-          let seg = inst.Modinst.inst_seg in
-          As.map proc.Proc.space ~base:inst.Modinst.inst_base ~len:Layout.shared_slot_size
-            ~seg
-            ~kind:
-              (Vm_object.File_backed
-                 {
-                   path = module_path;
-                   writeback =
-                     (fun ~page ->
-                       Fs.page_writeback (Kernel.fs t.k) ~path:module_path ~seg ~page);
-                 })
-            ~prot ~share:As.Public ~label:module_path ();
-          mapped := inst.Modinst.inst_base :: !mapped);
+        if map_public_module t proc inst ~path:module_path ~prot then
+          mapped := inst.Modinst.inst_base :: !mapped;
         Fault.hit "ldl.instantiate.mid";
         if fully then begin
           inst.Modinst.inst_linked <- true;
@@ -840,21 +861,7 @@ let handle_fault t _k proc fault =
                   Modinst.public_instance ~decode:(decode t) (ctx_of t proc) ~module_path:path
                     ~scope
                 in
-                (match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
-                | Some _ -> ()
-                | None ->
-                  let seg = inst.Modinst.inst_seg in
-                  As.map proc.Proc.space ~base:inst.Modinst.inst_base
-                    ~len:Layout.shared_slot_size ~seg
-                    ~kind:
-                      (Vm_object.File_backed
-                         {
-                           path;
-                           writeback =
-                             (fun ~page ->
-                               Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
-                         })
-                    ~prot:Prot.No_access ~share:As.Public ~label:path ());
+                ignore (map_public_module t proc inst ~path ~prot:Prot.No_access);
                 add_instance ps inst;
                 link_instance t proc ps inst)
           else
@@ -942,23 +949,10 @@ let loader t _k proc bytes ~path =
   As.map proc.Proc.space ~base:Aout.image_base ~len:(Segment.max_size seg) ~seg
     ~kind:Vm_object.Anonymous ~prot:Prot.Read_write_exec ~share:As.Private ~label:path ();
   Hashtbl.replace t.states proc.Proc.pid
-    {
-      ps_aout = Some aout;
-      ps_image_seg = Some seg;
-      ps_instances = [];
-      ps_root = empty_root proc;
-      ps_pending = aout.Aout.pending;
-      ps_veneer_next = count_used_veneers aout;
-      ps_started = false;
-      ps_prog = Option.map (fun (id, ver) -> (path, id, ver)) src;
-      ps_sorted = [||];
-      ps_by_key = Hashtbl.create 16;
-      ps_unlinked = [];
-      ps_index = Hashtbl.create 16;
-      ps_index_gen = -1;
-      ps_prov = Hashtbl.create 64;
-      ps_digest = Bytes.make 16 '\000';
-    };
+    (new_pstate ~aout ~image_seg:seg ~pending:aout.Aout.pending
+       ~veneer_next:(count_used_veneers aout)
+       ?prog:(Option.map (fun (id, ver) -> (path, id, ver)) src)
+       ~started:false (empty_root proc));
   Kernel.install_segv_handler t.k proc ~name:"hemlock-ldl" (handle_fault t);
   Aout.image_base + aout.Aout.entry_off
 
@@ -982,27 +976,14 @@ let clone_for_fork t ~parent ~child =
           inst_applied = Array.copy inst.Modinst.inst_applied;
         }
     in
+    (* Provenance is per-process observability: the child starts empty
+       and accumulates its own post-fork resolutions. *)
     let child_ps =
-      {
-        ps_aout = ps.ps_aout;
-        ps_image_seg =
-          Option.map (fun seg -> remap Aout.image_base seg) ps.ps_image_seg;
-        ps_instances = List.map clone_inst ps.ps_instances;
-        ps_root = ps.ps_root;
-        ps_pending = ps.ps_pending;
-        ps_veneer_next = ps.ps_veneer_next;
-        ps_started = ps.ps_started;
-        ps_prog = ps.ps_prog;
-        ps_sorted = [||];
-        ps_by_key = Hashtbl.create 16;
-        ps_unlinked = [];
-        ps_index = Hashtbl.create 16;
-        ps_index_gen = -1;
-        (* provenance is per-process observability: the child starts
-           empty and accumulates its own post-fork resolutions *)
-        ps_prov = Hashtbl.create 64;
-        ps_digest = Bytes.make 16 '\000';
-      }
+      new_pstate ?aout:ps.ps_aout
+        ?image_seg:(Option.map (fun seg -> remap Aout.image_base seg) ps.ps_image_seg)
+        ~instances:(List.map clone_inst ps.ps_instances)
+        ~pending:ps.ps_pending ~veneer_next:ps.ps_veneer_next ?prog:ps.ps_prog
+        ~started:ps.ps_started ps.ps_root
     in
     rebuild_indexes child_ps;
     Hashtbl.replace t.states child.Proc.pid child_ps
@@ -1068,24 +1049,7 @@ let attach t proc =
         sc_parent = None;
       }
     in
-    Hashtbl.replace t.states proc.Proc.pid
-      {
-        ps_aout = None;
-        ps_image_seg = None;
-        ps_instances = [];
-        ps_root = root;
-        ps_pending = [];
-        ps_veneer_next = 0;
-        ps_started = true;
-        ps_prog = None;
-        ps_sorted = [||];
-        ps_by_key = Hashtbl.create 16;
-        ps_unlinked = [];
-        ps_index = Hashtbl.create 16;
-        ps_index_gen = -1;
-        ps_prov = Hashtbl.create 64;
-        ps_digest = Bytes.make 16 '\000';
-      };
+    Hashtbl.replace t.states proc.Proc.pid (new_pstate ~started:true root);
     Kernel.install_segv_handler t.k proc ~name:"hemlock-ldl" (handle_fault t)
   end
 

@@ -37,14 +37,10 @@ type placed = {
   pl_bss : int;
 }
 
-let module_file_of_template located =
-  if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
-  else errf "public module template %s does not end in .o" located
-
 (* Create-or-find a static public module; returns (module_path, instance). *)
 let ensure_static_public ctx warnings located =
   let obj, _ = Modinst.load_template ctx located in
-  let module_path = module_file_of_template located in
+  let module_path = Modinst.module_file_of_template located in
   if not (Fs.exists ctx.Search.fs module_path) then begin
     ignore (Modinst.create_public_file ctx ~template_path:located ~obj ~module_path);
     let unresolved = Objfile.undefined obj in

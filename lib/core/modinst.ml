@@ -192,6 +192,10 @@ let require_shared what path =
   if not (Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root path)) then
     errf "%s %s must reside on the shared partition" what path
 
+let module_file_of_template located =
+  if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
+  else errf "public module template %s does not end in .o" located
+
 let create_public_file ctx ~template_path ~obj ~module_path =
   require_shared "public module template" template_path;
   require_shared "public module" module_path;

@@ -102,6 +102,10 @@ module Header : sig
   val fully_linked : Segment.t -> bool
 end
 
+(** The module file a public module's template [T.o] creates: [T].
+    @raise Link_error if the template's name does not end in [.o]. *)
+val module_file_of_template : string -> string
+
 (** [create_public_file ctx ~template_path ~obj ~module_path] creates
     the module file, writes the header and the placed image, applies
     the template's {e internal} relocations (those whose symbol the

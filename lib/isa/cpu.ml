@@ -206,77 +206,59 @@ let run ~fuel t space ~syscall =
 
 exception Syscall_trap
 
-(* With the trace JIT enabled, the same loop additionally offers every
-   {e anchored} pc — a burst start, or the successor of any step that
-   was not a straight fall-through — to {!Trace.enter}.  A compiled
-   trace threads the remaining fuel through its closure chain and
-   reports how it left; every exit re-anchors (trace tails are branch
-   targets by construction).  A trace that runs the fuel dry stops on
-   the interpreter's exact boundary and leaves a resume token, so the
-   burst start of the next quantum — anchored like every burst start —
-   continues in compiled code part-way through the trace.  The
+(* One loop serves both configurations.  With the trace JIT enabled it
+   also offers every {e anchored} pc — a burst start, or the successor
+   of any step that was not a straight fall-through — to
+   {!Trace.enter}; with it disabled every step is interpreted.  A
+   compiled trace threads the remaining fuel through its closure chain
+   and reports how it left; every exit re-anchors (trace tails are
+   branch targets by construction).  A trace that runs the fuel dry
+   stops on the interpreter's exact boundary and leaves a resume token,
+   so the burst start of the next quantum — anchored like every burst
+   start — continues in compiled code part-way through the trace.  The
    accounting mirrors the interpreter case-for-case: fuel-out at an
    instruction boundary, syscall/halt with one instruction billed,
    faults with the instruction billed but no fuel consumed and the pc
    on the faulting instruction. *)
 let run_trap ~fuel t space =
-  if not Config.current.jit then begin
-    let rec go n =
-      if n = 0 then (Out_of_fuel, 0)
-      else
-        match step t space ~syscall:(fun _ -> raise_notrace Syscall_trap) with
-        | Running -> go (n - 1)
-        | Halted code -> (Trapped (Trap.Halt code), n - 1)
-        | exception Syscall_trap -> (Trapped Trap.Syscall, n - 1)
-        | exception Illegal_insn { ill_pc; ill_word } ->
-          (Trapped (Trap.Illegal { ill_pc; ill_word }), n)
-        | exception As.Fault { addr; access; reason } ->
-          ( Trapped
-              (Trap.Fault { f_addr = addr; f_access = access; f_reason = reason }),
-            n )
-    in
-    go fuel
-  end
-  else begin
-    let st = t.jit in
-    let rec go n anchored =
-      if n = 0 then (Out_of_fuel, 0)
-      else if not anchored then interp n
-      else
-        match Trace.enter st space t.pc n with
-        | Trace.Missed -> interp n
-        | Trace.Ran (Trace.X_side n') ->
-          t.pc <- Trace.resume_pc st;
-          go n' true
-        | Trace.Ran (Trace.X_halt (code, n')) ->
-          t.pc <- Trace.resume_pc st;
-          (Trapped (Trap.Halt code), n')
-        | Trace.Ran (Trace.X_syscall n') ->
-          t.pc <- Trace.resume_pc st;
-          (Trapped Trap.Syscall, n')
-        | exception As.Fault { addr; access; reason } ->
-          t.pc <- Trace.resume_pc st;
-          ( Trapped
-              (Trap.Fault { f_addr = addr; f_access = access; f_reason = reason }),
-            Trace.resume_fuel st )
-        | exception Trace.Error { e_pc; e_msg } ->
-          t.pc <- e_pc;
-          raise (Cpu_error { pc = e_pc; msg = e_msg })
-    and interp n =
-      let pc0 = t.pc in
-      match step t space ~syscall:(fun _ -> raise_notrace Syscall_trap) with
-      | Running -> go (n - 1) (t.pc <> pc0 + 4)
-      | Halted code -> (Trapped (Trap.Halt code), n - 1)
-      | exception Syscall_trap -> (Trapped Trap.Syscall, n - 1)
-      | exception Illegal_insn { ill_pc; ill_word } ->
-        (Trapped (Trap.Illegal { ill_pc; ill_word }), n)
+  let st = t.jit in
+  let rec go n anchored =
+    if n = 0 then (Out_of_fuel, 0)
+    else if not (anchored && Config.current.jit) then interp n
+    else
+      match Trace.enter st space t.pc n with
+      | Trace.Missed -> interp n
+      | Trace.Ran (Trace.X_side n') ->
+        t.pc <- Trace.resume_pc st;
+        go n' true
+      | Trace.Ran (Trace.X_halt (code, n')) ->
+        t.pc <- Trace.resume_pc st;
+        (Trapped (Trap.Halt code), n')
+      | Trace.Ran (Trace.X_syscall n') ->
+        t.pc <- Trace.resume_pc st;
+        (Trapped Trap.Syscall, n')
       | exception As.Fault { addr; access; reason } ->
+        t.pc <- Trace.resume_pc st;
         ( Trapped
             (Trap.Fault { f_addr = addr; f_access = access; f_reason = reason }),
-          n )
-    in
-    go fuel true
-  end
+          Trace.resume_fuel st )
+      | exception Trace.Error { e_pc; e_msg } ->
+        t.pc <- e_pc;
+        raise (Cpu_error { pc = e_pc; msg = e_msg })
+  and interp n =
+    let pc0 = t.pc in
+    match step t space ~syscall:(fun _ -> raise_notrace Syscall_trap) with
+    | Running -> go (n - 1) (t.pc <> pc0 + 4)
+    | Halted code -> (Trapped (Trap.Halt code), n - 1)
+    | exception Syscall_trap -> (Trapped Trap.Syscall, n - 1)
+    | exception Illegal_insn { ill_pc; ill_word } ->
+      (Trapped (Trap.Illegal { ill_pc; ill_word }), n)
+    | exception As.Fault { addr; access; reason } ->
+      ( Trapped
+          (Trap.Fault { f_addr = addr; f_access = access; f_reason = reason }),
+        n )
+  in
+  go fuel true
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>pc = 0x%08x@," t.pc;

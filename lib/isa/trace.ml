@@ -16,9 +16,10 @@ module Config = Hemlock_util.Config
    OCaml closures, one per instruction, each doing its register/memory
    work directly and tail-calling the next.  Conditional branches become guards that side
    exit back to the interpreter when the unfollowed direction is taken;
-   loads and stores carry per-site inline caches and fall back to the
-   address space's checked accessors (exact fault semantics) on any
-   miss.
+   word loads and stores carry per-site inline caches and fall back to
+   the address space's checked accessors (exact fault semantics) on any
+   miss; byte loads and stores always take those accessors, as the
+   interpreter does.
 
    Coherence: a compiled instruction is always the word a fetch through
    the address space would read now, so lazy linking's no-access trick
@@ -36,9 +37,9 @@ module Config = Hemlock_util.Config
    - the epoch provably cannot change {e during} a trace run (only the
      kernel bumps it, and traces exit to the kernel for every syscall
      and fault), so inline data caches are validated purely by an epoch
-     stamp taken once at entry — plus [Segment.page_gen] for load
-     caches, which hold raw page bytes that must be dropped when a COW
-     break or drop swaps the chunk out from under them;
+     stamp taken once at entry — plus [Segment.page_gen], because they
+     hold raw page bytes that must be dropped when a COW break or drop
+     swaps the chunk out from under them;
    - a store executed {e inside} a trace re-checks the trace's own code
      dependencies and side exits (then invalidates) when it wrote over
      them, so self-modifying code can never run one stale instruction.
@@ -144,9 +145,9 @@ type kind =
   | K_jump  (* unconditional, followed in-line: pure bill *)
   | K_jal  (* inlined call: set ra, continue at the target *)
   | K_jal_exit of int  (* call at the inline-depth cap: exec, then exit *)
-  | K_jr_guard of int  (* matched return: guard regs[rs] = expected *)
-  | K_jr_guess of int  (* monomorphic return/jump: guard on the target
-                          the register held at compile time *)
+  | K_jr_guard of int  (* matched return, or a monomorphic jump through
+                          the target the register held at compile time:
+                          guard regs[rs] = expected *)
   | K_jalr_guess of int  (* monomorphic indirect call: set rd, guard,
                             continue inline at the compile-time target *)
   | K_jalr_exit  (* indirect call at the inline-depth cap: exec, exit *)
@@ -333,7 +334,7 @@ let select regs space entry =
               | Some v -> v
               | None -> Array.unsafe_get regs rs
             in
-            push (K_jr_guess guess);
+            push (K_jr_guard guess);
             go guess)
         | Insn.Jalr (_, rs) ->
           if !depth >= max_inline then push K_jalr_exit
@@ -456,31 +457,27 @@ type lic = {
   mutable l_epoch : int;
 }
 
-(* Per-store-site cache, two tiers.
-
-   Raw tier ([s_gen] >= 0): the mapped page is exclusively owned
-   ([Segment.owned_page_view]), so a hit writes the page bytes directly
-   and bumps the segment version — exactly what [Segment.set_u32]'s
+(* Per-store-site cache, for exclusively owned pages only
+   ([Segment.owned_page_view]): a hit writes the page bytes directly and
+   bumps the segment version — exactly what [Segment.set_u32]'s
    owned-page arm would do.  [s_lim] folds every bound into one compare:
    the mapping limit, the page end, and the segment's logical size (the
    write must not grow [size], which the raw path cannot do).  Validity
    rides on the trace-entry epoch and the segment's [page_gen], which
    moves on COW breaks, on [copy] sharing the page out, and on resizes.
-
-   Geometry tier: mapping geometry only; the store goes through
-   [Segment.set_*], keeping the identical-write skip and size-growth
-   semantics for shared pages.  Both tiers are filled only for mappings
-   whose *effective* protection allows the write, so a COW mapping is
-   never store-cached (its resolution bumps the epoch anyway). *)
+   A page still shared (with an image master, a module master or a fork
+   sibling) is not cached: its stores take [As.store_u32], which keeps
+   [Segment]'s identical-write skip.  The cache is filled only for
+   mappings whose *effective* protection allows the write, so a COW
+   mapping is never store-cached (its resolution bumps the epoch
+   anyway). *)
 type sic = {
-  mutable s_page : int;
-  mutable s_hi : int;
-  mutable s_delta : int;
+  mutable s_page : int;  (* vaddr page base; -1 = invalid *)
   mutable s_seg : Segment.t;
   mutable s_epoch : int;
   mutable s_bytes : Bytes.t;
-  mutable s_gen : int;  (* raw tier stamp; -1 = geometry tier only *)
-  mutable s_lim : int;  (* raw tier exclusive vaddr bound *)
+  mutable s_gen : int;
+  mutable s_lim : int;  (* exclusive vaddr bound *)
   (* Whether the cached segment backs any of this trace's own code
      dependencies.  If not, a store through the cache provably cannot
      invalidate the trace and the post-store dep guard is skipped. *)
@@ -504,20 +501,17 @@ let fill_lic ic ctx space a =
 
 let fill_sic ic ctx space a =
   ic.s_page <- -1;
-  ic.s_gen <- -1;
   match As.data_view space a Prot.Write with
-  | Some (seg, delta, hi) when delta land pmask = 0 ->
-    ic.s_seg <- seg;
-    ic.s_delta <- delta;
-    ic.s_epoch <- ctx.c_epoch;
-    ic.s_page <- a land pbase_mask;
-    ic.s_hi <- min hi (ic.s_page + Layout.page_size);
-    (match Segment.owned_page_view seg (a + delta) with
+  | Some (seg, delta, hi) when delta land pmask = 0 -> (
+    match Segment.owned_page_view seg (a + delta) with
     | Some (bytes, gen) ->
+      ic.s_seg <- seg;
+      ic.s_epoch <- ctx.c_epoch;
+      ic.s_page <- a land pbase_mask;
       ic.s_bytes <- bytes;
       ic.s_gen <- gen;
       (* [off + n <= size] iff [a + n <= size - delta]. *)
-      ic.s_lim <- min ic.s_hi (Segment.size seg - delta)
+      ic.s_lim <- min (min hi (ic.s_page + Layout.page_size)) (Segment.size seg - delta)
     | None -> ())
   | _ -> ()
 
@@ -608,15 +602,6 @@ let compile st space entry_pc =
       | T_exit pc -> fun fuel -> side_exit pc fuel
       | T_none -> fun _ -> assert false
     in
-    (* Steps carry no fuel check and no instruction billing: the fused
-       chain's entry gate guarantees [tr_len] fuel, the twin wraps each
-       step in its own check, every step consumes exactly one, and the
-       exit helpers settle the counter from the difference.
-       [Codec.mask32]/[Codec.sext32] are written out by hand.  The
-       release build (no -opaque) would inline them, but dune's dev
-       profile would not, and register values are already masked, so
-       sign extension is one test on bit 31 where [sext32] masks
-       first. *)
     let new_lic () =
       {
         l_page = -1;
@@ -630,8 +615,6 @@ let compile st space entry_pc =
     let new_sic () =
       {
         s_page = -1;
-        s_hi = 0;
-        s_delta = 0;
         s_seg = anchor_seg;
         s_epoch = -1;
         s_bytes = Bytes.empty;
@@ -640,6 +623,64 @@ let compile st space entry_pc =
         s_code = true;
       }
     in
+    (* The one load path and the one store path of compiled code, shared
+       by single steps and fused pairs.  [fl] is the fuel remaining at
+       this instruction, stamped with the pc before the slow path so a
+       fault resumes exactly here. *)
+    let lw_do ic pc base off rt fl =
+      let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
+      let v =
+        if
+          ic.l_page = a land pbase_mask
+          && a + 4 <= ic.l_hi
+          && ic.l_epoch = ctx.c_epoch
+          && Segment.page_gen ic.l_seg = ic.l_gen
+        then
+          (* [a + 4 <= l_hi] and [a] on the cached page bound the unsafe
+             read inside the page's bytes. *)
+          Codec.unsafe_get_u32 ic.l_bytes (a land pmask)
+        else begin
+          ctx.c_pc <- pc;
+          ctx.c_fuel <- fl;
+          let v = As.load_u32 space a in
+          fill_lic ic ctx space a;
+          v
+        end
+      in
+      if rt <> 0 then Array.unsafe_set regs rt v
+    in
+    (* Returns false when the store overwrote this trace's own code:
+       the caller must side exit before the next compiled instruction. *)
+    let sw_do ic pc base off rt fl =
+      let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
+      if
+        ic.s_page = a land pbase_mask
+        && a + 4 <= ic.s_lim
+        && ic.s_epoch = ctx.c_epoch
+        && Segment.page_gen ic.s_seg = ic.s_gen
+      then begin
+        Codec.unsafe_set_u32 ic.s_bytes (a land pmask) (Array.unsafe_get regs rt);
+        Segment.bump_version ic.s_seg;
+        (not ic.s_code) || deps_fast () || deps_reverify ()
+      end
+      else begin
+        ctx.c_pc <- pc;
+        ctx.c_fuel <- fl;
+        As.store_u32 space a (Array.unsafe_get regs rt);
+        fill_sic ic ctx space a;
+        ic.s_code <- ic.s_page < 0 || seg_in_deps ic.s_seg;
+        deps_fast () || deps_reverify ()
+      end
+    in
+    (* Steps carry no fuel check and no instruction billing: the fused
+       chain's entry gate guarantees [tr_len] fuel, the twin wraps each
+       step in its own check, every step consumes exactly one, and the
+       exit helpers settle the counter from the difference.
+       [Codec.mask32]/[Codec.sext32] are written out by hand.  The
+       release build (no -opaque) would inline them, but dune's dev
+       profile would not, and register values are already masked, so
+       sign extension is one test on bit 31 where [sext32] masks
+       first. *)
     let step_of sel next =
       let pc = sel.s_pc in
       let skip () fuel = next (fuel - 1) in
@@ -671,7 +712,7 @@ let compile st space entry_pc =
         fun fuel ->
           Array.unsafe_set regs Reg.ra ret;
           side_exit target (fuel - 1)
-      | K_jr_guard expected | K_jr_guess expected -> (
+      | K_jr_guard expected -> (
         match sel.s_insn with
         | Insn.Jr rs ->
           fun fuel ->
@@ -884,123 +925,31 @@ let compile st space entry_pc =
         | Insn.Lw (rt, base, off) ->
           let ic = new_lic () in
           fun fuel ->
-            let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-            let v =
-              if
-                ic.l_page = a land pbase_mask
-                && a + 4 <= ic.l_hi
-                && ic.l_epoch = ctx.c_epoch
-                && Segment.page_gen ic.l_seg = ic.l_gen
-              then begin
-                (* [a + 4 <= l_hi] and [a] on the cached page bound the
-                   unsafe read inside the page's bytes. *)
-                Codec.unsafe_get_u32 ic.l_bytes (a land pmask)
-              end
-              else begin
-                ctx.c_pc <- pc;
-                ctx.c_fuel <- fuel;
-                let v = As.load_u32 space a in
-                fill_lic ic ctx space a;
-                v
-              end
-            in
-            if rt <> 0 then Array.unsafe_set regs rt v;
+            lw_do ic pc base off rt fuel;
             next (fuel - 1)
         | Insn.Lb (rt, base, off) ->
-          let ic = new_lic () in
           fun fuel ->
-            let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
+            ctx.c_pc <- pc;
+            ctx.c_fuel <- fuel;
             let v =
-              if
-                ic.l_page = a land pbase_mask
-                && a < ic.l_hi
-                && ic.l_epoch = ctx.c_epoch
-                && Segment.page_gen ic.l_seg = ic.l_gen
-              then Char.code (Bytes.unsafe_get ic.l_bytes (a land pmask))
-              else begin
-                ctx.c_pc <- pc;
-                ctx.c_fuel <- fuel;
-                let v = As.load_u8 space a in
-                fill_lic ic ctx space a;
-                v
-              end
+              As.load_u8 space ((Array.unsafe_get regs base + off) land 0xFFFF_FFFF)
             in
             if rt <> 0 then Array.unsafe_set regs rt v;
             next (fuel - 1)
         | Insn.Sw (rt, base, off) ->
           let ic = new_sic () in
           fun fuel ->
-            let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-            if
-              ic.s_page = a land pbase_mask
-              && a + 4 <= ic.s_lim
-              && ic.s_epoch = ctx.c_epoch
-              && Segment.page_gen ic.s_seg = ic.s_gen
-            then begin
-              Codec.unsafe_set_u32 ic.s_bytes (a land pmask)
-                (Array.unsafe_get regs rt);
-              Segment.bump_version ic.s_seg;
-              if not ic.s_code then next (fuel - 1)
-              else if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
-            else if
-              ic.s_page = a land pbase_mask
-              && a + 4 <= ic.s_hi
-              && ic.s_epoch = ctx.c_epoch
-            then begin
-              Segment.set_u32 ic.s_seg (a + ic.s_delta)
-                (Array.unsafe_get regs rt);
-              if not ic.s_code then next (fuel - 1)
-              else if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
-            else begin
-              ctx.c_pc <- pc;
-              ctx.c_fuel <- fuel;
-              As.store_u32 space a (Array.unsafe_get regs rt);
-              fill_sic ic ctx space a;
-              ic.s_code <- ic.s_page < 0 || seg_in_deps ic.s_seg;
-              if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
+            if sw_do ic pc base off rt fuel then next (fuel - 1)
+            else store_guard_failed (pc + 4) (fuel - 1)
         | Insn.Sb (rt, base, off) ->
-          let ic = new_sic () in
           fun fuel ->
-            let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-            if
-              ic.s_page = a land pbase_mask
-              && a < ic.s_lim
-              && ic.s_epoch = ctx.c_epoch
-              && Segment.page_gen ic.s_seg = ic.s_gen
-            then begin
-              Bytes.unsafe_set ic.s_bytes (a land pmask)
-                (Char.unsafe_chr (Array.unsafe_get regs rt land 0xFF));
-              Segment.bump_version ic.s_seg;
-              if not ic.s_code then next (fuel - 1)
-              else if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
-            else if
-              ic.s_page = a land pbase_mask
-              && a < ic.s_hi
-              && ic.s_epoch = ctx.c_epoch
-            then begin
-              Segment.set_u8 ic.s_seg (a + ic.s_delta)
-                (Array.unsafe_get regs rt land 0xFF);
-              if not ic.s_code then next (fuel - 1)
-              else if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
-            else begin
-              ctx.c_pc <- pc;
-              ctx.c_fuel <- fuel;
-              As.store_u8 space a (Array.unsafe_get regs rt land 0xFF);
-              fill_sic ic ctx space a;
-              ic.s_code <- ic.s_page < 0 || seg_in_deps ic.s_seg;
-              if deps_fast () || deps_reverify () then next (fuel - 1)
-              else store_guard_failed (pc + 4) (fuel - 1)
-            end
+            ctx.c_pc <- pc;
+            ctx.c_fuel <- fuel;
+            As.store_u8 space
+              ((Array.unsafe_get regs base + off) land 0xFFFF_FFFF)
+              (Array.unsafe_get regs rt land 0xFF);
+            if deps_fast () || deps_reverify () then next (fuel - 1)
+            else store_guard_failed (pc + 4) (fuel - 1)
         | Insn.Break | Insn.Syscall | Insn.J _ | Insn.Jal _ | Insn.Jr _
         | Insn.Jalr _ | Insn.Beq _ | Insn.Bne _ | Insn.Blez _ | Insn.Bgtz _ ->
           assert false)
@@ -1008,82 +957,30 @@ let compile st space entry_pc =
     (* --- pair fusion --------------------------------------------------
        Compiled code is dominated by stack push/pop idioms — an ADDI
        adjust glued to a load or store — so adjacent pairs drawn from
-       {ADDI, constant writes (LUI / inlined JAL's ra), LW, SW} become
-       one closure executing both instructions strictly in order.  Each
-       arm is fully specialised at build time: no runtime dispatch on
-       the opcode is ever introduced, because a shared dispatch site is
-       exactly the kind of data-dependent indirect branch the fusion is
-       trying to remove.  The second instruction stamps its own pc and
+       {ADDI, LW, SW} become one closure executing both instructions
+       strictly in order.  A constant write is an ADDI from r0, which
+       always reads 0 (neither [Cpu.set_reg] nor compiled code ever
+       writes it): LUI, an inlined JAL's ra write, and a followed J
+       (a write to r0 itself).  Each arm is fully specialised at build
+       time: no runtime dispatch on the opcode is ever introduced,
+       because a shared dispatch site is exactly the kind of
+       data-dependent indirect branch the fusion is trying to remove.
+       For the same reason each arm writes its register arithmetic out:
+       a helper closing over [regs] would be a call per instruction
+       without flambda.  The second instruction stamps its own pc and
        fuel before any access that can fault or fill, so traps, side
        exits and billing are indistinguishable from the unfused chain;
        a store that overwrites trace code still exits before the next
        compiled instruction runs. *)
-    (* [fl] is the fuel remaining at this instruction, stamped with the
-       pc before the slow path so a fault resumes exactly here. *)
-    let lw_do ic pc base off rt fl =
-      let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-      let v =
-        if
-          ic.l_page = a land pbase_mask
-          && a + 4 <= ic.l_hi
-          && ic.l_epoch = ctx.c_epoch
-          && Segment.page_gen ic.l_seg = ic.l_gen
-        then Codec.unsafe_get_u32 ic.l_bytes (a land pmask)
-        else begin
-          ctx.c_pc <- pc;
-          ctx.c_fuel <- fl;
-          let v = As.load_u32 space a in
-          fill_lic ic ctx space a;
-          v
-        end
-      in
-      if rt <> 0 then Array.unsafe_set regs rt v
-    in
-    (* Returns false when the store overwrote this trace's own code:
-       the caller must side exit before the next compiled instruction. *)
-    let sw_do ic pc base off rt fl =
-      let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-      if
-        ic.s_page = a land pbase_mask
-        && a + 4 <= ic.s_lim
-        && ic.s_epoch = ctx.c_epoch
-        && Segment.page_gen ic.s_seg = ic.s_gen
-      then begin
-        Codec.unsafe_set_u32 ic.s_bytes (a land pmask) (Array.unsafe_get regs rt);
-        Segment.bump_version ic.s_seg;
-        (not ic.s_code) || deps_fast () || deps_reverify ()
-      end
-      else if
-        ic.s_page = a land pbase_mask
-        && a + 4 <= ic.s_hi
-        && ic.s_epoch = ctx.c_epoch
-      then begin
-        Segment.set_u32 ic.s_seg (a + ic.s_delta) (Array.unsafe_get regs rt);
-        (not ic.s_code) || deps_fast () || deps_reverify ()
-      end
-      else begin
-        ctx.c_pc <- pc;
-        ctx.c_fuel <- fl;
-        As.store_u32 space a (Array.unsafe_get regs rt);
-        fill_sic ic ctx space a;
-        ic.s_code <- ic.s_page < 0 || seg_in_deps ic.s_seg;
-        deps_fast () || deps_reverify ()
-      end
-    in
-    (* `Li is a constant register write: LUI, an inlined JAL's ra
-       write, or a followed J (a no-op, encoded as a write to r0).
-       `Ori only ever fuses as the second half of a LUI/ORI veneer
-       constant build; anything else stays a single closure. *)
     let op_of sel =
       match (sel.s_kind, sel.s_insn) with
-      | K_jal, _ -> `Li (Reg.ra, Codec.mask32 (sel.s_pc + 4))
-      | K_jump, _ -> `Li (0, 0)
-      | K_plain, Insn.Lui (rt, imm) -> `Li (rt, imm lsl 16 land 0xFFFF_FFFF)
-      | K_plain, Insn.Addi (rt, rs, imm) -> `Addi (rt, rs, imm)
-      | K_plain, Insn.Ori (rt, rs, imm) -> `Ori (rt, rs, imm)
-      | K_plain, Insn.Lw (rt, base, off) -> `Lw (rt, base, off)
-      | K_plain, Insn.Sw (rt, base, off) -> `Sw (rt, base, off)
-      | _ -> `No
+      | K_jal, _ -> Some (`Addi (Reg.ra, 0, Codec.mask32 (sel.s_pc + 4)))
+      | K_jump, _ -> Some (`Addi (0, 0, 0))
+      | K_plain, Insn.Lui (rt, imm) -> Some (`Addi (rt, 0, imm lsl 16 land 0xFFFF_FFFF))
+      | K_plain, Insn.Addi (rt, rs, imm) -> Some (`Addi (rt, rs, imm))
+      | K_plain, Insn.Lw (rt, base, off) -> Some (`Lw (rt, base, off))
+      | K_plain, Insn.Sw (rt, base, off) -> Some (`Sw (rt, base, off))
+      | _ -> None
     in
     (* [next] must be in scope before the fused closure is built: a
        two-argument [fun next fuel -> ...] partially applied would
@@ -1091,166 +988,77 @@ let compile st space entry_pc =
     let fused pc1 pc2 o1 o2 next =
       match (o1, o2) with
       | `Addi (r1, s1, i1), `Addi (r2, s2, i2) ->
-        Some
-          (fun fuel ->
-            if r1 <> 0 then
-              Array.unsafe_set regs r1
-                ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
-            if r2 <> 0 then
-              Array.unsafe_set regs r2
-                ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
-            next (fuel - 2))
-      | `Addi (r1, s1, i1), `Li (r2, v2) ->
-        Some
-          (fun fuel ->
-            if r1 <> 0 then
-              Array.unsafe_set regs r1
-                ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
-            if r2 <> 0 then Array.unsafe_set regs r2 v2;
-            next (fuel - 2))
-      | `Li (r1, v1), `Addi (r2, s2, i2) ->
-        Some
-          (fun fuel ->
-            if r1 <> 0 then Array.unsafe_set regs r1 v1;
-            if r2 <> 0 then
-              Array.unsafe_set regs r2
-                ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
-            next (fuel - 2))
-      | `Li (r1, v1), `Li (r2, v2) ->
-        Some
-          (fun fuel ->
-            if r1 <> 0 then Array.unsafe_set regs r1 v1;
-            if r2 <> 0 then Array.unsafe_set regs r2 v2;
-            next (fuel - 2))
-      | `Li (r1, v1), `Ori (r2, s2, i2) when s2 = r1 && r1 <> 0 ->
-        (* LUI/ORI veneer: the second write is a compile-time constant. *)
-        let v2 = v1 lor i2 in
-        Some
-          (fun fuel ->
-            Array.unsafe_set regs r1 v1;
-            if r2 <> 0 then Array.unsafe_set regs r2 v2;
-            next (fuel - 2))
+        fun fuel ->
+          if r1 <> 0 then
+            Array.unsafe_set regs r1 ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
+          if r2 <> 0 then
+            Array.unsafe_set regs r2 ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
+          next (fuel - 2)
       | `Addi (r1, s1, i1), `Lw (rt, base, off) ->
         let ic = new_lic () in
-        Some
-          (fun fuel ->
-            if r1 <> 0 then
-              Array.unsafe_set regs r1
-                ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
-            lw_do ic pc2 base off rt (fuel - 1);
-            next (fuel - 2))
-      | `Li (r1, v1), `Lw (rt, base, off) ->
-        let ic = new_lic () in
-        Some
-          (fun fuel ->
-            if r1 <> 0 then Array.unsafe_set regs r1 v1;
-            lw_do ic pc2 base off rt (fuel - 1);
-            next (fuel - 2))
+        fun fuel ->
+          if r1 <> 0 then
+            Array.unsafe_set regs r1 ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
+          lw_do ic pc2 base off rt (fuel - 1);
+          next (fuel - 2)
       | `Addi (r1, s1, i1), `Sw (rt, base, off) ->
         let ic = new_sic () in
-        Some
-          (fun fuel ->
-            if r1 <> 0 then
-              Array.unsafe_set regs r1
-                ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
-            if sw_do ic pc2 base off rt (fuel - 1) then next (fuel - 2)
-            else store_guard_failed (pc2 + 4) (fuel - 2))
-      | `Li (r1, v1), `Sw (rt, base, off) ->
-        let ic = new_sic () in
-        Some
-          (fun fuel ->
-            if r1 <> 0 then Array.unsafe_set regs r1 v1;
-            if sw_do ic pc2 base off rt (fuel - 1) then next (fuel - 2)
-            else store_guard_failed (pc2 + 4) (fuel - 2))
+        fun fuel ->
+          if r1 <> 0 then
+            Array.unsafe_set regs r1 ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
+          if sw_do ic pc2 base off rt (fuel - 1) then next (fuel - 2)
+          else store_guard_failed (pc2 + 4) (fuel - 2)
       | `Lw (rt, base, off), `Addi (r2, s2, i2) ->
         let ic = new_lic () in
-        Some
-          (fun fuel ->
-            lw_do ic pc1 base off rt fuel;
-            if r2 <> 0 then
-              Array.unsafe_set regs r2
-                ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
-            next (fuel - 2))
-      | `Lw (rt, base, off), `Li (r2, v2) ->
-        let ic = new_lic () in
-        Some
-          (fun fuel ->
-            lw_do ic pc1 base off rt fuel;
-            if r2 <> 0 then Array.unsafe_set regs r2 v2;
-            next (fuel - 2))
+        fun fuel ->
+          lw_do ic pc1 base off rt fuel;
+          if r2 <> 0 then
+            Array.unsafe_set regs r2 ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
+          next (fuel - 2)
       | `Lw (rt1, b1, o1), `Lw (rt2, b2, o2) ->
         let ic1 = new_lic () and ic2 = new_lic () in
-        Some
-          (fun fuel ->
-            lw_do ic1 pc1 b1 o1 rt1 fuel;
-            lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
-            next (fuel - 2))
+        fun fuel ->
+          lw_do ic1 pc1 b1 o1 rt1 fuel;
+          lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
+          next (fuel - 2)
       | `Lw (rt1, b1, o1), `Sw (rt2, b2, o2) ->
         let ic1 = new_lic () and ic2 = new_sic () in
-        Some
-          (fun fuel ->
-            lw_do ic1 pc1 b1 o1 rt1 fuel;
-            if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
-            else store_guard_failed (pc2 + 4) (fuel - 2))
-      | `Sw (rt1, b1, o1), `Addi (r2, s2, i2) ->
+        fun fuel ->
+          lw_do ic1 pc1 b1 o1 rt1 fuel;
+          if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
+          else store_guard_failed (pc2 + 4) (fuel - 2)
+      | `Sw (rt, base, off), `Addi (r2, s2, i2) ->
         let ic = new_sic () in
-        Some
-          (fun fuel ->
-            if sw_do ic pc1 b1 o1 rt1 fuel then begin
-              if r2 <> 0 then
-                Array.unsafe_set regs r2
-                  ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
-              next (fuel - 2)
-            end
-            else store_guard_failed (pc1 + 4) (fuel - 1))
-      | `Sw (rt1, b1, o1), `Li (r2, v2) ->
-        let ic = new_sic () in
-        Some
-          (fun fuel ->
-            if sw_do ic pc1 b1 o1 rt1 fuel then begin
-              if r2 <> 0 then Array.unsafe_set regs r2 v2;
-              next (fuel - 2)
-            end
-            else store_guard_failed (pc1 + 4) (fuel - 1))
+        fun fuel ->
+          if sw_do ic pc1 base off rt fuel then begin
+            if r2 <> 0 then
+              Array.unsafe_set regs r2 ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
+            next (fuel - 2)
+          end
+          else store_guard_failed (pc1 + 4) (fuel - 1)
       | `Sw (rt1, b1, o1), `Lw (rt2, b2, o2) ->
         let ic1 = new_sic () and ic2 = new_lic () in
-        Some
-          (fun fuel ->
-            if sw_do ic1 pc1 b1 o1 rt1 fuel then begin
-              lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
-              next (fuel - 2)
-            end
-            else store_guard_failed (pc1 + 4) (fuel - 1))
+        fun fuel ->
+          if sw_do ic1 pc1 b1 o1 rt1 fuel then begin
+            lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
+            next (fuel - 2)
+          end
+          else store_guard_failed (pc1 + 4) (fuel - 1)
       | `Sw (rt1, b1, o1), `Sw (rt2, b2, o2) ->
         let ic1 = new_sic () and ic2 = new_sic () in
-        Some
-          (fun fuel ->
-            if sw_do ic1 pc1 b1 o1 rt1 fuel then
-              if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
-              else store_guard_failed (pc2 + 4) (fuel - 2)
-            else store_guard_failed (pc1 + 4) (fuel - 1))
-      | _ -> None
-    in
-    (* Must mirror [fused] exactly: the chain for the pair's suffix is
-       only built once fusibility is known, keeping [build] linear. *)
-    let fusible o1 o2 =
-      match (o1, o2) with
-      | (`Addi _ | `Li _ | `Lw _ | `Sw _), (`Addi _ | `Li _ | `Lw _ | `Sw _)
-        ->
-        true
-      | `Li (r1, _), `Ori (_, s2, _) -> s2 = r1 && r1 <> 0
-      | _ -> false
+        fun fuel ->
+          if sw_do ic1 pc1 b1 o1 rt1 fuel then
+            if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
+            else store_guard_failed (pc2 + 4) (fuel - 2)
+          else store_guard_failed (pc1 + 4) (fuel - 1)
     in
     let rec build = function
       | [] -> tail_step
       | [ sel ] -> step_of sel tail_step
-      | s1 :: (s2 :: rest2 as rest1) ->
-        let o1 = op_of s1 and o2 = op_of s2 in
-        if fusible o1 o2 then
-          match fused s1.s_pc s2.s_pc o1 o2 (build rest2) with
-          | Some step -> step
-          | None -> assert false
-        else step_of s1 (build rest1)
+      | s1 :: (s2 :: rest2 as rest1) -> (
+        match (op_of s1, op_of s2) with
+        | Some o1, Some o2 -> fused s1.s_pc s2.s_pc o1 o2 (build rest2)
+        | _ -> step_of s1 (build rest1))
     in
     (* The twin: the same steps unfused, each behind a fuel test. *)
     let rec twin = function

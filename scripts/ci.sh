@@ -5,7 +5,8 @@
 # (where it means something) the crash sweep under four configurations;
 # the examples; `perf`, the JIT's throughput floors over the cache-less
 # and the TLB-only interpreter; and one untimed world of each benchmark
-# workload, none of whose ops may fail.  test_oracle
+# workload, none of whose ops may fail and whose simulated counts must
+# equal bench/golden_perfbench_counts.txt.  test_oracle
 # compares each fast path with its reference path inside the suite, so
 # no row switches a single path off.  The configurations:
 #   default         every fast path on: what users run;
@@ -99,13 +100,11 @@ dune exec bench/main.exe -- perf
 
 # A lib/ change that makes a benchmark op fail (a sync that persists no
 # plan, a wrong console) would otherwise show only in the benchmark's
-# own comparison.  --seconds 0 runs one world per workload, untimed.
-echo "== perfbench: one untimed world per workload (gate: correct, no op failed) =="
-for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
-  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 > _build/perfbench.txt
-  tail -n 1 _build/perfbench.txt | python3 -c '
-import json, sys
-r = json.loads(sys.stdin.read())
-print("%-12s correct %s, failed %d of %d" % (sys.argv[1], r["correct"], r["failed"], r["attempted"]))
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$w"
-done
+# own comparison, and one that moves a simulated count in none.  The
+# script runs one untimed world per workload, traced (a traced world
+# checks every op as an untraced one does), and fails unless each is
+# correct with no failed op; its counts must equal the golden's.
+echo "== perfbench: one untimed world per workload (gates: correct, no op failed, counts = golden) =="
+sh scripts/perfbench_counts.sh > _build/perfbench_counts.txt
+diff -u bench/golden_perfbench_counts.txt _build/perfbench_counts.txt
+echo "simulated counts identical"

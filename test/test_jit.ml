@@ -153,6 +153,7 @@ let gen_case =
           (2, map2 (fun r o -> Insn.Sb (r, Reg.sp, o)) reg (int_range (-256) 255));
           (* store into the program's own code page *)
           (2, map2 (fun r o -> Insn.Sw (r, Reg.t3, 4 * o)) reg (int_range 0 200));
+          (2, map2 (fun r o -> Insn.Sb (r, Reg.t3, o)) reg (int_range 0 800));
           (* occasionally touch unmapped memory *)
           (1, map (fun r -> Insn.Lw (r, Reg.zero, 0)) reg);
           (3, map3 (fun a b o -> Insn.Beq (a, b, o)) reg reg (int_range (-10) 10));

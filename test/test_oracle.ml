@@ -699,6 +699,33 @@ let cow_exec_input =
   fixed "exec from an image master" [ all_on () ] (fun log ->
       ignore (program multi_page_image_src [ "warm"; "run" ] log))
 
+(* Compiled stores to an image page the image master still shares: the
+   first loop writes the value the page already holds, which keeps it
+   shared, the second writes new values, which copies it once.  Exits
+   42 only if both loops stored what they should. *)
+let shared_store_input =
+  fixed "compiled stores to a page the image master shares" [ all_on ~threshold:1 () ]
+    ~extra:(fun _ _ obs ->
+      check_int "exit" 42 (find obs "run").code;
+      check_int "pages copied" 1 (bill obs "run").Stats.pages_copied)
+    (fun log ->
+      ignore
+        (program
+           {|
+int g = 5;
+int main() {
+  int first; int i;
+  first = g;
+  i = 0;
+  while (i < 3000) { g = 5; i = i + 1; }
+  i = 0;
+  while (i < 3000) { g = i; i = i + 1; }
+  if (first == 5 && g == 2999) return 42;
+  return 1;
+}
+|}
+           [ "warm"; "run" ] log))
+
 (* Hot loops stay in compiled code across quanta: a trace runs to the
    end of the kernel's quantum and the next quantum resumes where it
    stopped, so the interpreter serves only warm-up and cold code. *)
@@ -766,5 +793,5 @@ int main() {
 let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
-    loop_input; compute_input;
+    shared_store_input; loop_input; compute_input;
   ]
