@@ -7,13 +7,8 @@
      bench/main.exe perf       interpreter throughput with and without the
                                TLB and the trace JIT; gates the JIT's
                                floors over both interpreters
-     bench/main.exe crash-sweep [seeds]
-                               deterministic fault sweep: per seed, drive
-                               /shared op traffic (and a cluster broadcast
-                               burst with the net sites armed) under a
-                               PRNG fault plan, crash the first recovery
-                               on even seeds, and require every recovery
-                               fsck to come back clean
+
+   Any other argument is an error.
 
    Host-time benchmarking of the simulator lives in perfbench/. *)
 
@@ -33,7 +28,6 @@ module Search = Hemlock_linker.Search
 module Sharing = Hemlock_linker.Sharing
 module Modinst = Hemlock_linker.Modinst
 module Reloc_engine = Hemlock_linker.Reloc_engine
-module Stable_link = Hemlock_linker.Stable_link
 module Plt = Hemlock_baseline.Plt
 module Channels = Hemlock_baseline.Channels
 module Rwho = Hemlock_apps.Rwho
@@ -805,121 +799,6 @@ let perf () =
     failwith "perf: JIT throughput under the 3x-over-TLB acceptance floor"
 
 (* ---------------------------------------------------------------------- *)
-(* crash-sweep: deterministic fault plans over /shared op traffic         *)
-(* ---------------------------------------------------------------------- *)
-
-module Fault = Hemlock_util.Fault
-module Prng = Hemlock_util.Prng
-
-let sweep_pool = [| "/shared/a"; "/shared/b"; "/shared/d/c"; "/shared/d/e"; "/shared/f" |]
-
-(* One seed = one reproducible run: the seed derives both the op stream
-   and the fault plan (Fault.configure_random).  A simulated crash is
-   recovered with rescan + fsck, and on even seeds that first fsck is
-   itself crashed before its first or second intent; the gate is that a
-   second fsck is always clean — recovery converged, nothing left
-   half-done.  [sites] lists where each crash struck, in order. *)
-let crash_sweep seeds =
-  header "CRASH-SWEEP: deterministic fault plans over /shared op traffic";
-  Printf.printf "%6s | %4s | %7s | %7s | %8s | %8s | %-14s | %s\n" "seed" "ops" "faults"
-    "crashes" "replayed" "rolled" "verdict" "sites";
-  Printf.printf
-    "-------+------+---------+---------+----------+----------+----------------+------\n";
-  let failures = ref 0 in
-  List.iter
-    (fun seed ->
-      let fs = Fs.create () in
-      Fs.mkdir fs "/shared/d";
-      let prng = Prng.create ~seed in
-      let nops = 12 + Prng.int prng 12 in
-      let payload () =
-        String.init (1 + Prng.int prng 12) (fun _ -> Char.chr (97 + Prng.int prng 26))
-      in
-      let pick () = Prng.choose prng sweep_pool in
-      let injected_before = Stats.global.Stats.faults_injected in
-      Fault.configure_random seed;
-      let crashes = ref 0 and replayed = ref 0 and rolled = ref 0 in
-      let sites = ref [] in
-      let crashed site =
-        incr crashes;
-        sites := site :: !sites
-      in
-      let recovered (r : Fs.fsck_report) =
-        replayed := !replayed + r.Fs.fsck_replayed;
-        rolled := !rolled + r.Fs.fsck_rolled_back
-      in
-      let ok = ref true in
-      for _ = 1 to nops do
-        let op () =
-          match Prng.int prng 7 with
-          | 0 -> Fs.create_file fs (pick ())
-          | 1 -> Fs.write_file fs (pick ()) (Bytes.of_string (payload ()))
-          | 2 -> Fs.append_file fs (pick ()) (Bytes.of_string (payload ()))
-          | 3 -> Fs.rename fs ~src:(pick ()) (pick ())
-          | 4 -> Fs.unlink fs (pick ())
-          | 5 ->
-            (* stable-link persist traffic: the fs.stable site fires
-               before the journalled write, so plans arming it get to
-               crash mid-persist like any other /shared writer *)
-            Stable_link.persist_raw fs ~key:(payload ())
-          | _ ->
-            (* pager traffic: the eviction writeback barrier, so plans
-               arming [fs.pageout] get to crash mid-flush too *)
-            let path = pick () in
-            let seg = Fs.segment_of fs path in
-            Fs.page_writeback fs ~path ~seg ~page:(Prng.int prng 4)
-        in
-        match op () with
-        | () | (exception Fs.Error _) | (exception Fault.Injected _) -> ()
-        | exception Fault.Crash { site } ->
-          crashed site;
-          Fault.clear ();
-          Fs.rescan_shared fs;
-          if seed land 1 = 0 then begin
-            Fault.configure
-              (Printf.sprintf "fs.fsck@%d=crash" (1 + ((seed lsr 1) land 1)));
-            (match Fs.fsck fs with
-            | r -> recovered r
-            | exception Fault.Crash { site } -> crashed site);
-            Fault.clear ()
-          end;
-          recovered (Fs.fsck fs);
-          if not (Fs.fsck fs).Fs.fsck_clean then ok := false
-      done;
-      (* a short cluster burst so the net.send / net.deliver sites fire
-         under the same plan: drops just vanish (datagram loss is not a
-         consistency event), a crash kills the mid-operation machine *)
-      (let module Cluster = Hemlock_os.Cluster in
-       match
-         let c = Cluster.create ~profile:Hemlock_os.Net.Ideal ~seed ~machines:2 () in
-         for i = 0 to 1 do
-           ignore
-             (Kernel.spawn_native (Cluster.machine c i) ~name:"burst" (fun _k _proc ->
-                  for r = 1 to 3 do
-                    Cluster.broadcast c ~from:i (Bytes.make (8 + r) 'b')
-                  done;
-                  0))
-         done;
-         Cluster.run c
-       with
-       | () | (exception Fault.Injected _) | (exception Kernel.Deadlock _) -> ()
-       | exception Fault.Crash { site } -> crashed site);
-      Fault.clear ();
-      if not (Fs.fsck fs).Fs.fsck_clean then ok := false;
-      if not !ok then incr failures;
-      Printf.printf "%6d | %4d | %7d | %7d | %8d | %8d | %-14s | %s\n" seed nops
-        (Stats.global.Stats.faults_injected - injected_before)
-        !crashes !replayed !rolled
-        (if !ok then "clean" else "FSCK NOT CLEAN")
-        (if !sites = [] then "-" else String.concat "," (List.rev !sites)))
-    seeds;
-  if !failures > 0 then begin
-    Printf.printf "\ncrash-sweep: %d seed(s) left the file system dirty\n" !failures;
-    exit 1
-  end;
-  Printf.printf "\ncrash-sweep: every recovery fsck came back clean\n"
-
-(* ---------------------------------------------------------------------- *)
 
 let experiments =
   [
@@ -929,31 +808,18 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let sweep_seeds = List.filter_map int_of_string_opt args in
-  let wanted =
-    List.filter
-      (fun a -> a <> "perf" && a <> "crash-sweep" && int_of_string_opt a = None)
-      args
-  in
+  let wanted = List.filter (( <> ) "perf") args in
+  (match List.filter (fun a -> not (List.mem_assoc a experiments)) wanted with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown argument %s (have: %s perf)\n" (String.concat " " unknown)
+      (String.concat " " (List.map fst experiments));
+    exit 2);
   let run_perf = List.mem "perf" args in
-  let run_crash_sweep = List.mem "crash-sweep" args in
   let selected =
-    (* `perf`/`crash-sweep` alone run just those, not every experiment *)
-    if wanted = [] && (run_perf || run_crash_sweep) then []
-    else if wanted = [] then experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown experiment %s (have: %s)\n" name
-              (String.concat " " (List.map fst experiments));
-            None)
-        wanted
+    (* `perf` alone runs just that, not every experiment *)
+    if wanted = [] && not run_perf then List.map fst experiments else wanted
   in
-  List.iter (fun (_, f) -> f ()) selected;
+  List.iter (fun name -> List.assoc name experiments ()) selected;
   if run_perf then perf ();
-  if run_crash_sweep then
-    crash_sweep (if sweep_seeds = [] then List.init 10 (fun i -> i + 1) else sweep_seeds);
   Printf.printf "\nAll experiments completed.\n"

@@ -104,7 +104,7 @@ type sync_report = Stable_link.sync_report = {
     at.  An explicit sync point: the writes are billed, so no exec path
     calls this.  A no-op (all zeros) when the plan cache is off; its
     [sync_objs] is always 0.  Raises {!Hemlock_util.Fault.Crash}
-    through (crash sweep). *)
+    through. *)
 val stable_sync : t -> sync_report
 
 (** {1 Linkstat: resolution provenance}

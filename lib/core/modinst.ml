@@ -141,6 +141,17 @@ module Header = struct
 
   let fully_linked seg = applied_count seg >= nrelocs seg
 
+  (* The header is read back from /shared, so it is hostile input: counts
+     that disagree with the template or with the bitmap would have ldl
+     map a module it never relocated as fully linked. *)
+  let check seg ~path ~nrelocs:n =
+    let cap = (size - off_bitmap) * 8 and set = ref 0 in
+    for i = 0 to min n cap - 1 do
+      if applied seg i then incr set
+    done;
+    if n > cap || nrelocs seg <> n || applied_count seg <> !set then
+      errf "corrupt module header in %s" path
+
   (* [init] fills every header field EXCEPT the magic; [publish] writes
      the magic as the commit point of module creation.  Until published,
      [is_module_file] is false and fsck treats the file as a partial
@@ -287,6 +298,7 @@ let public_instance ?decode ctx ~module_path ~scope =
     errf "%s is not a created Hemlock module" module_path;
   let template_path = Header.template seg in
   let obj, src = load_template ?decode ctx template_path in
+  Header.check seg ~path:canonical ~nrelocs:(List.length obj.Objfile.relocs);
   {
     inst_key = template_path;
     inst_module_file = Some canonical;

@@ -134,7 +134,9 @@ val load_template :
 
 (** [public_instance ?decode ctx ~module_path ~scope] builds the
     instance record for an existing module file, decoding its template
-    for the symbol table through {!load_template}. *)
+    for the symbol table through {!load_template}.
+    @raise Link_error if the header's relocation count differs from the
+    template's, or its applied count from its bitmap. *)
 val public_instance :
   ?decode:(int * int -> Bytes.t -> Objfile.t) ->
   Search.ctx -> module_path:string -> scope:scope -> t

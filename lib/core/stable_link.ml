@@ -252,10 +252,10 @@ let load_plans fs =
         else acc)
       [] names
 
-(* ----- hooks for the crash sweep and the janitor ----------------------------- *)
+(* ----- hooks for crash-consistency tests and the janitor --------------------- *)
 
-(* A deterministic plan blob for [key] — what the crash sweep writes so
-   its oracle can predict the exact post-recovery file contents. *)
+(* A deterministic plan blob for [key] — what test traffic writes so its
+   oracle can predict the exact post-recovery file contents. *)
 let raw_blob ~key =
   let addrs = Hashtbl.create 1 in
   Hashtbl.replace addrs "k" (String.length key);

@@ -52,12 +52,12 @@ val note_load : unit -> unit
 val reject : Hemlock_sfs.Fs.t -> key:string -> unit
 
 (** The deterministic bytes {!persist_raw} writes for [key] — exposed
-    so the crash sweep's oracle can predict post-recovery contents. *)
+    so a crash-consistency oracle can predict post-recovery contents. *)
 val raw_blob : key:string -> Bytes.t
 
-(** Crash-sweep entry point: persist a trivial plan blob for [key]
-    through the ordinary write path, raising through on injected
-    failures and crashes. *)
+(** Persist a trivial plan blob for [key] through the ordinary write
+    path, raising through on injected failures and crashes: /shared
+    traffic for crash-consistency tests. *)
 val persist_raw : Hemlock_sfs.Fs.t -> key:string -> unit
 
 (** Whether a segment holds a well-formed plan file: its magic, version,

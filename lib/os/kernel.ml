@@ -817,6 +817,8 @@ let resume_native t proc n =
   match outcome with
   | Proc.Finished code -> exit_proc t proc code
   | Proc.Crashed (Proc.Killed { reason; _ }) -> kill t proc ~reason
+  (* power loss stops the machine, not just this process *)
+  | Proc.Crashed (Fault.Crash _ as e) -> raise e
   | Proc.Crashed e -> kill t proc ~reason:("uncaught exception: " ^ Printexc.to_string e)
   | Proc.Paused -> ()
 

@@ -118,7 +118,9 @@ val register_binfmt :
 
 (** [spawn_native t ~name body] creates a runnable native process.  Its
     body runs under the scheduler's effect handler, so it may call the
-    blocking kernel operations below. *)
+    blocking kernel operations below.  An exception the body raises
+    kills the process, except [Hemlock_util.Fault.Crash], which stops
+    the machine: it escapes {!run} and {!step}. *)
 val spawn_native :
   t ->
   ?name:string ->

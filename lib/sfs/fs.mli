@@ -210,8 +210,7 @@ type fsck_report = {
     [fs.fsck] fault site before each one.  A [Fault.Crash] there
     (a machine dying during recovery) leaves exactly the unprocessed
     intents for the next [fsck]; an injected errno there is ignored.
-    [fs.fsck] is not in {!Hemlock_util.Fault.default_sites}.  The
-    report of a crashed run is lost, so an orphan it would have
+    The report of a crashed run is lost, so an orphan it would have
     flagged goes unreported. *)
 val fsck : t -> fsck_report
 

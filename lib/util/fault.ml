@@ -72,20 +72,7 @@ let configure plan =
   List.iter add terms;
   enabled := Hashtbl.length armed > 0
 
-(* The sites where a crash interrupts a multi-step /shared mutation —
-   the interesting half of the state space for the fsck property — plus
-   the simulated network's per-datagram send/deliver points, where an
-   injected error loses the datagram and a crash kills the machine
-   mid-transmission. *)
-let default_sites =
-  [|
-    "fs.create"; "fs.create.mid"; "fs.create.commit"; "fs.write"; "fs.append";
-    "fs.rename"; "fs.rename.mid"; "fs.rename.commit"; "fs.unlink"; "fs.unlink.mid";
-    "mod.create"; "mod.create.mid"; "fs.pageout"; "net.send"; "net.deliver";
-    "fs.stable";
-  |]
-
-let configure_random ?(sites = default_sites) seed =
+let configure_random ~sites seed =
   clear ();
   let prng = Prng.create ~seed in
   let arms = 1 + Prng.int prng 2 in

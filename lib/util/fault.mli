@@ -13,9 +13,8 @@
     the fault layer compiles into production paths at zero simulated and
     near-zero host cost, and E1–E13 outputs are byte-identical.
 
-    Plans come from {!configure}/{!configure_random}, called by test
-    harnesses and the crash sweep.  Every firing is counted in
-    {!Stats.t.faults_injected}.
+    Plans come from {!configure}/{!configure_random}, called by the
+    test suite.  Every firing is counted in {!Stats.t.faults_injected}.
 
     Canonical site names (the boundaries that inject; see DESIGN.md):
     [fs.create], [fs.create.mid], [fs.create.commit], [fs.write],
@@ -23,9 +22,9 @@
     [fs.unlink], [fs.unlink.mid], [vfs.open], [vfs.read], [vfs.write],
     [vfs.lseek], [vfs.close], [seg.grow], [ldl.instantiate],
     [ldl.instantiate.mid], [plan.replay], [mod.create],
-    [mod.create.mid], [ipc.send], [fs.stable], [fs.pageout], and
-    [fs.fsck] (before each intent [Fs.fsck] recovers; not in
-    {!default_sites}). *)
+    [mod.create.mid], [ipc.send], [fs.stable], [fs.pageout],
+    [net.send], [net.deliver], and [fs.fsck] (before each intent
+    [Fs.fsck] recovers). *)
 
 type failure = Eio | Enospc | Eagain
 
@@ -65,10 +64,9 @@ val hits : string -> int
     @raise Invalid_argument on a malformed plan. *)
 val configure : string -> unit
 
-(** [configure_random seed] derives a small plan (1–2 arms over
-    [?sites], default {!default_sites}) from the PRNG — the seed alone
-    reproduces the run. *)
-val configure_random : ?sites:string array -> int -> unit
+(** [configure_random ~sites seed] derives a small plan (1–2 arms over
+    [sites]) from the PRNG — the seed alone reproduces the run. *)
+val configure_random : sites:string array -> int -> unit
 
 (** Disarm and reset the calling domain's counters.  Call only between
     parallel regions (the plan tables are read-only while worker
@@ -76,10 +74,3 @@ val configure_random : ?sites:string array -> int -> unit
 val clear : unit -> unit
 
 val failure_name : failure -> string
-
-(** The sites {!configure_random} draws from: the multi-step [/shared]
-    mutation sites, where a crash leaves real partial state, plus the
-    simulated network's [net.send]/[net.deliver] datagram points, where
-    an injected error drops the datagram on the floor, plus [fs.stable]
-    (the stable-link persist point under [/shared/.stable]). *)
-val default_sites : string array

@@ -1,14 +1,14 @@
 #!/bin/sh
 # Full gate: the ownership rule (lib/ keeps per-domain state only for
 # Stats and Fault's hit counters; everything else hangs off its kernel);
-# the test suite, E1-E13 against the golden transcript and
-# (where it means something) the crash sweep under four configurations;
-# the examples; `perf`, the JIT's throughput floors over the cache-less
-# and the TLB-only interpreter; and one untimed world of each benchmark
-# workload, none of whose ops may fail and whose simulated counts must
-# equal bench/golden_perfbench_counts.txt.  test_oracle
-# compares each fast path with its reference path inside the suite, so
-# no row switches a single path off.  The configurations:
+# the test suite (crash consistency included) and E1-E13 against the
+# golden transcript under four configurations; the examples; `perf`, the
+# JIT's throughput floors over the cache-less and the TLB-only
+# interpreter; and one untimed world of each benchmark workload, none of
+# whose ops may fail and whose simulated counts must equal
+# bench/golden_perfbench_counts.txt.  test_oracle compares each fast
+# path with its reference path inside the suite, so no row switches a
+# single path off.  The configurations:
 #   default         every fast path on: what users run;
 #   oracle          every fast path off: the reference paths alone;
 #   squeeze         every block trace-compiled and RAM at 32 pages, so the
@@ -70,16 +70,6 @@ echo "== examples =="
 for ex in quickstart rwho_demo parallel_sum figure_editor lynx_tables editor_server; do
   echo "-- examples/$ex"
   dune exec "examples/$ex.exe" > /dev/null
-done
-
-# Random fault plans draw from Fault.default_sites, which include
-# net.send / net.deliver; the per-seed cluster burst inside crash-sweep
-# exercises them, so the cluster stress must not change the verdicts.
-# Seeds 1-10 never crash at the pager's fs.pageout barrier; seeds 1-200
-# do (39, 120, 143 and 183), and the sweep still takes under a second.
-for row in "" "$CLUSTER"; do
-  echo "== crash sweep (${row:-default}; gate: recovery fsck clean) =="
-  env $row dune exec bench/main.exe -- crash-sweep $(seq 1 200)
 done
 
 # The golden rows double as the fault-layer-disabled check: the injection

@@ -1,8 +1,8 @@
 (* Crash consistency under deterministic fault injection: random op
    traffic with injected errors and simulated crashes checked
-   all-or-nothing against an oracle, plus the graceful-degradation
-   paths (link-plan fallback, instantiate rollback, pd_call retry,
-   ENOSPC atomicity, fsck-driven reaping). *)
+   all-or-nothing against an oracle, the network's fault sites, plus
+   the graceful-degradation paths (link-plan fallback, instantiate
+   rollback, pd_call retry, ENOSPC atomicity, fsck-driven reaping). *)
 
 open Harness
 module Fault = Hemlock_util.Fault
@@ -13,7 +13,10 @@ module Layout = Hemlock_vm.Layout
 module Janitor = Hemlock_runtime.Janitor
 module Modgen = Hemlock_apps.Modgen
 module Stable_link = Hemlock_linker.Stable_link
+module Cluster = Hemlock_os.Cluster
+module Net = Hemlock_os.Net
 module M = Map.Make (String)
+module S = Set.Make (String)
 
 (* ----- random op traffic with crashes, vs an oracle ----------------------- *)
 
@@ -32,19 +35,21 @@ type op =
   | Rename of string * string
   | Unlink of string
   | Stable of string  (* persist a stable-link plan blob for this key *)
+  | Pageout of string * int  (* the pager's writeback barrier for a page *)
 
 let gen_op prng =
   let p () = Prng.choose prng pool in
   let payload () =
     String.init (1 + Prng.int prng 12) (fun _ -> Char.chr (97 + Prng.int prng 26))
   in
-  match Prng.int prng 6 with
+  match Prng.int prng 7 with
   | 0 -> Create (p ())
   | 1 -> Write (p (), payload ())
   | 2 -> Append (p (), payload ())
   | 3 -> Rename (p (), p ())
   | 4 -> Unlink (p ())
-  | _ -> Stable (Prng.choose prng stable_keys)
+  | 5 -> Stable (Prng.choose prng stable_keys)
+  | _ -> Pageout (p (), Prng.int prng 4)
 
 let apply_fs fs = function
   | Create p -> Fs.create_file fs p
@@ -53,6 +58,7 @@ let apply_fs fs = function
   | Rename (src, dst) -> Fs.rename fs ~src dst
   | Unlink p -> Fs.unlink fs p
   | Stable key -> Stable_link.persist_raw fs ~key
+  | Pageout (path, page) -> Fs.page_writeback fs ~path ~seg:(Fs.segment_of fs path) ~page
 
 (* Oracle semantics of a {e successful} op (write/append create missing
    files, just as the FS does). *)
@@ -68,6 +74,7 @@ let apply_oracle m = function
   | Unlink p -> M.remove p m
   | Stable key ->
     M.add (Stable_link.plan_path key) (Bytes.to_string (Stable_link.raw_blob ~key)) m
+  | Pageout _ -> m (* the file is its segment: a flush changes no contents *)
 
 let state_of fs =
   Array.fold_left
@@ -76,21 +83,21 @@ let state_of fs =
     M.empty
     (Array.append pool (Array.map Stable_link.plan_path stable_keys))
 
-(* The multi-step FS mutation sites: where a crash leaves real partial
-   state for fsck to resolve. *)
+(* The multi-step FS mutation sites and the pager's writeback barrier:
+   where a crash leaves an intent for fsck to resolve. *)
 let fs_sites =
   [|
     "fs.create"; "fs.create.mid"; "fs.create.commit"; "fs.write"; "fs.append";
     "fs.rename"; "fs.rename.mid"; "fs.rename.commit"; "fs.unlink"; "fs.unlink.mid";
-    "fs.stable";
+    "fs.stable"; "fs.pageout";
   |]
 
 (* One (seed, plan) pair.  Every op must be all-or-nothing against the
    oracle: a clean error or an injected failure leaves the pre-state, a
    crash + recovery (rescan + fsck, itself crashed once on even seeds)
    leaves exactly the pre- or the post-state — and a second fsck is
-   always clean. *)
-let run_case seed =
+   always clean.  [struck] sees the site of every crash, in order. *)
+let run_case ?(struck = ignore) seed =
   let fs = Fs.create () in
   Fs.mkdir fs "/shared/d";
   let prng = Prng.create ~seed in
@@ -114,16 +121,17 @@ let run_case seed =
             | exception Fault.Injected _ ->
               (* recoverable injection: the op must have unwound *)
               ok := equal (state_of fs) pre
-            | exception Fault.Crash _ ->
+            | exception Fault.Crash { site } ->
               (* reboot: recover, then demand all-or-nothing.  Even
                  seeds crash the first recovery too, before its first
                  or second intent: the next fsck must finish it. *)
+              struck site;
               Fault.clear ();
               Fs.rescan_shared fs;
               if seed land 1 = 0 then begin
                 Fault.configure
                   (Printf.sprintf "fs.fsck@%d=crash" (1 + ((seed lsr 1) land 1)));
-                (match Fs.fsck fs with _ -> () | exception Fault.Crash _ -> ());
+                (match Fs.fsck fs with _ -> () | exception Fault.Crash { site } -> struck site);
                 Fault.clear ()
               end;
               let (_ : Fs.fsck_report) = Fs.fsck fs in
@@ -144,6 +152,56 @@ let prop_all_or_nothing =
     ~print:string_of_int
     QCheck2.Gen.(int_range 0 1_000_000)
     run_case
+
+(* The property draws its seeds at random; a fixed range pins down that
+   its traffic crashes at every site it arms (the pager's writeback
+   barrier among them) and inside a crashed first recovery. *)
+let fixed_seeds_strike_every_site () =
+  let struck = ref S.empty in
+  for seed = 1 to 1300 do
+    if not (run_case ~struck:(fun site -> struck := S.add site !struck) seed) then
+      Alcotest.failf "seed %d is not all-or-nothing" seed
+  done;
+  Array.iter
+    (fun site -> check_bool ("a crash at " ^ site) true (S.mem site !struck))
+    (Array.append fs_sites [| "fs.fsck" |])
+
+(* ----- the network's fault sites ------------------------------------------ *)
+
+(* Two machines on the ideal network broadcast three datagrams each.  Hit
+   counters are per domain, so "@1=eio" loses one datagram per domain
+   that reaches the site; a crash stops the cluster, whether it strikes
+   in a sender's native process or in the network drain. *)
+let burst ~domains =
+  let c = Cluster.create ~profile:Net.Ideal ~seed:1 ~machines:2 () in
+  for i = 0 to 1 do
+    ignore
+      (Kernel.spawn_native (Cluster.machine c i) ~name:"burst" (fun _ _ ->
+           for r = 1 to 3 do
+             Cluster.broadcast c ~from:i (Bytes.make (8 + r) 'b')
+           done;
+           0))
+  done;
+  Cluster.run ~domains c;
+  Net.telemetry (Cluster.net c)
+
+let net_sites_drop_and_crash () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun site ->
+          let what kind = Printf.sprintf "%s=%s at %d domain(s)" site kind domains in
+          Fault.configure (site ^ "@1=eio");
+          let tm = Fun.protect ~finally:Fault.clear (fun () -> burst ~domains) in
+          check_int (what "eio" ^ ": sent") 6 tm.Net.t_sent;
+          check_int (what "eio" ^ ": dropped") domains tm.Net.t_dropped;
+          check_int (what "eio" ^ ": delivered") (6 - domains) tm.Net.t_delivered;
+          Fault.configure (site ^ "@1=crash");
+          match Fun.protect ~finally:Fault.clear (fun () -> burst ~domains) with
+          | _ -> Alcotest.failf "%s: Cluster.run returned" (what "crash")
+          | exception Fault.Crash { site = s } -> check_string (what "crash") site s)
+        [ "net.send"; "net.deliver" ])
+    [ 1; 2 ]
 
 (* ----- graceful degradation ----------------------------------------------- *)
 
@@ -316,6 +374,8 @@ let fsck_crash_keeps_unprocessed_intents () =
 let suite =
   [
     prop_all_or_nothing;
+    test "crash: seeds 1-1300 strike every crash site" fixed_seeds_strike_every_site;
+    test "crash: net sites drop datagrams and crash the cluster" net_sites_drop_and_crash;
     test "crash: a crash during fsck leaves the unprocessed intents"
       fsck_crash_keeps_unprocessed_intents;
     test "crash: plan-replay fault falls back to the cold path" plan_replay_fault_falls_back;

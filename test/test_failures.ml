@@ -8,6 +8,7 @@ module Shm_heap = Hemlock_runtime.Shm_heap
 module Segment = Hemlock_vm.Segment
 module Fault = Hemlock_util.Fault
 module Errno = Hemlock_os.Errno
+module Modinst = Hemlock_linker.Modinst
 
 (* ----- crash while holding the creation lock ----- *)
 
@@ -119,6 +120,74 @@ let corrupted_module_header () =
      is safe; reading succeeds but returns raw bytes *)
   check_bool "no crash of the handler itself" true (died || true)
 
+(* Every field of a created module's header, read back from /shared at
+   each link, set to 0, 1, 0xFFFF or 0x7FFFFFFF (a 16-bit field keeps
+   the low half) before the module's first link or after it.  main calls
+   public f, which calls public g; each case prints the right answer,
+   fails exec with an errno or is killed.  A header that claims more
+   relocations applied than its bitmap holds must not get f mapped as
+   linked: its call to g would then jump through an unrelocated word
+   until the tick budget. *)
+let corrupt_module_header_fields () =
+  (* byte offset and width of each HMOD header field *)
+  let fields =
+    [
+      ("image", 4, 4); ("veneer", 8, 4); ("veneer_next", 12, 4); ("veneer_cap", 16, 4);
+      ("nrelocs", 20, 4); ("applied_count", 24, 4); ("template length", 28, 2);
+    ]
+  in
+  let case (name, off, width) v first_link =
+    let k, _ldl = boot () in
+    let fs = Kernel.fs k in
+    Fs.mkdir fs "/shared/lib";
+    install_c k "/shared/lib/g.o" "int g(int x) { return x + 100; }";
+    install_c k "/shared/lib/f.o" "extern int g(); int f(int x) { return g(x) + 1; }";
+    Fs.mkdir fs "/home/t";
+    install_c k "/home/t/main.o" "extern int f(); int main() { print_int(f(41)); return 0; }";
+    ignore
+      (link k ~dir:"/home/t"
+         ~specs:
+           [
+             ("main.o", Sharing.Static_private); ("/shared/lib/f.o", Sharing.Dynamic_public);
+             ("/shared/lib/g.o", Sharing.Dynamic_public);
+           ]
+         "prog");
+    if first_link then check_string "pristine run" "142" (snd (run_program k "/home/t/prog"))
+    else begin
+      let ctx = ctx_in k "/" () in
+      let obj, _ = Modinst.load_template ctx "/shared/lib/f.o" in
+      ignore
+        (Modinst.create_public_file ctx ~template_path:"/shared/lib/f.o" ~obj
+           ~module_path:"/shared/lib/f")
+    end;
+    let seg = Fs.segment_of fs "/shared/lib/f" in
+    if width = 4 then Segment.set_u32 seg off v
+    else begin
+      Segment.set_u8 seg off (v land 0xFF);
+      Segment.set_u8 seg (off + 1) ((v lsr 8) land 0xFF)
+    end;
+    let what =
+      Printf.sprintf "%s=0x%x %s the first link" name v (if first_link then "after" else "before")
+    in
+    Kernel.console_clear k;
+    match Kernel.spawn_exec k "/home/t/prog" with
+    | exception Kernel.Os_error msg ->
+      check_bool (what ^ ": exec answers ENOEXEC") true (contains msg "ENOEXEC")
+    | proc -> (
+      match Kernel.run ~max_ticks:2_000 k with
+      | exception e -> Alcotest.failf "%s: run raised %s" what (Printexc.to_string e)
+      | () ->
+        let out = Kernel.console k in
+        if not ((exit_code proc = 0 && out = "142") || (exit_code proc = -1 && contains out "killed"))
+        then Alcotest.failf "%s: exit %d, console %S" what (exit_code proc) out)
+  in
+  List.iter
+    (fun field ->
+      List.iter
+        (fun v -> List.iter (case field v) [ false; true ])
+        [ 0; 1; 0xFFFF; 0x7FFFFFFF ])
+    fields
+
 let truncated_aout_rejected () =
   let k, _ldl = boot () in
   let fs = Kernel.fs k in
@@ -134,7 +203,8 @@ let truncated_aout_rejected () =
 (* ----- hostile images and templates ----- *)
 
 (* A linked image and the public template it links lazily, as lds and
-   cc wrote them; each case corrupts one of the two. *)
+   cc wrote them; each case corrupts one of the two.  Also the quanta the
+   pristine pair takes to run. *)
 let pristine_inputs =
   lazy
     (let k, _ldl = boot () in
@@ -147,7 +217,10 @@ let pristine_inputs =
        (link k ~dir:"/home/t"
           ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/f.o", Sharing.Dynamic_public) ]
           "prog");
-     (Fs.read_file fs "/home/t/prog", Fs.read_file fs "/shared/lib/f.o"))
+     let inputs = (Fs.read_file fs "/home/t/prog", Fs.read_file fs "/shared/lib/f.o") in
+     let t0 = Kernel.ticks k in
+     ignore (run_program k "/home/t/prog");
+     (inputs, Kernel.ticks k - t0))
 
 (* 1-3 byte flips past the 4-byte magic, or a truncation; positions are
    taken modulo the input's length. *)
@@ -175,7 +248,10 @@ let print_corruption (target, cut) =
 (* Corrupt bytes end in an errno, an exit or a kill: exec answers
    ENOEXEC, or the process runs until it exits, is killed, or uses up
    the tick budget (or blocks for good).  No other exception escapes
-   [Kernel.spawn_exec] or [Kernel.run]. *)
+   [Kernel.spawn_exec] or [Kernel.run].  The budget is 200 times the
+   quanta the pristine pair runs, so a case whose flips make crt0 loop
+   stops there; at QCHECK_SEED 1-10 no outcome differs from the one a
+   20,000-tick budget gives. *)
 let prop_hostile_inputs =
   prop "failure: corrupt images and templates end in an errno or a reap" ~count:300
     ~print:print_corruption
@@ -188,7 +264,7 @@ let prop_hostile_inputs =
              map (fun n -> `Truncate n) nat;
            ]))
     (fun (target, cut) ->
-      let image, template = Lazy.force pristine_inputs in
+      let (image, template), ticks = Lazy.force pristine_inputs in
       let image, template =
         match target with
         | `Image -> (corrupt image cut, template)
@@ -205,7 +281,7 @@ let prop_hostile_inputs =
         contains msg "ENOEXEC" || QCheck2.Test.fail_reportf "exec: Os_error %s" msg
       | exception e -> QCheck2.Test.fail_reportf "exec raised %s" (Printexc.to_string e)
       | proc -> (
-        match Kernel.run ~max_ticks:20_000 k with
+        match Kernel.run ~max_ticks:(200 * ticks) k with
         | () -> Proc.is_zombie proc || QCheck2.Test.fail_reportf "process still alive"
         | exception Kernel.Os_error msg when contains msg "tick budget exhausted" -> true
         | exception Kernel.Deadlock _ -> true
@@ -352,6 +428,8 @@ let suite =
     test "failure: stale non-module file is not clobbered" stale_non_module_file;
     test "failure: corrupted template rejected" corrupted_template_rejected;
     test "failure: corrupted module header tolerated" corrupted_module_header;
+    test "failure: a corrupt HMOD header field ends in the answer or a reap"
+      corrupt_module_header_fields;
     test "failure: truncated a.out rejected" truncated_aout_rejected;
     prop_hostile_inputs;
     test "failure: Vfs fault sites map to errnos" vfs_fault_sweep;

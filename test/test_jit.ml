@@ -131,11 +131,24 @@ let check_engines_agree ?(quantum = 17) name words =
 (* Registers 0..9 (zero..t1) plus the pinned bases: t3 holds the text
    base for self-modifying stores, sp points into data.  Stored register
    values rarely decode, so code stores also exercise the
-   illegal-instruction path differentially. *)
+   illegal-instruction path differentially.  A code store hits a word of
+   the program, often one just past itself that the same trace runs
+   next, so a compiled store that skips its code guard lets a stale
+   instruction run. *)
 let gen_case =
   QCheck2.Gen.(
     let reg = int_range 0 9 in
-    let insn =
+    let prologue =
+      [
+        Insn.Addi (Reg.t3, Reg.zero, 0x1000);
+        Insn.Addi (Reg.ra, Reg.zero, 0x1000);
+        Insn.Addi (Reg.t0, Reg.zero, 37);
+        Insn.Addi (Reg.t1, Reg.zero, 11);
+      ]
+    in
+    (* the instruction at word [i] of a [len]-word program *)
+    let insn ~len i =
+      let code_word = oneof [ int_range 0 (len - 1); int_range (i + 1) (i + 3) ] in
       frequency
         [
           (3, map3 (fun a b c -> Insn.Add (a, b, c)) reg reg reg);
@@ -151,9 +164,9 @@ let gen_case =
           (3, map2 (fun r o -> Insn.Sw (r, Reg.sp, 4 * o)) reg (int_range (-64) 63));
           (2, map2 (fun r o -> Insn.Lb (r, Reg.sp, o)) reg (int_range (-256) 255));
           (2, map2 (fun r o -> Insn.Sb (r, Reg.sp, o)) reg (int_range (-256) 255));
-          (* store into the program's own code page *)
-          (2, map2 (fun r o -> Insn.Sw (r, Reg.t3, 4 * o)) reg (int_range 0 200));
-          (2, map2 (fun r o -> Insn.Sb (r, Reg.t3, o)) reg (int_range 0 800));
+          (* store into the program's own code *)
+          (2, map2 (fun r w -> Insn.Sw (r, Reg.t3, 4 * w)) reg code_word);
+          (2, map3 (fun r w b -> Insn.Sb (r, Reg.t3, (4 * w) + b)) reg code_word (int_range 0 3));
           (* occasionally touch unmapped memory *)
           (1, map (fun r -> Insn.Lw (r, Reg.zero, 0)) reg);
           (3, map3 (fun a b o -> Insn.Beq (a, b, o)) reg reg (int_range (-10) 10));
@@ -174,18 +187,11 @@ let gen_case =
           (1, return Insn.Break);
         ]
     in
+    let* n = int_range 10 60 in
+    let first = List.length prologue in
     map2
-      (fun body quantum ->
-        let prologue =
-          [
-            Insn.Addi (Reg.t3, Reg.zero, 0x1000);
-            Insn.Addi (Reg.ra, Reg.zero, 0x1000);
-            Insn.Addi (Reg.t0, Reg.zero, 37);
-            Insn.Addi (Reg.t1, Reg.zero, 11);
-          ]
-        in
-        (List.map Insn.encode (prologue @ body), quantum))
-      (list_size (int_range 10 60) insn)
+      (fun body quantum -> (List.map Insn.encode (prologue @ body), quantum))
+      (flatten_l (List.init n (fun j -> insn ~len:(first + n) (first + j))))
       (int_range 1 60))
 
 let print_case (words, quantum) =
