@@ -36,10 +36,14 @@ module Config = Hemlock_util.Config
      unchanged;
    - the epoch provably cannot change {e during} a trace run (only the
      kernel bumps it, and traces exit to the kernel for every syscall
-     and fault), so inline data caches are validated purely by an epoch
-     stamp taken once at entry — plus [Segment.page_gen], because they
-     hold raw page bytes that must be dropped when a COW break or drop
-     swaps the chunk out from under them;
+     and fault), so a compiled load or store tests only its inline
+     cache's page and bound.  The caches hold raw page bytes, so they
+     are checked where their validity can change instead: entry
+     validation empties them all when the epoch moved, and each run
+     entry, like each slow-path store inside a run (the only place a
+     run can itself break COW or allocate a page), empties those of
+     any segment whose [Segment.page_gen] moved since they were
+     filled;
    - a store executed {e inside} a trace re-checks the trace's own code
      dependencies and side exits (then invalidates) when it wrote over
      them, so self-modifying code can never run one stale instruction.
@@ -50,16 +54,18 @@ module Config = Hemlock_util.Config
    instruction counter is settled at every exit as
    [entry fuel - remaining fuel] — the two are in lockstep because
    every step consumes exactly one fuel.  Each trace has two chains
-   over the same instructions.  The fused chain runs only while the
-   remaining quantum covers a full pass, so none of its steps checks
-   fuel.  Its twin has one step per instruction, each stopping on its
-   own pc when fuel reaches 0, and runs the quantum's tail: expiry
-   lands on the interpreter's instruction boundary, and the stopped
-   step is left as a resume token, so the next quantum continues in
-   compiled code instead of interpreting up to the next head.  A
-   faulting or trapping instruction bills its own tick on the way out
-   (like [Cpu.step], which bills before executing), and syscall/halt
-   exits replicate [Cpu.run_trap]'s accounting exactly. *)
+   over the same instructions and the same pairs.  The fused chain
+   runs only while the remaining quantum covers a full pass, so none
+   of its steps checks fuel.  Its twin runs the quantum's tail: each
+   link first checks that the fuel covers its width, stopping on its
+   own pc at 0, and a pair reached with 1 runs its first instruction
+   alone and stops on its second.  Expiry so lands on the
+   interpreter's instruction boundary, and the stopped link is left as
+   a resume token, so the next quantum continues in compiled code
+   instead of interpreting up to the next head.  A faulting or trapping
+   instruction bills its own tick on the way out (like [Cpu.step],
+   which bills before executing), and syscall/halt exits replicate
+   [Cpu.run_trap]'s accounting exactly. *)
 
 let default_threshold = 50
 let threshold = ref (Option.value Config.env.jit_threshold ~default:default_threshold)
@@ -78,12 +84,7 @@ type step = int -> exit
 
 (* [c_fin] is the fuel the current run entered with: every exit settles
    the instruction counter as [c_fin - remaining]. *)
-type ctx = {
-  mutable c_pc : int;
-  mutable c_fuel : int;
-  mutable c_epoch : int;
-  mutable c_fin : int;
-}
+type ctx = { mutable c_pc : int; mutable c_fuel : int; mutable c_fin : int }
 
 (* One contiguous run of compiled code words: the unit of invalidation
    checking.  [d_ver] is re-stamped whenever word verification proves
@@ -96,8 +97,40 @@ type dep = {
   mutable d_ver : int;
 }
 
+(* An inline cache (IC): the raw bytes of the page a compiled [LW] or
+   [SW] site touched last, so a hit is one compare on the page, one on
+   the bound and a direct read or write.  In-place writes to the page
+   are visible through the bytes; anything that swaps the page out
+   (COW break, zero-fill allocation, drop, replace) moves the segment's
+   [page_gen], and the trace empties its ICs on that segment (see
+   [check_gens]).  A load IC caches any resident page.  A store IC
+   caches only exclusively owned pages ([Segment.owned_page_view]): a
+   hit writes the bytes and bumps the segment version, exactly what
+   [Segment.set_u32]'s owned-page arm would do.  A page still shared
+   (with an image master, a module master or a fork sibling) takes
+   [As.store_u32], which keeps [Segment]'s identical-write skip.  Both
+   fill only for mappings whose {e effective} protection allows the
+   access, so a COW mapping is never store-cached. *)
+type ic = {
+  mutable i_page : int;  (* vaddr page base; -1 = empty *)
+  mutable i_lim : int;
+      (* exclusive vaddr bound: the mapping's end, the page's end and,
+         for a store, the segment's size, which a raw write cannot grow *)
+  mutable i_bytes : Bytes.t;
+  mutable i_seg : Segment.t;
+  (* Stores only: whether the segment backs any of this trace's own
+     code dependencies.  If not, a store through the IC provably cannot
+     invalidate the trace and the post-store dep guard is skipped. *)
+  mutable i_code : bool;
+}
+
+(* The [page_gen] of a segment some IC of the trace was filled from. *)
+type gen = { g_seg : Segment.t; mutable g_gen : int }
+
 (* [tr_first] is the fused chain, entered only with a full pass of fuel;
-   [tr_twin] the fuel-checked chain, built on first use. *)
+   [tr_twin] the fuel-checked chain, built on first use.  [tr_epoch] is
+   the epoch the geometry and the ICs were last checked at; [tr_ics]
+   holds one IC per word access site, shared by both chains. *)
 type trace = {
   tr_entry : int;
   tr_len : int;
@@ -106,6 +139,8 @@ type trace = {
   mutable tr_valid : bool;
   mutable tr_first : step;
   mutable tr_twin : step;
+  tr_ics : ic list;
+  mutable tr_gens : gen list;
 }
 
 type entry = Counting of int | Compiled of trace
@@ -127,7 +162,7 @@ type outcome = Missed | Ran of exit
 let make regs =
   {
     st_regs = regs;
-    st_ctx = { c_pc = 0; c_fuel = 0; c_epoch = -1; c_fin = 0 };
+    st_ctx = { c_pc = 0; c_fuel = 0; c_fin = 0 };
     st_tbl = Hashtbl.create 64;
     st_space = None;
     st_token = None;
@@ -415,7 +450,8 @@ let dep_words_current d =
    Re-resolve the geometry of every dependency run; the trace survives
    only if each still fetches from the same segment at the same delta
    (and the words check out), because the store guards compiled into it
-   reference those segments by identity. *)
+   reference those segments by identity.  Its ICs may translate through
+   the old mappings, so a surviving trace starts them all empty. *)
 let revalidate_geometry tr space =
   let ok =
     try
@@ -429,7 +465,11 @@ let revalidate_geometry tr space =
         tr.tr_deps
     with As.Fault _ -> false
   in
-  if ok then tr.tr_epoch <- As.epoch space;
+  if ok then begin
+    tr.tr_epoch <- As.epoch space;
+    List.iter (fun ic -> ic.i_page <- -1) tr.tr_ics;
+    tr.tr_gens <- []
+  end;
   ok
 
 let validate tr space =
@@ -443,79 +483,53 @@ let validate tr space =
 let pmask = Layout.page_size - 1
 let pbase_mask = lnot pmask
 
-(* Per-load-site cache: raw page bytes, valid while the address space
-   epoch (stamped at trace entry) and the segment's page-table
-   generation stand still.  In-place writes to the page are immediately
-   visible through the cached bytes; anything that swaps the chunk (COW
-   break, drop, replace) bumps [page_gen] and forces a refill. *)
-type lic = {
-  mutable l_page : int;  (* vaddr page base; -1 = invalid *)
-  mutable l_hi : int;  (* exclusive access bound within page & mapping *)
-  mutable l_bytes : Bytes.t;
-  mutable l_gen : int;
-  mutable l_seg : Segment.t;
-  mutable l_epoch : int;
-}
+let rec empty_seg seg = function
+  | [] -> ()
+  | ic :: rest ->
+    if ic.i_seg == seg then ic.i_page <- -1;
+    empty_seg seg rest
 
-(* Per-store-site cache, for exclusively owned pages only
-   ([Segment.owned_page_view]): a hit writes the page bytes directly and
-   bumps the segment version — exactly what [Segment.set_u32]'s
-   owned-page arm would do.  [s_lim] folds every bound into one compare:
-   the mapping limit, the page end, and the segment's logical size (the
-   write must not grow [size], which the raw path cannot do).  Validity
-   rides on the trace-entry epoch and the segment's [page_gen], which
-   moves on COW breaks, on [copy] sharing the page out, and on resizes.
-   A page still shared (with an image master, a module master or a fork
-   sibling) is not cached: its stores take [As.store_u32], which keeps
-   [Segment]'s identical-write skip.  The cache is filled only for
-   mappings whose *effective* protection allows the write, so a COW
-   mapping is never store-cached (its resolution bumps the epoch
-   anyway). *)
-type sic = {
-  mutable s_page : int;  (* vaddr page base; -1 = invalid *)
-  mutable s_seg : Segment.t;
-  mutable s_epoch : int;
-  mutable s_bytes : Bytes.t;
-  mutable s_gen : int;
-  mutable s_lim : int;  (* exclusive vaddr bound *)
-  (* Whether the cached segment backs any of this trace's own code
-     dependencies.  If not, a store through the cache provably cannot
-     invalidate the trace and the post-store dep guard is skipped. *)
-  mutable s_code : bool;
-}
+(* Empty the ICs on every segment whose [page_gen] moved since it was
+   noted: one of its pages may have changed identity, or become shared.
+   Runs at each run entry and after each slow-path store, so an IC hit
+   never reads a page the segment no longer maps. *)
+let rec check_gens ics = function
+  | [] -> ()
+  | g :: rest ->
+    let gen = Segment.page_gen g.g_seg in
+    if gen <> g.g_gen then begin
+      g.g_gen <- gen;
+      empty_seg g.g_seg ics
+    end;
+    check_gens ics rest
 
-let fill_lic ic ctx space a =
-  ic.l_page <- -1;
-  match As.data_view space a Prot.Read with
+(* Fill [ic] after an access at [a] succeeded.  Within a run only a
+   slow-path store moves a [page_gen], and [check_gens] re-notes it
+   right after, so a segment already noted is noted at [gen]. *)
+let fill tr ic space a access =
+  ic.i_page <- -1;
+  match As.data_view space a access with
   | Some (seg, delta, hi) when delta land pmask = 0 -> (
-    match Segment.page_view seg (a + delta) with
+    let store = access = Prot.Write in
+    match (if store then Segment.owned_page_view else Segment.page_view) seg (a + delta) with
     | Some (bytes, gen) ->
-      ic.l_seg <- seg;
-      ic.l_bytes <- bytes;
-      ic.l_gen <- gen;
-      ic.l_epoch <- ctx.c_epoch;
-      ic.l_page <- a land pbase_mask;
-      ic.l_hi <- min hi (ic.l_page + Layout.page_size)
-    | None -> ())
-  | _ -> ()
-
-let fill_sic ic ctx space a =
-  ic.s_page <- -1;
-  match As.data_view space a Prot.Write with
-  | Some (seg, delta, hi) when delta land pmask = 0 -> (
-    match Segment.owned_page_view seg (a + delta) with
-    | Some (bytes, gen) ->
-      ic.s_seg <- seg;
-      ic.s_epoch <- ctx.c_epoch;
-      ic.s_page <- a land pbase_mask;
-      ic.s_bytes <- bytes;
-      ic.s_gen <- gen;
+      if not (List.exists (fun g -> g.g_seg == seg) tr.tr_gens) then
+        tr.tr_gens <- { g_seg = seg; g_gen = gen } :: tr.tr_gens;
+      ic.i_seg <- seg;
+      ic.i_bytes <- bytes;
+      ic.i_page <- a land pbase_mask;
+      ic.i_lim <- min hi (ic.i_page + Layout.page_size);
       (* [off + n <= size] iff [a + n <= size - delta]. *)
-      ic.s_lim <- min (min hi (ic.s_page + Layout.page_size)) (Segment.size seg - delta)
+      if store then ic.i_lim <- min ic.i_lim (Segment.size seg - delta)
     | None -> ())
   | _ -> ()
 
 (* --- closure compilation --------------------------------------------- *)
+
+(* The IC of a word access site, from its fusion op (see [op_of]). *)
+let site_ic = function
+  | Some (`Lw (_, _, _, ic) | `Sw (_, _, _, ic)) -> ic
+  | Some (`Addi _) | None -> assert false
 
 let compile st space entry_pc =
   match select st.st_regs space entry_pc with
@@ -523,6 +537,35 @@ let compile st space entry_pc =
   | Some (sels, tail, deps) ->
     let regs = st.st_regs in
     let ctx = st.st_ctx in
+    let anchor_seg = deps.(0).d_seg in
+    let ics = ref [] in
+    let new_ic () =
+      let ic =
+        { i_page = -1; i_lim = 0; i_bytes = Bytes.empty; i_seg = anchor_seg; i_code = true }
+      in
+      ics := ic :: !ics;
+      ic
+    in
+    (* --- pair fusion --------------------------------------------------
+       Compiled code is dominated by stack push/pop idioms — an ADDI
+       adjust glued to a load or store — so adjacent pairs drawn from
+       {ADDI, LW, SW} become one closure executing both instructions
+       strictly in order.  A constant write is an ADDI from r0, which
+       always reads 0 (neither [Cpu.set_reg] nor compiled code ever
+       writes it): LUI, an inlined JAL's ra write, and a followed J
+       (a write to r0 itself).  Each word access site gets its one IC
+       here, which every closure compiled for the site shares. *)
+    let op_of sel =
+      match (sel.s_kind, sel.s_insn) with
+      | K_jal, _ -> Some (`Addi (Reg.ra, 0, Codec.mask32 (sel.s_pc + 4)))
+      | K_jump, _ -> Some (`Addi (0, 0, 0))
+      | K_plain, Insn.Lui (rt, imm) -> Some (`Addi (rt, 0, imm lsl 16 land 0xFFFF_FFFF))
+      | K_plain, Insn.Addi (rt, rs, imm) -> Some (`Addi (rt, rs, imm))
+      | K_plain, Insn.Lw (rt, base, off) -> Some (`Lw (rt, base, off, new_ic ()))
+      | K_plain, Insn.Sw (rt, base, off) -> Some (`Sw (rt, base, off, new_ic ()))
+      | _ -> None
+    in
+    let sites = List.map (fun sel -> (sel, op_of sel)) sels in
     let unbuilt _ = assert false in
     let tr =
       {
@@ -533,9 +576,10 @@ let compile st space entry_pc =
         tr_valid = true;
         tr_first = unbuilt;
         tr_twin = unbuilt;
+        tr_ics = !ics;
+        tr_gens = [];
       }
     in
-    let anchor_seg = deps.(0).d_seg in
     let ndeps = Array.length deps in
     (* Post-store code-invalidation guard: cheap version compares,
        specialised for the overwhelmingly common single-run trace. *)
@@ -581,7 +625,7 @@ let compile st space entry_pc =
     in
     (* Fuel ran out on [pc], the boundary the interpreter stops on.
        Not a trace break (nothing was mispredicted): settle the run and
-       leave [step], the twin step for [pc], for the next quantum. *)
+       leave [step], the twin link for [pc], for the next quantum. *)
     let out_of_fuel pc step =
       (Stats.cur ()).instructions <- (Stats.cur ()).instructions + ctx.c_fin;
       ctx.c_pc <- pc;
@@ -602,86 +646,59 @@ let compile st space entry_pc =
       | T_exit pc -> fun fuel -> side_exit pc fuel
       | T_none -> fun _ -> assert false
     in
-    let new_lic () =
-      {
-        l_page = -1;
-        l_hi = 0;
-        l_bytes = Bytes.empty;
-        l_gen = -1;
-        l_seg = anchor_seg;
-        l_epoch = -1;
-      }
-    in
-    let new_sic () =
-      {
-        s_page = -1;
-        s_seg = anchor_seg;
-        s_epoch = -1;
-        s_bytes = Bytes.empty;
-        s_gen = -1;
-        s_lim = 0;
-        s_code = true;
-      }
-    in
     (* The one load path and the one store path of compiled code, shared
        by single steps and fused pairs.  [fl] is the fuel remaining at
        this instruction, stamped with the pc before the slow path so a
-       fault resumes exactly here. *)
+       fault resumes exactly here.  A hit tests only the page and the
+       bound: the IC is valid for the whole run (see [check_gens]). *)
     let lw_do ic pc base off rt fl =
       let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
       let v =
-        if
-          ic.l_page = a land pbase_mask
-          && a + 4 <= ic.l_hi
-          && ic.l_epoch = ctx.c_epoch
-          && Segment.page_gen ic.l_seg = ic.l_gen
-        then
-          (* [a + 4 <= l_hi] and [a] on the cached page bound the unsafe
+        if ic.i_page = a land pbase_mask && a + 4 <= ic.i_lim then
+          (* [a + 4 <= i_lim] and [a] on the cached page bound the unsafe
              read inside the page's bytes. *)
-          Codec.unsafe_get_u32 ic.l_bytes (a land pmask)
+          Codec.unsafe_get_u32 ic.i_bytes (a land pmask)
         else begin
           ctx.c_pc <- pc;
           ctx.c_fuel <- fl;
           let v = As.load_u32 space a in
-          fill_lic ic ctx space a;
+          fill tr ic space a Prot.Read;
           v
         end
       in
       if rt <> 0 then Array.unsafe_set regs rt v
     in
     (* Returns false when the store overwrote this trace's own code:
-       the caller must side exit before the next compiled instruction. *)
+       the caller must side exit before the next compiled instruction.
+       The slow path may break COW on a page or allocate one, so it
+       re-checks the ICs' segments before anything reads through them. *)
     let sw_do ic pc base off rt fl =
       let a = (Array.unsafe_get regs base + off) land 0xFFFF_FFFF in
-      if
-        ic.s_page = a land pbase_mask
-        && a + 4 <= ic.s_lim
-        && ic.s_epoch = ctx.c_epoch
-        && Segment.page_gen ic.s_seg = ic.s_gen
-      then begin
-        Codec.unsafe_set_u32 ic.s_bytes (a land pmask) (Array.unsafe_get regs rt);
-        Segment.bump_version ic.s_seg;
-        (not ic.s_code) || deps_fast () || deps_reverify ()
+      if ic.i_page = a land pbase_mask && a + 4 <= ic.i_lim then begin
+        Codec.unsafe_set_u32 ic.i_bytes (a land pmask) (Array.unsafe_get regs rt);
+        Segment.bump_version ic.i_seg;
+        (not ic.i_code) || deps_fast () || deps_reverify ()
       end
       else begin
         ctx.c_pc <- pc;
         ctx.c_fuel <- fl;
         As.store_u32 space a (Array.unsafe_get regs rt);
-        fill_sic ic ctx space a;
-        ic.s_code <- ic.s_page < 0 || seg_in_deps ic.s_seg;
+        check_gens tr.tr_ics tr.tr_gens;
+        fill tr ic space a Prot.Write;
+        ic.i_code <- ic.i_page < 0 || seg_in_deps ic.i_seg;
         deps_fast () || deps_reverify ()
       end
     in
     (* Steps carry no fuel check and no instruction billing: the fused
-       chain's entry gate guarantees [tr_len] fuel, the twin wraps each
-       step in its own check, every step consumes exactly one, and the
-       exit helpers settle the counter from the difference.
+       chain's entry gate guarantees [tr_len] fuel, each twin link checks
+       its own width, every step consumes exactly one, and the exit
+       helpers settle the counter from the difference.
        [Codec.mask32]/[Codec.sext32] are written out by hand.  The
        release build (no -opaque) would inline them, but dune's dev
        profile would not, and register values are already masked, so
        sign extension is one test on bit 31 where [sext32] masks
        first. *)
-    let step_of sel next =
+    let step_of (sel, op) next =
       let pc = sel.s_pc in
       let skip () fuel = next (fuel - 1) in
       match sel.s_kind with
@@ -923,7 +940,7 @@ let compile st space entry_pc =
               next (fuel - 1)
           end
         | Insn.Lw (rt, base, off) ->
-          let ic = new_lic () in
+          let ic = site_ic op in
           fun fuel ->
             lw_do ic pc base off rt fuel;
             next (fuel - 1)
@@ -937,7 +954,7 @@ let compile st space entry_pc =
             if rt <> 0 then Array.unsafe_set regs rt v;
             next (fuel - 1)
         | Insn.Sw (rt, base, off) ->
-          let ic = new_sic () in
+          let ic = site_ic op in
           fun fuel ->
             if sw_do ic pc base off rt fuel then next (fuel - 1)
             else store_guard_failed (pc + 4) (fuel - 1)
@@ -948,40 +965,24 @@ let compile st space entry_pc =
             As.store_u8 space
               ((Array.unsafe_get regs base + off) land 0xFFFF_FFFF)
               (Array.unsafe_get regs rt land 0xFF);
+            check_gens tr.tr_ics tr.tr_gens;
             if deps_fast () || deps_reverify () then next (fuel - 1)
             else store_guard_failed (pc + 4) (fuel - 1)
         | Insn.Break | Insn.Syscall | Insn.J _ | Insn.Jal _ | Insn.Jr _
         | Insn.Jalr _ | Insn.Beq _ | Insn.Bne _ | Insn.Blez _ | Insn.Bgtz _ ->
           assert false)
     in
-    (* --- pair fusion --------------------------------------------------
-       Compiled code is dominated by stack push/pop idioms — an ADDI
-       adjust glued to a load or store — so adjacent pairs drawn from
-       {ADDI, LW, SW} become one closure executing both instructions
-       strictly in order.  A constant write is an ADDI from r0, which
-       always reads 0 (neither [Cpu.set_reg] nor compiled code ever
-       writes it): LUI, an inlined JAL's ra write, and a followed J
-       (a write to r0 itself).  Each arm is fully specialised at build
-       time: no runtime dispatch on the opcode is ever introduced,
-       because a shared dispatch site is exactly the kind of
-       data-dependent indirect branch the fusion is trying to remove.
-       For the same reason each arm writes its register arithmetic out:
-       a helper closing over [regs] would be a call per instruction
-       without flambda.  The second instruction stamps its own pc and
-       fuel before any access that can fault or fill, so traps, side
-       exits and billing are indistinguishable from the unfused chain;
-       a store that overwrites trace code still exits before the next
-       compiled instruction runs. *)
-    let op_of sel =
-      match (sel.s_kind, sel.s_insn) with
-      | K_jal, _ -> Some (`Addi (Reg.ra, 0, Codec.mask32 (sel.s_pc + 4)))
-      | K_jump, _ -> Some (`Addi (0, 0, 0))
-      | K_plain, Insn.Lui (rt, imm) -> Some (`Addi (rt, 0, imm lsl 16 land 0xFFFF_FFFF))
-      | K_plain, Insn.Addi (rt, rs, imm) -> Some (`Addi (rt, rs, imm))
-      | K_plain, Insn.Lw (rt, base, off) -> Some (`Lw (rt, base, off))
-      | K_plain, Insn.Sw (rt, base, off) -> Some (`Sw (rt, base, off))
-      | _ -> None
-    in
+    (* Each fused arm is fully specialised at build time: no runtime
+       dispatch on the opcode is ever introduced, because a shared
+       dispatch site is exactly the kind of data-dependent indirect
+       branch the fusion is trying to remove.  For the same reason each
+       arm writes its register arithmetic out: a helper closing over
+       [regs] would be a call per instruction without flambda.  The
+       second instruction stamps its own pc and fuel before any access
+       that can fault or fill, so traps, side exits and billing are
+       indistinguishable from the unfused chain; a store that overwrites
+       trace code still exits before the next compiled instruction
+       runs. *)
     (* [next] must be in scope before the fused closure is built: a
        two-argument [fun next fuel -> ...] partially applied would
        route every chain hop through the generic currying apply. *)
@@ -994,41 +995,35 @@ let compile st space entry_pc =
           if r2 <> 0 then
             Array.unsafe_set regs r2 ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
           next (fuel - 2)
-      | `Addi (r1, s1, i1), `Lw (rt, base, off) ->
-        let ic = new_lic () in
+      | `Addi (r1, s1, i1), `Lw (rt, base, off, ic) ->
         fun fuel ->
           if r1 <> 0 then
             Array.unsafe_set regs r1 ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
           lw_do ic pc2 base off rt (fuel - 1);
           next (fuel - 2)
-      | `Addi (r1, s1, i1), `Sw (rt, base, off) ->
-        let ic = new_sic () in
+      | `Addi (r1, s1, i1), `Sw (rt, base, off, ic) ->
         fun fuel ->
           if r1 <> 0 then
             Array.unsafe_set regs r1 ((Array.unsafe_get regs s1 + i1) land 0xFFFF_FFFF);
           if sw_do ic pc2 base off rt (fuel - 1) then next (fuel - 2)
           else store_guard_failed (pc2 + 4) (fuel - 2)
-      | `Lw (rt, base, off), `Addi (r2, s2, i2) ->
-        let ic = new_lic () in
+      | `Lw (rt, base, off, ic), `Addi (r2, s2, i2) ->
         fun fuel ->
           lw_do ic pc1 base off rt fuel;
           if r2 <> 0 then
             Array.unsafe_set regs r2 ((Array.unsafe_get regs s2 + i2) land 0xFFFF_FFFF);
           next (fuel - 2)
-      | `Lw (rt1, b1, o1), `Lw (rt2, b2, o2) ->
-        let ic1 = new_lic () and ic2 = new_lic () in
+      | `Lw (rt1, b1, o1, ic1), `Lw (rt2, b2, o2, ic2) ->
         fun fuel ->
           lw_do ic1 pc1 b1 o1 rt1 fuel;
           lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
           next (fuel - 2)
-      | `Lw (rt1, b1, o1), `Sw (rt2, b2, o2) ->
-        let ic1 = new_lic () and ic2 = new_sic () in
+      | `Lw (rt1, b1, o1, ic1), `Sw (rt2, b2, o2, ic2) ->
         fun fuel ->
           lw_do ic1 pc1 b1 o1 rt1 fuel;
           if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
           else store_guard_failed (pc2 + 4) (fuel - 2)
-      | `Sw (rt, base, off), `Addi (r2, s2, i2) ->
-        let ic = new_sic () in
+      | `Sw (rt, base, off, ic), `Addi (r2, s2, i2) ->
         fun fuel ->
           if sw_do ic pc1 base off rt fuel then begin
             if r2 <> 0 then
@@ -1036,16 +1031,14 @@ let compile st space entry_pc =
             next (fuel - 2)
           end
           else store_guard_failed (pc1 + 4) (fuel - 1)
-      | `Sw (rt1, b1, o1), `Lw (rt2, b2, o2) ->
-        let ic1 = new_sic () and ic2 = new_lic () in
+      | `Sw (rt1, b1, o1, ic1), `Lw (rt2, b2, o2, ic2) ->
         fun fuel ->
           if sw_do ic1 pc1 b1 o1 rt1 fuel then begin
             lw_do ic2 pc2 b2 o2 rt2 (fuel - 1);
             next (fuel - 2)
           end
           else store_guard_failed (pc1 + 4) (fuel - 1)
-      | `Sw (rt1, b1, o1), `Sw (rt2, b2, o2) ->
-        let ic1 = new_sic () and ic2 = new_sic () in
+      | `Sw (rt1, b1, o1, ic1), `Sw (rt2, b2, o2, ic2) ->
         fun fuel ->
           if sw_do ic1 pc1 b1 o1 rt1 fuel then
             if sw_do ic2 pc2 b2 o2 rt2 (fuel - 1) then next (fuel - 2)
@@ -1053,25 +1046,36 @@ let compile st space entry_pc =
           else store_guard_failed (pc1 + 4) (fuel - 1)
     in
     let rec build = function
+      | (s1, Some o1) :: (s2, Some o2) :: rest -> fused s1.s_pc s2.s_pc o1 o2 (build rest)
+      | site :: rest -> step_of site (build rest)
       | [] -> tail_step
-      | [ sel ] -> step_of sel tail_step
-      | s1 :: (s2 :: rest2 as rest1) -> (
-        match (op_of s1, op_of s2) with
-        | Some o1, Some o2 -> fused s1.s_pc s2.s_pc o1 o2 (build rest2)
-        | _ -> step_of s1 (build rest1))
     in
-    (* The twin: the same steps unfused, each behind a fuel test. *)
+    (* The twin: the same grouping, each link behind a test that the
+       fuel covers its width.  A pair reached with 1 fuel runs its first
+       instruction as a single step and stops on its second; that split
+       is built the first time it is needed. *)
     let rec twin = function
+      | ((s1, Some o1) as site1) :: ((s2, Some o2) as site2) :: rest ->
+        let next = twin rest in
+        let pair = fused s1.s_pc s2.s_pc o1 o2 next in
+        let split = lazy (step_of site1 (checked site2 next)) in
+        let rec link fuel =
+          if fuel >= 2 then pair fuel
+          else if fuel = 0 then out_of_fuel s1.s_pc link
+          else Lazy.force split fuel
+        in
+        link
+      | site :: rest -> checked site (twin rest)
       | [] -> tail_step
-      | sel :: rest ->
-        let pc = sel.s_pc and body = step_of sel (twin rest) in
-        let rec step fuel = if fuel = 0 then out_of_fuel pc step else body fuel in
-        step
+    and checked ((sel, _) as site) next =
+      let pc = sel.s_pc and body = step_of site next in
+      let rec link fuel = if fuel = 0 then out_of_fuel pc link else body fuel in
+      link
     in
-    tr.tr_first <- build sels;
+    tr.tr_first <- build sites;
     tr.tr_twin <-
       (fun fuel ->
-        tr.tr_twin <- twin sels;
+        tr.tr_twin <- twin sites;
         tr.tr_twin fuel);
     Some tr
 
@@ -1088,11 +1092,12 @@ let bind st space =
     st.st_token <- None;
     st.st_space <- Some space
 
-(* Run compiled code from [step], stamping the epoch the inline caches
-   validate against and the fuel every exit settles from. *)
-let run st space step fuel =
+(* Run compiled code from [step] of [tr], once its ICs are checked
+   against the segments' page generations, stamping the fuel every exit
+   settles from. *)
+let run st tr step fuel =
   let ctx = st.st_ctx in
-  ctx.c_epoch <- As.epoch space;
+  check_gens tr.tr_ics tr.tr_gens;
   ctx.c_fin <- fuel;
   (Stats.cur ()).jit_hits <- (Stats.cur ()).jit_hits + 1;
   match step fuel with
@@ -1108,15 +1113,15 @@ let run st space step fuel =
 (* The fused chain needs fuel for its full static length, which spares
    its steps a fuel test; with less left, the twin runs to the exact
    boundary. *)
-let run_trace st space tr fuel =
-  run st space (if fuel >= tr.tr_len then tr.tr_first else tr.tr_twin) fuel
+let run_trace st tr fuel =
+  run st tr (if fuel >= tr.tr_len then tr.tr_first else tr.tr_twin) fuel
 
 let compile_and_run st space pc fuel =
   match compile st space pc with
   | Some tr ->
     (Stats.cur ()).jit_compiles <- (Stats.cur ()).jit_compiles + 1;
     Hashtbl.replace st.st_tbl pc (Compiled tr);
-    run_trace st space tr fuel
+    run_trace st tr fuel
   | None ->
     (* Not compilable right now (too short, or the path is unfetchable
        — e.g. a lazily-linked page still mapped no-access).  Reset the
@@ -1129,7 +1134,7 @@ let compile_and_run st space pc fuel =
 let enter_head st space pc fuel =
   match Hashtbl.find_opt st.st_tbl pc with
   | Some (Compiled tr) ->
-    if validate tr space then run_trace st space tr fuel
+    if validate tr space then run_trace st tr fuel
     else begin
       (Stats.cur ()).jit_invalidations <- (Stats.cur ()).jit_invalidations + 1;
       compile_and_run st space pc fuel
@@ -1155,5 +1160,5 @@ let enter st space pc fuel =
   let token = st.st_token in
   st.st_token <- None;
   match token with
-  | Some tk when tk.tk_pc = pc && validate tk.tk_tr space -> run st space tk.tk_step fuel
+  | Some tk when tk.tk_pc = pc && validate tk.tk_tr space -> run st tk.tk_tr tk.tk_step fuel
   | _ -> enter_head st space pc fuel

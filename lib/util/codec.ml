@@ -12,26 +12,26 @@ let get_u8 b off = Char.code (Bytes.get b off)
 let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xFF))
 
 (* These sit under every memory access the interpreter and the trace
-   JIT make: one explicit range check, then the unchecked 16-bit
-   primitives (little-endian loads/stores of immediate ints — no boxed
-   [Int32] allocation, unlike the [Bytes.get_int32_le] route).  They are
-   small enough for ocamlopt to inline into other modules, but only
-   when this module is compiled without -opaque, as in the release
-   profile that dune-workspace selects; under dune's dev profile every
-   call site elsewhere is a real call, through caml_apply2/caml_apply3. *)
-external unsafe_get_16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external unsafe_set_16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+   JIT make: one explicit range check, then one unchecked 32-bit
+   primitive in the host's byte order (little-endian on every host this
+   runs on).  ocamlopt keeps the [Int32] the primitive yields in a
+   register when it is converted straight to an [int], so a word costs
+   one load or store and no allocation; the test suite's allocation
+   gate on compiled code holds it to that.  They are small enough to
+   inline into other modules, but only when this module is compiled
+   without -opaque, as in the release profile that dune-workspace
+   selects; under dune's dev profile every call site elsewhere is a
+   real call, through caml_apply2/caml_apply3. *)
+external unsafe_get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external unsafe_set_32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
 let get_u16 b off = Bytes.get_uint16_le b off
 
 let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xFFFF)
 
-let unsafe_get_u32 b off =
-  unsafe_get_16 b off lor (unsafe_get_16 b (off + 2) lsl 16)
+let unsafe_get_u32 b off = Int32.to_int (unsafe_get_32 b off) land 0xFFFF_FFFF
 
-let unsafe_set_u32 b off v =
-  unsafe_set_16 b off v;
-  unsafe_set_16 b (off + 2) (v lsr 16)
+let unsafe_set_u32 b off v = unsafe_set_32 b off (Int32.of_int v)
 
 let get_u32 b off =
   if off < 0 || off + 4 > Bytes.length b then invalid_arg "index out of bounds";

@@ -35,10 +35,12 @@ let effective m = if m.cow then Prot.strip_write m.prot else m.prot
    on every hit, so a cached no-access page still faults — the entry is
    a cached {e translation}, not a cached {e permission}.
 
-   Invalidation is epoch-based and conservative: [map], [unmap] and
-   [protect] bump [epoch] and flush every entry.  [clone] builds a
-   child with a fresh (empty) TLB.  The [epoch] is exported so the
-   trace JIT's compiled code can ride the same protocol. *)
+   Invalidation is epoch-based and conservative: [map], [unmap],
+   [protect], a COW resolution and a pager eviction bump [epoch], and
+   that alone retires every entry, because each entry records the
+   epoch it was filled at and every hit path requires it to be the
+   current one.  [clone] builds a child with a fresh (empty) TLB.  The
+   [epoch] is exported so the trace JIT can ride the same protocol. *)
 
 let tlb_bits = 8
 let tlb_size = 1 lsl tlb_bits
@@ -49,7 +51,8 @@ type tlb_entry = {
   mutable te_delta : int;  (* seg_off - lo; offset = addr + delta *)
   mutable te_prot : Prot.t;
   mutable te_mask : int;  (* te_prot as bits (1 r / 2 w / 4 x): branch-free guard *)
-  mutable te_seg : Segment.t option;  (* None = invalid (no seg pinned) *)
+  mutable te_seg : Segment.t option;  (* None = never filled *)
+  mutable te_epoch : int;  (* [epoch] at the fill; valid only while current *)
 }
 
 type t = {
@@ -72,6 +75,7 @@ let fresh_tlb () =
         te_prot = Prot.No_access;
         te_mask = 0;
         te_seg = None;
+        te_epoch = -1;
       })
 
 let create ?(pager = Vm_object.create_pager ()) () =
@@ -88,13 +92,7 @@ let epoch t = t.epoch
 
 let pager t = t.pager
 
-let invalidate t =
-  t.epoch <- t.epoch + 1;
-  Array.iter
-    (fun e ->
-      e.te_page <- -1;
-      e.te_seg <- None)
-    t.tlb
+let invalidate t = t.epoch <- t.epoch + 1
 
 (* The default kind is [Pinned]: raw mappers (tests, examples, runtime
    libraries that touch segments with no kernel around to resolve pager
@@ -165,6 +163,9 @@ let release ?only t =
           t.table <- Interval_map.remove base t.table
         | None -> ())
       bases);
+  (* The epoch bump retires every entry; dropping their segments too
+     keeps the TLB from holding released page tables reachable. *)
+  Array.iter (fun e -> e.te_seg <- None) t.tlb;
   invalidate t
 
 let protect t addr prot =
@@ -219,6 +220,7 @@ let lookup_slow t addr access =
       e.te_prot <- prot;
       e.te_mask <- prot_mask prot;
       e.te_seg <- Some m.seg;
+      e.te_epoch <- t.epoch;
       (* Later writes through this entry bypass the slow path, so a
          write-granting fill marks the page dirty conservatively. *)
       Vm_object.touch m.obj off
@@ -232,7 +234,7 @@ let lookup t addr access =
   else begin
     let e = tlb_entry t addr in
     match e.te_seg with
-    | Some seg when e.te_page = Layout.page_down addr ->
+    | Some seg when e.te_page = Layout.page_down addr && e.te_epoch = t.epoch ->
       (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
       (seg, addr + e.te_delta, e.te_hi - addr, e.te_prot)
     | Some _ | None ->
@@ -271,17 +273,18 @@ let data_view t addr access =
     else None
 
 (* Single-access entry points.  Each checks the TLB inline and, on a
-   full hit (right page, in bounds, access allowed), goes straight to
-   the segment — no intermediate tuples on the hot path.  Everything
-   else (miss, fault, caching off) falls back to [translate], which
-   re-resolves and raises the precise fault. *)
+   full hit (right page, current epoch, in bounds, access allowed),
+   goes straight to the segment — no intermediate tuples on the hot
+   path.  Everything else (miss, fault, caching off: such a space never
+   fills an entry) falls back to [translate], which re-resolves and
+   raises the precise fault. *)
 
 let load_u8 t addr =
   let e = tlb_entry t addr in
   match e.te_seg with
   | Some seg
-    when t.caching
-         && e.te_page = Layout.page_down addr
+    when e.te_page = Layout.page_down addr
+         && e.te_epoch = t.epoch
          && addr < e.te_hi
          && e.te_mask land 1 <> 0 ->
     (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
@@ -294,8 +297,8 @@ let load_u32 t addr =
   let e = tlb_entry t addr in
   match e.te_seg with
   | Some seg
-    when t.caching
-         && e.te_page = Layout.page_down addr
+    when e.te_page = Layout.page_down addr
+         && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 1 <> 0 ->
     (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
@@ -308,8 +311,8 @@ let store_u8 t addr v =
   let e = tlb_entry t addr in
   match e.te_seg with
   | Some seg
-    when t.caching
-         && e.te_page = Layout.page_down addr
+    when e.te_page = Layout.page_down addr
+         && e.te_epoch = t.epoch
          && addr < e.te_hi
          && e.te_mask land 2 <> 0 ->
     (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
@@ -322,8 +325,8 @@ let store_u32 t addr v =
   let e = tlb_entry t addr in
   match e.te_seg with
   | Some seg
-    when t.caching
-         && e.te_page = Layout.page_down addr
+    when e.te_page = Layout.page_down addr
+         && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 2 <> 0 ->
     (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
@@ -336,8 +339,8 @@ let fetch t addr =
   let e = tlb_entry t addr in
   match e.te_seg with
   | Some seg
-    when t.caching
-         && e.te_page = Layout.page_down addr
+    when e.te_page = Layout.page_down addr
+         && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 4 <> 0 ->
     (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;

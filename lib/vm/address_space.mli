@@ -57,9 +57,11 @@ val create : ?pager:Vm_object.pager -> unit -> t
 (** The pager this space maps through. *)
 val pager : t -> Vm_object.pager
 
-(** Invalidation epoch: bumped by every [map]/[unmap]/[protect].
-    Derived caches (the TLB, the trace JIT's compiled code) must be
-    revalidated when it changes. *)
+(** Invalidation epoch: bumped by every [map]/[unmap]/[protect], COW
+    resolution and pager eviction.  Derived caches (the TLB, the trace
+    JIT's compiled code and inline caches) must be revalidated when it
+    changes; the TLB's entries each record the epoch they were filled
+    at, so a bump alone retires them all. *)
 val epoch : t -> int
 
 (** [map t ~base ~len ~seg ~prot ~share ~label] installs a mapping.

@@ -305,6 +305,26 @@ let resume_loop =
 
 let resume_quanta = [ 7; 13; 17 ]
 
+(* The same layout over data: each iteration stores t0's low byte at
+   sp, counts t0 down and adds the word at sp to a1, so the load's
+   inline cache holds the data page and a stale one reads an old sum.
+   With quanta of 7, 13 and 17, [resume_invalidated]'s change lands
+   between the store and the load, so the resumed run loads first. *)
+let load_loop =
+  List.map Insn.encode
+    [
+      Insn.Addi (Reg.t0, Reg.zero, 100);
+      Insn.Sw (Reg.t0, Reg.sp, 0);
+      (* 0x1008 loop: *)
+      Insn.Sb (Reg.t0, Reg.sp, 0);
+      Insn.Addi (Reg.t0, Reg.t0, -1);
+      Insn.Lw (Reg.t2, Reg.sp, 0);
+      Insn.Add (Reg.a1, Reg.a1, Reg.t2);
+      Insn.Bne (Reg.t0, Reg.zero, -5);
+      Insn.Add (Reg.a0, Reg.a1, Reg.zero);
+      Insn.Break;
+    ]
+
 (* At threshold 1 every quantum of the loop resumes in compiled code:
    the prologue's trace and the loop's trace run every instruction. *)
 let resume_in_compiled_code () =
@@ -322,7 +342,7 @@ let resume_in_compiled_code () =
    thresholds 1 and 3 must match the interpreter, which runs what is
    there now.  A resume that skipped validation would run the old
    instruction at the stop pc. *)
-let resume_invalidated name change () =
+let resume_invalidated ?(words = resume_loop) name change () =
   let hook () =
     let fired = ref false in
     fun n cpu sp text ->
@@ -335,7 +355,7 @@ let resume_invalidated name change () =
   List.iter
     (fun quantum ->
       let run threshold =
-        with_jit ~threshold (fun () -> run_engine ~between:(hook ()) ~quantum resume_loop)
+        with_jit ~threshold (fun () -> run_engine ~between:(hook ()) ~quantum words)
       in
       let oracle = run None in
       List.iter
@@ -359,6 +379,24 @@ let remap_text pc sp text =
   As.unmap sp 0x1000;
   As.map sp ~base:0x1000 ~len:0x1000 ~seg:other ~prot:Prot.Read_write_exec ~share:As.Private
     ~label:"text" ()
+
+(* New mappings move the epoch: a load cache must not read the old page. *)
+let remap_data _ sp _ =
+  let other = Segment.create ~name:"other data" ~max_size:0x10000 () in
+  Segment.set_u32 other 0x800 1000;
+  As.unmap sp 0x8000;
+  As.map sp ~base:0x8000 ~len:0x1000 ~seg:other ~prot:Prot.Read_write ~share:As.Private
+    ~label:"data" ()
+
+(* The page is shared out, then written through its own segment: the
+   segment maps a copy and the epoch stands still, so only the page
+   generation tells the load cache. *)
+let copy_data_page _ sp _ =
+  match As.mapping_at sp 0x8000 with
+  | Some (_, _, m) ->
+    ignore (Segment.copy m.As.seg);
+    Segment.set_u32 m.As.seg 0x800 1000
+  | None -> assert false
 
 let counters_observe_jit () =
   let words =
@@ -438,6 +476,10 @@ let suite =
     test "jit: resume after the text is protected" (resume_invalidated "protect" protect_text);
     test "jit: resume after another segment is mapped"
       (resume_invalidated "remap" remap_text);
+    test "jit: resume after the data is remapped"
+      (resume_invalidated ~words:load_loop "remap data" remap_data);
+    test "jit: resume after the data page is copied and written"
+      (resume_invalidated ~words:load_loop "copy data" copy_data_page);
     test "jit: counters observe compiles and hits" counters_observe_jit;
     test "jit: fork/COW workload identical with JIT on and off"
       (Test_oracle.fork_check

@@ -726,6 +726,37 @@ int main() {
 |}
            [ "warm"; "run" ] log))
 
+(* A compiled load after its own run's copy-on-write store: [g]'s image
+   page stays shared with the image master while the loop stores the 5
+   it already holds, so the load's inline cache reads the master's page;
+   at i = 2000 the store writes 6 and copies the page inside compiled
+   code, and every later load must read the copy.  The store is a word
+   store to [g] or a byte store to its low byte.  Exits 42 only if the
+   sum saw each new value. *)
+let cow_in_run_input =
+  let src store =
+    Printf.sprintf
+      {|
+int g = 5;
+int main() {
+  int i; int s; char *b;
+  b = &g; i = 0; s = 0;
+  while (i < 3000) { s = s + g; %s = 5 + i / 2000; i = i + 1; }
+  if (s == 15999) return 42;
+  return 1;
+}
+|}
+      store
+  in
+  fixed "a compiled load after its own run's copy-on-write store"
+    [ all_on ~threshold:1 () ]
+    ~extra:(fun _ _ obs ->
+      check_int "word store: exit" 42 (find obs "word").code;
+      check_int "byte store: exit" 42 (find obs "byte").code)
+    (fun log ->
+      ignore (program (src "g") [ "warm"; "word" ] log);
+      ignore (program (src "b[0]") [ "warm"; "byte" ] log))
+
 (* Hot loops stay in compiled code across quanta: a trace runs to the
    end of the kernel's quantum and the next quantum resumes where it
    stopped, so the interpreter serves only warm-up and cold code. *)
@@ -748,10 +779,11 @@ let compiled_input name ?max_exits ?libs src =
 
 (* 16000 iterations, each calling two public modules through their jump
    slots; exits 42. *)
-let loop_input =
-  compiled_input "a cross-module loop stays compiled across quanta" ~max_exits:16
-    ~libs:[ ("inc_a.o", "int inc_a() { return 3; }"); ("inc_b.o", "int inc_b() { return 4; }") ]
-    {|
+let loop_libs =
+  [ ("inc_a.o", "int inc_a() { return 3; }"); ("inc_b.o", "int inc_b() { return 4; }") ]
+
+let loop_src =
+  {|
 extern int inc_a();
 extern int inc_b();
 int main() {
@@ -771,6 +803,30 @@ int main() {
   return s - 111958;
 }
 |}
+
+let loop_input =
+  compiled_input "a cross-module loop stays compiled across quanta" ~max_exits:16
+    ~libs:loop_libs loop_src
+
+(* Compiled code allocates nothing per instruction: a word access reads
+   or writes its page's bytes in place, with no boxed [Int32], and every
+   link of a chain is built before it runs.  The 0.1-word budget covers
+   the exec, lazy linking and trace compilation around 4.5M instructions
+   of loop; one allocation per access would exceed 1. *)
+let loop_allocation =
+  test "oracle: compiled code allocates nothing per instruction" (fun () ->
+      let s = all_on () in
+      under ~threshold:s.threshold s.cfg (fun () ->
+          let k, ldl = program ~libs:loop_libs loop_src [] ignore in
+          let before = Gc.minor_words () in
+          let st = exec k ldl "run" "/home/t/prog" in
+          let words = Gc.minor_words () -. before in
+          let n = (Option.get st.bill).Stats.instructions in
+          check_int "exit" 42 st.code;
+          check_bool
+            (Printf.sprintf "%.0f minor words over %d instructions, under 0.1 each" words n)
+            true
+            (words < 0.1 *. float n)))
 
 (* A leaf loop of 12000 iterations; exits 42. *)
 let compute_input =
@@ -793,5 +849,5 @@ int main() {
 let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
-    shared_store_input; loop_input; compute_input;
+    shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
   ]
