@@ -172,14 +172,6 @@ let instance_covering ps addr =
   let i = go 0 (Array.length arr) in
   if i >= 0 && Modinst.contains arr.(i) addr then Some arr.(i) else None
 
-let instance_at t proc addr =
-  match state t proc with
-  | None -> None
-  | Some ps -> instance_covering ps addr
-
-let pending_image_relocs t proc =
-  match state t proc with Some ps -> ps.ps_pending | None -> []
-
 let find_instance ps located = Hashtbl.find_opt ps.ps_by_key located
 
 (* One instance's contribution to the set digest: identity, placement,

@@ -55,12 +55,6 @@ val warnings : t -> string list
     reap drops it, and [[]] is the answer after. *)
 val instances : t -> Proc.t -> Modinst.t list
 
-(** The instance whose range contains an address, if any. *)
-val instance_at : t -> Proc.t -> int -> Modinst.t option
-
-(** Retained image relocations still unresolved for this process. *)
-val pending_image_relocs : t -> Proc.t -> Hemlock_obj.Objfile.reloc list
-
 (** {1 Native-process attachment}
 
     Native (harness) processes have no a.out, but still want the fault

@@ -18,8 +18,6 @@ let portion = function
 
 let is_public t = portion t = Public
 
-let is_dynamic t = link_time t = Run_time
-
 let to_string = function
   | Static_private -> "static-private"
   | Dynamic_private -> "dynamic-private"

@@ -23,7 +23,6 @@ val instance_per_process : t -> bool
 
 val portion : t -> portion
 val is_public : t -> bool
-val is_dynamic : t -> bool
 val to_string : t -> string
 
 (** Parse "static-private", "dp", "sp", ... as accepted by the lds

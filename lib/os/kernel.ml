@@ -57,7 +57,6 @@ type segv_handler = handler
 exception Isa_exit of int
 exception Isa_yield
 exception Isa_blocked of { cond : unit -> bool; why : string }
-exception Isa_fatal of string
 
 let create () =
   let fs = Fs.create () in
@@ -194,49 +193,33 @@ let spawn_native t ?(name = "native") ?(env = []) ?(cwd = Path.root) body =
 
 (* --- memory helpers ----------------------------------------------------- *)
 
-let fault_of_exn = function
-  | As.Fault { addr; access; reason } ->
-    Some { f_addr = addr; f_access = access; f_reason = reason }
-  | _ -> None
-
 let pp_fault f = Format.asprintf "%a" Trap.pp_fault f
 
-(* Copy-on-write faults are a kernel-internal protocol, resolved before
-   SIGSEGV delivery ever enters the picture: user-level handlers (the
-   lazy linker included) never see them, [Stats.faults] never counts
-   them, and an ISA process's quantum is not ended by one.  When this
-   returns true the mapping's write permission is restored and the
-   caller must simply retry the faulting access. *)
-let cow_fault proc fault =
-  fault.f_reason = As.Protection
-  && fault.f_access = Prot.Write
-  && As.resolve_cow proc.Proc.space fault.f_addr
-
-(* Demand-paging faults ride the same kernel-internal protocol: a
-   [Not_resident] access materialises the page (evicting under a full
-   RAM budget) and the caller retries.  Never delivered to user
-   handlers, never billed to [Stats.faults], no fuel consumed — so the
-   cost model is pager-blind. *)
-let pager_fault proc fault =
-  fault.f_reason = As.Not_resident
-  && As.resolve_pager proc.Proc.space fault.f_addr fault.f_access
+(* The one rule for a fault the kernel takes on a process's memory.
+   Pager and copy-on-write faults are kernel-internal protocols, resolved
+   by [As.resolve] before SIGSEGV delivery enters the picture: user-level
+   handlers (the lazy linker included) never see them, [Stats.faults]
+   never counts them, and no fuel is consumed, so the cost model is
+   pager- and COW-blind.  Anything else walks the SIGSEGV chain.
+   [Resolved] means: retry the access. *)
+let resolve_fault t proc ({ f_addr; f_access; f_reason } as fault) =
+  if As.resolve proc.Proc.space ~addr:f_addr ~access:f_access f_reason then Resolved
+  else deliver_segv t proc fault
 
 (* Checked access for native process code: retries through SIGSEGV
    delivery, blocking on Retry_when conditions. *)
 let rec native_access : 'a. t -> Proc.t -> (unit -> 'a) -> 'a =
   fun t proc f ->
-  try f () with
-  | As.Fault _ as e -> (
-    let fault = Option.get (fault_of_exn e) in
-    if pager_fault proc fault || cow_fault proc fault then native_access t proc f
-    else
-      match deliver_segv t proc fault with
-      | Resolved -> native_access t proc f
-      | Retry_when cond ->
-        Proc.wait_until ~why:(pp_fault fault) cond;
-        native_access t proc f
-      | Unhandled ->
-        raise (Proc.Killed { pid = proc.Proc.pid; reason = pp_fault fault }))
+  match f () with
+  | v -> v
+  | exception As.Fault { addr; access; reason } -> (
+    let fault = { f_addr = addr; f_access = access; f_reason = reason } in
+    match resolve_fault t proc fault with
+    | Resolved -> native_access t proc f
+    | Retry_when cond ->
+      Proc.wait_until ~why:(pp_fault fault) cond;
+      native_access t proc f
+    | Unhandled -> raise (Proc.Killed { pid = proc.Proc.pid; reason = pp_fault fault }))
 
 (* Each checked access bills one instruction, so native workload code
    and ISA code are accounted on the same scale. *)
@@ -266,28 +249,48 @@ let read_cstring t proc addr =
   | exception As.Cstring_unterminated _ ->
     raise (os_error (Printf.sprintf "read_cstring 0x%08x" addr) Errno.EFAULT)
 
-let write_cstring t proc addr s =
-  native_access t proc (fun () ->
-      String.iteri (fun i c -> As.store_u8 proc.Proc.space (addr + i) (Char.code c)) s;
-      As.store_u8 proc.Proc.space (addr + String.length s) 0)
-
-(* Bounded retry for faults taken while the kernel touches user memory on
-   behalf of an ISA syscall (e.g. reading a path argument). *)
-let isa_access t proc f =
+(* The one bounded loop for an ISA syscall touching user memory: each
+   fault is resolved and the access retried.  A registered syscall
+   passes its [cpu], and a [Retry_when] blocks it for re-execution.  A
+   built-in syscall passes none, and a [Retry_when] is fatal: [read] and
+   [addr_to_path] store after their side effects, so running them again
+   would be wrong.  Either way an [Unhandled] fault kills the caller
+   ([Os_error] ends the syscall in a kill). *)
+let syscall_access ?cpu t proc f =
   let rec go fuel =
-    if fuel = 0 then raise (Isa_fatal "fault loop in syscall argument")
+    if fuel = 0 then raise (Os_error "fault loop in syscall argument")
     else
-      try f () with
-      | As.Fault _ as e -> (
-        let fault = Option.get (fault_of_exn e) in
-        if pager_fault proc fault || cow_fault proc fault then go (fuel - 1)
-        else
-          match deliver_segv t proc fault with
-          | Resolved -> go (fuel - 1)
-          | Retry_when _ | Unhandled ->
-            raise (Isa_fatal ("fault in syscall argument: " ^ pp_fault fault)))
+      match f () with
+      | v -> v
+      | exception As.Fault { addr; access; reason } -> (
+        let fault = { f_addr = addr; f_access = access; f_reason = reason } in
+        match (resolve_fault t proc fault, cpu) with
+        | Resolved, _ -> go (fuel - 1)
+        | Retry_when cond, Some cpu ->
+          block_syscall ~why:(Printf.sprintf "mapping 0x%08x" addr) cpu cond
+        | (Retry_when _ | Unhandled), _ ->
+          raise (Os_error ("fault in syscall argument: " ^ pp_fault fault)))
   in
   go 64
+
+let syscall_load_u32 t proc cpu addr =
+  syscall_access ~cpu t proc (fun () -> As.load_u32 proc.Proc.space addr)
+
+let syscall_store_u32 t proc cpu addr v =
+  syscall_access ~cpu t proc (fun () -> As.store_u32 proc.Proc.space addr v)
+
+(* A wake-up condition's read: a pager fault is resolved (the word's
+   page may be evicted while its process waits, and the condition could
+   never come true otherwise); any other fault reads as "not yet". *)
+let peek_u32 proc addr =
+  let space = proc.Proc.space in
+  let rec go first =
+    match As.load_u32 space addr with
+    | v -> Some v
+    | exception As.Fault { addr; access; reason } ->
+      if first && As.resolve space ~addr ~access reason then go false else None
+  in
+  go true
 
 (* --- the new kernel calls ------------------------------------------------ *)
 
@@ -582,7 +585,7 @@ let set_result cpu = function
    syscall with -EFAULT rather than killing the process (or, worse, the
    simulator). *)
 let isa_cstring t proc addr =
-  match isa_access t proc (fun () -> As.read_cstring proc.Proc.space addr) with
+  match syscall_access t proc (fun () -> As.read_cstring proc.Proc.space addr) with
   | s -> Ok s
   | exception As.Cstring_unterminated _ -> Error Errno.EFAULT
 
@@ -635,7 +638,7 @@ let dispatch t proc cpu =
     match sys_addr_to_path_r t proc a0 with
     | Ok path ->
       let truncated = String.sub path 0 (min (String.length path) (max 0 (a2 - 1))) in
-      isa_access t proc (fun () ->
+      syscall_access t proc (fun () ->
           String.iteri
             (fun i c -> As.store_u8 proc.Proc.space (a1 + i) (Char.code c))
             truncated;
@@ -658,7 +661,7 @@ let dispatch t proc cpu =
   else if v0 = Sysno.read then begin
     match sys_read_r t proc a0 (Codec.sext32 a2) with
     | Ok b ->
-      isa_access t proc (fun () ->
+      syscall_access t proc (fun () ->
           Bytes.iteri (fun i c -> As.store_u8 proc.Proc.space (a1 + i) (Char.code c)) b);
       Cpu.set_reg cpu Reg.v0 (Bytes.length b)
     | Error e -> set_errno cpu e
@@ -668,7 +671,7 @@ let dispatch t proc cpu =
     if len < 0 then set_errno cpu Errno.EINVAL
     else begin
       let b =
-        isa_access t proc (fun () ->
+        syscall_access t proc (fun () ->
             Bytes.init len (fun i -> Char.chr (As.load_u8 proc.Proc.space (a1 + i))))
       in
       set_result cpu (sys_write_r t proc a0 b)
@@ -696,40 +699,19 @@ let quantum = 4000
    touched by one domain at a time.  [Cluster.run] keeps each machine
    on one worker for the whole run, and nothing else steps a kernel off
    the calling domain. *)
-let internal_fault ?(ticked = true) proc fault =
-  if pager_fault proc fault then begin
-    (* Like COW, resume the burst with no fuel consumed.  The tick
-       rollback is asymmetric because [Cpu.step] bills [instructions]
-       {e between} fetch and execute: a fetch fault raises before the
-       tick, a load/store fault after, so only the latter double-counts
-       on retry.  [~ticked:false] marks the raw-syscall path, where no
-       interpreter tick happened at all. *)
-    if ticked && fault.f_access <> Prot.Exec then
-      (Stats.cur ()).instructions <- (Stats.cur ()).instructions - 1;
-    true
-  end
-  else if cow_fault proc fault then begin
-    (* The faulting store never completed and consumed no fuel; resume
-       the burst so the quantum (and [context_switches]) are exactly
-       what they would be without COW.  The store's [instructions] tick
-       already happened in [Cpu.step], so roll it back — the retried
-       store counts once, keeping the cost model COW-blind. *)
-    (Stats.cur ()).instructions <- (Stats.cur ()).instructions - 1;
-    true
-  end
-  else false
 
-(* SIGSEGV delivery for a fault the kernel could not resolve
-   internally. *)
-let deliver_fault t proc fault =
-  match deliver_segv t proc fault with
-  | Resolved -> `Stop (* pc still points at the faulting instruction *)
-  | Retry_when cond ->
-    proc.Proc.state <- Proc.Blocked { cond; why = pp_fault fault };
-    `Stop
-  | Unhandled ->
-    kill t proc ~reason:(pp_fault fault);
-    `Stop
+(* A fault the kernel resolves itself resumes the burst with no fuel
+   consumed, so the quantum (and [context_switches]) are exactly what
+   they would be without the pager or COW.  [Cpu.step] bills
+   [instructions] between fetch and execute, so a load or store fault
+   raises after its tick and the retried access would count twice: the
+   tick is rolled back unless the access was a fetch, which faults
+   before the tick.  A COW fault is always a store. *)
+let internal_fault proc { f_addr; f_access; f_reason } =
+  let resolved = As.resolve proc.Proc.space ~addr:f_addr ~access:f_access f_reason in
+  if resolved && f_access <> Prot.Exec then
+    (Stats.cur ()).instructions <- (Stats.cur ()).instructions - 1;
+  resolved
 
 let handle_trap t proc cpu trap =
   match trap with
@@ -740,8 +722,18 @@ let handle_trap t proc cpu trap =
     (* SIGILL: the process dies, the simulator does not. *)
     kill t proc ~reason:(Format.asprintf "%a" Trap.pp trap);
     `Stop
-  | Trap.Fault fault ->
-    if internal_fault proc fault then `Continue else deliver_fault t proc fault
+  | Trap.Fault fault -> (
+    if internal_fault proc fault then `Continue
+    else
+      (* SIGSEGV delivery for a fault the kernel could not resolve. *)
+      match deliver_segv t proc fault with
+      | Resolved -> `Stop (* pc still points at the faulting instruction *)
+      | Retry_when cond ->
+        proc.Proc.state <- Proc.Blocked { cond; why = pp_fault fault };
+        `Stop
+      | Unhandled ->
+        kill t proc ~reason:(pp_fault fault);
+        `Stop)
   | Trap.Syscall -> (
     match dispatch t proc cpu with
     | () -> `Continue
@@ -752,19 +744,15 @@ let handle_trap t proc cpu trap =
     | exception Isa_blocked { cond; why } ->
       proc.Proc.state <- Proc.Blocked { cond; why };
       `Stop
-    | exception Isa_fatal msg ->
-      kill t proc ~reason:msg;
-      `Stop
     | exception Os_error msg ->
       kill t proc ~reason:msg;
       `Stop
-    | exception (As.Fault _ as e) ->
-      (* A registered syscall touched user memory raw; same treatment
-         as a fault trap from the interpreter — except no instruction
-         ticked, so the pager branch must not roll one back. *)
-      let fault = Option.get (fault_of_exn e) in
-      if internal_fault ~ticked:false proc fault then `Continue
-      else deliver_fault t proc fault)
+    | exception As.Fault { addr; access; reason } ->
+      (* A registered syscall touched user memory raw, not through the
+         syscall accessors.  The pc is already past the trap, so there is
+         nothing to resume or retry: the caller dies of the fault. *)
+      kill t proc ~reason:(pp_fault { f_addr = addr; f_access = access; f_reason = reason });
+      `Stop)
 
 let run_isa_quantum t proc cpu =
   let rec burst fuel =

@@ -94,7 +94,14 @@ val deliver_segv : t -> Proc.t -> fault -> segv_result
 (** {1 Extension points} *)
 
 (** [register_syscall t num f] installs an ISA syscall (num >=
-    {!Sysno.first_extension}). *)
+    {!Sysno.first_extension}).  [f] reaches user memory only through
+    {!syscall_load_u32} and {!syscall_store_u32} (and {!peek_u32} in a
+    wake-up condition), which resolve pager and copy-on-write faults and
+    deliver the rest.  An [Address_space.Fault] that escapes [f] kills
+    the caller, with the fault as the reason: the pc is already past
+    the trap, so there is nothing to resume or retry.  [f] ends the
+    syscall by returning (results in registers), by {!block_syscall},
+    or by raising {!Os_error}, which kills the caller. *)
 val register_syscall : t -> int -> (t -> Proc.t -> Hemlock_isa.Cpu.t -> unit) -> unit
 
 (** [block_syscall ?why cpu cond] aborts the current ISA syscall so that
@@ -238,7 +245,28 @@ val store_u32 : t -> Proc.t -> int -> int -> unit
     ISA syscall string argument also answers with), never a bare
     failure. *)
 val read_cstring : t -> Proc.t -> int -> string
-val write_cstring : t -> Proc.t -> int -> string -> unit
+
+(** {1 User memory from a registered syscall}
+
+    The counterparts of {!load_u32}/{!store_u32} for the body of a
+    {!register_syscall} syscall, given the trapping [cpu].  A pager or
+    copy-on-write fault is resolved inside the kernel and the access
+    retried; any other fault goes down the SIGSEGV chain.  On
+    [Resolved] the access is retried (boundedly); on [Retry_when] the
+    syscall is blocked for re-execution ({!block_syscall}, waiting on
+    ["mapping 0x…"]), so everything it did before the access must be
+    safe to do again; on [Unhandled] {!Os_error} ends the syscall and
+    kills the caller.  Nothing is billed to [instructions]. *)
+
+val syscall_load_u32 : t -> Proc.t -> Hemlock_isa.Cpu.t -> int -> int
+val syscall_store_u32 : t -> Proc.t -> Hemlock_isa.Cpu.t -> int -> int -> unit
+
+(** [peek_u32 proc addr] reads a user word for a wake-up condition
+    (the [cond] of {!block_syscall} or [Proc.wait_until]): a pager fault
+    is resolved (the page may be evicted while the process waits), and
+    any other fault reads as [None], "not yet".  No SIGSEGV delivery,
+    nothing billed. *)
+val peek_u32 : Proc.t -> int -> int option
 
 (** {1 The new kernel calls (§2-3)} *)
 

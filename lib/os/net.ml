@@ -1,5 +1,4 @@
 module Prng = Hemlock_util.Prng
-module Stats = Hemlock_util.Stats
 
 type profile = Ideal | Lan | Wan | Lossy
 
@@ -93,8 +92,6 @@ let partition t ~name ~groups =
 
 let heal t ~name = t.parts <- List.remove_assoc name t.parts
 
-let heal_all t = t.parts <- []
-
 let partitioned t a b = List.exists (fun (_, g) -> g.(a) <> g.(b)) t.parts
 
 (* ----- the per-link fate decision ----- *)
@@ -105,8 +102,6 @@ let transmit t ~from ~dst =
   let p = t.params in
   if partitioned t from dst then begin
     c.c_dropped <- c.c_dropped + 1;
-    let st = Stats.cur () in
-    st.net_dropped <- st.net_dropped + 1;
     []
   end
   else if p.drop_pm = 0 && p.dup_pm = 0 && p.lat_min = p.lat_max then
@@ -116,8 +111,6 @@ let transmit t ~from ~dst =
     let rng = t.senders.(from) in
     if Prng.int rng 1000 < p.drop_pm then begin
       c.c_dropped <- c.c_dropped + 1;
-      let st = Stats.cur () in
-      st.net_dropped <- st.net_dropped + 1;
       []
     end
     else begin
@@ -128,8 +121,6 @@ let transmit t ~from ~dst =
       let first = latency () in
       if Prng.int rng 1000 < p.dup_pm then begin
         c.c_duplicated <- c.c_duplicated + 1;
-        let st = Stats.cur () in
-        st.net_duplicated <- st.net_duplicated + 1;
         [ first; latency () ]
       end
       else [ first ]
@@ -139,22 +130,16 @@ let transmit t ~from ~dst =
 let drop_at_send t ~from =
   let c = t.cells.(from) in
   c.c_sent <- c.c_sent + 1;
-  c.c_dropped <- c.c_dropped + 1;
-  let st = Stats.cur () in
-  st.net_dropped <- st.net_dropped + 1
+  c.c_dropped <- c.c_dropped + 1
 
 let drop_at_deliver t ~dst =
   let c = t.cells.(dst) in
-  c.c_dropped <- c.c_dropped + 1;
-  let st = Stats.cur () in
-  st.net_dropped <- st.net_dropped + 1
+  c.c_dropped <- c.c_dropped + 1
 
 let delivered t ~dst ~rounds =
   let c = t.cells.(dst) in
   c.c_delivered <- c.c_delivered + 1;
-  c.c_latency.(min rounds max_latency) <- c.c_latency.(min rounds max_latency) + 1;
-  let st = Stats.cur () in
-  st.net_delivered <- st.net_delivered + 1
+  c.c_latency.(min rounds max_latency) <- c.c_latency.(min rounds max_latency) + 1
 
 (* ----- telemetry ----- *)
 
@@ -187,16 +172,6 @@ let telemetry t =
         t_duplicated = acc.t_duplicated + c.c_duplicated;
       })
     acc t.cells
-
-let reset_telemetry t =
-  Array.iter
-    (fun c ->
-      c.c_sent <- 0;
-      c.c_delivered <- 0;
-      c.c_dropped <- 0;
-      c.c_duplicated <- 0;
-      Array.fill c.c_latency 0 (Array.length c.c_latency) 0)
-    t.cells
 
 let percentile tel p =
   let total = Array.fold_left ( + ) 0 tel.t_latency in

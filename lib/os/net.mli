@@ -73,8 +73,6 @@ val partition : t -> name:string -> groups:int list list -> unit
 (** Remove a named partition (no-op if absent). *)
 val heal : t -> name:string -> unit
 
-val heal_all : t -> unit
-
 (** Is traffic between these two machines currently blocked? *)
 val partitioned : t -> int -> int -> bool
 
@@ -89,8 +87,6 @@ type telemetry = {
 (** Cluster-wide totals, merged over the per-machine cells in machine
     order. *)
 val telemetry : t -> telemetry
-
-val reset_telemetry : t -> unit
 
 (** [percentile tel p] is the smallest latency (rounds) covering [p]%
     of deliveries — 0 when nothing was delivered. *)

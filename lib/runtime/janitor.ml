@@ -120,10 +120,3 @@ let reap k ~policy =
   List.iter (fun e -> remove k e.j_path) victims;
   victims
 
-let pp_entry ppf e =
-  Format.fprintf ppf "slot %4d  0x%08x  %-10s %7dB  %s%s" e.j_slot e.j_addr
-    (kind_to_string e.j_kind) e.j_bytes e.j_path
-    (match (e.j_heap_live, e.j_template) with
-    | Some live, _ -> Printf.sprintf "  (live %dB)" live
-    | _, Some t -> Printf.sprintf "  (from %s)" t
-    | None, None -> "")

@@ -63,5 +63,3 @@ val orphan_policy : Kernel.t -> flagged:string list -> policy
 (** [reap k ~policy] removes every surveyed entry the policy selects and
     returns the removed entries. *)
 val reap : Kernel.t -> policy:policy -> entry list
-
-val pp_entry : Format.formatter -> entry -> unit

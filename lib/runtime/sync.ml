@@ -1,6 +1,5 @@
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc
-module As = Hemlock_vm.Address_space
 module Reg = Hemlock_isa.Reg
 module Cpu = Hemlock_isa.Cpu
 
@@ -28,70 +27,32 @@ let spin_acquire k proc addr =
 
 let spin_release k proc addr = Kernel.store_u32 k proc addr 0
 
-let with_spin k proc addr f =
-  spin_acquire k proc addr;
-  Fun.protect ~finally:(fun () -> spin_release k proc addr) f
-
 (* ----- kernel lock syscalls for ISA programs ----- *)
 
 let lock_sysno = Hemlock_os.Sysno.lock_acquire
 let unlock_sysno = Hemlock_os.Sysno.lock_release
 
-(* Read a user word from syscall context, resolving faults through the
-   SIGSEGV chain (the lock word may live in a not-yet-mapped shared
-   segment). *)
-let syscall_load k proc cpu addr =
-  let rec go fuel =
-    if fuel = 0 then raise (Kernel.Os_error "lock: fault loop")
-    else
-      try As.load_u32 proc.Proc.space addr with
-      | As.Fault { addr = a; access; reason } -> (
-        (* Pager faults are kernel-internal: materialise and retry
-           rather than raising SIGSEGV machinery for them. *)
-        if reason = As.Not_resident && As.resolve_pager proc.Proc.space a access then
-          go (fuel - 1)
-        else
-        match
-          Kernel.deliver_segv k proc { Kernel.f_addr = a; f_access = access; f_reason = reason }
-        with
-        | Kernel.Resolved -> go (fuel - 1)
-        | Kernel.Retry_when cond ->
-          Kernel.block_syscall ~why:(Printf.sprintf "mapping 0x%08x" addr) cpu cond
-        | Kernel.Unhandled ->
-          raise (Kernel.Os_error (Printf.sprintf "lock: fault at 0x%08x" a)))
-  in
-  go 16
+let free_now proc addr () = Kernel.peek_u32 proc addr = Some 0
 
-let free_now proc addr () =
-  match As.load_u32 proc.Proc.space addr with
-  | 0 -> true
-  | _ -> false
-  | exception As.Fault { addr = a; access; reason = As.Not_resident } -> (
-    (* The lock word's page was evicted while we were blocked on it:
-       fault it back in, or the condition could never come true. *)
-    As.resolve_pager proc.Proc.space a access
-    &&
-    match As.load_u32 proc.Proc.space addr with
-    | 0 -> true
-    | _ -> false
-    | exception As.Fault _ -> false)
-  | exception As.Fault _ -> false
-
+(* The lock word may live in a not-yet-mapped shared segment, on an
+   evicted page, or on a page the process still shares copy-on-write
+   after a fork: the kernel's syscall accessors resolve each of these
+   (or block the syscall until a SIGSEGV handler can). *)
 let install k =
   Kernel.register_syscall k lock_sysno (fun k proc cpu ->
       let addr = Cpu.reg cpu Reg.a0 in
-      match syscall_load k proc cpu addr with
-      | 0 ->
-        As.store_u32 proc.Proc.space addr proc.Proc.pid;
+      if Kernel.syscall_load_u32 k proc cpu addr = 0 then begin
+        Kernel.syscall_store_u32 k proc cpu addr proc.Proc.pid;
         Cpu.set_reg cpu Reg.v0 0
-      | _ ->
+      end
+      else
         Kernel.block_syscall
           ~why:(Printf.sprintf "lock word 0x%08x" addr)
           cpu (free_now proc addr));
   Kernel.register_syscall k unlock_sysno (fun k proc cpu ->
       let addr = Cpu.reg cpu Reg.a0 in
-      ignore (syscall_load k proc cpu addr);
-      As.store_u32 proc.Proc.space addr 0;
+      ignore (Kernel.syscall_load_u32 k proc cpu addr);
+      Kernel.syscall_store_u32 k proc cpu addr 0;
       Cpu.set_reg cpu Reg.v0 0)
 
 (* ----- counting semaphores (native) ----- *)
@@ -102,13 +63,11 @@ let sem_post k proc addr = Kernel.store_u32 k proc addr (Kernel.load_u32 k proc 
 
 let sem_wait k proc addr =
   (* Touch the word through the checked path first, so an unmapped
-     semaphore segment is faulted in before the raw polling below. *)
+     semaphore segment is faulted in before the polling below, which
+     resolves only pager faults. *)
   ignore (Kernel.load_u32 k proc addr);
   let positive () =
-    match As.load_u32 proc.Proc.space addr with
-    | 0 -> false
-    | _ -> true
-    | exception As.Fault _ -> false
+    match Kernel.peek_u32 proc addr with Some 0 | None -> false | Some _ -> true
   in
   let rec loop () =
     Proc.wait_until positive;

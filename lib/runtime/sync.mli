@@ -21,17 +21,19 @@ val spin_acquire : Kernel.t -> Proc.t -> int -> unit
 val spin_try_acquire : Kernel.t -> Proc.t -> int -> bool
 val spin_release : Kernel.t -> Proc.t -> int -> unit
 
-(** [with_spin k proc addr f] acquire/release around [f]. *)
-val with_spin : Kernel.t -> Proc.t -> int -> (unit -> 'a) -> 'a
-
 (** {1 Kernel lock syscalls for ISA programs}
 
     [install k] registers two syscalls (returning their numbers is not
     needed — use {!lock_sysno} / {!unlock_sysno}): acquire blocks the
     caller until the word at $a0 is free, then writes its pid; release
-    clears it.  Hem-C programs reach them through
-    [lock_acquire(&word)] / [lock_release(&word)] wrappers emitted as
-    plain syscalls. *)
+    reads the word, then clears it.  Both return 0.  They reach the word
+    through {!Kernel.syscall_load_u32} and {!Kernel.syscall_store_u32},
+    so the word may sit in a not-yet-mapped shared segment, on an
+    evicted page, or on a page a forked child still shares
+    copy-on-write (the caller writes its own copy, as any store would).
+    A blocked acquire wakes when {!Kernel.peek_u32} reads the word as
+    0.  Hem-C programs reach them through [lock_acquire(&word)] /
+    [lock_release(&word)] wrappers emitted as plain syscalls. *)
 
 val lock_sysno : int
 val unlock_sysno : int
@@ -42,5 +44,6 @@ val install : Kernel.t -> unit
 val sem_init : Kernel.t -> Proc.t -> int -> int -> unit
 val sem_post : Kernel.t -> Proc.t -> int -> unit
 
-(** Blocks until the count is positive, then decrements. *)
+(** Blocks until the count is positive (polled through
+    {!Kernel.peek_u32}), then decrements. *)
 val sem_wait : Kernel.t -> Proc.t -> int -> unit

@@ -551,11 +551,6 @@ let path_of_addr t a =
   | Some (p, _off) -> p
   | None -> raise (Error { op; path = Printf.sprintf "0x%08x" a; kind = Not_found })
 
-let slot_owner t a =
-  if Layout.is_public a then
-    Option.map fst (Addr_index.translate t.addr_index a)
-  else None
-
 let rescan_shared t =
   Addr_index.clear t.addr_index;
   Array.fill t.slot_used 0 (Array.length t.slot_used) false;

@@ -125,10 +125,6 @@ val addr_of_path : t -> ?cwd:Path.t -> string -> int
     range contains [a] — the new syscall used by the SIGSEGV handler. *)
 val path_of_addr : t -> int -> string
 
-(** [slot_of_addr_checked t a] is the (slot, in-file offset) for a
-    mapped shared address, if any file occupies that slot. *)
-val slot_owner : t -> int -> string option
-
 (** Rebuild the in-kernel linear addr->path lookup table by scanning the
     whole shared partition, as done at boot time.  Idempotent; used to
     show the mapping survives "crashes". *)
@@ -220,6 +216,6 @@ val shared_free_slots : t -> int
 (** All live (slot, path) pairs, in slot order. *)
 val shared_table : t -> (int * string) list
 
-(** Cumulative probes spent by address translations ({!path_of_addr},
-    {!slot_owner}) — the E12 cost measure, now live in the kernel. *)
+(** Cumulative probes spent by address translations ({!path_of_addr})
+    — the E12 cost measure, now live in the kernel. *)
 val shared_index_probes : t -> int

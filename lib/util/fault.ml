@@ -23,8 +23,6 @@ let counts () = Domain.DLS.get counts_key
 
 let enabled = ref false
 
-let active () = !enabled
-
 let hits site = Option.value ~default:0 (Hashtbl.find_opt (counts ()) site)
 
 let clear () =

@@ -40,9 +40,6 @@ exception Injected of { site : string; failure : failure }
     followed by [Fs.fsck]. *)
 exception Crash of { site : string }
 
-(** Whether any plan is armed.  [false] ⇒ {!hit} is a no-op. *)
-val active : unit -> bool
-
 (** [hit site] advances [site]'s counter and fires the armed action, if
     any, whose countdown has expired.
 

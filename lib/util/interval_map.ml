@@ -18,11 +18,6 @@ let find p t =
   | Some (lo, (hi, v)) when p < hi -> Some (lo, hi, v)
   | Some _ | None -> None
 
-let find_exn p t =
-  match find p t with
-  | Some b -> b
-  | None -> raise Not_found
-
 let mem p t = Option.is_some (find p t)
 
 let overlaps ~lo ~hi t =

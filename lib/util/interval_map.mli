@@ -22,9 +22,6 @@ val overlaps : lo:int -> hi:int -> 'a t -> bool
 (** [find p t] returns the binding whose interval contains point [p]. *)
 val find : int -> 'a t -> (int * int * 'a) option
 
-(** [find_exn p t] is like {!find} but raises [Not_found]. *)
-val find_exn : int -> 'a t -> int * int * 'a
-
 val mem : int -> 'a t -> bool
 
 (** [remove p t] removes the binding whose interval contains [p] (no-op

@@ -62,16 +62,10 @@ type t = {
   mutable plan_fallbacks : int;
       (** link-plan replays abandoned mid-way for the cold path *)
   mutable ipc_retries : int;  (** [pd_call] retries after transient EAGAIN *)
-  mutable net_delivered : int;
-      (** cluster datagrams that landed in a peer inbox (observability
-          only — delivered traffic is billed as [messages_sent]) *)
-  mutable net_dropped : int;
-      (** cluster datagrams lost to the simulated network: profile
-          loss, an active partition, or an injected [net.*] fault *)
-  mutable net_duplicated : int;
-      (** extra datagram copies the simulated network injected *)
   mutable net_retransmits : int;
-      (** reliable-send retransmissions after an ack timeout *)
+      (** reliable-send retransmissions after an ack timeout.  Each
+          datagram's fate (delivered, dropped, duplicated) is counted
+          per machine by [Net.telemetry] alone *)
   mutable cow_faults : int;
       (** protection faults resolved inside the kernel by breaking a
           copy-on-write mapping (never delivered to user handlers, never
@@ -131,19 +125,22 @@ val global : t
     {!Domain_pool} shuts down. *)
 val cur : unit -> t
 
-(** [merge_into ~into t] adds every field of [t] into [into], and
-    raises [into]'s peak to the merged gauge.  The fields are sums (the
-    [resident_pages] gauge merges as the sum of the domains' live
-    resident sets), so the totals are order-independent; the pool still
-    fixes worker-index order as the documented contract. *)
+(** [merge_into ~into t] adds every counter of [t] into [into], adds
+    [t]'s [resident_pages] gauge to [into]'s (the sum of the domains'
+    live resident sets), and raises [into]'s peak to the merged gauge.
+    The totals are order-independent; the pool still fixes worker-index
+    order as the documented contract. *)
 val merge_into : into:t -> t -> unit
 
+(** Zero every counter of {!global}; the [resident_pages] gauge and its
+    peak are left alone. *)
 val reset : unit -> unit
 
 (** An independent snapshot of the current totals. *)
 val snapshot : unit -> t
 
-(** [diff ~before ~after] is the per-field difference. *)
+(** [diff ~before ~after] is a fresh record holding each counter's
+    difference, and [after]'s [resident_pages] gauge and peak. *)
 val diff : before:t -> after:t -> t
 
 (** Abstract "simulated time" of a snapshot: a fixed linear cost model
@@ -157,7 +154,8 @@ val pp : Format.formatter -> t -> unit
     counter deltas it produced. *)
 val measure : (unit -> 'a) -> 'a * t
 
-(** Flat JSON object mapping every counter name to its value, e.g.
+(** Flat JSON object mapping every counter name to its value, then the
+    [resident_pages] gauge (not its peak), e.g.
     [{ "instructions": 123, ... }].  Embedded by perfbench's traces and
     by the linkstat dump. *)
 val to_json : t -> string

@@ -23,7 +23,7 @@ exception Cstring_unterminated of int
 (* A COW mapping keeps its logical protection (what [pp] prints, what a
    later [protect] replaces) but its *effective* protection — what the
    TLB caches and every access checks — has write stripped, so the
-   first store traps into the kernel's [resolve_cow] path. *)
+   first store traps into the kernel, whose [resolve] clears the flag. *)
 let effective m = if m.cow then Prot.strip_write m.prot else m.prot
 
 (* --- Software TLB ---------------------------------------------------
@@ -349,49 +349,65 @@ let fetch t addr =
     let seg, off = translate t addr Prot.Exec 4 in
     Segment.get_u32 seg off
 
-(* --- Bulk fast paths ------------------------------------------------
+(* The kernel's half of the pager and COW protocols: whether a fault
+   at [addr] is one the kernel resolves itself, so the faulting access
+   should be retried.  A [Not_resident] fault in a pageable mapping
+   materialises the page (evicting under a full RAM budget).  A write
+   [Protection] fault on a COW mapping whose logical protection allows
+   the write clears the flag (restoring the original protection) and
+   bumps the epoch, so every cached translation and compiled trace is
+   revalidated; the retried store diverges pages at the segment layer,
+   copying each written page at most once, and not at all when the
+   write is identical to the shared bytes.  Anything else — unmapped, a
+   pinned object, a genuine protection fault — answers false, and the
+   caller delivers SIGSEGV. *)
+let resolve t ~addr ~access reason =
+  match (reason, Interval_map.find addr t.table) with
+  | Not_resident, Some (lo, _, m) when Vm_object.pageable m.obj ->
+    Vm_object.materialise m.obj (m.seg_off + (addr - lo)) ~write:(access = Prot.Write);
+    true
+  | Protection, Some (_, _, m)
+    when access = Prot.Write && m.cow && Prot.allows m.prot Prot.Write ->
+    t.table <- Interval_map.update addr (fun m -> { m with cow = false }) t.table;
+    invalidate t;
+    (Stats.cur ()).cow_faults <- (Stats.cur ()).cow_faults + 1;
+    true
+  | (Unmapped | Protection | Not_resident), _ -> false
 
-   The byte-at-a-time loops translated every single byte.  These
-   translate once per mapping run and blit within the segment.  The
-   observable behaviour — partial effects before a fault, fault
-   addresses, and the [Invalid_argument] raised when a run crosses the
-   backing segment's [max_size] — matches the byte loops exactly: runs
-   are clamped to segment capacity, and a zero-capacity run performs a
-   single byte access to raise the identical exception. *)
+(* --- Bulk fast path -------------------------------------------------
 
-(* Returns the usable run length at [addr] for [access] ([>= 1]), after
-   the same bounds-then-protection checks a 1-byte [translate] does.
+   [read_cstring] translates once per mapping run and blits within the
+   segment instead of translating every byte.  The observable behaviour
+   — fault addresses, and the [Invalid_argument] raised when a run
+   crosses the backing segment's [max_size] — matches a byte loop
+   exactly: runs are clamped to segment capacity, and a zero-capacity
+   run performs a single byte read to raise the identical exception. *)
 
-   Pager interaction: bulk spans self-serve their pager faults — the
-   syscall layer never delivered per-page faults for these, and routing
-   [Not_resident] out to the kernel here would restart the whole copy
-   per page (or exhaust the bounded ISA retry fuel on spans longer than
-   it).  The first page is materialised directly if needed; the run is
-   then clamped to the resident prefix, so each following page is
+(* Returns the usable read run at [addr] ([>= 1]), after the same
+   bounds-then-protection checks a 1-byte [translate] does.
+
+   Pager interaction: the run self-serves its pager faults — routing
+   [Not_resident] out to the kernel here would restart the whole string
+   per page (or exhaust the bounded syscall retry fuel on strings longer
+   than it).  The first page is materialised directly if needed; the
+   run is then clamped to the resident prefix, so each following page is
    materialised by its own [bulk_run] call — a single forward pass even
    when the span exceeds the RAM budget and early pages are evicted
    while later ones fault in. *)
-let bulk_run t addr access ~want =
+let bulk_run t addr ~want =
   let seg, off, run, prot =
-    try lookup t addr access
-    with Fault { reason = Not_resident; _ } ->
-      (match Interval_map.find addr t.table with
-      | Some (lo, _, m) ->
-        Vm_object.materialise m.obj
-          (m.seg_off + (addr - lo))
-          ~write:(access = Prot.Write)
-      | None -> ());
-      lookup t addr access
+    try lookup t addr Prot.Read
+    with Fault { reason = Not_resident; _ }
+      when resolve t ~addr ~access:Prot.Read Not_resident ->
+      lookup t addr Prot.Read
   in
-  if not (Prot.allows prot access) then
-    raise (Fault { addr; access; reason = Protection });
+  if not (Prot.allows prot Prot.Read) then
+    raise (Fault { addr; access = Prot.Read; reason = Protection });
   let cap = Segment.max_size seg - off in
   if cap <= 0 then begin
     (* Out of backing capacity: raise the same [Invalid_argument] the
-       equivalent single-byte access would. *)
-    (match access with
-    | Prot.Write -> Segment.set_u8 seg off 0
-    | Prot.Read | Prot.Exec -> ignore (Segment.get_u8 seg off));
+       equivalent single-byte read would. *)
+    ignore (Segment.get_u8 seg off);
     assert false
   end;
   let n = min want (min run cap) in
@@ -403,7 +419,7 @@ let bulk_run t addr access ~want =
       let rec resident_prefix k =
         if k >= n then n
         else if Vm_object.resident m.obj (moff + k) then begin
-          Vm_object.touch m.obj (moff + k) ~write:(access = Prot.Write);
+          Vm_object.touch m.obj (moff + k) ~write:false;
           resident_prefix (k + Layout.page_size)
         end
         else k
@@ -413,25 +429,6 @@ let bulk_run t addr access ~want =
   in
   (seg, off, n)
 
-let read_bytes t addr len =
-  let out = Bytes.make len '\000' in
-  let i = ref 0 in
-  while !i < len do
-    let seg, off, n = bulk_run t (addr + !i) Prot.Read ~want:(len - !i) in
-    Segment.read_into seg ~src_off:off out ~dst_off:!i ~len:n;
-    i := !i + n
-  done;
-  out
-
-let write_bytes t addr b =
-  let len = Bytes.length b in
-  let i = ref 0 in
-  while !i < len do
-    let seg, off, n = bulk_run t (addr + !i) Prot.Write ~want:(len - !i) in
-    Segment.write_from seg ~dst_off:off b ~src_off:!i ~len:n;
-    i := !i + n
-  done
-
 let read_cstring t addr =
   let limit = 0x1_0000 in
   let buf = Buffer.create 32 in
@@ -439,7 +436,7 @@ let read_cstring t addr =
   let rec go i =
     if i >= limit then raise (Cstring_unterminated addr);
     let seg, off, n =
-      bulk_run t (addr + i) Prot.Read ~want:(min 256 (limit - i))
+      bulk_run t (addr + i) ~want:(min 256 (limit - i))
     in
     Segment.read_into seg ~src_off:off chunk ~dst_off:0 ~len:n;
     match Bytes.index_from_opt chunk 0 '\000' with
@@ -510,36 +507,6 @@ let clone t =
     invalidate t
   end;
   child
-
-(* Kernel-side resolution of a [Not_resident] fault: if [addr] lies in
-   a pageable mapping, materialise the page (evicting under a full RAM
-   budget) and let the caller retry the access.  Returns false when the
-   fault cannot be a pager fault — unmapped, or a pinned object — so
-   the caller falls through to COW/SIGSEGV handling. *)
-let resolve_pager t addr access =
-  match Interval_map.find addr t.table with
-  | Some (lo, _, m) when Vm_object.pageable m.obj ->
-    Vm_object.materialise m.obj (m.seg_off + (addr - lo)) ~write:(access = Prot.Write);
-    true
-  | Some _ | None -> false
-
-(* Kernel-side resolution of a COW write fault: if [addr] lies in a COW
-   mapping whose logical protection allows the write, clear the flag
-   (restoring the original protection), bump the epoch so every cached
-   translation and compiled trace is revalidated, and let the caller
-   retry the access.  The retried store diverges pages at the segment
-   layer — copying each written page at most once, and not at all when
-   the write is identical to the shared bytes.  Returns false for
-   genuine protection faults, which the caller must deliver as
-   SIGSEGV. *)
-let resolve_cow t addr =
-  match Interval_map.find addr t.table with
-  | Some (_, _, m) when m.cow && Prot.allows m.prot Prot.Write ->
-    t.table <- Interval_map.update addr (fun m -> { m with cow = false }) t.table;
-    invalidate t;
-    (Stats.cur ()).cow_faults <- (Stats.cur ()).cow_faults + 1;
-    true
-  | Some _ | None -> false
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -11,7 +11,7 @@ type t
 (** Why an access faulted: the address had no mapping at all, the
     mapping's protection forbade the access, or the page is mapped but
     not materialised ([Not_resident] — resolved kernel-internally by
-    {!resolve_pager}, never delivered to user handlers and never billed,
+    {!resolve}, never delivered to user handlers and never billed,
     exactly like COW).  Checked in that order: bounds, then residency,
     then protection. *)
 type fault_reason = Unmapped | Protection | Not_resident
@@ -27,13 +27,13 @@ type mapping = {
   seg_off : int;  (** segment offset backing the mapping's base *)
   prot : Prot.t;  (** logical protection (what {!pp} shows); a COW
                       mapping's {e effective} protection additionally
-                      strips write until {!resolve_cow} runs *)
+                      strips write until {!resolve} clears [cow] *)
   share : share;
   label : string;  (** human-readable provenance, e.g. a module path *)
   cow : bool;
       (** set by {!clone} on writable private mappings: pages are
           refcount-shared with the other space and the first store must
-          fault into {!resolve_cow} *)
+          fault into {!resolve} *)
   obj : Vm_object.t;
       (** pager-side identity: residency, backing kind, clock state.
           Shared by every mapping of the same segment through one
@@ -50,8 +50,9 @@ exception Cstring_unterminated of int
     kernel passes its own).  Its clones share the pager.  It has a
     software TLB when {!Hemlock_util.Config.t.tlb} is on at creation,
     and its clones inherit the choice; without one every access takes
-    the interval-map slow path.  The TLB and the bulk-copy fast paths
-    are observability-only: simulated costs are identical either way. *)
+    the interval-map slow path.  The TLB and {!read_cstring}'s bulk
+    reads are observability-only: simulated costs are identical either
+    way. *)
 val create : ?pager:Vm_object.pager -> unit -> t
 
 (** The pager this space maps through. *)
@@ -146,13 +147,11 @@ val exec_view : t -> int -> Segment.t * int * int
     by the trace JIT to fill its inline load/store caches. *)
 val data_view : t -> int -> Prot.access -> (Segment.t * int * int) option
 
-(** [read_bytes t addr len] performs [len] checked byte reads. *)
-val read_bytes : t -> int -> int -> Bytes.t
-
-(** [write_bytes t addr b] performs checked byte writes. *)
-val write_bytes : t -> int -> Bytes.t -> unit
-
-(** Read a NUL-terminated string (bounded at 64 KB). *)
+(** Read a NUL-terminated string (bounded at 64 KB), one translation
+    and blit per mapping run rather than per byte.  Pager faults inside
+    the string are resolved in place (the run streams through a budget
+    smaller than the string); any other fault is raised at the address
+    a byte loop would fault at. *)
 val read_cstring : t -> int -> string
 
 (** [clone t] implements the memory half of fork: private mappings get
@@ -162,25 +161,24 @@ val read_cstring : t -> int -> string
     reference count, writable private mappings are flagged [cow] in
     {e both} spaces (effective protection loses write, and both TLBs are
     flushed via the epoch), and nothing is billed to [bytes_copied];
-    the first store on either side faults into {!resolve_cow}.  With it
+    the first store on either side faults into {!resolve}.  With it
     off, eager deep copies billed to [bytes_copied], as before. *)
 val clone : t -> t
 
-(** [resolve_cow t addr] is the kernel's half of the COW protocol: on a
-    write protection fault at [addr], if the mapping is [cow] and its
-    logical protection allows the write, clear the flag (restoring the
-    original protection), bump the {!epoch}, bill one [cow_faults], and
-    return [true] — the caller retries the faulting access, which
-    un-shares pages one by one at the segment layer as it writes.
-    Returns [false] for genuine protection faults (deliver SIGSEGV). *)
-val resolve_cow : t -> int -> bool
-
-(** [resolve_pager t addr access] is the kernel's half of the demand
-    paging protocol: on a [Not_resident] fault, materialise the page
-    (evicting a victim first when the RAM budget is full), bill
-    [major_faults]/[minor_faults], and return [true] — the caller
-    retries the access.  Returns [false] when [addr] is unmapped or the
-    mapping is pinned (fall through to COW/SIGSEGV handling). *)
-val resolve_pager : t -> int -> Prot.access -> bool
+(** [resolve t ~addr ~access reason] is the kernel's half of the pager
+    and COW protocols, the one rule every kernel path that touches user
+    memory applies before SIGSEGV delivery.  It answers whether the
+    faulting access should be retried:
+    - a [Not_resident] fault in a pageable mapping materialises the page
+      (evicting a victim first when the RAM budget is full) and bills
+      [major_faults]/[minor_faults];
+    - a [Write] [Protection] fault on a [cow] mapping whose logical
+      protection allows the write clears the flag (restoring the
+      original protection), bumps the {!epoch} and bills one
+      [cow_faults]; the retried store un-shares pages one by one at the
+      segment layer as it writes;
+    - anything else (unmapped, a pinned object, a genuine protection
+      fault) answers [false]: deliver SIGSEGV. *)
+val resolve : t -> addr:int -> access:Prot.access -> fault_reason -> bool
 
 val pp : Format.formatter -> t -> unit

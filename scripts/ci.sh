@@ -1,7 +1,9 @@
 #!/bin/sh
 # Full gate: the ownership rule (lib/ keeps per-domain state only for
 # Stats and Fault's hit counters; everything else hangs off its kernel);
-# the test suite (crash consistency included) and E1-E13 against the
+# the user-memory rule (only lib/vm, lib/isa and lib/os call the address
+# space's accessors or its fault resolver; every other library reaches
+# user memory through Kernel's accessors); the test suite (crash consistency included) and E1-E13 against the
 # golden transcript under four configurations; the examples; `perf`, the
 # JIT's throughput floors over the cache-less and the TLB-only
 # interpreter; and one untimed world of each benchmark workload, none of
@@ -60,6 +62,19 @@ if [ "$keys" != "lib/util/fault.ml lib/util/stats.ml " ]; then
   exit 1
 fi
 echo "Domain.DLS keys only in $keys"
+
+# Kernel code reaches user memory one way: Kernel's accessors resolve a
+# pager or copy-on-write fault and deliver the rest as SIGSEGV.  A raw
+# access from a registered syscall would leave that rule to its caller.
+echo "== user memory (gate: address-space accessors only in lib/vm, lib/isa and lib/os) =="
+raw=$(grep -rnE '\b(As|Address_space)\.(load_u8|load_u32|store_u8|store_u32|fetch|read_cstring|resolve)\b' lib \
+  | grep -vE '^lib/(vm|isa|os)/' || true)
+if [ -n "$raw" ]; then
+  echo "address-space accessors called outside lib/vm, lib/isa and lib/os:"
+  echo "$raw"
+  exit 1
+fi
+echo "address-space accessors called only in lib/vm, lib/isa and lib/os"
 
 for row in "" "$ORACLE" "$SQUEEZE" "$CLUSTER"; do
   echo "== tests (${row:-default}) =="

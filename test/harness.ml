@@ -47,17 +47,12 @@ let run_program k ?env path =
   (proc, Kernel.console k)
 
 (** The kernel's side of the pager and COW protocols, for direct
-    address-space tests: a Not_resident fault retries [f] after
-    [resolve_pager] materialises the page, a COW write-protection fault
-    after [resolve_cow]; anything else propagates. *)
+    address-space tests: a fault [As.resolve] resolves retries [f];
+    anything else propagates. *)
 let rec resolving sp f =
   let module As = Hemlock_vm.Address_space in
   try f () with
-  | As.Fault { addr; access; reason = As.Not_resident } when As.resolve_pager sp addr access ->
-    resolving sp f
-  | As.Fault { addr; access = Hemlock_vm.Prot.Write; reason = As.Protection }
-    when As.resolve_cow sp addr ->
-    resolving sp f
+  | As.Fault { addr; access; reason } when As.resolve sp ~addr ~access reason -> resolving sp f
 
 (** A public-module template with one counter. *)
 let counter_template = "int counter;\nint bump() { counter = counter + 1; return counter; }\n"

@@ -115,8 +115,8 @@ let cow_genuine_fault_not_swallowed () =
       | () -> Alcotest.fail "store through read-only must fault"
       | exception As.Fault { access = Prot.Write; reason = As.Protection; addr }
         ->
-        check_bool "resolve_cow refuses a genuine protection fault" false
-          (As.resolve_cow child addr));
+        check_bool "resolve refuses a genuine protection fault" false
+          (As.resolve child ~addr ~access:Prot.Write As.Protection));
       (* Opening the protection back up re-arms the COW protocol. *)
       As.protect child 0x1000 Prot.Read_write;
       store_u8_cow child 0x1000 0x42;
@@ -131,7 +131,7 @@ let no_syscall _ = Alcotest.fail "unexpected syscall"
 (* Parent patches its own text after fork: the parent must execute the
    new instruction, the child the old one — even with both TLBs warm.
    The parent's page copy lands only in the parent's segment (and
-   [resolve_cow] bumps only the parent's epoch), so the child's
+   [As.resolve] bumps only the parent's epoch), so the child's
    translations stay valid, as they should. *)
 let cow_self_modifying_after_fork () =
   with_cow true (fun () ->

@@ -315,10 +315,13 @@ let print_case c =
     (match c.crash with None -> "none" | Some (site, n) -> Printf.sprintf "%s@%d" site n)
 
 (* The main program forks after dirtying [heap] pages and printing
-   [pre_fork] terms.  The child and the parent print the other terms in
-   opposite orders, chosen by [order]: flag.o exports 0 from /home/lib
-   and 1 from /home/lib2, so an exec with LD_LIBRARY_PATH naming
-   /home/lib2 links its modules in another order. *)
+   [pre_fork] terms.  The child first takes and releases a lock on a
+   word of the heap's first page, which it still shares copy-on-write,
+   and prints both results; only then does it store to that page.  The
+   child and the parent print the other terms in opposite orders,
+   chosen by [order]: flag.o exports 0 from /home/lib and 1 from
+   /home/lib2, so an exec with LD_LIBRARY_PATH naming /home/lib2 links
+   its modules in another order. *)
 let main_src c ~externs ~terms =
   let prints ts =
     String.concat "" (List.map (Printf.sprintf "    print_int(%s); print_str(\" \");\n") ts)
@@ -336,6 +339,8 @@ let main_src c ~externs ~terms =
     \  while (i < %d) { p[i] = i; i = i + 1024; }\n\
      %s  pid = fork();\n\
     \  if (pid == 0) {\n\
+    \    print_int(lock_acquire(&p[1])); print_str(\" \");\n\
+    \    print_int(lock_release(&p[1])); print_str(\" \");\n\
     \    if (%d > 0) { p[0] = 99; }\n\
      %s    exit(3);\n\
     \  }\n\
@@ -591,6 +596,56 @@ int main() {
              patch ();
              0));
       log (exec k ldl "patched" "/home/t/prog"))
+
+(* A forked child locks a private global it still shares copy-on-write
+   with its parent: the acquire probe takes the lock and releases it,
+   the release probe releases the lock its parent took before the fork.
+   POSIX fork has the child write its own copy whichever path does the
+   write, here a registered syscall rather than a store instruction, so
+   each syscall returns 0 and the word reads back what it stored.  Under
+   both settings below the syscall's store takes a copy-on-write fault;
+   the second also compiles every block and pages under 32 pages of
+   RAM. *)
+let lock_probe name ~expect src =
+  fixed name
+    [ all_on (); all_on ~threshold:1 ~ram:32 () ]
+    ~extra:(fun _ base _ -> check_string "the oracle's console" expect (find base "run").shown)
+    (fun log -> ignore (program src [ "run" ] log))
+
+let lock_acquire_input =
+  lock_probe "a forked child's lock_acquire writes its own copy" ~expect:"0 1 0 0"
+    {|
+int w;
+int main() {
+  int r;
+  if (fork() == 0) {
+    r = lock_acquire(&w);
+    print_int(r); print_str(" "); print_int(w == getpid()); print_str(" ");
+    r = lock_release(&w);
+    print_int(r); print_str(" "); print_int(w);
+    exit(0);
+  }
+  wait();
+  return 0;
+}
+|}
+
+let lock_release_input =
+  lock_probe "a forked child's lock_release writes its own copy" ~expect:"0 0"
+    {|
+int w;
+int main() {
+  int r;
+  lock_acquire(&w);
+  if (fork() == 0) {
+    r = lock_release(&w);
+    print_int(r); print_str(" "); print_int(w);
+    exit(0);
+  }
+  wait();
+  return 0;
+}
+|}
 
 (* Syscall errnos reach the program as negative v0 whatever serves its
    fetches and loads. *)
@@ -850,4 +905,5 @@ let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
     shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
+    lock_acquire_input; lock_release_input;
   ]

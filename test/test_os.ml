@@ -273,6 +273,30 @@ int main() {
   ignore out;
   check_bool "killed message" true (contains (Kernel.console k) "fault at 0x00000040")
 
+(* A registered syscall that stores to user memory raw, not through the
+   kernel's syscall accessors: the fault escapes it and kills the caller,
+   even a copy-on-write fault the kernel could resolve, because the pc
+   is already past the trap and there is nothing to retry. *)
+let raw_syscall_fault_kills () =
+  let k, ldl = boot () in
+  Kernel.register_syscall k Hemlock_os.Sysno.lock_acquire (fun _ proc cpu ->
+      As.store_u32 proc.Proc.space (Hemlock_isa.Cpu.reg cpu Hemlock_isa.Reg.a0) 1);
+  let out =
+    Config.with_ { Config.current with cow = true } (fun () ->
+        run_c_program (k, ldl)
+          {|
+int w;
+int main() {
+  if (fork() == 0) { lock_acquire(&w); print_int(77); exit(0); }
+  wait();
+  print_int(w);
+  return 0;
+}|})
+  in
+  check_bool "the child is killed by the fault" true (contains out "killed: write fault");
+  check_bool "the child runs no further" false (contains out "77");
+  check_bool "the parent's copy is untouched" true (String.ends_with ~suffix:"0" out)
+
 let isa_addr_translation_syscalls () =
   let k, _ = boot () in
   Fs.create_file (Kernel.fs k) "/shared/blob";
@@ -518,6 +542,7 @@ let suite =
     test "isa: fork copies private data (s5)" isa_fork_wait;
     test "isa: sbrk heap" isa_sbrk;
     test "isa: unhandled segfault kills" isa_segfault_kills;
+    test "isa: a raw fault in a registered syscall kills" raw_syscall_fault_kills;
     test "isa: addr<->path kernel calls" isa_addr_translation_syscalls;
     test "kernel: exec replaces the image" exec_resets_image;
     test "kernel: zombies stay inspectable until reaped" zombie_inspectable_until_reaped;

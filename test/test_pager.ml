@@ -435,6 +435,35 @@ let crash_prop (ordinal, salt) =
           (String.concat "; " r1.Fs.fsck_repairs);
       true)
 
+(* A semaphore word evicted while its waiter sleeps: the poster's
+   sweep of a larger file pushes the word's page out of an 8-page RAM
+   after the post, and the waiter's wake-up condition must fault it
+   back in, or the post never wakes it. *)
+let sem_wakes_after_eviction () =
+  with_pager ~ram:8 true (fun () ->
+      let k = Kernel.create () in
+      let fs = Kernel.fs k in
+      Fs.write_file fs "/shared/sem" (Bytes.make Layout.page_size '\000');
+      Fs.write_file fs "/shared/big" (Bytes.make (16 * Layout.page_size) 'x');
+      let map k proc path = Kernel.map_shared_file k proc ~path ~prot:Prot.Read_write in
+      let woke = ref false in
+      ignore
+        (Kernel.spawn_native k ~name:"waiter" (fun k proc ->
+             Hemlock_runtime.Sync.sem_wait k proc (map k proc "/shared/sem");
+             woke := true;
+             0));
+      ignore
+        (Kernel.spawn_native k ~name:"poster" (fun k proc ->
+             let sem = map k proc "/shared/sem" and big = map k proc "/shared/big" in
+             Hemlock_runtime.Sync.sem_post k proc sem;
+             for pg = 0 to 15 do
+               ignore (Kernel.load_u32 k proc (big + (pg * Layout.page_size)))
+             done;
+             0));
+      let (), d = Stats.measure (fun () -> Kernel.run k) in
+      check_bool "the sweep evicts" true (d.Stats.pages_evicted > 0);
+      check_bool "the waiter woke" true !woke)
+
 let suite =
   [
     test "demand: first touch materialises, resident hits do not" demand_materialise;
@@ -449,6 +478,7 @@ let suite =
     test "writeback: crash at the barrier is fsck-recoverable" eviction_crash_recovers;
     test "writeback: a page changed after the crash is a stale intent" eviction_crash_stale_page;
     test "writeback: a flush that does not crash allocates nothing" writeback_allocates_nothing;
+    test "evict: a semaphore evicted under its waiter still wakes it" sem_wakes_after_eviction;
     prop "lockstep: pager on (tiny RAM) matches eager oracle" ~count:120
       lockstep_gen lockstep_prop;
     prop "crash sweep: pageout crashes recover idempotently" ~count:60 crash_gen
