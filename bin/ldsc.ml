@@ -69,6 +69,7 @@ let cmd_run specs lib_dirs env_pairs use_gp show_stats show_layout show_linkstat
   if specs = [] then failwith "no input files";
   let k = Kernel.create () in
   let ldl = Ldl.install k in
+  Ldl.set_linkstat ldl show_linkstat;
   Hemlock_runtime.Sync.install k;
   let fs = Kernel.fs k in
   Fs.mkdir fs "/home/work";
@@ -194,9 +195,11 @@ let layout_arg =
 
 let linkstat_arg =
   Arg.(value & flag & info [ "linkstat" ]
-         ~doc:"Print the kernel linkstat dump: per-process symbol-resolution \
-               provenance (cold walk vs. plan replay vs. stable-boot replay, hash \
-               vs. linear probe) and the full cost-counter snapshot, as JSON.")
+         ~doc:"Record and print the kernel linkstat dump: per-process \
+               symbol-resolution provenance (cold walk vs. plan replay vs. \
+               stable-boot replay, hash vs. linear probe) and the full \
+               cost-counter snapshot, as JSON.  Provenance is recorded only \
+               with this flag.")
 
 let runs_arg =
   Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N"

@@ -191,8 +191,8 @@ let run_postprocessed ldl ~workers ~work_iters ~app_id =
   (* Bill the groveling: the paper's post-processor consumed a quarter to
      a third of total compilation time; ~60 cycles of lex work per
      assembly line reproduces that share against our pipeline. *)
-  Hemlock_util.(Stats.cur ()).instructions <-
-    Hemlock_util.(Stats.cur ()).instructions + (60 * lines_scanned);
+  let s = Hemlock_util.Stats.cur () in
+  s.instructions <- s.instructions + (60 * lines_scanned);
   let asm', rewritten = postprocess ~shared asm in
   let obj =
     match Hemlock_isa.Asm.assemble ~name:"main.o" asm' with

@@ -133,7 +133,8 @@ module Files = struct
 
   let read_all k proc =
     let fs = Kernel.fs k in
-    (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1 (* readdir *);
+    let s = Stats.cur () in
+    s.syscalls <- s.syscalls + 1 (* readdir *);
     let names = Fs.readdir fs spool in
     List.filter_map
       (fun name ->

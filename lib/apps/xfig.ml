@@ -102,8 +102,8 @@ let file_session k proc ~path ~n_new ~dup =
      the shared version pays through its checked accesses, so the two
      sessions differ only in translation and file traffic. *)
   let bill objs =
-    Hemlock_util.(Stats.cur ()).instructions <-
-      Hemlock_util.(Stats.cur ()).instructions + ((n_fields + 1) * List.length objs)
+    let s = Hemlock_util.Stats.cur () in
+    s.instructions <- s.instructions + ((n_fields + 1) * List.length objs)
   in
   bill objs;
   let objs =

@@ -180,7 +180,8 @@ let load t proc ~located =
     List.iter
       (fun r ->
         let at = bases r.Objfile.rel_section + r.Objfile.rel_offset in
-        (Stats.cur ()).relocs_applied <- (Stats.cur ()).relocs_applied + 1;
+        let s = Stats.cur () in
+        s.relocs_applied <- s.relocs_applied + 1;
         match r.Objfile.rel_kind with
         | Objfile.Jump26 ->
           (* Lazy function binding: always through the jump table, even
@@ -192,7 +193,7 @@ let load t proc ~located =
         | Objfile.Abs32 | Objfile.Hi16 | Objfile.Lo16 -> (
           match resolve_data r.Objfile.rel_symbol with
           | Some addr ->
-            (Stats.cur ()).symbols_resolved <- (Stats.cur ()).symbols_resolved + 1;
+            s.symbols_resolved <- s.symbols_resolved + 1;
             Reloc_engine.apply sink ~at ~kind:r.Objfile.rel_kind
               ~value:(addr + r.Objfile.rel_addend) ~gp:None ~veneer:None
           | None ->
@@ -202,7 +203,8 @@ let load t proc ~located =
         | Objfile.Gprel16 -> errf "gp-relative relocation in %s" inst.Modinst.inst_key)
       obj.Objfile.relocs;
     inst.Modinst.inst_linked <- true;
-    (Stats.cur ()).modules_linked <- (Stats.cur ()).modules_linked + 1
+    let s = Stats.cur () in
+    s.modules_linked <- s.modules_linked + 1
   in
   List.iter link_one instances
 
@@ -229,7 +231,8 @@ let install k =
             write_stub_direct ps ~addr:stub.st_addr ~target;
             stub.st_bound <- true;
             ps.ps_bound <- ps.ps_bound + 1;
-            (Stats.cur ()).symbols_resolved <- (Stats.cur ()).symbols_resolved + 1
+            let s = Stats.cur () in
+            s.symbols_resolved <- s.symbols_resolved + 1
           end;
           (* Restart execution at the target; $ra still holds the
              original caller's return address. *)

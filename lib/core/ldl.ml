@@ -24,13 +24,13 @@ exception Would_block of (unit -> bool)
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
 
-(* Per-symbol resolution provenance (observability only): how the last
-   resolution of each name was answered, and how often the name was
-   resolved at all.  Strings are kept flat so the JSON export needs no
-   joins: [pv_source] is "cold" | "replay" | "stable" | "dlsym",
-   [pv_probe] is "hash" | "linear" | "plan", [pv_origin] is
-   the exporting instance key (or "image" | "plan" | "own"), [pv_scope]
-   the scope label the walk found it at. *)
+(* Per-symbol resolution provenance (observability only, recorded while
+   linkstat is armed): how the last resolution of each name was
+   answered, and how often the name was resolved at all.  Strings are
+   kept flat so the JSON export needs no joins: [pv_source] is "cold" |
+   "replay" | "stable" | "dlsym", [pv_probe] is "hash" | "linear" |
+   "plan", [pv_origin] is the exporting instance key (or "image" |
+   "plan" | "own"), [pv_scope] the scope label the walk found it at. *)
 type prov = {
   mutable pv_count : int;
   mutable pv_source : string;
@@ -46,6 +46,17 @@ type scope_index = {
   mutable si_rest : string list;
   si_exports : (string, int * string) Hashtbl.t;
 }
+
+(* Scope nodes by identity: a node is shared by every walk through it,
+   so [==] finds its index without comparing module lists and parent
+   chains.  A structurally equal node (a replayed plan's parent scope)
+   gets an index of its own, which answers as the first would. *)
+module Scope_tbl = Hashtbl.Make (struct
+  type t = Modinst.scope
+
+  let equal = ( == )
+  let hash s = Hashtbl.hash s.Modinst.sc_label
+end)
 
 type pstate = {
   mutable ps_aout : Aout.t option;
@@ -67,9 +78,10 @@ type pstate = {
   (* per-scope export indexes, all valid for [ps_index_gen] only
      (instances never move within a process, so an index can only go
      stale through the namespace) *)
-  ps_index : (Modinst.scope, scope_index) Hashtbl.t;
+  ps_index : scope_index Scope_tbl.t;
   mutable ps_index_gen : int;
-  (* host-side: per-symbol resolution provenance for linkstat *)
+  (* host-side: per-symbol resolution provenance for linkstat, filled
+     only while [linkstat] is armed *)
   ps_prov : (string, prov) Hashtbl.t;
   (* incrementally-maintained digest of the instance set: the XOR of
      each instance's fragment digest.  XOR makes the combination
@@ -85,6 +97,8 @@ type t = {
   states : (int, pstate) Hashtbl.t;
   mutable warn : string list;
   mutable bind_now : bool;
+  (* linkstat: record each resolution's provenance in [ps_prov] *)
+  mutable linkstat : bool;
   plans : Modinst.scope Link_plan.store;  (* kernel-wide memoized link plans *)
   (* Host-side memos of this kernel's files, each entry keyed by a file
      segment id and tagged with the version it was built from (see
@@ -109,6 +123,8 @@ type t = {
 let kernel t = t.k
 
 let set_bind_now t v = t.bind_now <- v
+
+let set_linkstat t v = t.linkstat <- v
 
 let warnings t = List.rev t.warn
 
@@ -135,24 +151,25 @@ let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next 
     ps_sorted = [||];
     ps_by_key = Hashtbl.create 16;
     ps_unlinked = [];
-    ps_index = Hashtbl.create 16;
+    ps_index = Scope_tbl.create 16;
     ps_index_gen = -1;
     ps_prov = Hashtbl.create 64;
     ps_digest = Bytes.make 16 '\000';
   }
 
-let note_prov ps name ~source ~probe ~origin ~scope =
-  match Hashtbl.find_opt ps.ps_prov name with
-  | Some p ->
-    p.pv_count <- p.pv_count + 1;
-    p.pv_source <- source;
-    p.pv_probe <- probe;
-    p.pv_origin <- origin;
-    p.pv_scope <- scope
-  | None ->
-    Hashtbl.replace ps.ps_prov name
-      { pv_count = 1; pv_source = source; pv_probe = probe; pv_origin = origin;
-        pv_scope = scope }
+let note_prov t ps name ~source ~probe ~origin ~scope =
+  if t.linkstat then
+    match Hashtbl.find_opt ps.ps_prov name with
+    | Some p ->
+      p.pv_count <- p.pv_count + 1;
+      p.pv_source <- source;
+      p.pv_probe <- probe;
+      p.pv_origin <- origin;
+      p.pv_scope <- scope
+    | None ->
+      Hashtbl.replace ps.ps_prov name
+        { pv_count = 1; pv_source = source; pv_probe = probe; pv_origin = origin;
+          pv_scope = scope }
 
 let instances t proc =
   match state t proc with Some ps -> List.rev ps.ps_instances | None -> []
@@ -240,7 +257,7 @@ let memo tbl (sid, sver) build =
     Hashtbl.replace tbl sid (sver, v);
     v
 
-let decode t src bytes = memo t.objs src (fun () -> Objfile.parse bytes)
+let decode t src bytes = memo t.objs src (fun () -> Objfile.parse (bytes ()))
 
 let is_shared_located located =
   Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root located)
@@ -319,7 +336,8 @@ let instantiate t proc ps ~located ~public ~parent_scope =
   let unwind () =
     if !mapped <> [] then begin
       As.release ~only:!mapped proc.Proc.space;
-      (Stats.cur ()).link_rollbacks <- (Stats.cur ()).link_rollbacks + 1
+      let s = Stats.cur () in
+      s.link_rollbacks <- s.link_rollbacks + 1
     end
   in
   let inst =
@@ -336,7 +354,8 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         Fault.hit "ldl.instantiate.mid";
         if fully then begin
           inst.Modinst.inst_linked <- true;
-          (Stats.cur ()).modules_linked <- (Stats.cur ()).modules_linked + 1
+          let s = Stats.cur () in
+          s.modules_linked <- s.modules_linked + 1
         end;
         inst
       end
@@ -367,7 +386,8 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         Fault.hit "ldl.instantiate.mid";
         if prot = Prot.Read_write_exec then begin
           inst.Modinst.inst_linked <- true;
-          (Stats.cur ()).modules_linked <- (Stats.cur ()).modules_linked + 1
+          let s = Stats.cur () in
+          s.modules_linked <- s.modules_linked + 1
         end;
         inst
       end
@@ -449,14 +469,14 @@ let in_list_linear t proc ps scope name =
 let scope_index t ps scope =
   let gen = Fs.generation (Kernel.fs t.k) in
   if gen <> ps.ps_index_gen then begin
-    Hashtbl.reset ps.ps_index;
+    Scope_tbl.reset ps.ps_index;
     ps.ps_index_gen <- gen
   end;
-  match Hashtbl.find_opt ps.ps_index scope with
+  match Scope_tbl.find_opt ps.ps_index scope with
   | Some ix -> ix
   | None ->
     let ix = { si_rest = scope.Modinst.sc_modules; si_exports = Hashtbl.create 16 } in
-    Hashtbl.replace ps.ps_index scope ix;
+    Scope_tbl.replace ps.ps_index scope ix;
     ix
 
 let in_list_indexed t proc ps scope name =
@@ -464,7 +484,8 @@ let in_list_indexed t proc ps scope name =
   let rec go () =
     match Hashtbl.find_opt ix.si_exports name with
     | Some hit ->
-      (Stats.cur ()).sym_hash_hits <- (Stats.cur ()).sym_hash_hits + 1;
+      let s = Stats.cur () in
+      s.sym_hash_hits <- s.sym_hash_hits + 1;
       Some hit
     | None -> (
       match ix.si_rest with
@@ -623,7 +644,7 @@ let planned t proc ps ~key ~cold_resolve ~run =
         run (fun name ->
             match Hashtbl.find_opt plan.Link_plan.plan_addrs name with
             | Some addr ->
-              note_prov ps name ~source ~probe:"plan" ~origin:"plan" ~scope:"";
+              note_prov t ps name ~source ~probe:"plan" ~origin:"plan" ~scope:"";
               Some addr
             | None -> None)
       | false ->
@@ -632,7 +653,8 @@ let planned t proc ps ~key ~cold_resolve ~run =
         if plan.Link_plan.plan_copy <> Unsaved then Stable_link.reject fs ~key;
         run cold_resolve
       | exception Fault.Injected _ ->
-        (Stats.cur ()).plan_fallbacks <- (Stats.cur ()).plan_fallbacks + 1;
+        let s = Stats.cur () in
+        s.plan_fallbacks <- s.plan_fallbacks + 1;
         Link_plan.miss ();
         run cold_resolve))
 
@@ -651,13 +673,13 @@ let link_instance t proc ps inst =
     let cold_resolve name =
       match Modinst.find_own inst name with
       | Some addr ->
-        note_prov ps name ~source:"cold" ~probe:(probe_kind ())
+        note_prov t ps name ~source:"cold" ~probe:(probe_kind ())
           ~origin:inst.Modinst.inst_key ~scope:inst.Modinst.inst_key;
         Some addr
       | None -> (
         match resolve_scoped t proc ps inst.Modinst.inst_scope name with
         | Some (addr, origin, slabel) ->
-          note_prov ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
+          note_prov t ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
           Some addr
         | None -> None)
     in
@@ -690,7 +712,8 @@ let link_instance t proc ps inst =
     planned t proc ps ~key ~cold_resolve ~run;
     As.protect proc.Proc.space inst.Modinst.inst_base Prot.Read_write_exec;
     inst.Modinst.inst_linked <- true;
-    (Stats.cur ()).modules_linked <- (Stats.cur ()).modules_linked + 1
+    let s = Stats.cur () in
+    s.modules_linked <- s.modules_linked + 1
   end
 
 (* ----- start-up (crt0's trap) ---------------------------------------------- *)
@@ -720,7 +743,8 @@ let resolve_image_pending t proc ps =
         (fun r ->
           match resolve r.Objfile.rel_symbol with
           | Some addr ->
-            (Stats.cur ()).symbols_resolved <- (Stats.cur ()).symbols_resolved + 1;
+            let s = Stats.cur () in
+            s.symbols_resolved <- s.symbols_resolved + 1;
             Reloc_engine.apply sink
               ~at:(Aout.image_base + r.Objfile.rel_offset)
               ~kind:r.Objfile.rel_kind
@@ -733,7 +757,7 @@ let resolve_image_pending t proc ps =
     let cold_resolve name =
       match resolve_scoped t proc ps ps.ps_root name with
       | Some (addr, origin, slabel) ->
-        note_prov ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
+        note_prov t ps name ~source:"cold" ~probe:(probe_kind ()) ~origin ~scope:slabel;
         Some addr
       | None -> None
     in
@@ -989,6 +1013,7 @@ let install k =
       states = Hashtbl.create 16;
       warn = [];
       bind_now = false;
+      linkstat = false;
       plans = Link_plan.create_store ();
       objs = Hashtbl.create 64;
       masters = Hashtbl.create 64;
@@ -1066,7 +1091,7 @@ let dlsym t proc name =
   retry_native (fun () ->
       match resolve_scoped t proc ps ps.ps_root name with
       | Some (addr, origin, slabel) ->
-        note_prov ps name ~source:"dlsym" ~probe:(probe_kind ()) ~origin ~scope:slabel;
+        note_prov t ps name ~source:"dlsym" ~probe:(probe_kind ()) ~origin ~scope:slabel;
         Some addr
       | None ->
         (* dld-style: symbols of explicitly loaded modules are visible
@@ -1075,7 +1100,7 @@ let dlsym t proc name =
           (fun inst ->
             Option.map
               (fun addr ->
-                note_prov ps name ~source:"dlsym" ~probe:(probe_kind ())
+                note_prov t ps name ~source:"dlsym" ~probe:(probe_kind ())
                   ~origin:inst.Modinst.inst_key ~scope:"loaded";
                 addr)
               (Modinst.find_export inst name))

@@ -103,10 +103,19 @@ val stable_sync : t -> sync_report
 
 (** {1 Linkstat: resolution provenance}
 
-    Host-side observability: every resolved symbol records how its last
-    resolution was answered — the exporting module and scope, hash vs.
-    linear vs. cached probe, and whether it came from a cold walk, an
-    in-memory plan replay, a stable-boot replay, or dlsym. *)
+    Host-side observability, recorded only while armed: every symbol
+    resolved records how its last resolution was answered — the
+    exporting module and scope, hash vs. linear vs. cached probe, and
+    whether it came from a cold walk, an in-memory plan replay, a
+    stable-boot replay, or dlsym.  Never billed: simulated costs are
+    the same armed or not. *)
+
+(** Arm or disarm provenance recording for every process of this
+    linker (off after {!install}).  Disarmed, a resolution records
+    nothing, so a process's rows are [[]] and its [n_symbols] 0.  Arm it
+    before the execs to be observed: resolutions made while disarmed are
+    not recorded later. *)
+val set_linkstat : t -> bool -> unit
 
 (** Per-symbol provenance of one process, as a JSON array sorted by
     symbol: [{"symbol", "origin", "scope", "probe", "source",

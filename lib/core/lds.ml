@@ -230,7 +230,8 @@ let link ctx ?(cli_dirs = []) ?(duplicate_policy = `Error) ~specs ~output () =
       left
   in
   List.iter link_module placed;
-  (Stats.cur ()).modules_linked <- (Stats.cur ()).modules_linked + List.length placed;
+  let s = Stats.cur () in
+  s.modules_linked <- s.modules_linked + List.length placed;
   (* ---- emit ---- *)
   let text_and_pool = Bytes.sub image 0 data_start in
   let data_bytes = Bytes.sub image data_start (bss_start - data_start) in

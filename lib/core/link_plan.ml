@@ -73,6 +73,10 @@ let reset_store store =
   store.st_gen <- -1;
   Hashtbl.reset store.st_tbl
 
-let hit () = (Stats.cur ()).plan_hits <- (Stats.cur ()).plan_hits + 1
+let hit () =
+  let s = Stats.cur () in
+  s.plan_hits <- s.plan_hits + 1
 
-let miss () = (Stats.cur ()).plan_misses <- (Stats.cur ()).plan_misses + 1
+let miss () =
+  let s = Stats.cur () in
+  s.plan_misses <- s.plan_misses + 1

@@ -277,12 +277,14 @@ let create_public_file ctx ~template_path ~obj ~module_path =
 (* Read and decode a template.  Its content identity, the backing
    segment's (id, version), comes back with it, so callers can tell two
    decodes of one path apart after an in-place rewrite; [decode] gets
-   the identity too, so a caller may memoize on it. *)
-let load_template ?(decode = fun _ bytes -> Objfile.parse bytes) ctx path =
-  match Fs.read_file ctx.Search.fs ~cwd:ctx.Search.cwd path with
-  | bytes -> (
-    let seg = Fs.segment_of ctx.Search.fs ~cwd:ctx.Search.cwd path in
+   the identity too, so a caller may memoize on it, and the file's bytes
+   as a thunk, so a memo hit copies nothing.  The read is billed either
+   way. *)
+let load_template ?(decode = fun _ bytes -> Objfile.parse (bytes ())) ctx path =
+  match Fs.read_segment ctx.Search.fs ~cwd:ctx.Search.cwd path with
+  | seg -> (
     let src = (Segment.id seg, Segment.version seg) in
+    let bytes () = Segment.blit_out seg ~src_off:0 ~len:(Segment.size seg) in
     match decode src bytes with
     | obj -> (obj, src)
     | exception Failure msg -> errf "bad template %s: %s" path msg)

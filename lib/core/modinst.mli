@@ -122,15 +122,17 @@ val module_file_of_template : string -> string
 val create_public_file :
   Search.ctx -> template_path:string -> obj:Objfile.t -> module_path:string -> int
 
-(** [load_template ?decode ctx path] reads the template at [path] and
-    decodes it with [decode] (default {!Objfile.parse}), which gets the
-    template's content identity (see [inst_src]) and the bytes, so a
-    caller may memoize decodes on it.  Returns the template and that
-    identity.
+(** [load_template ?decode ctx path] reads the template at [path],
+    billed as {!Hemlock_sfs.Fs.read_file} bills it, and decodes it with
+    [decode] (default {!Objfile.parse}).  [decode] gets the template's
+    content identity (see [inst_src]), so a caller may memoize decodes
+    on it, and a thunk that copies the file's bytes, which a memo hit
+    never calls.  Returns the template and that identity.
     @raise Link_error "cannot read template P: KIND" or
     "bad template P: WHY". *)
 val load_template :
-  ?decode:(int * int -> Bytes.t -> Objfile.t) -> Search.ctx -> string -> Objfile.t * (int * int)
+  ?decode:(int * int -> (unit -> Bytes.t) -> Objfile.t) ->
+  Search.ctx -> string -> Objfile.t * (int * int)
 
 (** [public_instance ?decode ctx ~module_path ~scope] builds the
     instance record for an existing module file, decoding its template
@@ -138,7 +140,7 @@ val load_template :
     @raise Link_error if the header's relocation count differs from the
     template's, or its applied count from its bitmap. *)
 val public_instance :
-  ?decode:(int * int -> Bytes.t -> Objfile.t) ->
+  ?decode:(int * int -> (unit -> Bytes.t) -> Objfile.t) ->
   Search.ctx -> module_path:string -> scope:scope -> t
 
 (** [placed_image ~name obj] is a fresh segment holding [obj]'s placed

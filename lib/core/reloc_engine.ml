@@ -59,7 +59,8 @@ let alloc_veneer sink pool ~target =
     addr
 
 let apply sink ~at ~kind ~value ~gp ~veneer =
-  (Stats.cur ()).relocs_applied <- (Stats.cur ()).relocs_applied + 1;
+  let s = Stats.cur () in
+  s.relocs_applied <- s.relocs_applied + 1;
   let word = sink.get32 at in
   match kind with
   | Objfile.Abs32 -> sink.set32 at value
@@ -98,7 +99,8 @@ let link_pass ~obj ~bases ~resolve ~already ~mark sink ~gp ~veneer =
       if not (already i) then
         match resolve r.Objfile.rel_symbol with
         | Some sym_addr ->
-          (Stats.cur ()).symbols_resolved <- (Stats.cur ()).symbols_resolved + 1;
+          let s = Stats.cur () in
+          s.symbols_resolved <- s.symbols_resolved + 1;
           let at = bases r.Objfile.rel_section + r.Objfile.rel_offset in
           apply sink ~at ~kind:r.Objfile.rel_kind
             ~value:(sym_addr + r.Objfile.rel_addend)

@@ -25,8 +25,13 @@ let plan_name key = "plan-" ^ Digest.to_hex (Digest.string key)
 
 let plan_path key = dir ^ "/" ^ plan_name key
 
-let bump_persists () = (Stats.cur ()).stable_persists <- (Stats.cur ()).stable_persists + 1
-let bump_rejects () = (Stats.cur ()).stable_rejects <- (Stats.cur ()).stable_rejects + 1
+let bump_persists () =
+  let s = Stats.cur () in
+  s.stable_persists <- s.stable_persists + 1
+
+let bump_rejects () =
+  let s = Stats.cur () in
+  s.stable_rejects <- s.stable_rejects + 1
 
 (* ----- wire format --------------------------------------------------------
 
@@ -227,7 +232,9 @@ let sync fs ~plans =
 
 let reject fs ~key = reap fs (plan_path key)
 
-let note_load () = (Stats.cur ()).stable_loads <- (Stats.cur ()).stable_loads + 1
+let note_load () =
+  let s = Stats.cur () in
+  s.stable_loads <- s.stable_loads + 1
 
 (* One pass over the directory decodes and digest-verifies every plan
    file, reaping the ones that no longer parse or that sit under another

@@ -610,16 +610,16 @@ let compile st space entry_pc =
       (* The store really changed compiled code: stop before any stale
          instruction can run and let the entry path recompile. *)
       tr.tr_valid <- false;
-      (Stats.cur ()).instructions <-
-        (Stats.cur ()).instructions + (ctx.c_fin - fuel);
-      (Stats.cur ()).jit_exits <- (Stats.cur ()).jit_exits + 1;
+      let s = Stats.cur () in
+      s.instructions <- s.instructions + (ctx.c_fin - fuel);
+      s.jit_exits <- s.jit_exits + 1;
       ctx.c_pc <- next_pc;
       X_side fuel
     in
     let side_exit target fuel =
-      (Stats.cur ()).instructions <-
-        (Stats.cur ()).instructions + (ctx.c_fin - fuel);
-      (Stats.cur ()).jit_exits <- (Stats.cur ()).jit_exits + 1;
+      let s = Stats.cur () in
+      s.instructions <- s.instructions + (ctx.c_fin - fuel);
+      s.jit_exits <- s.jit_exits + 1;
       ctx.c_pc <- target;
       X_side fuel
     in
@@ -627,7 +627,8 @@ let compile st space entry_pc =
        Not a trace break (nothing was mispredicted): settle the run and
        leave [step], the twin link for [pc], for the next quantum. *)
     let out_of_fuel pc step =
-      (Stats.cur ()).instructions <- (Stats.cur ()).instructions + ctx.c_fin;
+      let s = Stats.cur () in
+      s.instructions <- s.instructions + ctx.c_fin;
       ctx.c_pc <- pc;
       st.st_token <- Some { tk_pc = pc; tk_tr = tr; tk_step = step };
       X_side 0
@@ -704,8 +705,8 @@ let compile st space entry_pc =
       match sel.s_kind with
       | K_halt ->
         fun fuel ->
-          (Stats.cur ()).instructions <-
-            (Stats.cur ()).instructions + (ctx.c_fin - (fuel - 1));
+          let s = Stats.cur () in
+          s.instructions <- s.instructions + (ctx.c_fin - (fuel - 1));
           ctx.c_pc <- pc;
           let a0 = Array.unsafe_get regs Reg.a0 in
           X_halt
@@ -713,9 +714,9 @@ let compile st space entry_pc =
               fuel - 1 )
       | K_syscall ->
         fun fuel ->
-          (Stats.cur ()).instructions <-
-            (Stats.cur ()).instructions + (ctx.c_fin - (fuel - 1));
-          (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+          let s = Stats.cur () in
+          s.instructions <- s.instructions + (ctx.c_fin - (fuel - 1));
+          s.syscalls <- s.syscalls + 1;
           ctx.c_pc <- pc + 4;
           X_syscall (fuel - 1)
       | K_jump -> skip ()
@@ -1099,15 +1100,15 @@ let run st tr step fuel =
   let ctx = st.st_ctx in
   check_gens tr.tr_ics tr.tr_gens;
   ctx.c_fin <- fuel;
-  (Stats.cur ()).jit_hits <- (Stats.cur ()).jit_hits + 1;
+  let s = Stats.cur () in
+  s.jit_hits <- s.jit_hits + 1;
   match step fuel with
   | x -> Ran x
   | exception e ->
     (* The trapping instruction was entered but not completed: settle
        the completed prefix plus its own tick (the interpreter bills
        before executing) and let the CPU translate the exception. *)
-    (Stats.cur ()).instructions <-
-      (Stats.cur ()).instructions + (ctx.c_fin - ctx.c_fuel) + 1;
+    s.instructions <- s.instructions + (ctx.c_fin - ctx.c_fuel) + 1;
     raise e
 
 (* The fused chain needs fuel for its full static length, which spares
@@ -1119,7 +1120,8 @@ let run_trace st tr fuel =
 let compile_and_run st space pc fuel =
   match compile st space pc with
   | Some tr ->
-    (Stats.cur ()).jit_compiles <- (Stats.cur ()).jit_compiles + 1;
+    let s = Stats.cur () in
+    s.jit_compiles <- s.jit_compiles + 1;
     Hashtbl.replace st.st_tbl pc (Compiled tr);
     run_trace st tr fuel
   | None ->
@@ -1136,7 +1138,8 @@ let enter_head st space pc fuel =
   | Some (Compiled tr) ->
     if validate tr space then run_trace st tr fuel
     else begin
-      (Stats.cur ()).jit_invalidations <- (Stats.cur ()).jit_invalidations + 1;
+      let s = Stats.cur () in
+      s.jit_invalidations <- s.jit_invalidations + 1;
       compile_and_run st space pc fuel
     end
   | Some (Counting n) ->

@@ -45,9 +45,10 @@ let msg_send t name b =
     Proc.wait_until
       ~why:(Printf.sprintf "msgq %s not full" name)
       (fun () -> Queue.length q.mq_queue < q.mq_capacity);
-    (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
-    (Stats.cur ()).messages_sent <- (Stats.cur ()).messages_sent + 1;
-    (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
+    let s = Stats.cur () in
+    s.syscalls <- s.syscalls + 1;
+    s.messages_sent <- s.messages_sent + 1;
+    s.bytes_copied <- s.bytes_copied + Bytes.length b;
     Queue.add (Bytes.copy b) q.mq_queue;
     Ok ())
 
@@ -75,20 +76,22 @@ let msg_recv t name =
     Proc.wait_until
       ~why:(Printf.sprintf "msgq %s non-empty" name)
       (fun () -> not (Queue.is_empty q.mq_queue));
-    (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+    let s = Stats.cur () in
+    s.syscalls <- s.syscalls + 1;
     let b = Queue.take q.mq_queue in
-    (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
+    s.bytes_copied <- s.bytes_copied + Bytes.length b;
     Ok b
 
 let msg_try_recv t name =
   match find_msgq t name with
   | Error err -> Error err
   | Ok q ->
-    (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+    let s = Stats.cur () in
+    s.syscalls <- s.syscalls + 1;
     if Queue.is_empty q.mq_queue then Ok None
     else begin
       let b = Queue.take q.mq_queue in
-      (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
+      s.bytes_copied <- s.bytes_copied + Bytes.length b;
       Ok (Some b)
     end
 
@@ -114,16 +117,18 @@ let pd_call t kernel ~service arg =
       match Fault.hit "ipc.send" with
       | exception Fault.Injected { failure = Hemlock_util.Fault.Eagain; _ }
         when n < max_attempts - 1 ->
-        (Stats.cur ()).ipc_retries <- (Stats.cur ()).ipc_retries + 1;
-        (Stats.cur ()).instructions <- (Stats.cur ()).instructions + (50 lsl n);
+        let s = Stats.cur () in
+        s.ipc_retries <- s.ipc_retries + 1;
+        s.instructions <- s.instructions + (50 lsl n);
         attempt (n + 1)
       | exception Fault.Injected { failure; _ } -> Error (Errno.of_failure failure)
       | () ->
         (* One trap, two domain switches (in and out), no copying: the
            handler runs against the server's address space while the
            caller is suspended. *)
-        (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
-        (Stats.cur ()).context_switches <- (Stats.cur ()).context_switches + 2;
+        let s = Stats.cur () in
+        s.syscalls <- s.syscalls + 1;
+        s.context_switches <- s.context_switches + 2;
         Ok (pd_entry kernel pd_owner arg)
     in
     attempt 0

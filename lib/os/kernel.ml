@@ -123,7 +123,8 @@ let install_segv_handler t proc ~name h =
   Hashtbl.replace t.segv_handlers proc.Proc.pid ((name, h) :: chain)
 
 let deliver_segv t proc fault =
-  (Stats.cur ()).faults <- (Stats.cur ()).faults + 1;
+  let s = Stats.cur () in
+  s.faults <- s.faults + 1;
   let chain = Option.value ~default:[] (Hashtbl.find_opt t.segv_handlers proc.Proc.pid) in
   let rec walk = function
     | [] -> Unhandled
@@ -223,7 +224,9 @@ let rec native_access : 'a. t -> Proc.t -> (unit -> 'a) -> 'a =
 
 (* Each checked access bills one instruction, so native workload code
    and ISA code are accounted on the same scale. *)
-let tick () = (Stats.cur ()).instructions <- (Stats.cur ()).instructions + 1
+let tick () =
+  let s = Stats.cur () in
+  s.instructions <- s.instructions + 1
 
 let load_u8 t proc addr =
   tick ();
@@ -273,6 +276,20 @@ let syscall_access ?cpu t proc f =
   in
   go 64
 
+(* A built-in syscall's buffer of [len] bytes at [addr], copied one page
+   at a time by [f off n] (bytes [off, off + n) of the buffer), each page
+   under its own [syscall_access]: a resolved fault retries only the page
+   it struck, so the copy's length is not bounded by the loop's tries. *)
+let syscall_pages t proc addr len f =
+  let rec go off =
+    if off < len then begin
+      let n = min (len - off) (Layout.page_size - ((addr + off) land (Layout.page_size - 1))) in
+      syscall_access t proc (fun () -> f off n);
+      go (off + n)
+    end
+  in
+  go 0
+
 let syscall_load_u32 t proc cpu addr =
   syscall_access ~cpu t proc (fun () -> As.load_u32 proc.Proc.space addr)
 
@@ -295,21 +312,24 @@ let peek_u32 proc addr =
 (* --- the new kernel calls ------------------------------------------------ *)
 
 let sys_path_to_addr_r t proc path =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   fs_result (fun () -> Fs.addr_of_path t.fs ~cwd:proc.Proc.cwd path)
 
 let sys_path_to_addr t proc path =
   ok_exn ("path_to_addr " ^ path) (sys_path_to_addr_r t proc path)
 
 let sys_addr_to_path_r t _proc addr =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   fs_result (fun () -> Fs.path_of_addr t.fs addr)
 
 let sys_addr_to_path t proc addr =
   ok_exn (Printf.sprintf "addr_to_path 0x%08x" addr) (sys_addr_to_path_r t proc addr)
 
 let map_shared_file_r t proc ~path ~prot =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   fs_result (fun () ->
       let base = Fs.addr_of_path t.fs ~cwd:proc.Proc.cwd path in
       let canonical = Fs.path_of_addr t.fs base in
@@ -334,8 +354,9 @@ let map_shared_file t proc ~path ~prot =
 (* --- file descriptors ----------------------------------------------------- *)
 
 let sys_open_r t proc ?(create = false) ?(trunc = false) path =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
-  (Stats.cur ()).files_opened <- (Stats.cur ()).files_opened + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
+  s.files_opened <- s.files_opened + 1;
   match
     fs_result (fun () ->
         Fault.hit "vfs.open";
@@ -352,8 +373,9 @@ let sys_open t proc ?create ?trunc path =
   ok_exn ("open " ^ path) (sys_open_r t proc ?create ?trunc path)
 
 let sys_open_by_addr_r t proc addr =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
-  (Stats.cur ()).files_opened <- (Stats.cur ()).files_opened + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
+  s.files_opened <- s.files_opened + 1;
   match
     fs_result (fun () ->
         let path = Fs.path_of_addr t.fs addr in
@@ -366,34 +388,38 @@ let sys_open_by_addr t proc addr =
   ok_exn (Printf.sprintf "open 0x%08x" addr) (sys_open_by_addr_r t proc addr)
 
 let sys_read_r t proc fd len =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   match Vfs.read t.vfs ~pid:proc.Proc.pid fd len with
   | Ok b ->
-    (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
+    s.bytes_copied <- s.bytes_copied + Bytes.length b;
     Ok b
   | Error e -> Error e
 
 let sys_read t proc fd len = ok_exn (Printf.sprintf "read fd %d" fd) (sys_read_r t proc fd len)
 
 let sys_write_r t proc fd b =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   match Vfs.write t.vfs ~pid:proc.Proc.pid fd b with
   | Ok n ->
-    (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + n;
+    s.bytes_copied <- s.bytes_copied + n;
     Ok n
   | Error e -> Error e
 
 let sys_write t proc fd b = ok_exn (Printf.sprintf "write fd %d" fd) (sys_write_r t proc fd b)
 
 let sys_lseek_r t proc fd pos =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   Vfs.lseek t.vfs ~pid:proc.Proc.pid fd pos
 
 let sys_lseek t proc fd pos =
   ok_exn (Printf.sprintf "lseek fd %d" fd) (sys_lseek_r t proc fd pos)
 
 let sys_close_r t proc fd =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   Vfs.close t.vfs ~pid:proc.Proc.pid fd
 
 let sys_close t proc fd = ok_exn (Printf.sprintf "close fd %d" fd) (sys_close_r t proc fd)
@@ -403,7 +429,8 @@ let sys_close t proc fd = ok_exn (Printf.sprintf "close fd %d" fd) (sys_close_r 
 let lock_key proc path = Path.to_string (Path.of_string ~cwd:proc.Proc.cwd path)
 
 let try_flock t proc path =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   Vfs.try_lock t.vfs ~key:(lock_key proc path) ~pid:proc.Proc.pid
 
 let flock t proc path =
@@ -412,7 +439,8 @@ let flock t proc path =
   ignore (try_flock t proc path)
 
 let funlock t proc path =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   match Vfs.unlock t.vfs ~key:(lock_key proc path) ~pid:proc.Proc.pid with
   | Ok () -> ()
   | Error _ -> raise (Os_error "funlock: not the lock holder")
@@ -450,7 +478,8 @@ let map_stack t proc =
     ~kind:Vm_object.Anonymous ~prot:Prot.Read_write ~share:As.Private ~label:"stack" ()
 
 let exec t proc path =
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   (* Signal dispositions are reset across exec, as in Unix. *)
   Hashtbl.remove t.segv_handlers proc.Proc.pid;
   let image =
@@ -500,7 +529,8 @@ let fork_isa t proc =
   match proc.Proc.body with
   | Proc.Native _ -> raise (Os_error "fork: only ISA processes can fork")
   | Proc.Isa cpu ->
-    (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+    let s = Stats.cur () in
+    s.syscalls <- s.syscalls + 1;
     let pid = Sched.fresh_pid t.sched in
     let child_cpu = Cpu.fork cpu in
     let child =
@@ -548,7 +578,8 @@ let waitpid t proc =
   if children t proc.Proc.pid = [] then raise (os_error "waitpid" Errno.ECHILD);
   Proc.wait_until ~why:"waitpid: a child to exit" (fun () ->
       List.exists Proc.is_zombie (children t proc.Proc.pid));
-  (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
+  let s = Stats.cur () in
+  s.syscalls <- s.syscalls + 1;
   Option.get (reap t proc)
 
 (* --- ISA syscall dispatch -------------------------------------------------------- *)
@@ -661,8 +692,10 @@ let dispatch t proc cpu =
   else if v0 = Sysno.read then begin
     match sys_read_r t proc a0 (Codec.sext32 a2) with
     | Ok b ->
-      syscall_access t proc (fun () ->
-          Bytes.iteri (fun i c -> As.store_u8 proc.Proc.space (a1 + i) (Char.code c)) b);
+      syscall_pages t proc a1 (Bytes.length b) (fun off n ->
+          for i = off to off + n - 1 do
+            As.store_u8 proc.Proc.space (a1 + i) (Char.code (Bytes.get b i))
+          done);
       Cpu.set_reg cpu Reg.v0 (Bytes.length b)
     | Error e -> set_errno cpu e
   end
@@ -670,10 +703,11 @@ let dispatch t proc cpu =
     let len = Codec.sext32 a2 in
     if len < 0 then set_errno cpu Errno.EINVAL
     else begin
-      let b =
-        syscall_access t proc (fun () ->
-            Bytes.init len (fun i -> Char.chr (As.load_u8 proc.Proc.space (a1 + i))))
-      in
+      let b = Bytes.create len in
+      syscall_pages t proc a1 len (fun off n ->
+          for i = off to off + n - 1 do
+            Bytes.set b i (Char.chr (As.load_u8 proc.Proc.space (a1 + i)))
+          done);
       set_result cpu (sys_write_r t proc a0 b)
     end
   end
@@ -709,8 +743,10 @@ let quantum = 4000
    before the tick.  A COW fault is always a store. *)
 let internal_fault proc { f_addr; f_access; f_reason } =
   let resolved = As.resolve proc.Proc.space ~addr:f_addr ~access:f_access f_reason in
-  if resolved && f_access <> Prot.Exec then
-    (Stats.cur ()).instructions <- (Stats.cur ()).instructions - 1;
+  if resolved && f_access <> Prot.Exec then begin
+    let s = Stats.cur () in
+    s.instructions <- s.instructions - 1
+  end;
   resolved
 
 let handle_trap t proc cpu trap =

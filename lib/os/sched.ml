@@ -100,7 +100,8 @@ let step t ~run_one =
       (fun p ->
         if p.Proc.state = Proc.Runnable then begin
           t.tick_count <- t.tick_count + 1;
-          (Stats.cur ()).context_switches <- (Stats.cur ()).context_switches + 1;
+          let s = Stats.cur () in
+          s.context_switches <- s.context_switches + 1;
           run_one p
         end)
       ps;

@@ -315,12 +315,16 @@ let segment_of t ?cwd s =
   let _, f = resolve_file t ~op:"mmap" (parse t ?cwd s) in
   f.seg
 
-let read_file t ?cwd s =
+let read_segment t ?cwd s =
   let _, f = resolve_file t ~op:"read" (parse t ?cwd s) in
-  let len = Segment.size f.seg in
-  (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + len;
-  (Stats.cur ()).files_opened <- (Stats.cur ()).files_opened + 1;
-  Segment.blit_out f.seg ~src_off:0 ~len
+  let st = Stats.cur () in
+  st.bytes_copied <- st.bytes_copied + Segment.size f.seg;
+  st.files_opened <- st.files_opened + 1;
+  f.seg
+
+let read_file t ?cwd s =
+  let seg = read_segment t ?cwd s in
+  Segment.blit_out seg ~src_off:0 ~len:(Segment.size seg)
 
 (* Remove a canonical path's directory entry without passing through the
    fault-sited [unlink] — undo and fsck repair paths must themselves be
@@ -391,8 +395,9 @@ let write_file t ?cwd s b =
   write_like t ~op:"write" ~site:"fs.write" p b
     ~would_overflow:(fun f -> Bytes.length b > Segment.max_size f.seg)
     ~apply:(fun f ->
-      (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
-      (Stats.cur ()).files_opened <- (Stats.cur ()).files_opened + 1;
+      let st = Stats.cur () in
+      st.bytes_copied <- st.bytes_copied + Bytes.length b;
+      st.files_opened <- st.files_opened + 1;
       Segment.replace f.seg b)
 
 let append_file t ?cwd s b =
@@ -400,7 +405,8 @@ let append_file t ?cwd s b =
   write_like t ~op:"append" ~site:"fs.append" p b
     ~would_overflow:(fun f -> Segment.size f.seg + Bytes.length b > Segment.max_size f.seg)
     ~apply:(fun f ->
-      (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Bytes.length b;
+      let st = Stats.cur () in
+      st.bytes_copied <- st.bytes_copied + Bytes.length b;
       Segment.blit_in f.seg ~dst_off:(Segment.size f.seg) b)
 
 let symlink t ?cwd ~target s =
@@ -716,8 +722,9 @@ let fsck t =
     slot_paths;
   (* Repairs may have changed the namespace: settle the table again. *)
   rescan_shared t;
-  (Stats.cur ()).journal_replays <- (Stats.cur ()).journal_replays + !replayed;
-  (Stats.cur ()).journal_rollbacks <- (Stats.cur ()).journal_rollbacks + !rolled;
+  let st = Stats.cur () in
+  st.journal_replays <- st.journal_replays + !replayed;
+  st.journal_rollbacks <- st.journal_rollbacks + !rolled;
   let repairs = List.rev !repairs in
   {
     fsck_replayed = !replayed;

@@ -86,7 +86,16 @@ val lstat : t -> ?cwd:Path.t -> string -> stat
 (** Backing segment of a regular file — the mmap interface. *)
 val segment_of : t -> ?cwd:Path.t -> string -> Hemlock_vm.Segment.t
 
+(** [read_file] bills a read of the whole file ([bytes_copied] += its
+    size, [files_opened] += 1) and returns a copy of its contents. *)
 val read_file : t -> ?cwd:Path.t -> string -> Bytes.t
+
+(** [read_segment] bills exactly what {!read_file} bills and returns the
+    file's backing segment instead of a copy, for a caller that may not
+    need the bytes (a decode memo keyed on the segment's id and
+    version).  Bytes it does need it copies out itself. *)
+val read_segment : t -> ?cwd:Path.t -> string -> Hemlock_vm.Segment.t
+
 val write_file : t -> ?cwd:Path.t -> string -> Bytes.t -> unit
 
 (** [append_file] appends at end of file. *)

@@ -97,7 +97,8 @@ let hit site =
       match List.find_opt (fun a -> a.at = n) arms with
       | None -> ()
       | Some { act; _ } -> (
-        (Stats.cur ()).faults_injected <- (Stats.cur ()).faults_injected + 1;
+        let s = Stats.cur () in
+        s.faults_injected <- s.faults_injected + 1;
         match act with
         | Fail failure -> raise (Injected { site; failure })
         | Crash_here ->

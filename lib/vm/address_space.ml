@@ -114,8 +114,8 @@ let map t ~base ~len ~seg ?(seg_off = 0) ?(kind = Vm_object.Pinned) ~prot ~share
       { seg; seg_off; prot; share; label; cow = false; obj }
       t.table;
   invalidate t;
-  (Stats.cur ()).pages_mapped <-
-    (Stats.cur ()).pages_mapped + (len / Layout.page_size)
+  let s = Stats.cur () in
+  s.pages_mapped <- s.pages_mapped + (len / Layout.page_size)
 
 let unmap t addr =
   match Interval_map.find addr t.table with
@@ -235,10 +235,12 @@ let lookup t addr access =
     let e = tlb_entry t addr in
     match e.te_seg with
     | Some seg when e.te_page = Layout.page_down addr && e.te_epoch = t.epoch ->
-      (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+      let s = Stats.cur () in
+      s.tlb_hits <- s.tlb_hits + 1;
       (seg, addr + e.te_delta, e.te_hi - addr, e.te_prot)
     | Some _ | None ->
-      (Stats.cur ()).tlb_misses <- (Stats.cur ()).tlb_misses + 1;
+      let s = Stats.cur () in
+      s.tlb_misses <- s.tlb_misses + 1;
       lookup_slow t addr access
   end
 
@@ -287,7 +289,8 @@ let load_u8 t addr =
          && e.te_epoch = t.epoch
          && addr < e.te_hi
          && e.te_mask land 1 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    let s = Stats.cur () in
+    s.tlb_hits <- s.tlb_hits + 1;
     Segment.get_u8 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Read 1 in
@@ -301,7 +304,8 @@ let load_u32 t addr =
          && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 1 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    let s = Stats.cur () in
+    s.tlb_hits <- s.tlb_hits + 1;
     Segment.get_u32 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Read 4 in
@@ -315,7 +319,8 @@ let store_u8 t addr v =
          && e.te_epoch = t.epoch
          && addr < e.te_hi
          && e.te_mask land 2 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    let s = Stats.cur () in
+    s.tlb_hits <- s.tlb_hits + 1;
     Segment.set_u8 seg (addr + e.te_delta) v
   | _ ->
     let seg, off = translate t addr Prot.Write 1 in
@@ -329,7 +334,8 @@ let store_u32 t addr v =
          && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 2 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    let s = Stats.cur () in
+    s.tlb_hits <- s.tlb_hits + 1;
     Segment.set_u32 seg (addr + e.te_delta) v
   | _ ->
     let seg, off = translate t addr Prot.Write 4 in
@@ -343,7 +349,8 @@ let fetch t addr =
          && e.te_epoch = t.epoch
          && addr + 4 <= e.te_hi
          && e.te_mask land 4 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    let s = Stats.cur () in
+    s.tlb_hits <- s.tlb_hits + 1;
     Segment.get_u32 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Exec 4 in
@@ -370,7 +377,8 @@ let resolve t ~addr ~access reason =
     when access = Prot.Write && m.cow && Prot.allows m.prot Prot.Write ->
     t.table <- Interval_map.update addr (fun m -> { m with cow = false }) t.table;
     invalidate t;
-    (Stats.cur ()).cow_faults <- (Stats.cur ()).cow_faults + 1;
+    let s = Stats.cur () in
+    s.cow_faults <- s.cow_faults + 1;
     true
   | (Unmapped | Protection | Not_resident), _ -> false
 
@@ -486,8 +494,10 @@ let clone t =
       m
     | Private ->
       let seg = Segment.copy m.seg in
-      if not cow then
-        (Stats.cur ()).bytes_copied <- (Stats.cur ()).bytes_copied + Segment.size seg;
+      if not cow then begin
+        let s = Stats.cur () in
+        s.bytes_copied <- s.bytes_copied + Segment.size seg
+      end;
       (* A fresh segment gets a fresh object; the copy has no backing
          file of its own, so a pageable parent yields an [Anonymous]
          child (its pages fault in as minor faults — fork is itself

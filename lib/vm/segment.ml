@@ -119,7 +119,8 @@ let writable_page t off =
   | Some p ->
     p.prc <- p.prc - 1;
     let q = { pbytes = Bytes.copy p.pbytes; prc = 1 } in
-    (Stats.cur ()).pages_copied <- (Stats.cur ()).pages_copied + 1;
+    let s = Stats.cur () in
+    s.pages_copied <- s.pages_copied + 1;
     Array.unsafe_set t.pages i (Some q);
     t.page_gen <- t.page_gen + 1;
     q
@@ -305,7 +306,8 @@ let copy t =
        pages just went from owned to shared with unchanged identity, so
        its [page_gen] must move to retire any [owned_page_view]. *)
     Array.iter (function Some p -> p.prc <- p.prc + 1 | None -> ()) t.pages;
-    (Stats.cur ()).bytes_saved <- (Stats.cur ()).bytes_saved + t.size;
+    let s = Stats.cur () in
+    s.bytes_saved <- s.bytes_saved + t.size;
     t.page_gen <- t.page_gen + 1;
     { t with id; pages = Array.copy t.pages }
   end

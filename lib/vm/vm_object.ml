@@ -128,7 +128,8 @@ let try_evict p slot =
         match o.obj_kind with
         | File_backed { writeback; _ } ->
           writeback ~page:pg;
-          (Stats.cur ()).pages_written_back <- (Stats.cur ()).pages_written_back + 1
+          let s = Stats.cur () in
+          s.pages_written_back <- s.pages_written_back + 1
         | Anonymous | Pinned -> ()
     in
     match write_back () with
@@ -139,7 +140,8 @@ let try_evict p slot =
       o.frames <- o.frames - 1;
       p.table.(slot) <- None;
       p.used <- p.used - 1;
-      (Stats.cur ()).pages_evicted <- (Stats.cur ()).pages_evicted + 1;
+      let s = Stats.cur () in
+      s.pages_evicted <- s.pages_evicted + 1;
       gauge (-1);
       Hashtbl.iter (fun _ (_, invalidate) -> invalidate ()) o.spaces;
       true
@@ -192,11 +194,12 @@ let materialise t off ~write =
            (a simulated device read); minor = zero-fill or an in-memory
            anonymous page.  Neither is billed: like COW faults they are
            kernel-internal, consume no fuel and never reach [faults]. *)
+        let s = Stats.cur () in
         (match t.obj_kind with
         | File_backed _ when Segment.page_view t.obj_seg (i lsl Layout.page_shift) <> None
           ->
-          (Stats.cur ()).major_faults <- (Stats.cur ()).major_faults + 1
-        | _ -> (Stats.cur ()).minor_faults <- (Stats.cur ()).minor_faults + 1);
+          s.major_faults <- s.major_faults + 1
+        | _ -> s.minor_faults <- s.minor_faults + 1);
         bit_set t.resident i;
         bit_set t.refbit i;
         if write then bit_set t.dirty i;

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full gate: the ownership rule (lib/ keeps per-domain state only for
 # Stats and Fault's hit counters; everything else hangs off its kernel);
+# the counter-bump rule (a bump in lib/ looks up Stats.cur () once);
 # the user-memory rule (only lib/vm, lib/isa and lib/os call the address
 # space's accessors or its fault resolver; every other library reaches
 # user memory through Kernel's accessors); the test suite (crash consistency included) and E1-E13 against the
@@ -62,6 +63,21 @@ if [ "$keys" != "lib/util/fault.ml lib/util/stats.ml " ]; then
   exit 1
 fi
 echo "Domain.DLS keys only in $keys"
+
+# Each Stats.cur () is a Domain.DLS lookup, and the TLB hit paths and the
+# interpreter bump a counter on every access: a bump binds the record
+# once instead of writing (Stats.cur ()).f <- (Stats.cur ()).f + n.
+echo "== counter bumps (gate: one Stats.cur () lookup per bump) =="
+bumps=$( (grep -rn 'Stats\.cur ().*Stats\.cur ()' lib || true;
+  find lib -name '*.ml' | sort | xargs awk 'FNR == 1 { prev = "" }
+    prev ~ /<-[ \t]*$/ && $0 ~ /^[ \t]*(Hemlock_util\.)?\(Stats\.cur \(\)\)/ { print FILENAME ":" FNR ":" $0 }
+    { prev = $0 }') )
+if [ -n "$bumps" ]; then
+  echo "counter bumps that look up Stats.cur () twice:"
+  echo "$bumps"
+  exit 1
+fi
+echo "every counter bump looks up Stats.cur () once"
 
 # Kernel code reaches user memory one way: Kernel's accessors resolve a
 # pager or copy-on-write fault and deliver the rest as SIGSEGV.  A raw

@@ -45,6 +45,35 @@ let read_write_append () =
   Fs.write_file fs ~cwd "rel" (Bytes.of_string "r");
   check_bool "relative create" true (Fs.exists fs "/tmp/rel")
 
+(* [read_segment] bills exactly what [read_file] bills and hands back
+   the file's own segment, holding the bytes [read_file] copies; a path
+   [read_file] refuses it refuses with the same error. *)
+let read_segment_bills_as_read_file () =
+  let module Stats = Hemlock_util.Stats in
+  let fs = fresh () in
+  Fs.write_file fs "/tmp/f" (Bytes.of_string "template bytes");
+  Fs.symlink fs ~target:"/tmp/f" "/tmp/l";
+  let cwd = Path.of_string ~cwd:Path.root "/tmp" in
+  let bytes, d_file = Stats.measure (fun () -> Fs.read_file fs ~cwd "l") in
+  let seg, d_seg = Stats.measure (fun () -> Fs.read_segment fs ~cwd "l") in
+  check_int "bytes_copied" d_file.Stats.bytes_copied d_seg.Stats.bytes_copied;
+  check_int "files_opened" d_file.Stats.files_opened d_seg.Stats.files_opened;
+  check_int "cycles" (Stats.cycles d_file) (Stats.cycles d_seg);
+  check_int "the whole file is billed" 14 d_seg.Stats.bytes_copied;
+  check_int "as one file opened" 1 d_seg.Stats.files_opened;
+  check_bool "the file's own segment" true (seg == Fs.segment_of fs "/tmp/f");
+  check_string "its contents are read_file's bytes" (Bytes.to_string bytes)
+    (Bytes.to_string (Segment.blit_out seg ~src_off:0 ~len:(Segment.size seg)));
+  let error f =
+    match f () with _ -> None | exception Fs.Error e -> Some (e.op, e.path, e.kind)
+  in
+  List.iter
+    (fun path ->
+      check_bool ("same error for " ^ path) true
+        (error (fun () -> Fs.read_file fs path) = error (fun () -> Fs.read_segment fs path)
+        && error (fun () -> Fs.read_file fs path) <> None))
+    [ "/nope"; "/tmp" ]
+
 let errors () =
   let fs = fresh () in
   let expect_kind kind f =
@@ -264,6 +293,7 @@ let suite =
     test "fs: mkdir/create/stat" mkdir_create_stat;
     test "fs: read/write/append" read_write_append;
     test "fs: error cases" errors;
+    test "fs: read_segment bills as read_file" read_segment_bills_as_read_file;
     test "fs: readdir sorted" readdir_sorted;
     test "fs: symlinks and loops" symlinks;
     test "sfs: global addresses" shared_addresses;

@@ -1,6 +1,6 @@
 (* Linker fast path: link-plan and locate coherence under filesystem
-   mutation, and ldl's per-scope export index against the linear
-   walk. *)
+   mutation, ldl's per-scope export index against the linear walk, and
+   linkstat's provenance of cold and replayed resolutions. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
@@ -358,6 +358,75 @@ let locate_sees_new_files () =
   Fs.unlink fs "/home/lib/late.o";
   check_bool "gone after unlink" true (Search.locate ctx ~dirs "late.o" = None)
 
+(* ----- linkstat ------------------------------------------------------------- *)
+
+(* An armed and a disarmed world each exec the 4-module deep chain cold,
+   then replay its plans.  Recording provenance bills nothing, so the
+   consoles and every counter agree; armed, each exec's rows name the
+   chain's symbols, all resolved cold and then all replayed; disarmed,
+   nothing is recorded. *)
+let linkstat_records_only_when_armed () =
+  let world ~armed =
+    Config.with_ { Config.current with plans = true } (fun () ->
+        let k, ldl = boot () in
+        Ldl.set_linkstat ldl armed;
+        Fs.mkdir (Kernel.fs k) "/home/lib";
+        ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules:4);
+        Modgen.link_driver ~deep:4 ldl ~dir:"/home/lib" ~out:"/home/t/prog" ~used:3;
+        List.map
+          (fun label ->
+            Kernel.console_clear k;
+            let proc, d =
+              Stats.measure (fun () ->
+                  let proc = Kernel.spawn_exec k ~name:label "/home/t/prog" in
+                  Kernel.run k;
+                  proc)
+            in
+            (* the resident gauge carries over from the other world *)
+            let counters = Stats.to_json { d with resident_pages = 0; peak_resident_pages = 0 } in
+            (Kernel.console k, counters, Ldl.linkstat_proc_json ldl proc, Ldl.linkstat_json ldl))
+          [ "cold"; "replay" ])
+  in
+  let armed = world ~armed:true and disarmed = world ~armed:false in
+  let want = string_of_int (Modgen.expected ~modules:4 ~used:3) in
+  (* the lines of a JSON dump that [scan] reads *)
+  let lines scan json =
+    List.filter_map
+      (fun line -> try Some (scan line) with Scanf.Scan_failure _ | End_of_file -> None)
+      (String.split_on_char '\n' json)
+  in
+  let rows =
+    lines (fun line ->
+        Scanf.sscanf line
+          " { \"symbol\": %S, \"origin\": %S, \"scope\": %S, \"probe\": %S, \"source\": %S, \
+           \"count\": %d }"
+          (fun sym _ _ _ source _ -> (sym, source)))
+  in
+  let n_symbols =
+    lines (fun line ->
+        Scanf.sscanf line " { \"pid\": %d, \"prog\": %S, \"n_symbols\": %d" (fun _ _ n -> n))
+  in
+  List.iter2
+    (fun (label, (out_a, counters_a, rows_a, dump_a)) (out_d, counters_d, rows_d, dump_d) ->
+      check_string (label ^ ": console") want (String.trim out_a);
+      check_string (label ^ ": same console") out_a out_d;
+      check_string (label ^ ": same counters") counters_a counters_d;
+      check_string (label ^ ": disarmed rows") "[\n]" rows_d;
+      Alcotest.(check (list int)) (label ^ ": disarmed, no process counts a symbol")
+        (List.map (fun _ -> 0) (n_symbols dump_a)) (n_symbols dump_d);
+      let symbols = List.map fst (rows rows_a) in
+      check_bool (label ^ ": armed rows name the chain") true
+        (List.for_all (fun s -> List.mem s symbols) [ "f0"; "f1"; "f2"; "f3" ]);
+      check_bool (label ^ ": armed rows' source") true
+        (List.for_all (fun (_, source) -> source = label) (rows rows_a));
+      check_int (label ^ ": armed, the dump counts the rows") (List.length symbols)
+        (List.nth (n_symbols dump_a) (List.length (n_symbols dump_a) - 1)))
+    (List.combine [ "cold"; "replay" ] armed)
+    disarmed;
+  let symbols (_, _, json, _) = List.map fst (rows json) in
+  Alcotest.(check (list string)) "a replay resolves the cold exec's symbols"
+    (symbols (List.hd armed)) (symbols (List.nth armed 1))
+
 let suite =
   [
     test "link plans: replay then invalidation on rewrite" plan_cache_replay_and_invalidation;
@@ -373,4 +442,5 @@ let suite =
       index_sees_shadow_in_parent_scope;
     test "scope index: a module whose creation lock was released is retried"
       index_retries_module_after_lock_release;
+    test "linkstat: provenance is recorded only when armed" linkstat_records_only_when_armed;
   ]

@@ -597,23 +597,24 @@ int main() {
              0));
       log (exec k ldl "patched" "/home/t/prog"))
 
+(* One exec of [src], compared with the oracle under every fast path,
+   then with every block compiled and 32 pages of RAM, and the oracle's
+   console pinned to [expect]. *)
+let console_probe name ~expect src =
+  fixed name
+    [ all_on (); all_on ~threshold:1 ~ram:32 () ]
+    ~extra:(fun _ base _ -> check_string "the oracle's console" expect (find base "run").shown)
+    (fun log -> ignore (program src [ "run" ] log))
+
 (* A forked child locks a private global it still shares copy-on-write
    with its parent: the acquire probe takes the lock and releases it,
    the release probe releases the lock its parent took before the fork.
    POSIX fork has the child write its own copy whichever path does the
    write, here a registered syscall rather than a store instruction, so
    each syscall returns 0 and the word reads back what it stored.  Under
-   both settings below the syscall's store takes a copy-on-write fault;
-   the second also compiles every block and pages under 32 pages of
-   RAM. *)
-let lock_probe name ~expect src =
-  fixed name
-    [ all_on (); all_on ~threshold:1 ~ram:32 () ]
-    ~extra:(fun _ base _ -> check_string "the oracle's console" expect (find base "run").shown)
-    (fun log -> ignore (program src [ "run" ] log))
-
+   both settings the syscall's store takes a copy-on-write fault. *)
 let lock_acquire_input =
-  lock_probe "a forked child's lock_acquire writes its own copy" ~expect:"0 1 0 0"
+  console_probe "a forked child's lock_acquire writes its own copy" ~expect:"0 1 0 0"
     {|
 int w;
 int main() {
@@ -631,7 +632,7 @@ int main() {
 |}
 
 let lock_release_input =
-  lock_probe "a forked child's lock_release writes its own copy" ~expect:"0 0"
+  console_probe "a forked child's lock_release writes its own copy" ~expect:"0 0"
     {|
 int w;
 int main() {
@@ -643,6 +644,43 @@ int main() {
     exit(0);
   }
   wait();
+  return 0;
+}
+|}
+
+(* The built-in [write] and [read] with a buffer of 98 pages of fresh
+   heap, none resident under the pager: each page faults in the
+   syscall, more pages than one syscall access may retry, and at 32
+   pages of RAM the buffer's first pages are evicted before its last
+   fault in.  The read's sum samples a word of every page it filled. *)
+let big_write_input =
+  console_probe "a 400,000-byte write from fresh heap" ~expect:"400000"
+    {|
+int main() {
+  int p; int fd;
+  p = sbrk(400000);
+  fd = open("/tmp/out", 1);
+  print_int(write(fd, p, 400000));
+  return 0;
+}
+|}
+
+let big_read_input =
+  console_probe "a 400,000-byte read into fresh heap" ~expect:"200000 200000 400000 1271175"
+    {|
+int main() {
+  int *p; int fd; int i; int sum;
+  p = sbrk(200000); i = 0;
+  while (i < 50000) { p[i] = i; i = i + 997; }
+  fd = open("/tmp/out", 1);
+  print_int(write(fd, p, 200000)); print_str(" ");
+  print_int(write(fd, p, 200000)); print_str(" ");
+  lseek(fd, 0);
+  p = sbrk(400000);
+  print_int(read(fd, p, 400000)); print_str(" ");
+  sum = 0; i = 0;
+  while (i < 100000) { sum = sum + p[i]; i = i + 997; }
+  print_int(sum);
   return 0;
 }
 |}
@@ -905,5 +943,5 @@ let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
     shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
-    lock_acquire_input; lock_release_input;
+    lock_acquire_input; lock_release_input; big_write_input; big_read_input;
   ]
