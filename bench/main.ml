@@ -4,13 +4,11 @@
    Usage:
      bench/main.exe            run every experiment
      bench/main.exe e5 e8      run selected experiments
-     bench/main.exe perf       interpreter throughput with and without the
-                               TLB and the trace JIT; gates the JIT's
-                               floors over both interpreters
 
    Any other argument is an error.
 
-   Host-time benchmarking of the simulator lives in perfbench/. *)
+   Host-time benchmarking of the simulator lives in perfbench/; the
+   trace JIT's throughput floors are a test (test/test_jit.ml). *)
 
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc
@@ -19,7 +17,6 @@ module Path = Hemlock_sfs.Path
 module Layout = Hemlock_vm.Layout
 module As = Hemlock_vm.Address_space
 module Stats = Hemlock_util.Stats
-module Config = Hemlock_util.Config
 module Objfile = Hemlock_obj.Objfile
 module Cc = Hemlock_cc.Cc
 module Lds = Hemlock_linker.Lds
@@ -653,152 +650,6 @@ let e13 () =
      creation, however wide the race)\n"
 
 (* ---------------------------------------------------------------------- *)
-(* perf: interpreter throughput with/without the memory-system fast path   *)
-(* ---------------------------------------------------------------------- *)
-
-(* The hot loop calls into two dynamically linked public modules, so
-   every iteration crosses mapping boundaries — the access pattern the
-   fast path is for: instruction fetch from three code mappings plus
-   stack loads/stores for the locals (the +i/-i runs cancel, leaving
-   s = 16000 * 7 = 112000). *)
-let perf_inc_a = "int inc_a() { return 3; }"
-
-let perf_inc_b = "int inc_b() { return 4; }"
-
-let perf_workload =
-  {|
-extern int inc_a();
-extern int inc_b();
-int main() {
-  int i;
-  int s;
-  s = 0;
-  i = 0;
-  while (i < 16000) {
-    s = s + inc_a();
-    s = s + i; s = s + i; s = s + i; s = s + i;
-    s = s + i; s = s + i; s = s + i; s = s + i;
-    s = s - i; s = s - i; s = s - i; s = s - i;
-    s = s - i; s = s - i; s = s - i; s = s - i;
-    s = s + inc_b();
-    i = i + 1;
-  }
-  return s - 111958;
-}
-|}
-
-(* One switch per layer: [tlb] is the memory-system fast path, [jit]
-   the trace compiler on top of it. *)
-let with_profile ~tlb ~jit = Config.with_ { Config.current with tlb; jit }
-
-(* Each round runs every configuration once, in an order that rotates
-   from round to round, so a drift in host speed moves all three
-   configurations alike; the gates read the median per-round ratio. *)
-let perf_rounds = 9
-
-let perf () =
-  header "PERF: interpreter throughput — TLB + trace JIT";
-  (* One kernel per configuration.  The switches are set while it is
-     built and around every run: an exec's address space captures the
-     TLB flag when it is created, and the CPU reads the JIT switch as
-     it steps. *)
-  let config ~tlb ~jit =
-    let k =
-      with_profile ~tlb ~jit (fun () ->
-          let k, _ldl = boot () in
-          let fs = Kernel.fs k in
-          Fs.mkdir fs "/shared/lib";
-          install_c k "/shared/lib/inc_a.o" perf_inc_a;
-          install_c k "/shared/lib/inc_b.o" perf_inc_b;
-          Fs.mkdir fs "/home/perf";
-          install_c k "/home/perf/main.o" perf_workload;
-          ignore
-            (link k ~dir:"/home/perf"
-               ~specs:
-                 [
-                   ("main.o", Sharing.Static_private);
-                   ("/shared/lib/inc_a.o", Sharing.Dynamic_public);
-                   ("/shared/lib/inc_b.o", Sharing.Dynamic_public);
-                 ]
-               "prog");
-          k)
-    in
-    fun () ->
-      with_profile ~tlb ~jit (fun () ->
-          let p = Kernel.spawn_exec k "/home/perf/prog" in
-          Kernel.run k;
-          match p.Proc.state with
-          | Proc.Zombie 42 -> ()
-          | _ -> failwith "perf: workload did not exit 42")
-  in
-  let runs =
-    [|
-      config ~tlb:false ~jit:false; config ~tlb:true ~jit:false; config ~tlb:true ~jit:true;
-    |]
-  in
-  (* A warm-up run each, then the billed costs of one more. *)
-  let deltas =
-    Array.map
-      (fun run ->
-        run ();
-        snd (Stats.measure run))
-      runs
-  in
-  let d_off = deltas.(0) and d_tlb = deltas.(1) and d_jit = deltas.(2) in
-  (* Neither fast path may be visible to the simulated cost model. *)
-  let same a b =
-    a.Stats.instructions = b.Stats.instructions
-    && a.Stats.faults = b.Stats.faults
-    && a.Stats.syscalls = b.Stats.syscalls
-    && a.Stats.context_switches = b.Stats.context_switches
-    && Stats.cycles a = Stats.cycles b
-  in
-  if not (same d_tlb d_off) then
-    failwith "perf: simulated costs differ with the TLB on vs off";
-  if not (same d_jit d_off) then
-    failwith "perf: simulated costs differ with the JIT on vs off";
-  let secs = Array.make_matrix perf_rounds 3 0.0 in
-  for r = 0 to perf_rounds - 1 do
-    for j = 0 to 2 do
-      let c = (r + j) mod 3 in
-      let t0 = Unix.gettimeofday () in
-      runs.(c) ();
-      secs.(r).(c) <- Unix.gettimeofday () -. t0
-    done
-  done;
-  let median f =
-    let a = Array.map f secs in
-    Array.sort compare a;
-    a.(perf_rounds / 2)
-  in
-  let ns c = 1e9 *. median (fun t -> t.(c)) in
-  let ratio a b = median (fun t -> t.(a) /. t.(b)) in
-  let ns_off = ns 0 and ns_tlb = ns 1 and ns_jit = ns 2 in
-  let speedup = ratio 0 1 and jit_vs_nocache = ratio 0 2 and jit_vs_tlb = ratio 1 2 in
-  let insns = d_tlb.Stats.instructions in
-  let ips ns = float_of_int insns /. (ns *. 1e-9) in
-  Printf.printf "workload: %d simulated instructions per run (deterministic all ways)\n" insns;
-  Printf.printf "median of %d interleaved rounds\n\n" perf_rounds;
-  Printf.printf "%-12s | %14s | %16s | %s\n" "config" "ns/run" "insns/sec" "fast-path hits";
-  Printf.printf "-------------+----------------+------------------+---------------------------\n";
-  Printf.printf "%-12s | %14.0f | %16.0f | (none)\n" "nocache" ns_off (ips ns_off);
-  Printf.printf "%-12s | %14.0f | %16.0f | tlb %d\n" "tlb" ns_tlb (ips ns_tlb)
-    d_tlb.Stats.tlb_hits;
-  (* Decodes under the JIT are the instructions it left to the
-     interpreter: warm-up and cold code. *)
-  Printf.printf
-    "%-12s | %14.0f | %16.0f | jit %d hits / %d compiles / %d exits, %.2f%% interpreted\n" "jit"
-    ns_jit (ips ns_jit) d_jit.Stats.jit_hits d_jit.Stats.jit_compiles d_jit.Stats.jit_exits
-    (100.0 *. float_of_int d_jit.Stats.decode_hits /. float_of_int d_jit.Stats.instructions);
-  Printf.printf "\ntlb speedup:       %.2fx\n" speedup;
-  Printf.printf "jit over nocache:  %.2fx (floor 10x)\n" jit_vs_nocache;
-  Printf.printf "jit over tlb:      %.2fx (floor 3x)\n" jit_vs_tlb;
-  if jit_vs_nocache < 10.0 then
-    failwith "perf: JIT throughput under the 10x-over-nocache acceptance floor";
-  if jit_vs_tlb < 3.0 then
-    failwith "perf: JIT throughput under the 3x-over-TLB acceptance floor"
-
-(* ---------------------------------------------------------------------- *)
 
 let experiments =
   [
@@ -808,18 +659,12 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let wanted = List.filter (( <> ) "perf") args in
-  (match List.filter (fun a -> not (List.mem_assoc a experiments)) wanted with
+  (match List.filter (fun a -> not (List.mem_assoc a experiments)) args with
   | [] -> ()
   | unknown ->
-    Printf.eprintf "unknown argument %s (have: %s perf)\n" (String.concat " " unknown)
+    Printf.eprintf "unknown argument %s (have: %s)\n" (String.concat " " unknown)
       (String.concat " " (List.map fst experiments));
     exit 2);
-  let run_perf = List.mem "perf" args in
-  let selected =
-    (* `perf` alone runs just that, not every experiment *)
-    if wanted = [] && not run_perf then List.map fst experiments else wanted
-  in
+  let selected = if args = [] then List.map fst experiments else args in
   List.iter (fun name -> List.assoc name experiments ()) selected;
-  if run_perf then perf ();
   Printf.printf "\nAll experiments completed.\n"

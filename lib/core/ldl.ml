@@ -14,6 +14,7 @@ module Stats = Hemlock_util.Stats
 module Codec = Hemlock_util.Codec
 module Fault = Hemlock_util.Fault
 module Config = Hemlock_util.Config
+module Interval_map = Hemlock_util.Interval_map
 
 exception Link_error = Reloc_engine.Link_error
 
@@ -70,9 +71,9 @@ type pstate = {
      version), when this state came from an exec *)
   mutable ps_prog : (string * int * int) option;
   (* host-side indexes over ps_instances (always kept in sync):
-     by base for the fault path, by key for locate results, plus the
-     not-yet-linked worklist for LD_BIND_NOW *)
-  mutable ps_sorted : Modinst.t array;
+     by address range for the fault path, by key for locate results,
+     plus the not-yet-linked worklist for LD_BIND_NOW *)
+  mutable ps_by_addr : Modinst.t Interval_map.t;
   ps_by_key : (string, Modinst.t) Hashtbl.t;
   mutable ps_unlinked : Modinst.t list;
   (* per-scope export indexes, all valid for [ps_index_gen] only
@@ -148,7 +149,7 @@ let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next 
     ps_veneer_next = veneer_next;
     ps_started = started;
     ps_prog = prog;
-    ps_sorted = [||];
+    ps_by_addr = Interval_map.empty;
     ps_by_key = Hashtbl.create 16;
     ps_unlinked = [];
     ps_index = Scope_tbl.create 16;
@@ -174,20 +175,8 @@ let note_prov t ps name ~source ~probe ~origin ~scope =
 let instances t proc =
   match state t proc with Some ps -> List.rev ps.ps_instances | None -> []
 
-(* Binary search the sorted-by-base index for the instance whose range
-   contains [addr]: instances never overlap (distinct shared slots or
-   disjoint arena gaps), so the rightmost base <= addr is the only
-   candidate. *)
 let instance_covering ps addr =
-  let arr = ps.ps_sorted in
-  let rec go lo hi =
-    if lo >= hi then lo - 1
-    else
-      let mid = (lo + hi) / 2 in
-      if arr.(mid).Modinst.inst_base <= addr then go (mid + 1) hi else go lo mid
-  in
-  let i = go 0 (Array.length arr) in
-  if i >= 0 && Modinst.contains arr.(i) addr then Some arr.(i) else None
+  Option.map (fun (_, _, inst) -> inst) (Interval_map.find addr ps.ps_by_addr)
 
 let find_instance ps located = Hashtbl.find_opt ps.ps_by_key located
 
@@ -211,6 +200,15 @@ let digest_xor acc frag =
     Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code frag.[i]))
   done
 
+(* Index [inst] by its range, [inst_base] to [Modinst.limit].  Instances
+   of distinct module files never overlap (distinct shared slots or
+   disjoint arena gaps); a module file reached again through a symlink
+   shares its slot with the instance made first, which keeps the range. *)
+let index_range ps inst =
+  let lo = inst.Modinst.inst_base and hi = Modinst.limit inst in
+  if not (Interval_map.overlaps ~lo ~hi ps.ps_by_addr) then
+    ps.ps_by_addr <- Interval_map.add ~lo ~hi inst ps.ps_by_addr
+
 (* Register a fresh instance in the list and every index. *)
 let add_instance ps inst =
   ps.ps_instances <- inst :: ps.ps_instances;
@@ -218,28 +216,14 @@ let add_instance ps inst =
   let acc = Bytes.copy ps.ps_digest in
   digest_xor acc (inst_fragment inst);
   ps.ps_digest <- acc;
-  let n = Array.length ps.ps_sorted in
-  let arr = Array.make (n + 1) inst in
-  let rec ins i =
-    if i < n && ps.ps_sorted.(i).Modinst.inst_base < inst.Modinst.inst_base then begin
-      arr.(i) <- ps.ps_sorted.(i);
-      ins (i + 1)
-    end
-    else
-      for j = i to n - 1 do
-        arr.(j + 1) <- ps.ps_sorted.(j)
-      done
-  in
-  ins 0;
-  ps.ps_sorted <- arr;
+  index_range ps inst;
   if not inst.Modinst.inst_linked then ps.ps_unlinked <- inst :: ps.ps_unlinked
 
 let rebuild_indexes ps =
   Hashtbl.reset ps.ps_by_key;
   List.iter (fun i -> Hashtbl.replace ps.ps_by_key i.Modinst.inst_key i) ps.ps_instances;
-  let arr = Array.of_list ps.ps_instances in
-  Array.sort (fun a b -> compare a.Modinst.inst_base b.Modinst.inst_base) arr;
-  ps.ps_sorted <- arr;
+  ps.ps_by_addr <- Interval_map.empty;
+  List.iter (index_range ps) (List.rev ps.ps_instances);
   let acc = Bytes.make 16 '\000' in
   List.iter (fun i -> digest_xor acc (inst_fragment i)) ps.ps_instances;
   ps.ps_digest <- acc;
@@ -298,23 +282,6 @@ let rec scope_dirs scope =
 
 (* ----- instantiation ------------------------------------------------------ *)
 
-(* Map public module file [path] at its instance's slot, unless the
-   process already maps something there; true if it mapped. *)
-let map_public_module t proc inst ~path ~prot =
-  match As.mapping_at proc.Proc.space inst.Modinst.inst_base with
-  | Some _ -> false
-  | None ->
-    let seg = inst.Modinst.inst_seg in
-    As.map proc.Proc.space ~base:inst.Modinst.inst_base ~len:Layout.shared_slot_size ~seg
-      ~kind:
-        (Vm_object.File_backed
-           {
-             path;
-             writeback = (fun ~page -> Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
-           })
-      ~prot ~share:As.Public ~label:path ();
-    true
-
 let instantiate t proc ps ~located ~public ~parent_scope =
   Fault.hit "ldl.instantiate";
   let ctx = ctx_of t proc in
@@ -349,8 +316,10 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         let inst = Modinst.public_instance ~decode:(decode t) ctx ~module_path ~scope in
         let fully = Modinst.Header.fully_linked inst.Modinst.inst_seg in
         let prot = if fully then Prot.Read_write_exec else Prot.No_access in
-        if map_public_module t proc inst ~path:module_path ~prot then
-          mapped := inst.Modinst.inst_base :: !mapped;
+        if
+          Kernel.map_shared_segment t.k proc ~base:inst.Modinst.inst_base ~path:module_path
+            ~seg:inst.Modinst.inst_seg ~prot
+        then mapped := inst.Modinst.inst_base :: !mapped;
         Fault.hit "ldl.instantiate.mid";
         if fully then begin
           inst.Modinst.inst_linked <- true;
@@ -877,7 +846,9 @@ let handle_fault t _k proc fault =
                   Modinst.public_instance ~decode:(decode t) (ctx_of t proc) ~module_path:path
                     ~scope
                 in
-                ignore (map_public_module t proc inst ~path ~prot:Prot.No_access);
+                ignore
+                  (Kernel.map_shared_segment t.k proc ~base:inst.Modinst.inst_base ~path
+                     ~seg:inst.Modinst.inst_seg ~prot:Prot.No_access);
                 add_instance ps inst;
                 link_instance t proc ps inst)
           else

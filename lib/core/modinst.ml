@@ -48,8 +48,6 @@ let image_base t = t.inst_base + t.inst_image_off
 
 let limit t = t.inst_base + t.inst_image_off + placed_size t.inst_obj
 
-let contains t addr = addr >= t.inst_base && addr < limit t
-
 let symbol_addr t sym =
   let text_b, data_b, bss_b = Objfile.section_bases t.inst_obj in
   let section_base = function

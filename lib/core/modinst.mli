@@ -59,8 +59,6 @@ val image_base : t -> int
 (** End of the instance's address range (veneer pool included). *)
 val limit : t -> int
 
-val contains : t -> int -> bool
-
 (** Absolute address of a symbol of this instance. *)
 val symbol_addr : t -> Objfile.symbol -> int
 

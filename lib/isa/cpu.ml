@@ -9,7 +9,7 @@ type t = {
   jit : Trace.state;
 }
 
-type status = Running | Halted of int
+type status = Running | Halted of int | Syscall
 
 type run_result = Out_of_fuel | Trapped of Trap.t
 
@@ -40,7 +40,7 @@ let error t msg = raise (Cpu_error { pc = t.pc; msg })
    no-access page faults here, before anything is billed.  Each decode
    counts in [decode_hits], which the kernel never rolls back: with the
    JIT on, that is every instruction no compiled trace ran. *)
-let step t space ~syscall =
+let step t space =
   let pc = t.pc in
   let word = As.fetch space pc in
   let insn =
@@ -59,8 +59,7 @@ let step t space ~syscall =
   | Insn.Syscall ->
     t.pc <- next;
     s.syscalls <- s.syscalls + 1;
-    syscall t;
-    Running
+    Syscall
   | Insn.Sll (rd, rt, sh) ->
     set_reg t rd ((Array.unsafe_get t.regs rt) lsl sh);
     t.pc <- next;
@@ -186,25 +185,13 @@ let step t space ~syscall =
     t.pc <- target;
     Running
 
-let run ~fuel t space ~syscall =
-  let rec go n = if n = 0 then Running else
-    match step t space ~syscall with
-    | Running -> go (n - 1)
-    | Halted code -> Halted code
-  in
-  go fuel
-
 (* --- trap-returning execution ----------------------------------------
 
-   [run_trap] drives the same [step] interpreter but reifies every exit
-   from user mode as a [Trap.t] instead of spreading them over a status
-   value, a callback and two exceptions.  The SYSCALL arm still pays its
-   one instruction of fuel and bumps the syscall counter inside [step],
-   so the cost model is identical to [run] with a dispatching callback;
-   a fault consumes no fuel (the instruction did not complete and will
-   restart), matching the exception path it replaces. *)
-
-exception Syscall_trap
+   [run_trap] drives [step] and reifies every exit from user mode as a
+   [Trap.t] instead of spreading them over a status value and two
+   exceptions.  A SYSCALL pays its one instruction of fuel and bumps the
+   syscall counter inside [step]; a fault consumes no fuel (the
+   instruction did not complete and will restart). *)
 
 (* One loop serves both configurations.  With the trace JIT enabled it
    also offers every {e anchored} pc — a burst start, or the successor
@@ -247,10 +234,10 @@ let run_trap ~fuel t space =
         raise (Cpu_error { pc = e_pc; msg = e_msg })
   and interp n =
     let pc0 = t.pc in
-    match step t space ~syscall:(fun _ -> raise_notrace Syscall_trap) with
+    match step t space with
     | Running -> go (n - 1) (t.pc <> pc0 + 4)
     | Halted code -> (Trapped (Trap.Halt code), n - 1)
-    | exception Syscall_trap -> (Trapped Trap.Syscall, n - 1)
+    | Syscall -> (Trapped Trap.Syscall, n - 1)
     | exception Illegal_insn { ill_pc; ill_word } ->
       (Trapped (Trap.Illegal { ill_pc; ill_word }), n)
     | exception As.Fault { addr; access; reason } ->

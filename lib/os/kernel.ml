@@ -327,26 +327,27 @@ let sys_addr_to_path_r t _proc addr =
 let sys_addr_to_path t proc addr =
   ok_exn (Printf.sprintf "addr_to_path 0x%08x" addr) (sys_addr_to_path_r t proc addr)
 
+let map_shared_segment t proc ~base ~path ~seg ~prot =
+  match As.mapping_at proc.Proc.space base with
+  | Some _ -> false
+  | None ->
+    As.map proc.Proc.space ~base ~len:Layout.shared_slot_size ~seg
+      ~kind:
+        (Vm_object.File_backed
+           { path; writeback = (fun ~page -> Fs.page_writeback t.fs ~path ~seg ~page) })
+      ~prot ~share:As.Public ~label:path ();
+    true
+
 let map_shared_file_r t proc ~path ~prot =
   let s = Stats.cur () in
   s.syscalls <- s.syscalls + 1;
   fs_result (fun () ->
       let base = Fs.addr_of_path t.fs ~cwd:proc.Proc.cwd path in
       let canonical = Fs.path_of_addr t.fs base in
-      match As.mapping_at proc.Proc.space base with
-      | Some _ -> base
-      | None ->
-        let seg = Fs.segment_of t.fs canonical in
-        As.map proc.Proc.space ~base ~len:Layout.shared_slot_size ~seg
-          ~kind:
-            (Vm_object.File_backed
-               {
-                 path = canonical;
-                 writeback =
-                   (fun ~page -> Fs.page_writeback t.fs ~path:canonical ~seg ~page);
-               })
-          ~prot ~share:As.Public ~label:canonical ();
-        base)
+      ignore
+        (map_shared_segment t proc ~base ~path:canonical ~seg:(Fs.segment_of t.fs canonical)
+           ~prot);
+      base)
 
 let map_shared_file t proc ~path ~prot =
   ok_exn ("map_shared_file " ^ path) (map_shared_file_r t proc ~path ~prot)

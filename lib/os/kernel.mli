@@ -287,6 +287,16 @@ val map_shared_file : t -> Proc.t -> path:string -> prot:Hemlock_vm.Prot.t -> in
 val map_shared_file_r :
   t -> Proc.t -> path:string -> prot:Hemlock_vm.Prot.t -> (int, Errno.t) result
 
+(** [map_shared_segment t proc ~base ~path ~seg ~prot] maps [seg], the
+    [/shared] file [path] whose slot starts at [base], into [proc] as a
+    file-backed public mapping, unless [proc] already maps something at
+    [base]; returns whether it mapped.  It bills nothing:
+    {!map_shared_file} bills its syscall around it, and ldl maps public
+    modules through it unbilled. *)
+val map_shared_segment :
+  t -> Proc.t -> base:int -> path:string -> seg:Hemlock_vm.Segment.t ->
+  prot:Hemlock_vm.Prot.t -> bool
+
 (** {1 File descriptors}
 
     Descriptor numbers follow Unix: allocation picks the lowest free

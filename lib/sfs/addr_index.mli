@@ -7,9 +7,9 @@
     arbitrary size, with the inodes "linked into a lookup structure —
     most likely a B-tree".  This module implements the translation index
     with both backends so the trade-off can be measured (experiment
-    E12).  The kernel's [/shared] index is [Linear], like the
-    prototype's table: the 32-bit layout has 1024 slots, so the table
-    never grows to where the B-tree pays. *)
+    E12).  The kernel's [/shared] table is not this module: {!Fs} keeps
+    the prototype's array indexed by slot, since the 32-bit layout has
+    1024 fixed slots. *)
 
 type backend = Linear | Btree_index
 

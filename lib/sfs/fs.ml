@@ -61,10 +61,9 @@ type intent =
 type t = {
   root : dir;
   mutable next_ino : int;
-  addr_index : Addr_index.t;
-  (* the kernel's address→segment index: the prototype's linear table,
-     which never outgrows the 1024 slots below *)
-  slot_used : bool array; (* slot allocation bitmap for the 32-bit layout *)
+  slots : string option array;
+  (* the prototype's linear table indexed by slot: the path of the
+     /shared file at each of the 32-bit layout's slots, [None] if free *)
   mutable generation : int; (* bumped by every namespace/content mutation *)
   mutable journal : (int * intent) list; (* pending intents, newest first *)
   mutable next_jid : int;
@@ -93,8 +92,7 @@ let create () =
     {
       root = { entries = Hashtbl.create 8; dir_ino = 2 };
       next_ino = 4096; (* normal-partition inodes; shared inodes are slots 0..1023 *)
-      addr_index = Addr_index.create Addr_index.Linear;
-      slot_used = Array.make Layout.shared_slots false;
+      slots = Array.make Layout.shared_slots None;
       generation = 0;
       journal = [];
       next_jid = 1;
@@ -151,22 +149,16 @@ let resolve_file t ~op p =
 let alloc_slot t ~op path =
   let rec scan i =
     if i >= Layout.shared_slots then error op path No_space
-    else if not t.slot_used.(i) then i
+    else if Option.is_none t.slots.(i) then i
     else scan (i + 1)
   in
   scan 0
 
-(* Publish or re-point slot [i]'s index entry (re-pointing happens when a
+(* Publish or re-point slot [i]'s path (re-pointing happens when a
    rename moves a shared file: the address is permanent, the path is not). *)
-let publish_slot t slot path =
-  let base = Layout.addr_of_slot slot in
-  ignore (Addr_index.unregister t.addr_index ~base);
-  Addr_index.register t.addr_index ~base ~bytes:Layout.shared_slot_size path;
-  t.slot_used.(slot) <- true
+let publish_slot t slot path = t.slots.(slot) <- Some path
 
-let free_slot t slot =
-  t.slot_used.(slot) <- false;
-  ignore (Addr_index.unregister t.addr_index ~base:(Layout.addr_of_slot slot))
+let free_slot t slot = t.slots.(slot) <- None
 
 (* Intent journal.  The journal lives in [t] — the same place as the
    "disk" — so it survives a simulated crash; an entry present at fsck
@@ -551,15 +543,12 @@ let path_of_addr t a =
   let op = "path_of_addr" in
   if not (Layout.is_public a) then
     raise (Error { op; path = Printf.sprintf "0x%08x" a; kind = Not_shared });
-  (* the translation the SIGSEGV handler makes: resolved through the
-     address index, probes counted (Addr_index.probes) *)
-  match Addr_index.translate t.addr_index a with
-  | Some (p, _off) -> p
+  match t.slots.(Layout.slot_of_addr a) with
+  | Some p -> p
   | None -> raise (Error { op; path = Printf.sprintf "0x%08x" a; kind = Not_found })
 
 let rescan_shared t =
-  Addr_index.clear t.addr_index;
-  Array.fill t.slot_used 0 (Array.length t.slot_used) false;
+  Array.fill t.slots 0 (Array.length t.slots) None;
   let rec walk canon dir =
     let names = List.sort String.compare (Hashtbl.fold (fun k _ a -> k :: a) dir.entries []) in
     let visit name =
@@ -735,11 +724,10 @@ let fsck t =
   }
 
 let shared_free_slots t =
-  Array.fold_left (fun acc used -> if used then acc else acc + 1) 0 t.slot_used
+  Array.fold_left (fun acc path -> if Option.is_none path then acc + 1 else acc) 0 t.slots
 
 let shared_table t =
-  List.map
-    (fun (base, _bytes, path) -> (Layout.slot_of_addr base, path))
-    (Addr_index.to_list t.addr_index)
-
-let shared_index_probes t = Addr_index.probes t.addr_index
+  List.of_seq
+    (Seq.filter_map
+       (fun (slot, path) -> Option.map (fun p -> (slot, p)) path)
+       (Array.to_seqi t.slots))

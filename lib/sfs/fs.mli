@@ -131,10 +131,11 @@ val readdir : t -> ?cwd:Path.t -> string -> string list
 val addr_of_path : t -> ?cwd:Path.t -> string -> int
 
 (** [path_of_addr t a] is the path of the shared file whose address
-    range contains [a] — the new syscall used by the SIGSEGV handler. *)
+    range contains [a] — the new syscall used by the SIGSEGV handler,
+    answered by indexing the slot table with [a]'s slot. *)
 val path_of_addr : t -> int -> string
 
-(** Rebuild the in-kernel linear addr->path lookup table by scanning the
+(** Rebuild the in-kernel slot->path table by scanning the
     whole shared partition, as done at boot time.  Idempotent; used to
     show the mapping survives "crashes". *)
 val rescan_shared : t -> unit
@@ -224,7 +225,3 @@ val shared_free_slots : t -> int
 
 (** All live (slot, path) pairs, in slot order. *)
 val shared_table : t -> (int * string) list
-
-(** Cumulative probes spent by address translations ({!path_of_addr})
-    — the E12 cost measure, now live in the kernel. *)
-val shared_index_probes : t -> int

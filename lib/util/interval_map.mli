@@ -1,6 +1,6 @@
 (** Maps over half-open integer intervals [\[lo, hi)] with non-overlapping
-    keys.  Used for address-space mapping tables and the shared file
-    system's address lookup table.  All operations are purely functional. *)
+    keys.  Used for address-space mapping tables and ldl's per-process
+    index of module instances.  All operations are purely functional. *)
 
 type 'a t
 

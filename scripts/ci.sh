@@ -4,12 +4,13 @@
 # the counter-bump rule (a bump in lib/ looks up Stats.cur () once);
 # the user-memory rule (only lib/vm, lib/isa and lib/os call the address
 # space's accessors or its fault resolver; every other library reaches
-# user memory through Kernel's accessors); the test suite (crash consistency included) and E1-E13 against the
-# golden transcript under four configurations; the examples; `perf`, the
-# JIT's throughput floors over the cache-less and the TLB-only
-# interpreter; and one untimed world of each benchmark workload, none of
-# whose ops may fail and whose simulated counts must equal
-# bench/golden_perfbench_counts.txt.  test_oracle compares each fast
+# user memory through Kernel's accessors); the test suite and E1-E13
+# against the golden transcript under four configurations; the examples;
+# and one untimed world of each benchmark workload, none of whose ops
+# may fail and whose simulated counts must equal
+# bench/golden_perfbench_counts.txt.  Every suite row checks crash
+# consistency and the JIT's throughput floors over the cache-less and
+# the TLB-only interpreter (test_jit).  test_oracle compares each fast
 # path with its reference path inside the suite, so no row switches a
 # single path off.  The configurations:
 #   default         every fast path on: what users run;
@@ -115,9 +116,6 @@ done
 echo "== E1-E13 complete under the cluster stress (no golden gate) =="
 env $CLUSTER dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
 echo "experiments completed"
-
-echo "== perf (gates: JIT >= 10x over no caches, >= 3x over the TLB-only interpreter) =="
-dune exec bench/main.exe -- perf
 
 # A lib/ change that makes a benchmark op fail (a sync that persists no
 # plan, a wrong console) would otherwise show only in the benchmark's

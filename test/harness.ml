@@ -63,6 +63,15 @@ let exec_measured k prog =
   let (_, console), d = Hemlock_util.Stats.measure (fun () -> run_program k prog) in
   (String.trim console, d)
 
+(** Run raw ISA code until BREAK or the fuel runs out; any other trap
+    fails the test. *)
+let run_isa ~fuel cpu space =
+  let module Cpu = Hemlock_isa.Cpu in
+  let module Trap = Hemlock_isa.Trap in
+  match Cpu.run_trap ~fuel cpu space with
+  | (Cpu.Out_of_fuel | Cpu.Trapped (Trap.Halt _)), _ -> ()
+  | Cpu.Trapped tr, _ -> Alcotest.failf "unexpected trap: %a" Trap.pp tr
+
 (** Run a native body to completion; returns its result. *)
 let run_native k ?env ?cwd f =
   let result = ref None in

@@ -126,8 +126,6 @@ let cow_genuine_fault_not_swallowed () =
 
 (* ----- self-modifying code after fork ----- *)
 
-let no_syscall _ = Alcotest.fail "unexpected syscall"
-
 (* Parent patches its own text after fork: the parent must execute the
    new instruction, the child the old one — even with both TLBs warm.
    The parent's page copy lands only in the parent's segment (and
@@ -144,21 +142,21 @@ let cow_self_modifying_after_fork () =
       As.map sp ~base:0x1000 ~len:0x1000 ~seg:text ~prot:Prot.Read_write_exec
         ~share:As.Private ~label:"text" ();
       let cpu = Cpu.create ~entry:0x1000 ~sp:0 in
-      ignore (Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall);
+      run_isa ~fuel:10 cpu sp;
       check_int "before fork" 11 (Cpu.reg cpu Reg.t1);
       let child_sp = As.clone sp in
       let child_cpu = Cpu.fork cpu in
       (* Warm the child's TLB on the shared text. *)
       child_cpu.Cpu.pc <- 0x1000;
-      ignore (Cpu.run ~fuel:10 child_cpu child_sp ~syscall:no_syscall);
+      run_isa ~fuel:10 child_cpu child_sp;
       check_int "child before patch" 11 (Cpu.reg child_cpu Reg.t1);
       (* Parent patches instruction 0 in place. *)
       store_u32_cow sp 0x1000 new_insn;
       cpu.Cpu.pc <- 0x1000;
-      ignore (Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall);
+      run_isa ~fuel:10 cpu sp;
       check_int "parent executes the patched insn" 22 (Cpu.reg cpu Reg.t1);
       child_cpu.Cpu.pc <- 0x1000;
-      ignore (Cpu.run ~fuel:10 child_cpu child_sp ~syscall:no_syscall);
+      run_isa ~fuel:10 child_cpu child_sp;
       check_int "child still executes the original insn" 11
         (Cpu.reg child_cpu Reg.t1);
       check_int "child text word unchanged" old_insn

@@ -2,6 +2,7 @@ open Harness
 module Reg = Hemlock_isa.Reg
 module Insn = Hemlock_isa.Insn
 module Cpu = Hemlock_isa.Cpu
+module Trap = Hemlock_isa.Trap
 module As = Hemlock_vm.Address_space
 module Prot = Hemlock_vm.Prot
 module Segment = Hemlock_vm.Segment
@@ -128,12 +129,10 @@ let make_space insns =
     ~label:"stack" ();
   sp
 
-let no_syscall _ = Alcotest.fail "unexpected syscall"
-
 let run_insns ?(steps = 100) insns =
   let sp = make_space insns in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  ignore (Cpu.run ~fuel:steps cpu sp ~syscall:no_syscall);
+  run_isa ~fuel:steps cpu sp;
   cpu
 
 let cpu_arith () =
@@ -225,7 +224,7 @@ let cpu_jal_jr () =
 let cpu_div_zero_traps () =
   let sp = make_space [ Insn.Div (1, 2, 0); Insn.Break ] in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
+  match Cpu.run_trap ~fuel:10 cpu sp with
   | exception Cpu.Cpu_error { pc = 0x1000; msg } ->
     check_string "message" "division by zero" msg
   | _ -> Alcotest.fail "expected trap"
@@ -233,8 +232,8 @@ let cpu_div_zero_traps () =
 let cpu_fault_leaves_pc () =
   let sp = make_space [ Insn.Lw (1, Reg.zero, 0); Insn.Break ] in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
-  | exception As.Fault { addr = 0; _ } -> ()
+  (match Cpu.run_trap ~fuel:10 cpu sp with
+  | Cpu.Trapped (Trap.Fault { f_addr = 0; _ }), _ -> ()
   | _ -> Alcotest.fail "expected fault");
   (* pc still points at the faulting instruction: it can restart *)
   check_int "pc unmoved" 0x1000 cpu.Cpu.pc
@@ -242,23 +241,22 @@ let cpu_fault_leaves_pc () =
 let cpu_halted_code () =
   let sp = make_space [ Insn.Addi (Reg.a0, Reg.zero, 7); Insn.Break ] in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
-  | Cpu.Halted 7 -> ()
+  match Cpu.run_trap ~fuel:10 cpu sp with
+  | Cpu.Trapped (Trap.Halt 7), _ -> ()
   | _ -> Alcotest.fail "expected Halted 7"
 
-let cpu_syscall_callback () =
+let cpu_syscall_trap () =
   let sp = make_space [ Insn.Addi (Reg.v0, Reg.zero, 9); Insn.Syscall; Insn.Break ] in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  let seen = ref 0 in
-  let syscall c =
-    seen := Cpu.reg c Reg.v0;
-    Cpu.set_reg c Reg.v1 123
-  in
-  ignore (Cpu.run ~fuel:10 cpu sp ~syscall);
-  check_int "syscall number seen" 9 !seen;
-  check_int "result visible" 123 (Cpu.reg cpu Reg.v1);
-  (* pc advanced past the trap before the callback ran *)
-  check_int "pc after break" 0x1008 cpu.Cpu.pc
+  (match Cpu.run_trap ~fuel:10 cpu sp with
+  | Cpu.Trapped Trap.Syscall, _ -> ()
+  | _ -> Alcotest.fail "expected a syscall trap");
+  (* pc advanced past the trap before the handler runs *)
+  check_int "pc past the syscall" 0x1008 cpu.Cpu.pc;
+  check_int "syscall number" 9 (Cpu.reg cpu Reg.v0);
+  Cpu.set_reg cpu Reg.v1 123;
+  run_isa ~fuel:10 cpu sp;
+  check_int "result visible" 123 (Cpu.reg cpu Reg.v1)
 
 (* ----- fetch coherence ----- *)
 
@@ -290,12 +288,12 @@ let cpu_self_modifying () =
 let cpu_fetch_respects_protect () =
   let sp = make_space [ Insn.Beq (Reg.zero, Reg.zero, -1) ] in
   let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-  (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
-  | Cpu.Running -> ()
-  | Cpu.Halted _ -> Alcotest.fail "loop should not halt");
+  (match Cpu.run_trap ~fuel:10 cpu sp with
+  | Cpu.Out_of_fuel, _ -> ()
+  | Cpu.Trapped _, _ -> Alcotest.fail "loop should not trap");
   As.protect sp 0x1000 Prot.Read_write;
-  match Cpu.step cpu sp ~syscall:no_syscall with
-  | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
+  match Cpu.run_trap ~fuel:1 cpu sp with
+  | Cpu.Trapped (Trap.Fault { f_access = Prot.Exec; f_reason = As.Protection; _ }), _ -> ()
   | _ -> Alcotest.fail "fetch after dropping exec must fault"
 
 (* ----- assembler ----- *)
@@ -451,7 +449,7 @@ let suite =
     test "cpu: division by zero traps" cpu_div_zero_traps;
     test "cpu: fault leaves pc for restart" cpu_fault_leaves_pc;
     test "cpu: break halts with code" cpu_halted_code;
-    test "cpu: syscall callback" cpu_syscall_callback;
+    test "cpu: syscall traps with pc past it" cpu_syscall_trap;
     test "cpu: self-modifying code re-decodes" cpu_self_modifying;
     test "cpu: a fetch after protect faults" cpu_fetch_respects_protect;
     test "asm: sections and symbols" asm_sections_and_symbols;

@@ -417,6 +417,53 @@ let counters_observe_jit () =
       check_int "no compiles when disabled" 0 Stats.global.Stats.jit_compiles;
       check_int "no hits when disabled" 0 Stats.global.Stats.jit_hits)
 
+(* ----- throughput floors ----- *)
+
+(* On test_oracle's cross-module loop the JIT runs at least 10x as fast
+   as the interpreter with no caches and 3x as fast as the TLB-only
+   interpreter, and all three bill the same simulated costs.  One world
+   per configuration; the switches are set while it is built and around
+   every run, since an exec's address space captures the TLB flag when
+   it is created.  Each round runs every configuration once, in an order
+   that rotates from round to round, and each configuration's fastest
+   round counts, which one preempted run cannot move. *)
+let jit_throughput_floors () =
+  let configs = [| (false, false); (true, false); (true, true) |] in
+  let world (tlb, jit) =
+    let under f = Config.with_ { Config.current with tlb; jit } f in
+    let k, ldl =
+      under (fun () ->
+          Test_oracle.program ~libs:Test_oracle.loop_libs (Test_oracle.loop_src 4000) [] ignore)
+    in
+    fun () ->
+      let st = under (fun () -> Test_oracle.exec k ldl "run" "/home/t/prog") in
+      check_int "exit" 42 st.Test_oracle.code;
+      Option.get st.Test_oracle.bill
+  in
+  let runs = Array.map world configs in
+  (* the first run of each warms up and bills the costs compared *)
+  let bill d =
+    [ ("instructions", d.Stats.instructions); ("faults", d.Stats.faults);
+      ("syscalls", d.Stats.syscalls); ("context_switches", d.Stats.context_switches);
+      ("cycles", Stats.cycles d) ]
+  in
+  let bills = Array.map (fun run -> bill (run ())) runs in
+  Array.iter (Alcotest.(check (list (pair string int))) "same bill" bills.(0)) bills;
+  let best = Array.make 3 infinity in
+  for round = 0 to 4 do
+    for j = 0 to 2 do
+      let c = (round + j) mod 3 in
+      let t0 = Unix.gettimeofday () in
+      ignore (runs.(c) ());
+      best.(c) <- Float.min best.(c) (Unix.gettimeofday () -. t0)
+    done
+  done;
+  let over c = best.(c) /. best.(2) in
+  Printf.printf "JIT over no caches %.2fx, over the TLB-only interpreter %.2fx\n" (over 0)
+    (over 1);
+  check_bool (Printf.sprintf "JIT %.2fx over no caches, floor 10x" (over 0)) true (over 0 >= 10.0);
+  check_bool (Printf.sprintf "JIT %.2fx over TLB only, floor 3x" (over 1)) true (over 1 >= 3.0)
+
 (* ----- illegal instruction trap (satellite: trap pipeline routing) ----- *)
 
 let bad_word = 0xFC00_0000 (* opcode 63: undecodable *)
@@ -481,6 +528,7 @@ let suite =
     test "jit: resume after the data page is copied and written"
       (resume_invalidated ~words:load_loop "copy data" copy_data_page);
     test "jit: counters observe compiles and hits" counters_observe_jit;
+    test "jit: throughput floors over both interpreters" jit_throughput_floors;
     test "jit: fork/COW workload identical with JIT on and off"
       (Test_oracle.fork_check
          Test_oracle.

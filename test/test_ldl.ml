@@ -305,6 +305,32 @@ let pointer_fault_unmapped_address_unhandled () =
   in
   check_bool "no file there: unhandled" true died
 
+(* A module file reached again through a symlink (/shared/lib/a -> b,
+   with b's module already linked) has the slot of an instance the
+   process already holds: the instance made first keeps the range, and
+   whatever the second link makes of it stays inside the simulator. *)
+let symlinked_module_file_shares_a_slot () =
+  let k, _ldl = boot () in
+  let fs = Kernel.fs k in
+  Fs.mkdir fs "/shared/lib";
+  Fs.mkdir fs "/home/t";
+  install_c k "/shared/lib/a.o" "int a() { return 1; }";
+  install_c k "/shared/lib/b.o" "int b() { return 2; }";
+  install_c k "/home/t/one.o" "extern int b(); int main() { return b(); }";
+  install_c k "/home/t/two.o" "extern int a(); extern int b(); int main() { return b() + a(); }";
+  let public name = ("/shared/lib/" ^ name, Sharing.Dynamic_public) in
+  ignore
+    (link k ~dir:"/home/t" ~specs:[ ("one.o", Sharing.Static_private); public "b.o" ] "one");
+  ignore
+    (link k ~dir:"/home/t"
+       ~specs:[ ("two.o", Sharing.Static_private); public "b.o"; public "a.o" ]
+       "two");
+  check_int "b's module created" 2 (exit_code (fst (run_program k "/home/t/one")));
+  Fs.symlink fs ~target:"/shared/lib/b" "/shared/lib/a";
+  check_bool "the second program ends" true
+    (Proc.is_zombie (fst (run_program k "/home/t/two")));
+  check_int "the host runs on" 2 (exit_code (fst (run_program k "/home/t/one")))
+
 let fault_past_linked_module_unhandled () =
   (* A stray load across the end of a public module's slot, far past
      what the module occupies: relinking the module cannot resolve it,
@@ -625,6 +651,7 @@ let suite =
     test "ldl: pointer faults map shared segments" pointer_fault_maps_segment;
     test "ldl: faults on empty slots stay unhandled" pointer_fault_unmapped_address_unhandled;
     test "ldl: faults past a linked module stay unhandled" fault_past_linked_module_unhandled;
+    test "ldl: a symlinked module file shares a slot" symlinked_module_file_shares_a_slot;
     test "ldl: retained data relocations are applied" retained_data_reloc_applied;
     test "ldl: program SIGSEGV handler chained" program_handler_chained;
     test "ldl: creation race resolved by file lock" creation_race_single_module;

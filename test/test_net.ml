@@ -12,7 +12,6 @@ module Cluster = Hemlock_os.Cluster
 module Net = Hemlock_os.Net
 module Errno = Hemlock_os.Errno
 module Rwho = Hemlock_apps.Rwho
-module Addr_index = Hemlock_sfs.Addr_index
 
 (* ----- broadcast payload aliasing ----- *)
 
@@ -327,17 +326,14 @@ let deployment_under_every_profile () =
 
 (* ----- the /shared address index ----- *)
 
-(* The kernel's /shared index answers address translations and counts
-   their probes. *)
+(* The kernel's /shared slot table answers address translations. *)
 let fs_translates_through_index () =
   let fs = Fs.create () in
   Fs.mkdir fs "/shared/x";
   Fs.create_file fs "/shared/x/a";
   Fs.create_file fs "/shared/x/b";
   let addr = Fs.addr_of_path fs "/shared/x/b" in
-  let probes0 = Fs.shared_index_probes fs in
-  check_string "path_of_addr through the index" "/shared/x/b" (Fs.path_of_addr fs addr);
-  check_bool "translation cost counted" true (Fs.shared_index_probes fs > probes0)
+  check_string "path_of_addr through the index" "/shared/x/b" (Fs.path_of_addr fs addr)
 
 let suite =
   [

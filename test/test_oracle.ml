@@ -22,6 +22,7 @@ module Segment = Hemlock_vm.Segment
 module Vm_object = Hemlock_vm.Vm_object
 module Modinst = Hemlock_linker.Modinst
 module Cluster = Hemlock_os.Cluster
+module Modgen = Hemlock_apps.Modgen
 
 (* ----- settings and observations ----------------------------------------- *)
 
@@ -792,6 +793,38 @@ let cow_exec_input =
   fixed "exec from an image master" [ all_on () ] (fun log ->
       ignore (program multi_page_image_src [ "warm"; "run" ] log))
 
+(* The other inputs compare configurations with each other, so a count
+   that every configuration bills alike (a template read that stops
+   billing its file, say) shows only against constants: the 4-module
+   deep chain's cold and warm exec, under the oracle. *)
+let pinned_bill_input =
+  let pinned d =
+    [ ("instructions", d.Stats.instructions); ("syscalls", d.syscalls); ("faults", d.faults);
+      ("files_opened", d.files_opened); ("bytes_copied", d.bytes_copied);
+      ("modules_linked", d.modules_linked); ("symbols_resolved", d.symbols_resolved);
+      ("cycles", Stats.cycles d) ]
+  in
+  fixed "the deep chain's execs bill pinned costs" [ all_on () ]
+    ~extra:(fun _ base _ ->
+      List.iter
+        (fun label ->
+          check_string (label ^ ": console")
+            (string_of_int (Modgen.expected ~modules:4 ~used:3))
+            (find base label).shown;
+          Alcotest.(check (list (pair string int)))
+            (label ^ ": bill")
+            [ ("instructions", 196); ("syscalls", 4); ("faults", 4); ("files_opened", 5);
+              ("bytes_copied", 2255); ("modules_linked", 4); ("symbols_resolved", 30);
+              ("cycles", 13689) ]
+            (pinned (bill base label)))
+        [ "cold"; "warm" ])
+    (fun log ->
+      let k, ldl = boot () in
+      Fs.mkdir (Kernel.fs k) "/home/lib";
+      ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules:4);
+      Modgen.link_driver ~deep:4 ldl ~dir:"/home/lib" ~out:"/home/t/prog" ~used:3;
+      List.iter (fun label -> log (exec k ldl label "/home/t/prog")) [ "cold"; "warm" ])
+
 (* Compiled stores to an image page the image master still shares: the
    first loop writes the value the page already holds, which keeps it
    shared, the second writes new values, which copies it once.  Exits
@@ -870,13 +903,14 @@ let compiled_input name ?max_exits ?libs src =
         max_exits)
     (fun log -> ignore (program ?libs src [ "run" ] log))
 
-(* 16000 iterations, each calling two public modules through their jump
+(* [n] iterations, each calling two public modules through their jump
    slots; exits 42. *)
 let loop_libs =
   [ ("inc_a.o", "int inc_a() { return 3; }"); ("inc_b.o", "int inc_b() { return 4; }") ]
 
-let loop_src =
-  {|
+let loop_src n =
+  Printf.sprintf
+    {|
 extern int inc_a();
 extern int inc_b();
 int main() {
@@ -884,7 +918,7 @@ int main() {
   int s;
   s = 0;
   i = 0;
-  while (i < 16000) {
+  while (i < %d) {
     s = s + inc_a();
     s = s + i; s = s + i; s = s + i; s = s + i;
     s = s + i; s = s + i; s = s + i; s = s + i;
@@ -893,13 +927,14 @@ int main() {
     s = s + inc_b();
     i = i + 1;
   }
-  return s - 111958;
+  return s - %d;
 }
 |}
+    n ((7 * n) - 42)
 
 let loop_input =
   compiled_input "a cross-module loop stays compiled across quanta" ~max_exits:16
-    ~libs:loop_libs loop_src
+    ~libs:loop_libs (loop_src 16000)
 
 (* Compiled code allocates nothing per instruction: a word access reads
    or writes its page's bytes in place, with no boxed [Int32], and every
@@ -910,7 +945,7 @@ let loop_allocation =
   test "oracle: compiled code allocates nothing per instruction" (fun () ->
       let s = all_on () in
       under ~threshold:s.threshold s.cfg (fun () ->
-          let k, ldl = program ~libs:loop_libs loop_src [] ignore in
+          let k, ldl = program ~libs:loop_libs (loop_src 16000) [] ignore in
           let before = Gc.minor_words () in
           let st = exec k ldl "run" "/home/t/prog" in
           let words = Gc.minor_words () -. before in
@@ -942,6 +977,7 @@ int main() {
 let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
+    pinned_bill_input;
     shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
     lock_acquire_input; lock_release_input; big_write_input; big_read_input;
   ]
