@@ -202,8 +202,9 @@ let digest_xor acc frag =
 
 (* Index [inst] by its range, [inst_base] to [Modinst.limit].  Instances
    of distinct module files never overlap (distinct shared slots or
-   disjoint arena gaps); a module file reached again through a symlink
-   shares its slot with the instance made first, which keeps the range. *)
+   disjoint arena gaps); a module file reached again under another path
+   (a symlinked directory) shares its slot with the instance made first,
+   which keeps the range. *)
 let index_range ps inst =
   let lo = inst.Modinst.inst_base and hi = Modinst.limit inst in
   if not (Interval_map.overlaps ~lo ~hi ps.ps_by_addr) then
@@ -314,6 +315,12 @@ let instantiate t proc ps ~located ~public ~parent_scope =
           errf "public module template %s must reside on the shared partition" located;
         let module_path = ensure_public_created t proc ~located ~obj in
         let inst = Modinst.public_instance ~decode:(decode t) ctx ~module_path ~scope in
+        (* The module file may be another template's, reached through a
+           symlink: refuse it rather than link [located] as that
+           template.  One file under two paths has one segment id. *)
+        if fst inst.Modinst.inst_src <> fst src then
+          errf "module file %s was created from %s, not %s" module_path
+            inst.Modinst.inst_key located;
         let fully = Modinst.Header.fully_linked inst.Modinst.inst_seg in
         let prot = if fully then Prot.Read_write_exec else Prot.No_access in
         if

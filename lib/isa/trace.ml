@@ -71,7 +71,6 @@ let default_threshold = 50
 let threshold = ref (Option.value Config.env.jit_threshold ~default:default_threshold)
 
 let max_insns = 512
-let max_inline = 16
 let min_insns = 3
 
 exception Error of { e_pc : int; e_msg : string }
@@ -179,13 +178,8 @@ type kind =
   | K_br_loop  (* conditional: taken edge loops to the trace entry *)
   | K_jump  (* unconditional, followed in-line: pure bill *)
   | K_jal  (* inlined call: set ra, continue at the target *)
-  | K_jal_exit of int  (* call at the inline-depth cap: exec, then exit *)
-  | K_jr_guard of int  (* matched return, or a monomorphic jump through
-                          the target the register held at compile time:
-                          guard regs[rs] = expected *)
-  | K_jalr_guess of int  (* monomorphic indirect call: set rd, guard,
-                            continue inline at the compile-time target *)
-  | K_jalr_exit  (* indirect call at the inline-depth cap: exec, exit *)
+  | K_jr_guard of int  (* predicted [jr]: guard regs[rs] = expected *)
+  | K_jalr_exit  (* indirect call: set rd, exit to the target *)
   | K_syscall
   | K_halt
 
@@ -202,20 +196,18 @@ type dep_run = {
   mutable dr_next : int;
 }
 
-(* [regs] is the live register file at the moment of compilation: the
-   trace runs immediately after selection, so a register holding an
-   indirect-jump target right now holds the target of the run about to
-   happen.  Selection carries that knowledge forward with a small
-   constant-propagation pass (mirroring the interpreter's arithmetic,
-   peeking current memory for loads from known addresses), so that an
-   indirect call through a linker jump slot — [lw t, slot(gp); jalr t]
-   — is predicted from the slot's {e current} contents rather than a
-   stale register.  Indirect calls and returns then compile as
-   {e monomorphic guesses}: guard on the predicted target, continue
-   inline through it, side exit to the true target on a mispredict —
-   which is what lets traces span the linker's jump-slot calls and
-   returns instead of breaking at every one.  A wrong prediction is
-   never wrong execution, only a guaranteed side exit. *)
+(* Selection follows J and inlines every JAL, bounded only by
+   [max_insns] and the revisited-pc rule, and predicts the two indirect
+   jumps the toolchain emits.  A [jr ra] that returns from a call the
+   trace inlined goes to that call's return address.  Any other [jr r]
+   is a linker veneer ([lui r, hi; ori r, r, lo; jr r], the 28-bit jump
+   limit's long call) or a return from the function the trace started
+   in: right after the veneer's [lui]/[ori] it goes to their constant,
+   otherwise to what [r] holds in [regs], the live register file, since
+   the trace runs as soon as it is compiled.  Both compile as guards
+   that side exit to the true target on a mispredict: a wrong
+   prediction is never wrong execution.  A JALR (only hand-written
+   code has one) ends the trace. *)
 let select regs space entry =
   let sels = ref [] in
   let count = ref 0 in
@@ -224,75 +216,6 @@ let select regs space entry =
   let cur = ref None in
   let tail = ref T_none in
   let ras = ref [] in
-  let depth = ref 0 in
-  (* Abstract register file: [Some v] = the register will hold exactly
-     [v] when execution reaches this point of the trace (assuming every
-     guard before it holds). Seeded from the live registers. *)
-  let abs = Array.init 32 (fun i -> Some (Array.unsafe_get regs i)) in
-  abs.(0) <- Some 0;
-  let aval r = if r = 0 then Some 0 else Array.unsafe_get abs r in
-  let aset r v = if r <> 0 then Array.unsafe_set abs r v in
-  let known r f = match aval r with Some v -> Some (f v) | None -> None in
-  let known2 r1 r2 f =
-    match (aval r1, aval r2) with
-    | Some a, Some b -> Some (f a b)
-    | _ -> None
-  in
-  let m f = Option.map Codec.mask32 f in
-  let peek_u32 a =
-    if a land 3 <> 0 then None
-    else
-      match As.data_view space a Prot.Read with
-      | Some (seg, delta, hi) when a + 4 <= hi ->
-        Some (Segment.get_u32 seg (a + delta))
-      | _ -> None
-  in
-  (* Advance the abstract state over one instruction, mirroring the
-     interpreter's value semantics exactly (set_reg masks to 32 bits;
-     signed compares sign-extend). *)
-  let abs_step insn pc =
-    let sx = Codec.sext32 in
-    match insn with
-    | Insn.Sll (rd, rt, sh) -> aset rd (m (known rt (fun v -> v lsl sh)))
-    | Insn.Srl (rd, rt, sh) -> aset rd (m (known rt (fun v -> v lsr sh)))
-    | Insn.Sra (rd, rt, sh) -> aset rd (m (known rt (fun v -> sx v asr sh)))
-    | Insn.Add (rd, rs, rt) -> aset rd (m (known2 rs rt ( + )))
-    | Insn.Sub (rd, rs, rt) -> aset rd (m (known2 rs rt ( - )))
-    | Insn.Mul (rd, rs, rt) ->
-      aset rd (m (known2 rs rt (fun a b -> sx a * sx b)))
-    | Insn.Div (rd, _, _) | Insn.Rem (rd, _, _) ->
-      (* Folding a division would also have to fold its zero trap;
-         not worth it for a guess. *)
-      aset rd None
-    | Insn.And (rd, rs, rt) -> aset rd (m (known2 rs rt ( land )))
-    | Insn.Or (rd, rs, rt) -> aset rd (m (known2 rs rt ( lor )))
-    | Insn.Xor (rd, rs, rt) -> aset rd (m (known2 rs rt ( lxor )))
-    | Insn.Slt (rd, rs, rt) ->
-      aset rd (known2 rs rt (fun a b -> if sx a < sx b then 1 else 0))
-    | Insn.Sltu (rd, rs, rt) ->
-      aset rd (known2 rs rt (fun a b -> if a < b then 1 else 0))
-    | Insn.Addi (rt, rs, imm) -> aset rt (m (known rs (fun v -> v + imm)))
-    | Insn.Slti (rt, rs, imm) ->
-      aset rt (known rs (fun v -> if sx v < imm then 1 else 0))
-    | Insn.Andi (rt, rs, imm) -> aset rt (m (known rs (fun v -> v land imm)))
-    | Insn.Ori (rt, rs, imm) -> aset rt (m (known rs (fun v -> v lor imm)))
-    | Insn.Xori (rt, rs, imm) -> aset rt (m (known rs (fun v -> v lxor imm)))
-    | Insn.Lui (rt, imm) -> aset rt (Some (Codec.mask32 (imm lsl 16)))
-    | Insn.Lw (rt, base, off) ->
-      aset rt
-        (match aval base with
-        | Some v -> peek_u32 (Codec.mask32 (v + off))
-        | None -> None)
-    | Insn.Lb (rt, _, _) -> aset rt None
-    | Insn.Sw _ | Insn.Sb _ | Insn.Beq _ | Insn.Bne _ | Insn.Blez _
-    | Insn.Bgtz _ | Insn.J _ | Insn.Jr _ | Insn.Break ->
-      ()
-    | Insn.Jal _ -> aset Reg.ra (Some (Codec.mask32 (pc + 4)))
-    | Insn.Jalr (rd, _) -> aset rd (Some (Codec.mask32 (pc + 4)))
-    | Insn.Syscall ->
-      (* The kernel may write any register before resuming. *)
-      Array.fill abs 1 31 None
-  in
   let dep_add pc word seg delta hi =
     match !cur with
     | Some r
@@ -343,50 +266,23 @@ let select regs space entry =
           push K_jump;
           go (Insn.jump_target ~pc field)
         | Insn.Jal field ->
-          let target = Insn.jump_target ~pc field in
-          if !depth >= max_inline then push (K_jal_exit target)
-          else begin
-            abs_step insn pc;
-            ras := (pc + 4) :: !ras;
-            incr depth;
-            push K_jal;
-            go target
-          end
-        | Insn.Jr rs -> (
-          (* Only [jr ra] is a return; a [jr] through any other register
-             is an indirect jump (the compiler's out-of-range call
-             veneers are [lui at; ori at; jr at]) and must follow the
-             jump target, not the pending return address. *)
-          match !ras with
-          | ret :: rest when rs = Reg.ra ->
-            ras := rest;
-            decr depth;
-            push (K_jr_guard ret);
-            go ret
-          | _ ->
-            let guess =
-              match aval rs with
-              | Some v -> v
-              | None -> Array.unsafe_get regs rs
-            in
-            push (K_jr_guard guess);
-            go guess)
-        | Insn.Jalr (_, rs) ->
-          if !depth >= max_inline then push K_jalr_exit
-          else begin
-            (* Read the prediction before the abstract rd write, like
-               the runtime guard reads the target before writing rd. *)
-            let guess =
-              match aval rs with
-              | Some v -> v
-              | None -> Array.unsafe_get regs rs
-            in
-            abs_step insn pc;
-            ras := (pc + 4) :: !ras;
-            incr depth;
-            push (K_jalr_guess guess);
-            go guess
-          end
+          ras := (pc + 4) :: !ras;
+          push K_jal;
+          go (Insn.jump_target ~pc field)
+        | Insn.Jr rs ->
+          let target =
+            match (!ras, !sels) with
+            | ret :: rest, _ when rs = Reg.ra ->
+              ras := rest;
+              ret
+            | _, { s_insn = Insn.Ori (r1, r2, lo); _ } :: { s_insn = Insn.Lui (r3, hi); _ } :: _
+              when r1 = rs && r2 = rs && r3 = rs ->
+              (hi lsl 16) lor lo
+            | _ -> Array.unsafe_get regs rs
+          in
+          push (K_jr_guard target);
+          go target
+        | Insn.Jalr _ -> push K_jalr_exit
         | Insn.Beq (rs, rt, off) when rs = rt ->
           (* Always taken: follow it like an unconditional jump. *)
           push K_jump;
@@ -399,7 +295,6 @@ let select regs space entry =
           if taken = entry then push K_br_loop else push (K_br_exit taken);
           go (pc + 4)
         | _ ->
-          abs_step insn pc;
           push K_plain;
           go (pc + 4))
   in
@@ -725,28 +620,11 @@ let compile st space entry_pc =
         fun fuel ->
           Array.unsafe_set regs Reg.ra ret;
           next (fuel - 1)
-      | K_jal_exit target ->
-        let ret = Codec.mask32 (pc + 4) in
-        fun fuel ->
-          Array.unsafe_set regs Reg.ra ret;
-          side_exit target (fuel - 1)
       | K_jr_guard expected -> (
         match sel.s_insn with
         | Insn.Jr rs ->
           fun fuel ->
             let target = Array.unsafe_get regs rs in
-            if target = expected then next (fuel - 1)
-            else side_exit target (fuel - 1)
-        | _ -> assert false)
-      | K_jalr_guess expected -> (
-        match sel.s_insn with
-        | Insn.Jalr (rd, rs) ->
-          let ret = Codec.mask32 (pc + 4) in
-          fun fuel ->
-            (* Read the target before writing rd: Jalr rd rs with
-               rd = rs jumps to the *old* value, like the interpreter. *)
-            let target = Array.unsafe_get regs rs in
-            if rd <> 0 then Array.unsafe_set regs rd ret;
             if target = expected then next (fuel - 1)
             else side_exit target (fuel - 1)
         | _ -> assert false)

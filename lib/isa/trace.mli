@@ -5,12 +5,14 @@
     {!Cpu.run_trap} calls {!enter} at every {e anchored} pc — a burst
     start or the successor of any taken branch.  Each head is counted;
     at {!threshold} entries the straight-line run starting there is
-    compiled into a superblock (unconditional branches followed,
-    JAL/JR pairs inlined up to a small depth, conditional branches
-    compiled as side-exit guards) and subsequent entries run the
-    closure chain instead of the interpreter.  A trace that runs the
-    quantum dry leaves a resume token, and the next quantum's {!enter}
-    at the stop pc continues the trace there.
+    compiled into a superblock (J followed, JAL inlined, a [jr]
+    predicted as the return of an inlined call, the target of a
+    [lui]/[ori] veneer or the register's value at compile time, a JALR
+    ending the trace, conditional branches compiled as side-exit
+    guards) and subsequent entries run the closure chain instead of
+    the interpreter.  A trace that runs the quantum dry leaves a resume
+    token, and the next quantum's {!enter} at the stop pc continues the
+    trace there.
 
     Coherence: compiled code words are pinned under
     [(As.epoch, Segment.version)], degrading to word verification when

@@ -30,8 +30,6 @@ let find_msgq t name =
   | Some q -> Ok q
   | None -> Error Errno.ENOENT
 
-let msgq_length t name = Result.map (fun q -> Queue.length q.mq_queue) (find_msgq t name)
-
 (* Blocking send/recv: native processes only (they wait through the
    scheduler's effect). *)
 

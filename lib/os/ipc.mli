@@ -22,8 +22,6 @@ val msgq_create : 'k t -> string -> capacity:int -> (unit, Errno.t) result
 val msgq_exists : 'k t -> string -> bool
 
 (** [ENOENT] for an unknown queue, like the calls below. *)
-val msgq_length : 'k t -> string -> (int, Errno.t) result
-
 val msg_send : 'k t -> string -> Bytes.t -> (unit, Errno.t) result
 
 (** Non-blocking enqueue from {e outside} any process context (the

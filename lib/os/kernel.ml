@@ -109,12 +109,8 @@ let fs_result f =
 let register_pd_service t ~name ~owner pd_entry =
   ok_exn ("pd service " ^ name) (Ipc.register_pd_service t.ipc ~name ~owner pd_entry)
 
-let pd_call_r t proc ~service arg =
-  ignore proc;
-  Ipc.pd_call t.ipc t ~service arg
-
-let pd_call t proc ~service arg =
-  ok_exn ("pd_call " ^ service) (pd_call_r t proc ~service arg)
+let pd_call t _proc ~service arg =
+  ok_exn ("pd_call " ^ service) (Ipc.pd_call t.ipc t ~service arg)
 
 (* --- signals ----------------------------------------------------------- *)
 
@@ -338,19 +334,17 @@ let map_shared_segment t proc ~base ~path ~seg ~prot =
       ~prot ~share:As.Public ~label:path ();
     true
 
-let map_shared_file_r t proc ~path ~prot =
+let map_shared_file t proc ~path ~prot =
   let s = Stats.cur () in
   s.syscalls <- s.syscalls + 1;
-  fs_result (fun () ->
-      let base = Fs.addr_of_path t.fs ~cwd:proc.Proc.cwd path in
-      let canonical = Fs.path_of_addr t.fs base in
-      ignore
-        (map_shared_segment t proc ~base ~path:canonical ~seg:(Fs.segment_of t.fs canonical)
-           ~prot);
-      base)
-
-let map_shared_file t proc ~path ~prot =
-  ok_exn ("map_shared_file " ^ path) (map_shared_file_r t proc ~path ~prot)
+  ok_exn ("map_shared_file " ^ path)
+    (fs_result (fun () ->
+         let base = Fs.addr_of_path t.fs ~cwd:proc.Proc.cwd path in
+         let canonical = Fs.path_of_addr t.fs base in
+         ignore
+           (map_shared_segment t proc ~base ~path:canonical ~seg:(Fs.segment_of t.fs canonical)
+              ~prot);
+         base))
 
 (* --- file descriptors ----------------------------------------------------- *)
 
@@ -457,8 +451,6 @@ let msgq_create t name ~capacity =
   | Error _ -> raise (Os_error ("msgq exists: " ^ name))
 
 let msgq_exists t name = Ipc.msgq_exists t.ipc name
-
-let msgq_length t name = ok_exn ("msgq " ^ name) (Ipc.msgq_length t.ipc name)
 
 let msg_send t _proc name b = ok_exn ("msgq " ^ name) (Ipc.msg_send t.ipc name b)
 

@@ -87,10 +87,6 @@ type segv_handler = t -> Proc.t -> fault -> segv_result
     running as the fallback, mirroring the paper's wrapped [signal]. *)
 val install_segv_handler : t -> Proc.t -> name:string -> segv_handler -> unit
 
-(** [deliver_segv t proc fault] walks the chain; [Unhandled] means no
-    handler resolved it. *)
-val deliver_segv : t -> Proc.t -> fault -> segv_result
-
 (** {1 Extension points} *)
 
 (** [register_syscall t num f] installs an ISA syscall (num >=
@@ -171,10 +167,6 @@ val spawn_exec :
   string ->
   Proc.t
 
-(** Fork an ISA process (§5: private segments copied, public shared,
-    both continue at the same pc).  Returns the child. *)
-val fork_isa : t -> Proc.t -> Proc.t
-
 (** [add_fork_hook t h] runs [h] after every fork, in registration
     order (registration itself is O(1)); the dynamic linker uses this
     to clone its per-process link state. *)
@@ -182,9 +174,6 @@ val add_fork_hook : t -> (parent:Proc.t -> child:Proc.t -> unit) -> unit
 
 val find_proc : t -> int -> Proc.t option
 val processes : t -> Proc.t list
-
-(** Terminate a process abnormally. *)
-val kill : t -> Proc.t -> reason:string -> unit
 
 (** Native blocking wait; returns (pid, exit code).  Reaping (here or
     through the ISA [wait]) is the one point where an exited process's
@@ -273,19 +262,12 @@ val peek_u32 : Proc.t -> int -> int option
 (** Global address of a shared file. *)
 val sys_path_to_addr : t -> Proc.t -> string -> int
 
-val sys_path_to_addr_r : t -> Proc.t -> string -> (int, Errno.t) result
-
 (** Path of the shared file containing a public address. *)
 val sys_addr_to_path : t -> Proc.t -> int -> string
-
-val sys_addr_to_path_r : t -> Proc.t -> int -> (string, Errno.t) result
 
 (** Map a shared file into the process at its global address; returns
     the base.  Idempotent when already mapped. *)
 val map_shared_file : t -> Proc.t -> path:string -> prot:Hemlock_vm.Prot.t -> int
-
-val map_shared_file_r :
-  t -> Proc.t -> path:string -> prot:Hemlock_vm.Prot.t -> (int, Errno.t) result
 
 (** [map_shared_segment t proc ~base ~path ~seg ~prot] maps [seg], the
     [/shared] file [path] whose slot starts at [base], into [proc] as a
@@ -357,7 +339,6 @@ val msgq_exists : t -> string -> bool
 val msg_send : t -> Proc.t -> string -> Bytes.t -> unit
 val msg_recv : t -> Proc.t -> string -> Bytes.t
 val msg_try_recv : t -> Proc.t -> string -> Bytes.t option
-val msgq_length : t -> string -> int
 
 (** {1 Protection-domain calls}
 
@@ -378,8 +359,6 @@ val register_pd_service : t -> name:string -> owner:Proc.t -> (t -> Proc.t -> in
     space), with the caller suspended, and the result word comes back.
     @raise Os_error ([ENOENT]) for unknown services. *)
 val pd_call : t -> Proc.t -> service:string -> int -> int
-
-val pd_call_r : t -> Proc.t -> service:string -> int -> (int, Errno.t) result
 
 (** {1 Misc} *)
 

@@ -581,9 +581,16 @@ let fsck t =
   let replayed = ref 0 and rolled = ref 0 in
   let repairs = ref [] and orphans = ref [] in
   let note msg = repairs := msg :: !repairs in
+  (* An intent may name anything; a path that does not resolve (a
+     missing entry, a component that is a file, a symlink loop) names
+     nothing. *)
   let lookup path =
-    resolve_opt t ~op:"fsck" ~follow_last:false (Path.of_string ~cwd:Path.root path)
+    match resolve_node t ~op:"fsck" ~follow_last:false (Path.of_string ~cwd:Path.root path) with
+    | found -> Some found
+    | exception Error _ -> None
   in
+  (* [resolve_node] wraps a directory afresh: compare what it wraps. *)
+  let same_node a b = match (a, b) with Dir a, Dir b -> a == b | a, b -> a == b in
   let process intent =
     match intent with
     | Intent_create { path } -> (
@@ -596,18 +603,25 @@ let fsck t =
       | Some _ | None -> incr rolled)
     | Intent_rename { src; dst } -> (
       match (lookup src, lookup dst) with
-      | Some _, Some _ ->
-        (* Insert happened, remove did not: finish the rename. *)
-        let srcp = Path.of_string ~cwd:Path.root src in
-        (match resolve_opt t ~op:"fsck" ~follow_last:true (Path.parent srcp) with
-        | Some (_, Dir d) ->
-          Hashtbl.remove d.entries (Path.basename srcp);
-          touch t
-        | Some _ | None -> ());
-        note (Printf.sprintf "completed rename %s -> %s" src dst);
+      | Some (src_canon, src_node), Some (dst_canon, dst_node) when same_node src_node dst_node ->
+        (* One node under two paths: the insert happened, the remove
+           did not, so finish the rename.  Under one path (the root
+           included) there is nothing left to remove. *)
+        if src_canon <> dst_canon then begin
+          let srcp = Path.of_string ~cwd:Path.root src in
+          (match resolve_opt t ~op:"fsck" ~follow_last:true (Path.parent srcp) with
+          | Some (_, Dir d) ->
+            Hashtbl.remove d.entries (Path.basename srcp);
+            touch t
+          | Some _ | None -> ());
+          note (Printf.sprintf "completed rename %s -> %s" src dst)
+        end;
         incr replayed
       | None, Some _ -> incr replayed (* already complete *)
-      | Some _, None | None, None -> incr rolled)
+      | Some _, _ | None, None ->
+        (* Two different nodes mean the insert never happened ([rename]
+           refuses an existing destination): leave both. *)
+        incr rolled)
     | Intent_write { path; digest } -> (
       match lookup path with
       | Some (_, File f) ->
@@ -621,7 +635,7 @@ let fsck t =
     | Intent_pageout { path; page; digest } -> (
       match lookup path with
       | Some (_, File f)
-        when (page + 1) lsl Layout.page_shift <= Segment.max_size f.seg ->
+        when page >= 0 && (page + 1) lsl Layout.page_shift <= Segment.max_size f.seg ->
         if page_digest f.seg page = digest then incr replayed
         else begin
           (* The page changed between the barrier and the crash; the

@@ -371,6 +371,116 @@ let fsck_crash_keeps_unprocessed_intents () =
   check_int "journal drained" 0 (List.length (Fs.journal_pending fs));
   check_bool "second fsck clean" true (Fs.fsck fs).Fs.fsck_clean
 
+(* ----- fsck against hostile intents --------------------------------------- *)
+
+(* fsck trusts no intent: over a random tree of directories, files of
+   0-9,000 bytes and symlinks (loops and dangling ones included) under
+   /shared and /tmp, 1-6 intents naming its paths, the root, /shared or
+   missing paths, with digests that match or not and pageout pages
+   before, inside or past the file, must resolve without an exception
+   and leave nothing for a second fsck. *)
+let hostile_intents seed =
+  let fs = Fs.create () in
+  let prng = Prng.create ~seed in
+  let pick l = Prng.choose prng (Array.of_list l) in
+  let dirs = ref [ "/shared"; "/tmp" ] and nodes = ref [] in
+  for i = 0 to Prng.int prng 12 do
+    nodes := Printf.sprintf "%s/n%d" (pick !dirs) i :: !nodes;
+    if Prng.int prng 3 = 0 then dirs := List.hd !nodes :: !dirs
+  done;
+  let tree = List.rev !nodes in
+  let missing = "/shared/missing" :: List.map (fun p -> p ^ "/missing") tree in
+  (* Symlinks may point anywhere in the tree, so some resolve only
+     through others, some loop and some dangle. *)
+  List.iter
+    (fun p ->
+      if List.mem p !dirs then Fs.mkdir fs p
+      else if Prng.bool prng then
+        Fs.write_file fs p
+          (Bytes.init (Prng.int prng 9_001) (fun _ -> Char.chr (Prng.int prng 256)))
+      else Fs.symlink fs ~target:(pick (tree @ missing)) p)
+    tree;
+  let paths = Array.of_list (("/" :: "/shared" :: tree) @ missing) in
+  let path () = Prng.choose prng paths in
+  let wrong = Digest.string "wrong" in
+  let digest p =
+    match Fs.read_file fs p with
+    | b when Prng.bool prng -> Digest.bytes b
+    | _ | (exception Fs.Error _) -> wrong
+  in
+  let pageout p =
+    let pages =
+      match Fs.segment_of fs p with
+      | seg -> Segment.max_size seg / Layout.page_size
+      | exception Fs.Error _ -> 0
+    in
+    let page = Prng.choose prng [| -1; Prng.int prng 3; pages + Prng.int prng 2 |] in
+    let digest =
+      match Fs.segment_of fs p with
+      | seg when Prng.bool prng && page >= 0 && page < pages ->
+        Digest.bytes
+          (Segment.blit_out seg ~src_off:(page * Layout.page_size) ~len:Layout.page_size)
+      | _ | (exception Fs.Error _) -> wrong
+    in
+    Fs.Intent_pageout { path = p; page; digest }
+  in
+  for _ = 0 to Prng.int prng 6 do
+    let p = path () in
+    ignore
+      (Fs.journal_begin fs
+         (match Prng.int prng 5 with
+         | 0 -> Fs.Intent_create { path = p }
+         | 1 -> Fs.Intent_rename { src = p; dst = path () }
+         | 2 -> Fs.Intent_write { path = p; digest = digest p }
+         | 3 -> Fs.Intent_module { module_path = p }
+         | _ -> pageout p))
+  done;
+  let (_ : Fs.fsck_report) = Fs.fsck fs in
+  (Fs.fsck fs).Fs.fsck_clean
+
+(* fsck finishes a rename only from the state [rename] leaves half
+   done, one node under both names.  An intent whose source is its
+   destination, or whose names are two different nodes (across the
+   partitions, say), keeps every file. *)
+let fsck_finishes_only_a_half_done_rename () =
+  let fs = Fs.create () in
+  Fs.write_file fs "/shared/a" (Bytes.of_string "a");
+  Fs.write_file fs "/shared/b" (Bytes.of_string "b");
+  Fs.mkdir fs "/tmp/x";
+  let rename src dst = ignore (Fs.journal_begin fs (Fs.Intent_rename { src; dst })) in
+  rename "/shared/a" "/shared/a";
+  rename "/shared/a" "/shared/b";
+  rename "/shared" "/tmp/x";
+  let report = Fs.fsck fs in
+  check_int "the rename onto itself is complete" 1 report.Fs.fsck_replayed;
+  check_int "the others never began" 2 report.Fs.fsck_rolled_back;
+  check_string "a stays" "a" (Bytes.to_string (Fs.read_file fs "/shared/a"));
+  check_string "b stays" "b" (Bytes.to_string (Fs.read_file fs "/shared/b"));
+  check_bool "second fsck clean" true (Fs.fsck fs).Fs.fsck_clean
+
+(* A directory rename cut between its insert and its remove leaves the
+   directory under both names; fsck finishes it, and each file in it
+   keeps its one name under the new one. *)
+let fsck_finishes_a_directory_rename () =
+  let fs = Fs.create () in
+  Fs.mkdir fs "/shared/d";
+  Fs.write_file fs "/shared/d/f" (Bytes.of_string "f");
+  Fault.configure "fs.rename.mid@1=crash";
+  (match Fs.rename fs ~src:"/shared/d" "/shared/e" with
+  | () -> Alcotest.fail "expected a crash mid-rename"
+  | exception Fault.Crash _ -> Fault.clear ());
+  let report = Fs.fsck fs in
+  check_int "the rename is finished" 1 report.Fs.fsck_replayed;
+  check_bool "the old name is gone" false (Fs.exists fs "/shared/d");
+  check_string "the file stays under the new name" "f"
+    (Bytes.to_string (Fs.read_file fs "/shared/e/f"));
+  check_bool "second fsck clean" true (Fs.fsck fs).Fs.fsck_clean
+
+let prop_hostile_intents =
+  prop "crash: fsck resolves hostile intents" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1_000_000)
+    hostile_intents
+
 let suite =
   [
     prop_all_or_nothing;
@@ -378,6 +488,9 @@ let suite =
     test "crash: net sites drop datagrams and crash the cluster" net_sites_drop_and_crash;
     test "crash: a crash during fsck leaves the unprocessed intents"
       fsck_crash_keeps_unprocessed_intents;
+    prop_hostile_intents;
+    test "crash: fsck finishes only a half-done rename" fsck_finishes_only_a_half_done_rename;
+    test "crash: fsck finishes a directory rename" fsck_finishes_a_directory_rename;
     test "crash: plan-replay fault falls back to the cold path" plan_replay_fault_falls_back;
     test "crash: instantiate rolls back its mappings" instantiate_rolls_back_mappings;
     test "crash: pd_call retries transient EAGAIN" pd_call_retries_transient_eagain;

@@ -464,6 +464,30 @@ let jit_throughput_floors () =
   check_bool (Printf.sprintf "JIT %.2fx over no caches, floor 10x" (over 0)) true (over 0 >= 10.0);
   check_bool (Printf.sprintf "JIT %.2fx over TLB only, floor 3x" (over 1)) true (over 1 >= 3.0)
 
+(* ----- trace selection ----- *)
+
+(* test_oracle's cross-module loop reaches each library through a
+   linker veneer ([lui at; ori at; jr at]) and returns with [jr ra], the
+   two indirect jumps selection predicts, so the first head to warm up
+   (inc_a's entry) compiles one trace that runs whole iterations and
+   side exits only when the loop ends.  Each exec gets a fresh address
+   space, so it compiles afresh. *)
+let one_trace_per_loop () =
+  let s = Test_oracle.all_on () in
+  let obs = ref [] in
+  Test_oracle.under ~threshold:s.Test_oracle.threshold s.Test_oracle.cfg (fun () ->
+      ignore
+        (Test_oracle.program ~libs:Test_oracle.loop_libs (Test_oracle.loop_src 4000)
+           [ "first"; "second" ]
+           (fun st -> obs := st :: !obs)));
+  List.iter
+    (fun st ->
+      let d = Option.get st.Test_oracle.bill and label = st.Test_oracle.label in
+      check_int (label ^ " exit") 42 st.Test_oracle.code;
+      check_int (label ^ " traces compiled") 1 d.Stats.jit_compiles;
+      check_int (label ^ " side exits") 1 d.Stats.jit_exits)
+    (List.rev !obs)
+
 (* ----- illegal instruction trap (satellite: trap pipeline routing) ----- *)
 
 let bad_word = 0xFC00_0000 (* opcode 63: undecodable *)
@@ -529,6 +553,7 @@ let suite =
       (resume_invalidated ~words:load_loop "copy data" copy_data_page);
     test "jit: counters observe compiles and hits" counters_observe_jit;
     test "jit: throughput floors over both interpreters" jit_throughput_floors;
+    test "jit: a cross-module loop compiles one trace per exec" one_trace_per_loop;
     test "jit: fork/COW workload identical with JIT on and off"
       (Test_oracle.fork_check
          Test_oracle.

@@ -305,12 +305,39 @@ let pointer_fault_unmapped_address_unhandled () =
   in
   check_bool "no file there: unhandled" true died
 
-(* A module file reached again through a symlink (/shared/lib/a -> b,
-   with b's module already linked) has the slot of an instance the
-   process already holds: the instance made first keeps the range, and
-   whatever the second link makes of it stays inside the simulator. *)
+(* A module file reached again through a symlinked directory
+   (/shared/alias -> /shared/lib) is the same file under another path:
+   it links, and b's instances all sit in b's slot. *)
 let symlinked_module_file_shares_a_slot () =
-  let k, _ldl = boot () in
+  let k, ldl = boot () in
+  let fs = Kernel.fs k in
+  Fs.mkdir fs "/shared/lib";
+  Fs.mkdir fs "/home/t";
+  install_c k "/shared/lib/b.o" "int b() { return 2; }";
+  Fs.symlink fs ~target:"/shared/lib" "/shared/alias";
+  install_c k "/home/t/main.o" "extern int b(); int main() { return b() + 40; }";
+  let public dir = (dir ^ "/b.o", Sharing.Dynamic_public) in
+  ignore
+    (link k ~dir:"/home/t"
+       ~specs:[ ("main.o", Sharing.Static_private); public "/shared/lib"; public "/shared/alias" ]
+       "prog");
+  let proc = Kernel.spawn_exec k "/home/t/prog" in
+  Kernel.run ~max_ticks:2_000 k;
+  check_int "exit" 42 (exit_code proc);
+  Alcotest.(check (list string)) "no warnings" [] (Ldl.warnings ldl);
+  let b = Fs.addr_of_path fs "/shared/lib/b" in
+  Alcotest.(check (list int)) "b's instances in b's slot" [ b ]
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun i ->
+            if i.Modinst.inst_key = "/shared/lib/b.o" then Some i.Modinst.inst_base else None)
+          (Ldl.instances ldl proc)))
+
+(* A module file whose header names another template (/shared/lib/a ->
+   b's module file, linked as a.o's) is refused with a warning naming
+   the mismatch, so the process holds b once, under b's key. *)
+let module_file_of_another_template_refused () =
+  let k, ldl = boot () in
   let fs = Kernel.fs k in
   Fs.mkdir fs "/shared/lib";
   Fs.mkdir fs "/home/t";
@@ -327,8 +354,16 @@ let symlinked_module_file_shares_a_slot () =
        "two");
   check_int "b's module created" 2 (exit_code (fst (run_program k "/home/t/one")));
   Fs.symlink fs ~target:"/shared/lib/b" "/shared/lib/a";
-  check_bool "the second program ends" true
-    (Proc.is_zombie (fst (run_program k "/home/t/two")));
+  let proc = Kernel.spawn_exec k "/home/t/two" in
+  Kernel.run ~max_ticks:2_000 k;
+  check_bool "the second program ends" true (Proc.is_zombie proc);
+  Alcotest.(check (list string)) "one instance, b's" [ "/shared/lib/b.o" ]
+    (List.map (fun i -> i.Modinst.inst_key) (Ldl.instances ldl proc));
+  check_bool "the warning names the mismatch" true
+    (List.exists
+       (fun w ->
+         contains w "/shared/lib/a" && contains w "from /shared/lib/b.o, not /shared/lib/a.o")
+       (Ldl.warnings ldl));
   check_int "the host runs on" 2 (exit_code (fst (run_program k "/home/t/one")))
 
 let fault_past_linked_module_unhandled () =
@@ -652,6 +687,8 @@ let suite =
     test "ldl: faults on empty slots stay unhandled" pointer_fault_unmapped_address_unhandled;
     test "ldl: faults past a linked module stay unhandled" fault_past_linked_module_unhandled;
     test "ldl: a symlinked module file shares a slot" symlinked_module_file_shares_a_slot;
+    test "ldl: a module file of another template is refused"
+      module_file_of_another_template_refused;
     test "ldl: retained data relocations are applied" retained_data_reloc_applied;
     test "ldl: program SIGSEGV handler chained" program_handler_chained;
     test "ldl: creation race resolved by file lock" creation_race_single_module;
