@@ -200,15 +200,11 @@ let digest_xor acc frag =
     Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code frag.[i]))
   done
 
-(* Index [inst] by its range, [inst_base] to [Modinst.limit].  Instances
-   of distinct module files never overlap (distinct shared slots or
-   disjoint arena gaps); a module file reached again under another path
-   (a symlinked directory) shares its slot with the instance made first,
-   which keeps the range. *)
-let index_range ps inst =
-  let lo = inst.Modinst.inst_base and hi = Modinst.limit inst in
-  if not (Interval_map.overlaps ~lo ~hi ps.ps_by_addr) then
-    ps.ps_by_addr <- Interval_map.add ~lo ~hi inst ps.ps_by_addr
+(* [m] with [inst] indexed by its range, [inst_base] to [Modinst.limit].
+   No two instances share a range: a public instance sits in its module
+   file's slot, and one module file has one key (its header's template),
+   so it is instantiated once per process. *)
+let add_range inst m = Interval_map.add ~lo:inst.Modinst.inst_base ~hi:(Modinst.limit inst) inst m
 
 (* Register a fresh instance in the list and every index. *)
 let add_instance ps inst =
@@ -217,14 +213,13 @@ let add_instance ps inst =
   let acc = Bytes.copy ps.ps_digest in
   digest_xor acc (inst_fragment inst);
   ps.ps_digest <- acc;
-  index_range ps inst;
+  ps.ps_by_addr <- add_range inst ps.ps_by_addr;
   if not inst.Modinst.inst_linked then ps.ps_unlinked <- inst :: ps.ps_unlinked
 
 let rebuild_indexes ps =
   Hashtbl.reset ps.ps_by_key;
   List.iter (fun i -> Hashtbl.replace ps.ps_by_key i.Modinst.inst_key i) ps.ps_instances;
-  ps.ps_by_addr <- Interval_map.empty;
-  List.iter (index_range ps) (List.rev ps.ps_instances);
+  ps.ps_by_addr <- List.fold_right add_range ps.ps_instances Interval_map.empty;
   let acc = Bytes.make 16 '\000' in
   List.iter (fun i -> digest_xor acc (inst_fragment i)) ps.ps_instances;
   ps.ps_digest <- acc;
@@ -253,9 +248,12 @@ let is_shared_located located =
 let ensure_public_created t proc ~located ~obj =
   let fs = Kernel.fs t.k in
   let module_path = Modinst.module_file_of_template located in
+  (* A published module file on /shared: a regular file with a slot. *)
   let ready () =
-    Fs.exists fs module_path
-    && Modinst.Header.is_module_file (Fs.segment_of fs module_path)
+    match Fs.lookup fs module_path with
+    | Some (_, { Fs.st_kind = Fs.Regular; st_addr = Some _; _ }) ->
+      Modinst.Header.is_module_file (Fs.segment_of fs module_path)
+    | Some _ | None -> false
   in
   if ready () then module_path
   else begin
@@ -266,8 +264,11 @@ let ensure_public_created t proc ~located ~obj =
       ~finally:(fun () -> Kernel.funlock t.k proc lock_name)
       (fun () ->
         if not (ready ()) then begin
-          if Fs.exists fs module_path then
-            errf "%s exists but is not a Hemlock module" module_path;
+          (* Anything else under that name (a directory, a loop, a link
+             off the partition) is not ours to create through. *)
+          (match Fs.lstat fs module_path with
+          | (_ : Fs.stat) -> errf "%s exists but is not a Hemlock module" module_path
+          | exception Fs.Error _ -> ());
           ignore
             (Modinst.create_public_file (ctx_of t proc) ~template_path:located ~obj
                ~module_path)
@@ -317,8 +318,9 @@ let instantiate t proc ps ~located ~public ~parent_scope =
         let inst = Modinst.public_instance ~decode:(decode t) ctx ~module_path ~scope in
         (* The module file may be another template's, reached through a
            symlink: refuse it rather than link [located] as that
-           template.  One file under two paths has one segment id. *)
-        if fst inst.Modinst.inst_src <> fst src then
+           template, so one module file is one instance, under the
+           spelling it was created from. *)
+        if inst.Modinst.inst_key <> located then
           errf "module file %s was created from %s, not %s" module_path
             inst.Modinst.inst_key located;
         let fully = Modinst.Header.fully_linked inst.Modinst.inst_seg in

@@ -201,6 +201,13 @@ let require_shared what path =
   if not (Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root path)) then
     errf "%s %s must reside on the shared partition" what path
 
+(* A template read back from /shared is hostile input too: one grown
+   past its slot would place an instance over the next slot's. *)
+let check_fits module_path obj =
+  if Header.size + placed_size obj > Layout.shared_slot_size then
+    errf "module %s exceeds the %d-byte shared file limit" module_path
+      Layout.shared_slot_size
+
 let module_file_of_template located =
   if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
   else errf "public module template %s does not end in .o" located
@@ -211,9 +218,7 @@ let create_public_file ctx ~template_path ~obj ~module_path =
   if obj.Objfile.uses_gp then
     errf "module %s uses the $gp register: public modules must be compiled with gp disabled"
       template_path;
-  if Header.size + placed_size obj > Layout.shared_slot_size then
-    errf "module %s exceeds the %d-byte shared file limit" module_path
-      Layout.shared_slot_size;
+  check_fits module_path obj;
   let fs = ctx.Search.fs in
   Fault.hit "mod.create";
   (* Module creation is multi-step (create → header/sections/relocs →
@@ -299,6 +304,7 @@ let public_instance ?decode ctx ~module_path ~scope =
   let template_path = Header.template seg in
   let obj, src = load_template ?decode ctx template_path in
   Header.check seg ~path:canonical ~nrelocs:(List.length obj.Objfile.relocs);
+  check_fits canonical obj;
   {
     inst_key = template_path;
     inst_module_file = Some canonical;

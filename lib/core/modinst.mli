@@ -28,7 +28,11 @@ type scope = {
 }
 
 type t = {
-  inst_key : string;  (** located template path — the instance identity *)
+  inst_key : string;
+      (** the instance identity: the template's spelling as
+          {!Search.locate} returns it, directories resolved and last
+          component as found; for a public instance, the template its
+          module file's header records *)
   inst_module_file : string option;  (** public module file, if public *)
   inst_obj : Objfile.t;
   inst_src : int * int;
@@ -100,7 +104,10 @@ module Header : sig
   val fully_linked : Segment.t -> bool
 end
 
-(** The module file a public module's template [T.o] creates: [T].
+(** The module file a public module's template [T.o] creates: [T],
+    beside the template as located (a symlinked template's module file
+    lands in the link's directory), so each spelling {!Search.locate}
+    returns names one module file.
     @raise Link_error if the template's name does not end in [.o]. *)
 val module_file_of_template : string -> string
 
@@ -136,7 +143,8 @@ val load_template :
     instance record for an existing module file, decoding its template
     for the symbol table through {!load_template}.
     @raise Link_error if the header's relocation count differs from the
-    template's, or its applied count from its bitmap. *)
+    template's, its applied count from its bitmap, or the template no
+    longer fits the module file's slot. *)
 val public_instance :
   ?decode:(int * int -> (unit -> Bytes.t) -> Objfile.t) ->
   Search.ctx -> module_path:string -> scope:scope -> t

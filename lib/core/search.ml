@@ -21,24 +21,13 @@ let runtime_dirs ctx ~recorded = ld_library_path ctx.env @ recorded
 
 let has_slash name = String.contains name '/'
 
+(* One lookup per candidate; one that does not resolve, or is not a
+   regular file, is skipped. *)
 let locate ctx ~dirs name =
-  let exists_file p =
-    Fs.exists ctx.fs ~cwd:ctx.cwd p
-    &&
-    match (Fs.stat ctx.fs ~cwd:ctx.cwd p).Fs.st_kind with
-    | Fs.Regular -> true
-    | Fs.Directory | Fs.Symlink -> false
+  let regular p =
+    match Fs.lookup ctx.fs ~cwd:ctx.cwd p with
+    | Some (spelled, { Fs.st_kind = Fs.Regular; _ }) -> Some spelled
+    | Some _ | None -> None
   in
-  if has_slash name then
-    if exists_file name then Some (Path.to_string (Path.of_string ~cwd:ctx.cwd name))
-    else None
-  else
-    let try_dir dir =
-      let candidate = if dir = "/" then "/" ^ name else dir ^ "/" ^ name in
-      if exists_file candidate then
-        (* Return the lexical location (symlinks not chased): public
-           modules are created next to the template *as found*. *)
-        Some (Path.to_string (Path.of_string ~cwd:ctx.cwd candidate))
-      else None
-    in
-    List.find_map try_dir dirs
+  if has_slash name then regular name
+  else List.find_map (fun dir -> regular (if dir = "/" then "/" ^ name else dir ^ "/" ^ name)) dirs

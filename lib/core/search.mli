@@ -30,8 +30,12 @@ val runtime_dirs : ctx -> recorded:string list -> string list
 
 (** [locate ctx ~dirs name] finds a module template.  An absolute (or
     explicitly relative) [name] is resolved against [ctx.cwd] directly;
-    a bare name is tried in each directory in order.  Returns the path
-    {e as found} — a symlink is not chased, so a public module created
-    from it lands in the symlink's directory (the temp-directory trick
-    of §4). *)
+    a bare name is tried in each directory in order, and a candidate
+    that does not resolve (missing, through a file, a loop) or is not a
+    regular file is skipped, as [ld.so] skips it.  Returns the path
+    with its directories resolved and its last component {e as found}
+    ({!Hemlock_sfs.Fs.lookup}'s spelling): every spelling of a file
+    through symlinked directories is one name, while a symlinked
+    template is not chased, so a public module created from it lands
+    in the symlink's directory (the temp-directory trick of §4). *)
 val locate : ctx -> dirs:string list -> string -> string option

@@ -59,7 +59,7 @@ type intent =
   | Intent_pageout of { path : string; page : int; digest : string }
 
 type t = {
-  root : dir;
+  root : node;
   mutable next_ino : int;
   slots : string option array;
   (* the prototype's linear table indexed by slot: the path of the
@@ -87,10 +87,10 @@ let fresh_ino t =
 let new_dir t = Dir { entries = Hashtbl.create 8; dir_ino = fresh_ino t }
 
 let create () =
-
+  let root = { entries = Hashtbl.create 8; dir_ino = 2 } in
   let t =
     {
-      root = { entries = Hashtbl.create 8; dir_ino = 2 };
+      root = Dir root;
       next_ino = 4096; (* normal-partition inodes; shared inodes are slots 0..1023 *)
       slots = Array.make Layout.shared_slots None;
       generation = 0;
@@ -98,40 +98,42 @@ let create () =
       next_jid = 1;
     }
   in
-  let add name = Hashtbl.replace t.root.entries name (new_dir t) in
+  let add name = Hashtbl.replace root.entries name (new_dir t) in
   List.iter add [ "shared"; "tmp"; "etc"; "home" ];
   let usr = { entries = Hashtbl.create 8; dir_ino = fresh_ino t } in
   Hashtbl.replace usr.entries "lib" (new_dir t);
-  Hashtbl.replace t.root.entries "usr" (Dir usr);
+  Hashtbl.replace root.entries "usr" (Dir usr);
   t
 
-(* Resolve [p] to (canonical_path, node).  [follow_last] controls whether
-   a symlink in the final component is chased.  Fuel bounds symlink
-   chains. *)
-let resolve_node t ~op ~follow_last p =
-  let rec walk fuel canon dir = function
-    | [] -> (canon, Dir dir)
-    | comp :: rest -> (
-      match Hashtbl.find_opt dir.entries comp with
-      | None -> error op (canon @ [ comp ]) Not_found
-      | Some (Dir d) -> walk fuel (canon @ [ comp ]) d rest
-      | Some (File _ as node) ->
-        if rest = [] then (canon @ [ comp ], node)
-        else error op (canon @ [ comp ]) Not_a_directory
-      | Some (Link target as node) ->
-        if rest = [] && not follow_last then (canon @ [ comp ], node)
-        else begin
-          if fuel = 0 then error op (canon @ [ comp ]) Symlink_loop;
-          let redirected = Path.of_string ~cwd:canon target @ rest in
-          walk (fuel - 1) [] t.root redirected
-        end)
-  in
-  walk 40 [] t.root p
+(* Resolve [p] to (canonical_path, node), the node as the tree stores
+   it (so nodes compare with [==]).  [follow_last] controls whether a
+   symlink in the final component is chased; with it off, the path is
+   the directories resolved and the last component as found.  At most
+   [max_links] symlinks are chased. *)
+let max_links = 40
 
-let resolve_opt t ~op ~follow_last p =
-  match resolve_node t ~op ~follow_last p with
-  | res -> Some res
-  | exception Error { kind = Not_found; _ } -> None
+let resolve_node t ~op ~follow_last p =
+  let rec walk fuel canon node = function
+    | [] -> (canon, node)
+    | comp :: rest -> (
+      match node with
+      | File _ | Link _ -> error op canon Not_a_directory
+      | Dir dir -> (
+        match Hashtbl.find_opt dir.entries comp with
+        | None -> error op (canon @ [ comp ]) Not_found
+        | Some (Link target) when follow_last || rest <> [] ->
+          if fuel = 0 then error op (canon @ [ comp ]) Symlink_loop;
+          walk (fuel - 1) [] t.root (Path.of_string ~cwd:canon target @ rest)
+        | Some child -> walk fuel (canon @ [ comp ]) child rest))
+  in
+  walk max_links [] t.root p
+
+(* The one lookup that never raises: [None] for a path that does not
+   resolve (missing, through a file, or a loop). *)
+let find t ~follow_last p =
+  match resolve_node t ~op:"lookup" ~follow_last p with
+  | found -> Some found
+  | exception Error _ -> None
 
 let resolve_dir t ~op p =
   match resolve_node t ~op ~follow_last:true p with
@@ -154,11 +156,28 @@ let alloc_slot t ~op path =
   in
   scan 0
 
-(* Publish or re-point slot [i]'s path (re-pointing happens when a
-   rename moves a shared file: the address is permanent, the path is not). *)
 let publish_slot t slot path = t.slots.(slot) <- Some path
 
 let free_slot t slot = t.slots.(slot) <- None
+
+let sorted_names dir =
+  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) dir.entries [])
+
+(* [iter_files f canon node] calls [f] on every regular file at or under
+   [node], which [canon] names, in sorted order; symlinks are not
+   followed.  [iter_shared] walks the whole shared partition. *)
+let rec iter_files f canon = function
+  | File file -> f canon file
+  | Link _ -> ()
+  | Dir d ->
+    List.iter (fun n -> iter_files f (canon @ [ n ]) (Hashtbl.find d.entries n)) (sorted_names d)
+
+let iter_shared t f =
+  Option.iter (fun (c, node) -> iter_files f c node) (find t ~follow_last:false shared_prefix)
+
+(* Publish or re-point a shared file's slot (re-pointing happens when a
+   rename moves it: the address is permanent, the path is not). *)
+let publish t canon f = Option.iter (fun slot -> publish_slot t slot (Path.to_string canon)) f.slot
 
 (* Intent journal.  The journal lives in [t] — the same place as the
    "disk" — so it survives a simulated crash; an entry present at fsck
@@ -216,10 +235,8 @@ let mkdir t ?cwd s =
   if Hashtbl.mem dir.entries name then error op (canon @ [ name ]) Already_exists;
   Hashtbl.replace dir.entries name (new_dir t)
 
-let rec create_file t ?cwd s =
+let rec create_path t fuel p =
   let op = "create" in
-  touch t;
-  let p = parse t ?cwd s in
   if p = [] then error op p Is_a_directory;
   let canon, dir = resolve_dir t ~op (Path.parent p) in
   let name = Path.basename p in
@@ -231,8 +248,8 @@ let rec create_file t ?cwd s =
   | Some (Dir _) -> error op full Is_a_directory
   | Some (Link target) ->
     (* Creating through a symlink creates the target. *)
-    let target_path = Path.of_string ~cwd:canon target in
-    create_file t ~cwd:Path.root (Path.to_string target_path)
+    if fuel = 0 then error op full Symlink_loop;
+    create_path t (fuel - 1) (Path.of_string ~cwd:canon target)
   | None ->
     Fault.hit "fs.create";
     if is_shared_path full then begin
@@ -275,11 +292,14 @@ let rec create_file t ?cwd s =
       in
       Hashtbl.replace dir.entries name (File file)
 
-let exists t ?cwd s =
-  Option.is_some (resolve_opt t ~op:"exists" ~follow_last:true (parse t ?cwd s))
+let create_file t ?cwd s =
+  touch t;
+  create_path t max_links (parse t ?cwd s)
+
+let exists t ?cwd s = Option.is_some (find t ~follow_last:true (parse t ?cwd s))
 
 let is_dir t ?cwd s =
-  match resolve_opt t ~op:"is_dir" ~follow_last:true (parse t ?cwd s) with
+  match find t ~follow_last:true (parse t ?cwd s) with
   | Some (_, Dir _) -> true
   | Some _ | None -> false
 
@@ -298,6 +318,15 @@ let stat_of_node = function
 let stat t ?cwd s =
   let _, node = resolve_node t ~op:"stat" ~follow_last:true (parse t ?cwd s) in
   stat_of_node node
+
+let lookup t ?cwd s =
+  let p = parse t ?cwd s in
+  match find t ~follow_last:false p with
+  | Some (spelled, Link _) ->
+    Option.map (fun (_, node) -> (Path.to_string spelled, stat_of_node node))
+      (find t ~follow_last:true p)
+  | Some (spelled, node) -> Some (Path.to_string spelled, stat_of_node node)
+  | None -> None
 
 let lstat t ?cwd s =
   let _, node = resolve_node t ~op:"lstat" ~follow_last:false (parse t ?cwd s) in
@@ -318,21 +347,25 @@ let read_file t ?cwd s =
   let seg = read_segment t ?cwd s in
   Segment.blit_out seg ~src_off:0 ~len:(Segment.size seg)
 
-(* Remove a canonical path's directory entry without passing through the
-   fault-sited [unlink] — undo and fsck repair paths must themselves be
-   injection-free. *)
+(* Remove [p]'s directory entry, if its parent resolves, without passing
+   through the fault-sited [unlink]: undo and fsck repair paths must
+   themselves be injection-free. *)
+let remove_entry t p =
+  match find t ~follow_last:true (Path.parent p) with
+  | Some (_, Dir d) ->
+    Hashtbl.remove d.entries (Path.basename p);
+    touch t
+  | Some _ | None -> ()
+
+(* The same for a regular file, which gives up its slot with its last
+   name. *)
 let drop_entry t canon =
-  match resolve_opt t ~op:"fsck" ~follow_last:false canon with
-  | Some (_, File f) -> (
-    match resolve_opt t ~op:"fsck" ~follow_last:true (Path.parent canon) with
-    | Some (_, Dir d) ->
-      Hashtbl.remove d.entries (Path.basename canon);
-      f.nlink <- f.nlink - 1;
-      if f.nlink = 0 then Option.iter (free_slot t) f.slot;
-      touch t;
-      true
-    | Some _ | None -> false)
-  | Some _ | None -> false
+  match find t ~follow_last:false canon with
+  | Some (_, File f) ->
+    remove_entry t canon;
+    f.nlink <- f.nlink - 1;
+    if f.nlink = 0 then Option.iter (free_slot t) f.slot
+  | Some _ | None -> ()
 
 (* Shared [write_file]/[append_file] body.  [content] is the full
    contents the file will hold on success (for a fresh file this is all
@@ -361,7 +394,7 @@ let write_like t ~op ~site p b ~apply ~would_overflow =
     else None
   in
   let roll_back () =
-    if fresh then ignore (drop_entry t canon_guess);
+    if fresh then drop_entry t canon_guess;
     Option.iter (journal_end t) jid
   in
   (try if fresh then create_file t (Path.to_string p)
@@ -494,11 +527,7 @@ let rename t ?cwd ~src dst =
   (* Addresses are permanent: fix the kernel's addr->path table for any
      shared file whose path just changed (the moved file itself, or the
      contents of a moved directory). *)
-  let rec fix canon = function
-    | File f -> Option.iter (fun slot -> publish_slot t slot (Path.to_string canon)) f.slot
-    | Link _ -> ()
-    | Dir d -> Hashtbl.iter (fun name child -> fix (canon @ [ name ]) child) d.entries
-  in
+  let fix = iter_files (publish t) in
   let shared = is_shared_path dst_full in
   let jid =
     if shared then
@@ -527,8 +556,7 @@ let rename t ?cwd ~src dst =
     raise e
 
 let readdir t ?cwd s =
-  let _, dir = resolve_dir t ~op:"readdir" (parse t ?cwd s) in
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) dir.entries [])
+  sorted_names (snd (resolve_dir t ~op:"readdir" (parse t ?cwd s)))
 
 (* The paper's new kernel calls. *)
 
@@ -549,22 +577,7 @@ let path_of_addr t a =
 
 let rescan_shared t =
   Array.fill t.slots 0 (Array.length t.slots) None;
-  let rec walk canon dir =
-    let names = List.sort String.compare (Hashtbl.fold (fun k _ a -> k :: a) dir.entries []) in
-    let visit name =
-      match Hashtbl.find_opt dir.entries name with
-      | Some (Dir d) -> walk (canon @ [ name ]) d
-      | Some (File f) ->
-        Option.iter
-          (fun slot -> publish_slot t slot (Path.to_string (canon @ [ name ])))
-          f.slot
-      | Some (Link _) | None -> ()
-    in
-    List.iter visit names
-  in
-  match Hashtbl.find_opt t.root.entries "shared" with
-  | Some (Dir d) -> walk shared_prefix d
-  | Some (File _ | Link _) | None -> ()
+  iter_shared t (publish t)
 
 type fsck_report = {
   fsck_replayed : int;
@@ -581,16 +594,9 @@ let fsck t =
   let replayed = ref 0 and rolled = ref 0 in
   let repairs = ref [] and orphans = ref [] in
   let note msg = repairs := msg :: !repairs in
-  (* An intent may name anything; a path that does not resolve (a
-     missing entry, a component that is a file, a symlink loop) names
+  (* An intent may name anything; a path that does not resolve names
      nothing. *)
-  let lookup path =
-    match resolve_node t ~op:"fsck" ~follow_last:false (Path.of_string ~cwd:Path.root path) with
-    | found -> Some found
-    | exception Error _ -> None
-  in
-  (* [resolve_node] wraps a directory afresh: compare what it wraps. *)
-  let same_node a b = match (a, b) with Dir a, Dir b -> a == b | a, b -> a == b in
+  let lookup path = find t ~follow_last:false (Path.of_string ~cwd:Path.root path) in
   let process intent =
     match intent with
     | Intent_create { path } -> (
@@ -603,17 +609,12 @@ let fsck t =
       | Some _ | None -> incr rolled)
     | Intent_rename { src; dst } -> (
       match (lookup src, lookup dst) with
-      | Some (src_canon, src_node), Some (dst_canon, dst_node) when same_node src_node dst_node ->
+      | Some (src_canon, src_node), Some (dst_canon, dst_node) when src_node == dst_node ->
         (* One node under two paths: the insert happened, the remove
            did not, so finish the rename.  Under one path (the root
            included) there is nothing left to remove. *)
         if src_canon <> dst_canon then begin
-          let srcp = Path.of_string ~cwd:Path.root src in
-          (match resolve_opt t ~op:"fsck" ~follow_last:true (Path.parent srcp) with
-          | Some (_, Dir d) ->
-            Hashtbl.remove d.entries (Path.basename srcp);
-            touch t
-          | Some _ | None -> ());
+          remove_entry t src_canon;
           note (Printf.sprintf "completed rename %s -> %s" src dst)
         end;
         incr replayed
@@ -627,7 +628,7 @@ let fsck t =
       | Some (_, File f) ->
         if Digest.bytes (Segment.contents f.seg) = digest then incr replayed
         else begin
-          ignore (drop_entry t (Path.of_string ~cwd:Path.root path));
+          drop_entry t (Path.of_string ~cwd:Path.root path);
           note (Printf.sprintf "rolled back partial write of %s" path);
           incr rolled
         end
@@ -657,7 +658,7 @@ let fsck t =
         in
         if published then incr replayed
         else begin
-          ignore (drop_entry t (Path.of_string ~cwd:Path.root module_path));
+          drop_entry t (Path.of_string ~cwd:Path.root module_path);
           note (Printf.sprintf "removed unpublished module %s" module_path);
           incr rolled
         end
@@ -676,49 +677,22 @@ let fsck t =
   (* Invariant sweep over the shared tree: every file carries an
      in-range slot and no slot is claimed by two paths. *)
   let slot_paths : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-  (match Hashtbl.find_opt t.root.entries "shared" with
-  | Some (Dir d0) ->
-    let rec walk canon dir =
-      let names =
-        List.sort String.compare (Hashtbl.fold (fun k _ a -> k :: a) dir.entries [])
-      in
-      List.iter
-        (fun name ->
-          let full = canon @ [ name ] in
-          match Hashtbl.find_opt dir.entries name with
-          | Some (Dir d) -> walk full d
-          | Some (File f) -> (
-            match f.slot with
-            | Some s when s >= 0 && s < Layout.shared_slots ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt slot_paths s) in
-              Hashtbl.replace slot_paths s (Path.to_string full :: prev)
-            | Some s ->
-              note
-                (Printf.sprintf "file %s has out-of-range slot %d"
-                   (Path.to_string full) s)
-            | None ->
-              note (Printf.sprintf "shared file %s has no slot" (Path.to_string full)))
-          | Some (Link _) | None -> ())
-        names
-    in
-    walk shared_prefix d0
-  | Some (File _ | Link _) | None -> ());
-  let remove_alias path =
-    (* the file stays live under its kept name: drop only the entry *)
-    let p = Path.of_string ~cwd:Path.root path in
-    match resolve_opt t ~op:"fsck" ~follow_last:true (Path.parent p) with
-    | Some (_, Dir d) ->
-      Hashtbl.remove d.entries (Path.basename p);
-      touch t
-    | Some _ | None -> ()
-  in
+  iter_shared t (fun canon f ->
+      let path = Path.to_string canon in
+      match f.slot with
+      | Some s when s >= 0 && s < Layout.shared_slots ->
+        let prev = Option.value ~default:[] (Hashtbl.find_opt slot_paths s) in
+        Hashtbl.replace slot_paths s (path :: prev)
+      | Some s -> note (Printf.sprintf "file %s has out-of-range slot %d" path s)
+      | None -> note (Printf.sprintf "shared file %s has no slot" path));
   Hashtbl.iter
     (fun slot paths ->
       match List.sort String.compare paths with
       | _keep :: (_ :: _ as extras) ->
         List.iter
           (fun extra ->
-            remove_alias extra;
+            (* the file stays live under its kept name: drop only the entry *)
+            remove_entry t (Path.of_string ~cwd:Path.root extra);
             note (Printf.sprintf "slot %d aliased; removed %s" slot extra))
           extras
       | _ -> ())

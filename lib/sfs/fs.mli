@@ -67,15 +67,28 @@ val generation : t -> int
 
     All take paths as strings resolved against [cwd] (default root).
     Symlinks in intermediate components are always followed; final
-    components follow symlinks unless stated otherwise. *)
+    components follow symlinks unless stated otherwise.  One resolver
+    serves every call, chasing at most 40 symlinks; a path that goes
+    through a regular file raises [Not_a_directory], and one that
+    chases more links (a loop) raises [Symlink_loop]. *)
 
 val mkdir : t -> ?cwd:Path.t -> string -> unit
 
 (** [create_file t p] creates an empty regular file (truncates if it
     already exists as a file).  Under [/shared] this allocates an inode
-    slot and hence a global address. *)
+    slot and hence a global address.  A final symlink is chased and
+    its target created, within the same 40-link bound: through a loop
+    it raises [Symlink_loop]. *)
 val create_file : t -> ?cwd:Path.t -> string -> unit
 
+(** [lookup t p] is [Some (spelled, st)] when [p] resolves: [st] is
+    what {!stat} answers, and [spelled] is [p] with its directories
+    resolved and its last component as found (a final symlink is
+    chased for [st] but not for [spelled]).  It never raises: a path
+    that is missing, goes through a file or loops is [None]. *)
+val lookup : t -> ?cwd:Path.t -> string -> (string * stat) option
+
+(** [exists] and [is_dir] answer as {!lookup} does, and never raise. *)
 val exists : t -> ?cwd:Path.t -> string -> bool
 val is_dir : t -> ?cwd:Path.t -> string -> bool
 val stat : t -> ?cwd:Path.t -> string -> stat

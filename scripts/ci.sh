@@ -23,7 +23,10 @@
 # E1-E13 are also gated at HEMLOCK_DOMAINS=2: on a 2-core host only a
 # pool of at most 2 domains spins at its barrier; 4 park at once.
 # Host-time benchmarking is perfbench's; this gate only checks that every
-# op of its workloads still succeeds.
+# op of its workloads still succeeds.  Each suite row, E1-E13 row,
+# example and the perfbench step runs under a 600 s bound (a row takes
+# seconds): a row that exceeds it fails, so a hang fails the gate
+# instead of stalling it.
 set -e
 cd "$(dirname "$0")/.."
 # Rows with no variable set run the default configuration, whatever the
@@ -34,6 +37,7 @@ ORACLE="HEMLOCK_ORACLE=1"
 SQUEEZE="HEMLOCK_JIT_THRESHOLD=1 HEMLOCK_RAM_PAGES=32"
 CLUSTER="HEMLOCK_DOMAINS=4 HEMLOCK_NET_PROFILE=lossy"
 EXPERIMENTS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13"
+BOUND="timeout 600"
 
 echo "== build =="
 dune build
@@ -95,26 +99,26 @@ echo "address-space accessors called only in lib/vm, lib/isa and lib/os"
 
 for row in "" "$ORACLE" "$SQUEEZE" "$CLUSTER"; do
   echo "== tests (${row:-default}) =="
-  env $row dune runtest --force
+  $BOUND env $row dune runtest --force
 done
 
 echo "== examples =="
 for ex in quickstart rwho_demo parallel_sum figure_editor lynx_tables editor_server; do
   echo "-- examples/$ex"
-  dune exec "examples/$ex.exe" > /dev/null
+  $BOUND dune exec "examples/$ex.exe" > /dev/null
 done
 
 # The golden rows double as the fault-layer-disabled check: the injection
 # engine is compiled into every one of these paths but no plan is armed.
 for row in "" "$ORACLE" "$SQUEEZE" "HEMLOCK_DOMAINS=2" "HEMLOCK_DOMAINS=4"; do
   echo "== golden transcript E1-E13 (${row:-default}) =="
-  env $row dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
+  $BOUND env $row dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
   diff -u bench/golden_e1_e13.txt _build/e1_e13.txt
   echo "golden transcript identical"
 done
 
 echo "== E1-E13 complete under the cluster stress (no golden gate) =="
-env $CLUSTER dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
+$BOUND env $CLUSTER dune exec bench/main.exe -- $EXPERIMENTS > _build/e1_e13.txt
 echo "experiments completed"
 
 # A lib/ change that makes a benchmark op fail (a sync that persists no
@@ -124,6 +128,6 @@ echo "experiments completed"
 # checks every op as an untraced one does), and fails unless each is
 # correct with no failed op; its counts must equal the golden's.
 echo "== perfbench: one untimed world per workload (gates: correct, no op failed, counts = golden) =="
-sh scripts/perfbench_counts.sh > _build/perfbench_counts.txt
+$BOUND sh scripts/perfbench_counts.sh > _build/perfbench_counts.txt
 diff -u bench/golden_perfbench_counts.txt _build/perfbench_counts.txt
 echo "simulated counts identical"

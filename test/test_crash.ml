@@ -316,6 +316,32 @@ let fsck_orphan_reaped_by_policy () =
   check_bool "unflagged plain file kept" true (Fs.exists fs "/shared/keep");
   check_bool "orphan gone" false (Fs.exists fs "/shared/halfborn")
 
+(* A module whose template path no longer resolves, because its
+   directory was renamed and a regular file or a symlink loop took the
+   old name, is orphaned: the survey lists it and the janitor's policy
+   reaps it. *)
+let unresolvable_template_reaped () =
+  List.iter
+    (fun (what, occupy) ->
+      let k, ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      install_c k "/shared/lib/b.o" "int b() { return 2; }";
+      run_native k (fun _ proc -> ignore (Ldl.dlopen ldl proc "/shared/lib/b.o"));
+      Fs.rename fs ~src:"/shared/lib" "/shared/lib2";
+      occupy fs;
+      Alcotest.(check (list string)) (what ^ ": orphaned") [ "/shared/lib2/b" ]
+        (List.map (fun e -> e.Janitor.j_path) (Janitor.orphaned_modules k));
+      Alcotest.(check (list string)) (what ^ ": reaped") [ "/shared/lib2/b" ]
+        (List.map
+           (fun e -> e.Janitor.j_path)
+           (Janitor.reap k ~policy:(Janitor.orphan_policy k ~flagged:[])));
+      check_bool (what ^ ": module gone") false (Fs.exists fs "/shared/lib2/b"))
+    [
+      ("a file", fun fs -> Fs.write_file fs "/shared/lib" (Bytes.of_string "plain"));
+      ("a loop", fun fs -> Fs.symlink fs ~target:"/shared/lib" "/shared/lib");
+    ]
+
 (* A crash mid-module-creation leaves an unpublished file plus the
    pending intent; fsck rolls it back and a fresh dlopen recreates the
    module from scratch. *)
@@ -496,5 +522,7 @@ let suite =
     test "crash: pd_call retries transient EAGAIN" pd_call_retries_transient_eagain;
     test "crash: oversized writes are atomic" oversized_write_is_atomic;
     test "crash: fsck orphan reaped by janitor policy" fsck_orphan_reaped_by_policy;
+    test "crash: a module whose template does not resolve is reaped"
+      unresolvable_template_reaped;
     test "crash: module creation crash recovers" module_creation_crash_recovers;
   ]

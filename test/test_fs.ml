@@ -114,6 +114,12 @@ let symlinks () =
   Fs.write_file fs "/tmp/sub/t2" (Bytes.of_string "two");
   Fs.symlink fs ~target:"t2" "/tmp/sub/l2";
   check_string "relative target" "two" (Bytes.to_string (Fs.read_file fs "/tmp/sub/l2"));
+  (* [lookup] spells the directories resolved and the last component as
+     found, and answers for what a final link names *)
+  Fs.symlink fs ~target:"/tmp/sub" "/tmp/alias";
+  Alcotest.(check (option (pair string bool))) "lookup through a symlinked directory"
+    (Some ("/tmp/sub/l2", true))
+    (Option.map (fun (p, st) -> (p, st.Fs.st_kind = Fs.Regular)) (Fs.lookup fs "/tmp/alias/l2"));
   (* loops detected *)
   Fs.symlink fs ~target:"/tmp/loop" "/tmp/loop";
   match Fs.read_file fs "/tmp/loop" with
@@ -230,6 +236,79 @@ let create_through_symlink () =
   Fs.create_file fs "/tmp/app/t";
   check_int "target truncated" 0 (Fs.stat fs "/shared/template").Fs.st_size
 
+(* Five paths that do not resolve: through a regular file, a final
+   self-loop, a two-link loop, a path through that loop, and a dangling
+   link.  The lookups answer no, and every other call returns or raises
+   [Fs.Error]: a call that follows the path raises [Not_a_directory],
+   [Symlink_loop] or [Not_found], while one that acts on a final link's
+   own name sees that name exist. *)
+let unresolvable_names () =
+  let fs_with_names () =
+    let fs = fresh () in
+    Fs.write_file fs "/shared/f" (Bytes.of_string "file");
+    Fs.symlink fs ~target:"/shared/self" "/shared/self";
+    Fs.symlink fs ~target:"/shared/l2" "/shared/l1";
+    Fs.symlink fs ~target:"/shared/l1" "/shared/l2";
+    Fs.symlink fs ~target:"/shared/nowhere" "/shared/dangling";
+    fs
+  in
+  let calls =
+    [
+      ("stat", fun fs p -> ignore (Fs.stat fs p));
+      ("segment_of", fun fs p -> ignore (Fs.segment_of fs p));
+      ("read_file", fun fs p -> ignore (Fs.read_file fs p));
+      ("create_file", fun fs p -> Fs.create_file fs p);
+      ("write_file", fun fs p -> Fs.write_file fs p (Bytes.of_string "w"));
+      ("append_file", fun fs p -> Fs.append_file fs p (Bytes.of_string "a"));
+      ("mkdir", fun fs p -> Fs.mkdir fs p);
+      ("symlink", fun fs p -> Fs.symlink fs ~target:"/tmp" p);
+      ("unlink", fun fs p -> Fs.unlink fs p);
+      ("rmdir", fun fs p -> Fs.rmdir fs p);
+      ("rename", fun fs p -> Fs.rename fs ~src:p "/shared/moved");
+      ("readdir", fun fs p -> ignore (Fs.readdir fs p));
+    ]
+  in
+  (* [None]: the call returns. *)
+  let final_link = function
+    | "mkdir" | "symlink" -> Some Fs.Already_exists
+    | "unlink" | "rename" -> None
+    | "rmdir" -> Some Fs.Not_a_directory
+    | _ -> Some Fs.Symlink_loop
+  in
+  let dangling = function
+    | "create_file" | "write_file" | "append_file" -> None (* they create the target *)
+    | "stat" | "segment_of" | "read_file" | "readdir" -> Some Fs.Not_found
+    | call -> final_link call
+  in
+  let show = Option.fold ~none:"returns" ~some:Fs.err_kind_to_string in
+  List.iter
+    (fun (path, expect) ->
+      let fs = fs_with_names () in
+      check_bool (path ^ ": exists") false (Fs.exists fs path);
+      check_bool (path ^ ": is_dir") false (Fs.is_dir fs path);
+      check_bool (path ^ ": lookup") true (Fs.lookup fs path = None);
+      List.iter
+        (fun (name, call) ->
+          let got =
+            match call (fs_with_names ()) path with
+            | () -> None
+            | exception Fs.Error { kind; _ } -> Some kind
+          in
+          check_string (path ^ ": " ^ name) (show (expect name)) (show got))
+        calls)
+    [
+      ("/shared/f/x", fun _ -> Some Fs.Not_a_directory);
+      ("/shared/self", final_link);
+      ("/shared/l1", final_link);
+      ("/shared/l1/x", fun _ -> Some Fs.Symlink_loop);
+      ("/shared/dangling", dangling);
+    ];
+  let k, _ = boot () in
+  Fs.symlink (Kernel.fs k) ~target:"/shared/self" "/shared/self";
+  check_bool "open with create through a loop: ELOOP" true
+    (run_native k (fun k proc -> Kernel.sys_open_r k proc ~create:true "/shared/self")
+    = Error Hemlock_os.Errno.ELOOP)
+
 let rename_ops () =
   let fs = fresh () in
   (* plain file *)
@@ -304,6 +383,7 @@ let suite =
     test "sfs: mapped memory is the file" mapping_is_the_file;
     test "sfs: boot rescan rebuilds the table" rescan_survives_crash;
     test "fs: create through symlink" create_through_symlink;
+    test "fs: names that do not resolve" unresolvable_names;
     test "fs: rename files and directories" rename_ops;
     test "sfs: rename preserves global addresses" rename_shared_keeps_address;
     prop_slot_roundtrip;

@@ -307,7 +307,8 @@ let pointer_fault_unmapped_address_unhandled () =
 
 (* A module file reached again through a symlinked directory
    (/shared/alias -> /shared/lib) is the same file under another path:
-   it links, and b's instances all sit in b's slot. *)
+   both spellings locate as /shared/lib/b.o, so b is one instance, in
+   b's slot. *)
 let symlinked_module_file_shares_a_slot () =
   let k, ldl = boot () in
   let fs = Kernel.fs k in
@@ -325,46 +326,136 @@ let symlinked_module_file_shares_a_slot () =
   Kernel.run ~max_ticks:2_000 k;
   check_int "exit" 42 (exit_code proc);
   Alcotest.(check (list string)) "no warnings" [] (Ldl.warnings ldl);
-  let b = Fs.addr_of_path fs "/shared/lib/b" in
-  Alcotest.(check (list int)) "b's instances in b's slot" [ b ]
-    (List.sort_uniq compare
-       (List.filter_map
-          (fun i ->
-            if i.Modinst.inst_key = "/shared/lib/b.o" then Some i.Modinst.inst_base else None)
-          (Ldl.instances ldl proc)))
+  Alcotest.(check (list (pair string int))) "one instance, in b's slot"
+    [ ("/shared/lib/b.o", Fs.addr_of_path fs "/shared/lib/b") ]
+    (List.map (fun i -> (i.Modinst.inst_key, i.Modinst.inst_base)) (Ldl.instances ldl proc))
 
 (* A module file whose header names another template (/shared/lib/a ->
    b's module file, linked as a.o's) is refused with a warning naming
-   the mismatch, so the process holds b once, under b's key. *)
+   the mismatch, so the process holds b once, under b's key: whether
+   a.o is a template of its own or a symlink to b.o. *)
 let module_file_of_another_template_refused () =
+  List.iter
+    (fun (what, install_a) ->
+      let k, ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      Fs.mkdir fs "/home/t";
+      install_c k "/shared/lib/b.o" "int b() { return 2; }";
+      install_a k;
+      install_c k "/home/t/one.o" "extern int b(); int main() { return b(); }";
+      install_c k "/home/t/two.o"
+        "extern int a(); extern int b(); int main() { return b() + a(); }";
+      let public name = ("/shared/lib/" ^ name, Sharing.Dynamic_public) in
+      ignore
+        (link k ~dir:"/home/t" ~specs:[ ("one.o", Sharing.Static_private); public "b.o" ] "one");
+      ignore
+        (link k ~dir:"/home/t"
+           ~specs:[ ("two.o", Sharing.Static_private); public "b.o"; public "a.o" ]
+           "two");
+      check_int (what ^ ": b's module created") 2 (exit_code (fst (run_program k "/home/t/one")));
+      Fs.symlink fs ~target:"/shared/lib/b" "/shared/lib/a";
+      let proc = Kernel.spawn_exec k "/home/t/two" in
+      Kernel.run ~max_ticks:2_000 k;
+      check_bool (what ^ ": the second program ends") true (Proc.is_zombie proc);
+      Alcotest.(check (list string)) (what ^ ": one instance, b's") [ "/shared/lib/b.o" ]
+        (List.map (fun i -> i.Modinst.inst_key) (Ldl.instances ldl proc));
+      check_bool (what ^ ": the warning names the mismatch") true
+        (List.exists
+           (fun w ->
+             contains w "/shared/lib/a" && contains w "from /shared/lib/b.o, not /shared/lib/a.o")
+           (Ldl.warnings ldl));
+      check_int (what ^ ": the host runs on") 2 (exit_code (fst (run_program k "/home/t/one"))))
+    [
+      ("a.o a template", fun k -> install_c k "/shared/lib/a.o" "int a() { return 1; }");
+      ("a.o -> b.o", fun k -> Fs.symlink (Kernel.fs k) ~target:"b.o" "/shared/lib/a.o");
+    ]
+
+(* An LD_LIBRARY_PATH entry that names a regular file or a symlink loop
+   is skipped, as ld.so skips it: the program exits as with the entry
+   absent. *)
+let unresolvable_library_path_skipped () =
+  let k, ldl = boot () in
+  let fs = Kernel.fs k in
+  Fs.mkdir fs "/home/lib";
+  Fs.mkdir fs "/home/t";
+  Fs.write_file fs "/home/afile" (Bytes.of_string "not a directory");
+  Fs.symlink fs ~target:"/home/loop" "/home/loop";
+  install_c k "/home/lib/b.o" "int b() { return 2; }";
+  install_c k "/home/t/main.o" "extern int b(); int main() { return b() + 40; }";
+  ignore
+    (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+       ~specs:[ ("main.o", Sharing.Static_private); ("b.o", Sharing.Dynamic_private) ]
+       "prog");
+  List.iter
+    (fun entry ->
+      let proc, _ = run_program k ~env:[ ("LD_LIBRARY_PATH", entry) ] "/home/t/prog" in
+      check_int entry 42 (exit_code proc))
+    [ "/home/afile"; "/home/loop"; "/home/afile:/home/lib" ];
+  Alcotest.(check (list string)) "no warnings" [] (Ldl.warnings ldl)
+
+(* A public b.o's module path that holds no module file on /shared (a
+   directory, a symlink loop, a link to a copy of b's module file under
+   /home) is refused with a warning naming it, and the kernel runs on. *)
+let module_path_without_a_module_refused () =
+  List.iter
+    (fun (what, occupy) ->
+      let k, ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      Fs.mkdir fs "/home/t";
+      install_c k "/shared/lib/b.o" "int b() { return 2; }";
+      install_c k "/home/t/main.o" "extern int b(); int main() { return b() + 40; }";
+      ignore
+        (link k ~dir:"/home/t"
+           ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/b.o", Sharing.Dynamic_public) ]
+           "prog");
+      occupy k;
+      let proc = Kernel.spawn_exec k "/home/t/prog" in
+      Kernel.run ~max_ticks:2_000 k;
+      check_bool (what ^ ": the program ends") true (Proc.is_zombie proc);
+      check_bool (what ^ ": a warning names the module path") true
+        (List.exists
+           (fun w -> contains w "/shared/lib/b exists but is not a Hemlock module")
+           (Ldl.warnings ldl)))
+    [
+      ("a directory", fun k -> Fs.mkdir (Kernel.fs k) "/shared/lib/b");
+      ("a loop", fun k -> Fs.symlink (Kernel.fs k) ~target:"/shared/lib/b" "/shared/lib/b");
+      ( "a link off the partition",
+        fun k ->
+          let fs = Kernel.fs k in
+          check_int "b's module created" 42 (exit_code (fst (run_program k "/home/t/prog")));
+          Fs.write_file fs "/home/t/b" (Fs.read_file fs "/shared/lib/b");
+          Fs.unlink fs "/shared/lib/b";
+          Fs.symlink fs ~target:"/home/t/b" "/shared/lib/b" );
+    ]
+
+(* A public template rewritten past its module file's slot (a's bss now
+   reaches into b's module file, in the next slot) is refused with a
+   warning, and b still links. *)
+let template_past_its_slot_refused () =
   let k, ldl = boot () in
   let fs = Kernel.fs k in
   Fs.mkdir fs "/shared/lib";
   Fs.mkdir fs "/home/t";
   install_c k "/shared/lib/a.o" "int a() { return 1; }";
   install_c k "/shared/lib/b.o" "int b() { return 2; }";
-  install_c k "/home/t/one.o" "extern int b(); int main() { return b(); }";
-  install_c k "/home/t/two.o" "extern int a(); extern int b(); int main() { return b() + a(); }";
+  run_native k (fun _ proc ->
+      List.iter (fun m -> ignore (Ldl.dlopen ldl proc ("/shared/lib/" ^ m))) [ "a.o"; "b.o" ]);
+  check_int "b's module file in the slot after a's"
+    (Fs.addr_of_path fs "/shared/lib/a" + Layout.shared_slot_size)
+    (Fs.addr_of_path fs "/shared/lib/b");
+  install_c k "/home/t/main.o" "extern int b(); int main() { return b() + 40; }";
   let public name = ("/shared/lib/" ^ name, Sharing.Dynamic_public) in
   ignore
-    (link k ~dir:"/home/t" ~specs:[ ("one.o", Sharing.Static_private); public "b.o" ] "one");
-  ignore
-    (link k ~dir:"/home/t"
-       ~specs:[ ("two.o", Sharing.Static_private); public "b.o"; public "a.o" ]
-       "two");
-  check_int "b's module created" 2 (exit_code (fst (run_program k "/home/t/one")));
-  Fs.symlink fs ~target:"/shared/lib/b" "/shared/lib/a";
-  let proc = Kernel.spawn_exec k "/home/t/two" in
-  Kernel.run ~max_ticks:2_000 k;
-  check_bool "the second program ends" true (Proc.is_zombie proc);
-  Alcotest.(check (list string)) "one instance, b's" [ "/shared/lib/b.o" ]
-    (List.map (fun i -> i.Modinst.inst_key) (Ldl.instances ldl proc));
-  check_bool "the warning names the mismatch" true
+    (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private); public "b.o"; public "a.o" ]
+       "prog");
+  install_c k "/shared/lib/a.o" "int big[300000]; int a() { return 1; }";
+  check_int "b still links" 42 (exit_code (fst (run_program k "/home/t/prog")));
+  check_bool "the warning names a" true
     (List.exists
-       (fun w ->
-         contains w "/shared/lib/a" && contains w "from /shared/lib/b.o, not /shared/lib/a.o")
-       (Ldl.warnings ldl));
-  check_int "the host runs on" 2 (exit_code (fst (run_program k "/home/t/one")))
+       (fun w -> contains w "module /shared/lib/a exceeds the 1048576-byte shared file limit")
+       (Ldl.warnings ldl))
 
 let fault_past_linked_module_unhandled () =
   (* A stray load across the end of a public module's slot, far past
@@ -689,6 +780,11 @@ let suite =
     test "ldl: a symlinked module file shares a slot" symlinked_module_file_shares_a_slot;
     test "ldl: a module file of another template is refused"
       module_file_of_another_template_refused;
+    test "ldl: library-path entries that do not resolve are skipped"
+      unresolvable_library_path_skipped;
+    test "ldl: a module path without a module file is refused"
+      module_path_without_a_module_refused;
+    test "ldl: a template grown past its slot is refused" template_past_its_slot_refused;
     test "ldl: retained data relocations are applied" retained_data_reloc_applied;
     test "ldl: program SIGSEGV handler chained" program_handler_chained;
     test "ldl: creation race resolved by file lock" creation_race_single_module;

@@ -371,7 +371,7 @@ let files_of c =
         let name = Printf.sprintf "c%d.o" id in
         let own_modules, externs, terms = visit ch in
         let src = Printf.sprintf "%sint f%d() {\n  return %s;\n}\n" externs id (String.concat " + " terms) in
-        let dirs = List.nth [ [ "/home/lib" ]; [ "/home/lib2"; "/home/lib" ]; [] ] ch.search in
+        let dirs = List.nth [ [ "/home/alias" ]; [ "/home/lib2"; "/home/lib" ]; [] ] ch.search in
         let obj = { (Cc.to_object ~name src) with Objfile.own_modules; own_search_path = dirs } in
         files := ("/home/lib/" ^ name, Objfile.serialize obj) :: !files;
         (name, [ id ])
@@ -429,19 +429,23 @@ let exchange ~datagrams =
   let (), d = Stats.measure (fun () -> Cluster.run c) in
   note ~bill:d "cluster" (String.concat " | " (Array.to_list (Array.map (String.concat ",") heard)))
 
-(* A cold exec; one under another LD_LIBRARY_PATH; one after an in-place
-   and one after a mapped template rewrite; one after /shared traffic
-   (crashed and fsck'd when armed) and a reboot; a two-machine exchange;
-   then the fsck'd /shared tree. *)
+(* A cold exec; one under another LD_LIBRARY_PATH, which also reaches
+   the public modules the cold exec created through a symlinked
+   directory; one after an in-place and one after a mapped template
+   rewrite; one after /shared traffic (crashed and fsck'd when armed)
+   and a reboot; a two-machine exchange; then the fsck'd /shared tree.
+   Code modules of search list 0 reach /home/lib through its alias. *)
 let case_workload c (files, specs) log =
   let k, ldl = boot () in
   let fs = Kernel.fs k in
   List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/lib2"; "/home/t"; "/shared/lib"; "/shared/w" ];
+  Fs.symlink fs ~target:"/shared/lib" "/shared/alias";
+  Fs.symlink fs ~target:"/home/lib" "/home/alias";
   List.iter (fun (path, bytes) -> Fs.write_file fs path bytes) files;
   ignore (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ] ~specs "prog");
   let run ?env label = log (exec k ldl ?env label "/home/t/prog") in
   run "cold";
-  run ~env:[ ("LD_LIBRARY_PATH", "/home/lib2") ] "other order";
+  run ~env:[ ("LD_LIBRARY_PATH", "/home/lib2:/shared/alias") ] "other order";
   let g = c.graph in
   let i = named g c.in_place and m = named g c.mapped in
   Fs.write_file fs (data_path g i) (data_bytes g i ~copy:1);
@@ -825,6 +829,40 @@ let pinned_bill_input =
       Modgen.link_driver ~deep:4 ldl ~dir:"/home/lib" ~out:"/home/t/prog" ~used:3;
       List.iter (fun label -> log (exec k ldl label "/home/t/prog")) [ "cold"; "warm" ])
 
+(* One program creates b's public module through a symlinked directory
+   (/shared/alias -> /shared/lib), and another links it through the
+   real one, resolving three of its names: both spell it
+   /shared/lib/b.o, so the second process holds one instance, billed
+   alike by the linear walk and the scope index. *)
+let alias_input =
+  fixed "a module created under one spelling links under another" [ all_on () ]
+    ~extra:(fun _ base obs ->
+      List.iter
+        (fun o ->
+          let st = find o "through /shared/lib" in
+          check_int "exit" 42 st.code;
+          check_int "one instance" 1 (List.length st.links))
+        [ base; obs ])
+    (fun log ->
+      let k, ldl = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      Fs.mkdir fs "/home/t";
+      Fs.symlink fs ~target:"/shared/lib" "/shared/alias";
+      install_c k "/shared/lib/b.o"
+        "int b1() { return 1; } int b2() { return 2; } int b3() { return 39; }";
+      install_c k "/home/t/main.o"
+        "extern int b1(); extern int b2(); extern int b3();\n\
+         int main() { return b1() + b2() + b3(); }";
+      List.iter
+        (fun dir ->
+          ignore
+            (link k ~dir:"/home/t"
+               ~specs:[ ("main.o", Sharing.Static_private); (dir ^ "/b.o", Sharing.Dynamic_public) ]
+               (Filename.basename dir));
+          log (exec k ldl ("through " ^ dir) ("/home/t/" ^ Filename.basename dir)))
+        [ "/shared/alias"; "/shared/lib" ])
+
 (* Compiled stores to an image page the image master still shares: the
    first loop writes the value the page already holds, which keeps it
    shared, the second writes new values, which copies it once.  Exits
@@ -977,7 +1015,7 @@ int main() {
 let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
-    pinned_bill_input;
+    pinned_bill_input; alias_input;
     shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
     lock_acquire_input; lock_release_input; big_write_input; big_read_input;
   ]
