@@ -49,9 +49,9 @@ type scope_index = {
 }
 
 (* Scope nodes by identity: a node is shared by every walk through it,
-   so [==] finds its index without comparing module lists and parent
-   chains.  A structurally equal node (a replayed plan's parent scope)
-   gets an index of its own, which answers as the first would. *)
+   and a replayed plan instantiates under the live nodes too, so [==]
+   finds a node's index or digest without comparing module lists and
+   parent chains. *)
 module Scope_tbl = Hashtbl.Make (struct
   type t = Modinst.scope
 
@@ -81,6 +81,7 @@ type pstate = {
      stale through the namespace) *)
   ps_index : scope_index Scope_tbl.t;
   mutable ps_index_gen : int;
+  ps_digests : string Scope_tbl.t;  (* see [scope_digest] *)
   (* host-side: per-symbol resolution provenance for linkstat, filled
      only while [linkstat] is armed *)
   ps_prov : (string, prov) Hashtbl.t;
@@ -100,7 +101,7 @@ type t = {
   mutable bind_now : bool;
   (* linkstat: record each resolution's provenance in [ps_prov] *)
   mutable linkstat : bool;
-  plans : Modinst.scope Link_plan.store;  (* kernel-wide memoized link plans *)
+  plans : Link_plan.store;  (* kernel-wide memoized link plans *)
   (* Host-side memos of this kernel's files, each entry keyed by a file
      segment id and tagged with the version it was built from (see
      [memo]): decoded templates; each template's placed image, COW-copied
@@ -111,7 +112,8 @@ type t = {
   objs : (int, int * Objfile.t) Hashtbl.t;
   masters : (int, int * Segment.t) Hashtbl.t;
   images : (int, int * (Aout.t * Segment.t Lazy.t)) Hashtbl.t;
-  mutable plan_rec : Modinst.scope Link_plan.dep list ref option;
+  (* the region being recorded: its scope and its instantiations *)
+  mutable plan_rec : (Modinst.scope * Link_plan.dep list ref) option;
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
   poisoned : (string, unit) Hashtbl.t;
@@ -154,6 +156,7 @@ let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next 
     ps_unlinked = [];
     ps_index = Scope_tbl.create 16;
     ps_index_gen = -1;
+    ps_digests = Scope_tbl.create 16;
     ps_prov = Hashtbl.create 64;
     ps_digest = Bytes.make 16 '\000';
   }
@@ -248,13 +251,7 @@ let is_shared_located located =
 let ensure_public_created t proc ~located ~obj =
   let fs = Kernel.fs t.k in
   let module_path = Modinst.module_file_of_template located in
-  (* A published module file on /shared: a regular file with a slot. *)
-  let ready () =
-    match Fs.lookup fs module_path with
-    | Some (_, { Fs.st_kind = Fs.Regular; st_addr = Some _; _ }) ->
-      Modinst.Header.is_module_file (Fs.segment_of fs module_path)
-    | Some _ | None -> false
-  in
+  let ready () = Modinst.published fs module_path in
   if ready () then module_path
   else begin
     let lock_name = module_path ^ ".lock" in
@@ -263,16 +260,10 @@ let ensure_public_created t proc ~located ~obj =
     Fun.protect
       ~finally:(fun () -> Kernel.funlock t.k proc lock_name)
       (fun () ->
-        if not (ready ()) then begin
-          (* Anything else under that name (a directory, a loop, a link
-             off the partition) is not ours to create through. *)
-          (match Fs.lstat fs module_path with
-          | (_ : Fs.stat) -> errf "%s exists but is not a Hemlock module" module_path
-          | exception Fs.Error _ -> ());
+        if not (ready ()) then
           ignore
             (Modinst.create_public_file (ctx_of t proc) ~template_path:located ~obj
-               ~module_path)
-        end);
+               ~module_path));
     module_path
   end
 
@@ -281,6 +272,16 @@ let ensure_public_created t proc ~located ~obj =
 let rec scope_dirs scope =
   scope.Modinst.sc_search
   @ (match scope.Modinst.sc_parent with Some p -> scope_dirs p | None -> [])
+
+(* A plan names a dependency's scope by depth: [depth_above scope anc 0]
+   is how many parents above [scope] [anc] stands (-1 if it is not in
+   [scope]'s chain), and [ancestor scope n] the scope [n] parents up. *)
+let rec depth_above scope anc n =
+  if scope == anc then n
+  else match scope.Modinst.sc_parent with Some p -> depth_above p anc (n + 1) | None -> -1
+
+let rec ancestor scope n =
+  if n = 0 then Some scope else Option.bind scope.Modinst.sc_parent (fun p -> ancestor p (n - 1))
 
 (* ----- instantiation ------------------------------------------------------ *)
 
@@ -377,14 +378,14 @@ let instantiate t proc ps ~located ~public ~parent_scope =
   in
   add_instance ps inst;
   (match t.plan_rec with
-  | Some acc ->
+  | Some (region, acc) ->
     acc :=
       {
         Link_plan.dep_located = located;
         dep_public = public;
         dep_base = inst.Modinst.inst_base;
         dep_src = inst.Modinst.inst_src;
-        dep_parent = parent_scope;
+        dep_depth = depth_above region parent_scope 0;
       }
       :: !acc
   | None -> ());
@@ -488,30 +489,25 @@ let resolve_scoped t proc ps scope name =
 
 (* ----- memoized link plans ------------------------------------------------ *)
 
-let scope_sig scope =
-  let b = Buffer.create 64 in
-  let rec go s =
-    Buffer.add_string b s.Modinst.sc_label;
-    Buffer.add_char b '\x02';
-    List.iter
-      (fun m ->
-        Buffer.add_string b m;
-        Buffer.add_char b '\x03')
-      s.Modinst.sc_modules;
-    Buffer.add_char b '\x02';
-    List.iter
-      (fun d ->
-        Buffer.add_string b d;
-        Buffer.add_char b '\x03')
-      s.Modinst.sc_search;
-    match s.Modinst.sc_parent with
-    | Some p ->
-      Buffer.add_char b '\x04';
-      go p
-    | None -> ()
-  in
-  go scope;
-  Buffer.contents b
+(* One scope node spelled out: its label, module list and search list. *)
+let spell s =
+  let terminated l = String.concat "" (List.map (fun x -> x ^ "\x03") l) in
+  String.concat "\x02"
+    [ s.Modinst.sc_label; terminated s.Modinst.sc_modules; terminated s.Modinst.sc_search ]
+
+(* A node's digest covers its spelling and its parent's digest, so it
+   pins the whole chain above it.  A node never changes, so it is
+   digested at most once per process, whatever the generation. *)
+let rec scope_digest ps s =
+  match Scope_tbl.find_opt ps.ps_digests s with
+  | Some d -> d
+  | None ->
+    let d = Digest.string (spell s ^ "\x04" ^ parent_digest ps s) in
+    Scope_tbl.replace ps.ps_digests s d;
+    d
+
+and parent_digest ps s =
+  match s.Modinst.sc_parent with Some p -> scope_digest ps p | None -> ""
 
 (* Program identity: path, load-image segment id+version, cwd, exec-time
    LD_LIBRARY_PATH, and the bind mode. *)
@@ -521,8 +517,9 @@ let prog_key t proc ps =
   | Some (path, segid, segver) ->
     let llp = Option.value ~default:"" (List.assoc_opt "LD_LIBRARY_PATH" proc.Proc.env) in
     Some
-      (Printf.sprintf "%s\x01%d\x01%d\x01%s\x01%s\x01%b" path segid segver
-         (Path.to_string proc.Proc.cwd) llp t.bind_now)
+      (String.concat "\x01"
+         [ path; string_of_int segid; string_of_int segver; Path.to_string proc.Proc.cwd; llp;
+           string_of_bool t.bind_now ])
 
 (* Replay a plan's instantiations through the ordinary path — every
    simulated cost (reads, mappings, creation locks) recurs exactly —
@@ -530,38 +527,47 @@ let prog_key t proc ps =
    latter catches in-place rewrites that are invisible to
    [Fs.generation] (stores through a read-write file mapping): the
    fresh decode would differ from the one the addresses were computed
-   against.  On mismatch the plan is rejected; whatever was
-   instantiated so far is exactly what the cold path would have
-   instantiated, so falling back is safe. *)
-let replay_deps t proc ps plan =
+   against.  Each instance hangs off the live ancestor of the region's
+   [scope] its depth names, which the key pins to the recorded one; a
+   depth past the root fails like a mismatch.  On mismatch the plan is
+   rejected; whatever was instantiated so far is exactly what the cold
+   path would have instantiated, so falling back is safe. *)
+let replay_deps t proc ps ~scope plan =
   List.for_all
     (fun d ->
-      let inst =
-        match find_instance ps d.Link_plan.dep_located with
-        | Some inst -> inst
-        | None ->
-          instantiate t proc ps ~located:d.Link_plan.dep_located
-            ~public:d.Link_plan.dep_public ~parent_scope:d.Link_plan.dep_parent
-      in
-      inst.Modinst.inst_base = d.Link_plan.dep_base
-      && inst.Modinst.inst_src = d.Link_plan.dep_src)
+      match ancestor scope d.Link_plan.dep_depth with
+      | None -> false
+      | Some parent_scope ->
+        let inst =
+          match find_instance ps d.Link_plan.dep_located with
+          | Some inst -> inst
+          | None ->
+            instantiate t proc ps ~located:d.Link_plan.dep_located
+              ~public:d.Link_plan.dep_public ~parent_scope
+        in
+        inst.Modinst.inst_base = d.Link_plan.dep_base
+        && inst.Modinst.inst_src = d.Link_plan.dep_src)
     plan.Link_plan.plan_deps
 
 (* Run the cold region while capturing its instantiations and resolved
    addresses, then memoize.  If the region raises (a creation lock, a
    link error) the key is poisoned: a retry would record only the
    leftover instantiations and the incomplete plan could strand a
-   private module unmapped in some later process. *)
-let record_plan t ~fs key cold =
+   private module unmapped in some later process.  So is a region that
+   instantiated under a scope outside [scope]'s chain, which no depth
+   names. *)
+let record_plan t ~fs ~scope key cold =
   let addrs = Hashtbl.create 16 in
   let acc = ref [] in
   let saved = t.plan_rec in
-  t.plan_rec <- Some acc;
+  t.plan_rec <- Some (scope, acc);
   match cold ~record:(fun sym addr -> Hashtbl.replace addrs sym addr) with
   | () ->
     t.plan_rec <- saved;
-    Link_plan.record t.plans ~fs key
-      { Link_plan.plan_deps = List.rev !acc; plan_addrs = addrs; plan_copy = Unsaved }
+    if List.exists (fun d -> d.Link_plan.dep_depth < 0) !acc then Hashtbl.replace t.poisoned key ()
+    else
+      Link_plan.record t.plans ~fs key
+        { Link_plan.plan_deps = List.rev !acc; plan_addrs = addrs; plan_copy = Unsaved }
   | exception e ->
     t.plan_rec <- saved;
     Hashtbl.replace t.poisoned key ();
@@ -579,8 +585,8 @@ let record_plan t ~fs key cold =
 let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
 
 (* The plan-or-cold driver: [run] performs the relocation work given a
-   resolve function; [cold_resolve] is the scope walk; [key] builds the
-   region's plan key, only when plans are on.  A miss records
+   resolve function; [cold_resolve] is the scope walk from [scope]; [key]
+   builds the region's plan key, only when plans are on.  A miss records
    the cold region.  A replay that fails verification drops the plan
    (reaping its file if one holds it) and runs cold *without*
    recording: it may already have instantiated some of the plan's
@@ -588,7 +594,7 @@ let inst_digest ps = Digest.to_hex (Bytes.to_string ps.ps_digest)
    injected failure runs cold and keeps the plan.  [Link_error] while
    replaying counts as failed verification (the cold run raises it
    again if it is real); [Would_block] and [Fault.Crash] propagate. *)
-let planned t proc ps ~key ~cold_resolve ~run =
+let planned t proc ps ~scope ~key ~cold_resolve ~run =
   match if Config.current.plans then key () else None with
   | None -> run cold_resolve
   | Some key -> (
@@ -599,7 +605,7 @@ let planned t proc ps ~key ~cold_resolve ~run =
       Link_plan.miss ();
       if Hashtbl.mem t.poisoned key then run cold_resolve
       else
-        record_plan t ~fs key (fun ~record ->
+        record_plan t ~fs ~scope key (fun ~record ->
             run (fun name ->
                 match cold_resolve name with
                 | Some addr ->
@@ -609,7 +615,7 @@ let planned t proc ps ~key ~cold_resolve ~run =
     | Some plan -> (
       match
         Fault.hit "plan.replay";
-        try replay_deps t proc ps plan with Link_error _ -> false
+        try replay_deps t proc ps ~scope plan with Link_error _ -> false
       with
       | true ->
         Link_plan.hit ();
@@ -679,15 +685,16 @@ let link_instance t proc ps inst =
         warn t "module %s: %d reference(s) unresolved at the root (left to fault)"
           inst.Modinst.inst_key (List.length left)
     in
+    let scope = inst.Modinst.inst_scope in
     let key () =
       Option.map
         (fun pk ->
-          Printf.sprintf "mod\x01%s\x01%s\x01%b\x01%d\x01%s" pk inst.Modinst.inst_key
-            inst.Modinst.inst_public inst.Modinst.inst_base
-            (scope_sig inst.Modinst.inst_scope))
+          String.concat "\x01"
+            [ "mod"; pk; inst.Modinst.inst_key; string_of_bool inst.Modinst.inst_public;
+              string_of_int inst.Modinst.inst_base; spell scope; parent_digest ps scope ])
         (prog_key t proc ps)
     in
-    planned t proc ps ~key ~cold_resolve ~run;
+    planned t proc ps ~scope ~key ~cold_resolve ~run;
     As.protect proc.Proc.space inst.Modinst.inst_base Prot.Read_write_exec;
     inst.Modinst.inst_linked <- true;
     let s = Stats.cur () in
@@ -740,7 +747,7 @@ let resolve_image_pending t proc ps =
       | None -> None
     in
     let key () = Option.map (fun pk -> "rip\x01" ^ pk) (prog_key t proc ps) in
-    planned t proc ps ~key ~cold_resolve ~run
+    planned t proc ps ~scope:ps.ps_root ~key ~cold_resolve ~run
 
 let ldl_startup t proc ps =
   match ps.ps_aout with

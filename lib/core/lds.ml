@@ -41,7 +41,7 @@ type placed = {
 let ensure_static_public ctx warnings located =
   let obj, _ = Modinst.load_template ctx located in
   let module_path = Modinst.module_file_of_template located in
-  if not (Fs.exists ctx.Search.fs module_path) then begin
+  if not (Modinst.published ctx.Search.fs module_path) then begin
     ignore (Modinst.create_public_file ctx ~template_path:located ~obj ~module_path);
     let unresolved = Objfile.undefined obj in
     if unresolved <> [] then

@@ -10,28 +10,27 @@ module Config = Hemlock_util.Config
    re-performs the instantiations through the ordinary path — so every
    simulated cost (file reads, mappings, lock protocol) recurs exactly —
    and feeds the recorded addresses to the same relocation engine,
-   skipping only the scope walks.  Plans are parametric in the scope
-   type ([Modinst.scope] in ldl). *)
+   skipping only the scope walks. *)
 
-type 'scope dep = {
+type dep = {
   dep_located : string;
   dep_public : bool;
   dep_base : int;  (* verified on replay; a mismatch rejects the plan *)
   dep_src : int * int;  (* template (segment id, version) — also verified *)
-  dep_parent : 'scope;
+  dep_depth : int;  (* parents above the region's scope; past the root rejects *)
 }
 
 type copy = Unsaved | Saved | Loaded
 
-type 'scope plan = {
-  plan_deps : 'scope dep list;
+type plan = {
+  plan_deps : dep list;
   plan_addrs : (string, int) Hashtbl.t;
   mutable plan_copy : copy;  (* what /shared/.stable holds of it *)
 }
 
-type 'scope store = {
+type store = {
   mutable st_gen : int;  (* FS generation the cached plans assume *)
-  st_tbl : (string, 'scope plan) Hashtbl.t;
+  st_tbl : (string, plan) Hashtbl.t;
 }
 
 let create_store () = { st_gen = -1; st_tbl = Hashtbl.create 32 }

@@ -20,21 +20,25 @@
     - the caller additionally keys each plan on a digest of the
       already-instantiated module set, since recorded addresses may
       point into modules that were instantiated by {e earlier} regions
-      and therefore appear in no dependency entry;
+      and therefore appear in no dependency entry, and on the region's
+      scope chain, so a dependency names its scope by depth;
     - replay re-performs instantiations through the ordinary path, so
       reads, mappings and lock acquisitions (and their counters) recur
       exactly; only symbol scope walks are replaced by the recorded
       dictionary, fed to the same relocation engine. *)
 
 (** One instantiation performed during a recorded region. *)
-type 'scope dep = {
+type dep = {
   dep_located : string;
   dep_public : bool;
   dep_base : int;
   dep_src : int * int;
       (** template content identity at record time (see
           {!Hemlock_linker.Modinst.t.inst_src}) *)
-  dep_parent : 'scope;
+  dep_depth : int;
+      (** the scope the walk instantiated it under, as a number of
+          parents above the region's scope (0: that scope); replay uses
+          the live scope's, and a depth past its root rejects the plan *)
 }
 
 (** What the plan's file under [/shared/.stable] holds: nothing known
@@ -42,38 +46,38 @@ type 'scope dep = {
     back at a reboot and not yet replayed ([Loaded]). *)
 type copy = Unsaved | Saved | Loaded
 
-type 'scope plan = {
-  plan_deps : 'scope dep list;  (** in cold-path chronological order *)
+type plan = {
+  plan_deps : dep list;  (** in cold-path chronological order *)
   plan_addrs : (string, int) Hashtbl.t;  (** resolved symbol addresses *)
   mutable plan_copy : copy;
 }
 
-type 'scope store
+type store
 
-val create_store : unit -> 'scope store
+val create_store : unit -> store
 
 (** [lookup store ~fs key] returns a live plan, clearing the store first
     if [fs] has mutated since the plans were recorded. *)
-val lookup : 'scope store -> fs:Hemlock_sfs.Fs.t -> string -> 'scope plan option
+val lookup : store -> fs:Hemlock_sfs.Fs.t -> string -> plan option
 
-val record : 'scope store -> fs:Hemlock_sfs.Fs.t -> string -> 'scope plan -> unit
+val record : store -> fs:Hemlock_sfs.Fs.t -> string -> plan -> unit
 
 (** Drop one plan (its replay failed verification). *)
-val remove : 'scope store -> string -> unit
+val remove : store -> string -> unit
 
 (** All live (key, plan) pairs, sorted by key — the stable-link sync
     walks this to copy the store.  Validates against [fs] first, so
     only plans the store would actually serve are returned.  Empty when
     the plan cache is disabled. *)
-val entries : 'scope store -> fs:Hemlock_sfs.Fs.t -> (string * 'scope plan) list
+val entries : store -> fs:Hemlock_sfs.Fs.t -> (string * plan) list
 
 (** [keep store ~fs] declares the plans still valid at [fs]'s current
     generation: the mutations since {!entries} validated them were the
     stable-link sync's own, which no module lookup can see. *)
-val keep : 'scope store -> fs:Hemlock_sfs.Fs.t -> unit
+val keep : store -> fs:Hemlock_sfs.Fs.t -> unit
 
 (** Drop every cached plan and forget the generation (reboot). *)
-val reset_store : 'scope store -> unit
+val reset_store : store -> unit
 
 (** Bump the plan observability counters. *)
 val hit : unit -> unit

@@ -212,6 +212,12 @@ let module_file_of_template located =
   if Filename.check_suffix located ".o" then Filename.chop_suffix located ".o"
   else errf "public module template %s does not end in .o" located
 
+let published fs module_path =
+  match Fs.lookup fs module_path with
+  | Some (_, { Fs.st_kind = Fs.Regular; st_addr = Some _; _ }) ->
+    Header.is_module_file (Fs.segment_of fs module_path)
+  | Some _ | None -> false
+
 let create_public_file ctx ~template_path ~obj ~module_path =
   require_shared "public module template" template_path;
   require_shared "public module" module_path;
@@ -220,6 +226,11 @@ let create_public_file ctx ~template_path ~obj ~module_path =
       template_path;
   check_fits module_path obj;
   let fs = ctx.Search.fs in
+  (* Callers create only where none is [published], so anything under the
+     name (a directory, a loop, a link off /shared) is not ours to use. *)
+  (match Fs.lstat fs module_path with
+  | (_ : Fs.stat) -> errf "%s exists but is not a Hemlock module" module_path
+  | exception Fs.Error _ -> ());
   Fault.hit "mod.create";
   (* Module creation is multi-step (create → header/sections/relocs →
      publish); the journal entry lets fsck tell an unpublished partial

@@ -111,6 +111,11 @@ end
     @raise Link_error if the template's name does not end in [.o]. *)
 val module_file_of_template : string -> string
 
+(** [published fs module_path]: [module_path] holds a regular file on
+    [/shared] with a slot and a module header.  It never raises; both
+    linkers create a module file only where it is false. *)
+val published : Hemlock_sfs.Fs.t -> string -> bool
+
 (** [create_public_file ctx ~template_path ~obj ~module_path] creates
     the module file, writes the header and the placed image, applies
     the template's {e internal} relocations (those whose symbol the
@@ -123,7 +128,8 @@ val module_file_of_template : string -> string
     re-raising.  A simulated crash leaves the partial file plus the
     pending intent for [Fs.fsck] to roll back.
     @raise Link_error if the paths are off the shared partition, the
-    template uses $gp, or the image exceeds the 1 MB slot. *)
+    template uses $gp, the image exceeds the 1 MB slot, or anything (a
+    directory, a symlink, a partial file) already holds [module_path]. *)
 val create_public_file :
   Search.ctx -> template_path:string -> obj:Objfile.t -> module_path:string -> int
 

@@ -19,7 +19,7 @@ module Fault = Hemlock_util.Fault
 let dir = "/shared/.stable"
 
 let plan_magic = "HSPL"
-let version = 1
+let version = 2
 
 let plan_name key = "plan-" ^ Digest.to_hex (Digest.string key)
 
@@ -39,10 +39,13 @@ let bump_rejects () =
 
    plan body:   str key
                 u32 ndeps { str located | u8 public | u32 base
-                            | i32 src_id | i32 src_ver | scope }
+                            | i32 src_id | i32 src_ver | u16 depth }
                 u32 naddrs { str sym | u32 addr }   (sorted by sym)
-   scope:       str label | u16 nmodules strs | u16 nsearch strs
-                | u8 has_parent [ scope ] *)
+
+   A dependency names its parent scope by depth, not by content: the
+   key pins the region's scope chain, so a file does not grow with it.
+   A depth fits its u16: a process holds at most 57,344 private (a page
+   each in its arena) and 1,024 public instances, a scope node each. *)
 
 (* [Segment.version] can be -1-free in practice, but [Modinst.inst_src]
    is (-1, -1) for objects that never came from a file; keep the
@@ -52,38 +55,6 @@ let w_i32 w v = Codec.Writer.u32 w (v land 0xFFFF_FFFF)
 let r_i32 r =
   let v = Codec.Reader.u32 r in
   if v > 0x7FFF_FFFF then v - 0x1_0000_0000 else v
-
-let rec w_scope w s =
-  Codec.Writer.str w s.Modinst.sc_label;
-  Codec.Writer.u16 w (List.length s.Modinst.sc_modules);
-  List.iter (Codec.Writer.str w) s.Modinst.sc_modules;
-  Codec.Writer.u16 w (List.length s.Modinst.sc_search);
-  List.iter (Codec.Writer.str w) s.Modinst.sc_search;
-  match s.Modinst.sc_parent with
-  | Some p ->
-    Codec.Writer.u8 w 1;
-    w_scope w p
-  | None -> Codec.Writer.u8 w 0
-
-let rec r_scope r =
-  let sc_label = Codec.Reader.str r in
-  let n = Codec.Reader.u16 r in
-  let ms = ref [] in
-  for _ = 1 to n do
-    ms := Codec.Reader.str r :: !ms
-  done;
-  let n = Codec.Reader.u16 r in
-  let ds = ref [] in
-  for _ = 1 to n do
-    ds := Codec.Reader.str r :: !ds
-  done;
-  let sc_parent = if Codec.Reader.u8 r = 1 then Some (r_scope r) else None in
-  {
-    Modinst.sc_label;
-    sc_modules = List.rev !ms;
-    sc_search = List.rev !ds;
-    sc_parent;
-  }
 
 let seal magic body =
   let w = Codec.Writer.create () in
@@ -104,7 +75,7 @@ let unseal magic bytes =
   if not (String.equal digest (Digest.bytes body)) then failwith "stable: bad digest";
   body
 
-let encode_plan ~key (plan : Modinst.scope Link_plan.plan) =
+let encode_plan ~key (plan : Link_plan.plan) =
   let w = Codec.Writer.create () in
   Codec.Writer.str w key;
   Codec.Writer.u32 w (List.length plan.Link_plan.plan_deps);
@@ -116,7 +87,7 @@ let encode_plan ~key (plan : Modinst.scope Link_plan.plan) =
       let sid, sver = d.Link_plan.dep_src in
       w_i32 w sid;
       w_i32 w sver;
-      w_scope w d.Link_plan.dep_parent)
+      Codec.Writer.u16 w d.Link_plan.dep_depth)
     plan.Link_plan.plan_deps;
   let addrs =
     List.sort
@@ -143,9 +114,9 @@ let decode_plan bytes =
     let dep_base = Codec.Reader.u32 r in
     let sid = r_i32 r in
     let sver = r_i32 r in
-    let dep_parent = r_scope r in
+    let dep_depth = Codec.Reader.u16 r in
     deps :=
-      { Link_plan.dep_located; dep_public; dep_base; dep_src = (sid, sver); dep_parent }
+      { Link_plan.dep_located; dep_public; dep_base; dep_src = (sid, sver); dep_depth }
       :: !deps
   done;
   let naddrs = Codec.Reader.u32 r in

@@ -8,7 +8,9 @@
     back only while it has not moved.  Writes go through the journalled
     [Fs] path, all-or-nothing per file under [Fs.fsck] (the [fs.stable]
     fault site).  Loads are host-side segment reads, never billed; a
-    corrupt file is reaped on its first failed load.  See DESIGN.md,
+    corrupt file, or one of another format version, is reaped on its
+    first failed load.  Version 2 writes a dependency's scope as a
+    depth, so a file does not grow with the scope chain.  See DESIGN.md,
     "Stable linking". *)
 
 (** The reserved namespace, ["/shared/.stable"]. *)
@@ -36,13 +38,12 @@ type sync_report = {
     failure skips that file; a {!Hemlock_util.Fault.Crash} propagates
     (the machine stopped). *)
 val sync :
-  Hemlock_sfs.Fs.t -> plans:(string * Modinst.scope Link_plan.plan) list -> sync_report * bool
+  Hemlock_sfs.Fs.t -> plans:(string * Link_plan.plan) list -> sync_report * bool
 
 (** One-pass sweep of {!dir}: decode and digest-verify every plan file,
     reaping the ones that no longer parse or whose embedded key does not
     name them.  Each plan comes back [Loaded].  Unbilled. *)
-val load_plans :
-  Hemlock_sfs.Fs.t -> (string * Modinst.scope Link_plan.plan) list
+val load_plans : Hemlock_sfs.Fs.t -> (string * Link_plan.plan) list
 
 (** Count one [Loaded] plan's first verified replay ([stable_loads]). *)
 val note_load : unit -> unit

@@ -8,11 +8,13 @@
 # against the golden transcript under four configurations; the examples;
 # and one untimed world of each benchmark workload, none of whose ops
 # may fail and whose simulated counts must equal
-# bench/golden_perfbench_counts.txt.  Every suite row checks crash
-# consistency and the JIT's throughput floors over the cache-less and
-# the TLB-only interpreter (test_jit).  test_oracle compares each fast
-# path with its reference path inside the suite, so no row switches a
-# single path off.  The configurations:
+# bench/golden_perfbench_counts.txt; and one untimed link-boot pair of
+# scripts/perfpairs.sh against this tree, so a change to perfbench's
+# output that breaks the paired-run table fails here.  Every suite row
+# checks crash consistency and the JIT's throughput floors over the
+# cache-less and the TLB-only interpreter (test_jit).  test_oracle
+# compares each fast path with its reference path inside the suite, so
+# no row switches a single path off.  The configurations:
 #   default         every fast path on: what users run;
 #   oracle          every fast path off: the reference paths alone;
 #   squeeze         every block trace-compiled and RAM at 32 pages, so the
@@ -24,7 +26,7 @@
 # pool of at most 2 domains spins at its barrier; 4 park at once.
 # Host-time benchmarking is perfbench's; this gate only checks that every
 # op of its workloads still succeeds.  Each suite row, E1-E13 row,
-# example and the perfbench step runs under a 600 s bound (a row takes
+# example and perfbench step runs under a 600 s bound (a row takes
 # seconds): a row that exceeds it fails, so a hang fails the gate
 # instead of stalling it.
 set -e
@@ -131,3 +133,9 @@ echo "== perfbench: one untimed world per workload (gates: correct, no op failed
 $BOUND sh scripts/perfbench_counts.sh > _build/perfbench_counts.txt
 diff -u bench/golden_perfbench_counts.txt _build/perfbench_counts.txt
 echo "simulated counts identical"
+
+# The paired-run table perf changes report is built from run.py's cycle
+# row, host reference line and result line; one pair of untimed worlds
+# checks they still parse.
+echo "== perfpairs: one untimed link-boot pair against this tree (gate: the table builds, no op failed) =="
+$BOUND sh scripts/perfpairs.sh . . link-boot 1 0

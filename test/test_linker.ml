@@ -282,6 +282,42 @@ let lds_public_template_must_be_shared () =
   | exception Modinst.Link_error msg ->
     check_bool "explains partition rule" true (contains msg "shared partition")
 
+(* lds refuses what ldl refuses: a Static_public template's module path
+   that holds no module file on /shared (a directory, a symlink loop, a
+   link to a copy of the module file under /home) is a Link_error naming
+   the path, not an Fs.Error out of the link. *)
+let lds_refuses_a_module_path_without_a_module () =
+  List.iter
+    (fun (what, occupy) ->
+      let k, _ = boot () in
+      let fs = Kernel.fs k in
+      Fs.mkdir fs "/shared/lib";
+      Fs.mkdir fs "/home/t";
+      install_c k "/shared/lib/b.o" counter_template;
+      install_c k "/home/t/main.o" "extern int bump(); int main() { return bump(); }";
+      let link () =
+        link k ~dir:"/home/t"
+          ~specs:[ ("main.o", Sharing.Static_private); ("/shared/lib/b.o", Sharing.Static_public) ]
+          "a.out"
+      in
+      occupy k link;
+      match link () with
+      | _ -> Alcotest.failf "%s: expected Link_error" what
+      | exception Modinst.Link_error msg ->
+        check_bool (what ^ ": names the module path") true
+          (contains msg "/shared/lib/b exists but is not a Hemlock module"))
+    [
+      ("a directory", fun k _ -> Fs.mkdir (Kernel.fs k) "/shared/lib/b");
+      ("a loop", fun k _ -> Fs.symlink (Kernel.fs k) ~target:"/shared/lib/b" "/shared/lib/b");
+      ( "a link off the partition",
+        fun k link ->
+          let fs = Kernel.fs k in
+          check_bool "b's module created" true (link () = []);
+          Fs.write_file fs "/home/t/b" (Fs.read_file fs "/shared/lib/b");
+          Fs.unlink fs "/shared/lib/b";
+          Fs.symlink fs ~target:"/home/t/b" "/shared/lib/b" );
+    ]
+
 let lds_rejects_gp_public () =
   let k, _ = boot () in
   let fs = Kernel.fs k in
@@ -398,6 +434,8 @@ let suite =
     test "lds: duplicate global symbols" lds_duplicate_symbols;
     test "lds: static public module creation" lds_static_public_created;
     test "lds: public templates must live on /shared" lds_public_template_must_be_shared;
+    test "lds: a module path holding no module file is refused"
+      lds_refuses_a_module_path_without_a_module;
     test "lds: gp-using public modules rejected" lds_rejects_gp_public;
     test "lds: gp works for the private image" lds_gp_private_works;
     test "lds: unresolved relocations retained" lds_retains_unresolved;

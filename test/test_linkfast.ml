@@ -93,6 +93,28 @@ int f0(int x) {
   if Config.current.plans then
     check_bool "stale plans rejected, not replayed" true (d3.Stats.plan_hits = 0)
 
+(* Flip /shared/lib/flag.o's [flagv] through its module file's segment:
+   module data, so neither Fs.generation nor any template decode
+   changes, and the plan keys' program identity cannot see it. *)
+let set_flag fs v =
+  let obj = Objfile.parse (Fs.read_file fs "/shared/lib/flag.o") in
+  let off =
+    match Objfile.find_symbol obj "flagv" with
+    | None -> Alcotest.fail "flagv not exported"
+    | Some s ->
+      let _, data_b, bss_b = Objfile.section_bases obj in
+      let base =
+        match s.Objfile.sym_section with
+        | Objfile.Text -> 0
+        | Objfile.Data -> data_b
+        | Objfile.Bss -> bss_b
+      in
+      Modinst.Header.size + base + s.Objfile.sym_offset
+  in
+  let gen0 = Fs.generation fs in
+  Segment.set_u32 (Fs.segment_of fs "/shared/lib/flag") off v;
+  check_int "flag flip is invisible to the FS generation" gen0 (Fs.generation fs)
+
 (* Lazy-link fault order is execution-dependent, and the plan key's
    program identity cannot see what drives it (here: a byte of public
    module data flipped between execs, invisibly to Fs.generation).  A
@@ -152,36 +174,113 @@ int main() {
      instantiates it, the other finds it pre-existing. *)
   let out1, _ = exec_measured k "/home/t/prog" in
   check_string "first order links" "83" out1;
-  (* Flip the flag through the module file's segment: module data, so
-     neither Fs.generation nor any template decode changes. *)
-  let set_flag v =
-    let obj = Objfile.parse (Fs.read_file fs "/shared/lib/flag.o") in
-    let off =
-      match Objfile.find_symbol obj "flagv" with
-      | None -> Alcotest.fail "flagv not exported"
-      | Some s ->
-        let _, data_b, bss_b = Objfile.section_bases obj in
-        let base =
-          match s.Objfile.sym_section with
-          | Objfile.Text -> 0
-          | Objfile.Data -> data_b
-          | Objfile.Bss -> bss_b
-        in
-        Modinst.Header.size + base + s.Objfile.sym_offset
-    in
-    let gen0 = Fs.generation fs in
-    Segment.set_u32 (Fs.segment_of fs "/shared/lib/flag") off v;
-    check_int "flag flip is invisible to the FS generation" gen0 (Fs.generation fs)
-  in
-  set_flag 1;
+  set_flag fs 1;
   let out2, _ = exec_measured k "/home/t/prog" in
   check_string "reversed fault order still links correctly" "83" out2;
   (* Back to the original order: the first exec's plans replay. *)
-  set_flag 0;
+  set_flag fs 0;
   let out3, d3 = exec_measured k "/home/t/prog" in
   check_string "original order again" "83" out3;
   if Config.current.plans then
     check_bool "matching fault order replays plans" true (d3.Stats.plan_hits > 0)
+
+(* A template under /home/lib whose own module list is [modules] and
+   whose search path is /home/lib. *)
+let install_lib k name ~modules src =
+  write_obj k ("/home/lib/" ^ name)
+    { (Cc.to_object ~name src) with Objfile.own_modules = modules; own_search_path = [ "/home/lib" ] }
+
+(* A plan key names its region's scope node and, by digest, every node
+   above it.  p1's list is [y; z1] and p2's is [y; z2]; whichever of g1
+   and g2 runs first instantiates y under its own scope, y's pass puts m
+   under y, and m's z is then z1's (1) or z2's (2).  Both orders build
+   the same instance set at the same bases, and y's node is spelled the
+   same, so only the digest of y's parent tells m's two regions apart:
+   the second order must not replay the first's plan. *)
+let key_pins_the_scope_chain () =
+  Config.with_ { Config.current with plans = true } (fun () ->
+      let k, _ldl = boot () in
+      let fs = Kernel.fs k in
+      List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/t"; "/shared/lib" ];
+      install_lib k "p1.o" ~modules:[ "y.o"; "z1.o" ] "extern int fy(); int g1() { return fy(); }";
+      install_lib k "p2.o" ~modules:[ "y.o"; "z2.o" ] "extern int fy(); int g2() { return fy(); }";
+      install_lib k "y.o" ~modules:[ "m.o" ] "extern int fm(); int fy() { return fm(); }";
+      install_lib k "m.o" ~modules:[] "extern int z; int fm() { return z; }";
+      install_lib k "z1.o" ~modules:[] "int z = 1;";
+      install_lib k "z2.o" ~modules:[] "int z = 2;";
+      install_c k "/shared/lib/flag.o" "int flagv = 0;";
+      install_c k "/home/t/main.o"
+        {|
+extern int g1();
+extern int g2();
+extern int flagv;
+int main() {
+  if (flagv < 1) { print_int(g1() * 10 + g2()); } else { print_int(g2() * 10 + g1()); }
+  return 0;
+}
+|};
+      ignore
+        (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+           ~specs:
+             [
+               ("main.o", Sharing.Static_private); ("p1.o", Sharing.Dynamic_private);
+               ("p2.o", Sharing.Dynamic_private); ("/shared/lib/flag.o", Sharing.Dynamic_public);
+             ]
+           "prog");
+      check_string "m under p1's chain binds z1" "11" (fst (exec_measured k "/home/t/prog"));
+      set_flag fs 1;
+      check_string "m under p2's chain binds z2" "22" (fst (exec_measured k "/home/t/prog"));
+      set_flag fs 0;
+      let out, d = exec_measured k "/home/t/prog" in
+      check_string "p1's chain again" "11" out;
+      check_bool "the first order replays" true (d.Stats.plan_hits > 0))
+
+(* A module that a region's walk instantiates under an ancestor of the
+   region's scope must hang off that ancestor when the region replays,
+   since its own walk goes through the scope it hangs off.  a's list is
+   [b; e] and b's is [c]: a's pass instantiates b only; b's pass, looking
+   for fe, instantiates c under b's scope, then e under a's.  e's x is
+   then b's (1), where a walk through b's list would find c's (2).  The
+   replayed exec must print what the cold one printed, and every
+   instance hangs off the live scope node of its parent. *)
+let replayed_dependency_keeps_its_scope () =
+  Config.with_ { Config.current with plans = true } (fun () ->
+      let k, ldl = boot () in
+      let fs = Kernel.fs k in
+      List.iter (Fs.mkdir fs) [ "/home/lib"; "/home/t" ];
+      install_lib k "a.o" ~modules:[ "b.o"; "e.o" ] "extern int fb(); int fa() { return fb() + 100; }";
+      install_lib k "b.o" ~modules:[ "c.o" ]
+        "int x = 1; extern int fe(); int fb() { return fe() + 10; }";
+      install_lib k "c.o" ~modules:[] "int x = 2; int fc() { return 0; }";
+      install_lib k "e.o" ~modules:[] "extern int x; int fe() { return x; }";
+      install_c k "/home/t/main.o" "extern int fa(); int main() { print_int(fa()); return 0; }";
+      ignore
+        (link k ~dir:"/home/t" ~cli_dirs:[ "/home/lib" ]
+           ~specs:[ ("main.o", Sharing.Static_private); ("a.o", Sharing.Dynamic_private) ]
+           "prog");
+      let exec label =
+        let (proc, console), d = Stats.measure (fun () -> run_program k "/home/t/prog") in
+        check_string (label ^ ": e binds b's x") "111" (String.trim console);
+        let insts = Ldl.instances ldl proc in
+        let scope_of key =
+          match List.find_opt (fun i -> i.Modinst.inst_key = "/home/lib/" ^ key) insts with
+          | Some i -> i.Modinst.inst_scope
+          | None -> Alcotest.failf "%s: no instance of %s" label key
+        in
+        List.iter
+          (fun (child, parent) ->
+            check_bool
+              (Printf.sprintf "%s: %s hangs off %s's scope node" label child parent)
+              true
+              (match (scope_of child).Modinst.sc_parent with
+              | Some p -> p == scope_of parent
+              | None -> false))
+          [ ("b.o", "a.o"); ("c.o", "b.o"); ("e.o", "a.o") ];
+        d
+      in
+      ignore (exec "cold");
+      let d = exec "replayed" in
+      check_bool "the second exec replays plans" true (d.Stats.plan_hits > 0))
 
 (* ----- scope index vs the linear walk --------------------------------------- *)
 
@@ -434,6 +533,9 @@ let suite =
       mapped_template_rewrite_rejects_plans;
     test "link plans: correct under execution-dependent fault order"
       fault_order_independence;
+    test "link plans: a replayed module hangs off the scope its walk found it in"
+      replayed_dependency_keeps_its_scope;
+    test "link plans: a key pins the region's whole scope chain" key_pins_the_scope_chain;
     test "search: locate sees files created and unlinked" locate_sees_new_files;
     test "search: directory lists do not alias" search_dirs_do_not_alias;
     test "scope index: the 96-module deep chain links as the linear walk does"

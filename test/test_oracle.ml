@@ -994,6 +994,56 @@ let loop_allocation =
             true
             (words < 0.1 *. float n)))
 
+(* Allocation budgets for the link-plan path: the minor words of a warm
+   exec of the 96-module deep chain, which replays its plans from the
+   store, and of a reboot plus the first exec after a sync, which reads
+   the plans back from /shared/.stable and replays them.  Words are
+   exact where host time is not: the two read 157,001 and 242,870 words
+   (89 and 138 per relocation).  One sequence of tests reads the same
+   counts on every run, but a count moves by a few dozen words with
+   what ran earlier in the process, so each bound sits about 1% above
+   its count. *)
+let plan_allocation =
+  test "oracle: the deep chain's plan path stays within its allocation budgets" (fun () ->
+      let s = all_on () in
+      under ~threshold:s.threshold ?ram:s.ram s.cfg (fun () ->
+          let modules = 96 in
+          let k, ldl = boot () in
+          Fs.mkdir (Kernel.fs k) "/home/lib";
+          ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
+          Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib" ~out:"/home/t/prog"
+            ~used:(modules - 1);
+          let want = string_of_int (Modgen.expected ~modules ~used:(modules - 1)) in
+          let measured label f =
+            let before = Gc.minor_words () in
+            let st = f () in
+            let words = Gc.minor_words () -. before in
+            check_string (label ^ ": console") want st.shown;
+            (words, Option.get st.bill)
+          in
+          let budget label (words, bill) ~bound =
+            check_bool
+              (Printf.sprintf "%s: %.0f minor words (%.0f per relocation), under %d" label words
+                 (words /. float bill.Stats.relocs_applied) bound)
+              true
+              (words < float bound)
+          in
+          ignore (measured "cold" (fun () -> exec k ldl "cold" "/home/t/prog"));
+          let warm = measured "warm" (fun () -> exec k ldl "warm" "/home/t/prog") in
+          check_bool "the warm exec replays every region" true
+            ((snd warm).Stats.plan_hits > 0 && (snd warm).Stats.plan_misses = 0);
+          budget "warm exec" warm ~bound:158_600;
+          ignore (Ldl.stable_sync ldl);
+          let stable =
+            measured "stable" (fun () ->
+                Kernel.reboot k;
+                exec k ldl "stable" "/home/t/prog")
+          in
+          check_bool "the stable boot replays every region" true
+            ((snd stable).Stats.stable_loads = (snd stable).Stats.plan_hits
+            && (snd stable).Stats.plan_misses = 0);
+          budget "reboot and exec" stable ~bound:245_300))
+
 (* A leaf loop of 12000 iterations; exits 42. *)
 let compute_input =
   compiled_input "a leaf loop stays compiled across quanta"
@@ -1016,6 +1066,7 @@ let suite =
   [
     prop_generated; patched_code_input; errno_input; pager_input; cow_fork_input; cow_exec_input;
     pinned_bill_input; alias_input;
-    shared_store_input; cow_in_run_input; loop_input; loop_allocation; compute_input;
+    shared_store_input; cow_in_run_input; loop_input; loop_allocation; plan_allocation;
+    compute_input;
     lock_acquire_input; lock_release_input; big_write_input; big_read_input;
   ]

@@ -502,7 +502,7 @@ let forged_files_are_reaped () =
     (* magic, format version, md5 seal over the body, body *)
     store_through_segment fs path
       (Bytes.concat Bytes.empty
-         [ Bytes.of_string "HSPL\001"; Bytes.of_string (Digest.bytes body); body ]);
+         [ Bytes.of_string "HSPL\002"; Bytes.of_string (Digest.bytes body); body ]);
     let major () = (Gc.quick_stat ()).Gc.major_words in
     let before = major () in
     Kernel.reboot k;
@@ -522,27 +522,32 @@ let forged_files_are_reaped () =
    segment so the FS generation stays where the sync left it: the reboot
    reads the file back and must reap it, and the exec must still print
    the chain's sum.  The janitor's check must reject the same bytes.
+   On a deep chain no plan records a dependency (the driver instantiates
+   every module at start-up); on a plain one each region's plan records
+   the module it instantiates, so flips reach dependency records too.
    Plans are forced on: off, nothing is persisted. *)
 let prop_hostile_plan_files =
   prop "stable plans: a corrupt plan file is reaped, never linked" ~count:100
-    ~print:(fun (victim, cut) ->
-      Printf.sprintf "plan file %d: %s" victim
+    ~print:(fun (deep, victim, cut) ->
+      Printf.sprintf "%s chain, plan file %d: %s"
+        (if deep then "deep" else "plain")
+        victim
         (match cut with
         | `Flips flips ->
           String.concat " " (List.map (fun (pos, mask) -> Printf.sprintf "%d^0x%02x" pos mask) flips)
         | `Truncate n -> Printf.sprintf "truncate %d" n))
     QCheck2.Gen.(
-      pair nat
+      triple bool nat
         (oneof
            [
              map (fun l -> `Flips l) (list_size (int_range 1 3) (pair nat (int_range 1 255)));
              map (fun n -> `Truncate n) nat;
            ]))
-    (fun (victim, cut) ->
+    (fun (deep, victim, cut) ->
       Config.with_ { Config.current with plans = true } (fun () ->
           let ((k, ldl) as m) = boot () in
           let fs = Kernel.fs k in
-          let want = build_deep_chain m ~modules:4 in
+          let want = build_chain ~deep m ~modules:4 in
           ignore (exec_measured k "/home/d/prog");
           ignore (Ldl.stable_sync ldl);
           let paths = stable_paths fs "plan-" in
@@ -573,6 +578,88 @@ let prop_hostile_plan_files =
           | out, _ ->
             (out = want || QCheck2.Test.fail_reportf "printed %S, want %S" out want)
             && ((not (Fs.exists fs path)) || QCheck2.Test.fail_reportf "%s survived the reboot" path)))
+
+(* [bytes], a sealed plan file (format version 2), with each
+   dependency's depth set to [depth] and sealed again (magic and
+   version, md5 over the body, body); and how many dependencies it
+   holds. *)
+let reseal_depths bytes depth =
+  let body = Bytes.sub bytes 21 (Bytes.length bytes - 21) in
+  let r = Codec.Reader.create body in
+  ignore (Codec.Reader.str r);
+  let ndeps = Codec.Reader.u32 r in
+  for _ = 1 to ndeps do
+    ignore (Codec.Reader.str r);
+    ignore (Codec.Reader.bytes r 13) (* public, base, template id and version *);
+    Bytes.set_uint16_le body (Codec.Reader.pos r) depth;
+    ignore (Codec.Reader.u16 r)
+  done;
+  (Bytes.concat Bytes.empty [ Bytes.sub bytes 0 5; Bytes.of_string (Digest.bytes body); body ], ndeps)
+
+(* A well-sealed plan whose dependency stands past the root of the
+   region's scope chain fails its replay as a base or template mismatch
+   does: the plan is dropped, its file reaped, the region runs cold.  A
+   sync then writes plans that the next boot replays, every one.  The
+   seal is no MAC, so the depth is untrusted input. *)
+let forged_depth_fails_replay () =
+  Config.with_ { Config.current with plans = true } (fun () ->
+      let ((k, ldl) as m) = boot () in
+      let fs = Kernel.fs k in
+      let want = build_chain ~deep:false m ~modules:4 in
+      let out0, _ = exec_measured k "/home/d/prog" in
+      check_string "seed exec" want out0;
+      ignore (Ldl.stable_sync ldl);
+      (* the largest depth a file can hold, past any root *)
+      let forged =
+        List.fold_left
+          (fun n path ->
+            let bytes, ndeps = reseal_depths (Fs.read_file fs path) 0xFFFF in
+            store_through_segment fs path bytes;
+            n + ndeps)
+          0 (stable_paths fs "plan-")
+      in
+      check_bool "some plan records a dependency" true (forged > 0);
+      let boot_exec () =
+        Stats.measure (fun () ->
+            Kernel.reboot k;
+            fst (exec_measured k "/home/d/prog"))
+      in
+      let out, d = boot_exec () in
+      check_string "exec past a forged depth" want out;
+      check_bool "the forged plan is rejected" true (d.Stats.stable_rejects >= 1);
+      ignore (Ldl.stable_sync ldl);
+      let out, d = boot_exec () in
+      check_string "exec after the next sync" want out;
+      check_bool "plans loaded" true (d.Stats.stable_loads > 0);
+      check_int "every loaded plan replays" d.Stats.plan_hits d.Stats.stable_loads;
+      check_int "nothing rejected" 0 d.Stats.stable_rejects)
+
+(* A plan names its scope chain by digest and its dependencies' scopes
+   by depth, so its file does not grow with the module list: the largest
+   plan file of a 64-module chain is within 32 bytes of an 8-module
+   one's, deep or plain. *)
+let plan_files_do_not_grow_with_the_chain () =
+  Config.with_ { Config.current with plans = true } (fun () ->
+      let largest ~deep modules =
+        let ((k, ldl) as m) = boot () in
+        let fs = Kernel.fs k in
+        let want = build_chain ~deep m ~modules in
+        check_string "exec" want (fst (exec_measured k "/home/d/prog"));
+        ignore (Ldl.stable_sync ldl);
+        List.fold_left
+          (fun acc path -> max acc (Fs.stat fs path).Fs.st_size)
+          0 (stable_paths fs "plan-")
+      in
+      List.iter
+        (fun deep ->
+          let small = largest ~deep 8 and big = largest ~deep 64 in
+          check_bool
+            (Printf.sprintf "%s chain: %d bytes at 64 modules, %d at 8"
+               (if deep then "deep" else "plain")
+               big small)
+            true
+            (small > 0 && big - small <= 32))
+        [ true; false ])
 
 (* ----- injected failures during a persist ---------------------------------- *)
 
@@ -671,6 +758,9 @@ let suite =
     test "stable plans: corrupt file reaped on its failed load" corrupt_plan_is_reaped;
     test "stable plans: forged files are reaped and size nothing" forged_files_are_reaped;
     prop_hostile_plan_files;
+    test "stable plans: a forged depth fails its replay" forged_depth_fails_replay;
+    test "stable plans: a plan file does not grow with the chain"
+      plan_files_do_not_grow_with_the_chain;
     test "stable sync: crash mid-persist recovers, errors degrade"
       crash_during_persist_recovers;
     test "stable sync: a failed unlink leaves the next boot cold" failed_unlink_boots_cold;
