@@ -27,11 +27,12 @@ let errf fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
 
 (* Per-symbol resolution provenance (observability only, recorded while
    linkstat is armed): how the last resolution of each name was
-   answered, and how often the name was resolved at all.  Strings are
-   kept flat so the JSON export needs no joins: [pv_source] is "cold" |
-   "replay" | "stable" | "dlsym", [pv_probe] is "hash" | "linear" |
-   "plan", [pv_origin] is the exporting instance key (or "image" |
-   "plan" | "own"), [pv_scope] the scope label the walk found it at. *)
+   answered, and how often the name was resolved at all (once per link
+   pass that asked for it).  Strings are kept flat so the JSON export
+   needs no joins: [pv_source] is "cold" | "replay" | "stable" |
+   "dlsym", [pv_probe] is "hash" | "linear" | "plan", [pv_origin] is the
+   exporting instance key (or "image" | "plan" | "own"), [pv_scope] the
+   scope label the walk found it at. *)
 type prov = {
   mutable pv_count : int;
   mutable pv_source : string;
@@ -40,10 +41,15 @@ type prov = {
   mutable pv_scope : string;
 }
 
-(* The resumable export index of one scope node: the part of its module
-   list the walk has not passed yet, and the first exporter (address,
+(* What the walk knows of one scope node with a non-empty module list,
+   valid at one generation and cwd (see [validate]): the node's
+   effective search directories, each listed name's located spelling,
+   and the resumable export index, that is the part of the list the
+   hashed walk has not passed yet and the first exporter (address,
    instance key) of each name among the modules before that point. *)
 type scope_index = {
+  si_dirs : string list;
+  si_located : (string, string option) Hashtbl.t;
   mutable si_rest : string list;
   si_exports : (string, int * string) Hashtbl.t;
 }
@@ -64,7 +70,9 @@ type pstate = {
   mutable ps_image_seg : Segment.t option;
   mutable ps_instances : Modinst.t list;
   mutable ps_root : Modinst.scope;
-  mutable ps_pending : Objfile.reloc list;
+  (* the image's retained relocations that no completed start-up
+     resolved, grouped by symbol *)
+  mutable ps_pending : Reloc_engine.relocs;
   mutable ps_veneer_next : int;
   mutable ps_started : bool;
   (* program identity for link plans: path + load-image (segment id,
@@ -76,12 +84,18 @@ type pstate = {
   mutable ps_by_addr : Modinst.t Interval_map.t;
   ps_by_key : (string, Modinst.t) Hashtbl.t;
   mutable ps_unlinked : Modinst.t list;
-  (* per-scope export indexes, all valid for [ps_index_gen] only
-     (instances never move within a process, so an index can only go
-     stale through the namespace) *)
+  (* per-scope walk state and the modules refused so far, all valid
+     for [ps_index_gen] and [ps_index_cwd] only (instances never move
+     within a process, so they can only go stale through the namespace
+     or a relative search directory) *)
   ps_index : scope_index Scope_tbl.t;
+  ps_refused : (string, unit) Hashtbl.t;
   mutable ps_index_gen : int;
+  mutable ps_index_cwd : Path.t;
   ps_digests : string Scope_tbl.t;  (* see [scope_digest] *)
+  (* [prog_key]'s answer and the cwd, environment and bind mode it was
+     built from *)
+  mutable ps_key : (Path.t * (string * string) list * bool * string) option;
   (* host-side: per-symbol resolution provenance for linkstat, filled
      only while [linkstat] is armed *)
   ps_prov : (string, prov) Hashtbl.t;
@@ -94,6 +108,14 @@ type pstate = {
   mutable ps_digest : Bytes.t;  (* 16 raw digest bytes *)
 }
 
+(* The region being recorded: its scope, its instantiations, and whether
+   its walk refused a module. *)
+type recording = {
+  rec_scope : Modinst.scope;
+  mutable rec_deps : Link_plan.dep list;
+  mutable rec_refused : bool;
+}
+
 type t = {
   k : Kernel.t;
   states : (int, pstate) Hashtbl.t;
@@ -104,16 +126,17 @@ type t = {
   plans : Link_plan.store;  (* kernel-wide memoized link plans *)
   (* Host-side memos of this kernel's files, each entry keyed by a file
      segment id and tagged with the version it was built from (see
-     [memo]): decoded templates; each template's placed image, COW-copied
-     into every private instance; and each program's decoded image with
-     its placed image, COW-copied into every process that execs it.  The
-     placed masters are never mapped, so they stay pristine however
-     processes scribble on their copies. *)
+     [memo]): decoded templates and their relocations grouped by symbol;
+     each template's placed image, COW-copied into every private
+     instance; and each program's decoded image, with its retained
+     relocations grouped and its placed image, COW-copied into every
+     process that execs it.  The placed masters are never mapped, so
+     they stay pristine however processes scribble on their copies. *)
   objs : (int, int * Objfile.t) Hashtbl.t;
+  relocs : (int, int * Reloc_engine.relocs) Hashtbl.t;
   masters : (int, int * Segment.t) Hashtbl.t;
-  images : (int, int * (Aout.t * Segment.t Lazy.t)) Hashtbl.t;
-  (* the region being recorded: its scope and its instantiations *)
-  mutable plan_rec : (Modinst.scope * Link_plan.dep list ref) option;
+  images : (int, int * (Aout.t * Reloc_engine.relocs * Segment.t Lazy.t)) Hashtbl.t;
+  mutable plan_rec : recording option;
   (* regions that raised mid-recording: a retried region would record an
      incomplete instantiation list, so never plan these again *)
   poisoned : (string, unit) Hashtbl.t;
@@ -140,8 +163,8 @@ let state t proc = Hashtbl.find_opt t.states proc.Proc.pid
 
 (* A process's link state as exec, fork or attach starts it: the
    host-side indexes start empty ([rebuild_indexes] fills them). *)
-let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next = 0) ?prog
-    ~started root =
+let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = Reloc_engine.group [])
+    ?(veneer_next = 0) ?prog ~started root =
   {
     ps_aout = aout;
     ps_image_seg = image_seg;
@@ -155,8 +178,11 @@ let new_pstate ?aout ?image_seg ?(instances = []) ?(pending = []) ?(veneer_next 
     ps_by_key = Hashtbl.create 16;
     ps_unlinked = [];
     ps_index = Scope_tbl.create 16;
+    ps_refused = Hashtbl.create 4;
     ps_index_gen = -1;
+    ps_index_cwd = Path.root;
     ps_digests = Scope_tbl.create 16;
+    ps_key = None;
     ps_prov = Hashtbl.create 64;
     ps_digest = Bytes.make 16 '\000';
   }
@@ -378,38 +404,106 @@ let instantiate t proc ps ~located ~public ~parent_scope =
   in
   add_instance ps inst;
   (match t.plan_rec with
-  | Some (region, acc) ->
-    acc :=
+  | Some r ->
+    r.rec_deps <-
       {
         Link_plan.dep_located = located;
         dep_public = public;
         dep_base = inst.Modinst.inst_base;
         dep_src = inst.Modinst.inst_src;
-        dep_depth = depth_above region parent_scope 0;
+        dep_depth = depth_above r.rec_scope parent_scope 0;
       }
-      :: !acc
+      :: r.rec_deps
   | None -> ());
   inst
 
-(* Locate a module by name through a scope's effective directories and
-   make sure it is instantiated (mapped, possibly without access). *)
-let ensure_instance_by_name t proc ps ~scope name =
-  let ctx = ctx_of t proc in
-  match Search.locate ctx ~dirs:(scope_dirs scope) name with
+(* Make sure the module at [located] is instantiated (mapped, possibly
+   without access), under [scope] if it is not yet. *)
+let ensure_instance t proc ps ~scope located =
+  match find_instance ps located with
+  | Some inst -> inst
+  | None -> instantiate t proc ps ~located ~public:(is_shared_located located) ~parent_scope:scope
+
+(* The walk's state ([ps_index], [ps_refused]) holds for one
+   [Fs.generation] and cwd: instantiating a public module creates its
+   file, moving the generation mid-walk, and a relative search
+   directory names another directory after a chdir. *)
+let validate t proc ps =
+  let gen = Fs.generation (Kernel.fs t.k) in
+  if gen <> ps.ps_index_gen || proc.Proc.cwd != ps.ps_index_cwd then begin
+    Scope_tbl.reset ps.ps_index;
+    Hashtbl.reset ps.ps_refused;
+    ps.ps_index_gen <- gen;
+    ps.ps_index_cwd <- proc.Proc.cwd
+  end
+
+let scope_index t proc ps scope =
+  validate t proc ps;
+  match Scope_tbl.find_opt ps.ps_index scope with
+  | Some ix -> ix
+  | None ->
+    let ix =
+      {
+        si_dirs = scope_dirs scope;
+        si_located = Hashtbl.create 16;
+        si_rest = scope.Modinst.sc_modules;
+        si_exports = Hashtbl.create 16;
+      }
+    in
+    Scope_tbl.replace ps.ps_index scope ix;
+    ix
+
+(* Module [name] through [scope]'s effective directories, located once
+   per generation and cwd, for start-up, both walks and [dlopen]
+   alike. *)
+let located t proc ps scope name =
+  let ix = scope_index t proc ps scope in
+  match Hashtbl.find_opt ix.si_located name with
+  | Some answer -> answer
+  | None ->
+    let answer = Search.locate (ctx_of t proc) ~dirs:ix.si_dirs name in
+    Hashtbl.replace ix.si_located name answer;
+    answer
+
+(* A module whose instantiation by a walk raised [Link_error] is
+   refused: the walk warns once and passes it, and the process remembers
+   it at this generation and cwd, so neither walk reads its template
+   again until they move.  What a walk passes depends on what was
+   refused before it, so a plan's key names the refused modules
+   ([refused_key]), and a region that refused one is never planned: its
+   replay would skip the attempt that a cold walk repeats. *)
+let refuse t proc ps located why =
+  validate t proc ps;
+  Hashtbl.replace ps.ps_refused located ();
+  Option.iter (fun r -> r.rec_refused <- true) t.plan_rec;
+  warn t "module %s refused: %s" located why
+
+let refused_key ps =
+  String.concat "\x03" (List.sort compare (Hashtbl.fold (fun m () acc -> m :: acc) ps.ps_refused []))
+
+(* Module [name] of [scope]'s list, as the walk finds it: located once,
+   instantiated if need be, [None] if it locates nowhere or is refused.
+   [Would_block] and crashes propagate. *)
+let listed_instance t proc ps scope name =
+  match located t proc ps scope name with
   | None -> None
+  | Some located when Hashtbl.mem ps.ps_refused located -> find_instance ps located
   | Some located -> (
-    match find_instance ps located with
-    | Some inst -> Some inst
-    | None ->
-      Some (instantiate t proc ps ~located ~public:(is_shared_located located) ~parent_scope:scope))
+    match ensure_instance t proc ps ~scope located with
+    | inst -> Some inst
+    | exception Link_error why ->
+      refuse t proc ps located why;
+      None)
 
 (* Scoped symbol resolution: this scope's module list, then the parent
    chain; at the root, also the main image's exports.  [in_list] answers
-   one node's module list.  Successes carry provenance: the exporting
-   instance (or "image") and the scope node whose module list
-   answered. *)
+   one node's module list; an empty list is asked nothing, so it gets
+   no index.  Successes carry provenance: the exporting instance (or
+   "image") and the scope node whose module list answered. *)
 let rec walk_scopes ps in_list scope name =
-  match in_list scope name with
+  match
+    match scope.Modinst.sc_modules with [] -> None | _ :: _ -> in_list scope name
+  with
   | Some (addr, origin) -> Some (addr, origin, scope.Modinst.sc_label)
   | None -> (
     match scope.Modinst.sc_parent with
@@ -427,7 +521,7 @@ let rec walk_scopes ps in_list scope name =
 let in_list_linear t proc ps scope name =
   List.find_map
     (fun mname ->
-      match ensure_instance_by_name t proc ps ~scope mname with
+      match listed_instance t proc ps scope mname with
       | Some inst ->
         Option.map (fun addr -> (addr, inst.Modinst.inst_key)) (Modinst.find_export inst name)
       | None -> None)
@@ -435,31 +529,19 @@ let in_list_linear t proc ps scope name =
 
 (* The same walk, resumed instead of restarted.  Each scope's index
    answers for the modules the walk has already passed, which it located
-   and instantiated at this generation in this process, so re-walking
-   them would repeat no simulated action; a miss walks on from where the
-   walk stopped, in list order.  The rules that keep it the linear walk:
-   - every index holds for one [Fs.generation], checked at every level,
-     because instantiating a public module creates its file (moving the
-     generation) mid-walk;
+   and instantiated (or refused) at this generation and cwd in this
+   process, so re-walking them would repeat no simulated action; a miss
+   walks on from where the walk stopped, in list order.  The rules that
+   keep it the linear walk:
+   - every index holds for one [Fs.generation] and cwd, checked at
+     every level, because instantiating a public module creates its
+     file (moving the generation) mid-walk;
    - the first exporter wins, as [Modinst.find_export] answers;
-   - the cursor passes a module only once [ensure_instance_by_name]
-     returned, so a walk that raised ([Would_block] on a creation lock,
-     [Link_error], a crash) retries that module next time. *)
-let scope_index t ps scope =
-  let gen = Fs.generation (Kernel.fs t.k) in
-  if gen <> ps.ps_index_gen then begin
-    Scope_tbl.reset ps.ps_index;
-    ps.ps_index_gen <- gen
-  end;
-  match Scope_tbl.find_opt ps.ps_index scope with
-  | Some ix -> ix
-  | None ->
-    let ix = { si_rest = scope.Modinst.sc_modules; si_exports = Hashtbl.create 16 } in
-    Scope_tbl.replace ps.ps_index scope ix;
-    ix
-
+   - the cursor passes a module only once [listed_instance] returned, so
+     a walk that raised ([Would_block] on a creation lock, a crash)
+     retries that module next time. *)
 let in_list_indexed t proc ps scope name =
-  let ix = scope_index t ps scope in
+  let ix = scope_index t proc ps scope in
   let rec go () =
     match Hashtbl.find_opt ix.si_exports name with
     | Some hit ->
@@ -470,7 +552,7 @@ let in_list_indexed t proc ps scope name =
       match ix.si_rest with
       | [] -> None
       | mname :: rest ->
-        (match ensure_instance_by_name t proc ps ~scope mname with
+        (match listed_instance t proc ps scope mname with
         | Some inst ->
           Modinst.iter_exports inst (fun n addr ->
               if not (Hashtbl.mem ix.si_exports n) then
@@ -509,17 +591,26 @@ let rec scope_digest ps s =
 and parent_digest ps s =
   match s.Modinst.sc_parent with Some p -> scope_digest ps p | None -> ""
 
-(* Program identity: path, load-image segment id+version, cwd, exec-time
-   LD_LIBRARY_PATH, and the bind mode. *)
+(* Program identity: path, load-image segment id+version, cwd,
+   LD_LIBRARY_PATH, and the bind mode.  Built once per process and
+   rebuilt only when the cwd, the environment or the bind mode has
+   changed since. *)
 let prog_key t proc ps =
   match ps.ps_prog with
   | None -> None
-  | Some (path, segid, segver) ->
-    let llp = Option.value ~default:"" (List.assoc_opt "LD_LIBRARY_PATH" proc.Proc.env) in
-    Some
-      (String.concat "\x01"
-         [ path; string_of_int segid; string_of_int segver; Path.to_string proc.Proc.cwd; llp;
-           string_of_bool t.bind_now ])
+  | Some (path, segid, segver) -> (
+    let cwd = proc.Proc.cwd and env = proc.Proc.env and bind = t.bind_now in
+    match ps.ps_key with
+    | Some (c, e, b, key) when c == cwd && e == env && b = bind -> Some key
+    | Some _ | None ->
+      let llp = Option.value ~default:"" (List.assoc_opt "LD_LIBRARY_PATH" env) in
+      let key =
+        String.concat "\x01"
+          [ path; string_of_int segid; string_of_int segver; Path.to_string cwd; llp;
+            string_of_bool bind ]
+      in
+      ps.ps_key <- Some (cwd, env, bind, key);
+      Some key)
 
 (* Replay a plan's instantiations through the ordinary path — every
    simulated cost (reads, mappings, creation locks) recurs exactly —
@@ -554,20 +645,21 @@ let replay_deps t proc ps ~scope plan =
    link error) the key is poisoned: a retry would record only the
    leftover instantiations and the incomplete plan could strand a
    private module unmapped in some later process.  So is a region that
-   instantiated under a scope outside [scope]'s chain, which no depth
-   names. *)
+   refused a module (see [refuse]), or that instantiated under a
+   scope outside [scope]'s chain, which no depth names. *)
 let record_plan t ~fs ~scope key cold =
   let addrs = Hashtbl.create 16 in
-  let acc = ref [] in
+  let r = { rec_scope = scope; rec_deps = []; rec_refused = false } in
   let saved = t.plan_rec in
-  t.plan_rec <- Some (scope, acc);
+  t.plan_rec <- Some r;
   match cold ~record:(fun sym addr -> Hashtbl.replace addrs sym addr) with
   | () ->
     t.plan_rec <- saved;
-    if List.exists (fun d -> d.Link_plan.dep_depth < 0) !acc then Hashtbl.replace t.poisoned key ()
+    if r.rec_refused || List.exists (fun d -> d.Link_plan.dep_depth < 0) r.rec_deps then
+      Hashtbl.replace t.poisoned key ()
     else
       Link_plan.record t.plans ~fs key
-        { Link_plan.plan_deps = List.rev !acc; plan_addrs = addrs; plan_copy = Unsaved }
+        { Link_plan.plan_deps = List.rev r.rec_deps; plan_addrs = addrs; plan_copy = Unsaved }
   | exception e ->
     t.plan_rec <- saved;
     Hashtbl.replace t.poisoned key ();
@@ -599,7 +691,11 @@ let planned t proc ps ~scope ~key ~cold_resolve ~run =
   | None -> run cold_resolve
   | Some key -> (
     let fs = Kernel.fs t.k in
-    let key = key ^ "\x05" ^ inst_digest ps in
+    validate t proc ps;
+    let key =
+      if Hashtbl.length ps.ps_refused = 0 then key ^ "\x05" ^ inst_digest ps
+      else String.concat "\x05" [ key; inst_digest ps; refused_key ps ]
+    in
     match Link_plan.lookup t.plans ~fs key with
     | None ->
       Link_plan.miss ();
@@ -644,9 +740,16 @@ let planned t proc ps ~scope ~key ~cold_resolve ~run =
 
 (* ----- the lazy link pass ------------------------------------------------- *)
 
+(* The template's relocations grouped by symbol, once per decode: the
+   memo is keyed like [objs] and dropped with it at reboot. *)
+let grouped t inst =
+  memo t.relocs inst.Modinst.inst_src (fun () ->
+      Reloc_engine.group inst.Modinst.inst_obj.Objfile.relocs)
+
 let link_instance t proc ps inst =
   if not inst.Modinst.inst_linked then begin
     let obj = inst.Modinst.inst_obj in
+    let fs = Kernel.fs t.k in
     let image = Modinst.image_base inst in
     let text_b, data_b, bss_b = Objfile.section_bases obj in
     let bases = function
@@ -676,10 +779,12 @@ let link_instance t proc ps inst =
           fun i -> inst.Modinst.inst_applied.(i) <- true )
     in
     let sink = Modinst.sink_of_segment inst.Modinst.inst_seg ~vaddr_base:inst.Modinst.inst_base in
+    let relocs = grouped t inst in
     let run resolve =
       let left =
-        Reloc_engine.link_pass ~obj ~bases ~resolve ~already ~mark sink ~gp:None
-          ~veneer:(Some (Modinst.veneer_pool inst))
+        Reloc_engine.link_pass ~relocs ~bases ~resolve
+          ~epoch:(fun () -> Fs.generation fs)
+          ~already ~mark sink ~gp:None ~veneer:(Some (Modinst.veneer_pool inst))
       in
       if left <> [] then
         warn t "module %s: %d reference(s) unresolved at the root (left to fault)"
@@ -722,22 +827,22 @@ let resolve_image_pending t proc ps =
       }
     in
     let gp = Option.map (fun off -> Aout.image_base + off) aout.Aout.gp_base_off in
+    let fs = Kernel.fs t.k in
+    (* A retained relocation's offset is from the image base, whatever
+       its section.  Nothing is marked as it goes: a start-up that
+       raised retries every relocation. *)
     let run resolve =
-      let still = ref [] in
-      List.iter
-        (fun r ->
-          match resolve r.Objfile.rel_symbol with
-          | Some addr ->
-            let s = Stats.cur () in
-            s.symbols_resolved <- s.symbols_resolved + 1;
-            Reloc_engine.apply sink
-              ~at:(Aout.image_base + r.Objfile.rel_offset)
-              ~kind:r.Objfile.rel_kind
-              ~value:(addr + r.Objfile.rel_addend)
-              ~gp ~veneer:(Some pool)
-          | None -> still := r :: !still)
-        ps.ps_pending;
-      ps.ps_pending <- List.rev !still
+      let relocs = ps.ps_pending in
+      let left =
+        Reloc_engine.link_pass ~relocs
+          ~bases:(fun _ -> Aout.image_base)
+          ~resolve
+          ~epoch:(fun () -> Fs.generation fs)
+          ~already:(fun _ -> false)
+          ~mark:ignore sink ~gp ~veneer:(Some pool)
+      in
+      ps.ps_pending <-
+        Reloc_engine.group (List.map (fun i -> relocs.Reloc_engine.rl_all.(i)) left)
     in
     let cold_resolve name =
       match resolve_scoped t proc ps ps.ps_root name with
@@ -764,29 +869,31 @@ let ldl_startup t proc ps =
       }
     in
     ps.ps_root <- root;
+    (* Each module is located as the root walk locates it, once.  A
+       failure here is only warned: the walk tries the module again, as
+       its own sharing class may differ from the descriptor's. *)
+    let start ~what name located ~public =
+      if find_instance ps located = None then
+        match instantiate t proc ps ~located ~public ~parent_scope:root with
+        | (_ : Modinst.t) -> ()
+        | exception Link_error msg -> warn t "%s %s: %s" what name msg
+    in
     (* Map (and if necessary recreate) the static public modules. *)
     List.iter
       (fun sp ->
-        match ensure_instance_by_name t proc ps ~scope:root sp.Aout.sp_template with
-        | Some _ -> ()
-        | None -> warn t "static public module %s not found at run time" sp.Aout.sp_template
-        | exception Link_error msg -> warn t "static public %s: %s" sp.Aout.sp_template msg)
+        let name = sp.Aout.sp_template in
+        match located t proc ps root name with
+        | None -> warn t "static public module %s not found at run time" name
+        | Some located -> start ~what:"static public" name located ~public:(is_shared_located located))
       aout.Aout.static_pubs;
     (* Create/instantiate dynamic modules, honouring the descriptor class. *)
     List.iter
       (fun d ->
-        let ctx = ctx_of t proc in
-        match Search.locate ctx ~dirs:(scope_dirs root) d.Aout.dd_name with
-        | None -> warn t "dynamic module %s not found" d.Aout.dd_name
-        | Some located -> (
-          if find_instance ps located = None then
-            match
-              instantiate t proc ps ~located
-                ~public:(d.Aout.dd_class = Sharing.Dynamic_public)
-                ~parent_scope:root
-            with
-            | (_ : Modinst.t) -> ()
-            | exception Link_error msg -> warn t "dynamic %s: %s" d.Aout.dd_name msg))
+        let name = d.Aout.dd_name in
+        match located t proc ps root name with
+        | None -> warn t "dynamic module %s not found" name
+        | Some located ->
+          start ~what:"dynamic" name located ~public:(d.Aout.dd_class = Sharing.Dynamic_public))
       aout.Aout.dynamics;
     (* Resolve the image's retained references against what is now mapped
        — including symbols whose location was unknown at static link
@@ -939,9 +1046,9 @@ let loader t _k proc bytes ~path =
   let decode_image () =
     let aout = try Aout.parse bytes with Failure why -> enoexec path "%s" why in
     check_image path aout;
-    (aout, lazy (build_image aout ("image-master:" ^ path)))
+    (aout, Reloc_engine.group aout.Aout.pending, lazy (build_image aout ("image-master:" ^ path)))
   in
-  let aout, master =
+  let aout, pending, master =
     match src with Some src -> memo t.images src decode_image | None -> decode_image ()
   in
   let seg =
@@ -952,7 +1059,7 @@ let loader t _k proc bytes ~path =
   As.map proc.Proc.space ~base:Aout.image_base ~len:(Segment.max_size seg) ~seg
     ~kind:Vm_object.Anonymous ~prot:Prot.Read_write_exec ~share:As.Private ~label:path ();
   Hashtbl.replace t.states proc.Proc.pid
-    (new_pstate ~aout ~image_seg:seg ~pending:aout.Aout.pending
+    (new_pstate ~aout ~image_seg:seg ~pending
        ~veneer_next:(count_used_veneers aout)
        ?prog:(Option.map (fun (id, ver) -> (path, id, ver)) src)
        ~started:false (empty_root proc));
@@ -1003,6 +1110,7 @@ let install k =
       linkstat = false;
       plans = Link_plan.create_store ();
       objs = Hashtbl.create 64;
+      relocs = Hashtbl.create 64;
       masters = Hashtbl.create 64;
       images = Hashtbl.create 16;
       plan_rec = None;
@@ -1021,22 +1129,23 @@ let install k =
           | Link_error msg -> warn t "ldl: %s" msg));
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
   Kernel.add_reap_hook k (fun proc -> Hashtbl.remove t.states proc.Proc.pid);
-  (* Reboot kills the kernel-resident LINK STATE — the plan store and
-     the template decode memo — of which stable linking keeps only the
-     plans in /shared.  Placed CONTENT stays, as does the kernel's
-     pager: the placed-module masters and the decoded and placed images
-     are identified by the (id, version) of segments that survive the
-     reboot, modelling bytes in the persistent segment store.  All of
-     it is host-side; simulated costs never change.  Then the hook
-     reads the plans back, only at the generation the copy was made
-     at — read first, because a plan reap moves it without changing
-     anything a module lookup sees. *)
+  (* Reboot kills the kernel-resident LINK STATE — the plan store, the
+     template decode memo and the relocations it grouped — of which
+     stable linking keeps only the plans in /shared.  Placed CONTENT
+     stays, as does the kernel's pager: the placed-module masters and
+     the decoded and placed images are identified by the (id, version)
+     of segments that survive the reboot, modelling bytes in the
+     persistent segment store.  All of it is host-side; simulated costs
+     never change.  Then the hook reads the plans back, only at the
+     generation the copy was made at — read first, because a plan reap
+     moves it without changing anything a module lookup sees. *)
   Kernel.add_reboot_hook k (fun () ->
       let fs = Kernel.fs k in
       let gen = Fs.generation fs in
       Link_plan.reset_store t.plans;
       Hashtbl.reset t.poisoned;
       Hashtbl.reset t.objs;
+      Hashtbl.reset t.relocs;
       if Config.current.plans && gen = t.synced_gen then
         List.iter
           (fun (key, plan) -> Link_plan.record t.plans ~fs key plan)
@@ -1068,8 +1177,8 @@ let dlopen t proc name =
   attach t proc;
   let ps = Option.get (state t proc) in
   retry_native (fun () ->
-      match ensure_instance_by_name t proc ps ~scope:ps.ps_root name with
-      | Some inst -> inst
+      match located t proc ps ps.ps_root name with
+      | Some located -> ensure_instance t proc ps ~scope:ps.ps_root located
       | None -> errf "dlopen: cannot find module %s" name)
 
 let dlsym t proc name =

@@ -24,7 +24,11 @@
     its own list (located through its own search path), then its
     parent's, up to the root; root-level resolution also sees the main
     image's exports.  References unresolved at the root are left to
-    fault. *)
+    fault.  A listed module that cannot be instantiated (a template
+    grown past its slot, a public template off [/shared], ...) is
+    refused: the walk warns once and passes it, so the modules after it
+    still answer, and the process does not try it again until the file
+    system's namespace or its cwd changes. *)
 
 module Kernel = Hemlock_os.Kernel
 module Proc = Hemlock_os.Proc

@@ -208,8 +208,10 @@ let link ctx ?(cli_dirs = []) ?(duplicate_policy = `Error) ~specs ~output () =
         | None -> pub_export name)
     in
     let gp = if pl.pl_obj.Objfile.uses_gp then Some (base + gp_off) else None in
+    let relocs = Reloc_engine.group pl.pl_obj.Objfile.relocs in
     let left =
-      Reloc_engine.link_pass ~obj:pl.pl_obj ~bases ~resolve
+      Reloc_engine.link_pass ~relocs ~bases ~resolve
+        ~epoch:(fun () -> 0)
         ~already:(fun _ -> false)
         ~mark:(fun _ -> ())
         sink ~gp ~veneer:(Some pool)
@@ -217,7 +219,7 @@ let link ctx ?(cli_dirs = []) ?(duplicate_policy = `Error) ~specs ~output () =
     (* Retain unresolved relocations, rebased to image coordinates. *)
     List.iter
       (fun i ->
-        let r = List.nth pl.pl_obj.Objfile.relocs i in
+        let r = relocs.Reloc_engine.rl_all.(i) in
         let section_off =
           match r.Objfile.rel_section with
           | Objfile.Text -> pl.pl_text

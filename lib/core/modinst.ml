@@ -270,7 +270,10 @@ let create_public_file ctx ~template_path ~obj ~module_path =
     in
     let pool = Header.veneer_pool seg ~base in
     let _pending =
-      Reloc_engine.link_pass ~obj ~bases ~resolve
+      Reloc_engine.link_pass
+        ~relocs:(Reloc_engine.group obj.Objfile.relocs)
+        ~bases ~resolve
+        ~epoch:(fun () -> 0)
         ~already:(Header.applied seg)
         ~mark:(Header.set_applied seg)
         sink ~gp:None ~veneer:(Some pool)

@@ -92,20 +92,74 @@ let apply sink ~at ~kind ~value ~gp ~veneer =
           disp at;
       sink.set32 at ((word land lnot 0xFFFF) lor (disp land 0xFFFF)))
 
-let link_pass ~obj ~bases ~resolve ~already ~mark sink ~gp ~veneer =
-  let pending = ref [] in
-  List.iteri
-    (fun i r ->
-      if not (already i) then
+type relocs = {
+  rl_all : Objfile.reloc array;
+  rl_symbol_of : int array;
+  rl_symbols : int;
+}
+
+(* Symbols are numbered in name order, by sorting the relocation
+   indices on their names.  The sort is a Shell sort in place, as
+   [Array.sort] allocates while it sifts, and every template is grouped
+   again after each reboot. *)
+let group relocs =
+  let all = Array.of_list relocs in
+  let n = Array.length all in
+  let name i = all.(i).Objfile.rel_symbol in
+  let order = Array.init n Fun.id in
+  let gap = ref 1 in
+  while !gap < n / 3 do
+    gap := (3 * !gap) + 1
+  done;
+  while !gap > 0 do
+    for i = !gap to n - 1 do
+      let x = order.(i) and j = ref i in
+      while !j >= !gap && String.compare (name order.(!j - !gap)) (name x) > 0 do
+        order.(!j) <- order.(!j - !gap);
+        j := !j - !gap
+      done;
+      order.(!j) <- x
+    done;
+    gap := !gap / 3
+  done;
+  let symbol_of = Array.make n 0 and symbols = ref 0 in
+  for k = 0 to n - 1 do
+    if k > 0 && not (String.equal (name order.(k - 1)) (name order.(k))) then incr symbols;
+    symbol_of.(order.(k)) <- !symbols
+  done;
+  { rl_all = all; rl_symbol_of = symbol_of; rl_symbols = (if n = 0 then 0 else !symbols + 1) }
+
+(* [known] holds each symbol's answer in this pass: '\000' not asked
+   since [epoch] last moved, '\001' resolved to [addrs], '\002'
+   unresolved. *)
+let link_pass ~relocs ~bases ~resolve ~epoch ~already ~mark sink ~gp ~veneer =
+  let n = relocs.rl_symbols in
+  let known = Bytes.make n '\000' and addrs = Array.make n 0 in
+  let seen = ref (epoch ()) and pending = ref [] in
+  for i = 0 to Array.length relocs.rl_all - 1 do
+    if not (already i) then begin
+      let e = epoch () in
+      if e <> !seen then begin
+        Bytes.fill known 0 n '\000';
+        seen := e
+      end;
+      let r = relocs.rl_all.(i) and id = relocs.rl_symbol_of.(i) in
+      if Bytes.get known id = '\000' then begin
         match resolve r.Objfile.rel_symbol with
-        | Some sym_addr ->
-          let s = Stats.cur () in
-          s.symbols_resolved <- s.symbols_resolved + 1;
-          let at = bases r.Objfile.rel_section + r.Objfile.rel_offset in
-          apply sink ~at ~kind:r.Objfile.rel_kind
-            ~value:(sym_addr + r.Objfile.rel_addend)
-            ~gp ~veneer;
-          mark i
-        | None -> pending := i :: !pending)
-    obj.Objfile.relocs;
+        | Some addr ->
+          addrs.(id) <- addr;
+          Bytes.set known id '\001'
+        | None -> Bytes.set known id '\002'
+      end;
+      if Bytes.get known id = '\001' then begin
+        let s = Stats.cur () in
+        s.symbols_resolved <- s.symbols_resolved + 1;
+        let at = bases r.Objfile.rel_section + r.Objfile.rel_offset in
+        apply sink ~at ~kind:r.Objfile.rel_kind ~value:(addrs.(id) + r.Objfile.rel_addend) ~gp
+          ~veneer;
+        mark i
+      end
+      else pending := i :: !pending
+    end
+  done;
   List.rev !pending

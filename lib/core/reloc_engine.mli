@@ -50,18 +50,37 @@ val apply :
   veneer:veneer_pool option ->
   unit
 
-(** A pass over a module's relocation list.
+(** A relocation list grouped by symbol, built once per decoded
+    template (ldl keeps it beside its decode memo): the relocations in
+    their recorded order, and each one's symbol as a number, one per
+    distinct name, from 0 to [rl_symbols - 1]. *)
+type relocs = {
+  rl_all : Hemlock_obj.Objfile.reloc array;
+  rl_symbol_of : int array;
+  rl_symbols : int;
+}
 
-    [link_pass ~obj ~bases ~resolve ~already ~mark sink ~gp ~veneer]
-    visits each relocation by index; [bases] gives the absolute base
-    address of each section of the placed module; [resolve] maps a
-    symbol name to an absolute address ([None] leaves the relocation
-    pending); [already]/[mark] track per-relocation completion.  Returns
-    the indices that remain unresolved. *)
+val group : Hemlock_obj.Objfile.reloc list -> relocs
+
+(** A pass over a grouped relocation list.
+
+    [link_pass ~relocs ~bases ~resolve ~epoch ~already ~mark sink ~gp
+    ~veneer] visits each relocation by index, in recorded order, so
+    veneer slots are handed out as a per-relocation pass would hand
+    them out; [bases] gives the absolute base address of each section
+    of the placed module; [resolve] maps a symbol name to an absolute
+    address ([None] leaves the relocation pending); [already]/[mark]
+    track per-relocation completion.  [resolve] is asked once per
+    distinct symbol, and again only after [epoch] moved: a caller whose
+    answers hang on the namespace passes [Fs.generation], one whose
+    answers never change a constant.  Every applied relocation bills
+    one [symbols_resolved] and one [relocs_applied], as if it had been
+    resolved alone.  Returns the indices that remain unresolved. *)
 val link_pass :
-  obj:Hemlock_obj.Objfile.t ->
+  relocs:relocs ->
   bases:(Hemlock_obj.Objfile.section -> int) ->
   resolve:(string -> int option) ->
+  epoch:(unit -> int) ->
   already:(int -> bool) ->
   mark:(int -> unit) ->
   sink ->

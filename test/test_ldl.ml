@@ -447,15 +447,26 @@ let template_past_its_slot_refused () =
     (Fs.addr_of_path fs "/shared/lib/b");
   install_c k "/home/t/main.o" "extern int b(); int main() { return b() + 40; }";
   let public name = ("/shared/lib/" ^ name, Sharing.Dynamic_public) in
-  ignore
-    (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private); public "b.o"; public "a.o" ]
-       "prog");
+  let link_listing out order =
+    ignore
+      (link k ~dir:"/home/t" ~specs:(("main.o", Sharing.Static_private) :: List.map public order) out)
+  in
+  link_listing "prog" [ "b.o"; "a.o" ];
+  link_listing "a_first" [ "a.o"; "b.o" ];
   install_c k "/shared/lib/a.o" "int big[300000]; int a() { return 1; }";
   check_int "b still links" 42 (exit_code (fst (run_program k "/home/t/prog")));
   check_bool "the warning names a" true
     (List.exists
        (fun w -> contains w "module /shared/lib/a exceeds the 1048576-byte shared file limit")
-       (Ldl.warnings ldl))
+       (Ldl.warnings ldl));
+  (* Listed first, a is refused by the walk that resolves b, which
+     passes it: once, with a warning. *)
+  check_int "b still links with a listed first" 42
+    (exit_code (fst (run_program k "/home/t/a_first")));
+  check_int "the walk refuses a once" 1
+    (List.length
+       (List.filter (fun w -> contains w "/shared/lib/a.o refused: module /shared/lib/a exceeds")
+          (Ldl.warnings ldl)))
 
 let fault_past_linked_module_unhandled () =
   (* A stray load across the end of a public module's slot, far past

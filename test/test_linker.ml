@@ -171,6 +171,69 @@ let reloc_jump_veneer () =
   | _ -> Alcotest.fail "expected pool exhaustion"
   | exception Reloc_engine.Link_error msg -> check_bool "pool" true (contains msg "pool")
 
+(* A pass asks [resolve] once per symbol, and again only after the
+   epoch moved (here while z resolves); it applies and bills every
+   relocation in recorded order, and leaves each relocation of a symbol
+   that stays unresolved pending. *)
+let reloc_pass_resolves_each_symbol_once () =
+  let names = [ "x"; "y"; "x"; "q"; "z"; "y"; "x"; "q" ] in
+  let relocs =
+    Reloc_engine.group
+      (List.mapi
+         (fun i name ->
+           {
+             Objfile.rel_section = Objfile.Data;
+             rel_offset = 4 * i;
+             rel_kind = Objfile.Abs32;
+             rel_symbol = name;
+             rel_addend = i;
+           })
+         names)
+  in
+  check_int "one number per symbol" 4 relocs.Reloc_engine.rl_symbols;
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          check_bool
+            (Printf.sprintf "relocations %d and %d share a number iff they share a symbol" i j)
+            (a = b)
+            (relocs.Reloc_engine.rl_symbol_of.(i) = relocs.Reloc_engine.rl_symbol_of.(j)))
+        names)
+    names;
+  let b = Bytes.make (4 * List.length names) '\000' in
+  let sink = bytes_sink b 0x1000 in
+  let epoch = ref 0 and asked = ref [] in
+  let addr name = 0x100 * (Char.code name.[0] - Char.code 'a') in
+  let resolve name =
+    asked := name :: !asked;
+    if name = "z" then incr epoch;
+    if name = "q" then None else Some (addr name)
+  in
+  let left, d =
+    Hemlock_util.Stats.measure (fun () ->
+        Reloc_engine.link_pass ~relocs
+          ~bases:(fun _ -> 0x1000)
+          ~resolve
+          ~epoch:(fun () -> !epoch)
+          ~already:(fun _ -> false)
+          ~mark:ignore sink ~gp:None ~veneer:None)
+  in
+  Alcotest.(check (list string))
+    "asked once per symbol, again after the epoch moved" [ "x"; "y"; "q"; "z"; "y"; "x"; "q" ]
+    (List.rev !asked);
+  Alcotest.(check (list int)) "q's relocations pending" [ 3; 7 ] left;
+  check_int "symbols resolved, one per relocation applied" 6 d.Hemlock_util.Stats.symbols_resolved;
+  check_int "relocations applied" 6 d.Hemlock_util.Stats.relocs_applied;
+  List.iteri
+    (fun i name ->
+      if name <> "q" then
+        check_int
+          (Printf.sprintf "relocation %d patched" i)
+          (addr name + i)
+          (sink.Reloc_engine.get32 (0x1000 + (4 * i))))
+    names
+
 (* ----- lds ----- *)
 
 let lds_basic_link () =
@@ -428,6 +491,7 @@ let suite =
     test "reloc: ABS32/HI16/LO16" reloc_abs_hi_lo;
     test "reloc: GPREL16 range and absence" reloc_gprel;
     test "reloc: out-of-range jumps use veneers" reloc_jump_veneer;
+    test "reloc: a pass resolves each symbol once per epoch" reloc_pass_resolves_each_symbol_once;
     test "lds: basic image link" lds_basic_link;
     test "lds: missing static module aborts" lds_missing_static_aborts;
     test "lds: missing dynamic module warns" lds_missing_dynamic_warns;
